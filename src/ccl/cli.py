@@ -69,7 +69,11 @@ class RunManifest:
 
 
 def _default_seed():
-    return int(os.environ.get("CCL_SEED", "0"))
+    text = os.environ.get("CCL_SEED", "0")
+    try:
+        return int(text)
+    except ValueError:
+        raise CliError(f"CCL_SEED must be an integer, got {text!r}") from None
 
 
 def _report_summary(report):
@@ -242,10 +246,7 @@ def compute_metrics(model, data: DemonstrationSet):
     """
     rows, skipped = [], []
     if isinstance(model, (StateIndependentConstraint, StateDependentConstraintModel)):
-        if isinstance(model, StateIndependentConstraint):
-            projectors = model.projector_stack(data.states)
-        else:
-            projectors = model.projector_stack(data.states)
+        projectors = model.projector_stack(data.states)
         rows.append(("NPOE", error_poe(data.actions, projectors)))
         if data.policy is not None and data.null_component is not None:
             rows.append(("NPPE", error_ppe(data.null_component, projectors, data.policy)))
@@ -508,9 +509,8 @@ def build_parser():
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = build_parser().parse_args(argv)
         return args.func(args)
     except CliError as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -28,7 +28,6 @@ from .mathkit import (
     orthogonal_complement_rotation,
     pinv_truncated,
     rbf_design,
-    rbf_features,
     rbf_width_from_centers,
     ridge_regression,
     unit_vector_angle_jacobians,
@@ -46,27 +45,34 @@ ROW_ACCEPT_FRACTION = 0.1  # state-dependent rows may keep this energy share
 
 @dataclass(frozen=True)
 class FeatureMatrixProvider:
-    """Named callable producing the feature matrix Phi(x), shape
-    (dim_phi, dim_u), constant dimensions over the state space.  The name
-    makes learned selection models serializable."""
+    """Named feature matrix Phi(x) of constant shape (dim_phi, dim_u) over
+    the state space.  ``fn`` is batched: states (dim_x, N) map to the stack
+    (N, dim_phi, dim_u).  The name makes learned selection models
+    serializable."""
 
     name: str
     dim_phi: int
     dim_u: int
     fn: Callable[[np.ndarray], np.ndarray]
 
-    def __call__(self, x):
-        phi = np.atleast_2d(np.asarray(self.fn(np.asarray(x, dtype=float)), dtype=float))
-        if phi.shape != (self.dim_phi, self.dim_u):
-            raise ValueError(f"feature matrix has shape {phi.shape}, "
-                             f"expected {(self.dim_phi, self.dim_u)}")
+    def stack(self, xs):
+        """Feature matrices at states xs (dim_x, N), shape (N, dim_phi, dim_u)."""
+        xs = np.atleast_2d(np.asarray(xs, dtype=float))
+        phi = np.asarray(self.fn(xs), dtype=float)
+        expected = (xs.shape[1], self.dim_phi, self.dim_u)
+        if phi.shape != expected:
+            raise ValueError(f"feature matrix stack has shape {phi.shape}, expected {expected}")
         return phi
+
+    def __call__(self, x):
+        """Feature matrix at one state, shape (dim_phi, dim_u)."""
+        return self.stack(np.reshape(x, (-1, 1)))[0]
 
 
 def identity_features(dim_u) -> FeatureMatrixProvider:
     eye = np.eye(dim_u)
-    return FeatureMatrixProvider(name=f"identity:{dim_u}", dim_phi=dim_u,
-                                 dim_u=dim_u, fn=lambda x: eye)
+    return FeatureMatrixProvider(name=f"identity:{dim_u}", dim_phi=dim_u, dim_u=dim_u,
+                                 fn=lambda xs: np.broadcast_to(eye, (xs.shape[1], dim_u, dim_u)))
 
 
 def twolink_jacobian_features(l1=1.0, l2=1.0) -> FeatureMatrixProvider:
@@ -102,11 +108,13 @@ def _canonical_sign(row, tol=1e-9):
 
 
 def _normalized_rows(mat):
-    norms = np.linalg.norm(mat, axis=1)
-    out = mat.copy()
-    keep = norms > 1e-12
-    out[keep] = mat[keep] / norms[keep, None]
-    return out
+    """Rows of a matrix or a stack of matrices scaled to unit length;
+    (near-)zero rows are left as they are."""
+    norms = np.linalg.norm(mat, axis=-1, keepdims=True)
+    # a C-ordered result keeps the matmuls that consume it on one rounding
+    # path, whatever memory layout the feature provider returned
+    return np.divide(mat, norms, out=np.array(mat, dtype=float, order="C"),
+                     where=norms > 1e-12)
 
 
 def objective_state_independent(a_rows, second_moment):
@@ -339,54 +347,58 @@ class StateDependentConstraintModel:
             return self.dim_u
         return feature_provider_from_name(self.feature_name).dim_phi
 
-    def _provider(self):
-        return (None if self.mode == "alpha"
-                else feature_provider_from_name(self.feature_name))
+    def _selection_stack(self, xs):
+        """Selection rows (N, dim_b, sel_dim), each row materialized in the
+        complement of the earlier ones."""
+        bx = rbf_design(xs, self.rbf.centers, self.rbf.width)
+        rows = np.empty((0, self.sel_dim, bx.shape[1]))
+        for om, sg in zip(self.omegas, self.signs):
+            row = sg * _rows_in_frames(om, _complement_frames(rows), bx)
+            rows = np.concatenate([rows, row[None]])
+        return np.moveaxis(rows, -1, 0)
+
+    def constraint_stack(self, xs):
+        """Materialized constraint rows A(x) at states xs (dim_x, N),
+        shape (N, dim_b, dim_u)."""
+        xs = np.atleast_2d(np.asarray(xs, dtype=float))
+        sel = self._selection_stack(xs)
+        if self.mode == "alpha":
+            return sel
+        return sel @ _normalized_rows(feature_provider_from_name(self.feature_name).stack(xs))
 
     def selection_rows(self, x):
         """Orthonormal selection rows at one state, shape (dim_b, sel_dim)."""
-        bx = rbf_features(x, self.rbf.centers, self.rbf.width)
-        return _selection_rows_single(self.omegas, self.signs, bx, self.sel_dim)
+        return self._selection_stack(np.reshape(x, (-1, 1)))[0]
 
     def constraint_rows(self, x):
-        """Materialized constraint rows A(x), shape (dim_b, dim_u)."""
-        sel = self.selection_rows(x)
-        if self.mode == "alpha":
-            return sel
-        return sel @ _normalized_rows(self._provider()(x))
+        """Materialized constraint rows A(x) at one state, shape (dim_b, dim_u)."""
+        return self.constraint_stack(np.reshape(x, (-1, 1)))[0]
 
     def projector(self, x, threshold=1e-8):
-        return nullspace_projector(self.constraint_rows(x), threshold).projector
+        return self.projector_stack(np.reshape(x, (-1, 1)), threshold)[:, :, 0]
 
     def projector_stack(self, xs, threshold=1e-8):
-        xs = np.atleast_2d(np.asarray(xs, dtype=float))
-        n = xs.shape[1]
-        out = np.empty((self.dim_u, self.dim_u, n))
-        for i in range(n):
-            out[:, :, i] = self.projector(xs[:, i], threshold)
-        return out
-
-
-def _selection_rows_single(omegas, signs, bx, sel_dim):
-    rows = []
-    frame = np.eye(sel_dim)
-    for s, (om, sg) in enumerate(zip(omegas, signs)):
-        local = (np.ones(1) if om.shape[0] == 0
-                 else unit_vector_from_angles(om @ bx))
-        rows.append(sg * (local @ frame))
-        if s + 1 < len(omegas):
-            frame = orthogonal_complement_rotation(np.vstack(rows))
-    return np.vstack(rows)
+        """Null-space projectors at states xs (dim_x, N), shape (dim_u, dim_u, N)."""
+        pair = nullspace_projector(self.constraint_stack(xs), threshold)
+        return np.moveaxis(pair.projector, 0, -1)
 
 
 def _complement_frames(rows_stack):
-    """Per-sample orthogonal complements of accumulated rows
-    (s, sel_dim, N) -> (sel_dim - s, sel_dim, N)."""
-    s, sel_dim, n = rows_stack.shape
-    out = np.empty((sel_dim - s, sel_dim, n))
-    for i in range(n):
-        out[:, :, i] = orthogonal_complement_rotation(rows_stack[:, :, i])
-    return out
+    """Per-sample orthonormal frames of the complement of the accumulated
+    rows (s, sel_dim, N), shape (sel_dim - s, sel_dim, N); the identity
+    when s = 0."""
+    comp = orthogonal_complement_rotation(np.moveaxis(rows_stack, -1, 0))
+    # einsum's rounding depends on operand layout: frames (and the lambda
+    # targets) stay C-contiguous so learned models stay bit-for-bit stable
+    return np.ascontiguousarray(np.moveaxis(comp, 0, -1))
+
+
+def _rows_in_frames(omega, frames, bx):
+    """Rows (sel_dim, N) whose local angles omega @ beta(x) are taken in
+    the per-sample frames (f, sel_dim, N)."""
+    local = (np.ones((1, bx.shape[1])) if omega.shape[0] == 0
+             else unit_vectors_from_angles(omega @ bx))
+    return np.einsum("fn,fjn->jn", local, frames)
 
 
 def _row_problem(bx, u_rot):
@@ -461,12 +473,11 @@ def _learn_state_dependent(w_obs, xs, phi, options, num_basis, dim_b):
         target = u
     else:
         mode, sel_dim, feature_name = "lambda", phi.dim_phi, phi.name
-        target = np.empty((sel_dim, n))
-        for i in range(n):
-            mat = phi(xs[:, i])
-            if np.max(np.abs(mat)) < 1e-12:
-                raise ValueError(f"feature matrix has rank 0 at sample {i}")
-            target[:, i] = _normalized_rows(mat) @ u[:, i]
+        mats = phi.stack(xs)
+        dead = np.flatnonzero(np.abs(mats).max(axis=(1, 2)) < 1e-12)
+        if dead.size:
+            raise ValueError(f"feature matrix has rank 0 at sample {dead[0]}")
+        target = np.ascontiguousarray((_normalized_rows(mats) @ u.T[:, :, None])[:, :, 0].T)
 
     max_rows = sel_dim if dim_b is not None else sel_dim - 1
     limit = max_rows if dim_b is None else min(dim_b, max_rows)
@@ -474,15 +485,14 @@ def _learn_state_dependent(w_obs, xs, phi, options, num_basis, dim_b):
     rng = np.random.default_rng(opts.rng_seed)
 
     omegas, signs = [], []
-    rows_stack = None  # (s, sel_dim, N)
+    rows_stack = np.empty((0, sel_dim, n))
     trace_hist = []
     iterations = 0
     converged = True
     first_candidate = None
 
     for s in range(limit):
-        frames = (np.repeat(np.eye(sel_dim)[:, :, None], n, axis=2) if rows_stack is None
-                  else _complement_frames(rows_stack))
+        frames = _complement_frames(rows_stack)
         u_rot = np.einsum("fjn,jn->fn", frames, target)
         n_ang = sel_dim - 1 - s
 
@@ -518,7 +528,7 @@ def _learn_state_dependent(w_obs, xs, phi, options, num_basis, dim_b):
         if dim_b is None and e_row > ROW_ACCEPT_FRACTION * max(total_energy, 1e-30):
             break
         converged = converged and row_ok
-        omega, sign, rows_stack = _accept_row(omega, frames, bx, rows_stack, sel_dim)
+        omega, sign, rows_stack = _accept_row(omega, frames, bx, rows_stack)
         omegas.append(omega)
         signs.append(sign)
         trace_hist.append(e_row)
@@ -527,8 +537,9 @@ def _learn_state_dependent(w_obs, xs, phi, options, num_basis, dim_b):
     if not omegas:
         notes = ("no-constraint-found",)
         omega, row_ok = first_candidate
-        frames = np.repeat(np.eye(sel_dim)[:, :, None], n, axis=2)
-        omega, sign, rows_stack = _accept_row(omega, frames, bx, None, sel_dim)
+        rows_stack = np.empty((0, sel_dim, n))
+        omega, sign, rows_stack = _accept_row(omega, _complement_frames(rows_stack), bx,
+                                              rows_stack)
         omegas, signs = [omega], [sign]
         converged = converged and row_ok
 
@@ -548,28 +559,18 @@ def _learn_state_dependent(w_obs, xs, phi, options, num_basis, dim_b):
     return model, report
 
 
-def _accept_row(omega, frames, bx, rows_stack, sel_dim):
+def _accept_row(omega, frames, bx, rows_stack):
     """Materialize a learned row over all samples, fix its canonical sign
     at the reference (first) sample, and extend the row stack."""
-    n = bx.shape[1]
-    if omega.shape[0] == 0:
-        local = np.ones((1, n))
-    else:
-        local = unit_vectors_from_angles(omega @ bx)
-    rows = np.einsum("fn,fjn->jn", local, frames)  # (sel_dim, N)
+    rows = _rows_in_frames(omega, frames, bx)
     sign = _canonical_sign(rows[:, 0])
-    rows = sign * rows
-    new = rows[None, :, :]
-    stack = new if rows_stack is None else np.concatenate([rows_stack, new], axis=0)
-    return omega, sign, stack
+    return omega, sign, np.concatenate([rows_stack, sign * rows[None]])
 
 
 def _exact_projection_energy(model, xs, u, threshold):
     """Sum over samples of the observation energy inside the learned
     constraint's row space, via the truncated pseudoinverse."""
-    total = 0.0
-    for i in range(xs.shape[1]):
-        a = model.constraint_rows(xs[:, i])
-        p = pinv_truncated(a, threshold) @ a
-        total += float(u[:, i] @ p @ u[:, i])
-    return max(0.0, total)
+    a = model.constraint_stack(xs)
+    ut = u.T[:, :, None]
+    energy = np.swapaxes(ut, 1, 2) @ (pinv_truncated(a, threshold) @ a) @ ut
+    return max(0.0, float(energy.sum()))

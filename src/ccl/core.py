@@ -158,8 +158,10 @@ class DemonstrationSet:
             raise ValueError("dataset needs at least one sample")
         if actions.shape[1] != n:
             raise ValueError("states and actions disagree on sample count")
-        gid = self.group_ids
-        gid = np.zeros(n, dtype=int) if gid is None else np.asarray(gid, dtype=int)
+        gid = np.zeros(n, dtype=int) if self.group_ids is None else np.asarray(self.group_ids)
+        if gid.dtype.kind == "f" and not (np.mod(gid, 1.0) == 0.0).all():
+            raise ValueError("group ids must be integers")
+        gid = gid.astype(int)
         if gid.shape != (n,):
             raise ValueError("group_ids must have one entry per sample")
         if gid.min(initial=0) < 0:

@@ -53,11 +53,14 @@ class TwoLinkArm:
                          self.l1 * np.sin(q1) + self.l2 * np.sin(q1 + q2)])
 
     def jacobian(self, q):
-        q1, q2 = float(q[0]), float(q[1])
-        s1, c1 = np.sin(q1), np.cos(q1)
-        s12, c12 = np.sin(q1 + q2), np.cos(q1 + q2)
-        return np.array([[-self.l1 * s1 - self.l2 * s12, -self.l2 * s12],
-                         [self.l1 * c1 + self.l2 * c12, self.l2 * c12]])
+        """End-effector Jacobian at joint angles q: one state (2,) gives
+        (2, 2), a batch (2, N) gives the stack (N, 2, 2)."""
+        q = np.asarray(q, dtype=float)
+        s1, c1 = np.sin(q[0]), np.cos(q[0])
+        s12, c12 = np.sin(q[0] + q[1]), np.cos(q[0] + q[1])
+        jac = np.array([[-self.l1 * s1 - self.l2 * s12, -self.l2 * s12],
+                        [self.l1 * c1 + self.l2 * c12, self.l2 * c12]])
+        return np.moveaxis(jac, (0, 1), (-2, -1))
 
 
 def twolink_jacobian(q, l1=1.0, l2=1.0):
@@ -110,23 +113,25 @@ class GeneratorConfig:
             raise ValueError("noise_std must be >= 0")
 
 
-def _constraint_matrix(spec, x, config, arm):
-    """Constraint rows A(x) for one sample, or None for no constraint."""
+def _constraint_matrix(spec, xs, arm):
+    """Constraint rows A(x) at states xs (dim_x, N), shape (N, k, dim_u),
+    or None for no constraint."""
     kind = spec[0]
+    n = xs.shape[1]
     if kind == "none":
         return None
     if kind == "fixed-angle":
         th = np.deg2rad(float(spec[1]))
-        return np.array([[np.cos(th), np.sin(th)]])
+        return np.broadcast_to([[np.cos(th), np.sin(th)]], (n, 1, 2))
     if kind == "parabolic":
         a = float(spec[1])
-        return np.array([[-2.0 * a * x[0], 1.0]])
+        return np.stack([-2.0 * a * xs[0], np.ones(n)], axis=-1)[:, None, :]
     if kind == "jacobian-rows":
         rows = tuple(int(r) for r in np.atleast_1d(spec[1]))
-        jac = arm.jacobian(x)
-        if any(r < 0 or r >= jac.shape[0] for r in rows):
+        jac = arm.jacobian(xs)
+        if any(r < 0 or r >= jac.shape[1] for r in rows):
             raise ValueError(f"jacobian row index out of range: {rows}")
-        return jac[list(rows), :]
+        return jac[:, list(rows), :]
     raise ValueError(f"unknown constraint kind {kind!r}")
 
 
@@ -172,25 +177,22 @@ def generate(config: GeneratorConfig) -> DemonstrationSet:
             pi = policy_linear(xs, config.attractor_gain, config.attractor_target)
 
         drive = _task_values(config.task_b, n, rng)
+        a = _constraint_matrix(spec, xs, arm)
         v = np.zeros((dim_u, n))
-        w = np.empty((dim_u, n))
-        for i in range(n):
-            a = _constraint_matrix(spec, xs[:, i], config, arm)
-            if a is None:
-                w[:, i] = pi[:, i]
-                continue
-            if a.shape[0] >= dim_u:
+        w = pi
+        if a is not None:
+            if a.shape[1] >= dim_u:
                 raise ValueError("constraint dimensionality must be < dim_u")
-            pair = nullspace_projector(a)
-            w[:, i] = pair.projector @ pi[:, i]
+            pinv = pinv_truncated(a)
+            w = ((np.eye(dim_u) - pinv @ a) @ pi.T[:, :, None])[:, :, 0].T
             if config.task_b[0] == "constant":
-                b = np.asarray(config.task_b[1], dtype=float).reshape(a.shape[0])
+                b = np.asarray(config.task_b[1], dtype=float).reshape(a.shape[1], 1)
             elif drive is not None:
-                b = a @ (drive[i] * np.ones(dim_u))
+                b = a @ (drive[:, None] * np.ones(dim_u))[:, :, None]
             else:
                 b = None
             if b is not None:
-                v[:, i] = pinv_truncated(a) @ b
+                v = (pinv @ b)[:, :, 0].T
 
         u = v + w
         if config.noise_std > 0:
@@ -216,11 +218,9 @@ def true_projectors(config: GeneratorConfig, data: DemonstrationSet):
     """Ground-truth null-space projector stack (dim_u, dim_u, N) for data
     produced by :func:`generate` with the same config."""
     arm = TwoLinkArm(*config.arm_lengths)
-    n = data.n_samples
-    out = np.empty((data.dim_u, data.dim_u, n))
-    for i in range(n):
-        spec = config.constraints[int(data.group_ids[i])]
-        a = _constraint_matrix(spec, data.states[:, i], config, arm)
-        out[:, :, i] = (np.eye(data.dim_u) if a is None
-                        else nullspace_projector(a).projector)
-    return out
+    out = np.empty((data.n_samples, data.dim_u, data.dim_u))
+    for k in range(data.n_groups):
+        idx = data.group_indices(k)
+        a = _constraint_matrix(config.constraints[k], data.states[:, idx], arm)
+        out[idx] = np.eye(data.dim_u) if a is None else nullspace_projector(a).projector
+    return np.moveaxis(out, 0, -1)

@@ -20,21 +20,22 @@ LAMBDA_MAX = 1e12
 def pinv_truncated(m, threshold=1e-8):
     """Moore-Penrose pseudoinverse with relative singular-value truncation.
 
-    Singular values below threshold * sigma_max are treated as exactly
-    zero, which keeps the inversion stable near rank-deficient
+    Accepts one matrix (k, d) or a stack (..., k, d) and returns (d, k) or
+    (..., d, k); a stack goes through a single batched SVD.  Singular
+    values below threshold * sigma_max of their own matrix are treated as
+    exactly zero, which keeps the inversion stable near rank-deficient
     configurations.  A zero matrix maps to a zero pseudoinverse.
     """
     m = np.atleast_2d(np.asarray(m, dtype=float))
     if not np.isfinite(m).all():
         raise ValueError("matrix must be finite")
     u, s, vt = np.linalg.svd(m, full_matrices=False)
-    if s.size == 0 or s[0] <= 0.0:
-        return np.zeros((m.shape[1], m.shape[0]))
     # exactly-zero singular values are always truncated, whatever the
-    # threshold; without the zeroed `out` the masked divide leaves garbage
+    # threshold (a zero matrix thus inverts to zero); without the zeroed
+    # `out` the masked divide leaves garbage
     inv = np.divide(1.0, s, out=np.zeros_like(s), where=s > 0)
-    inv[s < threshold * s[0]] = 0.0
-    return (vt.T * inv) @ u.T
+    inv[s < threshold * s[..., :1]] = 0.0
+    return (np.swapaxes(vt, -1, -2) * inv[..., None, :]) @ np.swapaxes(u, -1, -2)
 
 
 @dataclass(frozen=True)
@@ -47,12 +48,13 @@ class ProjectionPair:
 
 
 def nullspace_projector(a, threshold=1e-8) -> ProjectionPair:
-    """Projector onto the null space of the row space of ``a``.
+    """Projector onto the null space of the row space of ``a``, for one
+    matrix (k, d) or a stack (..., k, d).
 
     Accepts any rank, including zero rows (which yield the identity).
     """
     a = np.atleast_2d(np.asarray(a, dtype=float))
-    dim_b, dim_u = a.shape
+    dim_b, dim_u = a.shape[-2:]
     if dim_b > dim_u:
         raise ValueError("constraint must have at most dim_u rows")
     n = np.eye(dim_u) - pinv_truncated(a, threshold) @ a
@@ -83,12 +85,6 @@ def unit_vectors_from_angles(thetas):
     return out
 
 
-def unit_vector_angle_jacobian(theta):
-    """d a / d theta for the hyperspherical construction, shape (dim, m)."""
-    theta = np.atleast_1d(np.asarray(theta, dtype=float))
-    return unit_vector_angle_jacobians(theta[:, None])[:, :, 0]
-
-
 def unit_vector_angle_jacobians(thetas):
     """Batch Jacobians, shape (m + 1, m, N) for angles (m, N)."""
     thetas = np.atleast_2d(np.asarray(thetas, dtype=float))
@@ -115,19 +111,20 @@ def unit_vector_angle_jacobians(thetas):
 
 def orthogonal_complement_rotation(rows):
     """Rows completing the given orthonormal rows to a full orthonormal
-    basis of R^dim, shape (dim - k, dim).
+    basis of R^dim: (k, dim) -> (dim - k, dim), or a stack (..., k, dim)
+    -> (..., dim - k, dim) through one batched SVD.
 
     Raises if the input rows are not orthonormal.
     """
     rows = np.atleast_2d(np.asarray(rows, dtype=float))
-    k, dim = rows.shape
+    k, dim = rows.shape[-2:]
     if k > dim:
         raise ValueError("more rows than the space dimension")
-    gram = rows @ rows.T
-    if np.max(np.abs(gram - np.eye(k))) > 1e-9:
+    gram = rows @ np.swapaxes(rows, -1, -2)
+    if np.max(np.abs(gram - np.eye(k)), initial=0.0) > 1e-9:
         raise ValueError("rows are not orthonormal")
     _, _, vt = np.linalg.svd(rows, full_matrices=True)
-    return vt[k:]
+    return vt[..., k:, :]
 
 
 def pairwise_sq_distances(aset, bset):
@@ -183,8 +180,7 @@ def kmeans_centers(x, n_centers, seed=0, max_iter=100):
 
 def rbf_features(x, centers, width):
     """Gaussian features exp(-||x - mu_g||^2 / (2 width)) of one state."""
-    x = np.asarray(x, dtype=float).reshape(-1, 1)
-    return rbf_design(x, centers, width)[:, 0]
+    return rbf_design(np.reshape(x, (-1, 1)), centers, width)[:, 0]
 
 
 def rbf_design(xs, centers, width):

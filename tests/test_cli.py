@@ -198,6 +198,15 @@ def test_ccl_seed_env_override(tmp_path, monkeypatch):
     assert manifest["seed"] == 99
 
 
+def test_ccl_seed_env_not_an_integer_is_input_error(tmp_path, monkeypatch, capsys):
+    monkeypatch.setenv("CCL_SEED", "abc")
+    out = tmp_path / "d.csv"
+    assert _run("gen", "--constraint", "fixed:10", "--n", "50", "--out", str(out)) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and "CCL_SEED" in err
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("name", ["toy-ncl", "toy-pi"])
 def test_tutorial_reruns_byte_identical(tmp_path, name, capsys):
     outdir = str(tmp_path / "tut")

@@ -2,8 +2,11 @@ import inspect
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from ccl.constraint import (
+    FeatureMatrixProvider,
+    StateDependentConstraintModel,
     StateIndependentConstraint,
     _row_problem,
     feature_provider_from_name,
@@ -15,13 +18,16 @@ from ccl.constraint import (
     objective_state_independent,
     twolink_jacobian_features,
 )
-from ccl.core import LearnOptions
+from ccl.core import LearnOptions, RbfModel
 from ccl.datagen import GeneratorConfig, TwoLinkArm, generate
 from ccl.mathkit import (
     finite_difference_jacobian,
     nullspace_projector,
+    orthogonal_complement_rotation,
     pinv_truncated,
     rbf_design,
+    rbf_features,
+    unit_vector_from_angles,
     unit_vectors_from_angles,
 )
 from ccl.metrics import error_poe
@@ -340,10 +346,8 @@ def test_lambda_rejects_rank_zero_feature_sample():
     xs[:, 1:] = np.random.default_rng(17).uniform(0.2, 1.0, (2, 39))
     # q = (0, 0) gives a Jacobian with a zero first row but nonzero second;
     # force a fully zero matrix via a degenerate provider instead
-    from ccl.constraint import FeatureMatrixProvider
-
     dead = FeatureMatrixProvider(name="identity:2", dim_phi=2, dim_u=2,
-                                 fn=lambda x: np.zeros((2, 2)))
+                                 fn=lambda xs: np.zeros((xs.shape[1], 2, 2)))
     u = np.random.default_rng(18).normal(size=(2, 40))
     with pytest.raises(ValueError, match="sample 0"):
         learn_lambda(u, xs, dead, num_basis=4)
@@ -402,3 +406,89 @@ def test_feature_provider_registry_roundtrip():
     assert np.allclose(p(x), q(x))
     with pytest.raises(ValueError):
         feature_provider_from_name("warp-drive:9")
+
+
+# ---------------------------------------------------------------------------
+# batched geometry
+# ---------------------------------------------------------------------------
+
+def _projector_reference(model, x):
+    """Per-state loop oracle: rows built one at a time in the complement
+    of the earlier ones, then N = I - pinv(A) A."""
+    bx = rbf_features(x, model.rbf.centers, model.rbf.width)
+    rows = []
+    for om, sg in zip(model.omegas, model.signs):
+        frame = (np.eye(model.sel_dim) if not rows
+                 else orthogonal_complement_rotation(np.vstack(rows)))
+        local = np.ones(1) if om.shape[0] == 0 else unit_vector_from_angles(om @ bx)
+        rows.append(sg * (local @ frame))
+    a = np.vstack(rows)
+    if model.mode == "lambda":
+        phi = feature_provider_from_name(model.feature_name)(x)
+        a = a @ (phi / np.linalg.norm(phi, axis=1, keepdims=True))
+    return np.eye(model.dim_u) - pinv_truncated(a) @ a
+
+
+@st.composite
+def _state_dependent_models(draw):
+    mode = draw(st.sampled_from(["alpha", "lambda-identity", "lambda-twolink"]))
+    dim_u = 2 if mode == "lambda-twolink" else draw(st.integers(2, 6))
+    # a single row only where the features are not the identity, so the
+    # row normalization of Phi shows in the projector
+    dim_b = draw(st.integers(1 if mode == "lambda-twolink" else 2, dim_u))
+    g = draw(st.integers(1, 5))
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+    rbf = RbfModel(centers=rng.uniform(-1, 1, (2, g)), width=rng.uniform(0.2, 2.0),
+                   weights=np.zeros((0, g)))
+    omegas = [rng.normal(0.0, 1.0, (dim_u - 1 - s, g)) for s in range(dim_b)]
+    signs = rng.choice([-1.0, 1.0], dim_b)
+    feature_name = {"alpha": None, "lambda-identity": f"identity:{dim_u}",
+                    "lambda-twolink": "twolink-jacobian:1.0,0.7"}[mode]
+    model = StateDependentConstraintModel(
+        omegas=tuple(omegas), signs=tuple(signs), rbf=rbf,
+        mode=mode.split("-")[0], dim_u=dim_u, feature_name=feature_name)
+    return model, rng.uniform(0.1, 1.4, (2, draw(st.integers(1, 8))))
+
+
+@settings(max_examples=80, deadline=None)
+@given(_state_dependent_models())
+def test_projector_stack_matches_single_state_and_loop_oracle(case):
+    model, xs = case
+    stack = model.projector_stack(xs)
+    rows = model.constraint_stack(xs)
+    assert stack.shape == (model.dim_u, model.dim_u, xs.shape[1])
+    assert rows.shape == (xs.shape[1], model.dim_b, model.dim_u)
+    # The fifth row of a six-dimensional selection takes its angle in the
+    # SVD complement of four orthonormal rows, which LAPACK returns
+    # discontinuously: a 1e-15 change of those rows can turn it by O(1), so
+    # last-bit differences between the N = 1 and batched products show up
+    # there.  Only the frame-free properties are checked in that case.
+    comparable = (model.sel_dim, model.dim_b) != (6, 5)
+    for i in range(xs.shape[1]):
+        p = stack[:, :, i]
+        assert np.allclose(p, p.T, atol=1e-12) and np.allclose(p @ p, p, atol=1e-10)
+        assert np.allclose(rows[i] @ p, 0.0, atol=1e-10)
+        sel = model.selection_rows(xs[:, i])
+        assert np.allclose(sel @ sel.T, np.eye(model.dim_b), atol=1e-10)
+        if comparable:
+            single = model.projector(xs[:, i])
+            assert np.allclose(p, single, rtol=0, atol=1e-12)
+            assert np.allclose(single, _projector_reference(model, xs[:, i]), rtol=0, atol=1e-10)
+
+
+def test_feature_provider_batches_and_checks_stack_shape():
+    provider = twolink_jacobian_features(1.0, 0.5)
+    xs = np.random.default_rng(22).uniform(-1, 1, (2, 6))
+    stack = provider.stack(xs)
+    assert stack.shape == (6, 2, 2)
+    for i in range(6):
+        assert np.array_equal(stack[i], provider(xs[:, i]))
+    assert identity_features(3).stack(np.zeros((2, 4))).shape == (4, 3, 3)
+    wrong = FeatureMatrixProvider(name="identity:2", dim_phi=2, dim_u=2,
+                                  fn=lambda xs: np.zeros((2, 2)))
+    with pytest.raises(ValueError, match="shape"):
+        wrong.stack(xs)
+    with pytest.raises(ValueError, match="shape"):
+        wrong(xs[:, 0])
+    with pytest.raises(ValueError, match="shape"):
+        learn_lambda(np.ones((2, 6)), xs, wrong, num_basis=2)

@@ -91,6 +91,19 @@ def test_dataset_rejects_sparse_group_ids():
                          group_ids=[0, 2, 0, 2])
 
 
+def test_dataset_rejects_non_integral_group_ids():
+    with pytest.raises(ValueError, match="integers"):
+        DemonstrationSet(states=np.zeros((2, 2)), actions=np.zeros((2, 2)),
+                         group_ids=[0.0, 0.7])
+    with pytest.raises(ValueError, match="integers"):
+        DemonstrationSet(states=np.zeros((2, 2)), actions=np.zeros((2, 2)),
+                         group_ids=[0.0, np.nan])
+    # integral floats name the same groups as their integers
+    data = DemonstrationSet(states=np.zeros((2, 2)), actions=np.zeros((2, 2)),
+                            group_ids=[1.0, 0.0])
+    assert list(data.group_ids) == [1, 0] and data.n_groups == 2
+
+
 def test_dataset_rejects_non_finite():
     states = np.zeros((2, 3))
     actions = np.zeros((2, 3))

@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
+from hypothesis.extra.numpy import arrays
 
 from ccl.datagen import (
     GeneratorConfig,
@@ -65,6 +67,20 @@ def test_twolink_jacobian_matches_finite_differences():
         q = rng.uniform(-np.pi, np.pi, 2)
         fd = finite_difference_jacobian(arm.forward_kinematics, q)
         assert np.max(np.abs(arm.jacobian(q) - fd)) < 1e-6
+
+
+@settings(max_examples=50, deadline=None)
+@given(arrays(float, st.tuples(st.just(2), st.integers(1, 20)),
+              elements=st.floats(-10.0, 10.0)),
+       st.floats(0.1, 3.0), st.floats(0.1, 3.0))
+def test_twolink_jacobian_batch_equals_single_state(qs, l1, l2):
+    arm = TwoLinkArm(l1, l2)
+    stack = arm.jacobian(qs)
+    assert stack.shape == (qs.shape[1], 2, 2)
+    for i in range(qs.shape[1]):
+        single = arm.jacobian(qs[:, i])
+        assert single.shape == (2, 2)
+        assert np.array_equal(stack[i], single)
 
 
 def test_twolink_singular_when_links_aligned():

@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from ccl.core import LearnOptions
 from ccl.mathkit import (
@@ -76,6 +77,72 @@ def test_pinv_truncation_drops_small_singular_values():
     p = pinv_truncated(m, 1e-8)
     # the tiny direction is treated as exactly zero
     assert np.linalg.matrix_rank(p, tol=1e-6) == 1
+
+
+def _pinv_reference(m, threshold):
+    """Per-matrix loop oracle: one SVD per matrix, truncation relative to
+    that matrix's own largest singular value."""
+    out = np.zeros(m.shape[:-2] + m.shape[:-3:-1])
+    for idx in np.ndindex(m.shape[:-2]):
+        u, s, vt = np.linalg.svd(m[idx], full_matrices=False)
+        if s[0] > 0:
+            inv = np.divide(1.0, s, out=np.zeros_like(s), where=s > 0)
+            inv[s < threshold * s[0]] = 0.0
+            out[idx] = (vt.T * inv) @ u.T
+    return out
+
+
+@st.composite
+def _matrix_stacks(draw):
+    """Stacks (N, k, d), k <= d, mixing full-rank, rank-deficient and zero
+    matrices, scaled over many decades, some with a singular value just
+    above or below the truncation threshold."""
+    dim_u = draw(st.integers(2, 6))
+    k = draw(st.integers(1, dim_u))
+    n = draw(st.integers(1, 6))
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+    mats = []
+    for _ in range(n):
+        kind = draw(st.sampled_from(["full", "deficient", "zero", "straddle"]))
+        scale = 10.0 ** draw(st.integers(-6, 6))
+        m = rng.normal(size=(k, dim_u))
+        if kind == "deficient" and k > 1:
+            m[-1] = m[0] * rng.normal()
+        elif kind == "zero":
+            m[:] = 0.0
+        elif kind == "straddle":
+            u, _, vt = np.linalg.svd(m, full_matrices=False)
+            s = np.ones(k)
+            s[-1] = 1e-8 * draw(st.sampled_from([0.999, 1.001]))
+            m = (u * s) @ vt
+        mats.append(scale * m)
+    return np.stack(mats)
+
+
+@settings(max_examples=60, deadline=None)
+@given(_matrix_stacks())
+def test_pinv_stack_equals_per_matrix_loop(stack):
+    batched = pinv_truncated(stack, 1e-8)
+    assert batched.shape == stack.shape[:1] + stack.shape[:0:-1]
+    assert np.array_equal(batched, _pinv_reference(stack, 1e-8))
+    for i, m in enumerate(stack):
+        assert np.array_equal(batched[i], pinv_truncated(m, 1e-8))
+
+
+def test_pinv_stack_truncates_per_matrix():
+    # the second matrix's singular values are all below 1e-8 times the
+    # first matrix's: each is still inverted against its own sigma_max
+    m = np.stack([np.diag([1.0, 1e-12]), np.diag([1e-10, 1e-11])])
+    p = pinv_truncated(m, 1e-8)
+    assert np.array_equal(p[0], np.diag([1.0, 0.0]))
+    assert np.allclose(p[1], np.diag([1e10, 1e11]), rtol=1e-12)
+
+
+def test_pinv_rejects_non_finite_stack():
+    m = np.zeros((3, 1, 2))
+    m[2, 0, 1] = np.nan
+    with pytest.raises(ValueError, match="finite"):
+        pinv_truncated(m)
 
 
 # ---------------------------------------------------------------------------
@@ -200,6 +267,18 @@ def test_complement_completes_orthonormal_basis():
 def test_complement_rejects_non_orthonormal():
     with pytest.raises(ValueError):
         orthogonal_complement_rotation([[1.0, 1.0]])
+
+
+def test_complement_stack_matches_single_and_checks_every_matrix():
+    rng = np.random.default_rng(8)
+    rows = np.stack([np.linalg.qr(rng.normal(size=(4, 4)))[0].T[:2] for _ in range(5)])
+    comp = orthogonal_complement_rotation(rows)
+    assert comp.shape == (5, 2, 4)
+    for i in range(5):
+        assert np.array_equal(comp[i], orthogonal_complement_rotation(rows[i]))
+    rows[3, 1] *= 2.0
+    with pytest.raises(ValueError, match="orthonormal"):
+        orthogonal_complement_rotation(rows)
 
 
 # ---------------------------------------------------------------------------

@@ -27,7 +27,6 @@ from .datagen import (
     policy_limit_cycle,
     policy_linear,
     true_projectors,
-    twolink_jacobian,
 )
 from .mathkit import (
     LmProblem,
@@ -41,14 +40,13 @@ from .mathkit import (
     pairwise_sq_distances,
     pinv_truncated,
     rbf_design,
-    rbf_features,
     rbf_width_from_centers,
     ridge_regression,
     unit_vector_from_angles,
     unit_vectors_from_angles,
 )
 from .metrics import MetricTriple, error_ncpe, error_npe, error_nupe, error_poe, error_ppe
-from .nullspace import NullspaceComponentModel, learn_ncl, make_ncl_model, objective_ncl, predict_ncl
+from .nullspace import NullspaceComponentModel, learn_ncl, make_ncl_model, objective_ncl
 from .policy import (
     LwlPolicyModel,
     ParametricPolicyModel,
@@ -56,7 +54,6 @@ from .policy import (
     learn_pi_lwl,
     linear_policy_model,
     lwl_policy_model,
-    predict_policy,
     rbf_policy_model,
 )
 from .serialize import load_model, save_model

@@ -17,7 +17,7 @@ import json
 import os
 import sys
 import time
-from dataclasses import asdict, dataclass
+from dataclasses import asdict, dataclass, fields
 
 import numpy as np
 
@@ -33,11 +33,21 @@ from .core import DemonstrationSet, LearnOptions, load_dataset, save_dataset
 from .datagen import GeneratorConfig, generate, policy_limit_cycle, policy_linear, true_projectors
 from .metrics import error_ncpe, error_npe, error_nupe, error_poe, error_ppe
 from .nullspace import NullspaceComponentModel, learn_ncl, make_ncl_model
-from .policy import LwlPolicyModel, ParametricPolicyModel, learn_pi, learn_pi_lwl, lwl_policy_model, rbf_policy_model
+from .policy import (
+    LwlPolicyModel,
+    ParametricPolicyModel,
+    _direction_projectors,
+    learn_pi,
+    learn_pi_lwl,
+    lwl_policy_model,
+    rbf_policy_model,
+)
 from .serialize import load_model, save_model
 
 METHODS = ("nhat", "alpha", "lambda", "ncl", "pi", "pi-lwl")
 TUTORIALS = ("toy-ncl", "toy-constraint", "toy-pi", "twolink")
+# every LearnOptions field but the seed is a learn flag (--tol-fun, ...)
+SOLVER_FIELDS = [f for f in fields(LearnOptions) if f.name != "rng_seed"]
 
 
 class CliError(Exception):
@@ -149,12 +159,13 @@ def cmd_gen(args):
 # learn
 # ---------------------------------------------------------------------------
 
+def _solver_flag(field):
+    return "--" + field.name.replace("_", "-")
+
+
 def _options_from_args(args):
-    return LearnOptions(
-        tol_fun=args.tol_fun, tol_x=args.tol_x, max_iter=args.max_iter,
-        search_resolution=args.search_resolution, num_restarts=args.num_restarts,
-        svd_threshold=args.svd_threshold, regularization=args.regularization,
-        rng_seed=args.seed)
+    return LearnOptions(rng_seed=args.seed,
+                        **{f.name: getattr(args, f.name) for f in SOLVER_FIELDS})
 
 
 def _dispatch_learn(args, data, opts):
@@ -213,6 +224,9 @@ def cmd_learn(args):
         command += ["--features", args.features]
     if args.basis != "rbf":
         command += ["--basis", args.basis]
+    for f in SOLVER_FIELDS:
+        if getattr(opts, f.name) != f.default:
+            command += [_solver_flag(f), repr(getattr(opts, f.name))]
     RunManifest(subcommand="learn", command=tuple(command),
                 config={"method": args.method, "options": asdict(opts),
                         "num_basis": args.num_basis, "dim_b": args.dim_b,
@@ -229,14 +243,6 @@ def cmd_learn(args):
 # ---------------------------------------------------------------------------
 # eval
 # ---------------------------------------------------------------------------
-
-def _action_direction_projectors(u):
-    norms = (u ** 2).sum(axis=0)
-    keep = norms > 1e-12
-    proj = np.zeros((u.shape[0], u.shape[0], u.shape[1]))
-    proj[:, :, keep] = np.einsum("in,jn->ijn", u[:, keep], u[:, keep]) / norms[keep]
-    return proj
-
 
 def compute_metrics(model, data: DemonstrationSet):
     """All metrics applicable to a (model, dataset) pair.
@@ -265,7 +271,7 @@ def compute_metrics(model, data: DemonstrationSet):
         if data.policy is not None:
             rows.append(("NUPE", error_nupe(data.policy, pred)))
             rows.append(("NCPE", error_ncpe(data.policy, pred,
-                                            _action_direction_projectors(data.actions))))
+                                            _direction_projectors(data.actions))))
         else:
             skipped.append(("NUPE", "requires ground truth (pi channel)"))
             skipped.append(("NCPE", "requires ground truth (pi channel)"))
@@ -351,96 +357,61 @@ def _write_vector_field(path, config, predict, per_axis=15):
             fh.write(",".join(repr(float(v)) for v in vals) + "\n")
 
 
-def _tutorial_stage(outdir, stem, config, method, seed, num_basis,
-                    features=None, basis="rbf"):
-    """gen -> learn -> eval with shared file naming; returns eval table."""
+def _tutorial_stage(outdir, stem, gen_argv, learn_argv):
+    """gen -> learn -> eval through the parser, with shared file naming.
+
+    Returns (generator config, learned model, learn exit code)."""
     data_path = os.path.join(outdir, f"{stem}_data.csv")
     model_path = os.path.join(outdir, f"{stem}_model.json")
     metrics_path = os.path.join(outdir, f"{stem}_metrics.csv")
-
-    gen_args = argparse.Namespace(system=config.system, policy=config.policy,
-                                  constraint=[_constraint_text(c) for c in config.constraints],
-                                  b=_task_text(config.task_b), n=config.n_per_group,
-                                  noise=config.noise_std, seed=seed, out=data_path)
+    parser = build_parser()
+    gen_args = parser.parse_args(["gen", *gen_argv, "--out", data_path])
     cmd_gen(gen_args)
-    learn_args = _learn_namespace(method=method, inp=data_path, out=model_path,
-                                  seed=seed, num_basis=num_basis,
-                                  features=features, basis=basis)
-    code = cmd_learn(learn_args)
-    eval_args = argparse.Namespace(model=model_path, data=data_path, out=metrics_path)
-    cmd_eval(eval_args)
-    return load_model(model_path), code
-
-
-def _constraint_text(spec):
-    kind = spec[0]
-    if kind == "none":
-        return "none"
-    if kind == "fixed-angle":
-        return f"fixed:{spec[1]}"
-    if kind == "parabolic":
-        return f"parabolic:{spec[1]}"
-    return "jrows:" + ",".join(str(v) for v in spec[1])
-
-
-def _task_text(task_b):
-    if task_b[0] == "zero":
-        return "zero"
-    if task_b[0] == "constant":
-        return "const:" + ",".join(repr(float(v)) for v in task_b[1])
-    return f"sin:{task_b[1]},{task_b[2]},{task_b[3]}"
-
-
-def _learn_namespace(**kw):
-    defaults = dict(method=None, inp=None, out=None, seed=0, num_basis=None,
-                    dim_b=None, features=None, basis="rbf",
-                    tol_fun=1e-9, tol_x=1e-9, max_iter=1000, search_resolution=90,
-                    num_restarts=5, svd_threshold=1e-8, regularization=1e-8)
-    defaults.update(kw)
-    return argparse.Namespace(**defaults)
+    code = cmd_learn(parser.parse_args(["learn", *learn_argv,
+                                        "--in", data_path, "--out", model_path]))
+    cmd_eval(parser.parse_args(["eval", "--model", model_path, "--data", data_path,
+                                "--out", metrics_path]))
+    return _gen_config(gen_args), load_model(model_path), code
 
 
 def cmd_tutorial(args):
     outdir = args.outdir or f"ccl-tutorial-{args.name}"
     os.makedirs(outdir, exist_ok=True)
-    seed = args.seed
+    seed = ["--seed", str(args.seed)]
     code = 0
 
     if args.name == "toy-ncl":
-        config = GeneratorConfig(constraints=(("fixed-angle", 60.0),),
-                                 task_b=("sinusoid", 0.5, 3.0, 0.0),
-                                 n_per_group=500, rng_seed=seed)
-        model, code = _tutorial_stage(outdir, "ncl", config, "ncl", seed, 16)
+        config, model, code = _tutorial_stage(
+            outdir, "ncl", ["--constraint", "fixed:60.0", "--b", "sin:0.5,3.0,0.0", *seed],
+            ["--method", "ncl", "--num-basis", "16", *seed])
         _write_vector_field(os.path.join(outdir, "ncl_field.csv"), config, model.predict)
 
     elif args.name == "toy-constraint":
-        config = GeneratorConfig(constraints=(("fixed-angle", 30.0),),
-                                 n_per_group=500, rng_seed=seed)
-        model, c1 = _tutorial_stage(outdir, "linear", config, "nhat", seed, None)
+        config, model, c1 = _tutorial_stage(
+            outdir, "linear", ["--constraint", "fixed:30.0", *seed],
+            ["--method", "nhat", *seed])
         _write_projector_field(os.path.join(outdir, "linear_projector_field.csv"),
                                config, model)
-        config_p = GeneratorConfig(constraints=(("parabolic", 0.1),),
-                                   n_per_group=500, rng_seed=seed)
-        model_p, c2 = _tutorial_stage(outdir, "parabolic", config_p, "alpha", seed, 16)
+        config_p, model_p, c2 = _tutorial_stage(
+            outdir, "parabolic", ["--constraint", "parabolic:0.1", *seed],
+            ["--method", "alpha", "--num-basis", "16", *seed])
         _write_projector_field(os.path.join(outdir, "parabolic_projector_field.csv"),
                                config_p, model_p)
         code = max(c1, c2)
 
     elif args.name == "toy-pi":
-        config = GeneratorConfig(constraints=(("fixed-angle", 0.0),
-                                              ("fixed-angle", 60.0),
-                                              ("fixed-angle", 120.0)),
-                                 n_per_group=200, rng_seed=seed)
-        model, code = _tutorial_stage(outdir, "pi", config, "pi", seed, 10)
+        config, model, code = _tutorial_stage(
+            outdir, "pi", ["--constraint", "fixed:0.0", "--constraint", "fixed:60.0",
+                           "--constraint", "fixed:120.0", "--n", "200", *seed],
+            ["--method", "pi", "--num-basis", "10", *seed])
         _write_vector_field(os.path.join(outdir, "pi_field.csv"), config, model.predict)
 
     elif args.name == "twolink":
-        config = GeneratorConfig(system="twolink", policy="linear-attractor",
-                                 attractor_target=(0.8, 0.9),
-                                 constraints=(("jacobian-rows", (1,)),),
-                                 n_per_group=500, rng_seed=seed)
-        model, code = _tutorial_stage(outdir, "twolink", config, "lambda", seed, 16,
-                                      features="twolink-jacobian:1.0,1.0")
+        config, model, code = _tutorial_stage(
+            outdir, "twolink", ["--system", "twolink", "--policy", "linear-attractor",
+                                "--constraint", "jrows:1", *seed],
+            ["--method", "lambda", "--num-basis", "16",
+             "--features", "twolink-jacobian:1.0,1.0", *seed])
         _write_projector_field(os.path.join(outdir, "twolink_projector_field.csv"),
                                config, model)
     else:
@@ -485,13 +456,8 @@ def build_parser():
     l.add_argument("--basis", choices=("rbf", "linear"), default="rbf",
                    help="feature family for method pi")
     l.add_argument("--seed", type=int, default=_default_seed())
-    l.add_argument("--tol-fun", type=float, default=1e-9)
-    l.add_argument("--tol-x", type=float, default=1e-9)
-    l.add_argument("--max-iter", type=int, default=1000)
-    l.add_argument("--search-resolution", type=int, default=90)
-    l.add_argument("--num-restarts", type=int, default=5)
-    l.add_argument("--svd-threshold", type=float, default=1e-8)
-    l.add_argument("--regularization", type=float, default=1e-8)
+    for f in SOLVER_FIELDS:
+        l.add_argument(_solver_flag(f), type=type(f.default), default=f.default)
     l.set_defaults(func=cmd_learn)
 
     e = sub.add_parser("eval", help="evaluate a model against a dataset")

@@ -272,7 +272,7 @@ def learn_nhat(w_obs, options: Optional[LearnOptions] = None):
         theta, e_row, its, ok = _refine_row(m_rot, theta0, opts)
         iterations += its
         if s == 0:
-            first_candidate = theta
+            first_candidate = (theta, ok)
         if e_row > opts.tol_fun * max(1.0, float(np.trace(m_rot))):
             break
         converged = converged and ok
@@ -284,14 +284,16 @@ def learn_nhat(w_obs, options: Optional[LearnOptions] = None):
     notes = ()
     if not angles:
         notes = ("no-constraint-found",)
-        angles = [first_candidate]
+        theta, ok = first_candidate
+        angles = [theta]
+        converged = converged and ok
 
     constraint = StateIndependentConstraint(angles=tuple(angles), dim_u=dim_u)
     final = objective_state_independent(constraint.rows(), second)
     report = LearnReport.from_errors(
         mse=final / n, variance=float(np.var(u, axis=1).sum()),
         iterations=iterations, final_objective=final,
-        converged=converged, reason="fun-tol",
+        converged=converged, reason="fun-tol" if converged else "max-iter",
         objective_trace=tuple(trace_hist), notes=notes,
     )
     return constraint, report
@@ -553,7 +555,7 @@ def _learn_state_dependent(w_obs, xs, phi, options, num_basis, dim_b):
     report = LearnReport.from_errors(
         mse=final / n, variance=float(np.var(u, axis=1).sum()),
         iterations=iterations, final_objective=final,
-        converged=converged, reason="fun-tol",
+        converged=converged, reason="fun-tol" if converged else "max-iter",
         objective_trace=tuple(trace_hist), notes=notes,
     )
     return model, report

@@ -62,7 +62,8 @@ class LearnReport:
     """Outcome statistics of a single fit.
 
     ``converged`` is qualified by ``reason`` (one of ``fun-tol``,
-    ``x-tol``, ``max-iter``).  ``objective_trace`` records intermediate
+    ``x-tol``, ``max-iter``); a fit that did not converge cannot claim a
+    tolerance reason.  ``objective_trace`` records intermediate
     objective values for greedy learners (one entry per accepted
     constraint row); ``notes`` carries free-form diagnostic flags such
     as ``no-constraint-found``.
@@ -82,6 +83,8 @@ class LearnReport:
     def __post_init__(self):
         if self.reason not in CONVERGENCE_REASONS:
             raise ValueError(f"unknown convergence reason {self.reason!r}")
+        if not self.converged and self.reason != "max-iter":
+            raise ValueError(f"a fit that did not converge cannot stop at {self.reason!r}")
         for name in ("nmse", "mse", "variance", "final_objective"):
             if getattr(self, name) < 0:
                 raise ValueError(f"{name} must be >= 0")

@@ -63,11 +63,6 @@ class TwoLinkArm:
         return np.moveaxis(jac, (0, 1), (-2, -1))
 
 
-def twolink_jacobian(q, l1=1.0, l2=1.0):
-    """End-effector Jacobian of the planar two-link arm at joint angles q."""
-    return TwoLinkArm(l1, l2).jacobian(q)
-
-
 @dataclass(frozen=True)
 class GeneratorConfig:
     """Settings for :func:`generate`.

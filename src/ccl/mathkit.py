@@ -178,11 +178,6 @@ def kmeans_centers(x, n_centers, seed=0, max_iter=100):
     return centers
 
 
-def rbf_features(x, centers, width):
-    """Gaussian features exp(-||x - mu_g||^2 / (2 width)) of one state."""
-    return rbf_design(np.reshape(x, (-1, 1)), centers, width)[:, 0]
-
-
 def rbf_design(xs, centers, width):
     """Feature matrix (G, N) for states xs (dim, N)."""
     if not width > 0:

@@ -64,11 +64,9 @@ def error_ppe(null_true, projectors, policy) -> MetricTriple:
     return _triple(mse, total_variance(w))
 
 
-def error_poe(actions, projectors, policy=None) -> MetricTriple:
+def error_poe(actions, projectors) -> MetricTriple:
     """Projected observation error: mean ||N_hat_n u_n - u_n||^2 over the
-    variance of u.  Needs no ground truth; ``policy`` is accepted for
-    signature compatibility and ignored (projecting observations does not
-    involve it)."""
+    variance of u.  Needs no ground truth."""
     u = np.atleast_2d(np.asarray(actions, dtype=float))
     p = _as_stack(projectors, u.shape[0], u.shape[1])
     proj = np.einsum("ijn,jn->in", p, u)

@@ -140,8 +140,3 @@ def learn_ncl(xs, actions, model0: NullspaceComponentModel,
         converged=lm_report.converged, reason=lm_report.reason, notes=notes,
     )
     return model, report
-
-
-def predict_ncl(model: NullspaceComponentModel, xs):
-    """Model predictions, one column per state."""
-    return model.predict(xs)

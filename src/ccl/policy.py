@@ -131,9 +131,13 @@ def lwl_policy_model(xs, dim_u, num_local=10, seed=0) -> LwlPolicyModel:
 
 
 def _direction_projectors(u):
-    """Rank-one projectors onto each observed action direction (d, d, N)."""
+    """Rank-one projectors onto each observed action direction (d, d, N);
+    zero where the action norm is at most ZERO_ACTION (no direction)."""
     norms = (u ** 2).sum(axis=0)
-    return np.einsum("in,jn->ijn", u, u) / norms
+    keep = norms > ZERO_ACTION ** 2
+    proj = np.einsum("in,jn->ijn", u, u) / np.where(keep, norms, 1.0)
+    proj[:, :, ~keep] = 0.0
+    return proj
 
 
 def _solve_projected(features, u, proj, sample_weights, regularization):
@@ -231,8 +235,3 @@ def learn_pi_lwl(xs, u_null, model0: LwlPolicyModel,
         reason="fun-tol", notes=("closed-form",), dropped_samples=dropped,
     )
     return model, report
-
-
-def predict_policy(model, xs):
-    """Policy prediction for either model family, one column per state."""
-    return model.predict(xs)

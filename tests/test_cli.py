@@ -1,11 +1,12 @@
 import json
 import os
+from dataclasses import fields
 
 import numpy as np
 import pytest
 
 from ccl.cli import main
-from ccl.core import load_dataset
+from ccl.core import LearnOptions, load_dataset
 
 
 def _run(*argv):
@@ -188,6 +189,30 @@ def test_manifest_command_reruns_identically(tmp_path):
     command[command.index("--out") + 1] = redone
     assert main(command) == 0
     assert open(out).read() == open(redone).read()
+
+
+def test_learn_manifest_command_reruns_with_solver_flags(tmp_path):
+    data = _gen(tmp_path, constraint="parabolic:0.1", n=120, seed=5)
+    out = str(tmp_path / "a.json")
+    code = _run("learn", "--method", "alpha", "--in", data, "--out", out, "--num-basis", "6",
+                "--max-iter", "3", "--num-restarts", "2", "--tol-fun", "1e-6")
+    assert code == 2
+    command = json.loads(open(out + ".manifest.json").read())["command"]
+    assert command[-6:] == ["--tol-fun", "1e-06", "--max-iter", "3", "--num-restarts", "2"]
+    redone = str(tmp_path / "b.json")
+    command[command.index("--out") + 1] = redone
+    assert main(command) == code
+    assert open(out, "rb").read() == open(redone, "rb").read()
+
+
+def test_learn_help_lists_every_solver_option(capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["learn", "--help"])
+    assert exc.value.code == 0
+    text = capsys.readouterr().out
+    for f in fields(LearnOptions):
+        flag = "--" + f.name.replace("_", "-")
+        assert (flag in text) == (f.name != "rng_seed"), flag
 
 
 def test_ccl_seed_env_override(tmp_path, monkeypatch):

@@ -26,7 +26,6 @@ from ccl.mathkit import (
     orthogonal_complement_rotation,
     pinv_truncated,
     rbf_design,
-    rbf_features,
     unit_vector_from_angles,
     unit_vectors_from_angles,
 )
@@ -253,6 +252,23 @@ def test_alpha_matches_nhat_on_constant_constraint():
     assert worst < 1e-2
 
 
+def test_state_dependent_and_nhat_reports_say_why_they_stopped():
+    data = generate(GeneratorConfig(constraints=(("parabolic", 0.1),), n_per_group=200,
+                                    rng_seed=8))
+    _, rep = learn_alpha(data.actions, data.states, LearnOptions(max_iter=2), num_basis=6)
+    assert not rep.converged and rep.reason == "max-iter"
+    fixed = generate(GeneratorConfig(constraints=(("fixed-angle", 37.0),), n_per_group=200,
+                                     rng_seed=8))
+    _, rep = learn_nhat(fixed.actions, LearnOptions(max_iter=1))
+    assert not rep.converged and rep.reason == "max-iter"
+    # no row accepted: the report is that of the best-effort first row
+    _, rep = learn_nhat(data.actions, LearnOptions(max_iter=1, tol_fun=1e-14, tol_x=1e-14))
+    assert rep.notes == ("no-constraint-found",)
+    assert not rep.converged and rep.reason == "max-iter"
+    _, rep = learn_alpha(data.actions, data.states, LearnOptions(max_iter=400), num_basis=6)
+    assert rep.converged and rep.reason == "fun-tol"
+
+
 def test_alpha_rejects_degenerate_states():
     rng = np.random.default_rng(10)
     u = rng.normal(size=(2, 50))
@@ -415,7 +431,7 @@ def test_feature_provider_registry_roundtrip():
 def _projector_reference(model, x):
     """Per-state loop oracle: rows built one at a time in the complement
     of the earlier ones, then N = I - pinv(A) A."""
-    bx = rbf_features(x, model.rbf.centers, model.rbf.width)
+    bx = rbf_design(x[:, None], model.rbf.centers, model.rbf.width)[:, 0]
     rows = []
     for om, sg in zip(model.omegas, model.signs):
         frame = (np.eye(model.sel_dim) if not rows

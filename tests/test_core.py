@@ -34,6 +34,10 @@ def test_report_nmse_consistency():
     with pytest.raises(ValueError):
         LearnReport(nmse=0.5, mse=2.0, variance=4.0, iterations=1,
                     final_objective=2.0, converged=True, reason="bogus")
+    for reason in ("fun-tol", "x-tol"):
+        with pytest.raises(ValueError, match="did not converge"):
+            LearnReport.from_errors(mse=2.0, variance=4.0, iterations=1,
+                                    final_objective=2.0, converged=False, reason=reason)
 
 
 def test_rbf_model_invariants():

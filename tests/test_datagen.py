@@ -10,7 +10,6 @@ from ccl.datagen import (
     policy_limit_cycle,
     policy_linear,
     true_projectors,
-    twolink_jacobian,
 )
 from ccl.mathkit import finite_difference_jacobian
 
@@ -57,7 +56,8 @@ def test_linear_policy_examples():
 # ---------------------------------------------------------------------------
 
 def test_twolink_jacobian_at_zero_hand_derived():
-    assert np.allclose(twolink_jacobian([0.0, 0.0]), [[0.0, 0.0], [2.0, 1.0]], atol=1e-12)
+    assert np.allclose(TwoLinkArm(1.0, 1.0).jacobian([0.0, 0.0]), [[0.0, 0.0], [2.0, 1.0]],
+                       atol=1e-12)
 
 
 def test_twolink_jacobian_matches_finite_differences():
@@ -87,7 +87,7 @@ def test_twolink_singular_when_links_aligned():
     rng = np.random.default_rng(3)
     for _ in range(10):
         q1 = rng.uniform(-np.pi, np.pi)
-        assert abs(np.linalg.det(twolink_jacobian([q1, 0.0]))) < 1e-12
+        assert abs(np.linalg.det(TwoLinkArm(1.0, 1.0).jacobian([q1, 0.0]))) < 1e-12
 
 
 # ---------------------------------------------------------------------------

@@ -14,7 +14,6 @@ from ccl.mathkit import (
     pairwise_sq_distances,
     pinv_truncated,
     rbf_design,
-    rbf_features,
     rbf_width_from_centers,
     ridge_regression,
     unit_vector_angle_jacobians,
@@ -338,7 +337,7 @@ def test_kmeans_rejects_more_centers_than_points():
 
 def test_rbf_at_center_is_one():
     centers = np.array([[0.0, 1.0], [0.0, 0.0]])
-    feats = rbf_features([1.0, 0.0], centers, width=0.5)
+    feats = rbf_design(np.array([1.0, 0.0])[:, None], centers, width=0.5)[:, 0]
     assert feats[1] == pytest.approx(1.0)
 
 
@@ -346,7 +345,7 @@ def test_rbf_analytic_decay():
     width = 0.7
     centers = np.array([[0.0], [0.0]])
     x = np.array([np.sqrt(2 * width), 0.0])  # squared distance = 2 * width
-    assert rbf_features(x, centers, width)[0] == pytest.approx(np.exp(-1.0))
+    assert rbf_design(x[:, None], centers, width)[0, 0] == pytest.approx(np.exp(-1.0))
 
 
 def test_rbf_matches_direct_formula_oracle():
@@ -354,7 +353,7 @@ def test_rbf_matches_direct_formula_oracle():
     centers = rng.normal(size=(3, 6))
     width = 0.9
     x = rng.normal(size=3)
-    feats = rbf_features(x, centers, width)
+    feats = rbf_design(x[:, None], centers, width)[:, 0]
     for g in range(6):
         direct = np.exp(-((x - centers[:, g]) ** 2).sum() / (2 * width))
         assert abs(feats[g] - direct) < 1e-14
@@ -367,7 +366,7 @@ def test_rbf_design_batches_columns():
     xs = rng.normal(size=(2, 7))
     design = rbf_design(xs, centers, 1.1)
     for n in range(7):
-        assert np.allclose(design[:, n], rbf_features(xs[:, n], centers, 1.1))
+        assert np.allclose(design[:, n], rbf_design(xs[:, n][:, None], centers, 1.1)[:, 0])
 
 
 def test_rbf_width_rule_includes_diagonal():

@@ -84,13 +84,6 @@ def test_poe_matches_loop_oracle_random_projector():
     assert triple.mse == pytest.approx(acc / 25, rel=1e-12)
 
 
-def test_poe_ignores_policy_argument():
-    rng = np.random.default_rng(6)
-    u = rng.normal(size=(2, 10))
-    p = np.eye(2)
-    assert error_poe(u, p, policy=rng.normal(size=(2, 10))) == error_poe(u, p)
-
-
 @pytest.mark.parametrize("metric", [error_npe, error_nupe])
 def test_pairwise_metrics_identity_zero_and_loop(metric):
     rng = np.random.default_rng(7)

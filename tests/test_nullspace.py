@@ -5,7 +5,7 @@ from ccl.core import LearnOptions, RbfModel
 from ccl.datagen import GeneratorConfig, generate
 from ccl.mathkit import finite_difference_jacobian, rbf_design, ridge_regression
 from ccl.metrics import error_npe
-from ccl.nullspace import NullspaceComponentModel, learn_ncl, make_ncl_model, objective_ncl, predict_ncl
+from ccl.nullspace import NullspaceComponentModel, learn_ncl, make_ncl_model, objective_ncl
 
 
 def _scenario(seed=0, n=600):
@@ -161,7 +161,7 @@ def test_predict_zero_weights():
     model = NullspaceComponentModel(rbf=RbfModel(centers=np.zeros((2, 3)),
                                                  width=1.0,
                                                  weights=np.zeros((2, 3))))
-    out = predict_ncl(model, np.random.default_rng(8).normal(size=(2, 9)))
+    out = model.predict(np.random.default_rng(8).normal(size=(2, 9)))
     assert np.array_equal(out, np.zeros((2, 9)))
 
 
@@ -170,7 +170,7 @@ def test_predict_at_single_center():
     weights = np.array([[1.5], [-0.7]])
     model = NullspaceComponentModel(rbf=RbfModel(centers=center, width=0.8,
                                                  weights=weights))
-    out = predict_ncl(model, center)
+    out = model.predict(center)
     assert np.allclose(out[:, 0], weights[:, 0])  # feature is exactly 1 there
 
 
@@ -180,7 +180,7 @@ def test_predict_matches_loop_oracle():
                                                  width=0.9,
                                                  weights=rng.normal(size=(2, 5))))
     xs = rng.normal(size=(2, 12))
-    out = predict_ncl(model, xs)
+    out = model.predict(xs)
     for n in range(12):
         feats = np.exp(-((xs[:, [n]] - model.rbf.centers) ** 2).sum(axis=0)
                        / (2 * 0.9))

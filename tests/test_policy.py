@@ -11,7 +11,6 @@ from ccl.policy import (
     learn_pi_lwl,
     linear_policy_model,
     lwl_policy_model,
-    predict_policy,
     rbf_policy_model,
 )
 
@@ -210,7 +209,7 @@ def test_lwl_zero_activation_error_names_point():
 
 def test_predict_zero_weights():
     model = linear_policy_model(2, 2)
-    out = predict_policy(model, np.random.default_rng(41).normal(size=(2, 6)))
+    out = model.predict(np.random.default_rng(41).normal(size=(2, 6)))
     assert np.array_equal(out, np.zeros((2, 6)))
 
 
@@ -230,7 +229,7 @@ def test_predict_matches_loop_oracle():
     model = ParametricPolicyModel(weights=rng.normal(size=(2, 4)), dim_x=3,
                                   centers=rng.normal(size=(3, 4)), width=0.8)
     xs = rng.normal(size=(3, 9))
-    out = predict_policy(model, xs)
+    out = model.predict(xs)
     for n in range(9):
         feats = np.exp(-((xs[:, [n]] - model.centers) ** 2).sum(axis=0) / (2 * 0.8))
         assert np.max(np.abs(out[:, n] - model.weights @ feats)) < 1e-14
@@ -244,3 +243,15 @@ def test_direction_projectors_idempotent_and_fixing():
         p = proj[:, :, n]
         assert np.max(np.abs(p @ p - p)) < 1e-12
         assert np.max(np.abs(p @ u[:, n] - u[:, n])) < 1e-12
+
+
+def test_library_direction_projectors_zero_for_zero_actions():
+    from ccl.policy import ZERO_ACTION, _direction_projectors as library_projectors
+
+    u = np.random.default_rng(44).normal(size=(2, 6))
+    u[:, 2] = 0.0
+    u[:, 4] = [ZERO_ACTION / 2, 0.0]
+    proj = library_projectors(u)
+    assert not proj[:, :, [2, 4]].any()
+    live = [0, 1, 3, 5]
+    assert np.array_equal(proj[:, :, live], _direction_projectors(u[:, live]))

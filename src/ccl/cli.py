@@ -439,7 +439,7 @@ def build_parser():
                    help="task drive: zero | const:V[,V] | sin:AMP,CYCLES,PHASE")
     g.add_argument("--n", type=int, default=500, help="samples per group")
     g.add_argument("--noise", type=float, default=0.0)
-    g.add_argument("--seed", type=int, default=_default_seed())
+    g.add_argument("--seed", type=int, default=None)
     g.add_argument("--out", required=True)
     g.set_defaults(func=cmd_gen)
 
@@ -455,7 +455,7 @@ def build_parser():
                    help="feature matrix for lambda, e.g. twolink-jacobian:1.0,1.0")
     l.add_argument("--basis", choices=("rbf", "linear"), default="rbf",
                    help="feature family for method pi")
-    l.add_argument("--seed", type=int, default=_default_seed())
+    l.add_argument("--seed", type=int, default=None)
     for f in SOLVER_FIELDS:
         l.add_argument(_solver_flag(f), type=type(f.default), default=f.default)
     l.set_defaults(func=cmd_learn)
@@ -468,7 +468,7 @@ def build_parser():
 
     t = sub.add_parser("tutorial", help="run a bundled end-to-end scenario")
     t.add_argument("name", choices=TUTORIALS)
-    t.add_argument("--seed", type=int, default=_default_seed())
+    t.add_argument("--seed", type=int, default=None)
     t.add_argument("--outdir", default=None)
     t.set_defaults(func=cmd_tutorial)
     return parser
@@ -477,6 +477,9 @@ def build_parser():
 def main(argv=None) -> int:
     try:
         args = build_parser().parse_args(argv)
+        if getattr(args, "seed", 0) is None:
+            # the environment is read only when --seed is absent
+            args.seed = _default_seed()
         return args.func(args)
     except CliError as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -7,10 +7,11 @@ marked read-only), so they can be shared freely across threads.
 """
 from __future__ import annotations
 
+from array import array
 from dataclasses import dataclass
 import numpy as np
 
-CONVERGENCE_REASONS = ("fun-tol", "x-tol", "max-iter")
+CONVERGENCE_REASONS = ("fun-tol", "x-tol", "max-iter", "closed-form")
 
 
 def _freeze(a):
@@ -62,11 +63,12 @@ class LearnReport:
     """Outcome statistics of a single fit.
 
     ``converged`` is qualified by ``reason`` (one of ``fun-tol``,
-    ``x-tol``, ``max-iter``); a fit that did not converge cannot claim a
-    tolerance reason.  ``objective_trace`` records intermediate
-    objective values for greedy learners (one entry per accepted
-    constraint row); ``notes`` carries free-form diagnostic flags such
-    as ``no-constraint-found``.
+    ``x-tol``, ``max-iter``, or ``closed-form`` for a direct solve with
+    no iteration); a fit that did not converge can only stop at
+    ``max-iter``.  ``objective_trace`` records intermediate objective
+    values for greedy learners (one entry per accepted constraint row);
+    ``notes`` carries free-form diagnostic flags such as
+    ``no-constraint-found``.
     """
 
     nmse: float
@@ -261,23 +263,23 @@ def save_dataset(data: DemonstrationSet, path):
             cols += [f"{prefix}{i+1}" for i in range(ch.shape[0])]
             channels.append(ch)
     cols.append("k")
+    table = np.vstack(channels).T.tolist()
     with open(path, "w") as fh:
         fh.write(",".join(cols) + "\n")
-        stacked = np.vstack(channels)
-        for n in range(data.n_samples):
-            row = [repr(float(v)) for v in stacked[:, n]]
-            row.append(str(int(data.group_ids[n])))
-            fh.write(",".join(row) + "\n")
+        # repr of a Python float is the shortest string that reads back bit for bit
+        fh.writelines(",".join(map(repr, row)) + f",{g}\n"
+                      for row, g in zip(table, data.group_ids.tolist()))
 
 
 def load_dataset(path, dims=None) -> DemonstrationSet:
     """Read a dataset file, validating dimensions and values.
 
     dims, when given, is a (dim_x, dim_u) pair checked against the header.
-    Rows with non-numeric tokens, wrong column counts or non-finite values
-    are rejected with the offending file line named.  Group ids are
-    remapped onto a dense [0, K) range; a missing group column means a
-    single group.
+    A row with a wrong column count, a non-numeric token, a non-finite
+    value or a non-integer group id (checked in that order) is rejected,
+    naming the first offending line of the file.  Group ids are remapped
+    onto a dense [0, K) range; a missing group column means a single
+    group.
     """
     with open(path) as fh:
         lines = fh.read().splitlines()
@@ -290,7 +292,8 @@ def load_dataset(path, dims=None) -> DemonstrationSet:
     dim_v = _header_block(names, "v")
     dim_w = _header_block(names, "w")
     has_k = names[-1] == "k"
-    expected = dim_x + dim_u + dim_pi + dim_v + dim_w + (1 if has_k else 0)
+    n_values = dim_x + dim_u + dim_pi + dim_v + dim_w
+    expected = n_values + (1 if has_k else 0)
     if dim_x == 0 or dim_u == 0:
         raise ValueError("header must declare x* and u* columns")
     canonical = ([f"x{i+1}" for i in range(dim_x)] + [f"u{i+1}" for i in range(dim_u)]
@@ -304,30 +307,45 @@ def load_dataset(path, dims=None) -> DemonstrationSet:
     if dims is not None and (dim_x, dim_u) != tuple(dims):
         raise ValueError(f"declared dims {tuple(dims)} do not match file dims {(dim_x, dim_u)}")
 
-    rows, gids = [], []
+    # one buffer of doubles, row after row: no per-row objects outlive their line
+    values, gids, linenos = array("d"), [], []
+
+    def first_non_finite():
+        rows = np.frombuffer(values, count=len(linenos) * n_values).reshape(-1, n_values)
+        finite = np.isfinite(rows).all(axis=1)
+        return None if finite.all() else linenos[np.argmin(finite)]
+
+    def fail(lineno, message):
+        # finiteness is checked in bulk; on this error path a non-finite value
+        # on an earlier line, or on this line ahead of its group id, comes first
+        bad = first_non_finite()
+        if bad is not None:
+            lineno, message = bad, "non-finite value"
+        raise ValueError(f"{path} line {lineno}: {message}") from None
+
     for lineno, line in enumerate(lines[1:], start=2):
         if not line.strip():
             continue
         tokens = line.split(",")
         if len(tokens) != expected:
-            raise ValueError(f"{path} line {lineno}: expected {expected} columns, got {len(tokens)}")
-        numeric = tokens[:-1] if has_k else tokens
+            fail(lineno, f"expected {expected} columns, got {len(tokens)}")
         try:
-            values = [float(t) for t in numeric]
+            values.extend(map(float, tokens[:n_values]))
         except ValueError:
-            raise ValueError(f"{path} line {lineno}: non-numeric token") from None
-        if not np.all(np.isfinite(values)):
-            raise ValueError(f"{path} line {lineno}: non-finite value")
+            fail(lineno, "non-numeric token")
+        linenos.append(lineno)
         if has_k:
             tok = tokens[-1].strip()
             try:
                 gids.append(int(tok))
             except ValueError:
-                raise ValueError(f"{path} line {lineno}: group id {tok!r} is not an integer") from None
-        rows.append(values)
-    if not rows:
+                fail(lineno, f"group id {tok!r} is not an integer")
+    if not linenos:
         raise ValueError(f"{path}: no data rows")
-    table = np.asarray(rows, dtype=float).T
+    bad = first_non_finite()
+    if bad is not None:
+        raise ValueError(f"{path} line {bad}: non-finite value")
+    table = np.frombuffer(values).reshape(-1, n_values).T
     ofs = 0
 
     def take(d):

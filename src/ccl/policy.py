@@ -196,7 +196,7 @@ def learn_pi(xs, u_null, model0: ParametricPolicyModel,
     report = LearnReport.from_errors(
         mse=energy / u.shape[1], variance=float(np.var(u, axis=1).sum()),
         iterations=1, final_objective=energy, converged=True,
-        reason="fun-tol", notes=("closed-form",), dropped_samples=dropped,
+        reason="closed-form", dropped_samples=dropped,
     )
     return model, report
 
@@ -232,6 +232,6 @@ def learn_pi_lwl(xs, u_null, model0: LwlPolicyModel,
     report = LearnReport.from_errors(
         mse=energy / u.shape[1], variance=float(np.var(u, axis=1).sum()),
         iterations=1, final_objective=energy, converged=True,
-        reason="fun-tol", notes=("closed-form",), dropped_samples=dropped,
+        reason="closed-form", dropped_samples=dropped,
     )
     return model, report

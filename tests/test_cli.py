@@ -232,6 +232,16 @@ def test_ccl_seed_env_not_an_integer_is_input_error(tmp_path, monkeypatch, capsy
     assert not out.exists()
 
 
+def test_explicit_seed_ignores_invalid_ccl_seed_env(tmp_path, monkeypatch):
+    monkeypatch.setenv("CCL_SEED", "abc")
+    data = _gen(tmp_path, seed=3, n=50)
+    assert json.loads(open(data + ".manifest.json").read())["seed"] == 3
+    model = str(tmp_path / "m.json")
+    assert _run("learn", "--method", "nhat", "--in", data, "--out", model,
+                "--seed", "4") == 0
+    assert json.loads(open(model + ".manifest.json").read())["seed"] == 4
+
+
 @pytest.mark.parametrize("name", ["toy-ncl", "toy-pi"])
 def test_tutorial_reruns_byte_identical(tmp_path, name, capsys):
     outdir = str(tmp_path / "tut")

@@ -1,5 +1,9 @@
+import os
+import tempfile
+
 import numpy as np
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from ccl.core import DemonstrationSet, LearnOptions, LearnReport, RbfModel, load_dataset, save_dataset
 
@@ -38,6 +42,15 @@ def test_report_nmse_consistency():
         with pytest.raises(ValueError, match="did not converge"):
             LearnReport.from_errors(mse=2.0, variance=4.0, iterations=1,
                                     final_objective=2.0, converged=False, reason=reason)
+
+
+def test_report_closed_form_only_when_converged():
+    rep = LearnReport.from_errors(mse=2.0, variance=4.0, iterations=1,
+                                  final_objective=2.0, converged=True, reason="closed-form")
+    assert rep.reason == "closed-form"
+    with pytest.raises(ValueError, match="did not converge"):
+        LearnReport.from_errors(mse=2.0, variance=4.0, iterations=1,
+                                final_objective=2.0, converged=False, reason="closed-form")
 
 
 def test_rbf_model_invariants():
@@ -235,3 +248,145 @@ def test_fuzzed_roundtrip_preserves_invariants(tmp_path):
         back = load_dataset(path)
         assert back.n_samples == n and back.n_groups == k
         assert np.array_equal(back.states, data.states)
+
+
+# ---------------------------------------------------------------------------
+# text format properties
+# ---------------------------------------------------------------------------
+
+# edge values of the exact repr round trip: signed zero, subnormals, the
+# largest magnitudes and integral floats (written as "3.0", not "3")
+_EDGE_FLOATS = [-0.0, 0.0, 5e-324, -5e-324, 2.2250738585072014e-308, 1e308, -1e308,
+                1.7976931348623157e308, 1.0, -3.0, 2.0 ** 53, 1e16]
+_FLOATS = st.one_of(st.floats(allow_nan=False, allow_infinity=False),
+                    st.sampled_from(_EDGE_FLOATS),
+                    st.integers(-10 ** 6, 10 ** 6).map(float))
+
+
+@st.composite
+def _demonstration_sets(draw):
+    dim_x, dim_u = draw(st.integers(1, 4)), draw(st.integers(1, 6))
+    k = draw(st.integers(1, 4))
+    n = draw(st.integers(k, 10))
+    gids = draw(st.permutations(list(range(k)) + draw(
+        st.lists(st.integers(0, k - 1), min_size=n - k, max_size=n - k))))
+    block = lambda rows: np.array(draw(st.lists(
+        _FLOATS, min_size=rows * n, max_size=rows * n))).reshape(rows, n)
+    channels = {name: block(dim_u) if draw(st.booleans()) else None
+                for name in ("policy", "task_component", "null_component")}
+    return DemonstrationSet(states=block(dim_x), actions=block(dim_u),
+                            group_ids=gids, **channels)
+
+
+def _reference_rows(data):
+    """Data rows as the original per-sample writer formatted them."""
+    stacked = np.vstack([ch for ch in (data.states, data.actions, data.policy,
+                                       data.task_component, data.null_component)
+                         if ch is not None])
+    return [",".join([repr(float(v)) for v in stacked[:, n]] + [str(int(data.group_ids[n]))])
+            for n in range(data.n_samples)]
+
+
+@settings(max_examples=80, deadline=None)
+@given(_demonstration_sets())
+def test_codec_roundtrip_is_byte_and_bit_exact(data):
+    with tempfile.TemporaryDirectory() as tmp:
+        first, second = os.path.join(tmp, "a.csv"), os.path.join(tmp, "b.csv")
+        save_dataset(data, first)
+        back = load_dataset(first)
+        save_dataset(back, second)
+        text = open(first).read()
+        assert open(second).read() == text
+    assert text.splitlines()[1:] == _reference_rows(data)
+    for name in ("states", "actions", "group_ids", "policy", "task_component", "null_component"):
+        a, b = getattr(data, name), getattr(back, name)
+        assert (a is None) == (b is None), name
+        if a is not None:
+            assert a.shape == b.shape and a.dtype == b.dtype and a.tobytes() == b.tobytes(), name
+
+
+def _reference_row_error(path, lines, expected, has_k):
+    """The original loader's per-row validation loop: the reference for
+    which line an error names and which check it reports."""
+    rows = 0
+    for lineno, line in enumerate(lines[1:], start=2):
+        if not line.strip():
+            continue
+        tokens = line.split(",")
+        if len(tokens) != expected:
+            return f"{path} line {lineno}: expected {expected} columns, got {len(tokens)}"
+        numeric = tokens[:-1] if has_k else tokens
+        try:
+            values = [float(t) for t in numeric]
+        except ValueError:
+            return f"{path} line {lineno}: non-numeric token"
+        if not np.all(np.isfinite(values)):
+            return f"{path} line {lineno}: non-finite value"
+        if has_k:
+            tok = tokens[-1].strip()
+            try:
+                int(tok)
+            except ValueError:
+                return f"{path} line {lineno}: group id {tok!r} is not an integer"
+        rows += 1
+    return None if rows else f"{path}: no data rows"
+
+
+# non-numeric tokens, then non-finite ones (an overflow such as 1e400 reads as inf)
+_BAD_VALUES = ["oops", "1.0.0", "", " ", "0x10", "1e",
+               "nan", "inf", "-inf", " NaN ", "1e400", "-Infinity"]
+_BAD_GROUP_IDS = ["0.5", "a", "", "1e3", "nan", "1.0"]
+
+
+@st.composite
+def _corrupted_files(draw):
+    dim_x, dim_u = draw(st.integers(1, 3)), draw(st.integers(1, 3))
+    has_k = draw(st.booleans())
+    n_values = dim_x + dim_u
+    header = ",".join([f"x{i + 1}" for i in range(dim_x)] + [f"u{i + 1}" for i in range(dim_u)]
+                      + (["k"] if has_k else []))
+    n = draw(st.integers(1, 5))
+    rows = [[repr(draw(_FLOATS)) for _ in range(n_values)] + ([str(i % 2)] if has_k else [])
+            for i in range(n)]
+    for _ in range(draw(st.integers(1, 3))):
+        i = draw(st.integers(0, n - 1))
+        kind = draw(st.sampled_from(["short", "long", "value", "group-id"]))
+        if kind == "short":
+            rows[i] = rows[i][:-1]
+        elif kind == "long":
+            rows[i] = rows[i] + ["1.0"]
+        elif kind == "value":
+            col = draw(st.integers(0, n_values - 1))
+            rows[i] = rows[i][:col] + [draw(st.sampled_from(_BAD_VALUES))] + rows[i][col + 1:]
+        else:
+            rows[i] = rows[i][:-1] + [draw(st.sampled_from(_BAD_GROUP_IDS))]
+    lines = [",".join(r) for r in rows]
+    for _ in range(draw(st.integers(0, 3))):
+        lines.insert(draw(st.integers(0, len(lines))), draw(st.sampled_from(["", " ", "\t  "])))
+    return [header] + lines, n_values + has_k, has_k
+
+
+@settings(max_examples=300, deadline=None)
+@given(_corrupted_files())
+# within a line: count, then non-numeric, then non-finite, then group id;
+# across lines the earliest failing line wins whatever its check
+@example((["x1,u1,k", "nan,0.0,0.5", "0.0,0.0,0"], 3, True))
+@example((["x1,u1,k", "oops,inf,0", "0.0,0.0,0"], 3, True))
+@example((["x1,u1,k", "0.0,0.0,0", "inf,oops,0"], 3, True))
+@example((["x1,u1,k", "1.0,inf,0", "", "0.0,0.0"], 3, True))
+@example((["x1,u1,k", "1.0,2.0,0", " ", "0.0,0.0,a", "0.0,-inf,0"], 3, True))
+@example((["x1,u1", "1.0,2.0", "\t", "1e400,1.0", "x,1.0"], 2, False))
+@example((["x1,u1", "", " "], 2, False))
+def test_load_errors_match_per_row_reference(case):
+    lines, expected, has_k = case
+    with tempfile.TemporaryDirectory() as tmp:
+        path = os.path.join(tmp, "d.csv")
+        with open(path, "w") as fh:
+            fh.write("\n".join(lines) + "\n")
+        message = _reference_row_error(path, lines, expected, has_k)
+        if message is None:
+            assert load_dataset(path).n_samples == sum(1 for l in lines[1:] if l.strip())
+        else:
+            with pytest.raises(ValueError) as exc:
+                load_dataset(path)
+            assert str(exc.value) == message

@@ -145,6 +145,16 @@ def test_pi_closed_form_is_a_minimum():
         assert objective(model.weights + delta) >= base - 1e-12
 
 
+def test_closed_form_learners_report_closed_form():
+    data = _pooled_linear(seeds=36, n=150)
+    for learn, model0 in (
+            (learn_pi, rbf_policy_model(data.states, data.dim_u, num_basis=8, seed=0)),
+            (learn_pi_lwl, lwl_policy_model(data.states, data.dim_u, num_local=5, seed=0))):
+        _, report = learn(data.states, data.actions, model0)
+        assert report.converged and report.reason == "closed-form"
+        assert report.iterations == 1 and report.notes == ()
+
+
 # ---------------------------------------------------------------------------
 # locally-weighted learner
 # ---------------------------------------------------------------------------

@@ -15,7 +15,6 @@ from .constraint import (
     learn_alpha,
     learn_lambda,
     learn_nhat,
-    objective_avn,
     objective_state_independent,
     twolink_jacobian_features,
 )
@@ -42,7 +41,6 @@ from .mathkit import (
     rbf_design,
     rbf_width_from_centers,
     ridge_regression,
-    unit_vector_from_angles,
     unit_vectors_from_angles,
 )
 from .metrics import MetricTriple, error_ncpe, error_npe, error_nupe, error_poe, error_ppe

@@ -2,10 +2,10 @@
 and run the bundled end-to-end tutorials.
 
 Every run writes a JSON manifest next to its outputs recording the
-resolved command (sufficient to re-run it), the seed, wall-clock duration
-and a summary of the learning report.  All artifact outputs are
-deterministic for a fixed --seed; the environment variable CCL_SEED
-overrides the default seed.
+resolved command (sufficient to re-run it), the seed (null for eval,
+which draws no random numbers), wall-clock duration and a summary of the
+learning report.  All artifact outputs are deterministic for a fixed
+--seed; the environment variable CCL_SEED overrides the default seed.
 
 Exit codes: 0 success, 1 input or validation error, 2 learning finished
 without convergence (best-effort model still written).
@@ -18,6 +18,7 @@ import os
 import sys
 import time
 from dataclasses import asdict, dataclass, fields
+from typing import Optional
 
 import numpy as np
 
@@ -68,7 +69,7 @@ class RunManifest:
     config: dict
     inputs: tuple
     outputs: tuple
-    seed: int
+    seed: Optional[int]  # None for eval, which draws no random numbers
     duration_s: float
     report: dict = None
 
@@ -308,7 +309,7 @@ def cmd_eval(args):
                     command=("eval", "--model", args.model, "--data", args.data,
                              "--out", args.out),
                     config={}, inputs=(args.model, args.data), outputs=(args.out,),
-                    seed=_default_seed(), duration_s=time.perf_counter() - t0,
+                    seed=None, duration_s=time.perf_counter() - t0,
                     report=structured).write(_manifest_path(args.out))
     return 0
 

@@ -6,11 +6,12 @@ is scored by how much observation energy it captures: a correct row is
 orthogonal to every observation.  Rows are recovered greedily, each new
 row searched inside the orthogonal complement of the rows already found.
 
-Three model families are covered: a constant constraint (grid search plus
-local refinement over hyperspherical angles), a state-dependent
-constraint whose row angles are RBF functions of the state, and the same
-state-dependent scheme expressed as a selection over a user-supplied
-feature matrix (for example a manipulator Jacobian).
+Three model families share that one greedy loop (lattice seed plus
+local refinement over hyperspherical angles): a state-dependent
+constraint whose row angles are RBF functions of the state, the same
+scheme expressed as a selection over a user-supplied feature matrix (for
+example a manipulator Jacobian), and a constant constraint, which is the
+case of a single constant basis function.
 """
 from __future__ import annotations
 
@@ -31,7 +32,6 @@ from .mathkit import (
     rbf_width_from_centers,
     ridge_regression,
     unit_vector_angle_jacobians,
-    unit_vector_from_angles,
     unit_vectors_from_angles,
 )
 
@@ -132,35 +132,9 @@ def objective_state_independent(a_rows, second_moment):
     return max(0.0, float(np.trace(a @ m @ a.T)))
 
 
-def objective_avn(omega, bx, rotated_moments):
-    """Violation energy of one state-dependent row in its rotated frame.
-
-    The row angles are omega @ beta(x); rotated_moments holds, per sample,
-    the second moment of the observation expressed in the complement frame
-    of the rows already learned, shape (f, f, N).
-    """
-    om = np.atleast_2d(np.asarray(omega, dtype=float))
-    bx = np.atleast_2d(np.asarray(bx, dtype=float))
-    moments = np.asarray(rotated_moments, dtype=float)
-    if moments.shape[0] != om.shape[0] + 1 or moments.shape[2] != bx.shape[1]:
-        raise ValueError("dimension mismatch between omega, bx and moments")
-    a = unit_vectors_from_angles(om @ bx)
-    return float(np.einsum("in,ijn,jn->", a, moments, a))
-
-
 # ---------------------------------------------------------------------------
 # state-independent constraints
 # ---------------------------------------------------------------------------
-
-def _materialize_independent_rows(angles, dim_u):
-    rows = []
-    for th in angles:
-        frame = (np.eye(dim_u) if not rows
-                 else orthogonal_complement_rotation(np.vstack(rows)))
-        row = unit_vector_from_angles(th) @ frame
-        rows.append(_canonical_sign(row) * row)
-    return np.vstack(rows)
-
 
 @dataclass(frozen=True)
 class StateIndependentConstraint:
@@ -189,7 +163,13 @@ class StateIndependentConstraint:
         return len(self.angles)
 
     def rows(self):
-        return _materialize_independent_rows(self.angles, self.dim_u)
+        """Rows (dim_b, dim_u): the state-dependent rows kernel over one
+        constant basis function at a single sample."""
+        one = np.ones((1, 1))
+        rows = np.empty((0, self.dim_u, 1))
+        for th in self.angles:
+            _, rows = _accept_row(th[:, None], _complement_frames(rows), one, rows)
+        return rows[:, :, 0]
 
     def projector(self, threshold=1e-8):
         return nullspace_projector(self.rows(), threshold).projector
@@ -215,36 +195,23 @@ def _grid_seed(m_rot, resolution):
     return thetas[:, int(np.argmin(energy))].copy()
 
 
-def _refine_row(m_rot, theta0, opts):
-    """Polish a lattice seed by damped least squares on the factorized
-    energy: with M = L^T L the residual is L a(theta)."""
-    lam, vec = np.linalg.eigh(m_rot)
-    factor = np.sqrt(np.maximum(lam, 0.0))[:, None] * vec.T
-
-    def residual(th):
-        return factor @ unit_vector_from_angles(th)
-
-    def jacobian(th):
-        return factor @ unit_vector_angle_jacobians(np.asarray(th)[:, None])[:, :, 0]
-
-    theta, rep = lm_solve(LmProblem(residual=residual, p0=theta0,
-                                    jacobian=jacobian, options=opts))
-    return theta, rep.final_objective, rep.iterations, rep.converged
-
-
 def learn_nhat(w_obs, options: Optional[LearnOptions] = None):
     """Fit a constant constraint to null-space observations (dim_u, N).
 
     Rows are found greedily: lattice search over the row angles inside
-    the complement of the accepted rows, refined by damped least squares.
-    A candidate row is kept while the energy it captures stays below
-    tol_fun * max(1, remaining energy); with rich observations this stops
-    exactly at the true constraint dimension.  Noisy observations leak
-    energy into every direction, so tol_fun must be raised to roughly the
-    noise-to-signal energy ratio for rows to be accepted.  If even the
-    first row captures too much energy, no constraint is consistent with
-    the data: the best-effort single row is returned and the report
-    carries the note ``no-constraint-found``.
+    the complement of the accepted rows, refined by damped least squares
+    from that one lattice start.  A candidate row is kept while the energy
+    it captures stays below tol_fun * max(1, remaining energy); with rich
+    observations this stops exactly at the true constraint dimension.
+    Noisy observations leak energy into every direction, so tol_fun must
+    be raised to roughly the noise-to-signal energy ratio for rows to be
+    accepted.  If even the first row captures too much energy, no
+    constraint is consistent with the data: the best-effort single row is
+    returned and the report carries the note ``no-constraint-found``.
+
+    This is the greedy row loop of :func:`learn_alpha` on one constant
+    basis function, with dim_u pseudo-samples that carry the second moment
+    of the observations: the columns of V sqrt(L) for u u^T = V L V^T.
 
     Returns (StateIndependentConstraint, LearnReport).
     """
@@ -259,43 +226,16 @@ def learn_nhat(w_obs, options: Optional[LearnOptions] = None):
         raise ValueError("all-zero observations: constraint unidentifiable")
 
     second = u @ u.T
-    angles, rows, trace_hist = [], [], []
-    first_candidate = None
-    iterations = 0
-    converged = True
-
-    for s in range(dim_u - 1):
-        frame = (np.eye(dim_u) if not rows
-                 else orthogonal_complement_rotation(np.vstack(rows)))
-        m_rot = frame @ second @ frame.T
-        theta0 = _grid_seed(m_rot, opts.search_resolution)
-        theta, e_row, its, ok = _refine_row(m_rot, theta0, opts)
-        iterations += its
-        if s == 0:
-            first_candidate = (theta, ok)
-        if e_row > opts.tol_fun * max(1.0, float(np.trace(m_rot))):
-            break
-        converged = converged and ok
-        angles.append(theta)
-        row = unit_vector_from_angles(theta) @ frame
-        rows.append(_canonical_sign(row) * row)
-        trace_hist.append(objective_state_independent(np.vstack(rows), second))
-
-    notes = ()
-    if not angles:
-        notes = ("no-constraint-found",)
-        theta, ok = first_candidate
-        angles = [theta]
-        converged = converged and ok
-
-    constraint = StateIndependentConstraint(angles=tuple(angles), dim_u=dim_u)
+    lam, vec = np.linalg.eigh(second)
+    omegas, _, fit = _learn_rows(
+        np.ones((1, dim_u)), vec * np.sqrt(np.maximum(lam, 0.0)), dim_u - 1,
+        accept=lambda e_row, u_rot: e_row <= opts.tol_fun * max(1.0, float((u_rot ** 2).sum())),
+        starts=lambda theta: (theta,), opts=opts)
+    constraint = StateIndependentConstraint(angles=tuple(om.ravel() for om in omegas),
+                                            dim_u=dim_u)
     final = objective_state_independent(constraint.rows(), second)
-    report = LearnReport.from_errors(
-        mse=final / n, variance=float(np.var(u, axis=1).sum()),
-        iterations=iterations, final_objective=final,
-        converged=converged, reason="fun-tol" if converged else "max-iter",
-        objective_trace=tuple(trace_hist), notes=notes,
-    )
+    report = LearnReport.from_errors(mse=final / n, variance=float(np.var(u, axis=1).sum()),
+                                     final_objective=final, **fit)
     return constraint, report
 
 
@@ -481,17 +421,58 @@ def _learn_state_dependent(w_obs, xs, phi, options, num_basis, dim_b):
             raise ValueError(f"feature matrix has rank 0 at sample {dead[0]}")
         target = np.ascontiguousarray((_normalized_rows(mats) @ u.T[:, :, None])[:, :, 0].T)
 
-    max_rows = sel_dim if dim_b is not None else sel_dim - 1
-    limit = max_rows if dim_b is None else min(dim_b, max_rows)
+    limit = sel_dim - 1 if dim_b is None else min(dim_b, sel_dim)
+    if limit < 1:
+        raise ValueError(f"no constraint row to learn: dim_b={dim_b}, "
+                         f"selection dimension {sel_dim}")
     total_energy = float((target ** 2).sum())
     rng = np.random.default_rng(opts.rng_seed)
 
-    omegas, signs = [], []
+    def starts(theta):
+        # first a constant-angle anchor: the lattice seed mapped into weight
+        # space by ridge fit; then zero weights; then random weights
+        size = theta.size * bx.shape[0]
+        yield ridge_regression(bx, np.repeat(theta[:, None], n, axis=1),
+                               opts.regularization).ravel()
+        for restart in range(1, opts.num_restarts):
+            yield np.zeros(size) if restart == 1 else rng.normal(0.0, 0.4, size)
+
+    omegas, signs, fit = _learn_rows(
+        bx, target, limit,
+        accept=lambda e_row, u_rot: (dim_b is not None
+                                     or e_row <= ROW_ACCEPT_FRACTION * max(total_energy, 1e-30)),
+        starts=starts, opts=opts)
+    model = StateDependentConstraintModel(
+        omegas=tuple(omegas), signs=tuple(signs),
+        rbf=RbfModel(centers=centers, width=width,
+                     weights=np.zeros((0, num_basis))),
+        mode=mode, dim_u=dim_u, feature_name=feature_name,
+    )
+    final = _exact_projection_energy(model, xs, u, opts.svd_threshold)
+    report = LearnReport.from_errors(mse=final / n, variance=float(np.var(u, axis=1).sum()),
+                                     final_objective=final, **fit)
+    return model, report
+
+
+def _learn_rows(bx, target, limit, accept, starts, opts):
+    """The greedy row loop of every constraint learner.
+
+    Targets (sel_dim, N) are the observations in the space the rows live
+    in.  Row s (at most ``limit`` rows) is searched inside the per-sample
+    complement of the rows accepted so far.  Its local angles are
+    omega @ bx; the lattice seed on the pooled rotated moments goes to
+    ``starts(theta)``, which yields the weight vectors that damped least
+    squares starts from, and the best fit is kept while
+    ``accept(e_row, u_rot)`` holds.  If the first row is rejected, it is
+    returned anyway with the note ``no-constraint-found``.
+
+    Returns (omegas, signs, LearnReport fields).
+    """
+    sel_dim, n = target.shape
     rows_stack = np.empty((0, sel_dim, n))
-    trace_hist = []
+    omegas, signs, trace_hist, notes = [], [], [], ()
     iterations = 0
     converged = True
-    first_candidate = None
 
     for s in range(limit):
         frames = _complement_frames(rows_stack)
@@ -504,19 +485,8 @@ def _learn_state_dependent(w_obs, xs, phi, options, num_basis, dim_b):
             row_ok = True
         else:
             residual, jacobian = _row_problem(bx, u_rot)
-            # first start: a constant-angle anchor from a lattice search on
-            # the pooled moments, mapped into weight space by ridge fit
-            theta_const = _grid_seed(u_rot @ u_rot.T, opts.search_resolution)
-            anchor = ridge_regression(bx, np.repeat(theta_const[:, None], n, axis=1),
-                                      opts.regularization)
             best = None
-            for restart in range(opts.num_restarts):
-                if restart == 0:
-                    w0 = anchor.ravel()
-                elif restart == 1:
-                    w0 = np.zeros(n_ang * bx.shape[0])
-                else:
-                    w0 = rng.normal(0.0, 0.4, n_ang * bx.shape[0])
+            for w0 in starts(_grid_seed(u_rot @ u_rot.T, opts.search_resolution)):
                 sol, rep = lm_solve(LmProblem(residual=residual, p0=w0,
                                               jacobian=jacobian, options=opts))
                 iterations += rep.iterations
@@ -525,40 +495,22 @@ def _learn_state_dependent(w_obs, xs, phi, options, num_basis, dim_b):
             omega = best[0].reshape(n_ang, bx.shape[0])
             e_row, row_ok = best[1], best[2]
 
-        if s == 0:
-            first_candidate = (omega, row_ok)
-        if dim_b is None and e_row > ROW_ACCEPT_FRACTION * max(total_energy, 1e-30):
+        accepted = accept(e_row, u_rot)
+        if not accepted and s > 0:
             break
         converged = converged and row_ok
-        omega, sign, rows_stack = _accept_row(omega, frames, bx, rows_stack)
+        sign, rows_stack = _accept_row(omega, frames, bx, rows_stack)
         omegas.append(omega)
         signs.append(sign)
+        if not accepted:
+            notes = ("no-constraint-found",)
+            break
         trace_hist.append(e_row)
 
-    notes = ()
-    if not omegas:
-        notes = ("no-constraint-found",)
-        omega, row_ok = first_candidate
-        rows_stack = np.empty((0, sel_dim, n))
-        omega, sign, rows_stack = _accept_row(omega, _complement_frames(rows_stack), bx,
-                                              rows_stack)
-        omegas, signs = [omega], [sign]
-        converged = converged and row_ok
-
-    model = StateDependentConstraintModel(
-        omegas=tuple(omegas), signs=tuple(signs),
-        rbf=RbfModel(centers=centers, width=width,
-                     weights=np.zeros((0, num_basis))),
-        mode=mode, dim_u=dim_u, feature_name=feature_name,
-    )
-    final = _exact_projection_energy(model, xs, u, opts.svd_threshold)
-    report = LearnReport.from_errors(
-        mse=final / n, variance=float(np.var(u, axis=1).sum()),
-        iterations=iterations, final_objective=final,
-        converged=converged, reason="fun-tol" if converged else "max-iter",
-        objective_trace=tuple(trace_hist), notes=notes,
-    )
-    return model, report
+    return omegas, signs, dict(
+        iterations=iterations, converged=converged,
+        reason="fun-tol" if converged else "max-iter",
+        objective_trace=tuple(trace_hist), notes=notes)
 
 
 def _accept_row(omega, frames, bx, rows_stack):
@@ -566,7 +518,7 @@ def _accept_row(omega, frames, bx, rows_stack):
     at the reference (first) sample, and extend the row stack."""
     rows = _rows_in_frames(omega, frames, bx)
     sign = _canonical_sign(rows[:, 0])
-    return omega, sign, np.concatenate([rows_stack, sign * rows[None]])
+    return sign, np.concatenate([rows_stack, sign * rows[None]])
 
 
 def _exact_projection_energy(model, xs, u, threshold):

@@ -12,6 +12,8 @@ from dataclasses import dataclass
 import numpy as np
 
 CONVERGENCE_REASONS = ("fun-tol", "x-tol", "max-iter", "closed-form")
+# group ids are stored as numpy's default integer type
+GROUP_ID_MIN, GROUP_ID_MAX = int(np.iinfo(int).min), int(np.iinfo(int).max)
 
 
 def _freeze(a):
@@ -65,8 +67,10 @@ class LearnReport:
     ``converged`` is qualified by ``reason`` (one of ``fun-tol``,
     ``x-tol``, ``max-iter``, or ``closed-form`` for a direct solve with
     no iteration); a fit that did not converge can only stop at
-    ``max-iter``.  ``objective_trace`` records intermediate objective
-    values for greedy learners (one entry per accepted constraint row);
+    ``max-iter``.  ``objective_trace`` has one entry per constraint row
+    accepted by a greedy learner: the observation energy that row
+    captures inside the complement of the earlier rows (for ``nhat``,
+    whose rows are orthonormal, the entries sum to ``final_objective``);
     ``notes`` carries free-form diagnostic flags such as
     ``no-constraint-found``.
     """
@@ -276,10 +280,10 @@ def load_dataset(path, dims=None) -> DemonstrationSet:
 
     dims, when given, is a (dim_x, dim_u) pair checked against the header.
     A row with a wrong column count, a non-numeric token, a non-finite
-    value or a non-integer group id (checked in that order) is rejected,
-    naming the first offending line of the file.  Group ids are remapped
-    onto a dense [0, K) range; a missing group column means a single
-    group.
+    value or a non-integer or out-of-range group id (checked in that
+    order) is rejected, naming the first offending line of the file.
+    Group ids are remapped onto a dense [0, K) range; a missing group
+    column means a single group.
     """
     with open(path) as fh:
         lines = fh.read().splitlines()
@@ -337,9 +341,12 @@ def load_dataset(path, dims=None) -> DemonstrationSet:
         if has_k:
             tok = tokens[-1].strip()
             try:
-                gids.append(int(tok))
+                gid = int(tok)
             except ValueError:
                 fail(lineno, f"group id {tok!r} is not an integer")
+            if not GROUP_ID_MIN <= gid <= GROUP_ID_MAX:
+                fail(lineno, f"group id {tok!r} is out of range")
+            gids.append(gid)
     if not linenos:
         raise ValueError(f"{path}: no data rows")
     bad = first_non_finite()

@@ -8,7 +8,7 @@ concurrently.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Callable, Optional
+from typing import Callable
 
 import numpy as np
 
@@ -61,18 +61,10 @@ def nullspace_projector(a, threshold=1e-8) -> ProjectionPair:
     return ProjectionPair(a_matrix=a, projector=n)
 
 
-def unit_vector_from_angles(theta):
-    """Unit vector of dimension len(theta) + 1 from hyperspherical angles:
+def unit_vectors_from_angles(thetas):
+    """Unit vectors (m + 1, N) from hyperspherical angles (m, N): per column,
     a_i = cos(theta_i) * prod_{j<i} sin(theta_j), with the last component
     prod_j sin(theta_j)."""
-    theta = np.atleast_1d(np.asarray(theta, dtype=float))
-    if theta.size < 1:
-        raise ValueError("need at least one angle (output dimension >= 2)")
-    return unit_vectors_from_angles(theta[:, None])[:, 0]
-
-
-def unit_vectors_from_angles(thetas):
-    """Batch form: angles (m, N) -> unit vectors (m + 1, N)."""
     thetas = np.atleast_2d(np.asarray(thetas, dtype=float))
     m, n = thetas.shape
     s, c = np.sin(thetas), np.cos(thetas)
@@ -214,13 +206,12 @@ def ridge_regression(design, targets, regularization=1e-8):
 
 @dataclass
 class LmProblem:
-    """A nonlinear least-squares problem: residual r(p), optional analytic
-    Jacobian J(p) (falls back to central finite differences), initial
-    parameters and options."""
+    """A nonlinear least-squares problem: residual r(p), its analytic
+    Jacobian J(p), initial parameters and options."""
 
     residual: Callable[[np.ndarray], np.ndarray]
     p0: np.ndarray
-    jacobian: Optional[Callable[[np.ndarray], np.ndarray]] = None
+    jacobian: Callable[[np.ndarray], np.ndarray]
     options: LearnOptions = field(default_factory=LearnOptions)
 
 
@@ -268,10 +259,8 @@ def lm_solve(problem: LmProblem):
     if not np.isfinite(r).all():
         raise ValueError("residual is not finite at the initial point")
 
-    if problem.jacobian is None:
-        jac = lambda q: finite_difference_jacobian(problem.residual, q)
-    else:
-        jac = lambda q: np.atleast_2d(np.asarray(problem.jacobian(q), dtype=float))
+    def jac(q):
+        return np.atleast_2d(np.asarray(problem.jacobian(q), dtype=float))
 
     j = jac(p)
     if j.shape != (r.size, p.size):

@@ -242,6 +242,25 @@ def test_explicit_seed_ignores_invalid_ccl_seed_env(tmp_path, monkeypatch):
     assert json.loads(open(model + ".manifest.json").read())["seed"] == 4
 
 
+def test_eval_does_not_read_ccl_seed(tmp_path, monkeypatch):
+    data = _gen(tmp_path, seed=3, n=50)
+    model = str(tmp_path / "m.json")
+    assert _run("learn", "--method", "nhat", "--in", data, "--out", model) == 0
+    monkeypatch.setenv("CCL_SEED", "abc")
+    table = str(tmp_path / "t.csv")
+    assert _run("eval", "--model", model, "--data", data, "--out", table) == 0
+    assert json.loads(open(table + ".manifest.json").read())["seed"] is None
+
+
+def test_learn_rejects_group_id_beyond_64_bits(tmp_path, capsys):
+    data = tmp_path / "big.csv"
+    data.write_text("x1,u1,u2,k\n0.0,1.0,0.0,0\n0.5,0.0,1.0,99999999999999999999\n")
+    code = _run("learn", "--method", "nhat", "--in", str(data), "--out", str(tmp_path / "m.json"))
+    assert code == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and "line 3: group id '99999999999999999999'" in err
+
+
 @pytest.mark.parametrize("name", ["toy-ncl", "toy-pi"])
 def test_tutorial_reruns_byte_identical(tmp_path, name, capsys):
     outdir = str(tmp_path / "tut")

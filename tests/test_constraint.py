@@ -14,19 +14,18 @@ from ccl.constraint import (
     learn_alpha,
     learn_lambda,
     learn_nhat,
-    objective_avn,
     objective_state_independent,
     twolink_jacobian_features,
 )
 from ccl.core import LearnOptions, RbfModel
 from ccl.datagen import GeneratorConfig, TwoLinkArm, generate
 from ccl.mathkit import (
+    check_jacobian,
     finite_difference_jacobian,
     nullspace_projector,
     orthogonal_complement_rotation,
     pinv_truncated,
     rbf_design,
-    unit_vector_from_angles,
     unit_vectors_from_angles,
 )
 from ccl.metrics import error_poe
@@ -180,6 +179,43 @@ def test_nhat_under_noise_with_matched_tolerance():
     assert np.rad2deg(_angle_dist(learned, np.deg2rad(30.0))) < 1.0
 
 
+def test_nhat_objective_trace_sums_to_final_objective():
+    # each entry is the energy one accepted row captures inside the
+    # complement of the earlier rows, so the entries add up to the total
+    rng = np.random.default_rng(23)
+    q, _ = np.linalg.qr(rng.normal(size=(4, 4)))
+    a_true = q.T[:2]
+    u = nullspace_projector(a_true).projector @ rng.normal(size=(4, 600))
+    u += rng.normal(0.0, 0.01, u.shape)
+    con, rep = learn_nhat(u, LearnOptions(tol_fun=1e-2))
+    assert con.dim_b == 2 and len(rep.objective_trace) == 2
+    assert sum(rep.objective_trace) == pytest.approx(rep.final_objective, rel=1e-12)
+
+
+@st.composite
+def _constant_constraints(draw):
+    dim_u = draw(st.integers(2, 6))
+    dim_b = draw(st.integers(1, dim_u - 1))
+    n = draw(st.integers(3 * dim_u, 12 * dim_u))
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+    q, _ = np.linalg.qr(rng.normal(size=(dim_u, dim_u)))
+    return q.T[:dim_b], rng.normal(size=(dim_u, n))
+
+
+@settings(max_examples=60, deadline=None)
+@given(_constant_constraints())
+def test_nhat_recovers_random_constant_constraints(case):
+    a_true, pi = case
+    n_true = nullspace_projector(a_true).projector
+    con, rep = learn_nhat(n_true @ pi)
+    assert con.dim_b == a_true.shape[0] and rep.notes == ()
+    assert np.max(np.abs(con.projector() - n_true)) < 1e-6
+    rows = con.rows()
+    assert np.max(np.abs(rows @ rows.T - np.eye(con.dim_b))) < 1e-9
+    for row in rows:
+        assert row[np.abs(row) > 1e-9][0] > 0
+
+
 def test_alpha_under_noise():
     cfg = GeneratorConfig(constraints=(("parabolic", 0.1),), n_per_group=800,
                           rng_seed=56, noise_std=0.01)
@@ -298,6 +334,9 @@ def test_alpha_respects_requested_dim_b():
     model, _ = learn_alpha(n_true @ pi, xs, LearnOptions(rng_seed=0, max_iter=150),
                            num_basis=8, dim_b=2)
     assert model.dim_b == 2
+    for dim_b in (0, -1):
+        with pytest.raises(ValueError, match="dim_b"):
+            learn_alpha(n_true @ pi, xs, num_basis=8, dim_b=dim_b)
 
 
 # ---------------------------------------------------------------------------
@@ -376,11 +415,11 @@ def test_lambda_rejects_rank_zero_feature_sample():
 def test_objective_avn_zero_weights_hand_evaluated():
     rng = np.random.default_rng(19)
     u = np.vstack([rng.normal(size=30), rng.normal(size=30)])
-    moments = np.einsum("in,jn->ijn", u, u)
     bx = rng.uniform(0.1, 1.0, (5, 30))
-    omega = np.zeros((1, 5))
+    residual, _ = _row_problem(bx, u)
+    r = residual(np.zeros(5))
     # zero angles give the row (1, 0): the captured energy is sum u_1^2
-    assert objective_avn(omega, bx, moments) == pytest.approx((u[0] ** 2).sum())
+    assert r @ r == pytest.approx((u[0] ** 2).sum())
 
 
 def test_objective_avn_zero_at_generating_weights():
@@ -392,25 +431,23 @@ def test_objective_avn_zero_at_generating_weights():
     rows = unit_vectors_from_angles(omega_true @ bx)
     # observations exactly orthogonal to the true row at every state
     u = np.vstack([-rows[1], rows[0]]) * rng.normal(size=200)
-    moments = np.einsum("in,jn->ijn", u, u)
-    assert objective_avn(omega_true, bx, moments) < 1e-10
+    residual, _ = _row_problem(bx, u)
+    r = residual(omega_true.ravel())
+    assert r @ r < 1e-10
 
 
 def test_objective_avn_consistent_with_lm_residuals():
     rng = np.random.default_rng(21)
     bx = rng.uniform(0.1, 1.0, (4, 50))
     u = rng.normal(size=(2, 50))
-    moments = np.einsum("in,jn->ijn", u, u)
     residual, jacobian = _row_problem(bx, u)
     for _ in range(10):
         w = rng.normal(0, 0.5, 4)
         r = residual(w)
-        assert objective_avn(w.reshape(1, 4), bx, moments) == pytest.approx(
-            float(r @ r), rel=1e-12)
+        assert check_jacobian(residual, jacobian, w) < 1e-5
         # gradient of the scalar energy vs the solver's residual Jacobian
         grad_from_jac = 2.0 * jacobian(w).T @ r
-        fd = finite_difference_jacobian(
-            lambda q: np.array([objective_avn(q.reshape(1, 4), bx, moments)]), w)
+        fd = finite_difference_jacobian(lambda q: np.array([residual(q) @ residual(q)]), w)
         scale = max(1.0, np.abs(grad_from_jac).max())
         assert np.max(np.abs(grad_from_jac - fd.ravel())) / scale < 1e-5
 
@@ -436,7 +473,8 @@ def _projector_reference(model, x):
     for om, sg in zip(model.omegas, model.signs):
         frame = (np.eye(model.sel_dim) if not rows
                  else orthogonal_complement_rotation(np.vstack(rows)))
-        local = np.ones(1) if om.shape[0] == 0 else unit_vector_from_angles(om @ bx)
+        local = (np.ones(1) if om.shape[0] == 0
+                 else unit_vectors_from_angles((om @ bx)[:, None])[:, 0])
         rows.append(sg * (local @ frame))
     a = np.vstack(rows)
     if model.mode == "lambda":

@@ -92,8 +92,10 @@ def _report_summary(report):
         "converged": report.converged, "reason": report.reason,
         "iterations": report.iterations,
         "final_objective": report.final_objective,
+        "objective_trace": list(report.objective_trace),
         "nmse": report.nmse, "mse": report.mse, "variance": report.variance,
         "notes": list(report.notes), "dropped_samples": report.dropped_samples,
+        "starts": list(report.starts),
     }
 
 

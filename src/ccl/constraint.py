@@ -37,6 +37,7 @@ from .mathkit import (
 
 GRID_POINT_BUDGET = 200_000
 ROW_ACCEPT_FRACTION = 0.1  # state-dependent rows may keep this energy share
+RESTART_GAP = 100.0  # a later start trailing the row's best by this factor is abandoned
 
 
 # ---------------------------------------------------------------------------
@@ -463,16 +464,17 @@ def _learn_rows(bx, target, limit, accept, starts, opts):
     omega @ bx; the lattice seed on the pooled rotated moments goes to
     ``starts(theta)``, which yields the weight vectors that damped least
     squares starts from, and the best fit is kept while
-    ``accept(e_row, u_rot)`` holds.  If the first row is rejected, it is
-    returned anyway with the note ``no-constraint-found``.
+    ``accept(e_row, u_rot)`` holds.  Every start after a row's first is
+    abandoned once it still trails RESTART_GAP times the row's best fit
+    so far after ABANDON_AFTER iterations.  If the first row is rejected,
+    it is returned anyway with the note ``no-constraint-found``.
 
     Returns (omegas, signs, LearnReport fields).
     """
     sel_dim, n = target.shape
     rows_stack = np.empty((0, sel_dim, n))
     omegas, signs, trace_hist, notes = [], [], [], ()
-    iterations = 0
-    converged = True
+    kept, records = [], []  # LM reports of the kept starts; one record per start
 
     for s in range(limit):
         frames = _complement_frames(rows_stack)
@@ -480,25 +482,27 @@ def _learn_rows(bx, target, limit, accept, starts, opts):
         n_ang = sel_dim - 1 - s
 
         if n_ang == 0:
-            omega = np.zeros((0, bx.shape[0]))
+            omega, fit = np.zeros((0, bx.shape[0])), None
             e_row = float((u_rot[0] ** 2).sum())
-            row_ok = True
         else:
             residual, jacobian = _row_problem(bx, u_rot)
-            best = None
-            for w0 in starts(_grid_seed(u_rot @ u_rot.T, opts.search_resolution)):
-                sol, rep = lm_solve(LmProblem(residual=residual, p0=w0,
-                                              jacobian=jacobian, options=opts))
-                iterations += rep.iterations
-                if best is None or rep.final_objective < best[1]:
-                    best = (sol, rep.final_objective, rep.converged)
-            omega = best[0].reshape(n_ang, bx.shape[0])
-            e_row, row_ok = best[1], best[2]
+            sol = fit = None
+            for k, w0 in enumerate(starts(_grid_seed(u_rot @ u_rot.T, opts.search_resolution))):
+                bound = np.inf if fit is None else RESTART_GAP * fit.final_objective
+                p, rep = lm_solve(LmProblem(residual=residual, p0=w0, jacobian=jacobian,
+                                            options=opts, abandon_above=bound))
+                records.append(dict(row=s, start=k, iterations=rep.iterations,
+                                    objective=rep.final_objective, reason=rep.reason))
+                if fit is None or rep.final_objective < fit.final_objective:
+                    sol, fit = p, rep
+            omega = sol.reshape(n_ang, bx.shape[0])
+            e_row = fit.final_objective
 
         accepted = accept(e_row, u_rot)
         if not accepted and s > 0:
             break
-        converged = converged and row_ok
+        if fit is not None:
+            kept.append(fit)
         sign, rows_stack = _accept_row(omega, frames, bx, rows_stack)
         omegas.append(omega)
         signs.append(sign)
@@ -507,10 +511,13 @@ def _learn_rows(bx, target, limit, accept, starts, opts):
             break
         trace_hist.append(e_row)
 
+    converged = all(rep.converged for rep in kept)
+    reason = ("max-iter" if not converged
+              else "x-tol" if any(rep.reason == "x-tol" for rep in kept) else "fun-tol")
     return omegas, signs, dict(
-        iterations=iterations, converged=converged,
-        reason="fun-tol" if converged else "max-iter",
-        objective_trace=tuple(trace_hist), notes=notes)
+        iterations=sum(rec["iterations"] for rec in records), converged=converged,
+        reason=reason, objective_trace=tuple(trace_hist), notes=notes,
+        starts=tuple(records))
 
 
 def _accept_row(omega, frames, bx, rows_stack):

@@ -11,7 +11,7 @@ from array import array
 from dataclasses import dataclass
 import numpy as np
 
-CONVERGENCE_REASONS = ("fun-tol", "x-tol", "max-iter", "closed-form")
+CONVERGENCE_REASONS = ("fun-tol", "x-tol", "max-iter", "abandoned", "closed-form")
 # group ids are stored as numpy's default integer type
 GROUP_ID_MIN, GROUP_ID_MAX = int(np.iinfo(int).min), int(np.iinfo(int).max)
 
@@ -65,12 +65,21 @@ class LearnReport:
     """Outcome statistics of a single fit.
 
     ``converged`` is qualified by ``reason`` (one of ``fun-tol``,
-    ``x-tol``, ``max-iter``, or ``closed-form`` for a direct solve with
-    no iteration); a fit that did not converge can only stop at
-    ``max-iter``.  ``objective_trace`` has one entry per constraint row
-    accepted by a greedy learner: the observation energy that row
-    captures inside the complement of the earlier rows (for ``nhat``,
-    whose rows are orthonormal, the entries sum to ``final_objective``);
+    ``x-tol``, ``max-iter``, ``abandoned`` for a damped least-squares
+    start cut short because it trailed a better one, or ``closed-form``
+    for a direct solve with no iteration); a fit that did not converge can
+    only stop at ``max-iter`` or ``abandoned``.  A greedy constraint
+    learner reports over the starts it kept: ``max-iter`` if any of them
+    did not converge, otherwise ``x-tol`` if any of them stopped on the
+    step tolerance, otherwise ``fun-tol``.
+
+    ``objective_trace`` has one entry per constraint row accepted by a
+    greedy learner: the observation energy that row captures inside the
+    complement of the earlier rows (for ``nhat``, whose rows are
+    orthonormal, the entries sum to ``final_objective``).  ``starts`` has
+    one record per damped least-squares solve of a greedy learner, in
+    schedule order: a dict with the 0-based ``row`` and ``start`` index,
+    its ``iterations``, final ``objective`` and stop ``reason``.
     ``notes`` carries free-form diagnostic flags such as
     ``no-constraint-found``.
     """
@@ -85,11 +94,12 @@ class LearnReport:
     objective_trace: tuple = ()
     notes: tuple = ()
     dropped_samples: int = 0
+    starts: tuple = ()
 
     def __post_init__(self):
         if self.reason not in CONVERGENCE_REASONS:
             raise ValueError(f"unknown convergence reason {self.reason!r}")
-        if not self.converged and self.reason != "max-iter":
+        if not self.converged and self.reason not in ("max-iter", "abandoned"):
             raise ValueError(f"a fit that did not converge cannot stop at {self.reason!r}")
         for name in ("nmse", "mse", "variance", "final_objective"):
             if getattr(self, name) < 0:

@@ -15,6 +15,7 @@ import numpy as np
 from .core import LearnOptions, LearnReport
 
 LAMBDA_MAX = 1e12
+ABANDON_AFTER = 10  # iterations before lm_solve compares against abandon_above
 
 
 def pinv_truncated(m, threshold=1e-8):
@@ -207,12 +208,15 @@ def ridge_regression(design, targets, regularization=1e-8):
 @dataclass
 class LmProblem:
     """A nonlinear least-squares problem: residual r(p), its analytic
-    Jacobian J(p), initial parameters and options."""
+    Jacobian J(p), initial parameters and options.  A solve whose best
+    objective is still above ``abandon_above`` after ABANDON_AFTER
+    iterations is given up (see :func:`lm_solve`)."""
 
     residual: Callable[[np.ndarray], np.ndarray]
     p0: np.ndarray
     jacobian: Callable[[np.ndarray], np.ndarray]
     options: LearnOptions = field(default_factory=LearnOptions)
+    abandon_above: float = np.inf
 
 
 def finite_difference_jacobian(fn, p, rel_step=1e-6):
@@ -247,7 +251,10 @@ def lm_solve(problem: LmProblem):
     rejection; the objective never increases across accepted steps.
     Terminates when the accepted step norm drops below tol_x, the
     objective improvement drops below tol_fun, on max_iter, or when lam
-    overflows 1e12 (reported as not converged, best point returned).
+    overflows 1e12 (reported as not converged, best point returned).  At
+    iteration ABANDON_AFTER a solve whose best objective is still above
+    ``problem.abandon_above`` stops with reason ``abandoned`` (not
+    converged, best point returned); the default bound, inf, never does.
 
     Returns (p_best, LearnReport).
     """
@@ -302,6 +309,9 @@ def lm_solve(problem: LmProblem):
             if lam > LAMBDA_MAX:
                 notes.append("lambda-overflow")
                 break
+        if iterations == ABANDON_AFTER and energy > problem.abandon_above:
+            reason = "abandoned"
+            break
 
     n_res = r.size
     report = LearnReport(

@@ -102,6 +102,19 @@ def test_learn_pi_single_group_degeneracy_warning(tmp_path):
     assert any("degeneracy" in note for note in manifest["report"]["notes"])
 
 
+def test_learn_manifest_records_every_start(tmp_path):
+    data = _gen(tmp_path, constraint="parabolic:0.1", n=400, seed=5)
+    out = str(tmp_path / "m.json")
+    assert _run("learn", "--method", "alpha", "--in", data, "--out", out) == 0
+    report = json.loads(open(out + ".manifest.json").read())["report"]
+    row0 = [rec for rec in report["starts"] if rec["row"] == 0]
+    assert [rec["start"] for rec in row0] == list(range(LearnOptions().num_restarts))
+    assert sum(rec["iterations"] for rec in report["starts"]) == report["iterations"]
+    kept = min(row0, key=lambda rec: rec["objective"])
+    assert kept["objective"] == report["objective_trace"][0]
+    assert "abandoned" in [rec["reason"] for rec in row0]
+
+
 def test_learn_exit_code_two_when_not_converged(tmp_path):
     data = _gen(tmp_path, constraint="parabolic:0.1", n=120, seed=5)
     out = str(tmp_path / "m.json")

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import ccl.constraint
 from ccl.constraint import (
     FeatureMatrixProvider,
     StateDependentConstraintModel,
@@ -303,6 +304,44 @@ def test_state_dependent_and_nhat_reports_say_why_they_stopped():
     assert not rep.converged and rep.reason == "max-iter"
     _, rep = learn_alpha(data.actions, data.states, LearnOptions(max_iter=400), num_basis=6)
     assert rep.converged and rep.reason == "fun-tol"
+
+
+def test_nhat_reports_the_step_tolerance_its_solve_stopped_on():
+    # its one LM solve stops on the step tolerance
+    _, rep = learn_nhat(np.vstack([np.linspace(-1, 1, 50), np.zeros(50)]))
+    assert [rec["reason"] for rec in rep.starts] == ["x-tol"]
+    assert rep.converged and rep.reason == "x-tol"
+
+
+def _race_cases():
+    for seed in range(6):
+        yield seed, "alpha", generate(GeneratorConfig(
+            constraints=(("parabolic", 0.1),), n_per_group=400, rng_seed=seed))
+        yield seed, "lambda", generate(GeneratorConfig(
+            system="twolink", policy="linear-attractor",
+            constraints=(("jacobian-rows", (1,)),), n_per_group=400, rng_seed=seed))
+
+
+def test_abandoned_restarts_keep_the_final_objective(monkeypatch):
+    def fit(method, data, seed):
+        opts = LearnOptions(rng_seed=seed)
+        if method == "alpha":
+            return learn_alpha(data.actions, data.states, opts)[1]
+        return learn_lambda(data.actions, data.states, twolink_jacobian_features(), opts)[1]
+
+    abandoned = 0
+    for seed, method, data in _race_cases():
+        raced = fit(method, data, seed)
+        with monkeypatch.context() as m:
+            m.setattr(ccl.constraint, "RESTART_GAP", np.inf)
+            full = fit(method, data, seed)
+        assert [r["start"] for r in raced.starts] == [r["start"] for r in full.starts]
+        assert raced.objective_trace == pytest.approx(full.objective_trace, rel=1e-9)
+        assert raced.final_objective == pytest.approx(full.final_objective, rel=1e-9)
+        assert raced.iterations <= full.iterations
+        assert "abandoned" not in [r["reason"] for r in full.starts]
+        abandoned += sum(r["reason"] == "abandoned" for r in raced.starts)
+    assert abandoned > 0
 
 
 def test_alpha_rejects_degenerate_states():

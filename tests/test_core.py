@@ -44,6 +44,12 @@ def test_report_nmse_consistency():
                                     final_objective=2.0, converged=False, reason=reason)
 
 
+def test_report_accepts_abandoned_for_a_fit_that_did_not_converge():
+    rep = LearnReport.from_errors(mse=2.0, variance=4.0, iterations=10,
+                                  final_objective=2.0, converged=False, reason="abandoned")
+    assert rep.reason == "abandoned"
+
+
 def test_report_closed_form_only_when_converged():
     rep = LearnReport.from_errors(mse=2.0, variance=4.0, iterations=1,
                                   final_objective=2.0, converged=True, reason="closed-form")

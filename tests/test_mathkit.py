@@ -4,6 +4,7 @@ from hypothesis import given, settings, strategies as st
 
 from ccl.core import LearnOptions
 from ccl.mathkit import (
+    ABANDON_AFTER,
     LmProblem,
     check_jacobian,
     finite_difference_jacobian,
@@ -430,6 +431,35 @@ def test_lm_objective_never_increases():
                         jacobian=_rosenbrock_jacobian)
     p, report = lm_solve(problem)
     assert report.final_objective <= float((_rosenbrock(np.array([-1.2, 1.0])) ** 2).sum())
+
+
+def test_lm_abandons_a_start_above_its_bound_at_abandon_after():
+    # p ** 2 creeps to its flat minimum and runs far past ABANDON_AFTER
+    slow = dict(residual=lambda p: p ** 2, p0=np.array([1.0]),
+                jacobian=lambda p: np.diag(2.0 * p), options=LearnOptions(tol_fun=1e-18))
+    p, report = lm_solve(LmProblem(**slow, abandon_above=-1.0))
+    assert report.iterations == ABANDON_AFTER
+    assert not report.converged and report.reason == "abandoned"
+    # the best point is the one a solve capped at ABANDON_AFTER returns
+    capped = dict(slow, options=LearnOptions(tol_fun=1e-18, max_iter=ABANDON_AFTER))
+    p_cap, report_cap = lm_solve(LmProblem(**capped))
+    assert report_cap.reason == "max-iter"
+    assert np.array_equal(p, p_cap) and report.final_objective == report_cap.final_objective
+    # below the bound the solve runs on untouched
+    p_free, report_free = lm_solve(LmProblem(**slow, abandon_above=report.final_objective))
+    p_inf, report_inf = lm_solve(LmProblem(**slow))
+    assert report_free.iterations > ABANDON_AFTER
+    assert np.array_equal(p_free, p_inf) and report_free == report_inf
+
+
+def test_lm_converging_before_abandon_after_is_never_abandoned():
+    problem = LmProblem(residual=lambda p: p - 3.0, p0=np.array([0.0]),
+                        jacobian=lambda p: np.eye(1), options=LearnOptions(tol_fun=1e-5),
+                        abandon_above=-1.0)
+    p, report = lm_solve(problem)
+    assert report.iterations < ABANDON_AFTER
+    assert report.converged and report.reason in ("fun-tol", "x-tol")
+    assert abs(p[0] - 3.0) < 1e-6
 
 
 def test_lm_requires_a_jacobian():

@@ -29,7 +29,6 @@ from .datagen import (
 )
 from .mathkit import (
     LmProblem,
-    ProjectionPair,
     check_jacobian,
     finite_difference_jacobian,
     kmeans_centers,
@@ -38,22 +37,15 @@ from .mathkit import (
     orthogonal_complement_rotation,
     pairwise_sq_distances,
     pinv_truncated,
+    rbf_basis,
     rbf_design,
     rbf_width_from_centers,
     ridge_regression,
     unit_vectors_from_angles,
 )
 from .metrics import MetricTriple, error_ncpe, error_npe, error_nupe, error_poe, error_ppe
-from .nullspace import NullspaceComponentModel, learn_ncl, make_ncl_model, objective_ncl
-from .policy import (
-    LwlPolicyModel,
-    ParametricPolicyModel,
-    learn_pi,
-    learn_pi_lwl,
-    linear_policy_model,
-    lwl_policy_model,
-    rbf_policy_model,
-)
+from .nullspace import NullspaceComponentModel, learn_ncl, objective_ncl
+from .policy import LwlPolicyModel, ParametricPolicyModel, learn_pi, learn_pi_lwl
 from .serialize import load_model, save_model
 
 __version__ = "0.1.0"

@@ -33,16 +33,9 @@ from .constraint import (
 from .core import DemonstrationSet, LearnOptions, load_dataset, save_dataset
 from .datagen import GeneratorConfig, generate, policy_limit_cycle, policy_linear, true_projectors
 from .metrics import error_ncpe, error_npe, error_nupe, error_poe, error_ppe
-from .nullspace import NullspaceComponentModel, learn_ncl, make_ncl_model
-from .policy import (
-    LwlPolicyModel,
-    ParametricPolicyModel,
-    _direction_projectors,
-    learn_pi,
-    learn_pi_lwl,
-    lwl_policy_model,
-    rbf_policy_model,
-)
+from .nullspace import NullspaceComponentModel, learn_ncl
+from .policy import (LwlPolicyModel, ParametricPolicyModel, _direction_projectors, learn_pi,
+                     learn_pi_lwl)
 from .serialize import load_model, save_model
 
 METHODS = ("nhat", "alpha", "lambda", "ncl", "pi", "pi-lwl")
@@ -172,35 +165,26 @@ def _options_from_args(args):
 
 
 def _dispatch_learn(args, data, opts):
-    num_basis = args.num_basis
+    # the basis size goes to the learner only when given, so its default
+    # lives in the learner's signature alone
+    size = {} if args.num_basis is None else {"num_basis": args.num_basis}
     if args.method == "nhat":
         return learn_nhat(data.actions, opts)
     if args.method == "alpha":
-        return learn_alpha(data.actions, data.states, opts,
-                           num_basis=num_basis or 16, dim_b=args.dim_b)
+        return learn_alpha(data.actions, data.states, opts, dim_b=args.dim_b, **size)
     if args.method == "lambda":
         if not args.features:
             raise CliError("method lambda needs --features "
                            "(e.g. twolink-jacobian:1.0,1.0 or identity:2)")
         provider = feature_provider_from_name(args.features)
-        return learn_lambda(data.actions, data.states, provider, opts,
-                            num_basis=num_basis or 16, dim_b=args.dim_b)
+        return learn_lambda(data.actions, data.states, provider, opts, dim_b=args.dim_b, **size)
     if args.method == "ncl":
-        model0 = make_ncl_model(data.states, data.dim_u,
-                                num_basis=num_basis or 16, seed=args.seed)
-        return learn_ncl(data.states, data.actions, model0, opts)
+        return learn_ncl(data.states, data.actions, opts, **size)
     if args.method == "pi":
-        if args.basis == "linear":
-            from .policy import linear_policy_model
-            model0 = linear_policy_model(data.dim_x, data.dim_u)
-        else:
-            model0 = rbf_policy_model(data.states, data.dim_u,
-                                      num_basis=num_basis or 10, seed=args.seed)
-        return learn_pi(data.states, data.actions, model0, opts)
+        return learn_pi(data.states, data.actions, opts, basis=args.basis, **size)
     if args.method == "pi-lwl":
-        model0 = lwl_policy_model(data.states, data.dim_u,
-                                  num_local=num_basis or 10, seed=args.seed)
-        return learn_pi_lwl(data.states, data.actions, model0, opts)
+        local = {} if args.num_basis is None else {"num_local": args.num_basis}
+        return learn_pi_lwl(data.states, data.actions, opts, **local)
     raise CliError(f"unknown method {args.method!r}")
 
 
@@ -219,7 +203,7 @@ def cmd_learn(args):
     summary["notes"] = notes
     command = ["learn", "--method", args.method, "--in", args.inp, "--out", args.out,
                "--seed", str(args.seed)]
-    if args.num_basis:
+    if args.num_basis is not None:
         command += ["--num-basis", str(args.num_basis)]
     if args.dim_b is not None:
         command += ["--dim-b", str(args.dim_b)]

@@ -20,16 +20,15 @@ from typing import Callable, Optional
 
 import numpy as np
 
-from .core import LearnOptions, LearnReport, RbfModel, _freeze
+from .core import LearnOptions, LearnReport, _freeze
 from .mathkit import (
     LmProblem,
-    kmeans_centers,
     lm_solve,
     nullspace_projector,
     orthogonal_complement_rotation,
     pinv_truncated,
+    rbf_basis,
     rbf_design,
-    rbf_width_from_centers,
     ridge_regression,
     unit_vector_angle_jacobians,
     unit_vectors_from_angles,
@@ -173,7 +172,7 @@ class StateIndependentConstraint:
         return rows[:, :, 0]
 
     def projector(self, threshold=1e-8):
-        return nullspace_projector(self.rows(), threshold).projector
+        return nullspace_projector(self.rows(), threshold)
 
     def projector_stack(self, xs):
         n = np.atleast_2d(xs).shape[1]
@@ -247,7 +246,8 @@ def learn_nhat(w_obs, options: Optional[LearnOptions] = None):
 @dataclass(frozen=True)
 class StateDependentConstraintModel:
     """Constraint rows whose orientation angles are RBF functions of the
-    state: theta_s(x) = omega_s beta(x).
+    state: theta_s(x) = omega_s beta(x), with beta the Gaussian features of
+    ``centers`` (dim_x, G) and the shared ``width``.
 
     In "alpha" mode the rows live directly in action space; in "lambda"
     mode they select within a feature matrix Phi(x) (row-normalized), the
@@ -259,7 +259,8 @@ class StateDependentConstraintModel:
 
     omegas: tuple
     signs: tuple
-    rbf: RbfModel
+    centers: np.ndarray
+    width: float
     mode: str
     dim_u: int
     feature_name: str = None
@@ -269,14 +270,20 @@ class StateDependentConstraintModel:
             raise ValueError(f"unknown mode {self.mode!r}")
         omegas = tuple(_freeze(np.atleast_2d(np.asarray(o, dtype=float))) for o in self.omegas)
         object.__setattr__(self, "omegas", omegas)
+        object.__setattr__(self, "centers", _freeze(np.atleast_2d(np.asarray(self.centers, float))))
+        object.__setattr__(self, "width", float(self.width))
+        if self.centers.shape[1] < 1 or not np.isfinite(self.centers).all():
+            raise ValueError("need at least one basis center, all finite")
+        if not self.width > 0:
+            raise ValueError("width must be > 0")
         object.__setattr__(self, "signs", tuple(float(s) for s in self.signs))
         if len(self.signs) != len(omegas):
             raise ValueError("one sign per row required")
-        sel = self.sel_dim
+        sel, g = self.sel_dim, self.centers.shape[1]
         for s, om in enumerate(omegas):
-            if om.shape[0] != sel - 1 - s or om.shape[1] != self.rbf.n_basis:
+            if om.shape != (sel - 1 - s, g):
                 raise ValueError(f"row {s + 1} weight matrix has shape {om.shape}, "
-                                 f"expected {(sel - 1 - s, self.rbf.n_basis)}")
+                                 f"expected {(sel - 1 - s, g)}")
         if self.mode == "lambda" and self.feature_name is None:
             raise ValueError("lambda mode needs a feature provider name")
 
@@ -293,7 +300,7 @@ class StateDependentConstraintModel:
     def _selection_stack(self, xs):
         """Selection rows (N, dim_b, sel_dim), each row materialized in the
         complement of the earlier ones."""
-        bx = rbf_design(xs, self.rbf.centers, self.rbf.width)
+        bx = rbf_design(xs, self.centers, self.width)
         rows = np.empty((0, self.sel_dim, bx.shape[1]))
         for om, sg in zip(self.omegas, self.signs):
             row = sg * _rows_in_frames(om, _complement_frames(rows), bx)
@@ -322,8 +329,7 @@ class StateDependentConstraintModel:
 
     def projector_stack(self, xs, threshold=1e-8):
         """Null-space projectors at states xs (dim_x, N), shape (dim_u, dim_u, N)."""
-        pair = nullspace_projector(self.constraint_stack(xs), threshold)
-        return np.moveaxis(pair.projector, 0, -1)
+        return np.moveaxis(nullspace_projector(self.constraint_stack(xs), threshold), 0, -1)
 
 
 def _complement_frames(rows_stack):
@@ -407,8 +413,7 @@ def _learn_state_dependent(w_obs, xs, phi, options, num_basis, dim_b):
     if float(np.ptp(xs, axis=1).max(initial=0.0)) < 1e-12:
         raise ValueError("state variation degenerate: all states identical")
 
-    centers = kmeans_centers(xs, num_basis, seed=opts.rng_seed)
-    width = rbf_width_from_centers(centers)
+    centers, width = rbf_basis(xs, num_basis, opts.rng_seed)
     bx = rbf_design(xs, centers, width)
 
     if phi is None:
@@ -444,9 +449,7 @@ def _learn_state_dependent(w_obs, xs, phi, options, num_basis, dim_b):
                                      or e_row <= ROW_ACCEPT_FRACTION * max(total_energy, 1e-30)),
         starts=starts, opts=opts)
     model = StateDependentConstraintModel(
-        omegas=tuple(omegas), signs=tuple(signs),
-        rbf=RbfModel(centers=centers, width=width,
-                     weights=np.zeros((0, num_basis))),
+        omegas=tuple(omegas), signs=tuple(signs), centers=centers, width=width,
         mode=mode, dim_u=dim_u, feature_name=feature_name,
     )
     final = _exact_projection_energy(model, xs, u, opts.svd_threshold)

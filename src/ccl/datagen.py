@@ -217,5 +217,5 @@ def true_projectors(config: GeneratorConfig, data: DemonstrationSet):
     for k in range(data.n_groups):
         idx = data.group_indices(k)
         a = _constraint_matrix(config.constraints[k], data.states[:, idx], arm)
-        out[idx] = np.eye(data.dim_u) if a is None else nullspace_projector(a).projector
+        out[idx] = np.eye(data.dim_u) if a is None else nullspace_projector(a)
     return np.moveaxis(out, 0, -1)

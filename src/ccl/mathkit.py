@@ -39,18 +39,10 @@ def pinv_truncated(m, threshold=1e-8):
     return (np.swapaxes(vt, -1, -2) * inv[..., None, :]) @ np.swapaxes(u, -1, -2)
 
 
-@dataclass(frozen=True)
-class ProjectionPair:
-    """A constraint matrix together with its null-space projector
-    N = I - pinv(A) A (symmetric, idempotent)."""
-
-    a_matrix: np.ndarray
-    projector: np.ndarray
-
-
-def nullspace_projector(a, threshold=1e-8) -> ProjectionPair:
-    """Projector onto the null space of the row space of ``a``, for one
-    matrix (k, d) or a stack (..., k, d).
+def nullspace_projector(a, threshold=1e-8):
+    """Projector N = I - pinv(A) A onto the null space of the row space of
+    ``a`` (symmetric, idempotent): (d, d) for one matrix (k, d), or
+    (..., d, d) for a stack (..., k, d).
 
     Accepts any rank, including zero rows (which yield the identity).
     """
@@ -58,8 +50,7 @@ def nullspace_projector(a, threshold=1e-8) -> ProjectionPair:
     dim_b, dim_u = a.shape[-2:]
     if dim_b > dim_u:
         raise ValueError("constraint must have at most dim_u rows")
-    n = np.eye(dim_u) - pinv_truncated(a, threshold) @ a
-    return ProjectionPair(a_matrix=a, projector=n)
+    return np.eye(dim_u) - pinv_truncated(a, threshold) @ a
 
 
 def unit_vectors_from_angles(thetas):
@@ -190,6 +181,18 @@ def rbf_width_from_centers(centers, fallback=1.0):
     d = np.sqrt(pairwise_sq_distances(centers, centers))
     width = float(d.mean()) ** 2
     return width if width > 0 else fallback
+
+
+def rbf_basis(xs, num_basis, seed=0):
+    """The basis every RBF learner builds over its states xs (dim, N):
+    K-means centers (dim, num_basis) and their shared width.
+
+    Returns (centers, width).
+    """
+    if num_basis < 1:
+        raise ValueError("num_basis must be >= 1")
+    centers = kmeans_centers(xs, num_basis, seed=seed)
+    return centers, rbf_width_from_centers(centers)
 
 
 def ridge_regression(design, targets, regularization=1e-8):

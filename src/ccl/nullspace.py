@@ -14,14 +14,7 @@ from typing import Optional
 import numpy as np
 
 from .core import LearnOptions, LearnReport, RbfModel
-from .mathkit import (
-    LmProblem,
-    kmeans_centers,
-    lm_solve,
-    rbf_design,
-    rbf_width_from_centers,
-    ridge_regression,
-)
+from .mathkit import LmProblem, lm_solve, rbf_basis, rbf_design, ridge_regression
 
 TINY_NORM = 1e-12
 
@@ -35,16 +28,6 @@ class NullspaceComponentModel:
     def predict(self, xs):
         xs = np.atleast_2d(np.asarray(xs, dtype=float))
         return self.rbf.weights @ rbf_design(xs, self.rbf.centers, self.rbf.width)
-
-
-def make_ncl_model(xs, dim_u, num_basis=16, seed=0) -> NullspaceComponentModel:
-    """Zero-weight starting model with K-means centers and the shared
-    mean-center-distance width."""
-    centers = kmeans_centers(xs, num_basis, seed=seed)
-    width = rbf_width_from_centers(centers)
-    return NullspaceComponentModel(
-        rbf=RbfModel(centers=centers, width=width,
-                     weights=np.zeros((dim_u, num_basis))))
 
 
 def _ncl_parts(weights, bx, actions):
@@ -99,9 +82,9 @@ def _ncl_problem(bx, actions, dim_u):
     return residual, jacobian
 
 
-def learn_ncl(xs, actions, model0: NullspaceComponentModel,
-              options: Optional[LearnOptions] = None):
-    """Fit the null-space component model by damped least squares with the
+def learn_ncl(xs, actions, options: Optional[LearnOptions] = None, num_basis=16):
+    """Fit the null-space component model on ``num_basis`` RBFs (K-means
+    centers, mean-center-distance width) by damped least squares with the
     analytic Jacobian, starting from a ridge regression of the actions on
     the basis.  Requires at least as many samples as basis functions.
 
@@ -110,14 +93,14 @@ def learn_ncl(xs, actions, model0: NullspaceComponentModel,
     opts = options or LearnOptions()
     xs = np.atleast_2d(np.asarray(xs, dtype=float))
     u = np.atleast_2d(np.asarray(actions, dtype=float))
-    rbf = model0.rbf
     if xs.shape[1] != u.shape[1]:
         raise ValueError("states and actions disagree on sample count")
-    if xs.shape[1] < rbf.n_basis:
-        raise ValueError(f"need at least {rbf.n_basis} samples "
-                         f"for {rbf.n_basis} basis functions")
+    if xs.shape[1] < num_basis:
+        raise ValueError(f"need at least {num_basis} samples "
+                         f"for {num_basis} basis functions")
 
-    bx = rbf_design(xs, rbf.centers, rbf.width)
+    centers, width = rbf_basis(xs, num_basis, opts.rng_seed)
+    bx = rbf_design(xs, centers, width)
     w0 = ridge_regression(bx, u, opts.regularization)
     dim_u = u.shape[0]
     residual, jacobian = _ncl_problem(bx, u, dim_u)
@@ -125,8 +108,7 @@ def learn_ncl(xs, actions, model0: NullspaceComponentModel,
                                          jacobian=jacobian, options=opts))
     weights = wvec.reshape(dim_u, bx.shape[0])
 
-    model = NullspaceComponentModel(
-        rbf=RbfModel(centers=rbf.centers, width=rbf.width, weights=weights))
+    model = NullspaceComponentModel(rbf=RbfModel(centers=centers, width=width, weights=weights))
     e, _, small = _ncl_parts(weights, bx, u)
     targets = e + weights @ bx  # the projected observations P_n u_n
     notes = lm_report.notes

@@ -18,8 +18,8 @@ from typing import Optional
 
 import numpy as np
 
-from .core import LearnOptions, LearnReport, RbfModel, _freeze
-from .mathkit import kmeans_centers, pairwise_sq_distances, rbf_design, rbf_width_from_centers
+from .core import LearnOptions, LearnReport, _freeze
+from .mathkit import rbf_basis, rbf_design
 
 ZERO_ACTION = 1e-12
 MIN_ACTIVATION = 1e-12
@@ -53,35 +53,21 @@ class ParametricPolicyModel:
         if self.weights.shape[1] != expected:
             raise ValueError(f"weights must have {expected} columns")
 
-    @property
-    def rbf(self):
-        """View as an RbfModel (RBF-feature models only)."""
-        if self.centers is None:
-            raise ValueError("linear-feature model has no RBF view")
-        return RbfModel(centers=self.centers, width=self.width, weights=self.weights)
-
     def features(self, xs):
-        xs = np.atleast_2d(np.asarray(xs, dtype=float))
-        if self.centers is not None:
-            return rbf_design(xs, self.centers, self.width)
-        return np.vstack([xs, np.ones(xs.shape[1])])
+        return _features(np.atleast_2d(np.asarray(xs, dtype=float)), self.centers, self.width)
 
     def predict(self, xs):
         return self.weights @ self.features(xs)
 
 
-def rbf_policy_model(xs, dim_u, num_basis=10, seed=0) -> ParametricPolicyModel:
-    """Zero-weight RBF policy model sized from the data (K-means centers,
-    mean-center-distance width)."""
-    centers = kmeans_centers(xs, num_basis, seed=seed)
-    return ParametricPolicyModel(weights=np.zeros((dim_u, num_basis)),
-                                 dim_x=centers.shape[0], centers=centers,
-                                 width=rbf_width_from_centers(centers))
+def _features(xs, centers, width):
+    """Gaussian RBF features of xs (dim_x, N), or (x, 1) when centers is None."""
+    return _affine(xs) if centers is None else rbf_design(xs, centers, width)
 
 
-def linear_policy_model(dim_x, dim_u) -> ParametricPolicyModel:
-    """Zero-weight affine policy model with features (x, 1)."""
-    return ParametricPolicyModel(weights=np.zeros((dim_u, dim_x + 1)), dim_x=dim_x)
+def _affine(xs):
+    """The states augmented by a constant one, (dim_x + 1, N)."""
+    return np.vstack([xs, np.ones(xs.shape[1])])
 
 
 @dataclass(frozen=True)
@@ -106,8 +92,7 @@ class LwlPolicyModel:
             raise ValueError("width must be > 0")
 
     def activations(self, xs):
-        xs = np.atleast_2d(np.asarray(xs, dtype=float))
-        return np.exp(-pairwise_sq_distances(self.centers, xs) / (2.0 * self.width))
+        return rbf_design(xs, self.centers, self.width)
 
     def predict(self, xs):
         xs = np.atleast_2d(np.asarray(xs, dtype=float))
@@ -117,17 +102,8 @@ class LwlPolicyModel:
         if dead.any():
             i = int(np.flatnonzero(dead)[0])
             raise ValueError(f"no receptive field active at point {xs[:, i]}")
-        aug = np.vstack([xs, np.ones(xs.shape[1])])
-        local = np.einsum("mdi,in->mdn", self.local_maps, aug)
+        local = np.einsum("mdi,in->mdn", self.local_maps, _affine(xs))
         return (act[:, None, :] * local).sum(axis=0) / total
-
-
-def lwl_policy_model(xs, dim_u, num_local=10, seed=0) -> LwlPolicyModel:
-    """Zero-map locally-weighted model sized from the data."""
-    centers = kmeans_centers(xs, num_local, seed=seed)
-    return LwlPolicyModel(
-        local_maps=np.zeros((num_local, dim_u, centers.shape[0] + 1)),
-        centers=centers, width=rbf_width_from_centers(centers))
 
 
 def _direction_projectors(u):
@@ -161,77 +137,78 @@ def _solve_projected(features, u, proj, sample_weights, regularization):
     return vec.reshape(n_feat, d).T
 
 
-def _drop_zero_actions(xs, u):
+def _fit_policy(xs, u_null, fit):
+    """The path both policy learners share: check the samples, drop those
+    with (numerically) zero action, whose direction projector is
+    undefined, fit the model with ``fit(xs, u, proj)`` and report its
+    projected-residual energy and the dropped-sample count.
+
+    Returns (model, LearnReport).
+    """
+    xs = np.atleast_2d(np.asarray(xs, dtype=float))
+    u = np.atleast_2d(np.asarray(u_null, dtype=float))
+    if xs.shape[1] != u.shape[1]:
+        raise ValueError("states and actions disagree on sample count")
     keep = np.linalg.norm(u, axis=0) > ZERO_ACTION
-    return xs[:, keep], u[:, keep], int((~keep).sum())
+    xs, u = xs[:, keep], u[:, keep]
+    if u.shape[1] == 0:
+        raise ValueError("all samples have zero action")
+
+    proj = _direction_projectors(u)
+    model = fit(xs, u, proj)
+    residual = u - np.einsum("ijn,jn->in", proj, model.predict(xs))
+    energy = float((residual ** 2).sum())
+    report = LearnReport.from_errors(
+        mse=energy / u.shape[1], variance=float(np.var(u, axis=1).sum()),
+        iterations=1, final_objective=energy, converged=True,
+        reason="closed-form", dropped_samples=int((~keep).sum()),
+    )
+    return model, report
 
 
-def learn_pi(xs, u_null, model0: ParametricPolicyModel,
-             options: Optional[LearnOptions] = None):
+def learn_pi(xs, u_null, options: Optional[LearnOptions] = None, num_basis=10, basis="rbf"):
     """Fit the parametric policy by the closed-form normal equations of
-    the inconsistency error.  Samples with (numerically) zero action are
-    excluded (their direction projector is undefined) and counted in the
-    report.
+    the inconsistency error.  ``basis`` "rbf" takes ``num_basis`` Gaussian
+    features over all the states (K-means centers, mean-center-distance
+    width); "linear" takes the affine features (x, 1), whose size is fixed,
+    and only checks that ``num_basis`` is a valid size.
 
     Returns (ParametricPolicyModel, LearnReport).
     """
     opts = options or LearnOptions()
-    xs = np.atleast_2d(np.asarray(xs, dtype=float))
-    u = np.atleast_2d(np.asarray(u_null, dtype=float))
-    if xs.shape[1] != u.shape[1]:
-        raise ValueError("states and actions disagree on sample count")
-    xs, u, dropped = _drop_zero_actions(xs, u)
-    if u.shape[1] == 0:
-        raise ValueError("all samples have zero action")
+    if basis == "rbf":
+        centers, width = rbf_basis(xs, num_basis, opts.rng_seed)
+    elif basis == "linear":
+        if num_basis < 1:
+            raise ValueError("num_basis must be >= 1")
+        centers = width = None
+    else:
+        raise ValueError(f"unknown basis {basis!r} (use rbf | linear)")
 
-    feats = model0.features(xs)
-    proj = _direction_projectors(u)
-    weights = _solve_projected(feats, u, proj, np.ones(u.shape[1]), opts.regularization)
-    model = ParametricPolicyModel(weights=weights, dim_x=model0.dim_x,
-                                  centers=model0.centers, width=model0.width)
+    def fit(xs, u, proj):
+        weights = _solve_projected(_features(xs, centers, width), u, proj,
+                                   np.ones(u.shape[1]), opts.regularization)
+        return ParametricPolicyModel(weights=weights, dim_x=xs.shape[0],
+                                     centers=centers, width=width)
 
-    pred = model.predict(xs)
-    residual = u - np.einsum("ijn,jn->in", proj, pred)
-    energy = float((residual ** 2).sum())
-    report = LearnReport.from_errors(
-        mse=energy / u.shape[1], variance=float(np.var(u, axis=1).sum()),
-        iterations=1, final_objective=energy, converged=True,
-        reason="closed-form", dropped_samples=dropped,
-    )
-    return model, report
+    return _fit_policy(xs, u_null, fit)
 
 
-def learn_pi_lwl(xs, u_null, model0: LwlPolicyModel,
-                 options: Optional[LearnOptions] = None):
-    """Fit the locally-weighted policy: each local affine map solves its
-    own receptive-field-weighted projected regression in closed form.
+def learn_pi_lwl(xs, u_null, options: Optional[LearnOptions] = None, num_local=10):
+    """Fit the locally-weighted policy on ``num_local`` receptive fields
+    over all the states (K-means centers, mean-center-distance width): each
+    local affine map solves its own receptive-field-weighted projected
+    regression in closed form.
 
     Returns (LwlPolicyModel, LearnReport).
     """
     opts = options or LearnOptions()
-    xs = np.atleast_2d(np.asarray(xs, dtype=float))
-    u = np.atleast_2d(np.asarray(u_null, dtype=float))
-    if xs.shape[1] != u.shape[1]:
-        raise ValueError("states and actions disagree on sample count")
-    xs, u, dropped = _drop_zero_actions(xs, u)
-    if u.shape[1] == 0:
-        raise ValueError("all samples have zero action")
+    centers, width = rbf_basis(xs, num_local, opts.rng_seed)
 
-    aug = np.vstack([xs, np.ones(xs.shape[1])])
-    proj = _direction_projectors(u)
-    act = model0.activations(xs)
-    maps = np.empty_like(model0.local_maps)
-    for m in range(act.shape[0]):
-        maps[m] = _solve_projected(aug, u, proj, act[m], opts.regularization)
-    model = LwlPolicyModel(local_maps=maps, centers=model0.centers,
-                           width=model0.width)
+    def fit(xs, u, proj):
+        aug = _affine(xs)
+        maps = [_solve_projected(aug, u, proj, act, opts.regularization)
+                for act in rbf_design(xs, centers, width)]
+        return LwlPolicyModel(local_maps=maps, centers=centers, width=width)
 
-    pred = model.predict(xs)
-    residual = u - np.einsum("ijn,jn->in", proj, pred)
-    energy = float((residual ** 2).sum())
-    report = LearnReport.from_errors(
-        mse=energy / u.shape[1], variance=float(np.var(u, axis=1).sum()),
-        iterations=1, final_objective=energy, converged=True,
-        reason="closed-form", dropped_samples=dropped,
-    )
-    return model, report
+    return _fit_policy(xs, u_null, fit)

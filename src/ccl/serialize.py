@@ -23,15 +23,22 @@ def _nested(a):
     return np.asarray(a, dtype=float).tolist()
 
 
+def _basis_fields(centers, width):
+    return {"dim_x": centers.shape[0], "n_basis": centers.shape[1],
+            "centers": _nested(centers), "width": float(width)}
+
+
 def _rbf_fields(rbf: RbfModel):
-    return {"dim_x": rbf.dim_x, "n_basis": rbf.n_basis, "dim_out": rbf.dim_out,
-            "centers": _nested(rbf.centers), "width": float(rbf.width),
-            "weights": _nested(rbf.weights)}
+    return dict(_basis_fields(rbf.centers, rbf.width), dim_out=rbf.dim_out,
+                weights=_nested(rbf.weights))
+
+
+def _centers_from_fields(doc):
+    return np.asarray(doc["centers"], dtype=float).reshape(doc["dim_x"], doc["n_basis"])
 
 
 def _rbf_from_fields(doc):
-    return RbfModel(centers=np.asarray(doc["centers"], dtype=float).reshape(doc["dim_x"], doc["n_basis"]),
-                    width=doc["width"],
+    return RbfModel(centers=_centers_from_fields(doc), width=doc["width"],
                     weights=np.asarray(doc["weights"], dtype=float).reshape(doc["dim_out"], doc["n_basis"]))
 
 
@@ -46,7 +53,7 @@ def model_to_doc(model) -> dict:
         doc.update(kind=model.mode, dim_u=model.dim_u, dim_b=model.dim_b,
                    omegas=[_nested(om) for om in model.omegas],
                    signs=[float(s) for s in model.signs],
-                   basis=_rbf_fields(model.rbf),
+                   basis=_basis_fields(model.centers, model.width),
                    features=model.feature_name)
     elif isinstance(model, NullspaceComponentModel):
         doc.update(kind="ncl", basis=_rbf_fields(model.rbf))
@@ -80,12 +87,15 @@ def model_from_doc(doc) -> object:
             angles=tuple(np.asarray(th, dtype=float) for th in doc["angles"]),
             dim_u=doc["dim_u"])
     if kind in ("alpha", "lambda"):
-        basis = _rbf_from_fields(doc["basis"])
-        omegas = tuple(np.asarray(om, dtype=float).reshape(-1, basis.n_basis)
+        # a basis block may still carry the dim_out: 0 and empty weights
+        # that earlier writers put there; neither is read
+        basis = doc["basis"]
+        omegas = tuple(np.asarray(om, dtype=float).reshape(-1, basis["n_basis"])
                        for om in doc["omegas"])
         return StateDependentConstraintModel(
-            omegas=omegas, signs=tuple(doc["signs"]), rbf=basis, mode=kind,
-            dim_u=doc["dim_u"], feature_name=doc.get("features"))
+            omegas=omegas, signs=tuple(doc["signs"]), centers=_centers_from_fields(basis),
+            width=basis["width"], mode=kind, dim_u=doc["dim_u"],
+            feature_name=doc.get("features"))
     if kind == "ncl":
         return NullspaceComponentModel(rbf=_rbf_from_fields(doc["basis"]))
     if kind == "pi-parametric":

@@ -14,8 +14,8 @@ from ccl.core import LearnOptions
 from ccl.datagen import GeneratorConfig, TwoLinkArm, generate
 from ccl.mathkit import finite_difference_jacobian, nullspace_projector, ridge_regression, unit_vectors_from_angles
 from ccl.metrics import error_ncpe, error_npe, error_nupe, error_poe, error_ppe
-from ccl.nullspace import learn_ncl, make_ncl_model, objective_ncl
-from ccl.policy import ParametricPolicyModel, learn_pi, linear_policy_model, rbf_policy_model
+from ccl.nullspace import learn_ncl, objective_ncl
+from ccl.policy import ParametricPolicyModel, learn_pi
 from ccl.cli import main as cli_main
 
 TIGHT = LearnOptions(tol_fun=1e-14, tol_x=1e-12)
@@ -40,7 +40,7 @@ def test_criterion_1_projector_algebra():
         a = rng.normal(size=(dim_b, dim_u))
         if dim_b > 1 and rng.random() < 0.25:
             a[-1] = 2.0 * a[0]  # rank-deficient cases included
-        n = nullspace_projector(a).projector
+        n = nullspace_projector(a)
         worst_idem = max(worst_idem, float(np.max(np.abs(n @ n - n))))
         worst_sym = max(worst_sym, float(np.max(np.abs(n - n.T))))
         scale = max(1.0, float(np.abs(a).max()))
@@ -131,16 +131,14 @@ def test_criterion_5_nullspace_decomposition():
     data = generate(GeneratorConfig(constraints=(("fixed-angle", 60.0),),
                                     task_b=("sinusoid", 0.5, 3.0, 0.0),
                                     n_per_group=800, rng_seed=50))
-    model0 = make_ncl_model(data.states, data.dim_u, num_basis=16, seed=0)
-    model, _ = learn_ncl(data.states, data.actions, model0,
-                         LearnOptions(max_iter=800))
+    model, _ = learn_ncl(data.states, data.actions, LearnOptions(max_iter=800), num_basis=16)
     npe = error_npe(data.null_component, model.predict(data.states))
     assert npe.normalized < 0.05
 
     rng = np.random.default_rng(51)
     from ccl.mathkit import rbf_design
 
-    bx = rbf_design(data.states[:, :60], model0.rbf.centers, model0.rbf.width)
+    bx = rbf_design(data.states[:, :60], model.rbf.centers, model.rbf.width)
     u60 = data.actions[:, :60]
     worst = 0.0
     for _ in range(10):
@@ -162,22 +160,20 @@ def test_criterion_6_policy_recovery_and_degeneracy():
         constraints=(("fixed-angle", 0.0), ("fixed-angle", 60.0),
                      ("fixed-angle", 120.0)),
         n_per_group=400, rng_seed=60))
-    model0 = rbf_policy_model(pooled.states, pooled.dim_u, num_basis=16, seed=0)
-    model, _ = learn_pi(pooled.states, pooled.actions, model0)
+    model, _ = learn_pi(pooled.states, pooled.actions, num_basis=16)
     nupe = error_nupe(pooled.policy, model.predict(pooled.states)).normalized
     assert nupe < 0.05
 
-    naive_w = ridge_regression(model0.features(pooled.states), pooled.actions)
+    naive_w = ridge_regression(model.features(pooled.states), pooled.actions)
     naive = ParametricPolicyModel(weights=naive_w, dim_x=2,
-                                  centers=model0.centers, width=model0.width)
+                                  centers=model.centers, width=model.width)
     naive_nupe = error_nupe(pooled.policy, naive.predict(pooled.states)).normalized
     assert naive_nupe >= 5.0 * nupe
 
     single = generate(GeneratorConfig(
         policy="linear-attractor", attractor_target=(0.2, -0.1),
         constraints=(("fixed-angle", 30.0),), n_per_group=500, rng_seed=61))
-    lin, _ = learn_pi(single.states, single.actions,
-                      linear_policy_model(single.dim_x, single.dim_u))
+    lin, _ = learn_pi(single.states, single.actions, basis="linear")
     pred = lin.predict(single.states)
     norms = (single.actions ** 2).sum(axis=0)
     proj = np.einsum("in,jn->ijn", single.actions, single.actions) / norms
@@ -201,7 +197,7 @@ def test_criterion_7_metric_identities():
     half_p = np.empty((2, 2, n // 2))
     for i in range(n // 2):
         a = rng.normal(size=(1, 2))
-        half_p[:, :, i] = nullspace_projector(a).projector
+        half_p[:, :, i] = nullspace_projector(a)
     projectors = np.concatenate([half_p, half_p], axis=2)
 
     pi = mirrored((2, n))

@@ -135,6 +135,34 @@ def test_learn_all_methods_dispatch(tmp_path):
         assert os.path.exists(out)
 
 
+@pytest.mark.parametrize("size", ["0", "-3"])
+def test_learn_rejects_num_basis_below_one(tmp_path, capsys, size):
+    data = _gen(tmp_path, constraint="fixed:45", n=60, seed=9)
+    for method, extra in (("alpha", ()), ("lambda", ("--features", "identity:2")),
+                          ("ncl", ()), ("pi", ()), ("pi-lwl", ())):
+        out = str(tmp_path / f"{method}.json")
+        code = _run("learn", "--method", method, "--in", data, "--out", out,
+                    f"--num-basis={size}", *extra)
+        assert code == 1
+        assert "error: num_basis must be >= 1" in capsys.readouterr().err
+        assert not os.path.exists(out)
+
+
+def test_learn_default_basis_sizes_come_from_the_learners(tmp_path):
+    data = _gen(tmp_path, constraint="fixed:45", n=60, seed=9)
+    for method, size_of, size in (
+            ("alpha", lambda doc: doc["basis"]["n_basis"], 16),
+            ("ncl", lambda doc: doc["basis"]["n_basis"], 16),
+            ("pi", lambda doc: len(doc["centers"][0]), 10),
+            ("pi-lwl", lambda doc: doc["n_local"], 10)):
+        out = str(tmp_path / f"{method}.json")
+        code = _run("learn", "--method", method, "--in", data, "--out", out,
+                    "--max-iter", "20")
+        assert code in (0, 2)
+        assert size_of(json.loads(open(out).read())) == size
+        assert "--num-basis" not in json.loads(open(out + ".manifest.json").read())["command"]
+
+
 # ---------------------------------------------------------------------------
 # eval
 # ---------------------------------------------------------------------------

@@ -18,7 +18,7 @@ from ccl.constraint import (
     objective_state_independent,
     twolink_jacobian_features,
 )
-from ccl.core import LearnOptions, RbfModel
+from ccl.core import LearnOptions
 from ccl.datagen import GeneratorConfig, TwoLinkArm, generate
 from ccl.mathkit import (
     check_jacobian,
@@ -160,7 +160,7 @@ def test_nhat_rows_canonical_sign_and_orthonormal():
     pi = rng.normal(size=(4, 500))
     q, _ = np.linalg.qr(rng.normal(size=(4, 4)))
     a_true = q.T[:2]
-    n_true = nullspace_projector(a_true).projector
+    n_true = nullspace_projector(a_true)
     con, _ = learn_nhat(n_true @ pi, TIGHT)
     rows = con.rows()
     assert np.max(np.abs(rows @ rows.T - np.eye(con.dim_b))) < 1e-9
@@ -186,7 +186,7 @@ def test_nhat_objective_trace_sums_to_final_objective():
     rng = np.random.default_rng(23)
     q, _ = np.linalg.qr(rng.normal(size=(4, 4)))
     a_true = q.T[:2]
-    u = nullspace_projector(a_true).projector @ rng.normal(size=(4, 600))
+    u = nullspace_projector(a_true) @ rng.normal(size=(4, 600))
     u += rng.normal(0.0, 0.01, u.shape)
     con, rep = learn_nhat(u, LearnOptions(tol_fun=1e-2))
     assert con.dim_b == 2 and len(rep.objective_trace) == 2
@@ -207,7 +207,7 @@ def _constant_constraints(draw):
 @given(_constant_constraints())
 def test_nhat_recovers_random_constant_constraints(case):
     a_true, pi = case
-    n_true = nullspace_projector(a_true).projector
+    n_true = nullspace_projector(a_true)
     con, rep = learn_nhat(n_true @ pi)
     assert con.dim_b == a_true.shape[0] and rep.notes == ()
     assert np.max(np.abs(con.projector() - n_true)) < 1e-6
@@ -507,7 +507,7 @@ def test_feature_provider_registry_roundtrip():
 def _projector_reference(model, x):
     """Per-state loop oracle: rows built one at a time in the complement
     of the earlier ones, then N = I - pinv(A) A."""
-    bx = rbf_design(x[:, None], model.rbf.centers, model.rbf.width)[:, 0]
+    bx = rbf_design(x[:, None], model.centers, model.width)[:, 0]
     rows = []
     for om, sg in zip(model.omegas, model.signs):
         frame = (np.eye(model.sel_dim) if not rows
@@ -531,14 +531,13 @@ def _state_dependent_models(draw):
     dim_b = draw(st.integers(1 if mode == "lambda-twolink" else 2, dim_u))
     g = draw(st.integers(1, 5))
     rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
-    rbf = RbfModel(centers=rng.uniform(-1, 1, (2, g)), width=rng.uniform(0.2, 2.0),
-                   weights=np.zeros((0, g)))
+    centers, width = rng.uniform(-1, 1, (2, g)), rng.uniform(0.2, 2.0)
     omegas = [rng.normal(0.0, 1.0, (dim_u - 1 - s, g)) for s in range(dim_b)]
     signs = rng.choice([-1.0, 1.0], dim_b)
     feature_name = {"alpha": None, "lambda-identity": f"identity:{dim_u}",
                     "lambda-twolink": "twolink-jacobian:1.0,0.7"}[mode]
     model = StateDependentConstraintModel(
-        omegas=tuple(omegas), signs=tuple(signs), rbf=rbf,
+        omegas=tuple(omegas), signs=tuple(signs), centers=centers, width=width,
         mode=mode.split("-")[0], dim_u=dim_u, feature_name=feature_name)
     return model, rng.uniform(0.1, 1.4, (2, draw(st.integers(1, 8))))
 

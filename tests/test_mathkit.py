@@ -14,6 +14,7 @@ from ccl.mathkit import (
     orthogonal_complement_rotation,
     pairwise_sq_distances,
     pinv_truncated,
+    rbf_basis,
     rbf_design,
     rbf_width_from_centers,
     ridge_regression,
@@ -154,23 +155,23 @@ def test_pinv_rejects_non_finite_stack():
 # ---------------------------------------------------------------------------
 
 def test_projector_axis_constraint():
-    pair = nullspace_projector([[1.0, 0.0]])
-    assert np.allclose(pair.projector, [[0.0, 0.0], [0.0, 1.0]], atol=1e-12)
+    n = nullspace_projector([[1.0, 0.0]])
+    assert np.allclose(n, [[0.0, 0.0], [0.0, 1.0]], atol=1e-12)
 
 
 def test_projector_rotated_constraint_symbolic_oracle():
     th = np.deg2rad(30.0)
     a = np.array([[np.cos(th), np.sin(th)]])
-    pair = nullspace_projector(a)
+    n = nullspace_projector(a)
     # symbolic outer-product oracle: N = I - a^T a for a unit row
-    assert np.allclose(pair.projector, np.eye(2) - a.T @ a, atol=1e-12)
+    assert np.allclose(n, np.eye(2) - a.T @ a, atol=1e-12)
     tangent = np.array([-np.sin(th), np.cos(th)])
-    assert np.allclose(pair.projector @ tangent, tangent, atol=1e-12)
+    assert np.allclose(n @ tangent, tangent, atol=1e-12)
 
 
 def test_projector_zero_row_is_identity():
-    pair = nullspace_projector(np.zeros((1, 3)))
-    assert np.array_equal(pair.projector, np.eye(3))
+    n = nullspace_projector(np.zeros((1, 3)))
+    assert np.array_equal(n, np.eye(3))
 
 
 def test_projector_rejects_too_many_rows():
@@ -186,7 +187,7 @@ def test_projector_algebra_random_any_rank():
         a = rng.normal(size=(dim_b, dim_u))
         if rng.random() < 0.3 and dim_b > 1:
             a[-1] = a[0]  # force rank deficiency
-        n = nullspace_projector(a).projector
+        n = nullspace_projector(a)
         assert np.max(np.abs(n @ n - n)) < 1e-10
         assert np.max(np.abs(n - n.T)) < 1e-10
         assert np.max(np.abs(a @ n)) < 1e-9 * max(1.0, np.abs(a).max())
@@ -338,6 +339,19 @@ def test_kmeans_single_center_is_mean():
 def test_kmeans_rejects_more_centers_than_points():
     with pytest.raises(ValueError):
         kmeans_centers(np.zeros((2, 3)), 4)
+
+
+def test_rbf_basis_is_seeded_kmeans_with_shared_width():
+    x = np.random.default_rng(15).normal(size=(2, 40))
+    centers, width = rbf_basis(x, 6, seed=3)
+    assert np.array_equal(centers, kmeans_centers(x, 6, seed=3))
+    assert width == rbf_width_from_centers(centers)
+
+
+@pytest.mark.parametrize("num_basis", [0, -3])
+def test_rbf_basis_rejects_fewer_than_one_function(num_basis):
+    with pytest.raises(ValueError, match="num_basis must be >= 1"):
+        rbf_basis(np.zeros((2, 5)), num_basis)
 
 
 def test_rbf_at_center_is_one():

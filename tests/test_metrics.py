@@ -27,7 +27,7 @@ def test_ppe_zero_for_true_projector():
     rng = np.random.default_rng(0)
     th = 0.6
     a = np.array([[np.cos(th), np.sin(th)]])
-    n = nullspace_projector(a).projector
+    n = nullspace_projector(a)
     pi = rng.normal(size=(2, 40))
     w = n @ pi
     triple = error_ppe(w, n, pi)
@@ -38,7 +38,7 @@ def test_ppe_identity_projector_analytic_oracle():
     rng = np.random.default_rng(1)
     th = 1.1
     a = np.array([[np.cos(th), np.sin(th)]])
-    n = nullspace_projector(a).projector
+    n = nullspace_projector(a)
     pi = rng.normal(size=(2, 60))
     w = n @ pi
     triple = error_ppe(w, np.eye(2), pi)
@@ -59,7 +59,7 @@ def test_ppe_zero_predictor_baseline():
 def test_poe_pure_null_space_is_zero():
     rng = np.random.default_rng(3)
     a = np.array([[0.8, 0.6]])
-    n = nullspace_projector(a).projector
+    n = nullspace_projector(a)
     u = n @ rng.normal(size=(2, 30))
     assert error_poe(u, n).normalized < 1e-28
 
@@ -100,7 +100,7 @@ def test_pairwise_metrics_identity_zero_and_loop(metric):
 def test_ncpe_blind_inside_removed_directions():
     rng = np.random.default_rng(8)
     a = np.array([[np.cos(0.4), np.sin(0.4)]])
-    n = nullspace_projector(a).projector
+    n = nullspace_projector(a)
     pi = rng.normal(size=(2, 30))
     # perturb only along the constrained (removed) direction
     pred = pi + a.T @ rng.normal(size=(1, 30))
@@ -139,7 +139,7 @@ def test_ncpe_mse_never_exceeds_nupe_mse_under_projectors():
         p = np.empty((3, 3, 15))
         for n in range(15):
             a = rng.normal(size=(rng.integers(1, 3), 3))
-            p[:, :, n] = nullspace_projector(a).projector
+            p[:, :, n] = nullspace_projector(a)
         assert error_ncpe(pi, pred, p).mse <= error_nupe(pi, pred).mse + 1e-12
 
 

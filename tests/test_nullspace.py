@@ -3,9 +3,9 @@ import pytest
 
 from ccl.core import LearnOptions, RbfModel
 from ccl.datagen import GeneratorConfig, generate
-from ccl.mathkit import finite_difference_jacobian, rbf_design, ridge_regression
+from ccl.mathkit import finite_difference_jacobian, rbf_basis, rbf_design, ridge_regression
 from ccl.metrics import error_npe
-from ccl.nullspace import NullspaceComponentModel, learn_ncl, make_ncl_model, objective_ncl
+from ccl.nullspace import NullspaceComponentModel, learn_ncl, objective_ncl
 
 
 def _scenario(seed=0, n=600):
@@ -80,9 +80,8 @@ def test_projector_scale_invariance():
 
 def test_learn_ncl_recovers_null_component():
     data = _scenario(seed=4)
-    model0 = make_ncl_model(data.states, data.dim_u, num_basis=16, seed=0)
-    model, report = learn_ncl(data.states, data.actions, model0,
-                              LearnOptions(max_iter=600))
+    model, report = learn_ncl(data.states, data.actions, LearnOptions(max_iter=600),
+                              num_basis=16)
     npe = error_npe(data.null_component, model.predict(data.states))
     assert npe.normalized < 0.05
     assert report.converged
@@ -92,9 +91,8 @@ def test_learn_ncl_pure_null_space_matches_ridge():
     cfg = GeneratorConfig(constraints=(("fixed-angle", 25.0),), n_per_group=500,
                           rng_seed=5)
     data = generate(cfg)  # no task drive: u is pure null-space motion
-    model0 = make_ncl_model(data.states, data.dim_u, num_basis=16, seed=0)
-    model, _ = learn_ncl(data.states, data.actions, model0)
-    bx = rbf_design(data.states, model0.rbf.centers, model0.rbf.width)
+    model, _ = learn_ncl(data.states, data.actions, num_basis=16)
+    bx = rbf_design(data.states, model.rbf.centers, model.rbf.width)
     ridge = ridge_regression(bx, data.actions)
     err_lm = error_npe(data.actions, model.rbf.weights @ bx).normalized
     err_ridge = error_npe(data.actions, ridge @ bx).normalized
@@ -104,19 +102,31 @@ def test_learn_ncl_pure_null_space_matches_ridge():
 def test_learn_ncl_rejects_more_basis_than_samples():
     rng = np.random.default_rng(6)
     xs = rng.normal(size=(2, 10))
-    model0 = NullspaceComponentModel(rbf=RbfModel(centers=rng.normal(size=(2, 12)),
-                                                  width=1.0,
-                                                  weights=np.zeros((2, 12))))
-    with pytest.raises(ValueError):
-        learn_ncl(xs, rng.normal(size=(2, 10)), model0)
+    with pytest.raises(ValueError, match="need at least 12 samples"):
+        learn_ncl(xs, rng.normal(size=(2, 10)), num_basis=12)
+
+
+@pytest.mark.parametrize("num_basis", [0, -3])
+def test_learn_ncl_rejects_fewer_than_one_basis_function(num_basis):
+    data = _scenario(seed=6, n=20)
+    with pytest.raises(ValueError, match="num_basis must be >= 1"):
+        learn_ncl(data.states, data.actions, num_basis=num_basis)
+
+
+def test_learn_ncl_builds_its_basis_from_the_seed():
+    # the basis is K-means on the states seeded by options.rng_seed, with
+    # the shared mean-center-distance width
+    data = _scenario(seed=8, n=100)
+    model, _ = learn_ncl(data.states, data.actions, LearnOptions(rng_seed=4), num_basis=7)
+    centers, width = rbf_basis(data.states, 7, seed=4)
+    assert np.array_equal(model.rbf.centers, centers) and model.rbf.width == width
 
 
 def test_learn_ncl_beats_naive_regression_at_rejecting_task_motion():
     wins = 0
     for seed in range(20):
         data = _scenario(seed=100 + seed, n=300)
-        model0 = make_ncl_model(data.states, data.dim_u, num_basis=12, seed=0)
-        bx = rbf_design(data.states, model0.rbf.centers, model0.rbf.width)
+        bx = rbf_design(data.states, *rbf_basis(data.states, 12, seed=0))
         naive = ridge_regression(bx, data.actions)
         true_w = ridge_regression(bx, data.null_component)
         obj_true, _ = objective_ncl(true_w, bx, data.actions)
@@ -134,8 +144,7 @@ def test_learn_ncl_init_insensitive_final_objective():
     cfg = GeneratorConfig(constraints=(("fixed-angle", 60.0),), n_per_group=600,
                           rng_seed=7)
     data = generate(cfg)
-    model0 = make_ncl_model(data.states, data.dim_u, num_basis=16, seed=0)
-    bx = rbf_design(data.states, model0.rbf.centers, model0.rbf.width)
+    bx = rbf_design(data.states, *rbf_basis(data.states, 16, seed=0))
     # make the observations exactly representable so the global basin is
     # reachable from both starts
     w_true = ridge_regression(bx, data.actions)

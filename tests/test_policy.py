@@ -2,17 +2,10 @@ import numpy as np
 import pytest
 
 from ccl.datagen import GeneratorConfig, generate
-from ccl.mathkit import nullspace_projector, ridge_regression
+from ccl.core import LearnOptions
+from ccl.mathkit import nullspace_projector, rbf_basis, rbf_design, ridge_regression
 from ccl.metrics import error_ncpe, error_nupe
-from ccl.policy import (
-    LwlPolicyModel,
-    ParametricPolicyModel,
-    learn_pi,
-    learn_pi_lwl,
-    linear_policy_model,
-    lwl_policy_model,
-    rbf_policy_model,
-)
+from ccl.policy import LwlPolicyModel, ParametricPolicyModel, learn_pi, learn_pi_lwl
 
 
 def _pooled_linear(seeds=31, n=400, angles=(0.0, 60.0, 120.0)):
@@ -35,8 +28,7 @@ def _direction_projectors(u):
 
 def test_pi_multi_constraint_recovers_policy():
     data = _pooled_linear()
-    model0 = linear_policy_model(data.dim_x, data.dim_u)
-    model, report = learn_pi(data.states, data.actions, model0)
+    model, report = learn_pi(data.states, data.actions, basis="linear")
     nupe = error_nupe(data.policy, model.predict(data.states))
     assert nupe.normalized < 0.05
     assert report.converged and report.dropped_samples == 0
@@ -50,8 +42,7 @@ def test_pi_single_constraint_degeneracy():
                           constraints=(("fixed-angle", 30.0),),
                           n_per_group=500, rng_seed=32)
     data = generate(cfg)
-    model, _ = learn_pi(data.states, data.actions,
-                        linear_policy_model(data.dim_x, data.dim_u))
+    model, _ = learn_pi(data.states, data.actions, basis="linear")
     pred = model.predict(data.states)
     ncpe = error_ncpe(data.policy, pred, _direction_projectors(data.actions))
     nupe = error_nupe(data.policy, pred)
@@ -64,10 +55,10 @@ def test_pi_unconstrained_data_reduces_to_ridge():
     # inconsistency fit IS ridge regression and the weights coincide
     rng = np.random.default_rng(33)
     xs = rng.uniform(-1, 1, (1, 400))
-    model0 = rbf_policy_model(xs, 1, num_basis=5, seed=0)
-    u = rng.normal(size=(1, 5)) @ model0.features(xs)
-    model, _ = learn_pi(xs, u, model0)
-    ridge = ridge_regression(model0.features(xs), u)
+    feats = rbf_design(xs, *rbf_basis(xs, 5, seed=0))
+    u = rng.normal(size=(1, 5)) @ feats
+    model, _ = learn_pi(xs, u, num_basis=5)
+    ridge = ridge_regression(feats, u)
     assert np.max(np.abs(model.weights - ridge)) < 1e-8
 
 
@@ -77,16 +68,15 @@ def test_pi_aligned_2d_data_matches_ridge_through_projectors():
     # through them: everything the objective determines matches ridge
     rng = np.random.default_rng(133)
     xs = rng.uniform(-1, 1, (2, 800))
-    model0 = rbf_policy_model(xs, 2, num_basis=5, seed=0)
+    feats = rbf_design(xs, *rbf_basis(xs, 5, seed=0))
     from ccl.datagen import policy_limit_cycle
 
-    w_seed = ridge_regression(model0.features(xs), policy_limit_cycle(xs))
-    u = w_seed @ model0.features(xs)
-    model, _ = learn_pi(xs, u, model0)
-    ridge = ridge_regression(model0.features(xs), u)
+    w_seed = ridge_regression(feats, policy_limit_cycle(xs))
+    u = w_seed @ feats
+    model, _ = learn_pi(xs, u, num_basis=5)
+    ridge = ridge_regression(feats, u)
     proj = _direction_projectors(u)
-    gap = np.einsum("ijn,jn->in", proj,
-                    (model.weights - ridge) @ model0.features(xs))
+    gap = np.einsum("ijn,jn->in", proj, (model.weights - ridge) @ feats)
     assert np.max(np.abs(gap)) < 1e-8
 
 
@@ -96,7 +86,7 @@ def test_pi_drops_zero_action_samples():
     u = rng.normal(size=(2, 50))
     u[:, 7] = 0.0
     u[:, 21] = 0.0
-    model, report = learn_pi(xs, u, linear_policy_model(2, 2))
+    model, report = learn_pi(xs, u, basis="linear")
     assert report.dropped_samples == 2
 
 
@@ -105,8 +95,7 @@ def test_pi_consistency_over_twenty_seeds():
     # policy down as the sample count grows
     for seed in range(20):
         data = _pooled_linear(seeds=500 + seed, n=334)  # ~1000 samples total
-        model, _ = learn_pi(data.states, data.actions,
-                            linear_policy_model(data.dim_x, data.dim_u))
+        model, _ = learn_pi(data.states, data.actions, basis="linear")
         nupe = error_nupe(data.policy, model.predict(data.states))
         assert nupe.normalized < 0.05
 
@@ -115,22 +104,20 @@ def test_pi_model_averaging_contrast():
     # two opposing constraints: pooled naive regression averages the
     # branches away while the projected fit keeps the policy
     data = _pooled_linear(seeds=35, angles=(0.0, 90.0))
-    model0 = rbf_policy_model(data.states, data.dim_u, num_basis=16, seed=0)
-    model, _ = learn_pi(data.states, data.actions, model0)
+    model, _ = learn_pi(data.states, data.actions, num_basis=16)
     ccl_nupe = error_nupe(data.policy, model.predict(data.states)).normalized
-    naive_w = ridge_regression(model0.features(data.states), data.actions)
+    naive_w = ridge_regression(model.features(data.states), data.actions)
     naive = ParametricPolicyModel(weights=naive_w, dim_x=2,
-                                  centers=model0.centers, width=model0.width)
+                                  centers=model.centers, width=model.width)
     naive_nupe = error_nupe(data.policy, naive.predict(data.states)).normalized
     assert naive_nupe >= 5.0 * ccl_nupe
 
 
 def test_pi_closed_form_is_a_minimum():
     data = _pooled_linear(seeds=36, n=150)
-    model0 = rbf_policy_model(data.states, data.dim_u, num_basis=8, seed=0)
-    model, report = learn_pi(data.states, data.actions, model0)
+    model, report = learn_pi(data.states, data.actions, num_basis=8)
     proj = _direction_projectors(data.actions)
-    feats = model0.features(data.states)
+    feats = model.features(data.states)
 
     def objective(w):
         pred = w @ feats
@@ -147,12 +134,50 @@ def test_pi_closed_form_is_a_minimum():
 
 def test_closed_form_learners_report_closed_form():
     data = _pooled_linear(seeds=36, n=150)
-    for learn, model0 in (
-            (learn_pi, rbf_policy_model(data.states, data.dim_u, num_basis=8, seed=0)),
-            (learn_pi_lwl, lwl_policy_model(data.states, data.dim_u, num_local=5, seed=0))):
-        _, report = learn(data.states, data.actions, model0)
+    for learn, size in ((learn_pi, dict(num_basis=8)), (learn_pi_lwl, dict(num_local=5))):
+        _, report = learn(data.states, data.actions, **size)
         assert report.converged and report.reason == "closed-form"
         assert report.iterations == 1 and report.notes == ()
+
+
+def test_policy_learners_build_their_basis_from_all_states():
+    # K-means runs on every state, zero-action samples included, seeded by
+    # options.rng_seed, with the shared mean-center-distance width
+    data = _pooled_linear(seeds=45, n=60)
+    u = data.actions.copy()
+    u[:, :7] = 0.0
+    centers, width = rbf_basis(data.states, 6, seed=9)
+    opts = LearnOptions(rng_seed=9)
+    pi_model, pi_report = learn_pi(data.states, u, opts, num_basis=6)
+    lwl_model, lwl_report = learn_pi_lwl(data.states, u, opts, num_local=6)
+    assert pi_report.dropped_samples == lwl_report.dropped_samples == 7
+    for model in (pi_model, lwl_model):
+        assert np.array_equal(model.centers, centers) and model.width == width
+
+
+@pytest.mark.parametrize("num_basis", [0, -3])
+def test_policy_learners_reject_fewer_than_one_basis_function(num_basis):
+    data = _pooled_linear(seeds=46, n=20)
+    for basis in ("rbf", "linear"):
+        with pytest.raises(ValueError, match="num_basis must be >= 1"):
+            learn_pi(data.states, data.actions, num_basis=num_basis, basis=basis)
+    with pytest.raises(ValueError, match="num_basis must be >= 1"):
+        learn_pi_lwl(data.states, data.actions, num_local=num_basis)
+
+
+def test_pi_rejects_unknown_basis():
+    data = _pooled_linear(seeds=47, n=20)
+    with pytest.raises(ValueError, match="unknown basis"):
+        learn_pi(data.states, data.actions, basis="fourier")
+
+
+@pytest.mark.parametrize("learn", [learn_pi, learn_pi_lwl])
+def test_policy_learners_share_input_errors(learn):
+    xs = np.random.default_rng(48).uniform(-1, 1, (2, 12))
+    with pytest.raises(ValueError, match="states and actions disagree on sample count"):
+        learn(xs, np.ones((2, 11)))
+    with pytest.raises(ValueError, match="all samples have zero action"):
+        learn(xs, np.zeros((2, 12)))
 
 
 # ---------------------------------------------------------------------------
@@ -161,8 +186,7 @@ def test_closed_form_learners_report_closed_form():
 
 def test_lwl_linear_policy_exact():
     data = _pooled_linear(seeds=38, angles=(0.0, 60.0))
-    model0 = lwl_policy_model(data.states, data.dim_u, num_local=10, seed=0)
-    model, report = learn_pi_lwl(data.states, data.actions, model0)
+    model, report = learn_pi_lwl(data.states, data.actions, num_local=10)
     nupe = error_nupe(data.policy, model.predict(data.states))
     assert nupe.normalized < 0.05
     assert report.converged
@@ -177,9 +201,8 @@ def test_lwl_constant_policy_bias_only():
     for n in range(600):
         th = rng.uniform(0, np.pi)
         a = np.array([[np.cos(th), np.sin(th)]])
-        u[:, n] = nullspace_projector(a).projector @ pi[:, n]
-    model0 = lwl_policy_model(xs, 2, num_local=5, seed=0)
-    model, _ = learn_pi_lwl(xs, u, model0)
+        u[:, n] = nullspace_projector(a) @ pi[:, n]
+    model, _ = learn_pi_lwl(xs, u, num_local=5)
     for b in model.local_maps:
         assert np.max(np.abs(b[:, :2])) < 1e-3  # linear part vanishes
         assert np.max(np.abs(b[:, 2] - const)) < 1e-3
@@ -187,7 +210,8 @@ def test_lwl_constant_policy_bias_only():
 
 def test_lwl_single_local_model_matches_linear_learn_pi():
     # realizable linear policy under two constraints: a single local map
-    # and the linear-feature parametric fit agree
+    # (centered on the mean state, fallback width 1) and the linear-feature
+    # parametric fit agree
     rng = np.random.default_rng(40)
     xs = rng.uniform(-1, 1, (2, 500))
     b_true = np.array([[0.8, -0.2, 0.3], [0.1, 1.1, -0.5]])
@@ -197,11 +221,10 @@ def test_lwl_single_local_model_matches_linear_learn_pi():
     for n in range(500):
         th = 0.0 if n % 2 else np.pi / 3
         a = np.array([[np.cos(th), np.sin(th)]])
-        u[:, n] = nullspace_projector(a).projector @ pi[:, n]
-    lwl0 = LwlPolicyModel(local_maps=np.zeros((1, 2, 3)),
-                          centers=xs.mean(axis=1, keepdims=True), width=1.0)
-    lwl, _ = learn_pi_lwl(xs, u, lwl0)
-    par, _ = learn_pi(xs, u, linear_policy_model(2, 2))
+        u[:, n] = nullspace_projector(a) @ pi[:, n]
+    lwl, _ = learn_pi_lwl(xs, u, num_local=1)
+    assert np.allclose(lwl.centers[:, 0], xs.mean(axis=1), atol=1e-12) and lwl.width == 1.0
+    par, _ = learn_pi(xs, u, basis="linear")
     grid = rng.uniform(-1, 1, (2, 50))
     assert np.max(np.abs(lwl.predict(grid) - par.predict(grid))) < 1e-6
 
@@ -218,7 +241,7 @@ def test_lwl_zero_activation_error_names_point():
 # ---------------------------------------------------------------------------
 
 def test_predict_zero_weights():
-    model = linear_policy_model(2, 2)
+    model = ParametricPolicyModel(weights=np.zeros((2, 3)), dim_x=2)
     out = model.predict(np.random.default_rng(41).normal(size=(2, 6)))
     assert np.array_equal(out, np.zeros((2, 6)))
 

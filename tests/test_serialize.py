@@ -6,9 +6,18 @@ import pytest
 from ccl.constraint import StateIndependentConstraint, learn_alpha, learn_lambda, twolink_jacobian_features
 from ccl.core import LearnOptions, RbfModel
 from ccl.datagen import GeneratorConfig, generate
-from ccl.nullspace import NullspaceComponentModel
-from ccl.policy import LwlPolicyModel, ParametricPolicyModel
+from ccl.nullspace import learn_ncl
+from ccl.policy import learn_pi, learn_pi_lwl
 from ccl.serialize import load_model, model_to_doc, save_model
+
+# An alpha document as version-1 writers wrote it before the basis block
+# lost its placeholder output weights ("dim_out": 0, "weights": []).
+V1_ALPHA = """{"basis": {"centers": [[-0.05924753430403235, 0.5430952054072262, -0.48811841650480253],
+                       [-0.6934115194349784, 0.3161649368068597, 0.4657496975778444]],
+           "dim_out": 0, "dim_x": 2, "n_basis": 3, "weights": [], "width": 0.5889956932100403},
+ "dim_b": 1, "dim_u": 2, "features": null, "kind": "alpha",
+ "omegas": [[[1.3459551462150918, 1.9603684855033707, 0.427486875658689]]],
+ "signs": [-1.0], "version": 1}"""
 
 
 def _assert_exact(a, b):
@@ -69,6 +78,7 @@ def test_alpha_roundtrip_preserves_projectors(tmp_path):
     save_model(model, path)
     back = load_model(path)
     assert back.mode == "alpha"
+    assert sorted(json.loads(path.read_text())["basis"]) == ["centers", "dim_x", "n_basis", "width"]
     for i in range(10):
         x = data.states[:, i]
         _assert_exact(back.constraint_rows(x), model.constraint_rows(x))
@@ -87,37 +97,56 @@ def test_lambda_roundtrip_restores_feature_provider(tmp_path):
     save_model(model, path)
     back = load_model(path)
     assert back.feature_name == "twolink-jacobian:1.0,1.0"
+    assert sorted(json.loads(path.read_text())["basis"]) == ["centers", "dim_x", "n_basis", "width"]
     for i in range(10):
         x = data.states[:, i]
         _assert_exact(back.constraint_rows(x), model.constraint_rows(x))
 
 
-def test_ncl_roundtrip(tmp_path):
-    rng = np.random.default_rng(4)
-    model = NullspaceComponentModel(rbf=RbfModel(centers=rng.normal(size=(2, 5)),
-                                                 width=0.77,
-                                                 weights=rng.normal(size=(2, 5))))
-    path = tmp_path / "m.json"
+def test_alpha_document_with_placeholder_weights_loads(tmp_path):
+    old = tmp_path / "old.json"
+    old.write_text(V1_ALPHA)
+    model = load_model(old)
+    new = tmp_path / "new.json"
+    save_model(model, new)
+    expected = json.loads(V1_ALPHA)
+    del expected["basis"]["dim_out"], expected["basis"]["weights"]
+    assert json.loads(new.read_text()) == expected
+    xs = np.random.default_rng(6).uniform(-1, 1, (2, 20))
+    _assert_exact(load_model(new).projector_stack(xs), model.projector_stack(xs))
+
+
+def _pooled_data():
+    return generate(GeneratorConfig(constraints=(("fixed-angle", 0.0), ("fixed-angle", 60.0)),
+                                    task_b=("sinusoid", 0.5, 3.0, 0.0),
+                                    n_per_group=40, rng_seed=4))
+
+
+def _assert_roundtrip_byte_exact(model, tmp_path, kind):
+    path, again = tmp_path / "m.json", tmp_path / "again.json"
     save_model(model, path)
     back = load_model(path)
-    _assert_exact(back.rbf.weights, model.rbf.weights)
-    xs = rng.normal(size=(2, 6))
+    save_model(back, again)
+    assert json.loads(path.read_text())["kind"] == kind
+    assert again.read_bytes() == path.read_bytes()
+    xs = np.random.default_rng(5).uniform(-1, 1, (2, 6))
     _assert_exact(back.predict(xs), model.predict(xs))
 
 
+def test_ncl_roundtrip(tmp_path):
+    data = _pooled_data()
+    model, _ = learn_ncl(data.states, data.actions, LearnOptions(rng_seed=5), num_basis=5)
+    _assert_roundtrip_byte_exact(model, tmp_path, "ncl")
+
+
 def test_policy_roundtrips(tmp_path):
-    rng = np.random.default_rng(5)
-    rbf_pol = ParametricPolicyModel(weights=rng.normal(size=(2, 4)), dim_x=2,
-                                    centers=rng.normal(size=(2, 4)), width=0.6)
-    lin_pol = ParametricPolicyModel(weights=rng.normal(size=(2, 3)), dim_x=2)
-    lwl = LwlPolicyModel(local_maps=rng.normal(size=(3, 2, 3)),
-                         centers=rng.normal(size=(2, 3)), width=0.9)
-    xs = rng.normal(size=(2, 5))
-    for model in (rbf_pol, lin_pol, lwl):
-        path = tmp_path / "m.json"
-        save_model(model, path)
-        back = load_model(path)
-        _assert_exact(back.predict(xs), model.predict(xs))
+    data = _pooled_data()
+    opts = LearnOptions(rng_seed=5)
+    for learn, size, kind in ((learn_pi, dict(num_basis=4), "pi-parametric"),
+                              (learn_pi, dict(basis="linear"), "pi-parametric"),
+                              (learn_pi_lwl, dict(num_local=3), "pi-lwl")):
+        model, _ = learn(data.states, data.actions, opts, **size)
+        _assert_roundtrip_byte_exact(model, tmp_path, kind)
 
 
 def test_unknown_kind_rejected(tmp_path):

@@ -285,18 +285,9 @@ def save_dataset(data: DemonstrationSet, path):
                       for row, g in zip(table, data.group_ids.tolist()))
 
 
-def load_dataset(path, dims=None) -> DemonstrationSet:
-    """Read a dataset file, validating dimensions and values.
-
-    dims, when given, is a (dim_x, dim_u) pair checked against the header.
-    A row with a wrong column count, a non-numeric token, a non-finite
-    value or a non-integer or out-of-range group id (checked in that
-    order) is rejected, naming the first offending line of the file.
-    Group ids are remapped onto a dense [0, K) range; a missing group
-    column means a single group.
-    """
-    with open(path) as fh:
-        lines = fh.read().splitlines()
+def _read_header(path, lines, dims):
+    """Column layout of a dataset file: the (dim_x, dim_u, dim_pi, dim_v,
+    dim_w) block sizes and whether a trailing group column k is present."""
     if not lines:
         raise ValueError(f"{path}: empty dataset file")
     names = [c.strip() for c in lines[0].split(",")]
@@ -306,8 +297,6 @@ def load_dataset(path, dims=None) -> DemonstrationSet:
     dim_v = _header_block(names, "v")
     dim_w = _header_block(names, "w")
     has_k = names[-1] == "k"
-    n_values = dim_x + dim_u + dim_pi + dim_v + dim_w
-    expected = n_values + (1 if has_k else 0)
     if dim_x == 0 or dim_u == 0:
         raise ValueError("header must declare x* and u* columns")
     canonical = ([f"x{i+1}" for i in range(dim_x)] + [f"u{i+1}" for i in range(dim_u)]
@@ -320,7 +309,36 @@ def load_dataset(path, dims=None) -> DemonstrationSet:
             raise ValueError(f"{d}* channel must have dim_u={dim_u} columns, got {got}")
     if dims is not None and (dim_x, dim_u) != tuple(dims):
         raise ValueError(f"declared dims {tuple(dims)} do not match file dims {(dim_x, dim_u)}")
+    return (dim_x, dim_u, dim_pi, dim_v, dim_w), has_k
 
+
+def _parse_rows(lines, n_values, has_k):
+    """Data rows through numpy's C reader: an (N, n_values) table and the
+    raw group ids (None without a k column), or None when the reader
+    rejects a line, reads a non-finite value or finds no rows.
+
+    The structured dtype makes the reader enforce the exact column count
+    and read group ids as int64, so it accepts a subset of what the
+    per-line scan accepts, and rounds floats the way Python's float does.
+    """
+    if not any(lines[1:]):
+        return None  # numpy's reader would warn that it found no data
+    dtype = [("v", float, (n_values,))] + ([("k", np.int64)] if has_k else [])
+    try:
+        rows = np.loadtxt(lines[1:], delimiter=",", comments=None, ndmin=1, dtype=dtype)
+    except ValueError:
+        return None
+    if not np.isfinite(rows["v"]).all():
+        return None
+    return rows["v"], rows["k"] if has_k else None
+
+
+def _scan_rows(path, lines, n_values, has_k):
+    """The per-line scan with Python's float and int: the reference parse.
+    It names the first offending line of the file, or returns what
+    _parse_rows returns for inputs numpy's reader does not take (blank
+    lines of whitespace, digit separators, non-ASCII digits or padding)."""
+    expected = n_values + (1 if has_k else 0)
     # one buffer of doubles, row after row: no per-row objects outlive their line
     values, gids, linenos = array("d"), [], []
 
@@ -362,21 +380,35 @@ def load_dataset(path, dims=None) -> DemonstrationSet:
     bad = first_non_finite()
     if bad is not None:
         raise ValueError(f"{path} line {bad}: non-finite value")
-    table = np.frombuffer(values).reshape(-1, n_values).T
-    ofs = 0
+    return (np.frombuffer(values).reshape(-1, n_values),
+            np.asarray(gids, dtype=int) if has_k else None)
 
-    def take(d):
-        nonlocal ofs
-        block = table[ofs:ofs + d] if d else None
+
+def load_dataset(path, dims=None) -> DemonstrationSet:
+    """Read a dataset file, validating dimensions and values.
+
+    dims, when given, is a (dim_x, dim_u) pair checked against the header.
+    A row with a wrong column count, a non-numeric token, a non-finite
+    value or a non-integer or out-of-range group id (checked in that
+    order) is rejected, naming the first offending line of the file.
+    Group ids are remapped onto a dense [0, K) range; a missing group
+    column means a single group.
+    """
+    with open(path) as fh:
+        lines = fh.read().splitlines()
+    blocks, has_k = _read_header(path, lines, dims)
+    n_values = sum(blocks)
+    rows, raw = (_parse_rows(lines, n_values, has_k)
+                 or _scan_rows(path, lines, n_values, has_k))
+    table = rows.T
+    channels, ofs = [], 0
+    for d in blocks:
+        channels.append(table[ofs:ofs + d] if d else None)
         ofs += d
-        return block
-
-    states, actions = take(dim_x), take(dim_u)
-    policy, task_c, null_c = take(dim_pi), take(dim_v), take(dim_w)
-    if has_k:
-        raw = np.asarray(gids, dtype=int)
-        _, dense = np.unique(raw, return_inverse=True)
-    else:
+    states, actions, policy, task_c, null_c = channels
+    if raw is None:
         dense = np.zeros(table.shape[1], dtype=int)
+    else:
+        _, dense = np.unique(raw, return_inverse=True)
     return DemonstrationSet(states=states, actions=actions, group_ids=dense,
                             policy=policy, task_component=task_c, null_component=null_c)

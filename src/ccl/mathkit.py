@@ -126,12 +126,14 @@ def pairwise_sq_distances(aset, bset):
 def kmeans_centers(x, n_centers, seed=0, max_iter=100):
     """Lloyd's K-means on the columns of x (dim, N) -> centers (dim, G).
 
-    Seeding is greedy farthest-point from a seeded RNG, so results are
-    reproducible.  An emptied cluster is re-seeded at the sample farthest
-    from its nearest center.
+    n_centers must lie in [1, N].  Seeding is greedy farthest-point from a
+    seeded RNG, so results are reproducible.  An emptied cluster is
+    re-seeded at the sample farthest from its nearest center.
     """
     x = np.atleast_2d(np.asarray(x, dtype=float))
     dim, n = x.shape
+    if n_centers < 1:
+        raise ValueError("n_centers must be >= 1")
     if n_centers > n:
         raise ValueError("cannot place more centers than samples")
     rng = np.random.default_rng(seed)

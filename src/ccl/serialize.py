@@ -74,28 +74,44 @@ def model_to_doc(model) -> dict:
     return doc
 
 
+def _with_declared_rows(doc, model):
+    if doc["dim_b"] != model.dim_b:
+        raise ValueError(f"model document (kind {doc['kind']!r}) declares dim_b "
+                         f"{doc['dim_b']!r} but holds {model.dim_b} rows")
+    return model
+
+
 def model_from_doc(doc) -> object:
     if not isinstance(doc, dict) or "kind" not in doc:
         raise ValueError("not a model document (missing kind tag)")
     if doc.get("version") != FORMAT_VERSION:
         raise ValueError(f"unsupported model document version {doc.get('version')!r}")
     kind = doc["kind"]
+    try:
+        return _model_from_fields(kind, doc)
+    except KeyError as exc:
+        raise ValueError(f"model document (kind {kind!r}) is missing field {exc.args[0]!r}") from None
+    except TypeError as exc:
+        raise ValueError(f"model document (kind {kind!r}) has a malformed field: {exc}") from None
+
+
+def _model_from_fields(kind, doc):
     if kind == "rbf":
         return _rbf_from_fields(doc)
     if kind == "nhat":
-        return StateIndependentConstraint(
+        return _with_declared_rows(doc, StateIndependentConstraint(
             angles=tuple(np.asarray(th, dtype=float) for th in doc["angles"]),
-            dim_u=doc["dim_u"])
+            dim_u=doc["dim_u"]))
     if kind in ("alpha", "lambda"):
         # a basis block may still carry the dim_out: 0 and empty weights
         # that earlier writers put there; neither is read
         basis = doc["basis"]
         omegas = tuple(np.asarray(om, dtype=float).reshape(-1, basis["n_basis"])
                        for om in doc["omegas"])
-        return StateDependentConstraintModel(
+        return _with_declared_rows(doc, StateDependentConstraintModel(
             omegas=omegas, signs=tuple(doc["signs"]), centers=_centers_from_fields(basis),
             width=basis["width"], mode=kind, dim_u=doc["dim_u"],
-            feature_name=doc.get("features"))
+            feature_name=doc["features"]))
     if kind == "ncl":
         return NullspaceComponentModel(rbf=_rbf_from_fields(doc["basis"]))
     if kind == "pi-parametric":

@@ -7,6 +7,7 @@ import pytest
 
 from ccl.cli import main
 from ccl.core import LearnOptions, load_dataset
+from ccl.serialize import load_model
 
 
 def _run(*argv):
@@ -215,6 +216,49 @@ def test_eval_malformed_model_exits_one(tmp_path, capsys):
     with open(bad, "w") as fh:
         fh.write("{ not json")
     assert _run("eval", "--model", bad, "--data", data) == 1
+
+
+# every learned model kind, as the CLI writes it
+_LEARNED_KINDS = {
+    "nhat": ("nhat", ()),
+    "alpha": ("alpha", ("--num-basis", "4", "--max-iter", "40")),
+    "lambda": ("lambda", ("--features", "identity:2", "--num-basis", "4", "--max-iter", "40")),
+    "ncl": ("ncl", ("--num-basis", "4", "--max-iter", "40")),
+    "pi-rbf": ("pi", ("--num-basis", "4")),
+    "pi-linear": ("pi", ("--basis", "linear")),
+    "pi-lwl": ("pi-lwl", ("--num-basis", "3")),
+}
+
+
+@pytest.mark.parametrize("name", sorted(_LEARNED_KINDS))
+def test_model_document_missing_a_field_is_an_error(tmp_path, capsys, name):
+    data = _gen(tmp_path, constraint="fixed:45", n=80, seed=9)
+    method, extra = _LEARNED_KINDS[name]
+    learned = str(tmp_path / "m.json")
+    assert _run("learn", "--method", method, "--in", data, "--out", learned, *extra) in (0, 2)
+    doc = json.loads(open(learned).read())
+    for key in sorted(doc):
+        bad = str(tmp_path / f"without-{key}.json")
+        with open(bad, "w") as fh:
+            json.dump({k: v for k, v in doc.items() if k != key}, fh)
+        with pytest.raises(ValueError):
+            load_model(bad)
+        capsys.readouterr()
+        assert _run("eval", "--model", bad, "--data", data,
+                    "--out", str(tmp_path / "e.csv")) == 1, key
+        assert capsys.readouterr().err.startswith("error: "), key
+
+
+def test_model_document_missing_field_names_it(tmp_path, capsys):
+    bad = str(tmp_path / "bad.json")
+    with open(bad, "w") as fh:
+        json.dump({"kind": "alpha", "version": 1}, fh)
+    with pytest.raises(ValueError) as exc:
+        load_model(bad)
+    assert str(exc.value) == "model document (kind 'alpha') is missing field 'basis'"
+    data = _gen(tmp_path, n=40)
+    assert _run("eval", "--model", bad, "--data", data) == 1
+    assert capsys.readouterr().err.endswith("is missing field 'basis'\n")
 
 
 # ---------------------------------------------------------------------------

@@ -1,11 +1,13 @@
 import os
 import tempfile
+import warnings
 
 import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from ccl.core import DemonstrationSet, LearnOptions, LearnReport, RbfModel, load_dataset, save_dataset
+from ccl.core import (DemonstrationSet, LearnOptions, LearnReport, RbfModel, _parse_rows,
+                      load_dataset, save_dataset)
 
 
 # ---------------------------------------------------------------------------
@@ -311,9 +313,10 @@ def test_codec_roundtrip_is_byte_and_bit_exact(data):
             assert a.shape == b.shape and a.dtype == b.dtype and a.tobytes() == b.tobytes(), name
 
 
-def _reference_row_error(path, lines, expected, has_k):
+def _reference_row_error(path, lines, expected, has_k, parsed=None):
     """The original loader's per-row validation loop: the reference for
-    which line an error names and which check it reports."""
+    which line an error names and which check it reports.  When a list is
+    passed as parsed, each accepted row's (values, group id) is appended."""
     rows = 0
     for lineno, line in enumerate(lines[1:], start=2):
         if not line.strip():
@@ -328,12 +331,15 @@ def _reference_row_error(path, lines, expected, has_k):
             return f"{path} line {lineno}: non-numeric token"
         if not np.all(np.isfinite(values)):
             return f"{path} line {lineno}: non-finite value"
+        gid = None
         if has_k:
             tok = tokens[-1].strip()
             try:
-                int(tok)
+                gid = int(tok)
             except ValueError:
                 return f"{path} line {lineno}: group id {tok!r} is not an integer"
+        if parsed is not None:
+            parsed.append((values, gid))
         rows += 1
     return None if rows else f"{path}: no data rows"
 
@@ -396,3 +402,37 @@ def test_load_errors_match_per_row_reference(case):
             with pytest.raises(ValueError) as exc:
                 load_dataset(path)
             assert str(exc.value) == message
+
+
+# tokens that float and int accept: numpy's C reader rejects the first set,
+# so those files take the per-line scan, and reads the second set itself
+_PYTHON_ONLY_LINES = ["x1,u1,k", "1_000,0.5,0", "\u0661\u0662,\xa01.5,00012", "\t  ",
+                      " +3 ,-2.5e-3, +3 ", "\xa0-0.0,1_0.2_5,1_2"]
+_SHARED_LINES = ["x1,u1,k", "\xa01.5, +3 ,00012", "", "00012,-0.0, -7 ", "5e-324,1e308,0"]
+
+
+@pytest.mark.parametrize("lines, c_reader", [(_PYTHON_ONLY_LINES, False), (_SHARED_LINES, True)])
+def test_both_parse_paths_match_the_reference_bit_for_bit(tmp_path, lines, c_reader):
+    path = tmp_path / "d.csv"
+    path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+    assert (_parse_rows(lines, 2, True) is not None) == c_reader
+    parsed = []
+    assert _reference_row_error(path, lines, 3, True, parsed) is None
+    data = load_dataset(path)
+    values = np.array([v for v, _ in parsed])
+    assert data.states.tobytes() == np.ascontiguousarray(values[:, :1].T).tobytes()
+    assert data.actions.tobytes() == np.ascontiguousarray(values[:, 1:].T).tobytes()
+    _, dense = np.unique([g for _, g in parsed], return_inverse=True)
+    assert np.array_equal(data.group_ids, dense)
+    assert data.n_samples == len(parsed) == sum(1 for line in lines[1:] if line.strip())
+
+
+@pytest.mark.parametrize("body", ["", "\n\n\n", " \n\t  \n"])
+def test_file_without_rows_names_no_data_rows_and_warns_nothing(tmp_path, body):
+    path = tmp_path / "d.csv"
+    path.write_text("x1,u1,k\n" + body)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValueError) as exc:
+            load_dataset(path)
+    assert str(exc.value) == f"{path}: no data rows"

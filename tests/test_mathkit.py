@@ -341,6 +341,13 @@ def test_kmeans_rejects_more_centers_than_points():
         kmeans_centers(np.zeros((2, 3)), 4)
 
 
+@pytest.mark.parametrize("n_centers", [0, -3])
+def test_kmeans_rejects_fewer_than_one_center(n_centers):
+    x = np.random.default_rng(16).normal(size=(2, 20))
+    with pytest.raises(ValueError, match="n_centers must be >= 1"):
+        kmeans_centers(x, n_centers)
+
+
 def test_rbf_basis_is_seeded_kmeans_with_shared_width():
     x = np.random.default_rng(15).normal(size=(2, 40))
     centers, width = rbf_basis(x, 6, seed=3)

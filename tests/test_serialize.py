@@ -178,3 +178,15 @@ def test_missing_kind_rejected(tmp_path):
     path.write_text(json.dumps({"version": 1}))
     with pytest.raises(ValueError, match="kind"):
         load_model(path)
+
+
+def test_malformed_fields_rejected(tmp_path):
+    path = tmp_path / "m.json"
+    for field, value, message in (("basis", 5, "kind 'alpha'.*malformed field"),
+                                  ("signs", None, "kind 'alpha'.*malformed field"),
+                                  ("dim_b", 2, "declares dim_b 2 but holds 1 rows")):
+        doc = json.loads(V1_ALPHA)
+        doc[field] = value
+        path.write_text(json.dumps(doc))
+        with pytest.raises(ValueError, match=message):
+            load_model(path)

@@ -18,7 +18,7 @@ from .constraint import (
     objective_state_independent,
     twolink_jacobian_features,
 )
-from .core import DemonstrationSet, LearnOptions, LearnReport, RbfModel, load_dataset, save_dataset
+from .core import DemonstrationSet, LearnOptions, LearnReport, load_dataset, save_dataset
 from .datagen import (
     GeneratorConfig,
     TwoLinkArm,
@@ -44,7 +44,7 @@ from .mathkit import (
     unit_vectors_from_angles,
 )
 from .metrics import MetricTriple, error_ncpe, error_npe, error_nupe, error_poe, error_ppe
-from .nullspace import NullspaceComponentModel, learn_ncl, objective_ncl
+from .nullspace import NullspaceComponentModel, learn_ncl
 from .policy import LwlPolicyModel, ParametricPolicyModel, learn_pi, learn_pi_lwl
 from .serialize import load_model, save_model
 

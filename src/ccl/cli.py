@@ -22,20 +22,11 @@ from typing import Optional
 
 import numpy as np
 
-from .constraint import (
-    StateDependentConstraintModel,
-    StateIndependentConstraint,
-    feature_provider_from_name,
-    learn_alpha,
-    learn_lambda,
-    learn_nhat,
-)
+from .constraint import feature_provider_from_name, learn_alpha, learn_lambda, learn_nhat
 from .core import DemonstrationSet, LearnOptions, load_dataset, save_dataset
 from .datagen import GeneratorConfig, generate, policy_limit_cycle, policy_linear, true_projectors
-from .metrics import error_ncpe, error_npe, error_nupe, error_poe, error_ppe
-from .nullspace import NullspaceComponentModel, learn_ncl
-from .policy import (LwlPolicyModel, ParametricPolicyModel, _direction_projectors, learn_pi,
-                     learn_pi_lwl)
+from .nullspace import learn_ncl
+from .policy import learn_pi, learn_pi_lwl
 from .serialize import load_model, save_model
 
 METHODS = ("nhat", "alpha", "lambda", "ncl", "pi", "pi-lwl")
@@ -237,34 +228,9 @@ def compute_metrics(model, data: DemonstrationSet):
     Returns (rows, skipped): rows are (name, MetricTriple), skipped are
     (name, why) notes for metrics whose ground-truth channels are absent.
     """
-    rows, skipped = [], []
-    if isinstance(model, (StateIndependentConstraint, StateDependentConstraintModel)):
-        projectors = model.projector_stack(data.states)
-        rows.append(("NPOE", error_poe(data.actions, projectors)))
-        if data.policy is not None and data.null_component is not None:
-            rows.append(("NPPE", error_ppe(data.null_component, projectors, data.policy)))
-        else:
-            skipped.append(("NPPE", "requires ground truth (pi and w channels)"))
-    elif isinstance(model, NullspaceComponentModel):
-        if data.null_component is not None:
-            pred = model.predict(data.states)
-            rows.append(("NUPE", error_nupe(data.null_component, pred)))
-            rows.append(("NPE", error_npe(data.null_component, pred)))
-        else:
-            skipped.append(("NPE", "requires ground truth (w channel)"))
-            skipped.append(("NUPE", "requires ground truth (w channel)"))
-    elif isinstance(model, (ParametricPolicyModel, LwlPolicyModel)):
-        pred = model.predict(data.states)
-        if data.policy is not None:
-            rows.append(("NUPE", error_nupe(data.policy, pred)))
-            rows.append(("NCPE", error_ncpe(data.policy, pred,
-                                            _direction_projectors(data.actions))))
-        else:
-            skipped.append(("NUPE", "requires ground truth (pi channel)"))
-            skipped.append(("NCPE", "requires ground truth (pi channel)"))
-    else:
-        raise CliError(f"cannot evaluate model of type {type(model).__name__}")
-    return rows, skipped
+    # each model scores itself; this stays a named function because the
+    # benchmark's tracer (perfbench/tracer.py) times the eval metrics by it
+    return model.metrics(data)
 
 
 def _metric_table(rows, skipped):

@@ -20,7 +20,8 @@ from typing import Callable, Optional
 
 import numpy as np
 
-from .core import LearnOptions, LearnReport, _freeze
+from .core import (LearnOptions, LearnReport, _basis_centers, _basis_doc, _freeze_basis,
+                   _frozen_finite)
 from .mathkit import (
     LmProblem,
     lm_solve,
@@ -33,6 +34,7 @@ from .mathkit import (
     unit_vector_angle_jacobians,
     unit_vectors_from_angles,
 )
+from .metrics import error_poe, error_ppe
 
 GRID_POINT_BUDGET = 200_000
 ROW_ACCEPT_FRACTION = 0.1  # state-dependent rows may keep this energy share
@@ -132,6 +134,25 @@ def objective_state_independent(a_rows, second_moment):
     return max(0.0, float(np.trace(a @ m @ a.T)))
 
 
+def _constraint_metrics(model, data):
+    """The metrics method of both constraint kinds: NPOE of the projected
+    actions, and NPPE given the pi and w channels, as (rows, skipped)."""
+    projectors = model.projector_stack(data.states)
+    rows, skipped = [("NPOE", error_poe(data.actions, projectors))], []
+    if data.policy is not None and data.null_component is not None:
+        rows.append(("NPPE", error_ppe(data.null_component, projectors, data.policy)))
+    else:
+        skipped.append(("NPPE", "requires ground truth (pi and w channels)"))
+    return rows, skipped
+
+
+def _with_declared_rows(doc, model):
+    if doc["dim_b"] != model.dim_b:
+        raise ValueError(f"model document (kind {doc['kind']!r}) declares dim_b "
+                         f"{doc['dim_b']!r} but holds {model.dim_b} rows")
+    return model
+
+
 # ---------------------------------------------------------------------------
 # state-independent constraints
 # ---------------------------------------------------------------------------
@@ -149,8 +170,10 @@ class StateIndependentConstraint:
     angles: tuple
     dim_u: int
 
+    kind = "nhat"
+
     def __post_init__(self):
-        angles = tuple(_freeze(np.asarray(a, dtype=float).ravel()) for a in self.angles)
+        angles = tuple(_frozen_finite("angles", np.ravel(a)) for a in self.angles)
         if not 1 <= len(angles) <= self.dim_u - 1:
             raise ValueError("need between 1 and dim_u - 1 rows")
         for s, th in enumerate(angles):
@@ -177,6 +200,18 @@ class StateIndependentConstraint:
     def projector_stack(self, xs):
         n = np.atleast_2d(xs).shape[1]
         return np.repeat(self.projector()[:, :, None], n, axis=2)
+
+    metrics = _constraint_metrics
+
+    def to_doc(self):
+        return {"dim_u": self.dim_u, "dim_b": self.dim_b,
+                "angles": [th.tolist() for th in self.angles]}
+
+    @classmethod
+    def from_doc(cls, doc):
+        return _with_declared_rows(doc, cls(
+            angles=tuple(np.asarray(th, dtype=float) for th in doc["angles"]),
+            dim_u=doc["dim_u"]))
 
 
 def _grid_seed(m_rot, resolution):
@@ -268,15 +303,11 @@ class StateDependentConstraintModel:
     def __post_init__(self):
         if self.mode not in ("alpha", "lambda"):
             raise ValueError(f"unknown mode {self.mode!r}")
-        omegas = tuple(_freeze(np.atleast_2d(np.asarray(o, dtype=float))) for o in self.omegas)
+        omegas = tuple(_frozen_finite("omegas", np.atleast_2d(o)) for o in self.omegas)
         object.__setattr__(self, "omegas", omegas)
-        object.__setattr__(self, "centers", _freeze(np.atleast_2d(np.asarray(self.centers, float))))
-        object.__setattr__(self, "width", float(self.width))
-        if self.centers.shape[1] < 1 or not np.isfinite(self.centers).all():
-            raise ValueError("need at least one basis center, all finite")
-        if not self.width > 0:
-            raise ValueError("width must be > 0")
+        _freeze_basis(self)
         object.__setattr__(self, "signs", tuple(float(s) for s in self.signs))
+        _frozen_finite("signs", self.signs)
         if len(self.signs) != len(omegas):
             raise ValueError("one sign per row required")
         sel, g = self.sel_dim, self.centers.shape[1]
@@ -286,6 +317,10 @@ class StateDependentConstraintModel:
                                  f"expected {(sel - 1 - s, g)}")
         if self.mode == "lambda" and self.feature_name is None:
             raise ValueError("lambda mode needs a feature provider name")
+
+    @property
+    def kind(self):
+        return self.mode
 
     @property
     def dim_b(self):
@@ -330,6 +365,26 @@ class StateDependentConstraintModel:
     def projector_stack(self, xs, threshold=1e-8):
         """Null-space projectors at states xs (dim_x, N), shape (dim_u, dim_u, N)."""
         return np.moveaxis(nullspace_projector(self.constraint_stack(xs), threshold), 0, -1)
+
+    metrics = _constraint_metrics
+
+    def to_doc(self):
+        return {"dim_u": self.dim_u, "dim_b": self.dim_b,
+                "omegas": [om.tolist() for om in self.omegas],
+                "signs": list(self.signs), "basis": _basis_doc(self.centers, self.width),
+                "features": self.feature_name}
+
+    @classmethod
+    def from_doc(cls, doc):
+        # a basis block may still carry the dim_out: 0 and empty weights
+        # that earlier writers put there; neither is read
+        basis = doc["basis"]
+        omegas = tuple(np.asarray(om, dtype=float).reshape(-1, basis["n_basis"])
+                       for om in doc["omegas"])
+        return _with_declared_rows(doc, cls(
+            omegas=omegas, signs=tuple(doc["signs"]), centers=_basis_centers(basis),
+            width=basis["width"], mode=doc["kind"], dim_u=doc["dim_u"],
+            feature_name=doc["features"]))
 
 
 def _complement_frames(rows_stack):

@@ -1,6 +1,6 @@
-"""Shared domain types: demonstration datasets, solver options, fit reports
-and the radial-basis-function model container, plus the delimited text
-format used to exchange datasets between the CLI and the learners.
+"""Shared domain types: demonstration datasets, solver options and fit
+reports, the delimited text format used to exchange datasets between the
+CLI and the learners, and the RBF basis block that model documents share.
 
 All containers are immutable after construction (their numpy buffers are
 marked read-only), so they can be shared freely across threads.
@@ -20,6 +20,36 @@ def _freeze(a):
     a = np.ascontiguousarray(a)
     a.flags.writeable = False
     return a
+
+
+def _frozen_finite(name, a):
+    """``a`` as a read-only float array, once every value is checked finite."""
+    a = _freeze(np.asarray(a, dtype=float))
+    if not np.isfinite(a).all():
+        raise ValueError(f"{name} must be finite")
+    return a
+
+
+def _freeze_basis(model):
+    """Freeze a model's RBF ``centers`` (dim_x, G) and make its shared
+    ``width`` a float: at least one center, all finite, 0 < width < inf."""
+    object.__setattr__(model, "centers", _frozen_finite("centers", np.atleast_2d(model.centers)))
+    object.__setattr__(model, "width", float(model.width))
+    if model.centers.shape[1] < 1:
+        raise ValueError("need at least one basis center")
+    if not 0 < model.width < np.inf:
+        raise ValueError("width must be finite and > 0")
+
+
+def _basis_doc(centers, width):
+    """The basis block of a model document, read back by _basis_centers;
+    model fields are float arrays, so tolist() writes Python floats."""
+    return {"dim_x": centers.shape[0], "n_basis": centers.shape[1],
+            "centers": centers.tolist(), "width": width}
+
+
+def _basis_centers(basis):
+    return np.asarray(basis["centers"], dtype=float).reshape(basis["dim_x"], basis["n_basis"])
 
 
 @dataclass(frozen=True)
@@ -113,41 +143,6 @@ class LearnReport:
     def from_errors(cls, mse, variance, **kw):
         nmse = mse / variance if variance > 0 else 0.0
         return cls(nmse=nmse, mse=mse, variance=variance, **kw)
-
-
-@dataclass(frozen=True)
-class RbfModel:
-    """Gaussian radial basis model: centers (dim_x, G), a shared squared
-    length-scale ``width`` and output weights (dim_out, G)."""
-
-    centers: np.ndarray
-    width: float
-    weights: np.ndarray
-
-    def __post_init__(self):
-        object.__setattr__(self, "centers", _freeze(np.atleast_2d(np.asarray(self.centers, float))))
-        object.__setattr__(self, "weights", _freeze(np.atleast_2d(np.asarray(self.weights, float))))
-        object.__setattr__(self, "width", float(self.width))
-        if self.centers.shape[1] < 1:
-            raise ValueError("need at least one basis center")
-        if not self.width > 0:
-            raise ValueError("width must be > 0")
-        if not np.isfinite(self.centers).all() or not np.isfinite(self.weights).all():
-            raise ValueError("centers and weights must be finite")
-        if self.weights.shape[1] != self.centers.shape[1]:
-            raise ValueError("weights columns must match number of centers")
-
-    @property
-    def dim_x(self):
-        return self.centers.shape[0]
-
-    @property
-    def n_basis(self):
-        return self.centers.shape[1]
-
-    @property
-    def dim_out(self):
-        return self.weights.shape[0]
 
 
 @dataclass(frozen=True)
@@ -290,7 +285,7 @@ def _read_header(path, lines, dims):
     dim_w) block sizes and whether a trailing group column k is present."""
     if not lines:
         raise ValueError(f"{path}: empty dataset file")
-    names = [c.strip() for c in lines[0].split(",")]
+    names = [c.strip() for c in lines[0].removeprefix("\ufeff").split(",")]
     dim_x = _header_block(names, "x")
     dim_u = _header_block(names, "u")
     dim_pi = _header_block(names, "pi")
@@ -392,7 +387,8 @@ def load_dataset(path, dims=None) -> DemonstrationSet:
     value or a non-integer or out-of-range group id (checked in that
     order) is rejected, naming the first offending line of the file.
     Group ids are remapped onto a dense [0, K) range; a missing group
-    column means a single group.
+    column means a single group.  A leading UTF-8 byte-order mark is
+    ignored.
     """
     with open(path) as fh:
         lines = fh.read().splitlines()

@@ -13,21 +13,54 @@ from typing import Optional
 
 import numpy as np
 
-from .core import LearnOptions, LearnReport, RbfModel
+from .core import (LearnOptions, LearnReport, _basis_centers, _basis_doc, _freeze_basis,
+                   _frozen_finite)
 from .mathkit import LmProblem, lm_solve, rbf_basis, rbf_design, ridge_regression
+from .metrics import error_npe, error_nupe
 
 TINY_NORM = 1e-12
 
 
 @dataclass(frozen=True)
 class NullspaceComponentModel:
-    """RBF regressor for the null-space component, dim_out = dim_u."""
+    """RBF regressor for the null-space component: ``weights`` (dim_u, G) on
+    the Gaussian features of ``centers`` (dim_x, G) with a shared ``width``."""
 
-    rbf: RbfModel
+    centers: np.ndarray
+    width: float
+    weights: np.ndarray
+
+    kind = "ncl"
+
+    def __post_init__(self):
+        _freeze_basis(self)
+        object.__setattr__(self, "weights", _frozen_finite("weights", np.atleast_2d(self.weights)))
+        if self.weights.shape[1] != self.centers.shape[1]:
+            raise ValueError("weights columns must match number of centers")
 
     def predict(self, xs):
         xs = np.atleast_2d(np.asarray(xs, dtype=float))
-        return self.rbf.weights @ rbf_design(xs, self.rbf.centers, self.rbf.width)
+        return self.weights @ rbf_design(xs, self.centers, self.width)
+
+    def metrics(self, data):
+        """NUPE and NPE against the w channel: (rows, skipped)."""
+        if data.null_component is None:
+            why = "requires ground truth (w channel)"
+            return [], [("NPE", why), ("NUPE", why)]
+        pred = self.predict(data.states)
+        return [("NUPE", error_nupe(data.null_component, pred)),
+                ("NPE", error_npe(data.null_component, pred))], []
+
+    def to_doc(self):
+        return {"basis": dict(_basis_doc(self.centers, self.width),
+                              dim_out=self.weights.shape[0], weights=self.weights.tolist())}
+
+    @classmethod
+    def from_doc(cls, doc):
+        basis = doc["basis"]
+        return cls(centers=_basis_centers(basis), width=basis["width"],
+                   weights=np.asarray(basis["weights"], dtype=float).reshape(
+                       basis["dim_out"], basis["n_basis"]))
 
 
 def _ncl_parts(weights, bx, actions):
@@ -52,22 +85,9 @@ def _ncl_parts(weights, bx, actions):
     return residual, dmat, small
 
 
-def objective_ncl(weights, bx, actions):
-    """Objective value and its exact gradient with respect to the weights.
-
-    value  = sum_n || P_n u_n - w(x_n) ||^2, P_n = w_n w_n^T / ||w_n||^2
-    grad   has the weight matrix shape (dim_u, G).
-    """
-    weights = np.atleast_2d(np.asarray(weights, dtype=float))
-    bx = np.atleast_2d(np.asarray(bx, dtype=float))
-    actions = np.atleast_2d(np.asarray(actions, dtype=float))
-    e, dmat, _ = _ncl_parts(weights, bx, actions)
-    value = float((e ** 2).sum())
-    grad = 2.0 * np.einsum("an,ain,jn->ij", e, dmat, bx)
-    return value, grad
-
-
 def _ncl_problem(bx, actions, dim_u):
+    """Residual/Jacobian closures over the flattened weights: the objective
+    sum_n || P_n u_n - w(x_n) ||^2 is r.r and its gradient 2 J^T r."""
     g = bx.shape[0]
 
     def residual(wvec):
@@ -108,7 +128,7 @@ def learn_ncl(xs, actions, options: Optional[LearnOptions] = None, num_basis=16)
                                          jacobian=jacobian, options=opts))
     weights = wvec.reshape(dim_u, bx.shape[0])
 
-    model = NullspaceComponentModel(rbf=RbfModel(centers=centers, width=width, weights=weights))
+    model = NullspaceComponentModel(centers=centers, width=width, weights=weights)
     e, _, small = _ncl_parts(weights, bx, u)
     targets = e + weights @ bx  # the projected observations P_n u_n
     notes = lm_report.notes

@@ -18,11 +18,23 @@ from typing import Optional
 
 import numpy as np
 
-from .core import LearnOptions, LearnReport, _freeze
+from .core import LearnOptions, LearnReport, _freeze_basis, _frozen_finite
 from .mathkit import rbf_basis, rbf_design
+from .metrics import error_ncpe, error_nupe
 
 ZERO_ACTION = 1e-12
 MIN_ACTIVATION = 1e-12
+
+
+def _policy_metrics(model, data):
+    """The metrics method of both policy kinds: NUPE and NCPE of the
+    prediction against the pi channel, as (rows, skipped)."""
+    pred = model.predict(data.states)
+    if data.policy is None:
+        why = "requires ground truth (pi channel)"
+        return [], [("NUPE", why), ("NCPE", why)]
+    return [("NUPE", error_nupe(data.policy, pred)),
+            ("NCPE", error_ncpe(data.policy, pred, _direction_projectors(data.actions)))], []
 
 
 @dataclass(frozen=True)
@@ -39,14 +51,12 @@ class ParametricPolicyModel:
     centers: np.ndarray = None
     width: float = None
 
+    kind = "pi-parametric"
+
     def __post_init__(self):
-        object.__setattr__(self, "weights",
-                           _freeze(np.atleast_2d(np.asarray(self.weights, dtype=float))))
+        object.__setattr__(self, "weights", _frozen_finite("weights", np.atleast_2d(self.weights)))
         if self.centers is not None:
-            object.__setattr__(self, "centers",
-                               _freeze(np.atleast_2d(np.asarray(self.centers, dtype=float))))
-            if self.width is None or not self.width > 0:
-                raise ValueError("RBF features need a positive width")
+            _freeze_basis(self)
             expected = self.centers.shape[1]
         else:
             expected = self.dim_x + 1
@@ -58,6 +68,23 @@ class ParametricPolicyModel:
 
     def predict(self, xs):
         return self.weights @ self.features(xs)
+
+    metrics = _policy_metrics
+
+    def to_doc(self):
+        rbf = {} if self.centers is None else {"centers": self.centers.tolist(), "width": self.width}
+        return {"dim_x": self.dim_x, "features": "rbf" if rbf else "linear",
+                "weights": self.weights.tolist(), **rbf}
+
+    @classmethod
+    def from_doc(cls, doc):
+        features = doc["features"]
+        if features not in ("rbf", "linear"):
+            raise ValueError(f"unknown features {features!r} (use rbf | linear)")
+        # an rbf document's centers are never None, which would read as linear
+        rbf = ({"centers": np.asarray(doc["centers"], dtype=float), "width": doc["width"]}
+               if features == "rbf" else {})
+        return cls(weights=doc["weights"], dim_x=doc["dim_x"], **rbf)
 
 
 def _features(xs, centers, width):
@@ -79,17 +106,17 @@ class LwlPolicyModel:
     centers: np.ndarray
     width: float
 
+    kind = "pi-lwl"
+
     def __post_init__(self):
-        object.__setattr__(self, "local_maps", _freeze(np.asarray(self.local_maps, dtype=float)))
-        object.__setattr__(self, "centers", _freeze(np.atleast_2d(np.asarray(self.centers, dtype=float))))
+        object.__setattr__(self, "local_maps", _frozen_finite("local maps", self.local_maps))
+        _freeze_basis(self)
         if self.local_maps.ndim != 3:
             raise ValueError("local_maps must be (M, dim_u, dim_x + 1)")
         if self.local_maps.shape[0] != self.centers.shape[1]:
             raise ValueError("one local map per center required")
         if self.local_maps.shape[2] != self.centers.shape[0] + 1:
             raise ValueError("local maps must act on the augmented state (x, 1)")
-        if not self.width > 0:
-            raise ValueError("width must be > 0")
 
     def activations(self, xs):
         return rbf_design(xs, self.centers, self.width)
@@ -104,6 +131,19 @@ class LwlPolicyModel:
             raise ValueError(f"no receptive field active at point {xs[:, i]}")
         local = np.einsum("mdi,in->mdn", self.local_maps, _affine(xs))
         return (act[:, None, :] * local).sum(axis=0) / total
+
+    metrics = _policy_metrics
+
+    def to_doc(self):
+        return {"centers": self.centers.tolist(), "width": self.width,
+                "n_local": self.local_maps.shape[0], "dim_u": self.local_maps.shape[1],
+                "local_maps": self.local_maps.tolist()}
+
+    @classmethod
+    def from_doc(cls, doc):
+        maps = np.asarray(doc["local_maps"], dtype=float)
+        return cls(local_maps=maps.reshape(doc["n_local"], doc["dim_u"], -1),
+                   centers=doc["centers"], width=doc["width"])
 
 
 def _direction_projectors(u):

@@ -14,7 +14,7 @@ from ccl.core import LearnOptions
 from ccl.datagen import GeneratorConfig, TwoLinkArm, generate
 from ccl.mathkit import finite_difference_jacobian, nullspace_projector, ridge_regression, unit_vectors_from_angles
 from ccl.metrics import error_ncpe, error_npe, error_nupe, error_poe, error_ppe
-from ccl.nullspace import learn_ncl, objective_ncl
+from ccl.nullspace import _ncl_problem, learn_ncl
 from ccl.policy import ParametricPolicyModel, learn_pi
 from ccl.cli import main as cli_main
 
@@ -138,15 +138,16 @@ def test_criterion_5_nullspace_decomposition():
     rng = np.random.default_rng(51)
     from ccl.mathkit import rbf_design
 
-    bx = rbf_design(data.states[:, :60], model.rbf.centers, model.rbf.width)
+    bx = rbf_design(data.states[:, :60], model.centers, model.width)
     u60 = data.actions[:, :60]
+    # the learner's own problem: objective r.r, gradient 2 J^T r
+    residual, jacobian = _ncl_problem(bx, u60, 2)
     worst = 0.0
     for _ in range(10):
         weights = rng.normal(size=(2, 16))
-        _, grad = objective_ncl(weights, bx, u60)
+        grad = 2.0 * jacobian(weights.ravel()).T @ residual(weights.ravel())
         fd = finite_difference_jacobian(
-            lambda w: np.array([objective_ncl(w.reshape(2, 16), bx, u60)[0]]),
-            weights.ravel())
+            lambda w: np.array([residual(w) @ residual(w)]), weights.ravel())
         rel = np.max(np.abs(grad.ravel() - fd.ravel())) / max(1.0, np.abs(grad).max())
         worst = max(worst, rel)
         assert rel < 1e-5

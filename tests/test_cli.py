@@ -5,9 +5,9 @@ from dataclasses import fields
 import numpy as np
 import pytest
 
-from ccl.cli import main
+from ccl.cli import METHODS, main
 from ccl.core import LearnOptions, load_dataset
-from ccl.serialize import load_model
+from ccl.serialize import MODEL_CLASSES, load_model
 
 
 def _run(*argv):
@@ -230,13 +230,24 @@ _LEARNED_KINDS = {
 }
 
 
-@pytest.mark.parametrize("name", sorted(_LEARNED_KINDS))
-def test_model_document_missing_a_field_is_an_error(tmp_path, capsys, name):
+def _learn_kind(tmp_path, name):
+    """A dataset and the document ``ccl learn`` writes for it: (data path, doc)."""
     data = _gen(tmp_path, constraint="fixed:45", n=80, seed=9)
     method, extra = _LEARNED_KINDS[name]
-    learned = str(tmp_path / "m.json")
+    learned = str(tmp_path / f"{name}.json")
     assert _run("learn", "--method", method, "--in", data, "--out", learned, *extra) in (0, 2)
-    doc = json.loads(open(learned).read())
+    return data, json.loads(open(learned).read())
+
+
+def test_model_kinds_are_the_kinds_the_learners_write(tmp_path):
+    assert {method for method, _ in _LEARNED_KINDS.values()} == set(METHODS)
+    written = {_learn_kind(tmp_path, name)[1]["kind"] for name in _LEARNED_KINDS}
+    assert set(MODEL_CLASSES) == written
+
+
+@pytest.mark.parametrize("name", sorted(_LEARNED_KINDS))
+def test_model_document_missing_a_field_is_an_error(tmp_path, capsys, name):
+    data, doc = _learn_kind(tmp_path, name)
     for key in sorted(doc):
         bad = str(tmp_path / f"without-{key}.json")
         with open(bad, "w") as fh:
@@ -247,6 +258,57 @@ def test_model_document_missing_a_field_is_an_error(tmp_path, capsys, name):
         assert _run("eval", "--model", bad, "--data", data,
                     "--out", str(tmp_path / "e.csv")) == 1, key
         assert capsys.readouterr().err.startswith("error: "), key
+
+
+# one learned parameter of each kind, as a path into its document, and a
+# non-finite value to put there
+_POISON = [
+    ("nhat", ("angles", 0, 0), float("nan")),
+    ("alpha", ("omegas", 0, 0, 0), float("nan")),
+    ("alpha", ("basis", "centers", 0, 0), float("nan")),
+    ("alpha", ("signs", 0), float("nan")),
+    ("lambda", ("omegas", 0, 0, 0), float("nan")),
+    ("ncl", ("basis", "weights", 0, 0), float("nan")),
+    ("ncl", ("basis", "width"), float("inf")),
+    ("pi-rbf", ("weights", 0, 0), float("nan")),
+    ("pi-rbf", ("width",), float("inf")),
+    ("pi-linear", ("weights", 0, 0), float("nan")),
+    ("pi-lwl", ("local_maps", 0, 0, 0), float("nan")),
+    ("pi-lwl", ("width",), float("inf")),
+]
+
+
+@pytest.mark.parametrize("name,path,value", _POISON,
+                         ids=[n + "-" + ".".join(k for k in p if isinstance(k, str))
+                              for n, p, _ in _POISON])
+def test_model_document_with_a_non_finite_parameter_is_an_error(tmp_path, capsys, name, path,
+                                                                 value):
+    data, doc = _learn_kind(tmp_path, name)
+    node = doc
+    for key in path[:-1]:
+        node = node[key]
+    node[path[-1]] = value
+    bad = str(tmp_path / "bad.json")
+    with open(bad, "w") as fh:
+        json.dump(doc, fh)
+    with pytest.raises(ValueError, match="must be finite"):
+        load_model(bad)
+    capsys.readouterr()
+    assert _run("eval", "--model", bad, "--data", data) == 1
+    captured = capsys.readouterr()
+    assert captured.err.startswith("error: ") and "must be finite" in captured.err
+    assert captured.out == ""
+
+
+def test_eval_rejects_an_rbf_document(tmp_path, capsys):
+    data = _gen(tmp_path, n=40)
+    bad = str(tmp_path / "rbf.json")
+    with open(bad, "w") as fh:
+        json.dump({"version": 1, "kind": "rbf", "dim_x": 2, "n_basis": 1, "dim_out": 2,
+                   "centers": [[0.0], [0.0]], "width": 1.0, "weights": [[1.0], [1.0]]}, fh)
+    capsys.readouterr()
+    assert _run("eval", "--model", bad, "--data", data) == 1
+    assert capsys.readouterr().err == "error: unknown model kind 'rbf'\n"
 
 
 def test_model_document_missing_field_names_it(tmp_path, capsys):

@@ -6,8 +6,9 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from ccl.core import (DemonstrationSet, LearnOptions, LearnReport, RbfModel, _parse_rows,
-                      load_dataset, save_dataset)
+from ccl.core import (DemonstrationSet, LearnOptions, LearnReport, _parse_rows, load_dataset,
+                      save_dataset)
+from ccl.nullspace import NullspaceComponentModel
 
 
 # ---------------------------------------------------------------------------
@@ -62,14 +63,15 @@ def test_report_closed_form_only_when_converged():
 
 
 def test_rbf_model_invariants():
-    model = RbfModel(centers=np.zeros((2, 3)), width=0.5, weights=np.ones((2, 3)))
-    assert model.dim_x == 2 and model.n_basis == 3 and model.dim_out == 2
+    model = NullspaceComponentModel(centers=np.zeros((2, 3)), width=0.5, weights=np.ones((2, 3)))
+    assert model.centers.shape == (2, 3) and model.weights.shape == (2, 3)
     with pytest.raises(ValueError):
-        RbfModel(centers=np.zeros((2, 3)), width=0.0, weights=np.ones((2, 3)))
+        NullspaceComponentModel(centers=np.zeros((2, 3)), width=0.0, weights=np.ones((2, 3)))
     with pytest.raises(ValueError):
-        RbfModel(centers=np.zeros((2, 3)), width=1.0, weights=np.ones((2, 2)))
+        NullspaceComponentModel(centers=np.zeros((2, 3)), width=1.0, weights=np.ones((2, 2)))
     with pytest.raises(ValueError):
-        RbfModel(centers=np.full((2, 3), np.nan), width=1.0, weights=np.ones((2, 3)))
+        NullspaceComponentModel(centers=np.full((2, 3), np.nan), width=1.0,
+                                weights=np.ones((2, 3)))
 
 
 # ---------------------------------------------------------------------------
@@ -98,7 +100,7 @@ def test_dataset_basic_properties():
 
 def test_containers_are_read_only():
     data = _toy_set(6)
-    model = RbfModel(centers=np.zeros((2, 3)), width=0.5, weights=np.ones((2, 3)))
+    model = NullspaceComponentModel(centers=np.zeros((2, 3)), width=0.5, weights=np.ones((2, 3)))
     for arr in (data.states, data.actions, data.group_ids,
                 model.centers, model.weights):
         with pytest.raises(ValueError):
@@ -162,6 +164,15 @@ def test_dataset_roundtrip_exact(tmp_path):
     assert np.array_equal(back.policy, data.policy)
     assert np.array_equal(back.task_component, data.task_component)
     assert np.array_equal(back.null_component, data.null_component)
+
+
+def test_load_ignores_a_leading_byte_order_mark(tmp_path):
+    plain, marked = tmp_path / "plain.csv", tmp_path / "marked.csv"
+    save_dataset(_toy_set(9, with_channels=True), plain)
+    marked.write_bytes("\ufeff".encode("utf-8") + plain.read_bytes())
+    a, b = load_dataset(plain), load_dataset(marked)
+    for name in ("states", "actions", "group_ids", "policy", "task_component", "null_component"):
+        assert np.array_equal(getattr(b, name), getattr(a, name)), name
 
 
 def test_load_four_column_file_defaults_to_single_group(tmp_path):

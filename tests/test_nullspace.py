@@ -1,11 +1,11 @@
 import numpy as np
 import pytest
 
-from ccl.core import LearnOptions, RbfModel
+from ccl.core import LearnOptions
 from ccl.datagen import GeneratorConfig, generate
 from ccl.mathkit import finite_difference_jacobian, rbf_basis, rbf_design, ridge_regression
 from ccl.metrics import error_npe
-from ccl.nullspace import NullspaceComponentModel, learn_ncl, objective_ncl
+from ccl.nullspace import NullspaceComponentModel, _ncl_problem, learn_ncl
 
 
 def _scenario(seed=0, n=600):
@@ -21,12 +21,21 @@ def _scenario(seed=0, n=600):
 # objective
 # ---------------------------------------------------------------------------
 
+def _objective(weights, bx, u):
+    """The learner's objective r.r and its gradient 2 J^T r over the
+    flattened weights, from its own residual and Jacobian."""
+    residual, jacobian = _ncl_problem(bx, u, u.shape[0])
+    wvec = np.ravel(weights)
+    r = residual(wvec)
+    return float(r @ r), 2.0 * jacobian(wvec).T @ r
+
+
 def test_objective_zero_when_model_equals_pure_null_data():
     rng = np.random.default_rng(0)
     bx = rng.uniform(0.1, 1.0, (4, 50))
     weights = rng.normal(size=(2, 4))
     u = weights @ bx  # observations exactly equal the model output
-    value, _ = objective_ncl(weights, bx, u)
+    value, _ = _objective(weights, bx, u)
     assert value < 1e-24
 
 
@@ -38,7 +47,7 @@ def test_objective_zero_when_task_component_orthogonal():
     # per-sample v orthogonal to w
     perp = np.vstack([-w[1], w[0]])
     v = perp * rng.normal(size=50)
-    value, _ = objective_ncl(weights, bx, v + w)
+    value, _ = _objective(weights, bx, v + w)
     assert value < 1e-20
 
 
@@ -48,9 +57,9 @@ def test_objective_gradient_matches_finite_differences():
     u = rng.normal(size=(2, 40))
     for _ in range(10):
         weights = rng.normal(size=(2, 5))
-        _, grad = objective_ncl(weights, bx, u)
+        _, grad = _objective(weights, bx, u)
         fd = finite_difference_jacobian(
-            lambda w: np.array([objective_ncl(w.reshape(2, 5), bx, u)[0]]),
+            lambda w: np.array([_objective(w.reshape(2, 5), bx, u)[0]]),
             weights.ravel())
         scale = max(1.0, np.abs(grad).max())
         assert np.max(np.abs(grad.ravel() - fd.ravel())) / scale < 1e-5
@@ -59,7 +68,7 @@ def test_objective_gradient_matches_finite_differences():
 def test_objective_handles_near_zero_predictions():
     bx = np.ones((1, 3))
     u = np.ones((2, 3))
-    value, grad = objective_ncl(np.zeros((2, 1)), bx, u)
+    value, grad = _objective(np.zeros((2, 1)), bx, u)
     assert value == 0.0  # zero predictions contribute their own (zero) norm
     assert np.isfinite(grad).all()
 
@@ -92,9 +101,9 @@ def test_learn_ncl_pure_null_space_matches_ridge():
                           rng_seed=5)
     data = generate(cfg)  # no task drive: u is pure null-space motion
     model, _ = learn_ncl(data.states, data.actions, num_basis=16)
-    bx = rbf_design(data.states, model.rbf.centers, model.rbf.width)
+    bx = rbf_design(data.states, model.centers, model.width)
     ridge = ridge_regression(bx, data.actions)
-    err_lm = error_npe(data.actions, model.rbf.weights @ bx).normalized
+    err_lm = error_npe(data.actions, model.weights @ bx).normalized
     err_ridge = error_npe(data.actions, ridge @ bx).normalized
     assert abs(err_lm - err_ridge) < 1e-3
 
@@ -119,7 +128,7 @@ def test_learn_ncl_builds_its_basis_from_the_seed():
     data = _scenario(seed=8, n=100)
     model, _ = learn_ncl(data.states, data.actions, LearnOptions(rng_seed=4), num_basis=7)
     centers, width = rbf_basis(data.states, 7, seed=4)
-    assert np.array_equal(model.rbf.centers, centers) and model.rbf.width == width
+    assert np.array_equal(model.centers, centers) and model.width == width
 
 
 def test_learn_ncl_beats_naive_regression_at_rejecting_task_motion():
@@ -129,8 +138,8 @@ def test_learn_ncl_beats_naive_regression_at_rejecting_task_motion():
         bx = rbf_design(data.states, *rbf_basis(data.states, 12, seed=0))
         naive = ridge_regression(bx, data.actions)
         true_w = ridge_regression(bx, data.null_component)
-        obj_true, _ = objective_ncl(true_w, bx, data.actions)
-        obj_naive, _ = objective_ncl(naive, bx, data.actions)
+        obj_true, _ = _objective(true_w, bx, data.actions)
+        obj_naive, _ = _objective(naive, bx, data.actions)
         wins += obj_true < obj_naive
     assert wins == 20
 
@@ -139,7 +148,6 @@ def test_learn_ncl_init_insensitive_final_objective():
     # convex-like instance (pure null-space data): two different optimizer
     # starting points on the same basis converge to objectives within 1%
     from ccl.mathkit import LmProblem, lm_solve
-    from ccl.nullspace import _ncl_problem
 
     cfg = GeneratorConfig(constraints=(("fixed-angle", 60.0),), n_per_group=600,
                           rng_seed=7)
@@ -167,9 +175,8 @@ def test_learn_ncl_init_insensitive_final_objective():
 # ---------------------------------------------------------------------------
 
 def test_predict_zero_weights():
-    model = NullspaceComponentModel(rbf=RbfModel(centers=np.zeros((2, 3)),
-                                                 width=1.0,
-                                                 weights=np.zeros((2, 3))))
+    model = NullspaceComponentModel(centers=np.zeros((2, 3)), width=1.0,
+                                    weights=np.zeros((2, 3)))
     out = model.predict(np.random.default_rng(8).normal(size=(2, 9)))
     assert np.array_equal(out, np.zeros((2, 9)))
 
@@ -177,20 +184,18 @@ def test_predict_zero_weights():
 def test_predict_at_single_center():
     center = np.array([[0.4], [-0.2]])
     weights = np.array([[1.5], [-0.7]])
-    model = NullspaceComponentModel(rbf=RbfModel(centers=center, width=0.8,
-                                                 weights=weights))
+    model = NullspaceComponentModel(centers=center, width=0.8, weights=weights)
     out = model.predict(center)
     assert np.allclose(out[:, 0], weights[:, 0])  # feature is exactly 1 there
 
 
 def test_predict_matches_loop_oracle():
     rng = np.random.default_rng(9)
-    model = NullspaceComponentModel(rbf=RbfModel(centers=rng.normal(size=(2, 5)),
-                                                 width=0.9,
-                                                 weights=rng.normal(size=(2, 5))))
+    model = NullspaceComponentModel(centers=rng.normal(size=(2, 5)), width=0.9,
+                                    weights=rng.normal(size=(2, 5)))
     xs = rng.normal(size=(2, 12))
     out = model.predict(xs)
     for n in range(12):
-        feats = np.exp(-((xs[:, [n]] - model.rbf.centers) ** 2).sum(axis=0)
+        feats = np.exp(-((xs[:, [n]] - model.centers) ** 2).sum(axis=0)
                        / (2 * 0.9))
-        assert np.max(np.abs(out[:, n] - model.rbf.weights @ feats)) < 1e-14
+        assert np.max(np.abs(out[:, n] - model.weights @ feats)) < 1e-14

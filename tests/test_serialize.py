@@ -3,10 +3,11 @@ import json
 import numpy as np
 import pytest
 
-from ccl.constraint import StateIndependentConstraint, learn_alpha, learn_lambda, twolink_jacobian_features
-from ccl.core import LearnOptions, RbfModel
+from ccl.constraint import (StateIndependentConstraint, identity_features, learn_alpha,
+                            learn_lambda, learn_nhat, twolink_jacobian_features)
+from ccl.core import LearnOptions
 from ccl.datagen import GeneratorConfig, generate
-from ccl.nullspace import learn_ncl
+from ccl.nullspace import NullspaceComponentModel, learn_ncl
 from ccl.policy import learn_pi, learn_pi_lwl
 from ccl.serialize import load_model, model_to_doc, save_model
 
@@ -26,7 +27,7 @@ def _assert_exact(a, b):
 
 
 def test_rbf_roundtrip_minimal(tmp_path):
-    model = RbfModel(centers=np.zeros((1, 1)), width=1.0, weights=[[0.0]])
+    model = NullspaceComponentModel(centers=np.zeros((1, 1)), width=1.0, weights=[[0.0]])
     path = tmp_path / "m.json"
     save_model(model, path)
     back = load_model(path)
@@ -37,9 +38,9 @@ def test_rbf_roundtrip_minimal(tmp_path):
 
 def test_rbf_roundtrip_full_precision(tmp_path):
     rng = np.random.default_rng(0)
-    model = RbfModel(centers=rng.normal(size=(3, 7)) * np.pi,
-                     width=0.123456789123456789,
-                     weights=rng.normal(size=(2, 7)) / 3.0)
+    model = NullspaceComponentModel(centers=rng.normal(size=(3, 7)) * np.pi,
+                                    width=0.123456789123456789,
+                                    weights=rng.normal(size=(2, 7)) / 3.0)
     path = tmp_path / "m.json"
     save_model(model, path)
     back = load_model(path)
@@ -122,31 +123,45 @@ def _pooled_data():
                                     n_per_group=40, rng_seed=4))
 
 
-def _assert_roundtrip_byte_exact(model, tmp_path, kind):
+# every model kind a learner writes, under the document kind it is saved as
+_LEARNERS = {
+    "nhat": ("nhat", lambda d, o: learn_nhat(d.actions, o)),
+    "alpha": ("alpha", lambda d, o: learn_alpha(d.actions, d.states, o, num_basis=4)),
+    "lambda": ("lambda", lambda d, o: learn_lambda(d.actions, d.states, identity_features(2),
+                                                   o, num_basis=4)),
+    "ncl": ("ncl", lambda d, o: learn_ncl(d.states, d.actions, o, num_basis=5)),
+    "pi-rbf": ("pi-parametric", lambda d, o: learn_pi(d.states, d.actions, o, num_basis=4)),
+    "pi-linear": ("pi-parametric", lambda d, o: learn_pi(d.states, d.actions, o, basis="linear")),
+    "pi-lwl": ("pi-lwl", lambda d, o: learn_pi_lwl(d.states, d.actions, o, num_local=3)),
+}
+
+
+def _assert_roundtrip_byte_exact(model, tmp_path, kind, data):
     path, again = tmp_path / "m.json", tmp_path / "again.json"
     save_model(model, path)
     back = load_model(path)
     save_model(back, again)
     assert json.loads(path.read_text())["kind"] == kind
     assert again.read_bytes() == path.read_bytes()
-    xs = np.random.default_rng(5).uniform(-1, 1, (2, 6))
-    _assert_exact(back.predict(xs), model.predict(xs))
+    assert back.metrics(data) == model.metrics(data)
 
 
-def test_ncl_roundtrip(tmp_path):
+@pytest.mark.parametrize("name", sorted(_LEARNERS))
+def test_learned_model_roundtrip_byte_exact(tmp_path, name):
     data = _pooled_data()
-    model, _ = learn_ncl(data.states, data.actions, LearnOptions(rng_seed=5), num_basis=5)
-    _assert_roundtrip_byte_exact(model, tmp_path, "ncl")
+    kind, learn = _LEARNERS[name]
+    model, _ = learn(data, LearnOptions(rng_seed=5, max_iter=40))
+    _assert_roundtrip_byte_exact(model, tmp_path, kind, data)
 
 
-def test_policy_roundtrips(tmp_path):
+def test_unknown_policy_features_rejected(tmp_path):
     data = _pooled_data()
-    opts = LearnOptions(rng_seed=5)
-    for learn, size, kind in ((learn_pi, dict(num_basis=4), "pi-parametric"),
-                              (learn_pi, dict(basis="linear"), "pi-parametric"),
-                              (learn_pi_lwl, dict(num_local=3), "pi-lwl")):
-        model, _ = learn(data.states, data.actions, opts, **size)
-        _assert_roundtrip_byte_exact(model, tmp_path, kind)
+    doc = model_to_doc(learn_pi(data.states, data.actions, basis="linear")[0])
+    doc["features"] = "banana"
+    path = tmp_path / "m.json"
+    path.write_text(json.dumps(doc))
+    with pytest.raises(ValueError, match=r"^unknown features 'banana' \(use rbf \| linear\)$"):
+        load_model(path)
 
 
 def test_unknown_kind_rejected(tmp_path):
@@ -158,8 +173,8 @@ def test_unknown_kind_rejected(tmp_path):
 
 def test_version_mismatch_rejected(tmp_path):
     path = tmp_path / "m.json"
-    doc = model_to_doc(RbfModel(centers=np.zeros((1, 1)), width=1.0,
-                                weights=np.zeros((1, 1))))
+    doc = model_to_doc(NullspaceComponentModel(centers=np.zeros((1, 1)), width=1.0,
+                                               weights=np.zeros((1, 1))))
     doc["version"] = 99
     path.write_text(json.dumps(doc))
     with pytest.raises(ValueError, match="version"):

@@ -210,7 +210,7 @@ class StateIndependentConstraint:
     @classmethod
     def from_doc(cls, doc):
         return _with_declared_rows(doc, cls(
-            angles=tuple(np.asarray(th, dtype=float) for th in doc["angles"]),
+            angles=tuple(doc["angles"]),
             dim_u=doc["dim_u"]))
 
 
@@ -306,8 +306,8 @@ class StateDependentConstraintModel:
         omegas = tuple(_frozen_finite("omegas", np.atleast_2d(o)) for o in self.omegas)
         object.__setattr__(self, "omegas", omegas)
         _freeze_basis(self)
-        object.__setattr__(self, "signs", tuple(float(s) for s in self.signs))
-        _frozen_finite("signs", self.signs)
+        signs = _frozen_finite("signs", self.signs)
+        object.__setattr__(self, "signs", tuple(float(s) for s in signs))
         if len(self.signs) != len(omegas):
             raise ValueError("one sign per row required")
         sel, g = self.sel_dim, self.centers.shape[1]
@@ -379,7 +379,7 @@ class StateDependentConstraintModel:
         # a basis block may still carry the dim_out: 0 and empty weights
         # that earlier writers put there; neither is read
         basis = doc["basis"]
-        omegas = tuple(np.asarray(om, dtype=float).reshape(-1, basis["n_basis"])
+        omegas = tuple(np.asarray(om).reshape(-1, basis["n_basis"])
                        for om in doc["omegas"])
         return _with_declared_rows(doc, cls(
             omegas=omegas, signs=tuple(doc["signs"]), centers=_basis_centers(basis),

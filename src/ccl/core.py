@@ -9,6 +9,8 @@ from __future__ import annotations
 
 from array import array
 from dataclasses import dataclass
+import numbers
+
 import numpy as np
 
 CONVERGENCE_REASONS = ("fun-tol", "x-tol", "max-iter", "abandoned", "closed-form")
@@ -23,7 +25,12 @@ def _freeze(a):
 
 
 def _frozen_finite(name, a):
-    """``a`` as a read-only float array, once every value is checked finite."""
+    """``a`` as a read-only float array, once it is checked to hold only
+    ints or floats (TypeError otherwise: no string is parsed) that are all
+    finite (ValueError)."""
+    a = np.asarray(a)
+    if a.dtype.kind not in "iuf":
+        raise TypeError(f"{name} must hold ints or floats, not {a.dtype}")
     a = _freeze(np.asarray(a, dtype=float))
     if not np.isfinite(a).all():
         raise ValueError(f"{name} must be finite")
@@ -32,8 +39,12 @@ def _frozen_finite(name, a):
 
 def _freeze_basis(model):
     """Freeze a model's RBF ``centers`` (dim_x, G) and make its shared
-    ``width`` a float: at least one center, all finite, 0 < width < inf."""
+    ``width`` a float: at least one center, all finite, 0 < width < inf.
+    A width that is not a real number (a string, a bool, None) is a
+    TypeError."""
     object.__setattr__(model, "centers", _frozen_finite("centers", np.atleast_2d(model.centers)))
+    if isinstance(model.width, bool) or not isinstance(model.width, numbers.Real):
+        raise TypeError(f"width must be a real number, not {type(model.width).__name__}")
     object.__setattr__(model, "width", float(model.width))
     if model.centers.shape[1] < 1:
         raise ValueError("need at least one basis center")
@@ -49,7 +60,7 @@ def _basis_doc(centers, width):
 
 
 def _basis_centers(basis):
-    return np.asarray(basis["centers"], dtype=float).reshape(basis["dim_x"], basis["n_basis"])
+    return np.asarray(basis["centers"]).reshape(basis["dim_x"], basis["n_basis"])
 
 
 @dataclass(frozen=True)

@@ -126,9 +126,20 @@ def pairwise_sq_distances(aset, bset):
 def kmeans_centers(x, n_centers, seed=0, max_iter=100):
     """Lloyd's K-means on the columns of x (dim, N) -> centers (dim, G).
 
-    n_centers must lie in [1, N].  Seeding is greedy farthest-point from a
-    seeded RNG, so results are reproducible.  An emptied cluster is
-    re-seeded at the sample farthest from its nearest center.
+    n_centers must lie in [1, N] and x must be finite.  Seeding is greedy
+    farthest-point from a seeded RNG, so results are reproducible.  Each
+    Lloyd iteration assigns every sample to its nearest center (distances
+    as in :func:`pairwise_sq_distances`, ties to the lower index) and stops
+    once no assignment changes, or after max_iter iterations.
+
+    A cluster's new center is, per coordinate, the sum of its members
+    added one at a time in sample order starting from 0, divided by the
+    member count.  For dim >= 2 that is bit for bit what
+    ``x[:, members].mean(axis=1)`` gives; for dim = 1 numpy's mean sums
+    pairwise, so the two can differ in the last bits.  A cluster left
+    empty is re-seeded at the sample farthest from its nearest center of
+    that iteration (the lowest such index); several empty clusters in one
+    iteration all take that sample.
     """
     x = np.atleast_2d(np.asarray(x, dtype=float))
     dim, n = x.shape
@@ -136,6 +147,8 @@ def kmeans_centers(x, n_centers, seed=0, max_iter=100):
         raise ValueError("n_centers must be >= 1")
     if n_centers > n:
         raise ValueError("cannot place more centers than samples")
+    if not np.isfinite(x).all():
+        raise ValueError("x must be finite")
     rng = np.random.default_rng(seed)
 
     chosen = [int(rng.integers(n))]
@@ -147,20 +160,25 @@ def kmeans_centers(x, n_centers, seed=0, max_iter=100):
         d2 = np.minimum(d2, pairwise_sq_distances(x, x[:, [nxt]])[:, 0])
     centers = x[:, chosen].copy()
 
+    # the sample terms of pairwise_sq_distances(x, centers), computed once
+    xx = (x ** 2).sum(axis=0)[:, None]
+    x2t = 2.0 * x.T
     assign = None
     for _ in range(max_iter):
-        d2 = pairwise_sq_distances(x, centers)
+        d2 = xx + (centers ** 2).sum(axis=0)[None, :]
+        d2 -= x2t @ centers
+        np.maximum(d2, 0.0, out=d2)
         new_assign = np.argmin(d2, axis=1)
         if assign is not None and np.array_equal(new_assign, assign):
             break
         assign = new_assign
-        for g in range(n_centers):
-            members = assign == g
-            if members.any():
-                centers[:, g] = x[:, members].mean(axis=1)
-            else:
-                nearest = d2.min(axis=1)
-                centers[:, g] = x[:, int(np.argmax(nearest))]
+        counts = np.bincount(assign, minlength=n_centers)
+        divisor = np.maximum(counts, 1)
+        for k in range(dim):
+            centers[k] = np.bincount(assign, weights=x[k], minlength=n_centers) / divisor
+        empty = np.flatnonzero(counts == 0)
+        if empty.size:
+            centers[:, empty] = x[:, [int(np.argmax(d2.min(axis=1)))]]
     return centers
 
 

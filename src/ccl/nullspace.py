@@ -59,7 +59,7 @@ class NullspaceComponentModel:
     def from_doc(cls, doc):
         basis = doc["basis"]
         return cls(centers=_basis_centers(basis), width=basis["width"],
-                   weights=np.asarray(basis["weights"], dtype=float).reshape(
+                   weights=np.asarray(basis["weights"]).reshape(
                        basis["dim_out"], basis["n_basis"]))
 
 

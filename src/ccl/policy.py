@@ -57,6 +57,9 @@ class ParametricPolicyModel:
         object.__setattr__(self, "weights", _frozen_finite("weights", np.atleast_2d(self.weights)))
         if self.centers is not None:
             _freeze_basis(self)
+            if self.centers.shape[0] != self.dim_x:
+                raise ValueError(f"dim_x {self.dim_x} does not match the "
+                                 f"{self.centers.shape[0]}-D centers")
             expected = self.centers.shape[1]
         else:
             expected = self.dim_x + 1
@@ -82,7 +85,7 @@ class ParametricPolicyModel:
         if features not in ("rbf", "linear"):
             raise ValueError(f"unknown features {features!r} (use rbf | linear)")
         # an rbf document's centers are never None, which would read as linear
-        rbf = ({"centers": np.asarray(doc["centers"], dtype=float), "width": doc["width"]}
+        rbf = ({"centers": np.asarray(doc["centers"]), "width": doc["width"]}
                if features == "rbf" else {})
         return cls(weights=doc["weights"], dim_x=doc["dim_x"], **rbf)
 
@@ -141,7 +144,7 @@ class LwlPolicyModel:
 
     @classmethod
     def from_doc(cls, doc):
-        maps = np.asarray(doc["local_maps"], dtype=float)
+        maps = np.asarray(doc["local_maps"])
         return cls(local_maps=maps.reshape(doc["n_local"], doc["dim_u"], -1),
                    centers=doc["centers"], width=doc["width"])
 

@@ -10,7 +10,7 @@ from pathlib import Path
 
 import numpy as np
 
-from ccl import cli, mathkit
+from ccl import cli, constraint, mathkit, nullspace, policy
 from ccl.constraint import identity_features, learn_alpha, learn_lambda, learn_nhat
 from ccl.core import LearnOptions
 from ccl.datagen import GeneratorConfig, generate
@@ -69,3 +69,32 @@ def test_every_metric_span_is_timed_under_compute_metrics():
     errors = [i for i, name in enumerate(names) if name == "metrics.error"]
     assert len(errors) == rows == 2 * len(models)
     assert all("cli.compute_metrics" in ancestors(i) for i in errors)
+
+
+def test_every_rbf_learner_places_its_basis_in_one_kmeans_span():
+    # the per-layer mathkit.kmeans_centers metrics read the tracer's wrapper
+    # around the module global; a learner that placed its centers any other
+    # way would silently drop out of them
+    data = generate(GeneratorConfig(constraints=(("fixed-angle", 0.0), ("fixed-angle", 60.0)),
+                                    n_per_group=40, rng_seed=5))
+    opts = LearnOptions(max_iter=20, num_restarts=1)
+    xu, ux = (data.states, data.actions), (data.actions, data.states)
+    # (module, learner, its arguments, keyword arguments, the learner's span)
+    runs = [(policy, "learn_pi", xu, {"num_basis": 3}, "policy.learn_pi"),
+            (policy, "learn_pi_lwl", xu, {"num_local": 3}, "policy.learn_pi_lwl"),
+            (nullspace, "learn_ncl", xu, {"num_basis": 3}, "nullspace.learn_ncl"),
+            (constraint, "learn_alpha", ux, {"num_basis": 3}, "constraint.learn")]
+    tracer = _load_tracer().Tracer()
+    with tracer:
+        for module, learner, args, kwargs, _ in runs:
+            # looked up inside the block, where the tracer has wrapped it
+            getattr(module, learner)(*args, opts, **kwargs)
+    names = [tracer.names[i] for i in tracer.span_name]
+
+    def outermost(i):
+        while tracer.span_parent[i] >= 0:
+            i = tracer.span_parent[i]
+        return names[i]
+
+    kmeans = [outermost(i) for i, name in enumerate(names) if name == "mathkit.kmeans_centers"]
+    assert kmeans == [span for *_, span in runs]

@@ -300,6 +300,63 @@ def test_model_document_with_a_non_finite_parameter_is_an_error(tmp_path, capsys
     assert captured.out == ""
 
 
+# a learned number written as a JSON string, or a width that is no number
+_STRINGLY = [
+    ("alpha", ("basis", "width"), "text"),
+    ("alpha", ("basis", "width"), None),
+    ("alpha", ("basis", "width"), True),
+    ("alpha", ("basis", "centers", 0, 0), "text"),
+    ("alpha", ("omegas", 0, 0, 0), "text"),
+    ("alpha", ("signs", 0), "text"),
+    ("nhat", ("angles", 0, 0), "text"),
+    ("ncl", ("basis", "width"), "text"),
+    ("ncl", ("basis", "weights", 0, 0), "text"),
+    ("pi-rbf", ("width",), "text"),
+    ("pi-rbf", ("weights", 0, 0), "text"),
+    ("pi-rbf", ("centers", 0, 0), "text"),
+    ("pi-linear", ("weights", 0, 0), "text"),
+    ("pi-lwl", ("width",), None),
+    ("pi-lwl", ("local_maps", 0, 0, 0), "text"),
+]
+
+
+@pytest.mark.parametrize("name,path,value", _STRINGLY,
+                         ids=[f"{n}-{'.'.join(k for k in p if isinstance(k, str))}-{v}"
+                              for n, p, v in _STRINGLY])
+def test_model_document_with_a_numeric_string_is_malformed(tmp_path, capsys, name, path, value):
+    data, doc = _learn_kind(tmp_path, name)
+    node = doc
+    for key in path[:-1]:
+        node = node[key]
+    if value == "text":  # the very number it held, as a string
+        value = repr(node[path[-1]])
+    node[path[-1]] = value
+    bad = str(tmp_path / "bad.json")
+    with open(bad, "w") as fh:
+        json.dump(doc, fh)
+    with pytest.raises(ValueError, match="has a malformed field: "):
+        load_model(bad)
+    capsys.readouterr()
+    assert _run("eval", "--model", bad, "--data", data) == 1
+    captured = capsys.readouterr()
+    assert captured.err.startswith("error: model document") and "malformed field" in captured.err
+    assert captured.out == ""
+
+
+def test_pi_document_dim_x_must_match_its_centers(tmp_path, capsys):
+    data, doc = _learn_kind(tmp_path, "pi-rbf")
+    assert doc["dim_x"] == len(doc["centers"]) == 2
+    doc["dim_x"] = 7
+    bad = str(tmp_path / "bad.json")
+    with open(bad, "w") as fh:
+        json.dump(doc, fh)
+    capsys.readouterr()
+    assert _run("eval", "--model", bad, "--data", data) == 1
+    captured = capsys.readouterr()
+    assert captured.err == "error: dim_x 7 does not match the 2-D centers\n"
+    assert captured.out == ""
+
+
 def test_eval_rejects_an_rbf_document(tmp_path, capsys):
     data = _gen(tmp_path, n=40)
     bad = str(tmp_path / "rbf.json")

@@ -348,6 +348,97 @@ def test_kmeans_rejects_fewer_than_one_center(n_centers):
         kmeans_centers(x, n_centers)
 
 
+def test_kmeans_rejects_non_finite_states():
+    x = np.random.default_rng(17).normal(size=(2, 20))
+    for bad in (np.nan, np.inf, -np.inf):
+        x[1, 7] = bad
+        with pytest.raises(ValueError, match="x must be finite"):
+            kmeans_centers(x, 3)
+
+
+def _reference_kmeans(x, n_centers, seed=0, max_iter=100):
+    """The Lloyd loop kmeans_centers replaced: per-cluster boolean-mask
+    means, and every distance through pairwise_sq_distances."""
+    x = np.atleast_2d(np.asarray(x, dtype=float))
+    dim, n = x.shape
+    if n_centers < 1:
+        raise ValueError("n_centers must be >= 1")
+    if n_centers > n:
+        raise ValueError("cannot place more centers than samples")
+    rng = np.random.default_rng(seed)
+
+    chosen = [int(rng.integers(n))]
+    d2 = pairwise_sq_distances(x, x[:, chosen])[:, 0]
+    while len(chosen) < n_centers:
+        d2[chosen] = -1.0  # never re-pick a selected sample
+        nxt = int(np.argmax(d2))
+        chosen.append(nxt)
+        d2 = np.minimum(d2, pairwise_sq_distances(x, x[:, [nxt]])[:, 0])
+    centers = x[:, chosen].copy()
+
+    assign = None
+    for _ in range(max_iter):
+        d2 = pairwise_sq_distances(x, centers)
+        new_assign = np.argmin(d2, axis=1)
+        if assign is not None and np.array_equal(new_assign, assign):
+            break
+        assign = new_assign
+        for g in range(n_centers):
+            members = assign == g
+            if members.any():
+                centers[:, g] = x[:, members].mean(axis=1)
+            else:
+                nearest = d2.min(axis=1)
+                centers[:, g] = x[:, int(np.argmax(nearest))]
+    return centers
+
+
+def _same_bits(a, b):
+    return a.shape == b.shape and np.array_equal(a.view(np.int64), b.view(np.int64))
+
+
+def test_kmeans_matches_the_reference_loop_bit_for_bit():
+    # for dim >= 2 a masked gather x[:, members] is Fortran-ordered, so
+    # numpy's mean adds each coordinate one sample at a time, as bincount does
+    rng = np.random.default_rng(20)
+    layouts = (np.ascontiguousarray, np.asfortranarray, lambda a: a[:, ::-1])
+    for case in range(240):
+        dim, n = int(rng.integers(2, 7)), int(rng.integers(1, 300))
+        x = rng.normal(size=(dim, n)) * 10.0 ** rng.uniform(-3, 3)
+        x += rng.uniform(-1e6, 1e6) if case % 4 == 0 else 0.0
+        if case % 5 == 1:
+            x = np.round(x, int(rng.integers(0, 2)))  # duplicates and tied distances
+        x = layouts[case % 3](x)
+        g = min(int(rng.choice([1, 2, 10, 16, n])), n)
+        assert _same_bits(kmeans_centers(x, g, seed=case), _reference_kmeans(x, g, seed=case)), \
+            (case, dim, n, g)
+
+
+def test_kmeans_one_dimensional_states_agree_with_the_reference_loop():
+    # a 1-D gather is C-contiguous, so numpy's mean sums it pairwise rather
+    # than in sample order: the centers agree, but not always to the bit
+    rng = np.random.default_rng(21)
+    for case in range(20):
+        blobs = [rng.normal(loc=10.0 * k, scale=0.5, size=int(rng.integers(20, 400)))
+                 for k in range(4)]
+        x = np.concatenate(blobs)[None, :]
+        new, ref = kmeans_centers(x, 4, seed=case), _reference_kmeans(x, 4, seed=case)
+        assert np.allclose(new, ref, rtol=0.0, atol=1e-9)
+
+
+@pytest.mark.parametrize("n_centers", [4, 5, 6])
+def test_kmeans_reseeds_empty_clusters_like_the_reference_loop(n_centers):
+    # 12 samples at 3 distinct points: every center past the third starts on
+    # a duplicate, its cluster empties, and the reseed puts it on a sample
+    points = np.array([[2.0, 1.0, 5.0], [7.0, 3.0, -2.0]])  # none at the origin
+    x = points[:, [0, 1, 2, 0, 0, 1, 2, 2, 1, 0, 2, 1]]
+    centers = kmeans_centers(x, n_centers, seed=n_centers)
+    assert _same_bits(centers, _reference_kmeans(x, n_centers, seed=n_centers))
+    samples = set(map(tuple, x.T))
+    assert set(map(tuple, centers.T)) <= samples
+    assert len(set(map(tuple, centers.T))) == 3
+
+
 def test_rbf_basis_is_seeded_kmeans_with_shared_width():
     x = np.random.default_rng(15).normal(size=(2, 40))
     centers, width = rbf_basis(x, 6, seed=3)

@@ -8,7 +8,8 @@ marked read-only), so they can be shared freely across threads.
 from __future__ import annotations
 
 from array import array
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
+import math
 import numbers
 
 import numpy as np
@@ -83,6 +84,17 @@ class LearnOptions:
     rng_seed: int = 0
 
     def __post_init__(self):
+        # each field keeps the type of its default: int fields take an
+        # integer (not a bool), float fields any finite real number
+        for f in fields(self):
+            value = getattr(self, f.name)
+            whole = isinstance(f.default, int)
+            if isinstance(value, bool) or not isinstance(
+                    value, numbers.Integral if whole else numbers.Real):
+                raise TypeError(f"{f.name} must be {'an integer' if whole else 'a real number'}, "
+                                f"not {type(value).__name__}")
+            if not (whole or math.isfinite(value)):
+                raise ValueError(f"{f.name} must be finite")
         if not self.tol_fun > 0:
             raise ValueError("tol_fun must be > 0")
         if not self.tol_x > 0:
@@ -97,7 +109,7 @@ class LearnOptions:
             raise ValueError("svd_threshold must be >= 0")
         if self.regularization < 0:
             raise ValueError("regularization must be >= 0")
-        if not 0 <= int(self.rng_seed) < 2 ** 64:
+        if not 0 <= self.rng_seed < 2 ** 64:
             raise ValueError("rng_seed must fit in 64 unsigned bits")
 
 

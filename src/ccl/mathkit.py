@@ -16,6 +16,15 @@ from .core import LearnOptions, LearnReport
 
 LAMBDA_MAX = 1e12
 ABANDON_AFTER = 10  # iterations before lm_solve compares against abandon_above
+# kmeans_centers: bound on the rounding error of a computed squared distance,
+# relative to the largest squared sample norm (see its docstring); candidate
+# rows per distance block, which sizes its (rows, G) buffers; and the step
+# the candidate count is rounded up to.  numpy keeps freed buffers under 1024
+# bytes for reuse, per exact size, so candidate arrays of every length below
+# 128 would each hold on to cached memory.
+KMEANS_DISTANCE_ERROR = 4e-10
+KMEANS_BLOCK_ROWS = 1024
+KMEANS_ROW_STEP = 128
 
 
 def pinv_truncated(m, threshold=1e-8):
@@ -140,6 +149,39 @@ def kmeans_centers(x, n_centers, seed=0, max_iter=100):
     empty is re-seeded at the sample farthest from its nearest center of
     that iteration (the lowest such index); several empty clusters in one
     iteration all take that sample.
+
+    An iteration recomputes the distances of only those samples whose
+    nearest center can change (Hamerly-style bounds), yet assigns every
+    sample exactly as a loop over all samples would:
+
+    - Every center lies in the hull of the samples, so a computed squared
+      distance is within eps = 4e-10 * max|x|^2 of the exact one (its
+      rounding error is below about 4 (dim + 2) 2^-53 max|x|^2).
+    - Each sample keeps one bound, ``gap``: at most the amount by which
+      its exact distance (not squared) to any other center exceeds the
+      one to its own, less 2 sqrt(2 eps).  A recomputed sample sets it
+      from its computed best and second-best squared distances, widened
+      by eps; after the centers move it drops by the shift of the
+      sample's center plus the largest shift (triangle inequality).
+    - A sample is skipped only while gap > 0.  Every other center is then
+      farther by more than sqrt(2 eps), so its squared distance exceeds
+      the sample's own by more than 2 eps, and the computed distances
+      keep the sample where it is; half the margin absorbs the rounding
+      of the bounds themselves.  A skipped sample thus keeps the argmin
+      the full loop would compute, and the centers are the same bit for
+      bit.
+    - The product ``2 x^T c`` is still formed for all samples, as a
+      product over some rows need not give the bits of the same rows of
+      the whole product; the other terms are formed only for the
+      candidates (their count rounded up to a multiple of
+      KMEANS_ROW_STEP), in blocks of KMEANS_BLOCK_ROWS rows.  The loop stops
+      when no recomputed sample changes its center, and an empty
+      cluster's reseed reads every sample's nearest distance from that
+      product.
+
+    At a large offset (say 1e6 on unit-scale data) eps exceeds the spread
+    of the distances and every sample stays a candidate: correct, but no
+    faster.
     """
     x = np.atleast_2d(np.asarray(x, dtype=float))
     dim, n = x.shape
@@ -161,24 +203,63 @@ def kmeans_centers(x, n_centers, seed=0, max_iter=100):
     centers = x[:, chosen].copy()
 
     # the sample terms of pairwise_sq_distances(x, centers), computed once
-    xx = (x ** 2).sum(axis=0)[:, None]
+    xx = (x ** 2).sum(axis=0)
     x2t = 2.0 * x.T
-    assign = None
-    for _ in range(max_iter):
-        d2 = xx + (centers ** 2).sum(axis=0)[None, :]
-        d2 -= x2t @ centers
-        np.maximum(d2, 0.0, out=d2)
-        new_assign = np.argmin(d2, axis=1)
-        if assign is not None and np.array_equal(new_assign, assign):
+    # the floor keeps eps above the absolute rounding of subnormal values
+    eps = KMEANS_DISTANCE_ERROR * max(float(xx.max()), np.finfo(float).tiny)
+    margin = 2.0 * np.sqrt(2.0 * eps)
+    assign = np.zeros(n, dtype=np.intp)
+    gap = np.full(n, -np.inf)  # no bound yet: every sample is a candidate
+    # buffers for the product, a block's distances and its rows of the
+    # product, and the candidate indices: no iteration allocates an array
+    # sized by its candidate count, which fragments the heap
+    prod = np.empty((n, n_centers))
+    d2_buf = np.empty((min(n, KMEANS_BLOCK_ROWS), n_centers))
+    prod_buf = np.empty_like(d2_buf)
+    sample_ids = np.arange(n)
+    rows_buf = np.empty(n, dtype=np.intp)
+    for it in range(max_iter):
+        cc = (centers ** 2).sum(axis=0)
+        # the whole product, even for a few candidates: a product over a
+        # subset of rows need not give the same bits as those rows of this one
+        np.matmul(x2t, centers, out=prod)
+        changed = False
+        cand = ~(gap > 0.0)  # NaN (overflowing x) is a candidate
+        count = np.count_nonzero(cand)
+        # the candidates, padded to a multiple of KMEANS_ROW_STEP (or to N)
+        # with copies of the last one (recomputing a sample twice is harmless)
+        rows = rows_buf[:min(count + -count % KMEANS_ROW_STEP, n)]
+        np.compress(cand, sample_ids, out=rows[:count])
+        rows[count:] = rows[:count][-1:]
+        for start in range(0, rows.size, KMEANS_BLOCK_ROWS):
+            blk = rows[start:start + KMEANS_BLOCK_ROWS]
+            d2 = np.add(xx[blk, None], cc, out=d2_buf[:blk.size])
+            d2 -= np.take(prod, blk, axis=0, out=prod_buf[:blk.size])
+            np.maximum(d2, 0.0, out=d2)
+            new = np.argmin(d2, axis=1)
+            changed = changed or not np.array_equal(new, assign[blk])
+            assign[blk] = new
+            best = np.take_along_axis(d2, new[:, None], axis=1)[:, 0]
+            np.put_along_axis(d2, new[:, None], np.inf, axis=1)
+            second = d2.min(axis=1)
+            gap[blk] = (np.sqrt(np.maximum(second - eps, 0.0))
+                        - np.sqrt(best + eps) - margin)
+        if it and not changed:
             break
-        assign = new_assign
         counts = np.bincount(assign, minlength=n_centers)
         divisor = np.maximum(counts, 1)
+        old = centers.copy()
         for k in range(dim):
             centers[k] = np.bincount(assign, weights=x[k], minlength=n_centers) / divisor
         empty = np.flatnonzero(counts == 0)
         if empty.size:
-            centers[:, empty] = x[:, [int(np.argmax(d2.min(axis=1)))]]
+            # every sample's distance to its nearest center, from this
+            # iteration's product: skipped samples kept their nearest center
+            near = xx + cc[assign]
+            near -= np.take_along_axis(prod, assign[:, None], axis=1)[:, 0]
+            centers[:, empty] = x[:, [int(np.argmax(np.maximum(near, 0.0)))]]
+        shift = np.sqrt(((centers - old) ** 2).sum(axis=0))
+        gap -= shift[assign] + shift.max()
     return centers
 
 

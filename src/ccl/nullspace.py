@@ -63,41 +63,50 @@ class NullspaceComponentModel:
                        basis["dim_out"], basis["n_basis"]))
 
 
-def _ncl_parts(weights, bx, actions):
-    """Residuals e_n = P_n u_n - w_n with P_n the projector onto the
-    model prediction, plus the per-sample derivative D_n = d e_n / d w_n.
-
-    Predictions with negligible norm get a zero projector (the projector
-    is undefined there); their residual is then just -w_n.
-    """
+def _ncl_terms(weights, bx, actions):
+    """Per-sample terms of the objective: the prediction w_n, w_n . u_n,
+    |w_n|^2 (1 where negligible), the projection coefficient
+    c_n = w_n . u_n / |w_n|^2 and the mask of predictions with negligible
+    norm, where the projector is undefined and taken as zero (c_n = 0)."""
     w = weights @ bx
     rho = (w ** 2).sum(axis=0)
     dot = (w * actions).sum(axis=0)
     small = rho < TINY_NORM
     safe_rho = np.where(small, 1.0, rho)
     coef = np.where(small, 0.0, dot / safe_rho)
+    return w, dot, safe_rho, coef, small
 
-    residual = coef * w - w
+
+def _ncl_residual(weights, bx, actions):
+    """Residuals e_n = P_n u_n - w_n with P_n the projector onto the model
+    prediction (so e_n = -w_n for a negligible prediction), and the mask of
+    negligible predictions."""
+    w, _, _, coef, small = _ncl_terms(weights, bx, actions)
+    return coef * w - w, small
+
+
+def _ncl_derivative(weights, bx, actions):
+    """The per-sample derivatives D_n = d e_n / d w_n, shape (dim_u, dim_u, N)."""
+    w, dot, safe_rho, coef, small = _ncl_terms(weights, bx, actions)
     d = actions / safe_rho - 2.0 * dot * w / safe_rho ** 2
     dmat = np.einsum("an,in->ain", w, d)
     dmat += (coef - 1.0)[None, None, :] * np.eye(w.shape[0])[:, :, None]
     dmat[:, :, small] = -np.eye(w.shape[0])[:, :, None]
-    return residual, dmat, small
+    return dmat
 
 
 def _ncl_problem(bx, actions, dim_u):
     """Residual/Jacobian closures over the flattened weights: the objective
     sum_n || P_n u_n - w(x_n) ||^2 is r.r and its gradient 2 J^T r."""
-    g = bx.shape[0]
+    g, n = bx.shape
 
     def residual(wvec):
-        e, _, _ = _ncl_parts(wvec.reshape(dim_u, g), bx, actions)
-        return e.ravel(order="F")
+        return _ncl_residual(wvec.reshape(dim_u, g), bx, actions)[0].ravel(order="F")
 
     def jacobian(wvec):
-        _, dmat, _ = _ncl_parts(wvec.reshape(dim_u, g), bx, actions)
-        n = bx.shape[1]
-        return np.einsum("ain,jn->naij", dmat, bx).reshape(n * dim_u, dim_u * g)
+        dmat = _ncl_derivative(wvec.reshape(dim_u, g), bx, actions)
+        # row order in memory, so the reshape is a view and not a copy
+        return np.einsum("ain,jn->naij", dmat, bx, order="C").reshape(n * dim_u, dim_u * g)
 
     return residual, jacobian
 
@@ -129,7 +138,7 @@ def learn_ncl(xs, actions, options: Optional[LearnOptions] = None, num_basis=16)
     weights = wvec.reshape(dim_u, bx.shape[0])
 
     model = NullspaceComponentModel(centers=centers, width=width, weights=weights)
-    e, _, small = _ncl_parts(weights, bx, u)
+    e, small = _ncl_residual(weights, bx, u)
     targets = e + weights @ bx  # the projected observations P_n u_n
     notes = lm_report.notes
     if small.any():

@@ -409,6 +409,16 @@ def test_learn_manifest_command_reruns_with_solver_flags(tmp_path):
     assert open(out, "rb").read() == open(redone, "rb").read()
 
 
+@pytest.mark.parametrize("flag", ["--regularization", "--svd-threshold", "--tol-x", "--tol-fun"])
+@pytest.mark.parametrize("value", ["inf", "nan"])
+def test_learn_rejects_non_finite_solver_options(tmp_path, capsys, flag, value):
+    data = _gen(tmp_path, constraint="fixed:45", n=60, seed=9)
+    out = str(tmp_path / "pi.json")
+    assert _run("learn", "--method", "pi", "--in", data, "--out", out, flag, value) == 1
+    assert f"error: {flag[2:].replace('-', '_')} must be finite" in capsys.readouterr().err
+    assert not os.path.exists(out)
+
+
 def test_learn_help_lists_every_solver_option(capsys):
     with pytest.raises(SystemExit) as exc:
         main(["learn", "--help"])

@@ -31,6 +31,33 @@ def test_options_bounds(kw):
         LearnOptions(**kw)
 
 
+@pytest.mark.parametrize("name", ["tol_fun", "tol_x", "svd_threshold", "regularization"])
+@pytest.mark.parametrize("value", [np.inf, -np.inf, np.nan])
+def test_options_float_fields_must_be_finite(name, value):
+    with pytest.raises(ValueError, match=f"{name} must be finite"):
+        LearnOptions(**{name: value})
+
+
+@pytest.mark.parametrize("name", ["max_iter", "search_resolution", "num_restarts", "rng_seed"])
+@pytest.mark.parametrize("value", [2.5, 3.0, True, "7"])
+def test_options_count_fields_must_be_integers(name, value):
+    with pytest.raises(TypeError, match=f"{name} must be an integer, not"):
+        LearnOptions(**{name: value})
+
+
+@pytest.mark.parametrize("name", ["tol_fun", "tol_x", "svd_threshold", "regularization"])
+@pytest.mark.parametrize("value", [True, "1e-3", None])
+def test_options_float_fields_must_be_real_numbers(name, value):
+    with pytest.raises(TypeError, match=f"{name} must be a real number, not"):
+        LearnOptions(**{name: value})
+
+
+def test_options_take_numpy_scalars_and_ints_for_floats():
+    opts = LearnOptions(rng_seed=np.int64(7), max_iter=np.int32(5), tol_fun=1,
+                        regularization=np.float64(0.5))
+    assert (opts.rng_seed, opts.max_iter, opts.tol_fun, opts.regularization) == (7, 5, 1, 0.5)
+
+
 def test_report_nmse_consistency():
     rep = LearnReport.from_errors(mse=2.0, variance=4.0, iterations=1,
                                   final_objective=2.0, converged=True, reason="fun-tol")

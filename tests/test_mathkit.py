@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -356,9 +358,10 @@ def test_kmeans_rejects_non_finite_states():
             kmeans_centers(x, 3)
 
 
-def _reference_kmeans(x, n_centers, seed=0, max_iter=100):
+def _reference_kmeans(x, n_centers, seed=0, max_iter=100, reseeds=None):
     """The Lloyd loop kmeans_centers replaced: per-cluster boolean-mask
-    means, and every distance through pairwise_sq_distances."""
+    means, and every distance through pairwise_sq_distances.  Appends the
+    1-based iteration of each empty-cluster reseed to ``reseeds``."""
     x = np.atleast_2d(np.asarray(x, dtype=float))
     dim, n = x.shape
     if n_centers < 1:
@@ -377,7 +380,7 @@ def _reference_kmeans(x, n_centers, seed=0, max_iter=100):
     centers = x[:, chosen].copy()
 
     assign = None
-    for _ in range(max_iter):
+    for iteration in range(1, max_iter + 1):
         d2 = pairwise_sq_distances(x, centers)
         new_assign = np.argmin(d2, axis=1)
         if assign is not None and np.array_equal(new_assign, assign):
@@ -388,6 +391,8 @@ def _reference_kmeans(x, n_centers, seed=0, max_iter=100):
             if members.any():
                 centers[:, g] = x[:, members].mean(axis=1)
             else:
+                if reseeds is not None:
+                    reseeds.append(iteration)
                 nearest = d2.min(axis=1)
                 centers[:, g] = x[:, int(np.argmax(nearest))]
     return centers
@@ -437,6 +442,66 @@ def test_kmeans_reseeds_empty_clusters_like_the_reference_loop(n_centers):
     samples = set(map(tuple, x.T))
     assert set(map(tuple, centers.T)) <= samples
     assert len(set(map(tuple, centers.T))) == 3
+
+
+@st.composite
+def _kmeans_inputs(draw):
+    """States (dim, N) over many scales and offsets, some on a coarse grid
+    (duplicates and exactly tied distances), with a center count in [1, N]."""
+    dim, n = draw(st.integers(2, 6)), draw(st.integers(1, 400))
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+    x = rng.normal(size=(dim, n)) * 10.0 ** draw(st.floats(-3, 3))
+    x += draw(st.sampled_from([0.0, 0.0, 1.0, -1.0])) * 10.0 ** draw(st.floats(0, 6))
+    if draw(st.booleans()):
+        step = 10.0 ** draw(st.integers(-3, 3))
+        x = np.round(x / step) * step
+    return x, draw(st.integers(1, n)), draw(st.integers(0, 2 ** 16))
+
+
+@settings(max_examples=150, deadline=None)
+@given(_kmeans_inputs())
+def test_kmeans_bounded_loop_matches_the_reference_loop_bit_for_bit(case):
+    x, g, seed = case
+    assert _same_bits(kmeans_centers(x, g, seed=seed), _reference_kmeans(x, g, seed=seed))
+
+
+@pytest.mark.parametrize("scale", [1e-162, 1e-160, 1e160, 1e200])
+def test_kmeans_matches_the_reference_loop_at_extreme_magnitudes(scale):
+    # subnormal squared distances (absolute rounding beyond the relative
+    # error bound) and overflowing ones (NaN distances and bounds)
+    rng = np.random.default_rng(22)
+    with np.errstate(all="ignore"):
+        for case in range(30):
+            x = rng.normal(size=(2, 300)) * scale
+            g = int(rng.integers(2, 17))
+            assert _same_bits(kmeans_centers(x, g, seed=case),
+                              _reference_kmeans(x, g, seed=case)), (case, g)
+
+
+def test_kmeans_reseeds_a_cluster_emptied_after_the_first_iteration():
+    # two points, not dyadic, so a cluster mean lands an ulp off its point
+    # and a center reseeded onto a sample takes that point's members: a
+    # cluster empties in every one of the 100 iterations, and from the
+    # second on 3 of the 6 samples are skipped on their bounds (found by
+    # searching seeds; continuous data never emptied a cluster after the
+    # first iteration in 200k tries)
+    a, b = [-2.7, 2.4], [1.6, -1.3]
+    x = np.array([a, a, b, a, b, b]).T
+    reseeds = []
+    expected = _reference_kmeans(x, 3, seed=3, reseeds=reseeds)
+    assert min(reseeds) == 1 and max(reseeds) >= 2
+    assert _same_bits(kmeans_centers(x, 3, seed=3), expected)
+
+
+def test_kmeans_working_set_stays_within_two_distance_arrays():
+    x = np.random.default_rng(23).normal(size=(2, 15000))
+    tracemalloc.start()
+    try:
+        kmeans_centers(x, 10, seed=0)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 2.6 * 15000 * 10 * 8
 
 
 def test_rbf_basis_is_seeded_kmeans_with_shared_width():

@@ -1,11 +1,14 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
 from ccl.core import LearnOptions
 from ccl.datagen import GeneratorConfig, generate
-from ccl.mathkit import finite_difference_jacobian, rbf_basis, rbf_design, ridge_regression
+from ccl.mathkit import (check_jacobian, finite_difference_jacobian, rbf_basis, rbf_design,
+                         ridge_regression)
 from ccl.metrics import error_npe
-from ccl.nullspace import NullspaceComponentModel, _ncl_problem, learn_ncl
+from ccl.nullspace import NullspaceComponentModel, _ncl_derivative, _ncl_problem, learn_ncl
 
 
 def _scenario(seed=0, n=600):
@@ -28,6 +31,26 @@ def _objective(weights, bx, u):
     wvec = np.ravel(weights)
     r = residual(wvec)
     return float(r @ r), 2.0 * jacobian(wvec).T @ r
+
+
+def test_jacobian_is_assembled_in_row_order_with_the_same_bits():
+    data = _scenario(seed=3, n=400)
+    bx = rbf_design(data.states, *rbf_basis(data.states, 16, seed=0))
+    residual, jacobian = _ncl_problem(bx, data.actions, data.dim_u)
+    wvec = np.random.default_rng(4).normal(size=data.dim_u * bx.shape[0])
+    tracemalloc.start()
+    try:
+        jac = jacobian(wvec)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert jac.flags.c_contiguous
+    assert peak < 1.5 * jac.nbytes  # written once: the reshape is a view, not a copy
+    dmat = _ncl_derivative(wvec.reshape(data.dim_u, -1), bx, data.actions)
+    n = bx.shape[1]
+    old = np.einsum("ain,jn->naij", dmat, bx).reshape(n * data.dim_u, jac.shape[1])
+    assert np.array_equal(jac.view(np.int64), old.view(np.int64))
+    assert check_jacobian(residual, jacobian, wvec) < 1e-6
 
 
 def test_objective_zero_when_model_equals_pure_null_data():

@@ -239,9 +239,11 @@ def kmeans_centers(x, n_centers, seed=0, max_iter=100):
             new = np.argmin(d2, axis=1)
             changed = changed or not np.array_equal(new, assign[blk])
             assign[blk] = new
-            best = np.take_along_axis(d2, new[:, None], axis=1)[:, 0]
-            np.put_along_axis(d2, new[:, None], np.inf, axis=1)
-            second = d2.min(axis=1)
+            best = d2[sample_ids[:blk.size], new]
+            d2[sample_ids[:blk.size], new] = np.inf
+            second = d2[:, 0].copy()
+            for k in range(1, n_centers):
+                np.minimum(second, d2[:, k], out=second)
             gap[blk] = (np.sqrt(np.maximum(second - eps, 0.0))
                         - np.sqrt(best + eps) - margin)
         if it and not changed:
@@ -255,8 +257,7 @@ def kmeans_centers(x, n_centers, seed=0, max_iter=100):
         if empty.size:
             # every sample's distance to its nearest center, from this
             # iteration's product: skipped samples kept their nearest center
-            near = xx + cc[assign]
-            near -= np.take_along_axis(prod, assign[:, None], axis=1)[:, 0]
+            near = xx + cc[assign] - prod[sample_ids, assign]
             centers[:, empty] = x[:, [int(np.argmax(np.maximum(near, 0.0)))]]
         shift = np.sqrt(((centers - old) ** 2).sum(axis=0))
         gap -= shift[assign] + shift.max()

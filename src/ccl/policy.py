@@ -4,12 +4,13 @@ Each observation only reveals the policy component along the observed
 action direction, so the fit penalizes the mismatch between u_n and the
 model prediction projected onto u_n's direction (the inconsistency
 error).  That objective is linear in the model weights and is solved in
-closed form through accumulated normal equations; pooling data recorded
-under several different constraints is what pins the policy down.
+closed form; as every direction projector is rank one, the normal matrix
+is one factor times its own transpose.  Pooling data recorded under
+several different constraints is what pins the policy down.
 
 Two model families: a parametric model (RBF or linear features) and a
 locally-weighted ensemble of linear maps blended by Gaussian receptive
-fields.
+fields.  Both predict at every finite state.
 """
 from __future__ import annotations
 
@@ -19,11 +20,10 @@ from typing import Optional
 import numpy as np
 
 from .core import LearnOptions, LearnReport, _freeze_basis, _frozen_finite
-from .mathkit import rbf_basis, rbf_design
+from .mathkit import pairwise_sq_distances, rbf_basis, rbf_design
 from .metrics import error_ncpe, error_nupe
 
 ZERO_ACTION = 1e-12
-MIN_ACTIVATION = 1e-12
 
 
 def _policy_metrics(model, data):
@@ -103,7 +103,8 @@ def _affine(xs):
 @dataclass(frozen=True)
 class LwlPolicyModel:
     """Locally-weighted linear policy: per-center affine maps
-    (M, dim_u, dim_x + 1) blended by Gaussian receptive fields."""
+    (M, dim_u, dim_x + 1) blended by Gaussian receptive fields.  Dividing the
+    activations by the nearest field's keeps the blend defined far away."""
 
     local_maps: np.ndarray
     centers: np.ndarray
@@ -121,19 +122,13 @@ class LwlPolicyModel:
         if self.local_maps.shape[2] != self.centers.shape[0] + 1:
             raise ValueError("local maps must act on the augmented state (x, 1)")
 
-    def activations(self, xs):
-        return rbf_design(xs, self.centers, self.width)
-
     def predict(self, xs):
         xs = np.atleast_2d(np.asarray(xs, dtype=float))
-        act = self.activations(xs)
-        total = act.sum(axis=0)
-        dead = total < MIN_ACTIVATION
-        if dead.any():
-            i = int(np.flatnonzero(dead)[0])
-            raise ValueError(f"no receptive field active at point {xs[:, i]}")
-        local = np.einsum("mdi,in->mdn", self.local_maps, _affine(xs))
-        return (act[:, None, :] * local).sum(axis=0) / total
+        d2 = pairwise_sq_distances(self.centers, xs)
+        d2 -= d2.min(axis=0)
+        act = np.exp(d2 / (-2.0 * self.width), out=d2)
+        aug = _affine(xs)
+        return sum(a * (b @ aug) for a, b in zip(act, self.local_maps)) / act.sum(axis=0)
 
     metrics = _policy_metrics
 
@@ -159,32 +154,35 @@ def _direction_projectors(u):
     return proj
 
 
-def _solve_projected(features, u, proj, sample_weights, regularization):
-    """Closed-form minimizer of
-    sum_n rho_n || u_n - P_n W f_n ||^2 + reg ||W||^2.
-
-    The problem is a symmetric positive semidefinite linear system in
-    vec(W); the ridge term keeps it solvable at any rank.
+def _solve_projected(features, e, u, sample_weights, regularization):
+    """Closed-form minimizers W_m of sum_n rho_mn || u_n - P_n W f_n ||^2
+    + reg ||W||^2, one per row rho_m of ``sample_weights`` (M, N), or one
+    unweighted if it is None.  As P_n = e_n e_n^T (unit directions e), the
+    normal matrix is (Z rho) Z^T, Z (n_feat d, N) having f_g e_i in row
+    g d + i; the rhs is vec((u rho) f^T) and the ridge keeps it solvable.
     """
-    f = features
-    d = u.shape[0]
-    n_feat = f.shape[0]
-    wf = f * sample_weights
-    h = np.einsum("gn,hn,ijn->gihj", wf, f, proj).reshape(n_feat * d, n_feat * d)
-    rhs = ((u * sample_weights) @ f.T).flatten(order="F")
-    h[np.diag_indices_from(h)] += regularization
-    try:
-        vec = np.linalg.solve(h, rhs)
-    except np.linalg.LinAlgError:
-        vec = np.linalg.lstsq(h, rhs, rcond=None)[0]
-    return vec.reshape(n_feat, d).T
+    # C order, so that the reshape is a view whatever the layout of e
+    z = np.multiply(features[:, None, :], e, order="C").reshape(-1, e.shape[1])
+
+    def solve(zr, ur):
+        h = zr @ z.T + regularization * np.eye(len(z))
+        rhs = (ur @ features.T).flatten(order="F")
+        try:
+            vec = np.linalg.solve(h, rhs)
+        except np.linalg.LinAlgError:
+            vec = np.linalg.lstsq(h, rhs, rcond=None)[0]
+        return vec.reshape(-1, len(e)).T
+
+    if sample_weights is None:
+        return [solve(z, u)]
+    return [solve(z * rho, u * rho) for rho in sample_weights]
 
 
 def _fit_policy(xs, u_null, fit):
     """The path both policy learners share: check the samples, drop those
-    with (numerically) zero action, whose direction projector is
-    undefined, fit the model with ``fit(xs, u, proj)`` and report its
-    projected-residual energy and the dropped-sample count.
+    with (numerically) zero action, whose direction is undefined, fit the
+    model with ``fit(xs, u, e)`` on the unit action directions e, and
+    report its projected-residual energy and the dropped-sample count.
 
     Returns (model, LearnReport).
     """
@@ -197,9 +195,9 @@ def _fit_policy(xs, u_null, fit):
     if u.shape[1] == 0:
         raise ValueError("all samples have zero action")
 
-    proj = _direction_projectors(u)
-    model = fit(xs, u, proj)
-    residual = u - np.einsum("ijn,jn->in", proj, model.predict(xs))
+    e = u / np.linalg.norm(u, axis=0)
+    model = fit(xs, u, e)
+    residual = u - e * (e * model.predict(xs)).sum(axis=0)
     energy = float((residual ** 2).sum())
     report = LearnReport.from_errors(
         mse=energy / u.shape[1], variance=float(np.var(u, axis=1).sum()),
@@ -228,9 +226,9 @@ def learn_pi(xs, u_null, options: Optional[LearnOptions] = None, num_basis=10, b
     else:
         raise ValueError(f"unknown basis {basis!r} (use rbf | linear)")
 
-    def fit(xs, u, proj):
-        weights = _solve_projected(_features(xs, centers, width), u, proj,
-                                   np.ones(u.shape[1]), opts.regularization)
+    def fit(xs, u, e):
+        [weights] = _solve_projected(_features(xs, centers, width), e, u, None,
+                                     opts.regularization)
         return ParametricPolicyModel(weights=weights, dim_x=xs.shape[0],
                                      centers=centers, width=width)
 
@@ -241,17 +239,16 @@ def learn_pi_lwl(xs, u_null, options: Optional[LearnOptions] = None, num_local=1
     """Fit the locally-weighted policy on ``num_local`` receptive fields
     over all the states (K-means centers, mean-center-distance width): each
     local affine map solves its own receptive-field-weighted projected
-    regression in closed form.
+    regression in closed form, all from one factor of the normal equations.
 
     Returns (LwlPolicyModel, LearnReport).
     """
     opts = options or LearnOptions()
     centers, width = rbf_basis(xs, num_local, opts.rng_seed)
 
-    def fit(xs, u, proj):
-        aug = _affine(xs)
-        maps = [_solve_projected(aug, u, proj, act, opts.regularization)
-                for act in rbf_design(xs, centers, width)]
+    def fit(xs, u, e):
+        maps = _solve_projected(_affine(xs), e, u, rbf_design(xs, centers, width),
+                                opts.regularization)
         return LwlPolicyModel(local_maps=maps, centers=centers, width=width)
 
     return _fit_policy(xs, u_null, fit)

@@ -1,11 +1,16 @@
+import tracemalloc
+from unittest import mock
+
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from ccl.datagen import GeneratorConfig, generate
 from ccl.core import LearnOptions
 from ccl.mathkit import nullspace_projector, rbf_basis, rbf_design, ridge_regression
 from ccl.metrics import error_ncpe, error_nupe
-from ccl.policy import LwlPolicyModel, ParametricPolicyModel, learn_pi, learn_pi_lwl
+from ccl.policy import (LwlPolicyModel, ParametricPolicyModel, _solve_projected, learn_pi,
+                        learn_pi_lwl)
 
 
 def _pooled_linear(seeds=31, n=400, angles=(0.0, 60.0, 120.0)):
@@ -78,6 +83,44 @@ def test_pi_aligned_2d_data_matches_ridge_through_projectors():
     proj = _direction_projectors(u)
     gap = np.einsum("ijn,jn->in", proj, (model.weights - ridge) @ feats)
     assert np.max(np.abs(gap)) < 1e-8
+
+
+def _reference_solve(features, u, proj, sample_weights, regularization):
+    """The normal equations of the projected fit as the learners once
+    formed them, from the (d, d, N) projector stack with one 3-operand
+    einsum: returns (H, rhs) for vec(W), row g d + i for W[i, g]."""
+    d, n_feat = u.shape[0], features.shape[0]
+    wf = features * sample_weights
+    h = np.einsum("gn,hn,ijn->gihj", wf, features, proj).reshape(n_feat * d, n_feat * d)
+    h[np.diag_indices_from(h)] += regularization
+    return h, ((u * sample_weights) @ features.T).flatten(order="F")
+
+
+@settings(max_examples=150, deadline=None)
+@given(dim_u=st.integers(2, 4), n_feat=st.integers(1, 6), n=st.integers(1, 300),
+       n_rows=st.integers(0, 3), seed=st.integers(0, 2 ** 32 - 1))
+def test_factored_normal_equations_match_the_projector_stack(dim_u, n_feat, n, n_rows, seed):
+    # n_rows = 0 is the unweighted system (sample_weights None); weighted
+    # rows hold exact zeros, and sometimes nothing else
+    rng = np.random.default_rng(seed)
+    f = rng.uniform(-1, 1, (n_feat, n))
+    u = rng.normal(size=(dim_u, n))
+    rhos = rng.uniform(0, 1, (n_rows, n)) * (rng.uniform(size=(n_rows, n)) < rng.uniform())
+    reg = LearnOptions().regularization
+    with mock.patch("numpy.linalg.solve", wraps=np.linalg.solve) as spy:
+        maps = _solve_projected(f, u / np.linalg.norm(u, axis=0), u,
+                                rhos if n_rows else None, reg)
+    rows = rhos if n_rows else np.ones((1, n))
+    proj = _direction_projectors(u)
+    assert len(maps) == len(rows) == spy.call_count
+    for w, rho, call in zip(maps, rows, spy.call_args_list):
+        h, rhs = call.args
+        h_ref, rhs_ref = _reference_solve(f, u, proj, rho, reg)
+        assert np.max(np.abs(h - h_ref)) <= 1e-12 * np.max(np.abs(h_ref))
+        assert np.max(np.abs(rhs - rhs_ref)) <= 1e-12 * np.max(np.abs(rhs_ref))
+        # half the gradient of sum_n rho_n ||u_n - P_n W f_n||^2 + reg ||W||^2
+        grad = reg * w - (rho * (u - np.einsum("ijn,jn->in", proj, w @ f))) @ f.T
+        assert np.linalg.norm(grad) <= 1e-8 * np.linalg.norm(rhs_ref)
 
 
 def test_pi_drops_zero_action_samples():
@@ -229,11 +272,62 @@ def test_lwl_single_local_model_matches_linear_learn_pi():
     assert np.max(np.abs(lwl.predict(grid) - par.predict(grid))) < 1e-6
 
 
-def test_lwl_zero_activation_error_names_point():
-    model = LwlPolicyModel(local_maps=np.zeros((1, 2, 3)),
-                           centers=np.zeros((2, 1)), width=1e-4)
-    with pytest.raises(ValueError, match="no receptive field"):
-        model.predict(np.array([[50.0], [50.0]]))
+@pytest.mark.parametrize("learn", [lambda xs, u: learn_pi(xs, u, basis="linear"),
+                                   lambda xs, u: learn_pi_lwl(xs, u, num_local=1)],
+                         ids=["pi-linear", "pi-lwl-one-field"])
+def test_3d_affine_policy_pooled_over_three_constraints(learn):
+    rng = np.random.default_rng(50)
+    n = 900
+    xs = rng.uniform(-1, 1, (3, n))
+    b_true = rng.normal(size=(3, 4))
+    pi = b_true @ np.vstack([xs, np.ones(n)])
+    rows = rng.normal(size=(3, 3))
+    rows /= np.linalg.norm(rows, axis=0)
+    a = rows[:, np.arange(n) % 3]  # sample n sees the one-row constraint n mod 3
+    u = pi - a * (a * pi).sum(axis=0)
+    model, _ = learn(xs, u)
+    grid = rng.uniform(-1, 1, (3, 50))
+    assert np.max(np.abs(model.predict(grid) - b_true @ np.vstack([grid, np.ones(50)]))) < 1e-6
+    # on noisy actions the reported objective is the one the explicit
+    # projector stack gives
+    noisy = u + 0.05 * rng.normal(size=u.shape)
+    model, report = learn(xs, noisy)
+    residual = noisy - np.einsum("ijn,jn->in", _direction_projectors(noisy), model.predict(xs))
+    expected = float((residual ** 2).sum())
+    assert abs(report.final_objective - expected) <= 1e-12 * expected
+
+
+def test_lwl_fit_working_set_is_a_few_factors():
+    # Z = n_feat * d * N * 8 bytes is the factor of the normal equations
+    # (n_feat = dim_x + 1 = 3, d = 2).  The fit holds the (M, N) activations
+    # it weighs by (1.7 Z), the samples, Z and one weighted copy of it:
+    # about 5.6 Z.  A (d, d, N) projector stack would add 0.7 Z and an
+    # (M, d, N) stack 3.3 Z; the einsum solve and blend peaked at 10.2 Z.
+    rng = np.random.default_rng(51)
+    n = 15000
+    xs = rng.uniform(-1, 1, (2, n))
+    u = rng.normal(size=(2, n))
+    tracemalloc.start()
+    try:
+        learn_pi_lwl(xs, u, num_local=10)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 6 * 3 * 2 * n * 8
+
+
+def test_lwl_far_from_every_center_predicts_the_nearest_fields_map():
+    # every unshifted activation underflows to 0 at (50, 50); the blend
+    # still exists and its limit is the nearest field's affine map
+    rng = np.random.default_rng(49)
+    maps = rng.normal(size=(3, 2, 3))
+    model = LwlPolicyModel(local_maps=maps, centers=np.array([[0.0, 1.0, -1.0], [0.0, 1.0, 0.5]]),
+                           width=1e-4)
+    far = np.array([[50.0], [50.0]])
+    assert not rbf_design(far, model.centers, model.width).any()
+    nearest = maps[1] @ np.array([50.0, 50.0, 1.0])
+    out = model.predict(far)[:, 0]
+    assert np.max(np.abs(out - nearest)) <= 1e-12 * np.max(np.abs(nearest))
 
 
 # ---------------------------------------------------------------------------

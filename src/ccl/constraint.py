@@ -20,8 +20,8 @@ from typing import Callable, Optional
 
 import numpy as np
 
-from .core import (LearnOptions, LearnReport, _basis_centers, _basis_doc, _freeze_basis,
-                   _frozen_finite)
+from .core import (UNCONVERGED_REASONS, LearnOptions, LearnReport, _basis_centers, _basis_doc,
+                   _freeze_basis, _frozen_finite)
 from .mathkit import (
     LmProblem,
     lm_solve,
@@ -570,8 +570,9 @@ def _learn_rows(bx, target, limit, accept, starts, opts):
         trace_hist.append(e_row)
 
     converged = all(rep.converged for rep in kept)
-    reason = ("max-iter" if not converged
-              else "x-tol" if any(rep.reason == "x-tol" for rep in kept) else "fun-tol")
+    # the first of these stops that a kept start reports
+    stops = {rep.reason for rep in kept}
+    reason = next((stop for stop in UNCONVERGED_REASONS + ("x-tol",) if stop in stops), "fun-tol")
     return omegas, signs, dict(
         iterations=sum(rec["iterations"] for rec in records), converged=converged,
         reason=reason, objective_trace=tuple(trace_hist), notes=notes,

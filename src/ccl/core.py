@@ -14,7 +14,9 @@ import numbers
 
 import numpy as np
 
-CONVERGENCE_REASONS = ("fun-tol", "x-tol", "max-iter", "abandoned", "closed-form")
+CONVERGENCE_REASONS = ("fun-tol", "x-tol", "max-iter", "stalled", "abandoned", "closed-form")
+# the reasons a fit that did not converge can stop at
+UNCONVERGED_REASONS = ("max-iter", "stalled", "abandoned")
 # group ids are stored as numpy's default integer type
 GROUP_ID_MIN, GROUP_ID_MAX = int(np.iinfo(int).min), int(np.iinfo(int).max)
 
@@ -118,13 +120,15 @@ class LearnReport:
     """Outcome statistics of a single fit.
 
     ``converged`` is qualified by ``reason`` (one of ``fun-tol``,
-    ``x-tol``, ``max-iter``, ``abandoned`` for a damped least-squares
-    start cut short because it trailed a better one, or ``closed-form``
-    for a direct solve with no iteration); a fit that did not converge can
-    only stop at ``max-iter`` or ``abandoned``.  A greedy constraint
-    learner reports over the starts it kept: ``max-iter`` if any of them
-    did not converge, otherwise ``x-tol`` if any of them stopped on the
-    step tolerance, otherwise ``fun-tol``.
+    ``x-tol``, ``max-iter``, ``stalled`` for a damped least-squares solve
+    whose damping overflowed because no step improved the objective any
+    more, ``abandoned`` for a start cut short because it trailed a better
+    one, or ``closed-form`` for a direct solve with no iteration); a fit
+    that did not converge can only stop at ``max-iter``, ``stalled`` or
+    ``abandoned``.  A greedy constraint learner reports over the starts it
+    kept: ``max-iter`` if any of them stopped there, otherwise ``stalled``
+    if any of them stalled, otherwise ``x-tol`` if any of them stopped on
+    the step tolerance, otherwise ``fun-tol``.
 
     ``objective_trace`` has one entry per constraint row accepted by a
     greedy learner: the observation energy that row captures inside the
@@ -152,7 +156,7 @@ class LearnReport:
     def __post_init__(self):
         if self.reason not in CONVERGENCE_REASONS:
             raise ValueError(f"unknown convergence reason {self.reason!r}")
-        if not self.converged and self.reason not in ("max-iter", "abandoned"):
+        if not self.converged and self.reason not in UNCONVERGED_REASONS:
             raise ValueError(f"a fit that did not converge cannot stop at {self.reason!r}")
         for name in ("nmse", "mse", "variance", "final_objective"):
             if getattr(self, name) < 0:

@@ -110,7 +110,8 @@ class GeneratorConfig:
 
 def _constraint_matrix(spec, xs, arm):
     """Constraint rows A(x) at states xs (dim_x, N), shape (N, k, dim_u),
-    or None for no constraint."""
+    or None for no constraint.  A fixed angle is one matrix broadcast over
+    the samples."""
     kind = spec[0]
     n = xs.shape[1]
     if kind == "none":
@@ -128,6 +129,13 @@ def _constraint_matrix(spec, xs, arm):
             raise ValueError(f"jacobian row index out of range: {rows}")
         return jac[:, list(rows), :]
     raise ValueError(f"unknown constraint kind {kind!r}")
+
+
+def _distinct(a):
+    """The matrices of a constraint stack (N, k, dim_u) that can differ: a
+    fixed constraint broadcasts one matrix over the samples, returned here
+    as a stack of one."""
+    return a[:1] if a.strides[0] == 0 else a
 
 
 def _task_values(task_b, n, rng):
@@ -178,7 +186,7 @@ def generate(config: GeneratorConfig) -> DemonstrationSet:
         if a is not None:
             if a.shape[1] >= dim_u:
                 raise ValueError("constraint dimensionality must be < dim_u")
-            pinv = pinv_truncated(a)
+            pinv = np.broadcast_to(pinv_truncated(_distinct(a)), (n, dim_u, a.shape[1]))
             w = ((np.eye(dim_u) - pinv @ a) @ pi.T[:, :, None])[:, :, 0].T
             if config.task_b[0] == "constant":
                 b = np.asarray(config.task_b[1], dtype=float).reshape(a.shape[1], 1)
@@ -217,5 +225,5 @@ def true_projectors(config: GeneratorConfig, data: DemonstrationSet):
     for k in range(data.n_groups):
         idx = data.group_indices(k)
         a = _constraint_matrix(config.constraints[k], data.states[:, idx], arm)
-        out[idx] = np.eye(data.dim_u) if a is None else nullspace_projector(a)
+        out[idx] = np.eye(data.dim_u) if a is None else nullspace_projector(_distinct(a))
     return np.moveaxis(out, 0, -1)

@@ -323,6 +323,18 @@ class LmProblem:
     options: LearnOptions = field(default_factory=LearnOptions)
     abandon_above: float = np.inf
 
+    def normal_equations(self, p, r):
+        """The Gauss-Newton system (J'J, J'r) at p, whose residual is r.
+
+        This default forms it from ``jacobian(p)``; a problem with a
+        cheaper route to the same system overrides it.
+        """
+        j = np.atleast_2d(np.asarray(self.jacobian(p), dtype=float))
+        if j.shape != (r.size, p.size):
+            raise ValueError(f"jacobian shape {j.shape} inconsistent with "
+                             f"({r.size}, {p.size})")
+        return j.T @ j, j.T @ r
+
 
 def finite_difference_jacobian(fn, p, rel_step=1e-6):
     """Central-difference Jacobian with per-parameter step
@@ -352,14 +364,21 @@ def lm_solve(problem: LmProblem):
     """Minimize ||r(p)||^2 by Levenberg-Marquardt damping of the normal
     equations: (J'J + lam diag(J'J)) step = -J'r.
 
+    The system (J'J, J'r) and its damping diagonal come from
+    ``problem.normal_equations`` once per point: at the start and after
+    each accepted step.  A rejected step only raises lam and solves the
+    same system again.
+
     lam shrinks x0.1 after an accepted step and grows x10 after a
     rejection; the objective never increases across accepted steps.
     Terminates when the accepted step norm drops below tol_x, the
-    objective improvement drops below tol_fun, on max_iter, or when lam
-    overflows 1e12 (reported as not converged, best point returned).  At
-    iteration ABANDON_AFTER a solve whose best objective is still above
-    ``problem.abandon_above`` stops with reason ``abandoned`` (not
-    converged, best point returned); the default bound, inf, never does.
+    objective improvement drops below tol_fun, or on max_iter.  When lam
+    exceeds LAMBDA_MAX no damped step improves the objective any more:
+    the solve stops with reason ``stalled`` (not converged, best point
+    returned).  At iteration ABANDON_AFTER a solve whose best objective is
+    still above ``problem.abandon_above`` stops with reason ``abandoned``
+    (not converged, best point returned); the default bound, inf, never
+    does.
 
     Returns (p_best, LearnReport).
     """
@@ -371,25 +390,18 @@ def lm_solve(problem: LmProblem):
     if not np.isfinite(r).all():
         raise ValueError("residual is not finite at the initial point")
 
-    def jac(q):
-        return np.atleast_2d(np.asarray(problem.jacobian(q), dtype=float))
+    def system(q, res):
+        h, g = problem.normal_equations(q, res)
+        return h, g, np.diag(np.maximum(np.diag(h), 1e-14))
 
-    j = jac(p)
-    if j.shape != (r.size, p.size):
-        raise ValueError(f"jacobian shape {j.shape} inconsistent with "
-                         f"({r.size}, {p.size})")
-
+    h, g, damp = system(p, r)
     energy = float(r @ r)
     lam = 1e-3
     converged = False
     reason = "max-iter"
-    notes = []
     iterations = 0
 
     for iterations in range(1, opts.max_iter + 1):
-        h = j.T @ j
-        g = j.T @ r
-        damp = np.diag(np.maximum(np.diag(h), 1e-14))
         try:
             step = np.linalg.solve(h + lam * damp, -g)
         except np.linalg.LinAlgError:
@@ -402,26 +414,25 @@ def lm_solve(problem: LmProblem):
             gain = energy - e_new
             p, r, energy = p_new, r_new, e_new
             lam = max(lam * 0.1, 1e-15)
-            j = jac(p)
             if np.linalg.norm(step) < opts.tol_x:
                 converged, reason = True, "x-tol"
                 break
             if gain < opts.tol_fun:
                 converged, reason = True, "fun-tol"
                 break
+            h, g, damp = system(p, r)
         else:
             lam *= 10.0
             if lam > LAMBDA_MAX:
-                notes.append("lambda-overflow")
+                reason = "stalled"
                 break
         if iterations == ABANDON_AFTER and energy > problem.abandon_above:
             reason = "abandoned"
             break
 
-    n_res = r.size
     report = LearnReport(
-        nmse=0.0, mse=energy / n_res, variance=0.0,
+        nmse=0.0, mse=energy / r.size, variance=0.0,
         iterations=iterations, final_objective=energy,
-        converged=converged, reason=reason, notes=tuple(notes),
+        converged=converged, reason=reason,
     )
     return p, report

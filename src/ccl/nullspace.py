@@ -95,10 +95,56 @@ def _ncl_derivative(weights, bx, actions):
     return dmat
 
 
-def _ncl_problem(bx, actions, dim_u):
-    """Residual/Jacobian closures over the flattened weights: the objective
-    sum_n || P_n u_n - w(x_n) ||^2 is r.r and its gradient 2 J^T r."""
+def _ncl_normal_equations(weights, bx, actions, e):
+    """J'J and J'r of the objective at ``weights`` (dim_u, G), whose
+    residuals are e (dim_u, N), without forming the (N dim_u, dim_u G)
+    Jacobian.  Sample n adds (D_n' D_n) (x) b_n b_n' and (D_n' e_n) (x) b_n,
+    so block (i, k) of J'J is bx diag(m_ik) bx' with m_ik = sum_a D_ai D_ak,
+    and row block i of J'r is bx q_i' with q_i = sum_a D_ai e_a.  As
+    D_n = w_n d_n' + beta_n I (see :func:`_ncl_derivative`; d_n = 0 and
+    beta_n = -1 where the prediction is negligible), m and q are a few
+    products per sample, and one matrix product forms the upper blocks
+    and J'r together."""
+    dim_u, g = weights.shape
+    n = bx.shape[1]
+    w, dot, safe_rho, coef, small = _ncl_terms(weights, bx, actions)
+    d = np.where(small, 0.0, actions / safe_rho - 2.0 * dot * w / safe_rho ** 2)
+    beta = coef - 1.0
+    iu, ku = np.triu_indices(dim_u)
+    nb = iu.size
+    m = safe_rho * d[iu] * d[ku] + beta * (d[iu] * w[ku] + w[iu] * d[ku])
+    m[iu == ku] += beta ** 2
+    rows = np.empty((nb * g + dim_u, n))
+    np.multiply(m[:, None, :], bx, out=rows[:nb * g].reshape(nb, g, n))
+    rows[nb * g:] = d * (w * e).sum(axis=0) + beta * e
+    prod = rows @ bx.T
+    h = np.empty((dim_u, g, dim_u, g))
+    for block, i, k in zip(prod[:nb * g].reshape(nb, g, g), iu, ku):
+        h[i, :, k] = block
+        h[k, :, i] = block.T
+    return h.reshape(dim_u * g, dim_u * g), prod[nb * g:].ravel()
+
+
+@dataclass
+class _NclProblem(LmProblem):
+    """The ncl objective for :func:`lm_solve`; ``normal_equations`` comes
+    from the per-sample derivative blocks, not from ``jacobian``."""
+
+    bx: np.ndarray = None
+    actions: np.ndarray = None
+
+    def normal_equations(self, p, r):
+        dim_u = self.actions.shape[0]
+        return _ncl_normal_equations(p.reshape(dim_u, -1), self.bx, self.actions,
+                                     r.reshape(-1, dim_u).T)
+
+
+def _ncl_problem(bx, actions, p0, options=None):
+    """The objective sum_n || P_n u_n - w(x_n) ||^2 over the flattened
+    weights p0 (dim_u G,) as an LmProblem: it is r.r and its gradient
+    2 J'r."""
     g, n = bx.shape
+    dim_u = actions.shape[0]
 
     def residual(wvec):
         return _ncl_residual(wvec.reshape(dim_u, g), bx, actions)[0].ravel(order="F")
@@ -108,14 +154,16 @@ def _ncl_problem(bx, actions, dim_u):
         # row order in memory, so the reshape is a view and not a copy
         return np.einsum("ain,jn->naij", dmat, bx, order="C").reshape(n * dim_u, dim_u * g)
 
-    return residual, jacobian
+    return _NclProblem(residual=residual, p0=p0, jacobian=jacobian,
+                       options=options or LearnOptions(), bx=bx, actions=actions)
 
 
 def learn_ncl(xs, actions, options: Optional[LearnOptions] = None, num_basis=16):
     """Fit the null-space component model on ``num_basis`` RBFs (K-means
-    centers, mean-center-distance width) by damped least squares with the
-    analytic Jacobian, starting from a ridge regression of the actions on
-    the basis.  Requires at least as many samples as basis functions.
+    centers, mean-center-distance width) by damped least squares on
+    normal equations built from the analytic per-sample derivatives,
+    starting from a ridge regression of the actions on the basis.
+    Requires at least as many samples as basis functions.
 
     Returns (NullspaceComponentModel, LearnReport).
     """
@@ -132,17 +180,13 @@ def learn_ncl(xs, actions, options: Optional[LearnOptions] = None, num_basis=16)
     bx = rbf_design(xs, centers, width)
     w0 = ridge_regression(bx, u, opts.regularization)
     dim_u = u.shape[0]
-    residual, jacobian = _ncl_problem(bx, u, dim_u)
-    wvec, lm_report = lm_solve(LmProblem(residual=residual, p0=w0.ravel(),
-                                         jacobian=jacobian, options=opts))
+    wvec, lm_report = lm_solve(_ncl_problem(bx, u, w0.ravel(), opts))
     weights = wvec.reshape(dim_u, bx.shape[0])
 
     model = NullspaceComponentModel(centers=centers, width=width, weights=weights)
     e, small = _ncl_residual(weights, bx, u)
     targets = e + weights @ bx  # the projected observations P_n u_n
-    notes = lm_report.notes
-    if small.any():
-        notes = notes + (f"near-zero-predictions:{int(small.sum())}",)
+    notes = (f"near-zero-predictions:{int(small.sum())}",) if small.any() else ()
     report = LearnReport.from_errors(
         mse=float((e ** 2).sum()) / u.shape[1],
         variance=float(np.var(targets, axis=1).sum()),

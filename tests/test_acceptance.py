@@ -140,12 +140,17 @@ def test_criterion_5_nullspace_decomposition():
 
     bx = rbf_design(data.states[:, :60], model.centers, model.width)
     u60 = data.actions[:, :60]
-    # the learner's own problem: objective r.r, gradient 2 J^T r
-    residual, jacobian = _ncl_problem(bx, u60, 2)
+    # the learner's own problem: objective r.r, gradient 2 J^T r, with J^T r
+    # from the assembled Jacobian and from the normal equations the solver uses
+    problem = _ncl_problem(bx, u60, np.zeros(2 * 16))
+    residual = problem.residual
     worst = 0.0
     for _ in range(10):
         weights = rng.normal(size=(2, 16))
-        grad = 2.0 * jacobian(weights.ravel()).T @ residual(weights.ravel())
+        r = residual(weights.ravel())
+        grad = 2.0 * problem.jacobian(weights.ravel()).T @ r
+        assert np.allclose(2.0 * problem.normal_equations(weights.ravel(), r)[1], grad,
+                           rtol=1e-12, atol=1e-12 * np.abs(grad).max())
         fd = finite_difference_jacobian(
             lambda w: np.array([residual(w) @ residual(w)]), weights.ravel())
         rel = np.max(np.abs(grad.ravel() - fd.ravel())) / max(1.0, np.abs(grad).max())

@@ -1,12 +1,17 @@
+import dataclasses
 import tracemalloc
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from ccl.core import LearnOptions
+from ccl import constraint
+from ccl.constraint import learn_alpha
+from ccl.core import LearnOptions, LearnReport
+from ccl.datagen import GeneratorConfig, generate
 from ccl.mathkit import (
     ABANDON_AFTER,
+    LAMBDA_MAX,
     LmProblem,
     check_jacobian,
     finite_difference_jacobian,
@@ -637,6 +642,152 @@ def test_lm_converging_before_abandon_after_is_never_abandoned():
     assert report.iterations < ABANDON_AFTER
     assert report.converged and report.reason in ("fun-tol", "x-tol")
     assert abs(p[0] - 3.0) < 1e-6
+
+
+def test_lm_reports_a_stall_when_the_damping_overflows():
+    # |sin p + 2| >= 1 has no zero: at its minimum no damped step improves
+    # the objective, and lam overflows long before max_iter
+    problem = LmProblem(residual=lambda p: np.sin(p) + 2.0, p0=np.array([1.0]),
+                        jacobian=lambda p: np.diag(np.cos(p)),
+                        options=LearnOptions(max_iter=1000))
+    p, report = lm_solve(problem)
+    assert report.iterations < 1000
+    assert not report.converged and report.reason == "stalled"
+    assert abs(np.sin(p[0]) + 1.0) < 1e-6
+
+
+def test_greedy_learner_reports_a_kept_start_that_stalled(monkeypatch):
+    data = generate(GeneratorConfig(constraints=(("parabolic", 0.1),), n_per_group=60,
+                                    rng_seed=2))
+    solve = constraint.lm_solve
+
+    def stalling(problem):
+        p, report = solve(problem)
+        return p, dataclasses.replace(report, converged=False, reason="stalled")
+
+    monkeypatch.setattr(constraint, "lm_solve", stalling)
+    _, report = learn_alpha(data.actions, data.states, LearnOptions(max_iter=30), num_basis=3)
+    assert not report.converged and report.reason == "stalled"
+    assert {start["reason"] for start in report.starts} == {"stalled"}
+
+
+def _reference_lm_solve(problem):
+    """lm_solve as a loop that forms J'J, J'r and the damping diagonal
+    again in every iteration, rejected steps included, from the Jacobian
+    of the current point: the oracle for a solver that forms them once
+    per accepted point."""
+    opts = problem.options
+    p = np.asarray(problem.p0, dtype=float).ravel().copy()
+    r = np.atleast_1d(np.asarray(problem.residual(p), dtype=float)).ravel()
+    j = np.atleast_2d(np.asarray(problem.jacobian(p), dtype=float))
+    energy, lam = float(r @ r), 1e-3
+    converged, reason, iterations = False, "max-iter", 0
+    for iterations in range(1, opts.max_iter + 1):
+        h = j.T @ j
+        g = j.T @ r
+        damp = np.diag(np.maximum(np.diag(h), 1e-14))
+        try:
+            step = np.linalg.solve(h + lam * damp, -g)
+        except np.linalg.LinAlgError:
+            step = np.linalg.lstsq(h + lam * damp, -g, rcond=None)[0]
+        p_new = p + step
+        r_new = np.atleast_1d(np.asarray(problem.residual(p_new), dtype=float)).ravel()
+        e_new = float(r_new @ r_new) if np.isfinite(r_new).all() else np.inf
+        if e_new <= energy:
+            gain = energy - e_new
+            p, r, energy = p_new, r_new, e_new
+            lam = max(lam * 0.1, 1e-15)
+            j = np.atleast_2d(np.asarray(problem.jacobian(p), dtype=float))
+            if np.linalg.norm(step) < opts.tol_x:
+                converged, reason = True, "x-tol"
+                break
+            if gain < opts.tol_fun:
+                converged, reason = True, "fun-tol"
+                break
+        else:
+            lam *= 10.0
+            if lam > LAMBDA_MAX:
+                reason = "stalled"
+                break
+        if iterations == ABANDON_AFTER and energy > problem.abandon_above:
+            reason = "abandoned"
+            break
+    return p, LearnReport(nmse=0.0, mse=energy / r.size, variance=0.0, iterations=iterations,
+                          final_objective=energy, converged=converged, reason=reason)
+
+
+def _alpha_row_problem():
+    """The first-row problem of an alpha fit on a parabolic constraint,
+    from a random start."""
+    data = generate(GeneratorConfig(constraints=(("parabolic", 0.1),), n_per_group=200,
+                                    rng_seed=3))
+    bx = rbf_design(data.states, *rbf_basis(data.states, 4, seed=0))
+    residual, jacobian = constraint._row_problem(bx, data.actions)
+    return dict(residual=residual, jacobian=jacobian,
+                p0=np.random.default_rng(8).normal(size=bx.shape[0]))
+
+
+_LM_CASES = {
+    "rosenbrock": lambda: dict(residual=_rosenbrock, p0=np.array([-1.2, 1.0]),
+                               jacobian=_rosenbrock_jacobian),
+    "flat-minimum": lambda: dict(residual=lambda p: p ** 2, p0=np.array([1.0]),
+                                 jacobian=lambda p: np.diag(2.0 * p),
+                                 options=LearnOptions(tol_fun=1e-18)),
+    "abandoned": lambda: dict(residual=lambda p: p ** 2, p0=np.array([1.0]),
+                              jacobian=lambda p: np.diag(2.0 * p),
+                              options=LearnOptions(tol_fun=1e-18), abandon_above=-1.0),
+    "stalled": lambda: dict(residual=lambda p: np.sin(p) + 2.0, p0=np.array([1.0]),
+                            jacobian=lambda p: np.diag(np.cos(p))),
+    "alpha-row": _alpha_row_problem,
+}
+
+
+@pytest.mark.parametrize("case", sorted(_LM_CASES))
+def test_lm_matches_the_reference_loop_bit_for_bit(case):
+    p, report = lm_solve(LmProblem(**_LM_CASES[case]()))
+    p_ref, report_ref = _reference_lm_solve(LmProblem(**_LM_CASES[case]()))
+    assert _same_bits(p, p_ref)
+    assert report == report_ref
+
+
+class _CountingProblem(LmProblem):
+    """Records the points at which the solver asks for its normal equations."""
+
+    def normal_equations(self, p, r):
+        self.system_points.append(p.copy())
+        return super().normal_equations(p, r)
+
+
+@pytest.mark.parametrize("case", ["rosenbrock", "stalled"])
+def test_lm_forms_its_system_once_per_accepted_point(case):
+    kw = _LM_CASES[case]()
+    evaluated, jacobian_points = [], []
+
+    def residual(p):
+        r = kw["residual"](p)
+        evaluated.append((p.copy(), float(r @ r)))
+        return r
+
+    def jacobian(p):
+        jacobian_points.append(p.copy())
+        return kw["jacobian"](p)
+
+    problem = _CountingProblem(**dict(kw, residual=residual, jacobian=jacobian))
+    problem.system_points = []
+    _, report = lm_solve(problem)
+    # the accepted points: the start, then every trial point that did not
+    # raise the objective
+    accepted, best = [evaluated[0][0]], evaluated[0][1]
+    for p, energy in evaluated[1:]:
+        if energy <= best:
+            accepted.append(p)
+            best = energy
+    assert len(evaluated) - len(accepted) > 0  # some steps were rejected
+    # one system per accepted point, but none where a converged solve stops
+    expected = len(accepted) - report.converged
+    assert len(problem.system_points) == len(jacobian_points) == expected
+    for got, jac_p, want in zip(problem.system_points, jacobian_points, accepted):
+        assert _same_bits(got, want) and _same_bits(jac_p, want)
 
 
 def test_lm_requires_a_jacobian():

@@ -8,7 +8,8 @@ from ccl.datagen import GeneratorConfig, generate
 from ccl.mathkit import (check_jacobian, finite_difference_jacobian, rbf_basis, rbf_design,
                          ridge_regression)
 from ccl.metrics import error_npe
-from ccl.nullspace import NullspaceComponentModel, _ncl_derivative, _ncl_problem, learn_ncl
+from ccl.nullspace import (NullspaceComponentModel, _ncl_derivative, _ncl_problem, _ncl_terms,
+                           learn_ncl)
 
 
 def _scenario(seed=0, n=600):
@@ -27,17 +28,18 @@ def _scenario(seed=0, n=600):
 def _objective(weights, bx, u):
     """The learner's objective r.r and its gradient 2 J^T r over the
     flattened weights, from its own residual and Jacobian."""
-    residual, jacobian = _ncl_problem(bx, u, u.shape[0])
     wvec = np.ravel(weights)
-    r = residual(wvec)
-    return float(r @ r), 2.0 * jacobian(wvec).T @ r
+    problem = _ncl_problem(bx, u, wvec)
+    r = problem.residual(wvec)
+    return float(r @ r), 2.0 * problem.jacobian(wvec).T @ r
 
 
 def test_jacobian_is_assembled_in_row_order_with_the_same_bits():
     data = _scenario(seed=3, n=400)
     bx = rbf_design(data.states, *rbf_basis(data.states, 16, seed=0))
-    residual, jacobian = _ncl_problem(bx, data.actions, data.dim_u)
     wvec = np.random.default_rng(4).normal(size=data.dim_u * bx.shape[0])
+    problem = _ncl_problem(bx, data.actions, wvec)
+    residual, jacobian = problem.residual, problem.jacobian
     tracemalloc.start()
     try:
         jac = jacobian(wvec)
@@ -51,6 +53,40 @@ def test_jacobian_is_assembled_in_row_order_with_the_same_bits():
     old = np.einsum("ain,jn->naij", dmat, bx).reshape(n * data.dim_u, jac.shape[1])
     assert np.array_equal(jac.view(np.int64), old.view(np.int64))
     assert check_jacobian(residual, jacobian, wvec) < 1e-6
+
+
+def _normal_equation_cases(case):
+    """(bx, actions, weight vectors) on which to compare the normal equations."""
+    if case == "learned-basis":
+        data = _scenario(seed=5, n=300)
+        bx = rbf_design(data.states, *rbf_basis(data.states, 8, seed=0))
+        return bx, data.actions, [ridge_regression(bx, data.actions).ravel()]
+    dim_u = int(case[-1])
+    rng = np.random.default_rng(30 + dim_u)
+    g, n = 6, 80
+    bx = rng.uniform(0.05, 1.0, (g, n))
+    bx[:, :5] = 0.0  # zero features: a zero prediction whatever the weights
+    u = rng.normal(size=(dim_u, n))
+    wvecs = [rng.normal(size=dim_u * g) for _ in range(5)]
+    for wvec in wvecs:
+        assert _ncl_terms(wvec.reshape(dim_u, g), bx, u)[-1].sum() == 5
+    return bx, u, wvecs
+
+
+@pytest.mark.parametrize("case", ["random-dim_u-2", "random-dim_u-3", "learned-basis"])
+def test_block_normal_equations_match_the_assembled_jacobian(case):
+    # J'J and J'r from the per-sample blocks D_n equal the products of the
+    # assembled Jacobian, also at samples whose prediction is negligible
+    # (D_n = -I there; the random cases have five)
+    bx, u, wvecs = _normal_equation_cases(case)
+    problem = _ncl_problem(bx, u, wvecs[0])
+    for wvec in wvecs:
+        r = problem.residual(wvec)
+        jac = problem.jacobian(wvec)
+        h, grad = problem.normal_equations(wvec, r)
+        for got, want in ((h, jac.T @ jac), (grad, jac.T @ r)):
+            assert got.shape == want.shape
+            assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want))
 
 
 def test_objective_zero_when_model_equals_pure_null_data():
@@ -170,7 +206,7 @@ def test_learn_ncl_beats_naive_regression_at_rejecting_task_motion():
 def test_learn_ncl_init_insensitive_final_objective():
     # convex-like instance (pure null-space data): two different optimizer
     # starting points on the same basis converge to objectives within 1%
-    from ccl.mathkit import LmProblem, lm_solve
+    from ccl.mathkit import lm_solve
 
     cfg = GeneratorConfig(constraints=(("fixed-angle", 60.0),), n_per_group=600,
                           rng_seed=7)
@@ -180,14 +216,11 @@ def test_learn_ncl_init_insensitive_final_objective():
     # reachable from both starts
     w_true = ridge_regression(bx, data.actions)
     u = w_true @ bx
-    residual, jacobian = _ncl_problem(bx, u, data.dim_u)
     ridge_start = ridge_regression(bx, u).ravel()
     rng = np.random.default_rng(99)
     objectives = []
     for start in (ridge_start, ridge_start + rng.normal(0, 0.2, ridge_start.size)):
-        _, report = lm_solve(LmProblem(residual=residual, p0=start,
-                                       jacobian=jacobian,
-                                       options=LearnOptions(max_iter=800)))
+        _, report = lm_solve(_ncl_problem(bx, u, start, LearnOptions(max_iter=800)))
         objectives.append(report.final_objective)
     energy = float((u ** 2).sum())
     assert abs(objectives[0] - objectives[1]) / energy < 0.01

@@ -1,15 +1,20 @@
 import json
+import tempfile
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
+from hypothesis.extra.numpy import arrays
 
-from ccl.constraint import (StateIndependentConstraint, identity_features, learn_alpha,
-                            learn_lambda, learn_nhat, twolink_jacobian_features)
+from ccl.constraint import (StateDependentConstraintModel, StateIndependentConstraint,
+                            identity_features, learn_alpha, learn_lambda, learn_nhat,
+                            twolink_jacobian_features)
 from ccl.core import LearnOptions
 from ccl.datagen import GeneratorConfig, generate
 from ccl.nullspace import NullspaceComponentModel, learn_ncl
-from ccl.policy import learn_pi, learn_pi_lwl
-from ccl.serialize import load_model, model_to_doc, save_model
+from ccl.policy import LwlPolicyModel, ParametricPolicyModel, learn_pi, learn_pi_lwl
+from ccl.serialize import MODEL_CLASSES, load_model, model_to_doc, save_model
 
 # An alpha document as version-1 writers wrote it before the basis block
 # lost its placeholder output weights ("dim_out": 0, "weights": []).
@@ -205,3 +210,56 @@ def test_malformed_fields_rejected(tmp_path):
         path.write_text(json.dumps(doc))
         with pytest.raises(ValueError, match=message):
             load_model(path)
+
+
+# ---------------------------------------------------------------------------
+# property: every kind round-trips byte-exact over random parameters
+# ---------------------------------------------------------------------------
+
+_FINITE = st.floats(allow_nan=False, allow_infinity=False)  # -0.0 and subnormals included
+_WIDTH = st.floats(min_value=0.0, max_value=1e300, exclude_min=True)
+
+
+def _random_model(draw, kind):
+    """A model of ``kind`` with random finite parameters, dim_u in 2..6."""
+    def params(*shape):
+        return draw(arrays(np.float64, shape, elements=_FINITE))
+
+    dim_u = draw(st.integers(2, 6))
+    dim_x, g = draw(st.integers(1, 3)), draw(st.integers(1, 4))
+    if kind == "nhat":
+        dim_b = draw(st.integers(1, dim_u - 1))
+        return StateIndependentConstraint(
+            angles=tuple(params(dim_u - 1 - s) for s in range(dim_b)), dim_u=dim_u)
+    if kind in ("alpha", "lambda"):
+        dim_b = draw(st.integers(1, dim_u - 1))
+        return StateDependentConstraintModel(
+            omegas=tuple(params(dim_u - 1 - s, g) for s in range(dim_b)),
+            signs=tuple(draw(st.sampled_from([-1.0, 1.0])) for _ in range(dim_b)),
+            centers=params(dim_x, g), width=draw(_WIDTH), mode=kind, dim_u=dim_u,
+            feature_name=f"identity:{dim_u}" if kind == "lambda" else None)
+    if kind == "ncl":
+        return NullspaceComponentModel(centers=params(dim_x, g), width=draw(_WIDTH),
+                                       weights=params(dim_u, g))
+    if kind == "pi-parametric":
+        if draw(st.booleans()):
+            return ParametricPolicyModel(weights=params(dim_u, dim_x + 1), dim_x=dim_x)
+        return ParametricPolicyModel(weights=params(dim_u, g), dim_x=dim_x,
+                                     centers=params(dim_x, g), width=draw(_WIDTH))
+    assert kind == "pi-lwl"
+    return LwlPolicyModel(local_maps=params(g, dim_u, dim_x + 1), centers=params(dim_x, g),
+                          width=draw(_WIDTH))
+
+
+@pytest.mark.parametrize("kind", sorted(MODEL_CLASSES))
+@settings(max_examples=40, deadline=None)
+@given(data=st.data())
+def test_every_model_kind_roundtrips_byte_exact(kind, data):
+    model = _random_model(data.draw, kind)
+    with tempfile.TemporaryDirectory() as tmp:
+        path, again = Path(tmp) / "m.json", Path(tmp) / "again.json"
+        save_model(model, path)
+        back = load_model(path)
+        save_model(back, again)
+        assert type(back) is type(model) and back.kind == kind
+        assert again.read_bytes() == path.read_bytes()

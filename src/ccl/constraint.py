@@ -21,7 +21,7 @@ from typing import Callable, Optional
 import numpy as np
 
 from .core import (UNCONVERGED_REASONS, LearnOptions, LearnReport, _basis_centers, _basis_doc,
-                   _freeze_basis, _frozen_finite)
+                   _declared_size, _freeze_basis, _frozen_finite)
 from .mathkit import (
     LmProblem,
     lm_solve,
@@ -147,7 +147,7 @@ def _constraint_metrics(model, data):
 
 
 def _with_declared_rows(doc, model):
-    if doc["dim_b"] != model.dim_b:
+    if _declared_size(doc, "dim_b") != model.dim_b:
         raise ValueError(f"model document (kind {doc['kind']!r}) declares dim_b "
                          f"{doc['dim_b']!r} but holds {model.dim_b} rows")
     return model
@@ -211,7 +211,7 @@ class StateIndependentConstraint:
     def from_doc(cls, doc):
         return _with_declared_rows(doc, cls(
             angles=tuple(doc["angles"]),
-            dim_u=doc["dim_u"]))
+            dim_u=_declared_size(doc, "dim_u")))
 
 
 def _grid_seed(m_rot, resolution):
@@ -379,11 +379,11 @@ class StateDependentConstraintModel:
         # a basis block may still carry the dim_out: 0 and empty weights
         # that earlier writers put there; neither is read
         basis = doc["basis"]
-        omegas = tuple(np.asarray(om).reshape(-1, basis["n_basis"])
+        omegas = tuple(np.asarray(om).reshape(-1, _declared_size(basis, "n_basis"))
                        for om in doc["omegas"])
         return _with_declared_rows(doc, cls(
             omegas=omegas, signs=tuple(doc["signs"]), centers=_basis_centers(basis),
-            width=basis["width"], mode=doc["kind"], dim_u=doc["dim_u"],
+            width=basis["width"], mode=doc["kind"], dim_u=_declared_size(doc, "dim_u"),
             feature_name=doc["features"]))
 
 

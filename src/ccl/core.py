@@ -9,6 +9,7 @@ from __future__ import annotations
 
 from array import array
 from dataclasses import dataclass, fields
+import itertools
 import math
 import numbers
 
@@ -62,8 +63,19 @@ def _basis_doc(centers, width):
             "centers": centers.tolist(), "width": width}
 
 
+def _declared_size(doc, key):
+    """A size a model document declares: a positive integer.  A bool, a
+    float equal to an integer and a size < 1, which numpy's reshape would
+    read as the unknown dimension, are all rejected (ValueError)."""
+    size = doc[key]
+    if isinstance(size, bool) or not isinstance(size, int) or size < 1:
+        raise ValueError(f"model document field {key} must be a positive integer, not {size!r}")
+    return size
+
+
 def _basis_centers(basis):
-    return np.asarray(basis["centers"]).reshape(basis["dim_x"], basis["n_basis"])
+    return np.asarray(basis["centers"]).reshape(_declared_size(basis, "dim_x"),
+                                                _declared_size(basis, "n_basis"))
 
 
 @dataclass(frozen=True)
@@ -291,7 +303,17 @@ def _header_block(names, prefix):
     return len(got)
 
 
+# rows formatted per block: the Python floats of one block at a time
+_SAVE_BLOCK_ROWS = 1024
+# every character at which str.splitlines breaks a line ("\r\n" is one
+# break, but text mode has already turned it and a lone "\r" into "\n")
+_LINE_BREAKS = frozenset("\n\r\x0b\x0c\x1c\x1d\x1e\x85\u2028\u2029")
+
+
 def save_dataset(data: DemonstrationSet, path):
+    """Write a dataset file (format above), one block of
+    _SAVE_BLOCK_ROWS rows at a time, so the Python objects alive at once
+    stay a small fraction of the float table whatever its length."""
     cols = [f"x{i+1}" for i in range(data.dim_x)] + [f"u{i+1}" for i in range(data.dim_u)]
     channels = [data.states, data.actions]
     for ch, prefix in ((data.policy, "pi"), (data.task_component, "v"), (data.null_component, "w")):
@@ -299,20 +321,42 @@ def save_dataset(data: DemonstrationSet, path):
             cols += [f"{prefix}{i+1}" for i in range(ch.shape[0])]
             channels.append(ch)
     cols.append("k")
-    table = np.vstack(channels).T.tolist()
     with open(path, "w") as fh:
         fh.write(",".join(cols) + "\n")
-        # repr of a Python float is the shortest string that reads back bit for bit
-        fh.writelines(",".join(map(repr, row)) + f",{g}\n"
-                      for row, g in zip(table, data.group_ids.tolist()))
+        for s in range(0, data.n_samples, _SAVE_BLOCK_ROWS):
+            block = slice(s, s + _SAVE_BLOCK_ROWS)
+            table = np.vstack([ch[:, block] for ch in channels]).T.tolist()
+            # repr of a Python float is the shortest string that reads back bit for bit
+            fh.writelines(",".join(map(repr, row)) + f",{g}\n"
+                          for row, g in zip(table, data.group_ids[block].tolist()))
 
 
-def _read_header(path, lines, dims):
-    """Column layout of a dataset file: the (dim_x, dim_u, dim_pi, dim_v,
-    dim_w) block sizes and whether a trailing group column k is present."""
-    if not lines:
+def _lines(fh, size=1 << 16):
+    """The lines of a file opened in text mode with universal newlines
+    (open's default), split exactly as ``fh.read().splitlines()`` splits
+    them, read ``size`` characters at a time: only one chunk and the line
+    it leaves unfinished are held."""
+    tail = []
+    while chunk := fh.read(size):
+        lines = chunk.splitlines()
+        last = None if chunk[-1] in _LINE_BREAKS else lines.pop()
+        if lines:
+            lines[0] = "".join(tail) + lines[0]
+            tail = []
+        if last is not None:
+            tail.append(last)
+        yield from lines
+    if tail:
+        yield "".join(tail)
+
+
+def _read_header(path, header, dims):
+    """Column layout of a dataset file from its header line: the (dim_x,
+    dim_u, dim_pi, dim_v, dim_w) block sizes and whether a trailing group
+    column k is present."""
+    if header is None:
         raise ValueError(f"{path}: empty dataset file")
-    names = [c.strip() for c in lines[0].removeprefix("\ufeff").split(",")]
+    names = [c.strip() for c in header.removeprefix("\ufeff").split(",")]
     dim_x = _header_block(names, "x")
     dim_u = _header_block(names, "u")
     dim_pi = _header_block(names, "pi")
@@ -335,19 +379,25 @@ def _read_header(path, lines, dims):
 
 
 def _parse_rows(lines, n_values, has_k):
-    """Data rows through numpy's C reader: an (N, n_values) table and the
-    raw group ids (None without a k column), or None when the reader
-    rejects a line, reads a non-finite value or finds no rows.
+    """Data rows through numpy's C reader, fed the data lines one at a time:
+    an (N, n_values) table and the raw group ids (None without a k column),
+    or None when the reader rejects a line, reads a non-finite value or
+    finds no rows.
 
     The structured dtype makes the reader enforce the exact column count
     and read group ids as int64, so it accepts a subset of what the
     per-line scan accepts, and rounds floats the way Python's float does.
     """
-    if not any(lines[1:]):
+    lines = iter(lines)
+    for first in lines:
+        if first:
+            break
+    else:
         return None  # numpy's reader would warn that it found no data
     dtype = [("v", float, (n_values,))] + ([("k", np.int64)] if has_k else [])
     try:
-        rows = np.loadtxt(lines[1:], delimiter=",", comments=None, ndmin=1, dtype=dtype)
+        rows = np.loadtxt(itertools.chain([first], lines), delimiter=",", comments=None,
+                          ndmin=1, dtype=dtype)
     except ValueError:
         return None
     if not np.isfinite(rows["v"]).all():
@@ -356,8 +406,9 @@ def _parse_rows(lines, n_values, has_k):
 
 
 def _scan_rows(path, lines, n_values, has_k):
-    """The per-line scan with Python's float and int: the reference parse.
-    It names the first offending line of the file, or returns what
+    """The per-line scan of the data lines with Python's float and int:
+    the reference parse.  It names the first offending line of the file
+    (the data lines start at line 2), or returns what
     _parse_rows returns for inputs numpy's reader does not take (blank
     lines of whitespace, digit separators, non-ASCII digits or padding)."""
     expected = n_values + (1 if has_k else 0)
@@ -377,7 +428,7 @@ def _scan_rows(path, lines, n_values, has_k):
             lineno, message = bad, "non-finite value"
         raise ValueError(f"{path} line {lineno}: {message}") from None
 
-    for lineno, line in enumerate(lines[1:], start=2):
+    for lineno, line in enumerate(lines, start=2):
         if not line.strip():
             continue
         tokens = line.split(",")
@@ -416,13 +467,23 @@ def load_dataset(path, dims=None) -> DemonstrationSet:
     Group ids are remapped onto a dense [0, K) range; a missing group
     column means a single group.  A leading UTF-8 byte-order mark is
     ignored.
+
+    The file is read in chunks and never held whole: numpy's C reader
+    parses the lines as they are read, so the memory held beyond the
+    result is a chunk and the line in reading.  Only when that reader
+    rejects a line, reads a non-finite value or finds no rows is the file
+    read again, by the per-line reference scan, which names the offending
+    line or accepts what only Python's float and int take.
     """
     with open(path) as fh:
-        lines = fh.read().splitlines()
-    blocks, has_k = _read_header(path, lines, dims)
-    n_values = sum(blocks)
-    rows, raw = (_parse_rows(lines, n_values, has_k)
-                 or _scan_rows(path, lines, n_values, has_k))
+        lines = _lines(fh)
+        blocks, has_k = _read_header(path, next(lines, None), dims)
+        n_values = sum(blocks)
+        parsed = _parse_rows(lines, n_values, has_k)
+        if parsed is None:
+            fh.seek(0)
+            parsed = _scan_rows(path, itertools.islice(_lines(fh), 1, None), n_values, has_k)
+    rows, raw = parsed
     table = rows.T
     channels, ofs = [], 0
     for d in blocks:

@@ -13,8 +13,8 @@ from typing import Optional
 
 import numpy as np
 
-from .core import (LearnOptions, LearnReport, _basis_centers, _basis_doc, _freeze_basis,
-                   _frozen_finite)
+from .core import (LearnOptions, LearnReport, _basis_centers, _basis_doc, _declared_size,
+                   _freeze_basis, _frozen_finite)
 from .mathkit import LmProblem, lm_solve, rbf_basis, rbf_design, ridge_regression
 from .metrics import error_npe, error_nupe
 
@@ -60,7 +60,7 @@ class NullspaceComponentModel:
         basis = doc["basis"]
         return cls(centers=_basis_centers(basis), width=basis["width"],
                    weights=np.asarray(basis["weights"]).reshape(
-                       basis["dim_out"], basis["n_basis"]))
+                       _declared_size(basis, "dim_out"), _declared_size(basis, "n_basis")))
 
 
 def _ncl_terms(weights, bx, actions):

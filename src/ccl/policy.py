@@ -19,7 +19,7 @@ from typing import Optional
 
 import numpy as np
 
-from .core import LearnOptions, LearnReport, _freeze_basis, _frozen_finite
+from .core import LearnOptions, LearnReport, _declared_size, _freeze_basis, _frozen_finite
 from .mathkit import pairwise_sq_distances, rbf_basis, rbf_design
 from .metrics import error_ncpe, error_nupe
 
@@ -87,7 +87,7 @@ class ParametricPolicyModel:
         # an rbf document's centers are never None, which would read as linear
         rbf = ({"centers": np.asarray(doc["centers"]), "width": doc["width"]}
                if features == "rbf" else {})
-        return cls(weights=doc["weights"], dim_x=doc["dim_x"], **rbf)
+        return cls(weights=doc["weights"], dim_x=_declared_size(doc, "dim_x"), **rbf)
 
 
 def _features(xs, centers, width):
@@ -140,7 +140,8 @@ class LwlPolicyModel:
     @classmethod
     def from_doc(cls, doc):
         maps = np.asarray(doc["local_maps"])
-        return cls(local_maps=maps.reshape(doc["n_local"], doc["dim_u"], -1),
+        return cls(local_maps=maps.reshape(_declared_size(doc, "n_local"),
+                                           _declared_size(doc, "dim_u"), -1),
                    centers=doc["centers"], width=doc["width"])
 
 

@@ -34,8 +34,10 @@ def model_to_doc(model) -> dict:
 def model_from_doc(doc) -> object:
     if not isinstance(doc, dict) or "kind" not in doc:
         raise ValueError("not a model document (missing kind tag)")
-    if doc.get("version") != FORMAT_VERSION:
-        raise ValueError(f"unsupported model document version {doc.get('version')!r}")
+    version = doc.get("version")
+    # 1.0 and true compare equal to 1 but are not the integer version
+    if isinstance(version, bool) or not isinstance(version, int) or version != FORMAT_VERSION:
+        raise ValueError(f"unsupported model document version {version!r}")
     kind = doc["kind"]
     if not isinstance(kind, str) or kind not in MODEL_CLASSES:
         raise ValueError(f"unknown model kind {kind!r}")
@@ -61,4 +63,6 @@ def load_model(path):
             doc = json.load(fh)
         except json.JSONDecodeError as exc:
             raise ValueError(f"{path}: not a valid model document: {exc}") from None
+        except RecursionError:
+            raise ValueError(f"{path}: not a valid model document: nested too deeply") from None
     return model_from_doc(doc)

@@ -368,6 +368,73 @@ def test_eval_rejects_an_rbf_document(tmp_path, capsys):
     assert capsys.readouterr().err == "error: unknown model kind 'rbf'\n"
 
 
+@pytest.fixture(scope="module")
+def learned_docs(tmp_path_factory):
+    """One learned document of each kind: name -> (data path, doc)."""
+    return {name: _learn_kind(tmp_path_factory.mktemp(name), name) for name in _LEARNED_KINDS}
+
+
+# every declared size a kind reads, as a path into its document
+_DECLARED_SIZES = [
+    ("nhat", ("dim_u",)), ("nhat", ("dim_b",)),
+    ("alpha", ("dim_u",)), ("alpha", ("dim_b",)),
+    ("alpha", ("basis", "dim_x")), ("alpha", ("basis", "n_basis")),
+    ("lambda", ("dim_u",)), ("lambda", ("dim_b",)),
+    ("lambda", ("basis", "dim_x")), ("lambda", ("basis", "n_basis")),
+    ("ncl", ("basis", "dim_x")), ("ncl", ("basis", "n_basis")), ("ncl", ("basis", "dim_out")),
+    ("pi-rbf", ("dim_x",)), ("pi-linear", ("dim_x",)),
+    ("pi-lwl", ("n_local",)), ("pi-lwl", ("dim_u",)),
+]
+
+
+@pytest.mark.parametrize("bad", ["float", -1, 0, True])
+@pytest.mark.parametrize("name,path", _DECLARED_SIZES,
+                         ids=[f"{n}-{'.'.join(p)}" for n, p in _DECLARED_SIZES])
+def test_model_document_size_must_be_a_positive_integer(tmp_path, capsys, learned_docs, name,
+                                                        path, bad):
+    data, doc = learned_docs[name]
+    doc = json.loads(json.dumps(doc))
+    node = doc
+    for key in path[:-1]:
+        node = node[key]
+    # a float equal to the true size, a negative size that numpy's reshape
+    # reads as the unknown dimension, zero, and a bool
+    node[path[-1]] = float(node[path[-1]]) if bad == "float" else bad
+    bad_path = str(tmp_path / "bad.json")
+    with open(bad_path, "w") as fh:
+        json.dump(doc, fh)
+    message = f"model document field {path[-1]} must be a positive integer"
+    with pytest.raises(ValueError, match=message):
+        load_model(bad_path)
+    capsys.readouterr()
+    assert _run("eval", "--model", bad_path, "--data", data) == 1
+    captured = capsys.readouterr()
+    assert captured.err.startswith(f"error: {message}") and captured.out == ""
+
+
+@pytest.mark.parametrize("version", [1.0, True])
+def test_model_document_version_must_be_the_integer(tmp_path, capsys, learned_docs, version):
+    data, doc = learned_docs["ncl"]
+    bad = str(tmp_path / "bad.json")
+    with open(bad, "w") as fh:
+        json.dump(dict(doc, version=version), fh)
+    capsys.readouterr()
+    assert _run("eval", "--model", bad, "--data", data) == 1
+    assert capsys.readouterr().err == (f"error: unsupported model document version "
+                                       f"{version!r}\n")
+
+
+def test_deeply_nested_model_file_is_an_error_not_a_traceback(tmp_path, capsys):
+    data = _gen(tmp_path, n=40)
+    bad = tmp_path / "deep.json"
+    bad.write_text("[" * 200000 + "]" * 200000)
+    capsys.readouterr()
+    assert _run("eval", "--model", str(bad), "--data", data) == 1
+    captured = capsys.readouterr()
+    assert captured.err == f"error: {bad}: not a valid model document: nested too deeply\n"
+    assert captured.out == ""
+
+
 def test_model_document_missing_field_names_it(tmp_path, capsys):
     bad = str(tmp_path / "bad.json")
     with open(bad, "w") as fh:

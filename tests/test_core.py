@@ -1,13 +1,15 @@
 import os
 import tempfile
+import tracemalloc
 import warnings
 
 import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from ccl.core import (DemonstrationSet, LearnOptions, LearnReport, _parse_rows, load_dataset,
-                      save_dataset)
+from ccl.core import (_LINE_BREAKS, _SAVE_BLOCK_ROWS, DemonstrationSet, LearnOptions, LearnReport,
+                      _lines, _parse_rows, load_dataset, save_dataset)
+from ccl.datagen import GeneratorConfig, generate
 from ccl.nullspace import NullspaceComponentModel
 
 
@@ -453,7 +455,7 @@ _SHARED_LINES = ["x1,u1,k", "\xa01.5, +3 ,00012", "", "00012,-0.0, -7 ", "5e-324
 def test_both_parse_paths_match_the_reference_bit_for_bit(tmp_path, lines, c_reader):
     path = tmp_path / "d.csv"
     path.write_text("\n".join(lines) + "\n", encoding="utf-8")
-    assert (_parse_rows(lines, 2, True) is not None) == c_reader
+    assert (_parse_rows(lines[1:], 2, True) is not None) == c_reader
     parsed = []
     assert _reference_row_error(path, lines, 3, True, parsed) is None
     data = load_dataset(path)
@@ -474,3 +476,95 @@ def test_file_without_rows_names_no_data_rows_and_warns_nothing(tmp_path, body):
         with pytest.raises(ValueError) as exc:
             load_dataset(path)
     assert str(exc.value) == f"{path}: no data rows"
+
+
+# ---------------------------------------------------------------------------
+# streaming: bounded memory, and the lines the whole-file reader would see
+# ---------------------------------------------------------------------------
+
+def _traced_peak(fn):
+    """Peak of the memory Python and numpy allocate while fn runs, above
+    what is allocated when it starts."""
+    tracemalloc.start()
+    try:
+        start = tracemalloc.get_traced_memory()[0]
+        result = fn()
+        return result, tracemalloc.get_traced_memory()[1] - start
+    finally:
+        tracemalloc.stop()
+
+
+def test_codec_peak_memory_is_bounded_by_the_float_table(tmp_path):
+    # the pooled limit-cycle file of the benchmark, at 3 x 34000 rows: the
+    # whole-table writer and the whole-file reader held 5.3x and 4.6x
+    data = generate(GeneratorConfig(constraints=(("fixed-angle", 0.0), ("fixed-angle", 60.0),
+                                                 ("fixed-angle", 120.0)), n_per_group=34000))
+    # the doubles of its float columns: x, u and the pi, v, w channels
+    table_bytes = 8 * data.n_samples * (data.dim_x + 4 * data.dim_u)
+    path = tmp_path / "pooled.csv"
+    _, save_peak = _traced_peak(lambda: save_dataset(data, path))
+    back, load_peak = _traced_peak(lambda: load_dataset(path))
+    assert back.states.tobytes() == data.states.tobytes()
+    assert save_peak <= 1.5 * table_bytes, save_peak / table_bytes
+    assert load_peak <= 2.5 * table_bytes, load_peak / table_bytes
+
+
+def test_save_formats_every_block_as_the_per_sample_writer(tmp_path):
+    rng = np.random.default_rng(4)
+    n = 2 * _SAVE_BLOCK_ROWS + 3
+    data = DemonstrationSet(states=rng.normal(size=(2, n)), actions=rng.normal(size=(3, n)),
+                            group_ids=np.arange(n) % 5, null_component=rng.normal(size=(3, n)))
+    path = tmp_path / "d.csv"
+    save_dataset(data, path)
+    assert path.read_text().splitlines()[1:] == _reference_rows(data)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.lists(st.sampled_from(["a", ",", "1", " ", "\n", "\r", "\r\n", "\ufeff"]
+                                + sorted(_LINE_BREAKS)), max_size=40).map("".join),
+       st.integers(1, 9))
+def test_lines_split_as_the_whole_file_splitlines(text, size):
+    with tempfile.TemporaryDirectory() as tmp:
+        path = os.path.join(tmp, "d.csv")
+        with open(path, "w", newline="") as fh:
+            fh.write(text)
+        with open(path) as fh:
+            whole = fh.read().splitlines()
+        with open(path) as fh:
+            assert list(_lines(fh, size)) == whole
+
+
+# the characters str.splitlines breaks at and numpy's reader does not; the
+# reader takes several of them for whitespace next to a number
+_OTHER_BREAKS = ["\x0b", "\x0c", "\x1c", "\x1d", "\x1e", "\x85", "\u2028", "\u2029"]
+_BREAK_FILES = {
+    "inside-a-row": "x1,u1,k\n1.0,{c}2.0,0\n3.0,4.0,1\n",
+    "before-a-group-id": "x1,u1,k\n1.0,2.0,{c}0\n",
+    "between-rows": "x1,u1,k\n1.0,2.0,0{c}3.0,4.0,1\n",
+    "ending-a-row": "x1,u1,k\n1.0,2.0,0{c}\n3.0,4.0,1\n",
+    "ending-the-header": "x1,u1,k{c}1.0,2.0,0\n",
+    "inside-the-header": "x1,u1{c}k\n1.0,2.0\n",
+    "alone": "x1,u1\n{c}\n1.0,2.0\n",
+}
+
+
+@pytest.mark.parametrize("char", _OTHER_BREAKS, ids=[f"U+{ord(c):04X}" for c in _OTHER_BREAKS])
+@pytest.mark.parametrize("layout", sorted(_BREAK_FILES))
+def test_line_breaks_of_splitlines_load_as_the_per_line_reference(tmp_path, layout, char):
+    text = _BREAK_FILES[layout].format(c=char)
+    path = tmp_path / "d.csv"
+    path.write_text(text, encoding="utf-8")
+    lines = text.splitlines()
+    names = lines[0].split(",")
+    parsed = []
+    message = _reference_row_error(path, lines, len(names), names[-1] == "k", parsed)
+    if message is None:
+        data = load_dataset(path)
+        values = np.array([v for v, _ in parsed])
+        assert data.states.tobytes() == np.ascontiguousarray(values[:, :1].T).tobytes()
+        assert data.actions.tobytes() == np.ascontiguousarray(values[:, 1:2].T).tobytes()
+        assert data.n_samples == len(parsed)
+    else:
+        with pytest.raises(ValueError) as exc:
+            load_dataset(path)
+        assert str(exc.value) == message

@@ -186,21 +186,45 @@ def test_projector_rejects_too_many_rows():
         nullspace_projector(np.zeros((3, 2)))
 
 
-def test_projector_algebra_random_any_rank():
-    rng = np.random.default_rng(11)
-    for _ in range(200):
-        dim_u = int(rng.integers(2, 7))
-        dim_b = int(rng.integers(1, dim_u + 1))
-        a = rng.normal(size=(dim_b, dim_u))
-        if rng.random() < 0.3 and dim_b > 1:
-            a[-1] = a[0]  # force rank deficiency
-        n = nullspace_projector(a)
-        assert np.max(np.abs(n @ n - n)) < 1e-10
-        assert np.max(np.abs(n - n.T)) < 1e-10
-        assert np.max(np.abs(a @ n)) < 1e-9 * max(1.0, np.abs(a).max())
-        rank_a = np.linalg.matrix_rank(a, tol=1e-9)
-        rank_n = np.linalg.matrix_rank(n, tol=1e-9)
-        assert rank_n == dim_u - rank_a
+@st.composite
+def _low_rank_stacks(draw):
+    """Stacks (N, k, d), k <= d, each matrix a product of Gaussian factors
+    of a random rank 0..k, scaled over many decades."""
+    dim_u = draw(st.integers(2, 6))
+    k = draw(st.integers(1, dim_u))
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+    ranks = draw(st.lists(st.integers(0, k), min_size=1, max_size=6))
+    return np.stack([10.0 ** draw(st.integers(-6, 6))
+                     * rng.normal(size=(k, r)) @ rng.normal(size=(r, dim_u)) for r in ranks])
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.one_of(_matrix_stacks(), _low_rank_stacks()))
+def test_projector_algebra_random_any_rank(stack):
+    """Per matrix A with singular values s, pinv_truncated keeps those at or
+    above 1e-8 s_max.  With kappa = s_max / (the smallest kept) and cut the
+    largest truncated value (0 if none), the Moore-Penrose identities and
+    the projector's hold to tol = 1e3 eps kappa (relative to s_max or to
+    |pinv| where the identity scales with them); A pinv A = A and A N = 0
+    hold up to cut, the part truncation drops."""
+    pinv, proj = pinv_truncated(stack, 1e-8), nullspace_projector(stack, 1e-8)
+    norm = lambda m: np.linalg.norm(m, 2)
+    for a, p, n in zip(stack, pinv, proj):
+        s = np.linalg.svd(a, compute_uv=False)
+        if s[0] == 0:
+            assert not p.any() and np.array_equal(n, np.eye(a.shape[1]))
+            continue
+        kept = s[s >= 1e-8 * s[0]]
+        tol = 1e3 * np.finfo(float).eps * s[0] / kept[-1]
+        cut = s[len(kept)] if len(kept) < len(s) else 0.0
+        assert norm(a @ p @ a - a) <= cut + tol * s[0]
+        assert norm(p @ a @ p - p) <= tol * norm(p)
+        assert norm(a @ p - (a @ p).T) <= tol and norm(p @ a - (p @ a).T) <= tol
+        # N = I - pinv(A) A: idempotent, symmetric, annihilates the rows of A,
+        # and of rank dim_u minus the rank pinv_truncated keeps
+        assert norm(n @ n - n) <= tol and norm(n - n.T) <= tol
+        assert norm(a @ n) <= cut + tol * s[0]
+        assert np.linalg.matrix_rank(n, tol=0.5) == a.shape[1] - len(kept)
 
 
 # ---------------------------------------------------------------------------

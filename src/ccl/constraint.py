@@ -303,6 +303,11 @@ class StateDependentConstraintModel:
     def __post_init__(self):
         if self.mode not in ("alpha", "lambda"):
             raise ValueError(f"unknown mode {self.mode!r}")
+        if self.feature_name is not None and not isinstance(self.feature_name, str):
+            raise ValueError(f"feature provider name must be a string, "
+                             f"got {self.feature_name!r}")
+        if self.mode == "lambda" and self.feature_name is None:
+            raise ValueError("lambda mode needs a feature provider name")
         omegas = tuple(_frozen_finite("omegas", np.atleast_2d(o)) for o in self.omegas)
         object.__setattr__(self, "omegas", omegas)
         _freeze_basis(self)
@@ -315,8 +320,6 @@ class StateDependentConstraintModel:
             if om.shape != (sel - 1 - s, g):
                 raise ValueError(f"row {s + 1} weight matrix has shape {om.shape}, "
                                  f"expected {(sel - 1 - s, g)}")
-        if self.mode == "lambda" and self.feature_name is None:
-            raise ValueError("lambda mode needs a feature provider name")
 
     @property
     def kind(self):

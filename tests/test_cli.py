@@ -424,6 +424,31 @@ def test_model_document_version_must_be_the_integer(tmp_path, capsys, learned_do
                                        f"{version!r}\n")
 
 
+@pytest.mark.parametrize("name", ["lambda", "alpha"])
+@pytest.mark.parametrize("features", [5, True, ["identity:2"], {"name": "identity:2"}])
+def test_model_document_features_must_be_a_string(tmp_path, capsys, learned_docs, name,
+                                                   features):
+    data, doc = learned_docs[name]
+    bad = str(tmp_path / "bad.json")
+    with open(bad, "w") as fh:
+        json.dump(dict(doc, features=features), fh)
+    capsys.readouterr()
+    assert _run("eval", "--model", bad, "--data", data) == 1
+    captured = capsys.readouterr()
+    assert captured.err == f"error: feature provider name must be a string, got {features!r}\n"
+    assert captured.out == ""
+
+
+def test_lambda_document_without_features_is_an_error(tmp_path, capsys, learned_docs):
+    data, doc = learned_docs["lambda"]
+    bad = str(tmp_path / "bad.json")
+    with open(bad, "w") as fh:
+        json.dump(dict(doc, features=None), fh)
+    capsys.readouterr()
+    assert _run("eval", "--model", bad, "--data", data) == 1
+    assert capsys.readouterr().err == "error: lambda mode needs a feature provider name\n"
+
+
 def test_deeply_nested_model_file_is_an_error_not_a_traceback(tmp_path, capsys):
     data = _gen(tmp_path, n=40)
     bad = tmp_path / "deep.json"

@@ -1,3 +1,4 @@
+import dataclasses
 import os
 import tempfile
 import tracemalloc
@@ -7,6 +8,7 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
+from ccl import core
 from ccl.core import (_LINE_BREAKS, _SAVE_BLOCK_ROWS, DemonstrationSet, LearnOptions, LearnReport,
                       _lines, _parse_rows, load_dataset, save_dataset)
 from ccl.datagen import GeneratorConfig, generate
@@ -312,14 +314,14 @@ _FLOATS = st.one_of(st.floats(allow_nan=False, allow_infinity=False),
 
 
 @st.composite
-def _demonstration_sets(draw):
+def _demonstration_sets(draw, values=_FLOATS, max_n=10):
     dim_x, dim_u = draw(st.integers(1, 4)), draw(st.integers(1, 6))
     k = draw(st.integers(1, 4))
-    n = draw(st.integers(k, 10))
+    n = draw(st.integers(k, max_n))
     gids = draw(st.permutations(list(range(k)) + draw(
         st.lists(st.integers(0, k - 1), min_size=n - k, max_size=n - k))))
     block = lambda rows: np.array(draw(st.lists(
-        _FLOATS, min_size=rows * n, max_size=rows * n))).reshape(rows, n)
+        values, min_size=rows * n, max_size=rows * n))).reshape(rows, n)
     channels = {name: block(dim_u) if draw(st.booleans()) else None
                 for name in ("policy", "task_component", "null_component")}
     return DemonstrationSet(states=block(dim_x), actions=block(dim_u),
@@ -351,6 +353,32 @@ def test_codec_roundtrip_is_byte_and_bit_exact(data):
         assert (a is None) == (b is None), name
         if a is not None:
             assert a.shape == b.shape and a.dtype == b.dtype and a.tobytes() == b.tobytes(), name
+
+
+# a small pool, so values repeat within rows, across rows and across blocks:
+# signed zeros (equal as floats, distinct as bits), the smallest subnormal,
+# neighbouring large integral floats and short decimals
+_REPEATED_FLOATS = [0.0, -0.0, 5e-324, 1e16, 9999999999999998.0, 1e-05, 0.0001, 1 / 3]
+
+
+@st.composite
+def _repeating_sets(draw):
+    data = draw(_demonstration_sets(st.sampled_from(_REPEATED_FLOATS), max_n=12))
+    if not draw(st.booleans()):
+        return data
+    # the pooled data's aliased channels: w is u and v is all zero
+    return dataclasses.replace(data, task_component=np.zeros_like(data.actions),
+                               null_component=data.actions)
+
+
+@settings(max_examples=150, deadline=None)
+@given(_repeating_sets(), st.integers(1, 4))
+def test_save_formats_repeated_values_as_the_per_sample_writer(data, block_rows):
+    with tempfile.TemporaryDirectory() as tmp, pytest.MonkeyPatch.context() as mp:
+        mp.setattr(core, "_SAVE_BLOCK_ROWS", block_rows)
+        path = os.path.join(tmp, "d.csv")
+        save_dataset(data, path)
+        assert open(path).read().splitlines()[1:] == _reference_rows(data)
 
 
 def _reference_row_error(path, lines, expected, has_k, parsed=None):

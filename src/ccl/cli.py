@@ -290,8 +290,7 @@ def _write_projector_field(path, config, model, per_axis=15):
         fh.write("x1,x2," + ",".join(names) + "\n")
         for n in range(xs.shape[1]):
             vals = [xs[0, n], xs[1, n]]
-            vals += [truth[i, j, n] for i in range(2) for j in range(2)]
-            vals += [learned[i, j, n] for i in range(2) for j in range(2)]
+            vals += [*truth[n].ravel(), *learned[n].ravel()]
             fh.write(",".join(repr(float(v)) for v in vals) + "\n")
 
 

@@ -66,10 +66,6 @@ class FeatureMatrixProvider:
             raise ValueError(f"feature matrix stack has shape {phi.shape}, expected {expected}")
         return phi
 
-    def __call__(self, x):
-        """Feature matrix at one state, shape (dim_phi, dim_u)."""
-        return self.stack(np.reshape(x, (-1, 1)))[0]
-
 
 def identity_features(dim_u) -> FeatureMatrixProvider:
     eye = np.eye(dim_u)
@@ -87,13 +83,22 @@ def twolink_jacobian_features(l1=1.0, l2=1.0) -> FeatureMatrixProvider:
 
 def feature_provider_from_name(name) -> FeatureMatrixProvider:
     """Rebuild a provider from its registry name (used when loading
-    serialized selection models)."""
+    serialized selection models): ``identity:DIM`` with an integer
+    DIM >= 1, or ``twolink-jacobian:L1,L2`` with finite link lengths > 0.
+    Any other name is a ValueError."""
     kind, _, args = name.partition(":")
-    if kind == "identity":
-        return identity_features(int(args))
-    if kind == "twolink-jacobian":
-        l1, l2 = (float(v) for v in args.split(","))
-        return twolink_jacobian_features(l1, l2)
+    try:
+        if kind == "identity" and int(args) >= 1:
+            return identity_features(int(args))
+        if kind == "twolink-jacobian":
+            l1, l2 = (float(v) for v in args.split(","))
+            if 0 < l1 < np.inf and 0 < l2 < np.inf:
+                return twolink_jacobian_features(l1, l2)
+    except ValueError:
+        pass
+    if kind in ("identity", "twolink-jacobian"):
+        raise ValueError(f"bad feature provider {name!r} (use identity:DIM with an integer "
+                         f"DIM >= 1, or twolink-jacobian:L1,L2 with finite lengths > 0)")
     raise ValueError(f"unknown feature provider {name!r}")
 
 
@@ -189,17 +194,19 @@ class StateIndependentConstraint:
         """Rows (dim_b, dim_u): the state-dependent rows kernel over one
         constant basis function at a single sample."""
         one = np.ones((1, 1))
-        rows = np.empty((0, self.dim_u, 1))
+        rows = np.empty((1, 0, self.dim_u))
         for th in self.angles:
-            _, rows = _accept_row(th[:, None], _complement_frames(rows), one, rows)
-        return rows[:, :, 0]
+            _, rows = _accept_row(th[:, None], orthogonal_complement_rotation(rows), one, rows)
+        return rows[0]
 
-    def projector(self, threshold=1e-8):
-        return nullspace_projector(self.rows(), threshold)
+    def projector(self):
+        return nullspace_projector(self.rows())
 
     def projector_stack(self, xs):
+        """The one projector at states xs (dim_x, N), as a read-only
+        (N, dim_u, dim_u) broadcast."""
         n = np.atleast_2d(xs).shape[1]
-        return np.repeat(self.projector()[:, :, None], n, axis=2)
+        return np.broadcast_to(self.projector(), (n, self.dim_u, self.dim_u))
 
     metrics = _constraint_metrics
 
@@ -339,11 +346,11 @@ class StateDependentConstraintModel:
         """Selection rows (N, dim_b, sel_dim), each row materialized in the
         complement of the earlier ones."""
         bx = rbf_design(xs, self.centers, self.width)
-        rows = np.empty((0, self.sel_dim, bx.shape[1]))
+        rows = np.empty((bx.shape[1], 0, self.sel_dim))
         for om, sg in zip(self.omegas, self.signs):
-            row = sg * _rows_in_frames(om, _complement_frames(rows), bx)
-            rows = np.concatenate([rows, row[None]])
-        return np.moveaxis(rows, -1, 0)
+            row = sg * _rows_in_frames(om, orthogonal_complement_rotation(rows), bx)
+            rows = np.concatenate([rows, row[:, None]], axis=1)
+        return rows
 
     def constraint_stack(self, xs):
         """Materialized constraint rows A(x) at states xs (dim_x, N),
@@ -354,20 +361,9 @@ class StateDependentConstraintModel:
             return sel
         return sel @ _normalized_rows(feature_provider_from_name(self.feature_name).stack(xs))
 
-    def selection_rows(self, x):
-        """Orthonormal selection rows at one state, shape (dim_b, sel_dim)."""
-        return self._selection_stack(np.reshape(x, (-1, 1)))[0]
-
-    def constraint_rows(self, x):
-        """Materialized constraint rows A(x) at one state, shape (dim_b, dim_u)."""
-        return self.constraint_stack(np.reshape(x, (-1, 1)))[0]
-
-    def projector(self, x, threshold=1e-8):
-        return self.projector_stack(np.reshape(x, (-1, 1)), threshold)[:, :, 0]
-
-    def projector_stack(self, xs, threshold=1e-8):
-        """Null-space projectors at states xs (dim_x, N), shape (dim_u, dim_u, N)."""
-        return np.moveaxis(nullspace_projector(self.constraint_stack(xs), threshold), 0, -1)
+    def projector_stack(self, xs):
+        """Null-space projectors at states xs (dim_x, N), shape (N, dim_u, dim_u)."""
+        return nullspace_projector(self.constraint_stack(xs))
 
     metrics = _constraint_metrics
 
@@ -390,22 +386,13 @@ class StateDependentConstraintModel:
             feature_name=doc["features"]))
 
 
-def _complement_frames(rows_stack):
-    """Per-sample orthonormal frames of the complement of the accumulated
-    rows (s, sel_dim, N), shape (sel_dim - s, sel_dim, N); the identity
-    when s = 0."""
-    comp = orthogonal_complement_rotation(np.moveaxis(rows_stack, -1, 0))
-    # einsum's rounding depends on operand layout: frames (and the lambda
-    # targets) stay C-contiguous so learned models stay bit-for-bit stable
-    return np.ascontiguousarray(np.moveaxis(comp, 0, -1))
-
-
 def _rows_in_frames(omega, frames, bx):
-    """Rows (sel_dim, N) whose local angles omega @ beta(x) are taken in
-    the per-sample frames (f, sel_dim, N)."""
+    """Rows (N, sel_dim) whose local angles omega @ beta(x) are taken in
+    the per-sample frames (N, f, sel_dim) of the complement of the earlier
+    rows (see :func:`orthogonal_complement_rotation`)."""
     local = (np.ones((1, bx.shape[1])) if omega.shape[0] == 0
              else unit_vectors_from_angles(omega @ bx))
-    return np.einsum("fn,fjn->jn", local, frames)
+    return np.einsum("fn,nfj->nj", local, frames)
 
 
 def _row_problem(bx, u_rot):
@@ -483,6 +470,8 @@ def _learn_state_dependent(w_obs, xs, phi, options, num_basis, dim_b):
         dead = np.flatnonzero(np.abs(mats).max(axis=(1, 2)) < 1e-12)
         if dead.size:
             raise ValueError(f"feature matrix has rank 0 at sample {dead[0]}")
+        # C-ordered (dim_phi, N) like every vector: a sum over a whole
+        # array rounds in memory order
         target = np.ascontiguousarray((_normalized_rows(mats) @ u.T[:, :, None])[:, :, 0].T)
 
     limit = sel_dim - 1 if dim_b is None else min(dim_b, sel_dim)
@@ -496,7 +485,7 @@ def _learn_state_dependent(w_obs, xs, phi, options, num_basis, dim_b):
         # first a constant-angle anchor: the lattice seed mapped into weight
         # space by ridge fit; then zero weights; then random weights
         size = theta.size * bx.shape[0]
-        yield ridge_regression(bx, np.repeat(theta[:, None], n, axis=1),
+        yield ridge_regression(bx, np.full((theta.size, n), theta[:, None]),
                                opts.regularization).ravel()
         for restart in range(1, opts.num_restarts):
             yield np.zeros(size) if restart == 1 else rng.normal(0.0, 0.4, size)
@@ -510,7 +499,7 @@ def _learn_state_dependent(w_obs, xs, phi, options, num_basis, dim_b):
         omegas=tuple(omegas), signs=tuple(signs), centers=centers, width=width,
         mode=mode, dim_u=dim_u, feature_name=feature_name,
     )
-    final = _exact_projection_energy(model, xs, u, opts.svd_threshold)
+    final = _exact_projection_energy(model, xs, u)
     report = LearnReport.from_errors(mse=final / n, variance=float(np.var(u, axis=1).sum()),
                                      final_objective=final, **fit)
     return model, report
@@ -533,13 +522,15 @@ def _learn_rows(bx, target, limit, accept, starts, opts):
     Returns (omegas, signs, LearnReport fields).
     """
     sel_dim, n = target.shape
-    rows_stack = np.empty((0, sel_dim, n))
+    rows_stack = np.empty((n, 0, sel_dim))
     omegas, signs, trace_hist, notes = [], [], [], ()
     kept, records = [], []  # LM reports of the kept starts; one record per start
 
     for s in range(limit):
-        frames = _complement_frames(rows_stack)
-        u_rot = np.einsum("fjn,jn->fn", frames, target)
+        frames = orthogonal_complement_rotation(rows_stack)
+        # summed by numpy's reduction, not einsum, whose rounding of a 4-D
+        # fit differs in the last bit; C-ordered (f, N) like the targets
+        u_rot = np.ascontiguousarray((frames * target.T[:, None, :]).sum(axis=-1).T)
         n_ang = sel_dim - 1 - s
 
         if n_ang == 0:
@@ -586,14 +577,14 @@ def _accept_row(omega, frames, bx, rows_stack):
     """Materialize a learned row over all samples, fix its canonical sign
     at the reference (first) sample, and extend the row stack."""
     rows = _rows_in_frames(omega, frames, bx)
-    sign = _canonical_sign(rows[:, 0])
-    return sign, np.concatenate([rows_stack, sign * rows[None]])
+    sign = _canonical_sign(rows[0])
+    return sign, np.concatenate([rows_stack, sign * rows[:, None]], axis=1)
 
 
-def _exact_projection_energy(model, xs, u, threshold):
+def _exact_projection_energy(model, xs, u):
     """Sum over samples of the observation energy inside the learned
     constraint's row space, via the truncated pseudoinverse."""
     a = model.constraint_stack(xs)
     ut = u.T[:, :, None]
-    energy = np.swapaxes(ut, 1, 2) @ (pinv_truncated(a, threshold) @ a) @ ut
+    energy = np.swapaxes(ut, 1, 2) @ (pinv_truncated(a) @ a) @ ut
     return max(0.0, float(energy.sum()))

@@ -83,9 +83,11 @@ class LearnOptions:
     """Knobs shared by every learner.
 
     tol_fun / tol_x are the residual and parameter tolerances of the
-    damped least-squares solver, search_resolution is the number of
-    candidate angles per dimension in grid searches, and svd_threshold
-    is the relative cutoff for truncated pseudoinversion.
+    damped least-squares solver, and search_resolution is the number of
+    candidate angles per dimension in grid searches.  There is no
+    truncation knob: a learned constraint's projector, and the objective
+    its learner reports, both cut singular values below 1e-8 of the
+    largest (the default of :func:`mathkit.pinv_truncated`).
     """
 
     tol_fun: float = 1e-9
@@ -93,7 +95,6 @@ class LearnOptions:
     max_iter: int = 1000
     search_resolution: int = 90
     num_restarts: int = 5
-    svd_threshold: float = 1e-8
     regularization: float = 1e-8
     rng_seed: int = 0
 
@@ -119,8 +120,6 @@ class LearnOptions:
             raise ValueError("search_resolution must be >= 2")
         if self.num_restarts < 1:
             raise ValueError("num_restarts must be >= 1")
-        if self.svd_threshold < 0:
-            raise ValueError("svd_threshold must be >= 0")
         if self.regularization < 0:
             raise ValueError("regularization must be >= 0")
         if not 0 <= self.rng_seed < 2 ** 64:

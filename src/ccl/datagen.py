@@ -58,9 +58,9 @@ class TwoLinkArm:
         q = np.asarray(q, dtype=float)
         s1, c1 = np.sin(q[0]), np.cos(q[0])
         s12, c12 = np.sin(q[0] + q[1]), np.cos(q[0] + q[1])
-        jac = np.array([[-self.l1 * s1 - self.l2 * s12, -self.l2 * s12],
-                        [self.l1 * c1 + self.l2 * c12, self.l2 * c12]])
-        return np.moveaxis(jac, (0, 1), (-2, -1))
+        rows = (np.stack([-self.l1 * s1 - self.l2 * s12, -self.l2 * s12], axis=-1),
+                np.stack([self.l1 * c1 + self.l2 * c12, self.l2 * c12], axis=-1))
+        return np.stack(rows, axis=-2)
 
 
 @dataclass(frozen=True)
@@ -218,12 +218,13 @@ def generate(config: GeneratorConfig) -> DemonstrationSet:
 
 
 def true_projectors(config: GeneratorConfig, data: DemonstrationSet):
-    """Ground-truth null-space projector stack (dim_u, dim_u, N) for data
-    produced by :func:`generate` with the same config."""
+    """Ground-truth null-space projectors of data produced by
+    :func:`generate` with the same config, as a stack (N, dim_u, dim_u)
+    whose entry n is sample n's projector."""
     arm = TwoLinkArm(*config.arm_lengths)
     out = np.empty((data.n_samples, data.dim_u, data.dim_u))
     for k in range(data.n_groups):
         idx = data.group_indices(k)
         a = _constraint_matrix(config.constraints[k], data.states[:, idx], arm)
         out[idx] = np.eye(data.dim_u) if a is None else nullspace_projector(_distinct(a))
-    return np.moveaxis(out, 0, -1)
+    return out

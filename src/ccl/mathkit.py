@@ -312,14 +312,15 @@ def ridge_regression(design, targets, regularization=1e-8):
 
 @dataclass
 class LmProblem:
-    """A nonlinear least-squares problem: residual r(p), its analytic
-    Jacobian J(p), initial parameters and options.  A solve whose best
-    objective is still above ``abandon_above`` after ABANDON_AFTER
-    iterations is given up (see :func:`lm_solve`)."""
+    """A nonlinear least-squares problem: residual r(p), initial
+    parameters, options and, unless ``normal_equations`` is overridden,
+    the analytic Jacobian J(p).  A solve whose best objective is still
+    above ``abandon_above`` after ABANDON_AFTER iterations is given up
+    (see :func:`lm_solve`)."""
 
     residual: Callable[[np.ndarray], np.ndarray]
     p0: np.ndarray
-    jacobian: Callable[[np.ndarray], np.ndarray]
+    jacobian: Callable[[np.ndarray], np.ndarray] = None
     options: LearnOptions = field(default_factory=LearnOptions)
     abandon_above: float = np.inf
 
@@ -327,8 +328,11 @@ class LmProblem:
         """The Gauss-Newton system (J'J, J'r) at p, whose residual is r.
 
         This default forms it from ``jacobian(p)``; a problem with a
-        cheaper route to the same system overrides it.
+        cheaper route to the same system overrides it and needs no
+        Jacobian.
         """
+        if self.jacobian is None:
+            raise ValueError("LmProblem needs a jacobian unless it overrides normal_equations")
         j = np.atleast_2d(np.asarray(self.jacobian(p), dtype=float))
         if j.shape != (r.size, p.size):
             raise ValueError(f"jacobian shape {j.shape} inconsistent with "

@@ -6,6 +6,10 @@ is the total variance of the ground-truth channel: the sum over output
 dimensions of the per-dimension (population) variance.  A zero-variance
 channel with nonzero error reports an infinite normalized value instead
 of raising.
+
+Channels are (d, N), one column per sample.  A ``projectors`` argument is
+one (d, d) matrix, applied to every sample, or an (N, d, d) stack with
+sample n's projector at index n; any other shape is a ValueError.
 """
 from __future__ import annotations
 
@@ -34,12 +38,13 @@ def _triple(mse, variance):
 
 
 def _as_stack(projectors, dim, n):
-    """Accept a single (d, d) projector or a (d, d, N) stack."""
+    """Accept a single (d, d) projector, broadcast over the N samples, or
+    an (N, d, d) stack."""
     p = np.asarray(projectors, dtype=float)
     if p.shape == (dim, dim):
-        return np.repeat(p[:, :, None], n, axis=2)
-    if p.shape != (dim, dim, n):
-        raise ValueError(f"projectors must be ({dim},{dim}) or ({dim},{dim},{n})")
+        return np.broadcast_to(p, (n, dim, dim))
+    if p.shape != (n, dim, dim):
+        raise ValueError(f"projectors must be ({dim},{dim}) or ({n},{dim},{dim})")
     return p
 
 
@@ -59,7 +64,7 @@ def error_ppe(null_true, projectors, policy) -> MetricTriple:
     """
     w, pi = _check_pair(null_true, policy, ("null_true", "policy"))
     p = _as_stack(projectors, w.shape[0], w.shape[1])
-    proj = np.einsum("ijn,jn->in", p, pi)
+    proj = np.einsum("nij,jn->in", p, pi)
     mse = float(((proj - w) ** 2).sum(axis=0).mean())
     return _triple(mse, total_variance(w))
 
@@ -69,7 +74,7 @@ def error_poe(actions, projectors) -> MetricTriple:
     variance of u.  Needs no ground truth."""
     u = np.atleast_2d(np.asarray(actions, dtype=float))
     p = _as_stack(projectors, u.shape[0], u.shape[1])
-    proj = np.einsum("ijn,jn->in", p, u)
+    proj = np.einsum("nij,jn->in", p, u)
     mse = float(((proj - u) ** 2).sum(axis=0).mean())
     return _triple(mse, total_variance(u))
 
@@ -96,6 +101,6 @@ def error_ncpe(policy_true, policy_pred, projectors) -> MetricTriple:
     true policy.  Blind to differences inside the removed directions."""
     f, fp = _check_pair(policy_true, policy_pred, ("policy_true", "policy_pred"))
     p = _as_stack(projectors, f.shape[0], f.shape[1])
-    diff = np.einsum("ijn,jn->in", p, f - fp)
+    diff = np.einsum("nij,jn->in", p, f - fp)
     mse = float((diff ** 2).sum(axis=0).mean())
-    return _triple(mse, total_variance(np.einsum("ijn,jn->in", p, f)))
+    return _triple(mse, total_variance(np.einsum("nij,jn->in", p, f)))

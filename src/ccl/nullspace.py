@@ -4,7 +4,8 @@ Observations mix a task-driven component with a null-space component.
 The learner fits an RBF model w(x) by penalizing the gap between the
 model and the observation projected onto the model's own direction:
 a correct model absorbs exactly the null-space part and the task part
-projects away.  The objective has an exact analytic Jacobian.
+projects away.  Its Gauss-Newton system is built from the exact
+analytic derivatives of the per-sample residuals.
 """
 from __future__ import annotations
 
@@ -85,26 +86,17 @@ def _ncl_residual(weights, bx, actions):
     return coef * w - w, small
 
 
-def _ncl_derivative(weights, bx, actions):
-    """The per-sample derivatives D_n = d e_n / d w_n, shape (dim_u, dim_u, N)."""
-    w, dot, safe_rho, coef, small = _ncl_terms(weights, bx, actions)
-    d = actions / safe_rho - 2.0 * dot * w / safe_rho ** 2
-    dmat = np.einsum("an,in->ain", w, d)
-    dmat += (coef - 1.0)[None, None, :] * np.eye(w.shape[0])[:, :, None]
-    dmat[:, :, small] = -np.eye(w.shape[0])[:, :, None]
-    return dmat
-
-
 def _ncl_normal_equations(weights, bx, actions, e):
     """J'J and J'r of the objective at ``weights`` (dim_u, G), whose
     residuals are e (dim_u, N), without forming the (N dim_u, dim_u G)
     Jacobian.  Sample n adds (D_n' D_n) (x) b_n b_n' and (D_n' e_n) (x) b_n,
     so block (i, k) of J'J is bx diag(m_ik) bx' with m_ik = sum_a D_ai D_ak,
-    and row block i of J'r is bx q_i' with q_i = sum_a D_ai e_a.  As
-    D_n = w_n d_n' + beta_n I (see :func:`_ncl_derivative`; d_n = 0 and
-    beta_n = -1 where the prediction is negligible), m and q are a few
-    products per sample, and one matrix product forms the upper blocks
-    and J'r together."""
+    and row block i of J'r is bx q_i' with q_i = sum_a D_ai e_a.  The
+    derivative D_n = d e_n / d w_n of the residual is w_n d_n' + beta_n I,
+    with d_n = u_n / |w_n|^2 - 2 (w_n . u_n) w_n / |w_n|^4 and
+    beta_n = c_n - 1 (d_n = 0 and beta_n = -1 where the prediction is
+    negligible), so m and q are a few products per sample, and one matrix
+    product forms the upper blocks and J'r together."""
     dim_u, g = weights.shape
     n = bx.shape[1]
     w, dot, safe_rho, coef, small = _ncl_terms(weights, bx, actions)
@@ -128,7 +120,7 @@ def _ncl_normal_equations(weights, bx, actions, e):
 @dataclass
 class _NclProblem(LmProblem):
     """The ncl objective for :func:`lm_solve`; ``normal_equations`` comes
-    from the per-sample derivative blocks, not from ``jacobian``."""
+    from the per-sample derivative blocks, so it has no ``jacobian``."""
 
     bx: np.ndarray = None
     actions: np.ndarray = None
@@ -143,19 +135,14 @@ def _ncl_problem(bx, actions, p0, options=None):
     """The objective sum_n || P_n u_n - w(x_n) ||^2 over the flattened
     weights p0 (dim_u G,) as an LmProblem: it is r.r and its gradient
     2 J'r."""
-    g, n = bx.shape
+    g = bx.shape[0]
     dim_u = actions.shape[0]
 
     def residual(wvec):
         return _ncl_residual(wvec.reshape(dim_u, g), bx, actions)[0].ravel(order="F")
 
-    def jacobian(wvec):
-        dmat = _ncl_derivative(wvec.reshape(dim_u, g), bx, actions)
-        # row order in memory, so the reshape is a view and not a copy
-        return np.einsum("ain,jn->naij", dmat, bx, order="C").reshape(n * dim_u, dim_u * g)
-
-    return _NclProblem(residual=residual, p0=p0, jacobian=jacobian,
-                       options=options or LearnOptions(), bx=bx, actions=actions)
+    return _NclProblem(residual=residual, p0=p0, options=options or LearnOptions(),
+                       bx=bx, actions=actions)
 
 
 def learn_ncl(xs, actions, options: Optional[LearnOptions] = None, num_basis=16):

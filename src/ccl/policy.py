@@ -146,12 +146,13 @@ class LwlPolicyModel:
 
 
 def _direction_projectors(u):
-    """Rank-one projectors onto each observed action direction (d, d, N);
-    zero where the action norm is at most ZERO_ACTION (no direction)."""
+    """Rank-one projectors onto each observed action direction, a stack
+    (N, d, d); zero where the action norm is at most ZERO_ACTION (no
+    direction)."""
     norms = (u ** 2).sum(axis=0)
     keep = norms > ZERO_ACTION ** 2
-    proj = np.einsum("in,jn->ijn", u, u) / np.where(keep, norms, 1.0)
-    proj[:, :, ~keep] = 0.0
+    proj = np.einsum("in,jn->nij", u, u) / np.where(keep, norms, 1.0)[:, None, None]
+    proj[~keep] = 0.0
     return proj
 
 

@@ -120,8 +120,7 @@ def test_criterion_4_feature_matrix_variant():
     lambda_model, _ = learn_lambda(toy.actions, toy.states, identity_features(2), opts)
     pa = alpha_model.projector_stack(toy.states)
     pl = lambda_model.projector_stack(toy.states)
-    frob = max(np.linalg.norm(pa[:, :, i] - pl[:, :, i])
-               for i in range(toy.n_samples))
+    frob = max(np.linalg.norm(pa[i] - pl[i]) for i in range(toy.n_samples))
     assert frob < 1e-6
     _ok(4, f"held-out NPOE {poe.normalized:.2e}; identity-feature projector "
            f"gap {frob:.2e} Frobenius")
@@ -141,16 +140,14 @@ def test_criterion_5_nullspace_decomposition():
     bx = rbf_design(data.states[:, :60], model.centers, model.width)
     u60 = data.actions[:, :60]
     # the learner's own problem: objective r.r, gradient 2 J^T r, with J^T r
-    # from the assembled Jacobian and from the normal equations the solver uses
+    # from the normal equations the solver uses
     problem = _ncl_problem(bx, u60, np.zeros(2 * 16))
     residual = problem.residual
     worst = 0.0
     for _ in range(10):
         weights = rng.normal(size=(2, 16))
         r = residual(weights.ravel())
-        grad = 2.0 * problem.jacobian(weights.ravel()).T @ r
-        assert np.allclose(2.0 * problem.normal_equations(weights.ravel(), r)[1], grad,
-                           rtol=1e-12, atol=1e-12 * np.abs(grad).max())
+        grad = 2.0 * problem.normal_equations(weights.ravel(), r)[1]
         fd = finite_difference_jacobian(
             lambda w: np.array([residual(w) @ residual(w)]), weights.ravel())
         rel = np.max(np.abs(grad.ravel() - fd.ravel())) / max(1.0, np.abs(grad).max())
@@ -182,7 +179,7 @@ def test_criterion_6_policy_recovery_and_degeneracy():
     lin, _ = learn_pi(single.states, single.actions, basis="linear")
     pred = lin.predict(single.states)
     norms = (single.actions ** 2).sum(axis=0)
-    proj = np.einsum("in,jn->ijn", single.actions, single.actions) / norms
+    proj = np.einsum("in,jn->nij", single.actions, single.actions) / norms[:, None, None]
     ncpe = error_ncpe(single.policy, pred, proj).normalized
     single_nupe = error_nupe(single.policy, pred).normalized
     assert ncpe < 1e-6
@@ -200,14 +197,11 @@ def test_criterion_7_metric_identities():
 
     n = 60
     # shared per-pair projectors keep projected channels zero-mean too
-    half_p = np.empty((2, 2, n // 2))
-    for i in range(n // 2):
-        a = rng.normal(size=(1, 2))
-        half_p[:, :, i] = nullspace_projector(a)
-    projectors = np.concatenate([half_p, half_p], axis=2)
+    half_p = nullspace_projector(rng.normal(size=(n // 2, 1, 2)))
+    projectors = np.concatenate([half_p, half_p])
 
     pi = mirrored((2, n))
-    w = np.einsum("ijn,jn->in", projectors, pi)
+    w = np.einsum("nij,jn->in", projectors, pi)
     u = w.copy()
 
     # zero on perfect predictions
@@ -228,18 +222,18 @@ def test_criterion_7_metric_identities():
     # loop oracles on random inputs
     truth = rng.normal(size=(2, n))
     pred = rng.normal(size=(2, n))
-    stack = rng.normal(size=(2, 2, n))
+    stack = rng.normal(size=(n, 2, 2))
 
     def colmean(values):
         return sum(values) / len(values)
 
     ppe = error_ppe(truth, stack, pred)
-    oracle = colmean([((stack[:, :, i] @ pred[:, i] - truth[:, i]) ** 2).sum()
+    oracle = colmean([((stack[i] @ pred[:, i] - truth[:, i]) ** 2).sum()
                       for i in range(n)])
     assert abs(ppe.mse - oracle) < 1e-12
 
     poe = error_poe(truth, stack)
-    oracle = colmean([((stack[:, :, i] @ truth[:, i] - truth[:, i]) ** 2).sum()
+    oracle = colmean([((stack[i] @ truth[:, i] - truth[:, i]) ** 2).sum()
                       for i in range(n)])
     assert abs(poe.mse - oracle) < 1e-12
 
@@ -249,7 +243,7 @@ def test_criterion_7_metric_identities():
     assert abs(error_nupe(truth, pred).mse - oracle) < 1e-12
 
     ncpe = error_ncpe(truth, pred, stack)
-    oracle = colmean([((stack[:, :, i] @ (truth[:, i] - pred[:, i])) ** 2).sum()
+    oracle = colmean([((stack[i] @ (truth[:, i] - pred[:, i])) ** 2).sum()
                       for i in range(n)])
     assert abs(ncpe.mse - oracle) < 1e-12
     _ok(7, "all five metrics: 0 on perfect, 1 on zero predictor, "

@@ -1,5 +1,6 @@
 import json
 import os
+import warnings
 from dataclasses import fields
 
 import numpy as np
@@ -449,6 +450,31 @@ def test_lambda_document_without_features_is_an_error(tmp_path, capsys, learned_
     assert capsys.readouterr().err == "error: lambda mode needs a feature provider name\n"
 
 
+@pytest.mark.parametrize("features", [
+    "twolink-jacobian:0,0", "twolink-jacobian:nan,1", "twolink-jacobian:inf,1",
+    "twolink-jacobian:1,-2", "twolink-jacobian:1", "identity:0", "identity:-1",
+    "identity:1.5", "identity:two"])
+def test_bad_feature_name_is_an_error(tmp_path, capsys, learned_docs, features):
+    # zero link lengths once scored a perfect NPOE of 0.0, and a nan length
+    # printed a numpy warning; both in eval and in learn the name is refused
+    data, doc = learned_docs["lambda"]
+    bad = str(tmp_path / "bad.json")
+    with open(bad, "w") as fh:
+        json.dump(dict(doc, features=features), fh)
+    out = str(tmp_path / "m.json")
+    capsys.readouterr()
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for argv in (("eval", "--model", bad, "--data", data),
+                     ("learn", "--method", "lambda", "--features", features,
+                      "--in", data, "--out", out)):
+            assert _run(*argv) == 1
+            captured = capsys.readouterr()
+            assert captured.err.startswith(f"error: bad feature provider {features!r}")
+            assert captured.out == ""
+    assert not os.path.exists(out)
+
+
 def test_deeply_nested_model_file_is_an_error_not_a_traceback(tmp_path, capsys):
     data = _gen(tmp_path, n=40)
     bad = tmp_path / "deep.json"
@@ -501,7 +527,7 @@ def test_learn_manifest_command_reruns_with_solver_flags(tmp_path):
     assert open(out, "rb").read() == open(redone, "rb").read()
 
 
-@pytest.mark.parametrize("flag", ["--regularization", "--svd-threshold", "--tol-x", "--tol-fun"])
+@pytest.mark.parametrize("flag", ["--regularization", "--tol-x", "--tol-fun"])
 @pytest.mark.parametrize("value", ["inf", "nan"])
 def test_learn_rejects_non_finite_solver_options(tmp_path, capsys, flag, value):
     data = _gen(tmp_path, constraint="fixed:45", n=60, seed=9)
@@ -519,6 +545,7 @@ def test_learn_help_lists_every_solver_option(capsys):
     for f in fields(LearnOptions):
         flag = "--" + f.name.replace("_", "-")
         assert (flag in text) == (f.name != "rng_seed"), flag
+    assert "--svd-threshold" not in text  # the projectors always truncate at 1e-8
 
 
 def test_ccl_seed_env_override(tmp_path, monkeypatch):

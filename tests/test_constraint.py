@@ -285,7 +285,7 @@ def test_alpha_matches_nhat_on_constant_constraint():
     nhat_model, _ = learn_nhat(data.actions, TIGHT)
     n_fixed = nhat_model.projector()
     stack = alpha_model.projector_stack(data.states[:, :100])
-    worst = max(np.linalg.norm(stack[:, :, i] - n_fixed) for i in range(100))
+    worst = max(np.linalg.norm(stack[i] - n_fixed) for i in range(100))
     assert worst < 1e-2
 
 
@@ -358,11 +358,9 @@ def test_alpha_orthonormal_rows_at_random_states():
     data = generate(cfg)
     model, _ = learn_alpha(data.actions, data.states,
                            LearnOptions(rng_seed=0, max_iter=200))
-    rng = np.random.default_rng(12)
-    for _ in range(100):
-        x = rng.uniform(-1, 1, 2)
-        rows = model.selection_rows(x)
-        assert np.max(np.abs(rows @ rows.T - np.eye(model.dim_b))) < 1e-8
+    xs = np.random.default_rng(12).uniform(-1, 1, (2, 100))
+    rows = model.constraint_stack(xs)  # alpha rows are the selection rows
+    assert np.max(np.abs(rows @ rows.swapaxes(1, 2) - np.eye(model.dim_b))) < 1e-8
 
 
 def test_alpha_respects_requested_dim_b():
@@ -425,13 +423,11 @@ def test_lambda_full_selection_recovers_feature_projector():
                             LearnOptions(rng_seed=0, max_iter=50),
                             num_basis=6, dim_b=2)
     assert model.dim_b == 2
-    for i in range(10):
-        x = xs[:, i]
-        sel = model.selection_rows(x)
-        assert np.max(np.abs(sel @ sel.T - np.eye(2))) < 1e-8
-        phi = arm.jacobian(x)
-        expected = np.eye(2) - pinv_truncated(phi) @ phi
-        assert np.max(np.abs(model.projector(x) - expected)) < 1e-6
+    sel = model._selection_stack(xs[:, :10])
+    assert np.max(np.abs(sel @ sel.swapaxes(1, 2) - np.eye(2))) < 1e-8
+    phi = arm.jacobian(xs[:, :10])
+    expected = np.eye(2) - pinv_truncated(phi) @ phi
+    assert np.max(np.abs(model.projector_stack(xs[:, :10]) - expected)) < 1e-6
 
 
 def test_lambda_rejects_rank_zero_feature_sample():
@@ -494,8 +490,8 @@ def test_objective_avn_consistent_with_lm_residuals():
 def test_feature_provider_registry_roundtrip():
     p = twolink_jacobian_features(1.0, 0.5)
     q = feature_provider_from_name(p.name)
-    x = np.array([0.3, 0.7])
-    assert np.allclose(p(x), q(x))
+    xs = np.array([[0.3, -1.2], [0.7, 0.1]])
+    assert np.array_equal(p.stack(xs), q.stack(xs))
     with pytest.raises(ValueError):
         feature_provider_from_name("warp-drive:9")
 
@@ -517,7 +513,7 @@ def _projector_reference(model, x):
         rows.append(sg * (local @ frame))
     a = np.vstack(rows)
     if model.mode == "lambda":
-        phi = feature_provider_from_name(model.feature_name)(x)
+        phi = feature_provider_from_name(model.feature_name).stack(x[:, None])[0]
         a = a @ (phi / np.linalg.norm(phi, axis=1, keepdims=True))
     return np.eye(model.dim_u) - pinv_truncated(a) @ a
 
@@ -544,28 +540,27 @@ def _state_dependent_models(draw):
 
 @settings(max_examples=80, deadline=None)
 @given(_state_dependent_models())
-def test_projector_stack_matches_single_state_and_loop_oracle(case):
+def test_projector_stack_matches_loop_oracle(case):
     model, xs = case
     stack = model.projector_stack(xs)
     rows = model.constraint_stack(xs)
-    assert stack.shape == (model.dim_u, model.dim_u, xs.shape[1])
+    sel = model._selection_stack(xs)
+    assert stack.shape == (xs.shape[1], model.dim_u, model.dim_u)
     assert rows.shape == (xs.shape[1], model.dim_b, model.dim_u)
+    assert sel.shape == (xs.shape[1], model.dim_b, model.sel_dim)
     # The fifth row of a six-dimensional selection takes its angle in the
     # SVD complement of four orthonormal rows, which LAPACK returns
     # discontinuously: a 1e-15 change of those rows can turn it by O(1), so
-    # last-bit differences between the N = 1 and batched products show up
-    # there.  Only the frame-free properties are checked in that case.
+    # last-bit differences between the per-state and batched products show
+    # up there.  Only the frame-free properties are checked in that case.
     comparable = (model.sel_dim, model.dim_b) != (6, 5)
     for i in range(xs.shape[1]):
-        p = stack[:, :, i]
+        p = stack[i]
         assert np.allclose(p, p.T, atol=1e-12) and np.allclose(p @ p, p, atol=1e-10)
         assert np.allclose(rows[i] @ p, 0.0, atol=1e-10)
-        sel = model.selection_rows(xs[:, i])
-        assert np.allclose(sel @ sel.T, np.eye(model.dim_b), atol=1e-10)
+        assert np.allclose(sel[i] @ sel[i].T, np.eye(model.dim_b), atol=1e-10)
         if comparable:
-            single = model.projector(xs[:, i])
-            assert np.allclose(p, single, rtol=0, atol=1e-12)
-            assert np.allclose(single, _projector_reference(model, xs[:, i]), rtol=0, atol=1e-10)
+            assert np.allclose(p, _projector_reference(model, xs[:, i]), rtol=0, atol=1e-10)
 
 
 def test_feature_provider_batches_and_checks_stack_shape():
@@ -574,13 +569,11 @@ def test_feature_provider_batches_and_checks_stack_shape():
     stack = provider.stack(xs)
     assert stack.shape == (6, 2, 2)
     for i in range(6):
-        assert np.array_equal(stack[i], provider(xs[:, i]))
+        assert np.array_equal(stack[i], TwoLinkArm(1.0, 0.5).jacobian(xs[:, i]))
     assert identity_features(3).stack(np.zeros((2, 4))).shape == (4, 3, 3)
     wrong = FeatureMatrixProvider(name="identity:2", dim_phi=2, dim_u=2,
                                   fn=lambda xs: np.zeros((2, 2)))
     with pytest.raises(ValueError, match="shape"):
         wrong.stack(xs)
-    with pytest.raises(ValueError, match="shape"):
-        wrong(xs[:, 0])
     with pytest.raises(ValueError, match="shape"):
         learn_lambda(np.ones((2, 6)), xs, wrong, num_basis=2)

@@ -27,7 +27,7 @@ def test_default_options_valid():
 
 @pytest.mark.parametrize("kw", [
     {"tol_fun": 0.0}, {"tol_x": -1.0}, {"max_iter": 0},
-    {"search_resolution": 1}, {"num_restarts": 0}, {"svd_threshold": -1e-9},
+    {"search_resolution": 1}, {"num_restarts": 0},
     {"regularization": -0.1}, {"rng_seed": -1}, {"rng_seed": 2 ** 64},
 ])
 def test_options_bounds(kw):
@@ -35,7 +35,7 @@ def test_options_bounds(kw):
         LearnOptions(**kw)
 
 
-@pytest.mark.parametrize("name", ["tol_fun", "tol_x", "svd_threshold", "regularization"])
+@pytest.mark.parametrize("name", ["tol_fun", "tol_x", "regularization"])
 @pytest.mark.parametrize("value", [np.inf, -np.inf, np.nan])
 def test_options_float_fields_must_be_finite(name, value):
     with pytest.raises(ValueError, match=f"{name} must be finite"):
@@ -49,7 +49,7 @@ def test_options_count_fields_must_be_integers(name, value):
         LearnOptions(**{name: value})
 
 
-@pytest.mark.parametrize("name", ["tol_fun", "tol_x", "svd_threshold", "regularization"])
+@pytest.mark.parametrize("name", ["tol_fun", "tol_x", "regularization"])
 @pytest.mark.parametrize("value", [True, "1e-3", None])
 def test_options_float_fields_must_be_real_numbers(name, value):
     with pytest.raises(TypeError, match=f"{name} must be a real number, not"):

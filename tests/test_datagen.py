@@ -116,7 +116,8 @@ def test_three_group_pooled_self_consistency():
                           n_per_group=100, rng_seed=6)
     data = generate(cfg)
     projectors = true_projectors(cfg, data)
-    proj = np.einsum("ijn,jn->in", projectors, data.actions)
+    assert projectors.shape == (data.n_samples, 2, 2)
+    proj = np.einsum("nij,jn->in", projectors, data.actions)
     assert np.max(np.abs(proj - data.actions)) < 1e-10  # per-group POE of truth is 0
 
 

@@ -76,12 +76,17 @@ def test_poe_zero_projector_normalizes_to_energy_ratio():
 def test_poe_matches_loop_oracle_random_projector():
     rng = np.random.default_rng(5)
     u = rng.normal(size=(3, 25))
-    p = rng.normal(size=(3, 3, 25))
-    triple = error_poe(u, p)
-    acc = 0.0
-    for n in range(25):
-        acc += ((p[:, :, n] @ u[:, n] - u[:, n]) ** 2).sum()
-    assert triple.mse == pytest.approx(acc / 25, rel=1e-12)
+    stack = rng.normal(size=(25, 3, 3))
+    # an (N, d, d) stack, and one (d, d) matrix applied to every sample
+    for p, per_sample in ((stack, stack), (stack[0], [stack[0]] * 25)):
+        triple = error_poe(u, p)
+        acc = 0.0
+        for n in range(25):
+            acc += ((per_sample[n] @ u[:, n] - u[:, n]) ** 2).sum()
+        assert triple.mse == pytest.approx(acc / 25, rel=1e-12)
+        assert triple.variance == pytest.approx(_loop_total_variance(u), rel=1e-12)
+    with pytest.raises(ValueError, match="projectors must be"):
+        error_poe(u, np.moveaxis(stack, 0, -1))  # samples last: (d, d, N)
 
 
 @pytest.mark.parametrize("metric", [error_npe, error_nupe])
@@ -111,7 +116,7 @@ def test_ncpe_blind_inside_removed_directions():
 def test_ncpe_exact_prediction_is_zero():
     rng = np.random.default_rng(9)
     pi = rng.normal(size=(2, 30))
-    p = rng.normal(size=(2, 2, 30))
+    p = rng.normal(size=(30, 2, 2))
     assert error_ncpe(pi, pi, p).normalized == 0.0
 
 
@@ -119,12 +124,18 @@ def test_ncpe_matches_loop_oracle():
     rng = np.random.default_rng(10)
     pi = rng.normal(size=(2, 20))
     pred = rng.normal(size=(2, 20))
-    p = rng.normal(size=(2, 2, 20))
-    triple = error_ncpe(pi, pred, p)
-    acc = 0.0
-    for n in range(20):
-        acc += ((p[:, :, n] @ (pi[:, n] - pred[:, n])) ** 2).sum()
-    assert triple.mse == pytest.approx(acc / 20, rel=1e-12)
+    stack = rng.normal(size=(20, 2, 2))
+    # an (N, d, d) stack, and one (d, d) matrix applied to every sample
+    for p, per_sample in ((stack, stack), (stack[0], [stack[0]] * 20)):
+        triple = error_ncpe(pi, pred, p)
+        acc = 0.0
+        for n in range(20):
+            acc += ((per_sample[n] @ (pi[:, n] - pred[:, n])) ** 2).sum()
+        assert triple.mse == pytest.approx(acc / 20, rel=1e-12)
+        projected = np.column_stack([per_sample[n] @ pi[:, n] for n in range(20)])
+        assert triple.variance == pytest.approx(_loop_total_variance(projected), rel=1e-12)
+    with pytest.raises(ValueError, match="projectors must be"):
+        error_ncpe(pi, pred, np.moveaxis(stack, 0, -1))  # samples last: (d, d, N)
 
 
 # ---------------------------------------------------------------------------
@@ -136,10 +147,10 @@ def test_ncpe_mse_never_exceeds_nupe_mse_under_projectors():
     for _ in range(30):
         pi = rng.normal(size=(3, 15))
         pred = rng.normal(size=(3, 15))
-        p = np.empty((3, 3, 15))
+        p = np.empty((15, 3, 3))
         for n in range(15):
             a = rng.normal(size=(rng.integers(1, 3), 3))
-            p[:, :, n] = nullspace_projector(a)
+            p[n] = nullspace_projector(a)
         assert error_ncpe(pi, pred, p).mse <= error_nupe(pi, pred).mse + 1e-12
 
 

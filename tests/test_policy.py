@@ -24,7 +24,7 @@ def _pooled_linear(seeds=31, n=400, angles=(0.0, 60.0, 120.0)):
 
 def _direction_projectors(u):
     norms = (u ** 2).sum(axis=0)
-    return np.einsum("in,jn->ijn", u, u) / norms
+    return np.einsum("in,jn->nij", u, u) / norms[:, None, None]
 
 
 # ---------------------------------------------------------------------------
@@ -81,17 +81,17 @@ def test_pi_aligned_2d_data_matches_ridge_through_projectors():
     model, _ = learn_pi(xs, u, num_basis=5)
     ridge = ridge_regression(feats, u)
     proj = _direction_projectors(u)
-    gap = np.einsum("ijn,jn->in", proj, (model.weights - ridge) @ feats)
+    gap = np.einsum("nij,jn->in", proj, (model.weights - ridge) @ feats)
     assert np.max(np.abs(gap)) < 1e-8
 
 
 def _reference_solve(features, u, proj, sample_weights, regularization):
     """The normal equations of the projected fit as the learners once
-    formed them, from the (d, d, N) projector stack with one 3-operand
+    formed them, from the (N, d, d) projector stack with one 3-operand
     einsum: returns (H, rhs) for vec(W), row g d + i for W[i, g]."""
     d, n_feat = u.shape[0], features.shape[0]
     wf = features * sample_weights
-    h = np.einsum("gn,hn,ijn->gihj", wf, features, proj).reshape(n_feat * d, n_feat * d)
+    h = np.einsum("gn,hn,nij->gihj", wf, features, proj).reshape(n_feat * d, n_feat * d)
     h[np.diag_indices_from(h)] += regularization
     return h, ((u * sample_weights) @ features.T).flatten(order="F")
 
@@ -119,7 +119,7 @@ def test_factored_normal_equations_match_the_projector_stack(dim_u, n_feat, n, n
         assert np.max(np.abs(h - h_ref)) <= 1e-12 * np.max(np.abs(h_ref))
         assert np.max(np.abs(rhs - rhs_ref)) <= 1e-12 * np.max(np.abs(rhs_ref))
         # half the gradient of sum_n rho_n ||u_n - P_n W f_n||^2 + reg ||W||^2
-        grad = reg * w - (rho * (u - np.einsum("ijn,jn->in", proj, w @ f))) @ f.T
+        grad = reg * w - (rho * (u - np.einsum("nij,jn->in", proj, w @ f))) @ f.T
         assert np.linalg.norm(grad) <= 1e-8 * np.linalg.norm(rhs_ref)
 
 
@@ -164,7 +164,7 @@ def test_pi_closed_form_is_a_minimum():
 
     def objective(w):
         pred = w @ feats
-        res = data.actions - np.einsum("ijn,jn->in", proj, pred)
+        res = data.actions - np.einsum("nij,jn->in", proj, pred)
         return float((res ** 2).sum()) + 1e-8 * float((w ** 2).sum())
 
     base = objective(model.weights)
@@ -292,7 +292,7 @@ def test_3d_affine_policy_pooled_over_three_constraints(learn):
     # projector stack gives
     noisy = u + 0.05 * rng.normal(size=u.shape)
     model, report = learn(xs, noisy)
-    residual = noisy - np.einsum("ijn,jn->in", _direction_projectors(noisy), model.predict(xs))
+    residual = noisy - np.einsum("nij,jn->in", _direction_projectors(noisy), model.predict(xs))
     expected = float((residual ** 2).sum())
     assert abs(report.final_objective - expected) <= 1e-12 * expected
 
@@ -367,7 +367,7 @@ def test_direction_projectors_idempotent_and_fixing():
     u = rng.normal(size=(3, 40))
     proj = _direction_projectors(u)
     for n in range(40):
-        p = proj[:, :, n]
+        p = proj[n]
         assert np.max(np.abs(p @ p - p)) < 1e-12
         assert np.max(np.abs(p @ u[:, n] - u[:, n])) < 1e-12
 
@@ -379,6 +379,6 @@ def test_library_direction_projectors_zero_for_zero_actions():
     u[:, 2] = 0.0
     u[:, 4] = [ZERO_ACTION / 2, 0.0]
     proj = library_projectors(u)
-    assert not proj[:, :, [2, 4]].any()
+    assert not proj[[2, 4]].any()
     live = [0, 1, 3, 5]
-    assert np.array_equal(proj[:, :, live], _direction_projectors(u[:, live]))
+    assert np.array_equal(proj[live], _direction_projectors(u[:, live]))

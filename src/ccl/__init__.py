@@ -15,7 +15,6 @@ from .constraint import (
     learn_alpha,
     learn_lambda,
     learn_nhat,
-    objective_state_independent,
     twolink_jacobian_features,
 )
 from .core import DemonstrationSet, LearnOptions, LearnReport, load_dataset, save_dataset

@@ -33,6 +33,10 @@ METHODS = ("nhat", "alpha", "lambda", "ncl", "pi", "pi-lwl")
 TUTORIALS = ("toy-ncl", "toy-constraint", "toy-pi", "twolink")
 # every LearnOptions field but the seed is a learn flag (--tol-fun, ...)
 SOLVER_FIELDS = [f for f in fields(LearnOptions) if f.name != "rng_seed"]
+# the methods that read each learner flag
+LEARNER_FLAG_METHODS = {"--num-basis": ("alpha", "lambda", "ncl", "pi", "pi-lwl"),
+                        "--dim-b": ("alpha", "lambda"), "--features": ("lambda",),
+                        "--basis": ("pi",)}
 
 
 class CliError(Exception):
@@ -69,18 +73,6 @@ def _default_seed():
         return int(text)
     except ValueError:
         raise CliError(f"CCL_SEED must be an integer, got {text!r}") from None
-
-
-def _report_summary(report):
-    return {
-        "converged": report.converged, "reason": report.reason,
-        "iterations": report.iterations,
-        "final_objective": report.final_objective,
-        "objective_trace": list(report.objective_trace),
-        "nmse": report.nmse, "mse": report.mse, "variance": report.variance,
-        "notes": list(report.notes), "dropped_samples": report.dropped_samples,
-        "starts": list(report.starts),
-    }
 
 
 def _manifest_path(out_path):
@@ -155,6 +147,23 @@ def _options_from_args(args):
                         **{f.name: getattr(args, f.name) for f in SOLVER_FIELDS})
 
 
+def _learner_flags(args):
+    """The learner flags given on the command line (a --basis only when it
+    is not the default), as flag -> value."""
+    given = {"--num-basis": args.num_basis, "--dim-b": args.dim_b,
+             "--features": args.features, "--basis": None if args.basis == "rbf" else args.basis}
+    return {flag: value for flag, value in given.items() if value is not None}
+
+
+def _check_learner_flags(args):
+    for flag in _learner_flags(args):
+        if args.method not in LEARNER_FLAG_METHODS[flag]:
+            raise CliError(f"method {args.method} does not take {flag}")
+    if args.method == "lambda" and not args.features:
+        raise CliError("method lambda needs --features "
+                       "(e.g. twolink-jacobian:1.0,1.0 or identity:2)")
+
+
 def _dispatch_learn(args, data, opts):
     # the basis size goes to the learner only when given, so its default
     # lives in the learner's signature alone
@@ -164,9 +173,6 @@ def _dispatch_learn(args, data, opts):
     if args.method == "alpha":
         return learn_alpha(data.actions, data.states, opts, dim_b=args.dim_b, **size)
     if args.method == "lambda":
-        if not args.features:
-            raise CliError("method lambda needs --features "
-                           "(e.g. twolink-jacobian:1.0,1.0 or identity:2)")
         provider = feature_provider_from_name(args.features)
         return learn_lambda(data.actions, data.states, provider, opts, dim_b=args.dim_b, **size)
     if args.method == "ncl":
@@ -181,6 +187,7 @@ def _dispatch_learn(args, data, opts):
 
 def cmd_learn(args):
     t0 = time.perf_counter()
+    _check_learner_flags(args)
     data = load_dataset(args.inp)
     opts = _options_from_args(args)
     model, report = _dispatch_learn(args, data, opts)
@@ -190,18 +197,11 @@ def cmd_learn(args):
     if args.method in ("pi", "pi-lwl") and data.n_groups == 1:
         notes.append("degeneracy-warning: all samples share one constraint group; "
                      "the policy is only pinned down along observed directions")
-    summary = _report_summary(report)
-    summary["notes"] = notes
+    summary = dict(asdict(report), notes=notes)
     command = ["learn", "--method", args.method, "--in", args.inp, "--out", args.out,
                "--seed", str(args.seed)]
-    if args.num_basis is not None:
-        command += ["--num-basis", str(args.num_basis)]
-    if args.dim_b is not None:
-        command += ["--dim-b", str(args.dim_b)]
-    if args.features:
-        command += ["--features", args.features]
-    if args.basis != "rbf":
-        command += ["--basis", args.basis]
+    for flag, value in _learner_flags(args).items():
+        command += [flag, str(value)]
     for f in SOLVER_FIELDS:
         if getattr(opts, f.name) != f.default:
             command += [_solver_flag(f), repr(getattr(opts, f.name))]
@@ -252,11 +252,8 @@ def cmd_eval(args):
     if args.out:
         with open(args.out, "w") as fh:
             fh.write(table)
-        structured = {
-            "metrics": {name: {"normalized": t.normalized, "variance": t.variance,
-                               "mse": t.mse} for name, t in rows},
-            "skipped": dict(skipped),
-        }
+        structured = {"metrics": {name: asdict(t) for name, t in rows},
+                      "skipped": dict(skipped)}
         RunManifest(subcommand="eval",
                     command=("eval", "--model", args.model, "--data", args.data,
                              "--out", args.out),
@@ -400,7 +397,7 @@ def build_parser():
     l.add_argument("--in", dest="inp", required=True)
     l.add_argument("--out", required=True)
     l.add_argument("--num-basis", type=int, default=None,
-                   help="basis functions / local models (default 16, policies 10)")
+                   help="basis functions / local models, not nhat (default 16, policies 10)")
     l.add_argument("--dim-b", type=int, default=None,
                    help="fix the constraint row count (alpha/lambda)")
     l.add_argument("--features", default=None,
@@ -433,10 +430,7 @@ def main(argv=None) -> int:
             # the environment is read only when --seed is absent
             args.seed = _default_seed()
         return args.func(args)
-    except CliError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
-    except (ValueError, OSError) as exc:
+    except (CliError, ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

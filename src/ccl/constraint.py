@@ -34,7 +34,7 @@ from .mathkit import (
     unit_vector_angle_jacobians,
     unit_vectors_from_angles,
 )
-from .metrics import error_poe, error_ppe
+from .metrics import error_poe, error_ppe, total_variance
 
 GRID_POINT_BUDGET = 200_000
 ROW_ACCEPT_FRACTION = 0.1  # state-dependent rows may keep this energy share
@@ -122,21 +122,6 @@ def _normalized_rows(mat):
     # path, whatever memory layout the feature provider returned
     return np.divide(mat, norms, out=np.array(mat, dtype=float, order="C"),
                      where=norms > 1e-12)
-
-
-def objective_state_independent(a_rows, second_moment):
-    """Violation energy of a constant candidate constraint: the summed
-    squared projection of the observations onto its rows, computed as
-    trace(A M A^T) from the precomputed second moment M = sum_n u_n u_n^T.
-
-    Assumes orthonormal candidate rows (their pseudoinverse is then the
-    plain transpose).
-    """
-    a = np.atleast_2d(np.asarray(a_rows, dtype=float))
-    m = np.asarray(second_moment, dtype=float)
-    if m.shape != (a.shape[1], a.shape[1]):
-        raise ValueError(f"second moment {m.shape} does not match rows {a.shape}")
-    return max(0.0, float(np.trace(a @ m @ a.T)))
 
 
 def _constraint_metrics(model, data):
@@ -267,16 +252,15 @@ def learn_nhat(w_obs, options: Optional[LearnOptions] = None):
     if np.max(np.abs(u)) == 0.0:
         raise ValueError("all-zero observations: constraint unidentifiable")
 
-    second = u @ u.T
-    lam, vec = np.linalg.eigh(second)
-    omegas, _, fit = _learn_rows(
+    lam, vec = np.linalg.eigh(u @ u.T)
+    omegas, _, _, fit = _learn_rows(
         np.ones((1, dim_u)), vec * np.sqrt(np.maximum(lam, 0.0)), dim_u - 1,
         accept=lambda e_row, u_rot: e_row <= opts.tol_fun * max(1.0, float((u_rot ** 2).sum())),
         starts=lambda theta: (theta,), opts=opts)
     constraint = StateIndependentConstraint(angles=tuple(om.ravel() for om in omegas),
                                             dim_u=dim_u)
-    final = objective_state_independent(constraint.rows(), second)
-    report = LearnReport.from_errors(mse=final / n, variance=float(np.var(u, axis=1).sum()),
+    final = _exact_projection_energy(constraint.rows()[None], u)
+    report = LearnReport.from_errors(mse=final / n, variance=total_variance(u),
                                      final_objective=final, **fit)
     return constraint, report
 
@@ -291,30 +275,26 @@ class StateDependentConstraintModel:
     state: theta_s(x) = omega_s beta(x), with beta the Gaussian features of
     ``centers`` (dim_x, G) and the shared ``width``.
 
-    In "alpha" mode the rows live directly in action space; in "lambda"
-    mode they select within a feature matrix Phi(x) (row-normalized), the
-    effective constraint being A(x) = Lambda(x) Phi_normalized(x).  The
-    selection rows are mutually orthonormal at every state.  ``signs``
-    are fixed per-row flips making the first non-negligible component
-    positive at the training reference state.
+    Without ``features`` (kind "alpha") the rows live directly in action
+    space; with a feature provider (kind "lambda") they select within its
+    feature matrix Phi(x) (row-normalized), the effective constraint being
+    A(x) = Lambda(x) Phi_normalized(x).  The selection rows are mutually
+    orthonormal at every state.  ``signs`` are fixed per-row flips making
+    the first non-negligible component positive at the training reference
+    state.
     """
 
     omegas: tuple
     signs: tuple
     centers: np.ndarray
     width: float
-    mode: str
     dim_u: int
-    feature_name: str = None
+    features: Optional[FeatureMatrixProvider] = None
 
     def __post_init__(self):
-        if self.mode not in ("alpha", "lambda"):
-            raise ValueError(f"unknown mode {self.mode!r}")
-        if self.feature_name is not None and not isinstance(self.feature_name, str):
-            raise ValueError(f"feature provider name must be a string, "
-                             f"got {self.feature_name!r}")
-        if self.mode == "lambda" and self.feature_name is None:
-            raise ValueError("lambda mode needs a feature provider name")
+        if self.features is not None and self.features.dim_u != self.dim_u:
+            raise ValueError(f"feature provider {self.features.name!r} acts on dim_u "
+                             f"{self.features.dim_u}, the model on {self.dim_u}")
         omegas = tuple(_frozen_finite("omegas", np.atleast_2d(o)) for o in self.omegas)
         object.__setattr__(self, "omegas", omegas)
         _freeze_basis(self)
@@ -330,7 +310,7 @@ class StateDependentConstraintModel:
 
     @property
     def kind(self):
-        return self.mode
+        return "alpha" if self.features is None else "lambda"
 
     @property
     def dim_b(self):
@@ -338,9 +318,7 @@ class StateDependentConstraintModel:
 
     @property
     def sel_dim(self):
-        if self.mode == "alpha":
-            return self.dim_u
-        return feature_provider_from_name(self.feature_name).dim_phi
+        return self.dim_u if self.features is None else self.features.dim_phi
 
     def _selection_stack(self, xs):
         """Selection rows (N, dim_b, sel_dim), each row materialized in the
@@ -357,9 +335,9 @@ class StateDependentConstraintModel:
         shape (N, dim_b, dim_u)."""
         xs = np.atleast_2d(np.asarray(xs, dtype=float))
         sel = self._selection_stack(xs)
-        if self.mode == "alpha":
+        if self.features is None:
             return sel
-        return sel @ _normalized_rows(feature_provider_from_name(self.feature_name).stack(xs))
+        return sel @ _normalized_rows(self.features.stack(xs))
 
     def projector_stack(self, xs):
         """Null-space projectors at states xs (dim_x, N), shape (N, dim_u, dim_u)."""
@@ -371,7 +349,7 @@ class StateDependentConstraintModel:
         return {"dim_u": self.dim_u, "dim_b": self.dim_b,
                 "omegas": [om.tolist() for om in self.omegas],
                 "signs": list(self.signs), "basis": _basis_doc(self.centers, self.width),
-                "features": self.feature_name}
+                "features": None if self.features is None else self.features.name}
 
     @classmethod
     def from_doc(cls, doc):
@@ -382,8 +360,22 @@ class StateDependentConstraintModel:
                        for om in doc["omegas"])
         return _with_declared_rows(doc, cls(
             omegas=omegas, signs=tuple(doc["signs"]), centers=_basis_centers(basis),
-            width=basis["width"], mode=doc["kind"], dim_u=_declared_size(doc, "dim_u"),
-            feature_name=doc["features"]))
+            width=basis["width"], dim_u=_declared_size(doc, "dim_u"),
+            features=_features_from_doc(doc)))
+
+
+def _features_from_doc(doc):
+    """The provider a state-dependent document names, resolved once (only
+    a document holds a provider's name): none for alpha, a registered
+    provider for lambda."""
+    name = doc["features"]
+    if name is not None and not isinstance(name, str):
+        raise ValueError(f"feature provider name must be a string, got {name!r}")
+    if doc["kind"] == "lambda" and name is None:
+        raise ValueError("lambda mode needs a feature provider name")
+    if doc["kind"] == "alpha" and name is not None:
+        raise ValueError(f"an alpha document names no feature provider, got {name!r}")
+    return None if name is None else feature_provider_from_name(name)
 
 
 def _rows_in_frames(omega, frames, bx):
@@ -462,17 +454,16 @@ def _learn_state_dependent(w_obs, xs, phi, options, num_basis, dim_b):
     bx = rbf_design(xs, centers, width)
 
     if phi is None:
-        mode, sel_dim, feature_name = "alpha", dim_u, None
-        target = u
+        sel_dim, target = dim_u, u
     else:
-        mode, sel_dim, feature_name = "lambda", phi.dim_phi, phi.name
-        mats = phi.stack(xs)
+        sel_dim, mats = phi.dim_phi, phi.stack(xs)
         dead = np.flatnonzero(np.abs(mats).max(axis=(1, 2)) < 1e-12)
         if dead.size:
             raise ValueError(f"feature matrix has rank 0 at sample {dead[0]}")
+        phi_hat = _normalized_rows(mats)
         # C-ordered (dim_phi, N) like every vector: a sum over a whole
         # array rounds in memory order
-        target = np.ascontiguousarray((_normalized_rows(mats) @ u.T[:, :, None])[:, :, 0].T)
+        target = np.ascontiguousarray((phi_hat @ u.T[:, :, None])[:, :, 0].T)
 
     limit = sel_dim - 1 if dim_b is None else min(dim_b, sel_dim)
     if limit < 1:
@@ -490,17 +481,18 @@ def _learn_state_dependent(w_obs, xs, phi, options, num_basis, dim_b):
         for restart in range(1, opts.num_restarts):
             yield np.zeros(size) if restart == 1 else rng.normal(0.0, 0.4, size)
 
-    omegas, signs, fit = _learn_rows(
+    omegas, signs, rows, fit = _learn_rows(
         bx, target, limit,
         accept=lambda e_row, u_rot: (dim_b is not None
                                      or e_row <= ROW_ACCEPT_FRACTION * max(total_energy, 1e-30)),
         starts=starts, opts=opts)
     model = StateDependentConstraintModel(
         omegas=tuple(omegas), signs=tuple(signs), centers=centers, width=width,
-        mode=mode, dim_u=dim_u, feature_name=feature_name,
+        dim_u=dim_u, features=phi,
     )
-    final = _exact_projection_energy(model, xs, u)
-    report = LearnReport.from_errors(mse=final / n, variance=float(np.var(u, axis=1).sum()),
+    # the rows the loop accepted are the model's constraint stack on xs
+    final = _exact_projection_energy(rows if phi is None else rows @ phi_hat, u)
+    report = LearnReport.from_errors(mse=final / n, variance=total_variance(u),
                                      final_objective=final, **fit)
     return model, report
 
@@ -519,7 +511,8 @@ def _learn_rows(bx, target, limit, accept, starts, opts):
     so far after ABANDON_AFTER iterations.  If the first row is rejected,
     it is returned anyway with the note ``no-constraint-found``.
 
-    Returns (omegas, signs, LearnReport fields).
+    Returns (omegas, signs, the accepted rows (N, dim_b, sel_dim),
+    LearnReport fields).
     """
     sel_dim, n = target.shape
     rows_stack = np.empty((n, 0, sel_dim))
@@ -567,7 +560,7 @@ def _learn_rows(bx, target, limit, accept, starts, opts):
     # the first of these stops that a kept start reports
     stops = {rep.reason for rep in kept}
     reason = next((stop for stop in UNCONVERGED_REASONS + ("x-tol",) if stop in stops), "fun-tol")
-    return omegas, signs, dict(
+    return omegas, signs, rows_stack, dict(
         iterations=sum(rec["iterations"] for rec in records), converged=converged,
         reason=reason, objective_trace=tuple(trace_hist), notes=notes,
         starts=tuple(records))
@@ -581,10 +574,10 @@ def _accept_row(omega, frames, bx, rows_stack):
     return sign, np.concatenate([rows_stack, sign * rows[:, None]], axis=1)
 
 
-def _exact_projection_energy(model, xs, u):
-    """Sum over samples of the observation energy inside the learned
-    constraint's row space, via the truncated pseudoinverse."""
-    a = model.constraint_stack(xs)
+def _exact_projection_energy(a, u):
+    """Sum over samples of the observation energy u (dim_u, N) inside the
+    row space of the constraint rows a, an (N, k, dim_u) stack or one
+    (1, k, dim_u) for every sample, via the truncated pseudoinverse."""
     ut = u.T[:, :, None]
     energy = np.swapaxes(ut, 1, 2) @ (pinv_truncated(a) @ a) @ ut
     return max(0.0, float(energy.sum()))

@@ -17,7 +17,7 @@ import numpy as np
 from .core import (LearnOptions, LearnReport, _basis_centers, _basis_doc, _declared_size,
                    _freeze_basis, _frozen_finite)
 from .mathkit import LmProblem, lm_solve, rbf_basis, rbf_design, ridge_regression
-from .metrics import error_npe, error_nupe
+from .metrics import error_npe, error_nupe, total_variance
 
 TINY_NORM = 1e-12
 
@@ -176,7 +176,7 @@ def learn_ncl(xs, actions, options: Optional[LearnOptions] = None, num_basis=16)
     notes = (f"near-zero-predictions:{int(small.sum())}",) if small.any() else ()
     report = LearnReport.from_errors(
         mse=float((e ** 2).sum()) / u.shape[1],
-        variance=float(np.var(targets, axis=1).sum()),
+        variance=total_variance(targets),
         iterations=lm_report.iterations,
         final_objective=lm_report.final_objective,
         converged=lm_report.converged, reason=lm_report.reason, notes=notes,

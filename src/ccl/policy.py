@@ -21,7 +21,7 @@ import numpy as np
 
 from .core import LearnOptions, LearnReport, _declared_size, _freeze_basis, _frozen_finite
 from .mathkit import pairwise_sq_distances, rbf_basis, rbf_design
-from .metrics import error_ncpe, error_nupe
+from .metrics import error_ncpe, error_nupe, total_variance
 
 ZERO_ACTION = 1e-12
 
@@ -202,7 +202,7 @@ def _fit_policy(xs, u_null, fit):
     residual = u - e * (e * model.predict(xs)).sum(axis=0)
     energy = float((residual ** 2).sum())
     report = LearnReport.from_errors(
-        mse=energy / u.shape[1], variance=float(np.var(u, axis=1).sum()),
+        mse=energy / u.shape[1], variance=total_variance(u),
         iterations=1, final_objective=energy, converged=True,
         reason="closed-form", dropped_samples=int((~keep).sum()),
     )

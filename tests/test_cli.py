@@ -150,6 +150,26 @@ def test_learn_rejects_num_basis_below_one(tmp_path, capsys, size):
         assert not os.path.exists(out)
 
 
+_UNREAD_FLAGS = ([("nhat", "--num-basis", "4")]
+                 + [(m, "--dim-b", "1") for m in ("nhat", "ncl", "pi", "pi-lwl")]
+                 + [(m, "--features", "identity:2")
+                    for m in ("nhat", "alpha", "ncl", "pi", "pi-lwl")]
+                 + [(m, "--basis", "linear") for m in ("nhat", "alpha", "lambda", "ncl", "pi-lwl")])
+
+
+@pytest.mark.parametrize("method,flag,value", _UNREAD_FLAGS,
+                         ids=[f"{m}{f}" for m, f, _ in _UNREAD_FLAGS])
+def test_learn_rejects_a_flag_its_method_never_reads(tmp_path, capsys, method, flag, value):
+    # refused before the dataset is read: the input file does not exist
+    out = str(tmp_path / "m.json")
+    features = ("--features", "identity:2") if method == "lambda" else ()
+    assert _run("learn", "--method", method, "--in", str(tmp_path / "absent.csv"),
+                "--out", out, *features, flag, value) == 1
+    captured = capsys.readouterr()
+    assert captured.err == f"error: method {method} does not take {flag}\n"
+    assert captured.out == "" and not os.path.exists(out)
+
+
 def test_learn_default_basis_sizes_come_from_the_learners(tmp_path):
     data = _gen(tmp_path, constraint="fixed:45", n=60, seed=9)
     for method, size_of, size in (
@@ -448,6 +468,31 @@ def test_lambda_document_without_features_is_an_error(tmp_path, capsys, learned_
     capsys.readouterr()
     assert _run("eval", "--model", bad, "--data", data) == 1
     assert capsys.readouterr().err == "error: lambda mode needs a feature provider name\n"
+
+
+def test_lambda_document_of_another_action_dimension_is_an_error(tmp_path, capsys,
+                                                                learned_docs):
+    data, doc = learned_docs["lambda"]
+    bad = str(tmp_path / "bad.json")
+    with open(bad, "w") as fh:
+        json.dump(dict(doc, dim_u=3), fh)
+    capsys.readouterr()
+    assert _run("eval", "--model", bad, "--data", data) == 1
+    captured = capsys.readouterr()
+    assert captured.err == ("error: feature provider 'identity:2' acts on dim_u 2, "
+                            "the model on 3\n")
+    assert captured.out == ""
+
+
+def test_alpha_document_naming_a_feature_provider_is_an_error(tmp_path, capsys, learned_docs):
+    data, doc = learned_docs["alpha"]
+    bad = str(tmp_path / "bad.json")
+    with open(bad, "w") as fh:
+        json.dump(dict(doc, features="identity:2"), fh)
+    capsys.readouterr()
+    assert _run("eval", "--model", bad, "--data", data) == 1
+    assert capsys.readouterr().err == ("error: an alpha document names no feature provider, "
+                                       "got 'identity:2'\n")
 
 
 @pytest.mark.parametrize("features", [

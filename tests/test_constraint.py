@@ -9,13 +9,13 @@ from ccl.constraint import (
     FeatureMatrixProvider,
     StateDependentConstraintModel,
     StateIndependentConstraint,
+    _exact_projection_energy,
     _row_problem,
     feature_provider_from_name,
     identity_features,
     learn_alpha,
     learn_lambda,
     learn_nhat,
-    objective_state_independent,
     twolink_jacobian_features,
 )
 from ccl.core import LearnOptions
@@ -47,19 +47,20 @@ def _nhat_objective_loop(rows, u):
 
 
 # ---------------------------------------------------------------------------
-# state-independent objective
+# row-space energy (the objective every constraint learner reports)
 # ---------------------------------------------------------------------------
 
 def test_objective_zero_when_row_orthogonal_to_data():
     u = np.vstack([np.zeros(20), np.linspace(-1, 1, 20)])  # all along (0, 1)
-    m = u @ u.T
-    assert objective_state_independent([[1.0, 0.0]], m) == pytest.approx(0.0, abs=1e-12)
+    assert _exact_projection_energy(np.array([[[1.0, 0.0]]]), u) == pytest.approx(0.0, abs=1e-12)
+    con, rep = learn_nhat(u, TIGHT)
+    assert np.allclose(np.abs(con.rows()), [[1.0, 0.0]], atol=1e-6)
+    assert rep.final_objective == pytest.approx(0.0, abs=1e-12)
 
 
 def test_objective_worst_case_captures_all_energy():
     u = np.vstack([np.zeros(20), np.linspace(-1, 1, 20)])
-    m = u @ u.T
-    assert objective_state_independent([[0.0, 1.0]], m) == pytest.approx((u ** 2).sum())
+    assert _exact_projection_energy(np.array([[[0.0, 1.0]]]), u) == pytest.approx((u ** 2).sum())
 
 
 def test_objective_equivalent_to_projector_error_loop():
@@ -70,13 +71,18 @@ def test_objective_equivalent_to_projector_error_loop():
         q, _ = np.linalg.qr(rng.normal(size=(dim, dim)))
         rows = q.T[:k]
         u = rng.normal(size=(dim, 30))
-        trace_form = objective_state_independent(rows, u @ u.T)
-        assert abs(trace_form - _nhat_objective_loop(rows, u)) < 1e-9
+        # one constant constraint for every sample, or the same rows stacked
+        for a in (rows[None], np.repeat(rows[None], 30, axis=0)):
+            assert abs(_exact_projection_energy(a, u) - _nhat_objective_loop(rows, u)) < 1e-9
+        con, rep = learn_nhat(u)
+        assert rep.final_objective == _exact_projection_energy(con.rows()[None], u)
+        assert abs(rep.final_objective - _nhat_objective_loop(con.rows(), u)) < 1e-9
+        assert rep.mse == rep.final_objective / 30
 
 
-def test_objective_rejects_mismatched_moment():
+def test_objective_rejects_mismatched_rows():
     with pytest.raises(ValueError):
-        objective_state_independent(np.eye(2), np.eye(3))
+        _exact_projection_energy(np.eye(2)[None], np.ones((3, 5)))
 
 
 # ---------------------------------------------------------------------------
@@ -273,7 +279,7 @@ def test_alpha_parabolic_held_out_poe():
                                     n_per_group=300, rng_seed=80))
     poe = error_poe(held.actions, model.projector_stack(held.states))
     assert poe.normalized < 0.01
-    assert model.dim_b == 1 and model.mode == "alpha"
+    assert model.dim_b == 1 and model.kind == "alpha" and model.features is None
 
 
 def test_alpha_matches_nhat_on_constant_constraint():
@@ -395,7 +401,7 @@ def test_lambda_twolink_jacobian_row_selection():
                                     n_per_group=300, rng_seed=140))
     poe = error_poe(held.actions, model.projector_stack(held.states))
     assert poe.normalized < 0.01
-    assert model.mode == "lambda"
+    assert model.kind == "lambda"
 
 
 def test_lambda_identity_features_reduce_to_alpha():
@@ -441,6 +447,37 @@ def test_lambda_rejects_rank_zero_feature_sample():
     u = np.random.default_rng(18).normal(size=(2, 40))
     with pytest.raises(ValueError, match="sample 0"):
         learn_lambda(u, xs, dead, num_basis=4)
+
+
+def test_lambda_learns_with_an_unregistered_provider():
+    # the model keeps the provider it was learned with: only a saved
+    # document needs a registered name
+    data = generate(GeneratorConfig(constraints=(("parabolic", 0.1),), n_per_group=200,
+                                    rng_seed=24))
+    mine = FeatureMatrixProvider(name="mine", dim_phi=2, dim_u=2,
+                                 fn=lambda xs: np.broadcast_to([[2.0, 1.0], [0.0, 1.0]],
+                                                               (xs.shape[1], 2, 2)))
+    model, _ = learn_lambda(data.actions, data.states, mine, num_basis=4)
+    assert model.features is mine
+    assert model.projector_stack(data.states).shape == (200, 2, 2)
+    rows, _ = model.metrics(data)
+    assert [name for name, _ in rows] == ["NPOE", "NPPE"]
+    assert rows[0][1].normalized < 0.05
+
+
+def test_lambda_objective_is_scored_in_the_rows_of_its_own_provider():
+    # a provider that takes a registered name but swaps the action axes is
+    # fitted and scored through its own matrix, not the registered one
+    data = generate(GeneratorConfig(constraints=(("parabolic", 0.1),), n_per_group=200,
+                                    rng_seed=25))
+    swap = FeatureMatrixProvider(name="identity:2", dim_phi=2, dim_u=2,
+                                 fn=lambda xs: np.broadcast_to([[0.0, 1.0], [1.0, 0.0]],
+                                                               (xs.shape[1], 2, 2)))
+    model, rep = learn_lambda(data.actions, data.states, swap, num_basis=4)
+    stack = model.constraint_stack(data.states)
+    assert np.array_equal(stack, model._selection_stack(data.states)[..., ::-1])
+    assert rep.final_objective == _exact_projection_energy(stack, data.actions)
+    assert rep.final_objective < 1e-3 * rep.variance * data.n_samples
 
 
 # ---------------------------------------------------------------------------
@@ -512,8 +549,8 @@ def _projector_reference(model, x):
                  else unit_vectors_from_angles((om @ bx)[:, None])[:, 0])
         rows.append(sg * (local @ frame))
     a = np.vstack(rows)
-    if model.mode == "lambda":
-        phi = feature_provider_from_name(model.feature_name).stack(x[:, None])[0]
+    if model.features is not None:
+        phi = model.features.stack(x[:, None])[0]
         a = a @ (phi / np.linalg.norm(phi, axis=1, keepdims=True))
     return np.eye(model.dim_u) - pinv_truncated(a) @ a
 
@@ -530,11 +567,11 @@ def _state_dependent_models(draw):
     centers, width = rng.uniform(-1, 1, (2, g)), rng.uniform(0.2, 2.0)
     omegas = [rng.normal(0.0, 1.0, (dim_u - 1 - s, g)) for s in range(dim_b)]
     signs = rng.choice([-1.0, 1.0], dim_b)
-    feature_name = {"alpha": None, "lambda-identity": f"identity:{dim_u}",
-                    "lambda-twolink": "twolink-jacobian:1.0,0.7"}[mode]
+    features = {"alpha": None, "lambda-identity": identity_features(dim_u),
+                "lambda-twolink": twolink_jacobian_features(1.0, 0.7)}[mode]
     model = StateDependentConstraintModel(
         omegas=tuple(omegas), signs=tuple(signs), centers=centers, width=width,
-        mode=mode.split("-")[0], dim_u=dim_u, feature_name=feature_name)
+        dim_u=dim_u, features=features)
     return model, rng.uniform(0.1, 1.4, (2, draw(st.integers(1, 8))))
 
 

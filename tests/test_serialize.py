@@ -83,7 +83,7 @@ def test_alpha_roundtrip_preserves_projectors(tmp_path):
     path = tmp_path / "m.json"
     save_model(model, path)
     back = load_model(path)
-    assert back.mode == "alpha"
+    assert back.kind == "alpha" and back.features is None
     assert sorted(json.loads(path.read_text())["basis"]) == ["centers", "dim_x", "n_basis", "width"]
     xs = data.states[:, :10]
     _assert_exact(back.constraint_stack(xs), model.constraint_stack(xs))
@@ -101,7 +101,7 @@ def test_lambda_roundtrip_restores_feature_provider(tmp_path):
     path = tmp_path / "m.json"
     save_model(model, path)
     back = load_model(path)
-    assert back.feature_name == "twolink-jacobian:1.0,1.0"
+    assert back.features.name == "twolink-jacobian:1.0,1.0"
     assert sorted(json.loads(path.read_text())["basis"]) == ["centers", "dim_x", "n_basis", "width"]
     xs = data.states[:, :10]
     _assert_exact(back.constraint_stack(xs), model.constraint_stack(xs))
@@ -234,8 +234,8 @@ def _random_model(draw, kind):
         return StateDependentConstraintModel(
             omegas=tuple(params(dim_u - 1 - s, g) for s in range(dim_b)),
             signs=tuple(draw(st.sampled_from([-1.0, 1.0])) for _ in range(dim_b)),
-            centers=params(dim_x, g), width=draw(_WIDTH), mode=kind, dim_u=dim_u,
-            feature_name=f"identity:{dim_u}" if kind == "lambda" else None)
+            centers=params(dim_x, g), width=draw(_WIDTH), dim_u=dim_u,
+            features=identity_features(dim_u) if kind == "lambda" else None)
     if kind == "ncl":
         return NullspaceComponentModel(centers=params(dim_x, g), width=draw(_WIDTH),
                                        weights=params(dim_u, g))

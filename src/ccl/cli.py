@@ -83,14 +83,22 @@ def _manifest_path(out_path):
 # gen
 # ---------------------------------------------------------------------------
 
+def _spec_number(flag, text, value):
+    """One number of a --constraint or --b spec; it must be finite."""
+    number = float(value)
+    if not np.isfinite(number):
+        raise CliError(f"{flag} {text!r}: numbers must be finite")
+    return number
+
+
 def _parse_constraint(text):
     kind, _, arg = text.partition(":")
     if kind == "none":
         return ("none",)
     if kind == "fixed":
-        return ("fixed-angle", float(arg))
+        return ("fixed-angle", _spec_number("--constraint", text, arg))
     if kind == "parabolic":
-        return ("parabolic", float(arg))
+        return ("parabolic", _spec_number("--constraint", text, arg))
     if kind == "jrows":
         return ("jacobian-rows", tuple(int(v) for v in arg.split(",")))
     raise CliError(f"unknown constraint spec {text!r} "
@@ -102,9 +110,9 @@ def _parse_task_b(text):
     if kind == "zero":
         return ("zero",)
     if kind == "const":
-        return ("constant", tuple(float(v) for v in arg.split(",")))
+        return ("constant", tuple(_spec_number("--b", text, v) for v in arg.split(",")))
     if kind == "sin":
-        amp, cycles, phase = (float(v) for v in arg.split(","))
+        amp, cycles, phase = (_spec_number("--b", text, v) for v in arg.split(","))
         return ("sinusoid", amp, cycles, phase)
     raise CliError(f"unknown task spec {text!r} (use zero | const:V[,V] | sin:AMP,CYCLES,PHASE)")
 
@@ -159,6 +167,9 @@ def _check_learner_flags(args):
     for flag in _learner_flags(args):
         if args.method not in LEARNER_FLAG_METHODS[flag]:
             raise CliError(f"method {args.method} does not take {flag}")
+    if args.basis == "linear" and args.num_basis is not None:
+        raise CliError("--basis linear does not take --num-basis "
+                       "(its features (x, 1) have a fixed size)")
     if args.method == "lambda" and not args.features:
         raise CliError("method lambda needs --features "
                        "(e.g. twolink-jacobian:1.0,1.0 or identity:2)")

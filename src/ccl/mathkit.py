@@ -31,14 +31,22 @@ def pinv_truncated(m, threshold=1e-8):
     """Moore-Penrose pseudoinverse with relative singular-value truncation.
 
     Accepts one matrix (k, d) or a stack (..., k, d) and returns (d, k) or
-    (..., d, k); a stack goes through a single batched SVD.  Singular
-    values below threshold * sigma_max of their own matrix are treated as
-    exactly zero, which keeps the inversion stable near rank-deficient
-    configurations.  A zero matrix maps to a zero pseudoinverse.
+    (..., d, k).  Singular values below threshold * sigma_max of their own
+    matrix are treated as exactly zero, which keeps the inversion stable
+    near rank-deficient configurations.  A zero matrix maps to a zero
+    pseudoinverse.
+
+    A stack of two or more rows goes through a single batched SVD.  One
+    row a has one singular value, |a|, so its pseudoinverse is a^T / |a|^2
+    in closed form; it is computed from a / max|a|, so rows from 1e-300 to
+    1e300 neither overflow nor underflow.  The truncation rule is the
+    SVD's: the result is zero when |a| = 0 or |a| < threshold * |a|.
     """
     m = np.atleast_2d(np.asarray(m, dtype=float))
     if not np.isfinite(m).all():
         raise ValueError("matrix must be finite")
+    if m.shape[-2] == 1:
+        return _pinv_one_row(m, threshold)
     u, s, vt = np.linalg.svd(m, full_matrices=False)
     # exactly-zero singular values are always truncated, whatever the
     # threshold (a zero matrix thus inverts to zero); without the zeroed
@@ -46,6 +54,22 @@ def pinv_truncated(m, threshold=1e-8):
     inv = np.divide(1.0, s, out=np.zeros_like(s), where=s > 0)
     inv[s < threshold * s[..., :1]] = 0.0
     return (np.swapaxes(vt, -1, -2) * inv[..., None, :]) @ np.swapaxes(u, -1, -2)
+
+
+def _pinv_one_row(m, threshold):
+    """pinv_truncated of finite one-row matrices (..., 1, d)."""
+    scale = np.abs(m).max(axis=-1, keepdims=True, initial=0.0)
+    keep = scale > 0
+    b = np.divide(m, scale, out=np.zeros_like(m), where=keep)
+    sq = (b * b).sum(axis=-1, keepdims=True)  # |a|^2 / scale^2: 0, or in [1, d]
+    # the SVD's cut, with sigma = sigma_max = |a|, taken on the scaled norm
+    # (for a nonzero row it only asks whether threshold > 1)
+    norm = np.sqrt(sq)
+    keep &= ~(norm < threshold * norm)
+    inv = np.zeros_like(m)
+    np.divide(b, sq, out=inv, where=keep)
+    np.divide(inv, scale, out=inv, where=keep)
+    return np.swapaxes(inv, -1, -2)
 
 
 def nullspace_projector(a, threshold=1e-8):
@@ -107,6 +131,9 @@ def orthogonal_complement_rotation(rows):
     basis of R^dim: (k, dim) -> (dim - k, dim), or a stack (..., k, dim)
     -> (..., dim - k, dim) through one batched SVD.
 
+    With no rows (k = 0) the complement is the identity, the frame the SVD
+    returns for an empty matrix; it is given as a read-only broadcast.
+
     Raises if the input rows are not orthonormal.
     """
     rows = np.atleast_2d(np.asarray(rows, dtype=float))
@@ -116,6 +143,8 @@ def orthogonal_complement_rotation(rows):
     gram = rows @ np.swapaxes(rows, -1, -2)
     if np.max(np.abs(gram - np.eye(k)), initial=0.0) > 1e-9:
         raise ValueError("rows are not orthonormal")
+    if k == 0:
+        return np.broadcast_to(np.eye(dim), rows.shape[:-2] + (dim, dim))
     _, _, vt = np.linalg.svd(rows, full_matrices=True)
     return vt[..., k:, :]
 

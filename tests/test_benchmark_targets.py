@@ -2,13 +2,17 @@
 (``perfbench/tracer.py``).  Its own check is not part of this suite, so a
 rename inside ``ccl`` would break the traced benchmark unnoticed; these tests
 resolve every entry of the tracer's target list and check that the spans it
-records still nest the way its per-layer attribution reads them."""
+records still nest the way its per-layer attribution reads them.  The last
+test runs the stages of every benchmark workload (``perfbench/workloads.py``)
+and checks that none of them reaches numpy's SVD."""
 import dataclasses
 import importlib.util
 import inspect
+import sys
 from pathlib import Path
 
 import numpy as np
+import pytest
 
 from ccl import cli, constraint, mathkit, nullspace, policy
 from ccl.constraint import identity_features, learn_alpha, learn_lambda, learn_nhat
@@ -17,18 +21,23 @@ from ccl.datagen import GeneratorConfig, generate
 from ccl.nullspace import learn_ncl
 from ccl.policy import learn_pi, learn_pi_lwl
 
-TRACER = Path(__file__).resolve().parents[1] / "perfbench" / "tracer.py"
+PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
 
 
-def _load_tracer():
-    spec = importlib.util.spec_from_file_location("perfbench_tracer", TRACER)
-    tracer = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(tracer)
-    return tracer
+def _load(name):
+    spec = importlib.util.spec_from_file_location(f"perfbench_{name}", PERFBENCH / f"{name}.py")
+    module = importlib.util.module_from_spec(spec)
+    # registered first: the dataclasses of workloads.py look their module up
+    sys.modules[spec.name] = module
+    spec.loader.exec_module(module)
+    return module
+
+
+WORKLOADS = _load("workloads")
 
 
 def test_every_traced_target_resolves():
-    tracer = _load_tracer()
+    tracer = _load("tracer")
     assert tracer.TARGETS
     for module, path, _ in tracer.TARGETS:
         _, _, value = tracer.resolve(module, path)
@@ -57,7 +66,7 @@ def test_every_metric_span_is_timed_under_compute_metrics():
               learn_pi(data.states, data.actions, opts, num_basis=3)[0],
               learn_pi(data.states, data.actions, opts, basis="linear")[0],
               learn_pi_lwl(data.states, data.actions, opts, num_local=3)[0]]
-    tracer = _load_tracer().Tracer()
+    tracer = _load("tracer").Tracer()
     with tracer:
         rows = sum((len(cli.compute_metrics(model, data)[0]) for model in models), 0)
     names = [tracer.names[i] for i in tracer.span_name]
@@ -84,7 +93,7 @@ def test_every_rbf_learner_places_its_basis_in_one_kmeans_span():
             (policy, "learn_pi_lwl", xu, {"num_local": 3}, "policy.learn_pi_lwl"),
             (nullspace, "learn_ncl", xu, {"num_basis": 3}, "nullspace.learn_ncl"),
             (constraint, "learn_alpha", ux, {"num_basis": 3}, "constraint.learn")]
-    tracer = _load_tracer().Tracer()
+    tracer = _load("tracer").Tracer()
     with tracer:
         for module, learner, args, kwargs, _ in runs:
             # looked up inside the block, where the tracer has wrapped it
@@ -98,3 +107,17 @@ def test_every_rbf_learner_places_its_basis_in_one_kmeans_span():
 
     kmeans = [outermost(i) for i, name in enumerate(names) if name == "mathkit.kmeans_centers"]
     assert kmeans == [span for *_, span in runs]
+
+
+@pytest.mark.parametrize("name", WORKLOADS.NAMES)
+def test_no_workload_stage_runs_a_singular_value_decomposition(tmp_path, monkeypatch, name):
+    # every workload's constraints have one row (or none), whose
+    # pseudoinverse and complement frames pinv_truncated and
+    # orthogonal_complement_rotation form in closed form
+    def svd(*args, **kwargs):
+        raise AssertionError("numpy.linalg.svd called")
+
+    monkeypatch.chdir(tmp_path)
+    monkeypatch.setattr(np.linalg, "svd", svd)
+    for stage, argv in WORKLOADS.build(name, n=200).stages(0):
+        assert cli.main(argv) == 0, (stage, argv)

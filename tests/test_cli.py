@@ -48,6 +48,23 @@ def test_gen_bad_constraint_spec(tmp_path, capsys):
     assert "constraint" in capsys.readouterr().err
 
 
+_NON_FINITE_SPECS = [("--constraint", "fixed:inf"), ("--constraint", "fixed:-inf"),
+                     ("--constraint", "parabolic:nan"), ("--b", "sin:inf,3,0"),
+                     ("--b", "sin:0.5,nan,0"), ("--b", "const:nan")]
+
+
+@pytest.mark.parametrize("flag,spec", _NON_FINITE_SPECS, ids=[s for _, s in _NON_FINITE_SPECS])
+def test_gen_rejects_a_non_finite_spec_number(tmp_path, capsys, flag, spec):
+    out = str(tmp_path / "d.csv")
+    specs = (flag, spec) if flag == "--constraint" else ("--constraint", "fixed:30", flag, spec)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert _run("gen", *specs, "--n", "20", "--out", out) == 1
+    captured = capsys.readouterr()
+    assert captured.err == f"error: {flag} {spec!r}: numbers must be finite\n"
+    assert captured.out == "" and not os.path.exists(out)
+
+
 def test_gen_parabolic(tmp_path):
     out = _gen(tmp_path, constraint="parabolic:0.1", seed=1)
     data = load_dataset(out)
@@ -167,6 +184,16 @@ def test_learn_rejects_a_flag_its_method_never_reads(tmp_path, capsys, method, f
                 "--out", out, *features, flag, value) == 1
     captured = capsys.readouterr()
     assert captured.err == f"error: method {method} does not take {flag}\n"
+    assert captured.out == "" and not os.path.exists(out)
+
+
+def test_learn_rejects_a_basis_size_for_the_linear_basis(tmp_path, capsys):
+    # the affine features (x, 1) have a fixed size; refused before the load
+    out = str(tmp_path / "m.json")
+    assert _run("learn", "--method", "pi", "--basis", "linear", "--num-basis", "7",
+                "--in", str(tmp_path / "absent.csv"), "--out", out) == 1
+    captured = capsys.readouterr()
+    assert captured.err.startswith("error: --basis linear does not take --num-basis")
     assert captured.out == "" and not os.path.exists(out)
 
 

@@ -1,5 +1,6 @@
 import dataclasses
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -93,9 +94,19 @@ def test_pinv_truncation_drops_small_singular_values():
 
 def _pinv_reference(m, threshold):
     """Per-matrix loop oracle: one SVD per matrix, truncation relative to
-    that matrix's own largest singular value."""
+    that matrix's own largest singular value; a one-row matrix a is
+    inverted in closed form, a^T / |a|^2 from a / max|a|."""
     out = np.zeros(m.shape[:-2] + m.shape[:-3:-1])
     for idx in np.ndindex(m.shape[:-2]):
+        if m.shape[-2] == 1:
+            a = m[idx][0]
+            scale = np.abs(a).max()
+            if scale > 0:
+                b = a / scale
+                sq = (b * b).sum()
+                if not np.sqrt(sq) < threshold * np.sqrt(sq):
+                    out[idx][:, 0] = b / sq / scale
+            continue
         u, s, vt = np.linalg.svd(m[idx], full_matrices=False)
         if s[0] > 0:
             inv = np.divide(1.0, s, out=np.zeros_like(s), where=s > 0)
@@ -139,6 +150,43 @@ def test_pinv_stack_equals_per_matrix_loop(stack):
     assert np.array_equal(batched, _pinv_reference(stack, 1e-8))
     for i, m in enumerate(stack):
         assert np.array_equal(batched[i], pinv_truncated(m, 1e-8))
+
+
+@st.composite
+def _one_row_stacks(draw):
+    """Stacks (N, 1, d) of rows whose magnitudes span 1e-300 to 1e300,
+    some of them zero; with d > 1, one entry of a row may lie far below
+    the rest (a lone entry that small would have no finite inverse)."""
+    d = draw(st.integers(1, 6))
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+    rows = []
+    for _ in range(draw(st.integers(1, 6))):
+        row = rng.normal(size=d) * 10.0 ** draw(st.integers(-300, 300))
+        kind = draw(st.sampled_from(["plain", "zero", "spread"]))
+        if kind == "zero":
+            row[:] = 0.0
+        elif kind == "spread" and d > 1:
+            row[rng.integers(d)] *= 10.0 ** draw(st.integers(-300, 0))
+        rows.append(row)
+    return np.stack(rows)[:, None, :]
+
+
+@settings(max_examples=150, deadline=None)
+@given(_one_row_stacks(), st.sampled_from([0.0, 1e-8, 1.0, 1.5]))
+def test_pinv_one_row_closed_form_matches_the_svd(stack, threshold):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        batched = pinv_truncated(stack, threshold)
+    assert batched.shape == (stack.shape[0], stack.shape[2], 1)
+    for a, p in zip(stack, batched):
+        assert np.array_equal(p, pinv_truncated(a, threshold))
+        u, s, vt = np.linalg.svd(a, full_matrices=False)
+        # the SVD path's truncation: zero norm, or norm < threshold * norm
+        if s[0] == 0 or s[0] < threshold * s[0]:
+            assert not p.any()
+            continue
+        svd = (vt.T / s) @ u.T
+        assert np.max(np.abs(p - svd)) <= 2e-15 * np.max(np.abs(svd))
 
 
 def test_pinv_stack_truncates_per_matrix():
@@ -298,6 +346,15 @@ def test_complement_completes_orthonormal_basis():
         comp = orthogonal_complement_rotation(rows)
         full = np.vstack([rows, comp])
         assert np.max(np.abs(full @ full.T - np.eye(dim))) < 1e-10
+
+
+@pytest.mark.parametrize("dim", range(1, 7))
+def test_complement_of_no_rows_is_the_identity_the_svd_gives(dim):
+    rows = np.zeros((3, 0, dim))
+    comp = orthogonal_complement_rotation(rows)
+    assert comp.shape == (3, dim, dim)
+    assert np.array_equal(comp, np.linalg.svd(rows, full_matrices=True)[2])
+    assert np.array_equal(orthogonal_complement_rotation(np.zeros((0, dim))), np.eye(dim))
 
 
 def test_complement_rejects_non_orthonormal():

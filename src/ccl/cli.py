@@ -24,7 +24,8 @@ import numpy as np
 
 from .constraint import feature_provider_from_name, learn_alpha, learn_lambda, learn_nhat
 from .core import DemonstrationSet, LearnOptions, load_dataset, save_dataset
-from .datagen import GeneratorConfig, generate, policy_limit_cycle, policy_linear, true_projectors
+from .datagen import (GeneratorConfig, constraint_rows, generate, policy_limit_cycle,
+                      policy_linear, true_projectors)
 from .nullspace import learn_ncl
 from .policy import learn_pi, learn_pi_lwl
 from .serialize import load_model, save_model
@@ -118,11 +119,19 @@ def _parse_task_b(text):
 
 
 def _gen_config(args):
+    if not 0 <= args.noise < np.inf:
+        raise CliError(f"--noise {args.noise!r}: must be finite and >= 0")
+    constraints = tuple(_parse_constraint(c) for c in args.constraint)
+    task_b = _parse_task_b(args.b)
+    if task_b[0] == "constant":
+        for text, spec in zip(args.constraint, constraints):
+            rows = constraint_rows(spec)
+            if rows and rows != len(task_b[1]):
+                raise CliError(f"--b {args.b!r} has {len(task_b[1])} values, but "
+                               f"--constraint {text!r} has {rows} row(s)")
     return GeneratorConfig(
-        system=args.system, policy=args.policy,
-        constraints=tuple(_parse_constraint(c) for c in args.constraint),
-        task_b=_parse_task_b(args.b), n_per_group=args.n,
-        noise_std=args.noise, rng_seed=args.seed)
+        system=args.system, policy=args.policy, constraints=constraints,
+        task_b=task_b, n_per_group=args.n, noise_std=args.noise, rng_seed=args.seed)
 
 
 def cmd_gen(args):
@@ -225,7 +234,8 @@ def cmd_learn(args):
                 report=summary).write(_manifest_path(args.out))
     print(f"learn: method={args.method} converged={report.converged} "
           f"reason={report.reason} iterations={report.iterations} "
-          f"objective={report.final_objective:.6g} nmse={report.nmse:.6g}")
+          f"objective={report.final_objective:.6g} nmse={report.nmse:.6g} "
+          f"notes={json.dumps(notes)}")
     return 0 if report.converged else 2
 
 

@@ -37,7 +37,7 @@ from .mathkit import (
 from .metrics import error_poe, error_ppe, total_variance
 
 GRID_POINT_BUDGET = 200_000
-ROW_ACCEPT_FRACTION = 0.1  # state-dependent rows may keep this energy share
+ROW_ACCEPT_RATIO = 0.01  # a kept row's energy over the mean energy of each direction it leaves
 RESTART_GAP = 100.0  # a later start trailing the row's best by this factor is abandoned
 
 
@@ -227,14 +227,12 @@ def learn_nhat(w_obs, options: Optional[LearnOptions] = None):
 
     Rows are found greedily: lattice search over the row angles inside
     the complement of the accepted rows, refined by damped least squares
-    from that one lattice start.  A candidate row is kept while the energy
-    it captures stays below tol_fun * max(1, remaining energy); with rich
-    observations this stops exactly at the true constraint dimension.
-    Noisy observations leak energy into every direction, so tol_fun must
-    be raised to roughly the noise-to-signal energy ratio for rows to be
-    accepted.  If even the first row captures too much energy, no
-    constraint is consistent with the data: the best-effort single row is
-    returned and the report carries the note ``no-constraint-found``.
+    from that one lattice start, and kept by the scale-free rule of
+    :func:`_learn_rows`: it stops at the true constraint dimension also
+    under isotropic noise up to about a hundredth of the signal's energy
+    per direction.  If even the first row captures too much energy, the
+    best-effort single row is returned with the note
+    ``no-constraint-found``.
 
     This is the greedy row loop of :func:`learn_alpha` on one constant
     basis function, with dim_u pseudo-samples that carry the second moment
@@ -253,10 +251,8 @@ def learn_nhat(w_obs, options: Optional[LearnOptions] = None):
         raise ValueError("all-zero observations: constraint unidentifiable")
 
     lam, vec = np.linalg.eigh(u @ u.T)
-    omegas, _, _, fit = _learn_rows(
-        np.ones((1, dim_u)), vec * np.sqrt(np.maximum(lam, 0.0)), dim_u - 1,
-        accept=lambda e_row, u_rot: e_row <= opts.tol_fun * max(1.0, float((u_rot ** 2).sum())),
-        starts=lambda theta: (theta,), opts=opts)
+    omegas, _, _, fit = _learn_rows(np.ones((1, dim_u)), vec * np.sqrt(np.maximum(lam, 0.0)),
+                                    dim_b=None, starts=lambda theta: (theta,), opts=opts)
     constraint = StateIndependentConstraint(angles=tuple(om.ravel() for om in omegas),
                                             dim_u=dim_u)
     final = _exact_projection_energy(constraint.rows()[None], u)
@@ -414,8 +410,8 @@ def learn_alpha(w_obs, xs, options: Optional[LearnOptions] = None,
     Builds a shared RBF basis (K-means centers, mean-center-distance
     width), then recovers each row's angle weights by multi-start damped
     least squares inside the per-sample complement of the earlier rows.
-    ``dim_b`` fixes the number of rows; when None, rows are added while
-    they capture at most a small fraction of the observation energy.
+    ``dim_b`` fixes the number of rows; when None, rows are added by the
+    one accept rule of :func:`_learn_rows`.
 
     Returns (StateDependentConstraintModel, LearnReport).
     """
@@ -454,9 +450,9 @@ def _learn_state_dependent(w_obs, xs, phi, options, num_basis, dim_b):
     bx = rbf_design(xs, centers, width)
 
     if phi is None:
-        sel_dim, target = dim_u, u
+        target = u
     else:
-        sel_dim, mats = phi.dim_phi, phi.stack(xs)
+        mats = phi.stack(xs)
         dead = np.flatnonzero(np.abs(mats).max(axis=(1, 2)) < 1e-12)
         if dead.size:
             raise ValueError(f"feature matrix has rank 0 at sample {dead[0]}")
@@ -465,11 +461,6 @@ def _learn_state_dependent(w_obs, xs, phi, options, num_basis, dim_b):
         # array rounds in memory order
         target = np.ascontiguousarray((phi_hat @ u.T[:, :, None])[:, :, 0].T)
 
-    limit = sel_dim - 1 if dim_b is None else min(dim_b, sel_dim)
-    if limit < 1:
-        raise ValueError(f"no constraint row to learn: dim_b={dim_b}, "
-                         f"selection dimension {sel_dim}")
-    total_energy = float((target ** 2).sum())
     rng = np.random.default_rng(opts.rng_seed)
 
     def starts(theta):
@@ -481,11 +472,7 @@ def _learn_state_dependent(w_obs, xs, phi, options, num_basis, dim_b):
         for restart in range(1, opts.num_restarts):
             yield np.zeros(size) if restart == 1 else rng.normal(0.0, 0.4, size)
 
-    omegas, signs, rows, fit = _learn_rows(
-        bx, target, limit,
-        accept=lambda e_row, u_rot: (dim_b is not None
-                                     or e_row <= ROW_ACCEPT_FRACTION * max(total_energy, 1e-30)),
-        starts=starts, opts=opts)
+    omegas, signs, rows, fit = _learn_rows(bx, target, dim_b, starts=starts, opts=opts)
     model = StateDependentConstraintModel(
         omegas=tuple(omegas), signs=tuple(signs), centers=centers, width=width,
         dim_u=dim_u, features=phi,
@@ -497,24 +484,34 @@ def _learn_state_dependent(w_obs, xs, phi, options, num_basis, dim_b):
     return model, report
 
 
-def _learn_rows(bx, target, limit, accept, starts, opts):
+def _learn_rows(bx, target, dim_b, starts, opts):
     """The greedy row loop of every constraint learner.
 
     Targets (sel_dim, N) are the observations in the space the rows live
-    in.  Row s (at most ``limit`` rows) is searched inside the per-sample
-    complement of the rows accepted so far.  Its local angles are
-    omega @ bx; the lattice seed on the pooled rotated moments goes to
-    ``starts(theta)``, which yields the weight vectors that damped least
-    squares starts from, and the best fit is kept while
-    ``accept(e_row, u_rot)`` holds.  Every start after a row's first is
-    abandoned once it still trails RESTART_GAP times the row's best fit
-    so far after ABANDON_AFTER iterations.  If the first row is rejected,
-    it is returned anyway with the note ``no-constraint-found``.
+    in.  Row s is searched inside the per-sample complement of the rows
+    accepted so far, whose f_s = sel_dim - s directions hold the target
+    energy E_s.  Its local angles are omega @ bx; the lattice seed on the
+    pooled rotated moments goes to ``starts(theta)``, which yields the
+    weight vectors that damped least squares starts from.  Every start
+    after a row's first is abandoned once it still trails RESTART_GAP
+    times the row's best fit so far after ABANDON_AFTER iterations.
+
+    A fixed ``dim_b`` keeps that many rows (at most sel_dim).  Otherwise
+    at most sel_dim - 1 rows are learned, and the best fit, capturing
+    e_s, is kept while e_s <= ROW_ACCEPT_RATIO * (E_s - e_s) / (f_s - 1):
+    at most that share of the mean energy of each direction it leaves, a
+    rule free of solver tolerances and of the targets' scale.  If the
+    first row is rejected, it is returned with the note
+    ``no-constraint-found``.
 
     Returns (omegas, signs, the accepted rows (N, dim_b, sel_dim),
     LearnReport fields).
     """
     sel_dim, n = target.shape
+    limit = sel_dim - 1 if dim_b is None else min(dim_b, sel_dim)
+    if limit < 1:
+        raise ValueError(f"no constraint row to learn: dim_b={dim_b}, "
+                         f"selection dimension {sel_dim}")
     rows_stack = np.empty((n, 0, sel_dim))
     omegas, signs, trace_hist, notes = [], [], [], ()
     kept, records = [], []  # LM reports of the kept starts; one record per start
@@ -543,7 +540,8 @@ def _learn_rows(bx, target, limit, accept, starts, opts):
             omega = sol.reshape(n_ang, bx.shape[0])
             e_row = fit.final_objective
 
-        accepted = accept(e_row, u_rot)
+        left = float((u_rot ** 2).sum()) - e_row
+        accepted = dim_b is not None or e_row * (u_rot.shape[0] - 1) <= ROW_ACCEPT_RATIO * left
         if not accepted and s > 0:
             break
         if fit is not None:

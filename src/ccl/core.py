@@ -83,8 +83,10 @@ class LearnOptions:
     """Knobs shared by every learner.
 
     tol_fun / tol_x are the residual and parameter tolerances of the
-    damped least-squares solver, and search_resolution is the number of
-    candidate angles per dimension in grid searches.  There is no
+    damped least-squares solver :func:`mathkit.lm_solve`; they stop only
+    that solver, and no learner reads them to accept a constraint row.
+    search_resolution is the number of candidate angles per dimension in
+    grid searches.  There is no
     truncation knob: a learned constraint's projector, and the objective
     its learner reports, both cut singular values below 1e-8 of the
     largest (the default of :func:`mathkit.pinv_truncated`).

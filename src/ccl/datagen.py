@@ -104,8 +104,22 @@ class GeneratorConfig:
             raise ValueError("need at least one constraint group")
         if self.n_per_group < 1:
             raise ValueError("n_per_group must be >= 1")
-        if self.noise_std < 0:
-            raise ValueError("noise_std must be >= 0")
+        if not 0 <= self.noise_std < np.inf:
+            raise ValueError(f"noise_std must be finite and >= 0, got {self.noise_std!r}")
+        if self.task_b[0] == "constant":
+            values = np.size(self.task_b[1])
+            for k, spec in enumerate(self.constraints):
+                rows = constraint_rows(spec)
+                if rows and rows != values:
+                    raise ValueError(f"constant task_b has {values} values, but "
+                                     f"group {k}'s constraint has {rows} row(s)")
+
+
+def constraint_rows(spec):
+    """The number of constraint rows of a spec; 0 for ("none",)."""
+    if spec[0] == "jacobian-rows":
+        return len(np.atleast_1d(spec[1]))
+    return 0 if spec[0] == "none" else 1
 
 
 def _constraint_matrix(spec, xs, arm):

@@ -65,6 +65,31 @@ def test_gen_rejects_a_non_finite_spec_number(tmp_path, capsys, flag, spec):
     assert captured.out == "" and not os.path.exists(out)
 
 
+@pytest.mark.parametrize("noise", ["nan", "inf", "-inf"])
+def test_gen_rejects_a_non_finite_noise(tmp_path, capsys, noise):
+    out = str(tmp_path / "d.csv")
+    assert _run("gen", "--constraint", "fixed:30", f"--noise={noise}", "--n", "20",
+                "--out", out) == 1
+    captured = capsys.readouterr()
+    assert captured.err == f"error: --noise {float(noise)!r}: must be finite and >= 0\n"
+    assert captured.out == "" and not os.path.exists(out)
+
+
+@pytest.mark.parametrize("constraints,b,counts", [
+    (("fixed:30",), "const:1,2", (2, 1)),
+    (("none", "parabolic:0.1"), "const:1,2,3", (3, 1)),
+])
+def test_gen_rejects_a_constant_task_vector_of_the_wrong_length(tmp_path, capsys, constraints,
+                                                                b, counts):
+    out = str(tmp_path / "d.csv")
+    specs = [arg for c in constraints for arg in ("--constraint", c)]
+    assert _run("gen", *specs, "--b", b, "--n", "20", "--out", out) == 1
+    captured = capsys.readouterr()
+    assert captured.err == (f"error: --b {b!r} has {counts[0]} values, but --constraint "
+                            f"{constraints[-1]!r} has {counts[1]} row(s)\n")
+    assert captured.out == "" and not os.path.exists(out)
+
+
 def test_gen_parabolic(tmp_path):
     out = _gen(tmp_path, constraint="parabolic:0.1", seed=1)
     data = load_dataset(out)
@@ -91,6 +116,18 @@ def test_learn_nhat_model_kind(tmp_path):
     assert doc["kind"] == "nhat"
     manifest = json.loads(open(out + ".manifest.json").read())
     assert manifest["report"]["converged"] is True
+
+
+@pytest.mark.parametrize("constraint,notes", [("fixed:30", "[]"),
+                                               ("none", '["no-constraint-found"]')])
+def test_learn_console_line_prints_the_notes(tmp_path, capsys, constraint, notes):
+    # a note does not change the exit code, which comes from converged alone
+    data = _gen(tmp_path, constraint=constraint)
+    capsys.readouterr()
+    assert _run("learn", "--method", "nhat", "--in", data, "--out", str(tmp_path / "m.json")) == 0
+    line = capsys.readouterr().out
+    assert line.startswith("learn: method=nhat converged=True ")
+    assert line.endswith(f" notes={notes}\n")
 
 
 def test_learn_lambda_requires_features(tmp_path, capsys):

@@ -183,6 +183,23 @@ def test_no_constraint_group_passes_policy_through():
     assert np.array_equal(data.actions, data.policy)
 
 
+@pytest.mark.parametrize("noise", [float("nan"), float("inf")])
+def test_non_finite_noise_rejected(noise):
+    with pytest.raises(ValueError, match="noise_std must be finite"):
+        GeneratorConfig(noise_std=noise)
+
+
+@pytest.mark.parametrize("system,constraints,values", [
+    ("toy2d", (("fixed-angle", 30.0),), (1.0, 2.0)),
+    ("toy2d", (("none",), ("parabolic", 0.1)), (1.0, 2.0)),
+    ("twolink", (("jacobian-rows", (1,)),), (1.0, 2.0, 3.0)),
+])
+def test_constant_task_vector_must_match_the_constraint_rows(system, constraints, values):
+    with pytest.raises(ValueError, match=rf"has {len(values)} values, but group \d's constraint "
+                                         r"has 1 row"):
+        GeneratorConfig(system=system, constraints=constraints, task_b=("constant", values))
+
+
 def test_invalid_configs_rejected():
     with pytest.raises(ValueError):
         GeneratorConfig(system="hexapod")

@@ -28,8 +28,6 @@ from .datagen import (
 )
 from .mathkit import (
     LmProblem,
-    check_jacobian,
-    finite_difference_jacobian,
     kmeans_centers,
     lm_solve,
     nullspace_projector,

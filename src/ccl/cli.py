@@ -123,6 +123,8 @@ def _gen_config(args):
         raise CliError(f"--noise {args.noise!r}: must be finite and >= 0")
     constraints = tuple(_parse_constraint(c) for c in args.constraint)
     task_b = _parse_task_b(args.b)
+    if task_b[0] != "zero" and not any(map(constraint_rows, constraints)):
+        raise CliError(f"--b {args.b!r} drives nothing: every --constraint is none")
     if task_b[0] == "constant":
         for text, spec in zip(args.constraint, constraints):
             rows = constraint_rows(spec)

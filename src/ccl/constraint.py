@@ -6,8 +6,8 @@ is scored by how much observation energy it captures: a correct row is
 orthogonal to every observation.  Rows are recovered greedily, each new
 row searched inside the orthogonal complement of the rows already found.
 
-Three model families share that one greedy loop (lattice seed plus
-local refinement over hyperspherical angles): a state-dependent
+Three model families share that one greedy loop (a closed-form eigen
+seed plus local refinement over hyperspherical angles): a state-dependent
 constraint whose row angles are RBF functions of the state, the same
 scheme expressed as a selection over a user-supplied feature matrix (for
 example a manipulator Jacobian), and a constant constraint, which is the
@@ -21,7 +21,7 @@ from typing import Callable, Optional
 import numpy as np
 
 from .core import (UNCONVERGED_REASONS, LearnOptions, LearnReport, _basis_centers, _basis_doc,
-                   _declared_size, _freeze_basis, _frozen_finite)
+                   _declared_size, _finite_samples, _freeze_basis, _frozen_finite)
 from .mathkit import (
     LmProblem,
     lm_solve,
@@ -36,7 +36,6 @@ from .mathkit import (
 )
 from .metrics import error_poe, error_ppe, total_variance
 
-GRID_POINT_BUDGET = 200_000
 ROW_ACCEPT_RATIO = 0.01  # a kept row's energy over the mean energy of each direction it leaves
 RESTART_GAP = 100.0  # a later start trailing the row's best by this factor is abandoned
 
@@ -206,31 +205,27 @@ class StateIndependentConstraint:
             dim_u=_declared_size(doc, "dim_u")))
 
 
-def _grid_seed(m_rot, resolution):
-    """Best angle vector on a uniform [0, pi) lattice.  The per-angle
-    resolution shrinks when the full lattice would exceed the evaluation
-    budget (only relevant above three action dimensions)."""
-    n_angles = m_rot.shape[0] - 1
-    res = resolution
-    if res ** n_angles > GRID_POINT_BUDGET:
-        res = max(3, int(GRID_POINT_BUDGET ** (1.0 / n_angles)))
-    axis = np.pi * np.arange(res) / res
-    grids = np.meshgrid(*([axis] * n_angles), indexing="ij")
-    thetas = np.stack([g.ravel() for g in grids])
-    a = unit_vectors_from_angles(thetas)
-    energy = np.einsum("ip,ij,jp->p", a, m_rot, a)
-    return thetas[:, int(np.argmin(energy))].copy()
+def _eigen_seed(m_rot):
+    """Angles of the unit vector a minimizing a^T m_rot a: the eigenvector
+    of the smallest eigenvalue, signed so that its last component is not
+    negative (a and -a capture the same energy).  Each angle is
+    theta_i = atan2(|a_{i+1:}|, a_i), so all lie in [0, pi]."""
+    a = np.linalg.eigh(m_rot)[1][:, 0]
+    if a[-1] < 0:
+        a = -a
+    tails = np.sqrt(np.cumsum(a[:0:-1] ** 2))[::-1]  # |a_{i+1:}| for i < m
+    return np.arctan2(tails, a[:-1])
 
 
 def learn_nhat(w_obs, options: Optional[LearnOptions] = None):
     """Fit a constant constraint to null-space observations (dim_u, N).
 
-    Rows are found greedily: lattice search over the row angles inside
-    the complement of the accepted rows, refined by damped least squares
-    from that one lattice start, and kept by the scale-free rule of
-    :func:`_learn_rows`: it stops at the true constraint dimension also
-    under isotropic noise up to about a hundredth of the signal's energy
-    per direction.  If even the first row captures too much energy, the
+    Rows are found greedily by :func:`_learn_rows`.  Each row's eigen
+    seed is already the exact minimizer of its energy inside the
+    complement of the accepted rows; damped least squares refines it from
+    that one start.  The loop's scale-free accept rule stops at the true
+    constraint dimension also under isotropic noise up to about a
+    hundredth of the signal's energy per direction.  If even the first row captures too much energy, the
     best-effort single row is returned with the note
     ``no-constraint-found``.
 
@@ -241,12 +236,10 @@ def learn_nhat(w_obs, options: Optional[LearnOptions] = None):
     Returns (StateIndependentConstraint, LearnReport).
     """
     opts = options or LearnOptions()
-    u = np.atleast_2d(np.asarray(w_obs, dtype=float))
+    u = _finite_samples("observations", w_obs)
     dim_u, n = u.shape
     if n < dim_u:
         raise ValueError(f"need at least dim_u={dim_u} samples, got {n}")
-    if not np.isfinite(u).all():
-        raise ValueError("observations must be finite")
     if np.max(np.abs(u)) == 0.0:
         raise ValueError("all-zero observations: constraint unidentifiable")
 
@@ -434,8 +427,8 @@ def learn_lambda(w_obs, xs, phi: FeatureMatrixProvider,
 
 def _learn_state_dependent(w_obs, xs, phi, options, num_basis, dim_b):
     opts = options or LearnOptions()
-    u = np.atleast_2d(np.asarray(w_obs, dtype=float))
-    xs = np.atleast_2d(np.asarray(xs, dtype=float))
+    u = _finite_samples("observations", w_obs)
+    xs = _finite_samples("states", xs)
     dim_u, n = u.shape
     if xs.shape[1] != n:
         raise ValueError("states and observations disagree on sample count")
@@ -464,7 +457,7 @@ def _learn_state_dependent(w_obs, xs, phi, options, num_basis, dim_b):
     rng = np.random.default_rng(opts.rng_seed)
 
     def starts(theta):
-        # first a constant-angle anchor: the lattice seed mapped into weight
+        # first a constant-angle anchor: the eigen seed mapped into weight
         # space by ridge fit; then zero weights; then random weights
         size = theta.size * bx.shape[0]
         yield ridge_regression(bx, np.full((theta.size, n), theta[:, None]),
@@ -490,11 +483,13 @@ def _learn_rows(bx, target, dim_b, starts, opts):
     Targets (sel_dim, N) are the observations in the space the rows live
     in.  Row s is searched inside the per-sample complement of the rows
     accepted so far, whose f_s = sel_dim - s directions hold the target
-    energy E_s.  Its local angles are omega @ bx; the lattice seed on the
-    pooled rotated moments goes to ``starts(theta)``, which yields the
-    weight vectors that damped least squares starts from.  Every start
-    after a row's first is abandoned once it still trails RESTART_GAP
-    times the row's best fit so far after ABANDON_AFTER iterations.
+    energy E_s.  Its local angles are omega @ bx.  The constant row that
+    captures the least energy, the smallest eigenvector of the pooled
+    rotated moments u_rot u_rot^T (:func:`_eigen_seed`), goes as angles to
+    ``starts(theta)``, which yields the weight vectors that damped least
+    squares starts from.  Every start after a row's first is abandoned
+    once it still trails RESTART_GAP times the row's best fit so far after
+    ABANDON_AFTER iterations.
 
     A fixed ``dim_b`` keeps that many rows (at most sel_dim).  Otherwise
     at most sel_dim - 1 rows are learned, and the best fit, capturing
@@ -529,7 +524,7 @@ def _learn_rows(bx, target, dim_b, starts, opts):
         else:
             residual, jacobian = _row_problem(bx, u_rot)
             sol = fit = None
-            for k, w0 in enumerate(starts(_grid_seed(u_rot @ u_rot.T, opts.search_resolution))):
+            for k, w0 in enumerate(starts(_eigen_seed(u_rot @ u_rot.T))):
                 bound = np.inf if fit is None else RESTART_GAP * fit.final_objective
                 p, rep = lm_solve(LmProblem(residual=residual, p0=w0, jacobian=jacobian,
                                             options=opts, abandon_above=bound))

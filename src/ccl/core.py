@@ -41,6 +41,15 @@ def _frozen_finite(name, a):
     return a
 
 
+def _finite_samples(name, a):
+    """A learner's argument ``a`` as a float array (dim, N), once it is
+    checked to hold only finite values (ValueError naming it otherwise)."""
+    a = np.atleast_2d(np.asarray(a, dtype=float))
+    if not np.isfinite(a).all():
+        raise ValueError(f"{name} must be finite")
+    return a
+
+
 def _freeze_basis(model):
     """Freeze a model's RBF ``centers`` (dim_x, G) and make its shared
     ``width`` a float: at least one center, all finite, 0 < width < inf.
@@ -85,17 +94,14 @@ class LearnOptions:
     tol_fun / tol_x are the residual and parameter tolerances of the
     damped least-squares solver :func:`mathkit.lm_solve`; they stop only
     that solver, and no learner reads them to accept a constraint row.
-    search_resolution is the number of candidate angles per dimension in
-    grid searches.  There is no
-    truncation knob: a learned constraint's projector, and the objective
-    its learner reports, both cut singular values below 1e-8 of the
-    largest (the default of :func:`mathkit.pinv_truncated`).
+    There is no truncation knob: a learned constraint's projector, and the
+    objective its learner reports, both cut singular values below 1e-8 of
+    the largest (the default of :func:`mathkit.pinv_truncated`).
     """
 
     tol_fun: float = 1e-9
     tol_x: float = 1e-9
     max_iter: int = 1000
-    search_resolution: int = 90
     num_restarts: int = 5
     regularization: float = 1e-8
     rng_seed: int = 0
@@ -118,8 +124,6 @@ class LearnOptions:
             raise ValueError("tol_x must be > 0")
         if self.max_iter < 1:
             raise ValueError("max_iter must be >= 1")
-        if self.search_resolution < 2:
-            raise ValueError("search_resolution must be >= 2")
         if self.num_restarts < 1:
             raise ValueError("num_restarts must be >= 1")
         if self.regularization < 0:

@@ -72,7 +72,9 @@ class GeneratorConfig:
     ("jacobian-rows", (row, ...)).  ``task_b`` is ("zero",),
     ("constant", (values...)) or ("sinusoid", amplitude, cycles, phase)
     where the sinusoid runs over the sample index and is mapped through
-    the constraint so the task motion is always feasible.
+    the constraint so the task motion is always feasible.  A task drive
+    needs a constraint to act through: if every group is ("none",),
+    ``task_b`` must be ("zero",).
     """
 
     system: str = "toy2d"
@@ -106,6 +108,9 @@ class GeneratorConfig:
             raise ValueError("n_per_group must be >= 1")
         if not 0 <= self.noise_std < np.inf:
             raise ValueError(f"noise_std must be finite and >= 0, got {self.noise_std!r}")
+        if self.task_b[0] != "zero" and not any(map(constraint_rows, self.constraints)):
+            raise ValueError(f"task_b {self.task_b[0]!r} drives nothing: "
+                             f"no group has a constraint")
         if self.task_b[0] == "constant":
             values = np.size(self.task_b[1])
             for k, spec in enumerate(self.constraints):

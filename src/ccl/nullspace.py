@@ -15,7 +15,7 @@ from typing import Optional
 import numpy as np
 
 from .core import (LearnOptions, LearnReport, _basis_centers, _basis_doc, _declared_size,
-                   _freeze_basis, _frozen_finite)
+                   _finite_samples, _freeze_basis, _frozen_finite)
 from .mathkit import LmProblem, lm_solve, rbf_basis, rbf_design, ridge_regression
 from .metrics import error_npe, error_nupe, total_variance
 
@@ -155,8 +155,8 @@ def learn_ncl(xs, actions, options: Optional[LearnOptions] = None, num_basis=16)
     Returns (NullspaceComponentModel, LearnReport).
     """
     opts = options or LearnOptions()
-    xs = np.atleast_2d(np.asarray(xs, dtype=float))
-    u = np.atleast_2d(np.asarray(actions, dtype=float))
+    xs = _finite_samples("states", xs)
+    u = _finite_samples("actions", actions)
     if xs.shape[1] != u.shape[1]:
         raise ValueError("states and actions disagree on sample count")
     if xs.shape[1] < num_basis:

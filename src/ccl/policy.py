@@ -19,7 +19,8 @@ from typing import Optional
 
 import numpy as np
 
-from .core import LearnOptions, LearnReport, _declared_size, _freeze_basis, _frozen_finite
+from .core import (LearnOptions, LearnReport, _declared_size, _finite_samples, _freeze_basis,
+                   _frozen_finite)
 from .mathkit import pairwise_sq_distances, rbf_basis, rbf_design
 from .metrics import error_ncpe, error_nupe, total_variance
 
@@ -180,16 +181,15 @@ def _solve_projected(features, e, u, sample_weights, regularization):
     return [solve(z * rho, u * rho) for rho in sample_weights]
 
 
-def _fit_policy(xs, u_null, fit):
-    """The path both policy learners share: check the samples, drop those
-    with (numerically) zero action, whose direction is undefined, fit the
-    model with ``fit(xs, u, e)`` on the unit action directions e, and
-    report its projected-residual energy and the dropped-sample count.
+def _fit_policy(xs, u, fit):
+    """The path both policy learners share, on the finite states and
+    actions of :func:`_finite_samples`: check the sample counts, drop the
+    samples with (numerically) zero action, whose direction is undefined,
+    fit the model with ``fit(xs, u, e)`` on the unit action directions e,
+    and report its projected-residual energy and the dropped-sample count.
 
     Returns (model, LearnReport).
     """
-    xs = np.atleast_2d(np.asarray(xs, dtype=float))
-    u = np.atleast_2d(np.asarray(u_null, dtype=float))
     if xs.shape[1] != u.shape[1]:
         raise ValueError("states and actions disagree on sample count")
     keep = np.linalg.norm(u, axis=0) > ZERO_ACTION
@@ -219,6 +219,7 @@ def learn_pi(xs, u_null, options: Optional[LearnOptions] = None, num_basis=10, b
     Returns (ParametricPolicyModel, LearnReport).
     """
     opts = options or LearnOptions()
+    xs, u = _finite_samples("states", xs), _finite_samples("actions", u_null)
     if basis == "rbf":
         centers, width = rbf_basis(xs, num_basis, opts.rng_seed)
     elif basis == "linear":
@@ -234,7 +235,7 @@ def learn_pi(xs, u_null, options: Optional[LearnOptions] = None, num_basis=10, b
         return ParametricPolicyModel(weights=weights, dim_x=xs.shape[0],
                                      centers=centers, width=width)
 
-    return _fit_policy(xs, u_null, fit)
+    return _fit_policy(xs, u, fit)
 
 
 def learn_pi_lwl(xs, u_null, options: Optional[LearnOptions] = None, num_local=10):
@@ -246,6 +247,7 @@ def learn_pi_lwl(xs, u_null, options: Optional[LearnOptions] = None, num_local=1
     Returns (LwlPolicyModel, LearnReport).
     """
     opts = options or LearnOptions()
+    xs, u = _finite_samples("states", xs), _finite_samples("actions", u_null)
     centers, width = rbf_basis(xs, num_local, opts.rng_seed)
 
     def fit(xs, u, e):
@@ -253,4 +255,4 @@ def learn_pi_lwl(xs, u_null, options: Optional[LearnOptions] = None, num_local=1
                                 opts.regularization)
         return LwlPolicyModel(local_maps=maps, centers=centers, width=width)
 
-    return _fit_policy(xs, u_null, fit)
+    return _fit_policy(xs, u, fit)

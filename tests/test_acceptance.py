@@ -12,11 +12,12 @@ import numpy as np
 from ccl.constraint import identity_features, learn_alpha, learn_lambda, learn_nhat, twolink_jacobian_features
 from ccl.core import LearnOptions
 from ccl.datagen import GeneratorConfig, TwoLinkArm, generate
-from ccl.mathkit import finite_difference_jacobian, nullspace_projector, ridge_regression, unit_vectors_from_angles
+from ccl.mathkit import nullspace_projector, ridge_regression, unit_vectors_from_angles
 from ccl.metrics import error_ncpe, error_npe, error_nupe, error_poe, error_ppe
 from ccl.nullspace import _ncl_problem, learn_ncl
 from ccl.policy import ParametricPolicyModel, learn_pi
 from ccl.cli import main as cli_main
+from oracles import finite_difference_jacobian
 
 TIGHT = LearnOptions(tol_fun=1e-14, tol_x=1e-12)
 

@@ -90,6 +90,17 @@ def test_gen_rejects_a_constant_task_vector_of_the_wrong_length(tmp_path, capsys
     assert captured.out == "" and not os.path.exists(out)
 
 
+@pytest.mark.parametrize("b", ["const:1,2,3", "const:1", "sin:0.5,3,0"])
+def test_gen_rejects_a_task_drive_when_no_group_is_constrained(tmp_path, capsys, b):
+    out = str(tmp_path / "d.csv")
+    assert _run("gen", "--constraint", "none", "--constraint", "none", "--b", b,
+                "--n", "20", "--out", out) == 1
+    captured = capsys.readouterr()
+    assert captured.err == f"error: --b {b!r} drives nothing: every --constraint is none\n"
+    assert captured.out == "" and not os.path.exists(out)
+    assert not os.path.exists(out + ".manifest.json")
+
+
 def test_gen_parabolic(tmp_path):
     out = _gen(tmp_path, constraint="parabolic:0.1", seed=1)
     data = load_dataset(out)
@@ -655,6 +666,18 @@ def test_learn_help_lists_every_solver_option(capsys):
         flag = "--" + f.name.replace("_", "-")
         assert (flag in text) == (f.name != "rng_seed"), flag
     assert "--svd-threshold" not in text  # the projectors always truncate at 1e-8
+    assert "--search-resolution" not in text  # each row is seeded in closed form
+    assert len(fields(LearnOptions)) == 6  # five solver flags and the seed
+
+
+def test_learn_rejects_the_removed_search_resolution_flag(tmp_path, capsys):
+    data = _gen(tmp_path, constraint="fixed:30", n=60, seed=9)
+    out = str(tmp_path / "nhat.json")
+    assert _run("learn", "--method", "nhat", "--in", data, "--out", out,
+                "--search-resolution", "90") == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "--search-resolution" in err
+    assert "Traceback" not in err and not os.path.exists(out)
 
 
 def test_ccl_seed_env_override(tmp_path, monkeypatch):

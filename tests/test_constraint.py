@@ -22,8 +22,6 @@ from ccl.constraint import (
 from ccl.core import LearnOptions
 from ccl.datagen import GeneratorConfig, TwoLinkArm, generate
 from ccl.mathkit import (
-    check_jacobian,
-    finite_difference_jacobian,
     nullspace_projector,
     orthogonal_complement_rotation,
     pinv_truncated,
@@ -31,6 +29,7 @@ from ccl.mathkit import (
     unit_vectors_from_angles,
 )
 from ccl.metrics import error_poe
+from oracles import check_jacobian, finite_difference_jacobian
 
 TIGHT = LearnOptions(tol_fun=1e-14, tol_x=1e-12)
 
@@ -317,6 +316,28 @@ def test_nhat_rows_span_the_smallest_eigenvectors_of_the_second_moment(case):
     assert np.max(np.abs(rows.T @ rows - vec[:, :dim_b] @ vec[:, :dim_b].T)) < 5e-4
 
 
+@st.composite
+def _psd_matrices(draw):
+    # eigenvalues from a small pool, so that repeated and zero ones come up
+    dim = draw(st.integers(2, 6))
+    lam = draw(st.lists(st.sampled_from([0.0, 0.0, 1e-3, 1.0, 2.5, 1e3]),
+                        min_size=dim, max_size=dim))
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+    q, _ = np.linalg.qr(rng.normal(size=(dim, dim)))
+    return (q * lam) @ q.T
+
+
+@settings(max_examples=200, deadline=None)
+@given(_psd_matrices())
+def test_eigen_seed_reaches_the_smallest_eigenvalue(m_rot):
+    theta = ccl.constraint._eigen_seed(m_rot)
+    assert theta.shape == (m_rot.shape[0] - 1,)
+    assert np.all((0.0 <= theta) & (theta <= np.pi))
+    a = unit_vectors_from_angles(theta[:, None])[:, 0]
+    lam = np.linalg.eigvalsh(m_rot)
+    assert abs(a @ m_rot @ a - lam[0]) <= 1e-12 * lam[-1]
+
+
 def test_alpha_under_noise():
     cfg = GeneratorConfig(constraints=(("parabolic", 0.1),), n_per_group=800,
                           rng_seed=56, noise_std=0.01)
@@ -389,19 +410,26 @@ def test_alpha_matches_nhat_on_constant_constraint():
     assert worst < 1e-2
 
 
-def test_state_dependent_and_nhat_reports_say_why_they_stopped():
+def test_state_dependent_and_nhat_reports_say_why_they_stopped(monkeypatch):
     data = generate(GeneratorConfig(constraints=(("parabolic", 0.1),), n_per_group=200,
                                     rng_seed=8))
     _, rep = learn_alpha(data.actions, data.states, LearnOptions(max_iter=2), num_basis=6)
     assert not rep.converged and rep.reason == "max-iter"
     fixed = generate(GeneratorConfig(constraints=(("fixed-angle", 37.0),), n_per_group=200,
                                      rng_seed=8))
+    # from the exact eigen seed one LM iteration already meets a tolerance
+    _, rep = learn_nhat(fixed.actions, LearnOptions(max_iter=1))
+    assert rep.converged and rep.reason in ("x-tol", "fun-tol")
+    # from a seed off the minimizer the one iteration is not enough
+    seed = ccl.constraint._eigen_seed
+    monkeypatch.setattr(ccl.constraint, "_eigen_seed", lambda m_rot: seed(m_rot) + 0.5)
     _, rep = learn_nhat(fixed.actions, LearnOptions(max_iter=1))
     assert not rep.converged and rep.reason == "max-iter"
     # no row accepted: the report is that of the best-effort first row
     _, rep = learn_nhat(data.actions, LearnOptions(max_iter=1, tol_fun=1e-14, tol_x=1e-14))
     assert rep.notes == ("no-constraint-found",)
     assert not rep.converged and rep.reason == "max-iter"
+    monkeypatch.undo()
     _, rep = learn_alpha(data.actions, data.states, LearnOptions(max_iter=400), num_basis=6)
     assert rep.converged and rep.reason == "fun-tol"
 

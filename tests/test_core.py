@@ -9,10 +9,12 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from ccl import core
+from ccl.constraint import learn_alpha, learn_lambda, learn_nhat, twolink_jacobian_features
 from ccl.core import (_LINE_BREAKS, _SAVE_BLOCK_ROWS, DemonstrationSet, LearnOptions, LearnReport,
                       _lines, _parse_rows, load_dataset, save_dataset)
 from ccl.datagen import GeneratorConfig, generate
-from ccl.nullspace import NullspaceComponentModel
+from ccl.nullspace import NullspaceComponentModel, learn_ncl
+from ccl.policy import learn_pi, learn_pi_lwl
 
 
 # ---------------------------------------------------------------------------
@@ -22,12 +24,12 @@ from ccl.nullspace import NullspaceComponentModel
 def test_default_options_valid():
     opts = LearnOptions()
     assert opts.tol_fun == 1e-9 and opts.max_iter == 1000
-    assert opts.search_resolution == 90 and opts.num_restarts == 5
+    assert opts.num_restarts == 5
 
 
 @pytest.mark.parametrize("kw", [
     {"tol_fun": 0.0}, {"tol_x": -1.0}, {"max_iter": 0},
-    {"search_resolution": 1}, {"num_restarts": 0},
+    {"num_restarts": 0},
     {"regularization": -0.1}, {"rng_seed": -1}, {"rng_seed": 2 ** 64},
 ])
 def test_options_bounds(kw):
@@ -42,7 +44,7 @@ def test_options_float_fields_must_be_finite(name, value):
         LearnOptions(**{name: value})
 
 
-@pytest.mark.parametrize("name", ["max_iter", "search_resolution", "num_restarts", "rng_seed"])
+@pytest.mark.parametrize("name", ["max_iter", "num_restarts", "rng_seed"])
 @pytest.mark.parametrize("value", [2.5, 3.0, True, "7"])
 def test_options_count_fields_must_be_integers(name, value):
     with pytest.raises(TypeError, match=f"{name} must be an integer, not"):
@@ -103,6 +105,32 @@ def test_rbf_model_invariants():
     with pytest.raises(ValueError):
         NullspaceComponentModel(centers=np.full((2, 3), np.nan), width=1.0,
                                 weights=np.ones((2, 3)))
+
+
+# every learner as (states, actions) -> fit, and the name of its action argument
+_LEARNERS = {
+    "nhat": (lambda xs, u: learn_nhat(u), "observations"),
+    "alpha": (lambda xs, u: learn_alpha(u, xs, num_basis=6), "observations"),
+    "lambda": (lambda xs, u: learn_lambda(u, xs, twolink_jacobian_features(), num_basis=6),
+               "observations"),
+    "ncl": (lambda xs, u: learn_ncl(xs, u, num_basis=6), "actions"),
+    "pi": (lambda xs, u: learn_pi(xs, u, num_basis=6), "actions"),
+    "pi-lwl": (lambda xs, u: learn_pi_lwl(xs, u, num_local=6), "actions"),
+}
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+@pytest.mark.parametrize("method,argument", [
+    (method, argument) for method in _LEARNERS for argument in ("actions", "states")
+    if (method, argument) != ("nhat", "states")])  # nhat takes no states
+def test_learners_reject_non_finite_arguments_by_name(method, argument, bad):
+    data = generate(GeneratorConfig(constraints=(("fixed-angle", 30.0),), n_per_group=40))
+    xs, u = np.array(data.states), np.array(data.actions)
+    (u if argument == "actions" else xs)[1, 7] = bad
+    fit, action_name = _LEARNERS[method]
+    name = action_name if argument == "actions" else "states"
+    with pytest.raises(ValueError, match=f"^{name} must be finite$"):
+        fit(xs, u)
 
 
 # ---------------------------------------------------------------------------

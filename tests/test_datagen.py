@@ -11,7 +11,7 @@ from ccl.datagen import (
     policy_linear,
     true_projectors,
 )
-from ccl.mathkit import finite_difference_jacobian
+from oracles import finite_difference_jacobian
 
 
 # ---------------------------------------------------------------------------
@@ -181,6 +181,14 @@ def test_no_constraint_group_passes_policy_through():
     cfg = GeneratorConfig(constraints=(("none",),), n_per_group=50, rng_seed=12)
     data = generate(cfg)
     assert np.array_equal(data.actions, data.policy)
+
+
+@pytest.mark.parametrize("task_b", [("constant", (1.0,)), ("sinusoid", 0.5, 3.0, 0.0)])
+def test_task_drive_without_any_constrained_group_rejected(task_b):
+    with pytest.raises(ValueError, match=f"task_b '{task_b[0]}' drives nothing"):
+        GeneratorConfig(constraints=(("none",), ("none",)), task_b=task_b)
+    # one constrained group gives the drive something to act through
+    GeneratorConfig(constraints=(("none",), ("fixed-angle", 30.0)), task_b=task_b)
 
 
 @pytest.mark.parametrize("noise", [float("nan"), float("inf")])

@@ -14,8 +14,6 @@ from ccl.mathkit import (
     ABANDON_AFTER,
     LAMBDA_MAX,
     LmProblem,
-    check_jacobian,
-    finite_difference_jacobian,
     kmeans_centers,
     lm_solve,
     nullspace_projector,
@@ -29,6 +27,7 @@ from ccl.mathkit import (
     unit_vector_angle_jacobians,
     unit_vectors_from_angles,
 )
+from oracles import check_jacobian, finite_difference_jacobian
 
 
 def _unit_vector(theta):

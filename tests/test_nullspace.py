@@ -3,10 +3,10 @@ import pytest
 
 from ccl.core import LearnOptions
 from ccl.datagen import GeneratorConfig, generate
-from ccl.mathkit import (check_jacobian, finite_difference_jacobian, rbf_basis, rbf_design,
-                         ridge_regression)
+from ccl.mathkit import rbf_basis, rbf_design, ridge_regression
 from ccl.metrics import error_npe
 from ccl.nullspace import NullspaceComponentModel, _ncl_problem, _ncl_terms, learn_ncl
+from oracles import check_jacobian, finite_difference_jacobian
 
 
 def _scenario(seed=0, n=600):

@@ -34,10 +34,14 @@ METHODS = ("nhat", "alpha", "lambda", "ncl", "pi", "pi-lwl")
 TUTORIALS = ("toy-ncl", "toy-constraint", "toy-pi", "twolink")
 # every LearnOptions field but the seed is a learn flag (--tol-fun, ...)
 SOLVER_FIELDS = [f for f in fields(LearnOptions) if f.name != "rng_seed"]
-# the methods that read each learner flag
+# the methods that read each learner and solver flag
 LEARNER_FLAG_METHODS = {"--num-basis": ("alpha", "lambda", "ncl", "pi", "pi-lwl"),
                         "--dim-b": ("alpha", "lambda"), "--features": ("lambda",),
-                        "--basis": ("pi",)}
+                        "--basis": ("pi",),
+                        **dict.fromkeys(("--tol-fun", "--tol-x", "--max-iter"),
+                                        ("alpha", "lambda", "ncl")),
+                        "--num-restarts": ("alpha", "lambda"),
+                        "--regularization": ("alpha", "lambda", "ncl", "pi", "pi-lwl")}
 
 
 class CliError(Exception):
@@ -162,15 +166,17 @@ def _solver_flag(field):
 
 
 def _options_from_args(args):
-    return LearnOptions(rng_seed=args.seed,
-                        **{f.name: getattr(args, f.name) for f in SOLVER_FIELDS})
+    # only the given solver flags, so their defaults live in LearnOptions alone
+    given = {f.name: getattr(args, f.name) for f in SOLVER_FIELDS}
+    return LearnOptions(rng_seed=args.seed, **{k: v for k, v in given.items() if v is not None})
 
 
 def _learner_flags(args):
-    """The learner flags given on the command line (a --basis only when it
-    is not the default), as flag -> value."""
+    """The learner and solver flags given on the command line (a --basis
+    only when it is not the default), as flag -> value."""
     given = {"--num-basis": args.num_basis, "--dim-b": args.dim_b,
-             "--features": args.features, "--basis": None if args.basis == "rbf" else args.basis}
+             "--features": args.features, "--basis": None if args.basis == "rbf" else args.basis,
+             **{_solver_flag(f): getattr(args, f.name) for f in SOLVER_FIELDS}}
     return {flag: value for flag, value in given.items() if value is not None}
 
 
@@ -191,7 +197,7 @@ def _dispatch_learn(args, data, opts):
     # lives in the learner's signature alone
     size = {} if args.num_basis is None else {"num_basis": args.num_basis}
     if args.method == "nhat":
-        return learn_nhat(data.actions, opts)
+        return learn_nhat(data.actions)
     if args.method == "alpha":
         return learn_alpha(data.actions, data.states, opts, dim_b=args.dim_b, **size)
     if args.method == "lambda":
@@ -224,9 +230,6 @@ def cmd_learn(args):
                "--seed", str(args.seed)]
     for flag, value in _learner_flags(args).items():
         command += [flag, str(value)]
-    for f in SOLVER_FIELDS:
-        if getattr(opts, f.name) != f.default:
-            command += [_solver_flag(f), repr(getattr(opts, f.name))]
     RunManifest(subcommand="learn", command=tuple(command),
                 config={"method": args.method, "options": asdict(opts),
                         "num_basis": args.num_basis, "dim_b": args.dim_b,
@@ -429,7 +432,7 @@ def build_parser():
                    help="feature family for method pi")
     l.add_argument("--seed", type=int, default=None)
     for f in SOLVER_FIELDS:
-        l.add_argument(_solver_flag(f), type=type(f.default), default=f.default)
+        l.add_argument(_solver_flag(f), type=type(f.default), default=None)
     l.set_defaults(func=cmd_learn)
 
     e = sub.add_parser("eval", help="evaluate a model against a dataset")

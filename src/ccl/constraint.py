@@ -4,14 +4,14 @@ Observed actions are assumed to satisfy u = N u for the (unknown)
 null-space projector N of the constraint, so a candidate constraint row
 is scored by how much observation energy it captures: a correct row is
 orthogonal to every observation.  Rows are recovered greedily, each new
-row searched inside the orthogonal complement of the rows already found.
+row taken inside the orthogonal complement of the rows already found,
+while one scale-free rule (:func:`_row_kept`) keeps them.
 
-Three model families share that one greedy loop (a closed-form eigen
-seed plus local refinement over hyperspherical angles): a state-dependent
-constraint whose row angles are RBF functions of the state, the same
-scheme expressed as a selection over a user-supplied feature matrix (for
-example a manipulator Jacobian), and a constant constraint, which is the
-case of a single constant basis function.
+A constant constraint has that optimum in closed form: the smallest
+eigenvectors of u u^T.  State-dependent rows, whose angles are RBF
+functions of the state, in action space or as a selection over a feature
+matrix (for example a manipulator Jacobian), share one greedy loop of
+eigen seeds refined by damped least squares.
 """
 from __future__ import annotations
 
@@ -148,43 +148,33 @@ def _with_declared_rows(doc, model):
 
 @dataclass(frozen=True)
 class StateIndependentConstraint:
-    """Constant constraint rows parameterized by hyperspherical angles.
+    """Constant constraint rows (dim_b, dim_u), 1 <= dim_b < dim_u, that
+    are orthonormal (to within 1e-9).  Learned rows carry a canonical
+    sign: their first non-negligible component is positive."""
 
-    Row s (starting at 1) carries dim_u - s angles expressed in the
-    orthogonal complement of the earlier rows; materialized rows are
-    mutually orthonormal with a canonical sign (first non-negligible
-    component positive).
-    """
-
-    angles: tuple
-    dim_u: int
+    rows: np.ndarray
 
     kind = "nhat"
 
     def __post_init__(self):
-        angles = tuple(_frozen_finite("angles", np.ravel(a)) for a in self.angles)
-        if not 1 <= len(angles) <= self.dim_u - 1:
-            raise ValueError("need between 1 and dim_u - 1 rows")
-        for s, th in enumerate(angles):
-            if th.size != self.dim_u - 1 - s:
-                raise ValueError(f"row {s + 1} must have {self.dim_u - 1 - s} angles")
-        object.__setattr__(self, "angles", angles)
+        rows = _frozen_finite("rows", self.rows)
+        if rows.ndim != 2 or not 1 <= rows.shape[0] < rows.shape[1]:
+            raise ValueError(f"rows must be a (dim_b, dim_u) matrix with 1 <= dim_b < dim_u, "
+                             f"got shape {rows.shape}")
+        if np.max(np.abs(rows @ rows.T - np.eye(len(rows)))) > 1e-9:
+            raise ValueError("rows must be orthonormal")
+        object.__setattr__(self, "rows", rows)
 
     @property
     def dim_b(self):
-        return len(self.angles)
+        return self.rows.shape[0]
 
-    def rows(self):
-        """Rows (dim_b, dim_u): the state-dependent rows kernel over one
-        constant basis function at a single sample."""
-        one = np.ones((1, 1))
-        rows = np.empty((1, 0, self.dim_u))
-        for th in self.angles:
-            _, rows = _accept_row(th[:, None], orthogonal_complement_rotation(rows), one, rows)
-        return rows[0]
+    @property
+    def dim_u(self):
+        return self.rows.shape[1]
 
     def projector(self):
-        return nullspace_projector(self.rows())
+        return nullspace_projector(self.rows)
 
     def projector_stack(self, xs):
         """The one projector at states xs (dim_x, N), as a read-only
@@ -195,14 +185,15 @@ class StateIndependentConstraint:
     metrics = _constraint_metrics
 
     def to_doc(self):
-        return {"dim_u": self.dim_u, "dim_b": self.dim_b,
-                "angles": [th.tolist() for th in self.angles]}
+        return {"dim_u": self.dim_u, "dim_b": self.dim_b, "rows": self.rows.tolist()}
 
     @classmethod
     def from_doc(cls, doc):
-        return _with_declared_rows(doc, cls(
-            angles=tuple(doc["angles"]),
-            dim_u=_declared_size(doc, "dim_u")))
+        model = cls(rows=doc["rows"])
+        if _declared_size(doc, "dim_u") != model.dim_u:
+            raise ValueError(f"model document (kind 'nhat') declares dim_u {doc['dim_u']!r} "
+                             f"but its rows have {model.dim_u} columns")
+        return _with_declared_rows(doc, model)
 
 
 def _eigen_seed(m_rot):
@@ -217,25 +208,27 @@ def _eigen_seed(m_rot):
     return np.arctan2(tails, a[:-1])
 
 
-def learn_nhat(w_obs, options: Optional[LearnOptions] = None):
+def _row_kept(e, E, f):
+    """Keep a row capturing the energy e of the E that its complement's f
+    directions hold while e <= ROW_ACCEPT_RATIO * (E - e) / (f - 1): at
+    most that share of the mean energy of each direction it leaves."""
+    return e * (f - 1) <= ROW_ACCEPT_RATIO * (E - e)
+
+
+def learn_nhat(w_obs):
     """Fit a constant constraint to null-space observations (dim_u, N).
 
-    Rows are found greedily by :func:`_learn_rows`.  Each row's eigen
-    seed is already the exact minimizer of its energy inside the
-    complement of the accepted rows; damped least squares refines it from
-    that one start.  The loop's scale-free accept rule stops at the true
-    constraint dimension also under isotropic noise up to about a
-    hundredth of the signal's energy per direction.  If even the first row captures too much energy, the
-    best-effort single row is returned with the note
-    ``no-constraint-found``.
+    In closed form (Rayleigh-Ritz): for u u^T = V L V^T, L ascending, the
+    greedy optimum's row s is column s of V and captures L_s.  It is kept
+    while :func:`_row_kept` holds for e = L_s, E = L_s + ... + L_{dim_u-1}
+    and f = dim_u - s, for at most dim_u - 1 rows.  If even the first row
+    is not kept, it is returned anyway with the note
+    ``no-constraint-found``.  Rows carry the canonical sign.
 
-    This is the greedy row loop of :func:`learn_alpha` on one constant
-    basis function, with dim_u pseudo-samples that carry the second moment
-    of the observations: the columns of V sqrt(L) for u u^T = V L V^T.
-
-    Returns (StateIndependentConstraint, LearnReport).
+    Returns (StateIndependentConstraint, LearnReport): a ``closed-form``
+    report with no iterations or starts, whose ``objective_trace`` holds
+    the kept eigenvalues.
     """
-    opts = options or LearnOptions()
     u = _finite_samples("observations", w_obs)
     dim_u, n = u.shape
     if n < dim_u:
@@ -244,13 +237,17 @@ def learn_nhat(w_obs, options: Optional[LearnOptions] = None):
         raise ValueError("all-zero observations: constraint unidentifiable")
 
     lam, vec = np.linalg.eigh(u @ u.T)
-    omegas, _, _, fit = _learn_rows(np.ones((1, dim_u)), vec * np.sqrt(np.maximum(lam, 0.0)),
-                                    dim_b=None, starts=lambda theta: (theta,), opts=opts)
-    constraint = StateIndependentConstraint(angles=tuple(om.ravel() for om in omegas),
-                                            dim_u=dim_u)
-    final = _exact_projection_energy(constraint.rows()[None], u)
-    report = LearnReport.from_errors(mse=final / n, variance=total_variance(u),
-                                     final_objective=final, **fit)
+    lam = np.maximum(lam, 0.0)
+    k = 0
+    while k < dim_u - 1 and _row_kept(lam[k], lam[k:].sum(), dim_u - k):
+        k += 1
+    constraint = StateIndependentConstraint(
+        rows=[_canonical_sign(row) * row for row in vec[:, :max(k, 1)].T])
+    final = _exact_projection_energy(constraint.rows[None], u)
+    report = LearnReport.from_errors(
+        mse=final / n, variance=total_variance(u), iterations=0, final_objective=final,
+        converged=True, reason="closed-form", objective_trace=tuple(lam[:k].tolist()),
+        notes=() if k else ("no-constraint-found",))
     return constraint, report
 
 
@@ -478,7 +475,7 @@ def _learn_state_dependent(w_obs, xs, phi, options, num_basis, dim_b):
 
 
 def _learn_rows(bx, target, dim_b, starts, opts):
-    """The greedy row loop of every constraint learner.
+    """The greedy row loop of the state-dependent learners.
 
     Targets (sel_dim, N) are the observations in the space the rows live
     in.  Row s is searched inside the per-sample complement of the rows
@@ -493,10 +490,8 @@ def _learn_rows(bx, target, dim_b, starts, opts):
 
     A fixed ``dim_b`` keeps that many rows (at most sel_dim).  Otherwise
     at most sel_dim - 1 rows are learned, and the best fit, capturing
-    e_s, is kept while e_s <= ROW_ACCEPT_RATIO * (E_s - e_s) / (f_s - 1):
-    at most that share of the mean energy of each direction it leaves, a
-    rule free of solver tolerances and of the targets' scale.  If the
-    first row is rejected, it is returned with the note
+    e_s, is kept while :func:`_row_kept` holds for e_s, E_s and f_s.  If
+    the first row is rejected, it is returned with the note
     ``no-constraint-found``.
 
     Returns (omegas, signs, the accepted rows (N, dim_b, sel_dim),
@@ -535,13 +530,16 @@ def _learn_rows(bx, target, dim_b, starts, opts):
             omega = sol.reshape(n_ang, bx.shape[0])
             e_row = fit.final_objective
 
-        left = float((u_rot ** 2).sum()) - e_row
-        accepted = dim_b is not None or e_row * (u_rot.shape[0] - 1) <= ROW_ACCEPT_RATIO * left
+        accepted = dim_b is not None or _row_kept(e_row, float((u_rot ** 2).sum()),
+                                                  u_rot.shape[0])
         if not accepted and s > 0:
             break
         if fit is not None:
             kept.append(fit)
-        sign, rows_stack = _accept_row(omega, frames, bx, rows_stack)
+        # the canonical sign is fixed at the reference (first) sample
+        rows = _rows_in_frames(omega, frames, bx)
+        sign = _canonical_sign(rows[0])
+        rows_stack = np.concatenate([rows_stack, sign * rows[:, None]], axis=1)
         omegas.append(omega)
         signs.append(sign)
         if not accepted:
@@ -557,14 +555,6 @@ def _learn_rows(bx, target, dim_b, starts, opts):
         iterations=sum(rec["iterations"] for rec in records), converged=converged,
         reason=reason, objective_trace=tuple(trace_hist), notes=notes,
         starts=tuple(records))
-
-
-def _accept_row(omega, frames, bx, rows_stack):
-    """Materialize a learned row over all samples, fix its canonical sign
-    at the reference (first) sample, and extend the row stack."""
-    rows = _rows_in_frames(omega, frames, bx)
-    sign = _canonical_sign(rows[0])
-    return sign, np.concatenate([rows_stack, sign * rows[:, None]], axis=1)
 
 
 def _exact_projection_energy(a, u):

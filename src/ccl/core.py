@@ -140,20 +140,21 @@ class LearnReport:
     ``x-tol``, ``max-iter``, ``stalled`` for a damped least-squares solve
     whose damping overflowed because no step improved the objective any
     more, ``abandoned`` for a start cut short because it trailed a better
-    one, or ``closed-form`` for a direct solve with no iteration); a fit
-    that did not converge can only stop at ``max-iter``, ``stalled`` or
-    ``abandoned``.  A greedy constraint learner reports over the starts it
-    kept: ``max-iter`` if any of them stopped there, otherwise ``stalled``
-    if any of them stalled, otherwise ``x-tol`` if any of them stopped on
-    the step tolerance, otherwise ``fun-tol``.
+    one, or ``closed-form`` for a direct solve with no iteration, so with
+    ``iterations`` 0); a fit that did not converge can only stop at
+    ``max-iter``, ``stalled`` or ``abandoned``.  A state-dependent
+    constraint learner reports over the starts it kept: ``max-iter`` if
+    any of them stopped there, otherwise ``stalled`` if any of them
+    stalled, otherwise ``x-tol`` if any of them stopped on the step
+    tolerance, otherwise ``fun-tol``.
 
     ``objective_trace`` has one entry per constraint row accepted by a
     greedy learner: the observation energy that row captures inside the
-    complement of the earlier rows (for ``nhat``, whose rows are
-    orthonormal, the entries sum to ``final_objective``).  ``starts`` has
-    one record per damped least-squares solve of a greedy learner, in
-    schedule order: a dict with the 0-based ``row`` and ``start`` index,
-    its ``iterations``, final ``objective`` and stop ``reason``.
+    complement of the earlier rows (for ``nhat`` the kept eigenvalues of
+    u u^T, which sum to ``final_objective``).  ``starts`` has one record
+    per damped least-squares solve (none for ``nhat``), in schedule
+    order: a dict with the 0-based ``row`` and ``start`` index, its
+    ``iterations``, final ``objective`` and stop ``reason``.
     ``notes`` carries free-form diagnostic flags such as
     ``no-constraint-found``.
     """
@@ -175,6 +176,8 @@ class LearnReport:
             raise ValueError(f"unknown convergence reason {self.reason!r}")
         if not self.converged and self.reason not in UNCONVERGED_REASONS:
             raise ValueError(f"a fit that did not converge cannot stop at {self.reason!r}")
+        if self.reason == "closed-form" and self.iterations != 0:
+            raise ValueError("a closed-form fit runs no iterations")
         for name in ("nmse", "mse", "variance", "final_objective"):
             if getattr(self, name) < 0:
                 raise ValueError(f"{name} must be >= 0")

@@ -203,7 +203,7 @@ def _fit_policy(xs, u, fit):
     energy = float((residual ** 2).sum())
     report = LearnReport.from_errors(
         mse=energy / u.shape[1], variance=total_variance(u),
-        iterations=1, final_objective=energy, converged=True,
+        iterations=0, final_objective=energy, converged=True,
         reason="closed-form", dropped_samples=int((~keep).sum()),
     )
     return model, report

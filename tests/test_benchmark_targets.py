@@ -59,7 +59,7 @@ def test_every_metric_span_is_timed_under_compute_metrics():
     data = generate(GeneratorConfig(constraints=(("fixed-angle", 0.0), ("fixed-angle", 60.0)),
                                     n_per_group=40, rng_seed=4))
     opts = LearnOptions(max_iter=20, num_restarts=1)
-    models = [learn_nhat(data.actions, opts)[0],
+    models = [learn_nhat(data.actions)[0],
               learn_alpha(data.actions, data.states, opts, num_basis=3)[0],
               learn_lambda(data.actions, data.states, identity_features(2), opts, num_basis=3)[0],
               learn_ncl(data.states, data.actions, opts, num_basis=3)[0],

@@ -219,7 +219,13 @@ _UNREAD_FLAGS = ([("nhat", "--num-basis", "4")]
                  + [(m, "--dim-b", "1") for m in ("nhat", "ncl", "pi", "pi-lwl")]
                  + [(m, "--features", "identity:2")
                     for m in ("nhat", "alpha", "ncl", "pi", "pi-lwl")]
-                 + [(m, "--basis", "linear") for m in ("nhat", "alpha", "lambda", "ncl", "pi-lwl")])
+                 + [(m, "--basis", "linear") for m in ("nhat", "alpha", "lambda", "ncl", "pi-lwl")]
+                 # the solver flags: only alpha, lambda and ncl run damped least squares
+                 + [(m, flag, value) for m in ("nhat", "pi", "pi-lwl")
+                    for flag, value in (("--tol-fun", "1e-6"), ("--tol-x", "1e-6"),
+                                        ("--max-iter", "20"))]
+                 + [(m, "--num-restarts", "2") for m in ("nhat", "ncl", "pi", "pi-lwl")]
+                 + [("nhat", "--regularization", "1e-6")])
 
 
 @pytest.mark.parametrize("method,flag,value", _UNREAD_FLAGS,
@@ -247,14 +253,13 @@ def test_learn_rejects_a_basis_size_for_the_linear_basis(tmp_path, capsys):
 
 def test_learn_default_basis_sizes_come_from_the_learners(tmp_path):
     data = _gen(tmp_path, constraint="fixed:45", n=60, seed=9)
-    for method, size_of, size in (
-            ("alpha", lambda doc: doc["basis"]["n_basis"], 16),
-            ("ncl", lambda doc: doc["basis"]["n_basis"], 16),
-            ("pi", lambda doc: len(doc["centers"][0]), 10),
-            ("pi-lwl", lambda doc: doc["n_local"], 10)):
+    for method, size_of, size, extra in (
+            ("alpha", lambda doc: doc["basis"]["n_basis"], 16, ("--max-iter", "20")),
+            ("ncl", lambda doc: doc["basis"]["n_basis"], 16, ("--max-iter", "20")),
+            ("pi", lambda doc: len(doc["centers"][0]), 10, ()),
+            ("pi-lwl", lambda doc: doc["n_local"], 10, ())):
         out = str(tmp_path / f"{method}.json")
-        code = _run("learn", "--method", method, "--in", data, "--out", out,
-                    "--max-iter", "20")
+        code = _run("learn", "--method", method, "--in", data, "--out", out, *extra)
         assert code in (0, 2)
         assert size_of(json.loads(open(out).read())) == size
         assert "--num-basis" not in json.loads(open(out + ".manifest.json").read())["command"]
@@ -359,7 +364,7 @@ def test_model_document_missing_a_field_is_an_error(tmp_path, capsys, name):
 # one learned parameter of each kind, as a path into its document, and a
 # non-finite value to put there
 _POISON = [
-    ("nhat", ("angles", 0, 0), float("nan")),
+    ("nhat", ("rows", 0, 0), float("nan")),
     ("alpha", ("omegas", 0, 0, 0), float("nan")),
     ("alpha", ("basis", "centers", 0, 0), float("nan")),
     ("alpha", ("signs", 0), float("nan")),
@@ -404,7 +409,7 @@ _STRINGLY = [
     ("alpha", ("basis", "centers", 0, 0), "text"),
     ("alpha", ("omegas", 0, 0, 0), "text"),
     ("alpha", ("signs", 0), "text"),
-    ("nhat", ("angles", 0, 0), "text"),
+    ("nhat", ("rows", 0, 0), "text"),
     ("ncl", ("basis", "width"), "text"),
     ("ncl", ("basis", "weights", 0, 0), "text"),
     ("pi-rbf", ("width",), "text"),
@@ -559,6 +564,36 @@ def test_lambda_document_of_another_action_dimension_is_an_error(tmp_path, capsy
     assert captured.out == ""
 
 
+# an nhat document (one row in 2-D, as learned) edited into a bad one, and
+# the message its load fails with
+_BAD_NHAT_DOCS = {
+    "not-orthonormal": (lambda doc: dict(doc, rows=[[v * (1 + 1e-8) for v in doc["rows"][0]]]),
+                        "rows must be orthonormal"),
+    "ragged": (lambda doc: dict(doc, rows=[doc["rows"][0], [0.0]], dim_b=2), "inhomogeneous"),
+    "strings": (lambda doc: dict(doc, rows=[[repr(v) for v in doc["rows"][0]]]),
+                "malformed field"),
+    "dim-b-not-below-dim-u": (lambda doc: dict(doc, rows=[[1.0, 0.0], [0.0, 1.0]], dim_b=2),
+                              "1 <= dim_b < dim_u"),
+    "dim-u-mismatch": (lambda doc: dict(doc, dim_u=3), "declares dim_u 3"),
+    "angles": (lambda doc: {**{k: v for k, v in doc.items() if k != "rows"},
+                            "angles": [[0.7853981633974483]]}, "missing field 'rows'"),
+}
+
+
+@pytest.mark.parametrize("name", sorted(_BAD_NHAT_DOCS))
+def test_nhat_document_with_bad_rows_is_an_error(tmp_path, capsys, learned_docs, name):
+    data, doc = learned_docs["nhat"]
+    edit, message = _BAD_NHAT_DOCS[name]
+    bad = str(tmp_path / "bad.json")
+    with open(bad, "w") as fh:
+        json.dump(edit(doc), fh)
+    capsys.readouterr()
+    assert _run("eval", "--model", bad, "--data", data) == 1
+    captured = capsys.readouterr()
+    assert captured.err.startswith("error: ") and message in captured.err
+    assert "Traceback" not in captured.err and captured.out == ""
+
+
 def test_alpha_document_naming_a_feature_provider_is_an_error(tmp_path, capsys, learned_docs):
     data, doc = learned_docs["alpha"]
     bad = str(tmp_path / "bad.json")
@@ -647,12 +682,13 @@ def test_learn_manifest_command_reruns_with_solver_flags(tmp_path):
     assert open(out, "rb").read() == open(redone, "rb").read()
 
 
-@pytest.mark.parametrize("flag", ["--regularization", "--tol-x", "--tol-fun"])
+@pytest.mark.parametrize("method,flag", [("pi", "--regularization"), ("ncl", "--tol-x"),
+                                         ("ncl", "--tol-fun")])
 @pytest.mark.parametrize("value", ["inf", "nan"])
-def test_learn_rejects_non_finite_solver_options(tmp_path, capsys, flag, value):
+def test_learn_rejects_non_finite_solver_options(tmp_path, capsys, method, flag, value):
     data = _gen(tmp_path, constraint="fixed:45", n=60, seed=9)
-    out = str(tmp_path / "pi.json")
-    assert _run("learn", "--method", "pi", "--in", data, "--out", out, flag, value) == 1
+    out = str(tmp_path / "m.json")
+    assert _run("learn", "--method", method, "--in", data, "--out", out, flag, value) == 1
     assert f"error: {flag[2:].replace('-', '_')} must be finite" in capsys.readouterr().err
     assert not os.path.exists(out)
 

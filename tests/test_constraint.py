@@ -31,8 +31,6 @@ from ccl.mathkit import (
 from ccl.metrics import error_poe
 from oracles import check_jacobian, finite_difference_jacobian
 
-TIGHT = LearnOptions(tol_fun=1e-14, tol_x=1e-12)
-
 
 def _angle_dist(a, b):
     d = abs(a - b) % np.pi
@@ -53,8 +51,8 @@ def _nhat_objective_loop(rows, u):
 def test_objective_zero_when_row_orthogonal_to_data():
     u = np.vstack([np.zeros(20), np.linspace(-1, 1, 20)])  # all along (0, 1)
     assert _exact_projection_energy(np.array([[[1.0, 0.0]]]), u) == pytest.approx(0.0, abs=1e-12)
-    con, rep = learn_nhat(u, TIGHT)
-    assert np.allclose(np.abs(con.rows()), [[1.0, 0.0]], atol=1e-6)
+    con, rep = learn_nhat(u)
+    assert np.allclose(np.abs(con.rows), [[1.0, 0.0]], atol=1e-6)
     assert rep.final_objective == pytest.approx(0.0, abs=1e-12)
 
 
@@ -75,8 +73,8 @@ def test_objective_equivalent_to_projector_error_loop():
         for a in (rows[None], np.repeat(rows[None], 30, axis=0)):
             assert abs(_exact_projection_energy(a, u) - _nhat_objective_loop(rows, u)) < 1e-9
         con, rep = learn_nhat(u)
-        assert rep.final_objective == _exact_projection_energy(con.rows()[None], u)
-        assert abs(rep.final_objective - _nhat_objective_loop(con.rows(), u)) < 1e-9
+        assert rep.final_objective == _exact_projection_energy(con.rows[None], u)
+        assert abs(rep.final_objective - _nhat_objective_loop(con.rows, u)) < 1e-9
         assert rep.mse == rep.final_objective / 30
 
 
@@ -103,9 +101,9 @@ def test_nhat_recovers_planar_angle(theta_deg):
     cfg = GeneratorConfig(constraints=(("fixed-angle", theta_deg),),
                           n_per_group=500, rng_seed=1)
     data = generate(cfg)
-    con, rep = learn_nhat(data.actions, TIGHT)
+    con, rep = learn_nhat(data.actions)
     assert con.dim_b == 1
-    row = con.rows()[0]
+    row = con.rows[0]
     learned = np.arctan2(row[1], row[0]) % np.pi
     assert np.rad2deg(_angle_dist(learned, np.deg2rad(theta_deg))) < 0.5
     assert rep.final_objective < 1e-10
@@ -117,9 +115,9 @@ def test_nhat_three_dimensional_axis_constraint():
     rng = np.random.default_rng(2)
     pi = rng.normal(size=(3, 400))
     n_true = np.diag([1.0, 1.0, 0.0])
-    con, rep = learn_nhat(n_true @ pi, TIGHT)
+    con, rep = learn_nhat(n_true @ pi)
     assert con.dim_b == 1
-    assert np.allclose(np.abs(con.rows()[0]), [0.0, 0.0, 1.0], atol=1e-6)
+    assert np.allclose(np.abs(con.rows[0]), [0.0, 0.0, 1.0], atol=1e-6)
     assert rep.final_objective < 1e-12
 
 
@@ -128,7 +126,7 @@ def test_nhat_two_row_constraint_recovers_projector():
     pi = rng.normal(size=(3, 400))
     n_true = np.zeros((3, 3))
     n_true[2, 2] = 1.0  # only the z direction survives
-    con, rep = learn_nhat(n_true @ pi, TIGHT)
+    con, rep = learn_nhat(n_true @ pi)
     assert con.dim_b == 2
     assert np.max(np.abs(con.projector() - n_true)) < 1e-6
     assert len(rep.objective_trace) == 2
@@ -155,7 +153,7 @@ def test_nhat_finds_a_noisy_fixed_row_with_default_options(noise):
                                     rng_seed=1, noise_std=noise))
     con, rep = learn_nhat(data.actions)
     assert con.dim_b == 1 and rep.notes == ()
-    row = con.rows()[0]
+    row = con.rows[0]
     learned = np.arctan2(row[1], row[0]) % np.pi
     assert np.rad2deg(_angle_dist(learned, np.deg2rad(30.0))) < 0.5
 
@@ -173,10 +171,9 @@ def _accept_rule_cases():
 
 
 @pytest.mark.parametrize("u,expected", list(_accept_rule_cases()))
-def test_nhat_row_count_does_not_depend_on_tol_fun(u, expected):
-    for tol_fun in (1e-12, 1e-9, 1e-2):
-        con, rep = learn_nhat(u, LearnOptions(tol_fun=tol_fun))
-        assert (con.dim_b, rep.notes) == expected, tol_fun
+def test_nhat_keeps_the_true_row_count(u, expected):
+    con, rep = learn_nhat(u)
+    assert (con.dim_b, rep.notes) == expected
 
 
 def _scale_cases():
@@ -221,7 +218,7 @@ def test_nhat_consistency_bound():
     cfg = GeneratorConfig(constraints=(("fixed-angle", 72.0),), n_per_group=300,
                           rng_seed=5)
     data = generate(cfg)
-    con, rep = learn_nhat(data.actions, TIGHT)
+    con, rep = learn_nhat(data.actions)
     u = data.actions
     n_hat = con.projector()
     lhs = ((n_hat @ u - u) ** 2).sum() / (u ** 2).sum()
@@ -234,21 +231,21 @@ def test_nhat_rows_canonical_sign_and_orthonormal():
     q, _ = np.linalg.qr(rng.normal(size=(4, 4)))
     a_true = q.T[:2]
     n_true = nullspace_projector(a_true)
-    con, _ = learn_nhat(n_true @ pi, TIGHT)
-    rows = con.rows()
+    con, _ = learn_nhat(n_true @ pi)
+    rows = con.rows
     assert np.max(np.abs(rows @ rows.T - np.eye(con.dim_b))) < 1e-9
     for row in rows:
         first = row[np.abs(row) > 1e-9][0]
         assert first > 0
 
 
-def test_nhat_under_noise_with_matched_tolerance():
+def test_nhat_under_noise():
     cfg = GeneratorConfig(constraints=(("fixed-angle", 30.0),), n_per_group=800,
                           rng_seed=55, noise_std=0.01)
     data = generate(cfg)
-    con, rep = learn_nhat(data.actions, LearnOptions(tol_fun=1e-2))
+    con, rep = learn_nhat(data.actions)
     assert "no-constraint-found" not in rep.notes
-    row = con.rows()[0]
+    row = con.rows[0]
     learned = np.arctan2(row[1], row[0]) % np.pi
     assert np.rad2deg(_angle_dist(learned, np.deg2rad(30.0))) < 1.0
 
@@ -261,7 +258,7 @@ def test_nhat_objective_trace_sums_to_final_objective():
     a_true = q.T[:2]
     u = nullspace_projector(a_true) @ rng.normal(size=(4, 600))
     u += rng.normal(0.0, 0.01, u.shape)
-    con, rep = learn_nhat(u, LearnOptions(tol_fun=1e-2))
+    con, rep = learn_nhat(u)
     assert con.dim_b == 2 and len(rep.objective_trace) == 2
     assert sum(rep.objective_trace) == pytest.approx(rep.final_objective, rel=1e-12)
 
@@ -284,7 +281,7 @@ def test_nhat_recovers_random_constant_constraints(case):
     con, rep = learn_nhat(n_true @ pi)
     assert con.dim_b == a_true.shape[0] and rep.notes == ()
     assert np.max(np.abs(con.projector() - n_true)) < 1e-6
-    rows = con.rows()
+    rows = con.rows
     assert np.max(np.abs(rows @ rows.T - np.eye(con.dim_b))) < 1e-9
     for row in rows:
         assert row[np.abs(row) > 1e-9][0] > 0
@@ -306,14 +303,14 @@ def _noisy_constant_constraints(draw):
 @given(_noisy_constant_constraints())
 def test_nhat_rows_span_the_smallest_eigenvectors_of_the_second_moment(case):
     # the greedy optimum in closed form: row s captures the s-th smallest
-    # eigenvalue of u u^T.  The tolerance covers the LM's default stop; the
-    # largest deviation seen over 600 such draws was 5.2e-5.
+    # eigenvalue of u u^T
     dim_b, u = case
     con, rep = learn_nhat(u)
     assert con.dim_b == dim_b and rep.notes == ()
-    _, vec = np.linalg.eigh(u @ u.T)
-    rows = con.rows()
-    assert np.max(np.abs(rows.T @ rows - vec[:, :dim_b] @ vec[:, :dim_b].T)) < 5e-4
+    lam, vec = np.linalg.eigh(u @ u.T)
+    rows = con.rows
+    assert np.max(np.abs(rows.T @ rows - vec[:, :dim_b] @ vec[:, :dim_b].T)) < 1e-12
+    assert rep.objective_trace == tuple(np.maximum(lam[:dim_b], 0.0))
 
 
 @st.composite
@@ -350,6 +347,48 @@ def test_alpha_under_noise():
     assert poe.normalized < 0.01  # evaluated on clean held-out data
 
 
+@st.composite
+def _constraint_row_counts(draw):
+    # no constraint to dim_u - 1 rows, under isotropic noise of four sizes
+    dim_u = draw(st.integers(2, 6))
+    dim_b = draw(st.integers(0, dim_u - 1))
+    noise = draw(st.sampled_from([0.0, 1e-3, 1e-2, 0.1]))
+    n = draw(st.integers(3 * dim_u, 60 * dim_u))
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+    q, _ = np.linalg.qr(rng.normal(size=(dim_u, dim_u)))
+    u = q[:, dim_b:] @ q[:, dim_b:].T @ rng.normal(size=(dim_u, n))
+    return u + rng.normal(0.0, noise, u.shape)
+
+
+@settings(max_examples=100, deadline=None)
+@given(_constraint_row_counts())
+def test_nhat_matches_the_greedy_row_loop(u):
+    # the row loop of alpha and lambda on one constant basis function, with
+    # the pseudo-samples vec sqrt(lam) of u u^T and one start per row, its
+    # eigen seed, refined by damped least squares
+    lam, vec = np.linalg.eigh(u @ u.T)
+    _, _, rows, fit = ccl.constraint._learn_rows(
+        np.ones((1, len(u))), vec * np.sqrt(np.maximum(lam, 0.0)), None,
+        starts=lambda theta: (theta,), opts=LearnOptions())
+    con, rep = learn_nhat(u)
+    assert (con.dim_b, rep.notes) == (rows.shape[1], fit["notes"])
+    assert np.max(np.abs(con.projector() - nullspace_projector(rows[0]))) < 1e-10
+
+
+def test_nhat_runs_no_solver(monkeypatch):
+    def refuse(problem):
+        raise AssertionError("lm_solve called")
+
+    monkeypatch.setattr(ccl.constraint, "lm_solve", refuse)
+    assert list(inspect.signature(learn_nhat).parameters) == ["w_obs"]
+    data = generate(GeneratorConfig(constraints=(("fixed-angle", 30.0),), n_per_group=300,
+                                    rng_seed=3, noise_std=0.01))
+    con, rep = learn_nhat(data.actions)
+    assert con.dim_b == 1 and rep.notes == ()
+    assert (rep.converged, rep.reason, rep.iterations, rep.starts) == (True, "closed-form", 0, ())
+    assert rep.objective_trace == pytest.approx((rep.final_objective,), rel=1e-12)
+
+
 def test_nhat_learners_see_only_observations():
     params = inspect.signature(learn_nhat).parameters
     assert "policy" not in params and "pi" not in params
@@ -359,25 +398,19 @@ def test_nhat_learners_see_only_observations():
 # constraint containers
 # ---------------------------------------------------------------------------
 
-def test_state_independent_angle_shape_validation():
-    with pytest.raises(ValueError):
-        StateIndependentConstraint(angles=(np.zeros(3),), dim_u=3)
-    con = StateIndependentConstraint(angles=(np.zeros(2), np.zeros(1)), dim_u=3)
-    rows = con.rows()
-    assert np.max(np.abs(rows @ rows.T - np.eye(2))) < 1e-10
-
-
-def test_rotation_correctness_next_row_orthogonal():
-    rng = np.random.default_rng(7)
-    for _ in range(20):
-        dim = int(rng.integers(3, 6))
-        s = int(rng.integers(1, dim - 1))
-        angles = [rng.uniform(0, np.pi, dim - 1 - j) for j in range(s + 1)]
-        con = StateIndependentConstraint(angles=tuple(angles), dim_u=dim)
-        rows = con.rows()
-        # every later row is orthogonal to all earlier rows
-        for i in range(1, s + 1):
-            assert np.max(np.abs(rows[:i] @ rows[i])) < 1e-10
+def test_state_independent_rows_validation():
+    con = StateIndependentConstraint(rows=np.eye(3)[:2])
+    assert (con.dim_b, con.dim_u) == (2, 3) and not con.rows.flags.writeable
+    for rows in (np.eye(3), np.zeros((0, 3)), np.ones(3), [[1.0, 0.0], [0.0]],
+                 [[1.0, 0.0, 1e-4]], [[1.0, 0.0, 0.0], [1e-8, 1.0, 0.0]]):
+        with pytest.raises(ValueError):
+            StateIndependentConstraint(rows=rows)
+    with pytest.raises(ValueError, match="finite"):
+        StateIndependentConstraint(rows=[[np.nan, 1.0]])
+    with pytest.raises(TypeError):
+        StateIndependentConstraint(rows=[["1.0", "0.0"]])
+    # orthonormal to within 1e-9
+    StateIndependentConstraint(rows=[[1.0, 0.0, 1e-5], [0.0, 1.0, 0.0]])
 
 
 # ---------------------------------------------------------------------------
@@ -403,42 +436,34 @@ def test_alpha_matches_nhat_on_constant_constraint():
     data = generate(cfg)
     opts = LearnOptions(rng_seed=1, max_iter=400)
     alpha_model, _ = learn_alpha(data.actions, data.states, opts)
-    nhat_model, _ = learn_nhat(data.actions, TIGHT)
+    nhat_model, _ = learn_nhat(data.actions)
     n_fixed = nhat_model.projector()
     stack = alpha_model.projector_stack(data.states[:, :100])
     worst = max(np.linalg.norm(stack[i] - n_fixed) for i in range(100))
     assert worst < 1e-2
 
 
-def test_state_dependent_and_nhat_reports_say_why_they_stopped(monkeypatch):
+def test_state_dependent_and_nhat_reports_say_why_they_stopped():
     data = generate(GeneratorConfig(constraints=(("parabolic", 0.1),), n_per_group=200,
                                     rng_seed=8))
     _, rep = learn_alpha(data.actions, data.states, LearnOptions(max_iter=2), num_basis=6)
     assert not rep.converged and rep.reason == "max-iter"
     fixed = generate(GeneratorConfig(constraints=(("fixed-angle", 37.0),), n_per_group=200,
                                      rng_seed=8))
-    # from the exact eigen seed one LM iteration already meets a tolerance
-    _, rep = learn_nhat(fixed.actions, LearnOptions(max_iter=1))
-    assert rep.converged and rep.reason in ("x-tol", "fun-tol")
-    # from a seed off the minimizer the one iteration is not enough
-    seed = ccl.constraint._eigen_seed
-    monkeypatch.setattr(ccl.constraint, "_eigen_seed", lambda m_rot: seed(m_rot) + 0.5)
-    _, rep = learn_nhat(fixed.actions, LearnOptions(max_iter=1))
-    assert not rep.converged and rep.reason == "max-iter"
+    # the rows of nhat are eigenvectors: no solve, no iteration
+    _, rep = learn_nhat(fixed.actions)
+    assert rep.converged and rep.reason == "closed-form"
+    assert rep.iterations == 0 and rep.starts == () and rep.notes == ()
     # no row accepted: the report is that of the best-effort first row
-    _, rep = learn_nhat(data.actions, LearnOptions(max_iter=1, tol_fun=1e-14, tol_x=1e-14))
+    free = generate(GeneratorConfig(constraints=(("none",),), n_per_group=200, rng_seed=8))
+    _, rep = learn_alpha(free.actions, free.states, LearnOptions(max_iter=1, num_restarts=1),
+                         num_basis=6)
     assert rep.notes == ("no-constraint-found",)
     assert not rep.converged and rep.reason == "max-iter"
-    monkeypatch.undo()
+    _, rep = learn_nhat(free.actions)
+    assert rep.notes == ("no-constraint-found",) and rep.reason == "closed-form"
     _, rep = learn_alpha(data.actions, data.states, LearnOptions(max_iter=400), num_basis=6)
     assert rep.converged and rep.reason == "fun-tol"
-
-
-def test_nhat_reports_the_step_tolerance_its_solve_stopped_on():
-    # its one LM solve stops on the step tolerance
-    _, rep = learn_nhat(np.vstack([np.linspace(-1, 1, 50), np.zeros(50)]))
-    assert [rec["reason"] for rec in rep.starts] == ["x-tol"]
-    assert rep.converged and rep.reason == "x-tol"
 
 
 def _race_cases():

@@ -87,12 +87,18 @@ def test_report_accepts_abandoned_for_a_fit_that_did_not_converge():
 
 
 def test_report_closed_form_only_when_converged():
-    rep = LearnReport.from_errors(mse=2.0, variance=4.0, iterations=1,
+    rep = LearnReport.from_errors(mse=2.0, variance=4.0, iterations=0,
                                   final_objective=2.0, converged=True, reason="closed-form")
     assert rep.reason == "closed-form"
     with pytest.raises(ValueError, match="did not converge"):
-        LearnReport.from_errors(mse=2.0, variance=4.0, iterations=1,
+        LearnReport.from_errors(mse=2.0, variance=4.0, iterations=0,
                                 final_objective=2.0, converged=False, reason="closed-form")
+
+
+def test_report_closed_form_runs_no_iterations():
+    with pytest.raises(ValueError, match="no iterations"):
+        LearnReport.from_errors(mse=2.0, variance=4.0, iterations=1,
+                                final_objective=2.0, converged=True, reason="closed-form")
 
 
 def test_rbf_model_invariants():

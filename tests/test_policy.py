@@ -180,7 +180,7 @@ def test_closed_form_learners_report_closed_form():
     for learn, size in ((learn_pi, dict(num_basis=8)), (learn_pi_lwl, dict(num_local=5))):
         _, report = learn(data.states, data.actions, **size)
         assert report.converged and report.reason == "closed-form"
-        assert report.iterations == 1 and report.notes == ()
+        assert report.iterations == 0 and report.notes == ()
 
 
 def test_policy_learners_build_their_basis_from_all_states():

@@ -54,24 +54,23 @@ def test_rbf_roundtrip_full_precision(tmp_path):
     assert back.width == model.width
 
 
-def test_nhat_roundtrip_single_angle(tmp_path):
-    model = StateIndependentConstraint(angles=(np.array([0.5236]),), dim_u=2)
+def test_nhat_roundtrip_single_row(tmp_path):
+    model = StateIndependentConstraint(rows=[[np.cos(0.5236), np.sin(0.5236)]])
     path = tmp_path / "m.json"
     save_model(model, path)
     back = load_model(path)
-    assert back.dim_u == 2
-    assert np.array_equal(back.angles[0], model.angles[0])
-    _assert_exact(back.rows(), model.rows())
+    assert (back.dim_u, back.dim_b) == (2, 1)
+    _assert_exact(back.rows, model.rows)
 
 
 def test_nhat_roundtrip_multi_row(tmp_path):
-    rng = np.random.default_rng(1)
-    model = StateIndependentConstraint(
-        angles=(rng.uniform(0, np.pi, 3), rng.uniform(0, np.pi, 2)), dim_u=4)
+    q, _ = np.linalg.qr(np.random.default_rng(1).normal(size=(4, 4)))
+    model = StateIndependentConstraint(rows=q.T[:2])
     path = tmp_path / "m.json"
     save_model(model, path)
     back = load_model(path)
-    _assert_exact(back.rows(), model.rows())
+    _assert_exact(back.rows, model.rows)
+    _assert_exact(back.projector(), model.projector())
 
 
 def test_alpha_roundtrip_preserves_projectors(tmp_path):
@@ -128,7 +127,7 @@ def _pooled_data():
 
 # every model kind a learner writes, under the document kind it is saved as
 _LEARNERS = {
-    "nhat": ("nhat", lambda d, o: learn_nhat(d.actions, o)),
+    "nhat": ("nhat", lambda d, o: learn_nhat(d.actions)),
     "alpha": ("alpha", lambda d, o: learn_alpha(d.actions, d.states, o, num_basis=4)),
     "lambda": ("lambda", lambda d, o: learn_lambda(d.actions, d.states, identity_features(2),
                                                    o, num_basis=4)),
@@ -227,8 +226,9 @@ def _random_model(draw, kind):
     dim_x, g = draw(st.integers(1, 3)), draw(st.integers(1, 4))
     if kind == "nhat":
         dim_b = draw(st.integers(1, dim_u - 1))
-        return StateIndependentConstraint(
-            angles=tuple(params(dim_u - 1 - s) for s in range(dim_b)), dim_u=dim_u)
+        rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+        q, _ = np.linalg.qr(rng.normal(size=(dim_u, dim_u)))
+        return StateIndependentConstraint(rows=q.T[:dim_b])
     if kind in ("alpha", "lambda"):
         dim_b = draw(st.integers(1, dim_u - 1))
         return StateDependentConstraintModel(

@@ -30,18 +30,8 @@ from .nullspace import learn_ncl
 from .policy import learn_pi, learn_pi_lwl
 from .serialize import load_model, save_model
 
-METHODS = ("nhat", "alpha", "lambda", "ncl", "pi", "pi-lwl")
-TUTORIALS = ("toy-ncl", "toy-constraint", "toy-pi", "twolink")
 # every LearnOptions field but the seed is a learn flag (--tol-fun, ...)
 SOLVER_FIELDS = [f for f in fields(LearnOptions) if f.name != "rng_seed"]
-# the methods that read each learner and solver flag
-LEARNER_FLAG_METHODS = {"--num-basis": ("alpha", "lambda", "ncl", "pi", "pi-lwl"),
-                        "--dim-b": ("alpha", "lambda"), "--features": ("lambda",),
-                        "--basis": ("pi",),
-                        **dict.fromkeys(("--tol-fun", "--tol-x", "--max-iter"),
-                                        ("alpha", "lambda", "ncl")),
-                        "--num-restarts": ("alpha", "lambda"),
-                        "--regularization": ("alpha", "lambda", "ncl", "pi", "pi-lwl")}
 
 
 class CliError(Exception):
@@ -88,12 +78,21 @@ def _manifest_path(out_path):
 # gen
 # ---------------------------------------------------------------------------
 
-def _spec_number(flag, text, value):
+def _spec_number(value):
     """One number of a --constraint or --b spec; it must be finite."""
     number = float(value)
     if not np.isfinite(number):
-        raise CliError(f"{flag} {text!r}: numbers must be finite")
+        raise ValueError("numbers must be finite")
     return number
+
+
+def _parse_spec(flag, text, parse):
+    """One --constraint or --b spec, parsed; a spec that does not parse is
+    an error naming its flag."""
+    try:
+        return parse(text)
+    except ValueError as exc:
+        raise CliError(f"{flag} {text!r}: {exc}") from None
 
 
 def _parse_constraint(text):
@@ -101,9 +100,9 @@ def _parse_constraint(text):
     if kind == "none":
         return ("none",)
     if kind == "fixed":
-        return ("fixed-angle", _spec_number("--constraint", text, arg))
+        return ("fixed-angle", _spec_number(arg))
     if kind == "parabolic":
-        return ("parabolic", _spec_number("--constraint", text, arg))
+        return ("parabolic", _spec_number(arg))
     if kind == "jrows":
         return ("jacobian-rows", tuple(int(v) for v in arg.split(",")))
     raise CliError(f"unknown constraint spec {text!r} "
@@ -115,9 +114,9 @@ def _parse_task_b(text):
     if kind == "zero":
         return ("zero",)
     if kind == "const":
-        return ("constant", tuple(_spec_number("--b", text, v) for v in arg.split(",")))
+        return ("constant", tuple(_spec_number(v) for v in arg.split(",")))
     if kind == "sin":
-        amp, cycles, phase = (_spec_number("--b", text, v) for v in arg.split(","))
+        amp, cycles, phase = (_spec_number(v) for v in arg.split(","))
         return ("sinusoid", amp, cycles, phase)
     raise CliError(f"unknown task spec {text!r} (use zero | const:V[,V] | sin:AMP,CYCLES,PHASE)")
 
@@ -125,8 +124,9 @@ def _parse_task_b(text):
 def _gen_config(args):
     if not 0 <= args.noise < np.inf:
         raise CliError(f"--noise {args.noise!r}: must be finite and >= 0")
-    constraints = tuple(_parse_constraint(c) for c in args.constraint)
-    task_b = _parse_task_b(args.b)
+    constraints = tuple(_parse_spec("--constraint", c, _parse_constraint)
+                        for c in args.constraint)
+    task_b = _parse_spec("--b", args.b, _parse_task_b)
     if task_b[0] != "zero" and not any(map(constraint_rows, constraints)):
         raise CliError(f"--b {args.b!r} drives nothing: every --constraint is none")
     if task_b[0] == "constant":
@@ -180,9 +180,37 @@ def _learner_flags(args):
     return {flag: value for flag, value in given.items() if value is not None}
 
 
+def _size(args, name="num_basis"):
+    # the basis size goes to the learner only when given, so its default
+    # lives in the learner's signature alone
+    return {} if args.num_basis is None else {name: args.num_basis}
+
+
+_LM_FLAGS = ("--tol-fun", "--tol-x", "--max-iter")  # they stop damped least squares
+_ROW_FLAGS = ("--num-basis", "--dim-b", *_LM_FLAGS, "--num-restarts", "--regularization")
+# each --method: its learner call on (parsed args, dataset, options), and the
+# learner and solver flags it reads
+LEARNERS = {
+    "nhat": (lambda a, d, o: learn_nhat(d.actions), ()),
+    "alpha": (lambda a, d, o: learn_alpha(d.actions, d.states, o, dim_b=a.dim_b, **_size(a)),
+              _ROW_FLAGS),
+    "lambda": (lambda a, d, o: learn_lambda(d.actions, d.states,
+                                            feature_provider_from_name(a.features), o,
+                                            dim_b=a.dim_b, **_size(a)),
+               (*_ROW_FLAGS, "--features")),
+    "ncl": (lambda a, d, o: learn_ncl(d.states, d.actions, o, **_size(a)),
+            ("--num-basis", *_LM_FLAGS, "--regularization")),
+    "pi": (lambda a, d, o: learn_pi(d.states, d.actions, o, basis=a.basis, **_size(a)),
+           ("--num-basis", "--basis", "--regularization")),
+    "pi-lwl": (lambda a, d, o: learn_pi_lwl(d.states, d.actions, o, **_size(a, "num_local")),
+               ("--num-basis", "--regularization")),
+}
+
+
 def _check_learner_flags(args):
+    _, reads = LEARNERS[args.method]
     for flag in _learner_flags(args):
-        if args.method not in LEARNER_FLAG_METHODS[flag]:
+        if flag not in reads:
             raise CliError(f"method {args.method} does not take {flag}")
     if args.basis == "linear" and args.num_basis is not None:
         raise CliError("--basis linear does not take --num-basis "
@@ -192,33 +220,13 @@ def _check_learner_flags(args):
                        "(e.g. twolink-jacobian:1.0,1.0 or identity:2)")
 
 
-def _dispatch_learn(args, data, opts):
-    # the basis size goes to the learner only when given, so its default
-    # lives in the learner's signature alone
-    size = {} if args.num_basis is None else {"num_basis": args.num_basis}
-    if args.method == "nhat":
-        return learn_nhat(data.actions)
-    if args.method == "alpha":
-        return learn_alpha(data.actions, data.states, opts, dim_b=args.dim_b, **size)
-    if args.method == "lambda":
-        provider = feature_provider_from_name(args.features)
-        return learn_lambda(data.actions, data.states, provider, opts, dim_b=args.dim_b, **size)
-    if args.method == "ncl":
-        return learn_ncl(data.states, data.actions, opts, **size)
-    if args.method == "pi":
-        return learn_pi(data.states, data.actions, opts, basis=args.basis, **size)
-    if args.method == "pi-lwl":
-        local = {} if args.num_basis is None else {"num_local": args.num_basis}
-        return learn_pi_lwl(data.states, data.actions, opts, **local)
-    raise CliError(f"unknown method {args.method!r}")
-
-
 def cmd_learn(args):
     t0 = time.perf_counter()
     _check_learner_flags(args)
     data = load_dataset(args.inp)
     opts = _options_from_args(args)
-    model, report = _dispatch_learn(args, data, opts)
+    learn, _ = LEARNERS[args.method]
+    model, report = learn(args, data, opts)
     save_model(model, args.out)
 
     notes = list(report.notes)
@@ -299,98 +307,79 @@ def _grid_states(low, high, per_axis=15):
     return np.vstack([v.ravel() for v in g])
 
 
-def _write_projector_field(path, config, model, per_axis=15):
+def _projector_field(config, model):
+    """True and learned null-space projectors on a grid over the states (the
+    joint angles for twolink), as (column names, columns)."""
     low, high = ((config.joint_low, config.joint_high) if config.system == "twolink"
                  else (config.state_low, config.state_high))
-    xs = _grid_states(low, high, per_axis)
+    xs = _grid_states(low, high)
     dummy = DemonstrationSet(states=xs, actions=np.zeros_like(xs),
                              group_ids=np.zeros(xs.shape[1], dtype=int))
-    truth = true_projectors(config, dummy)
-    learned = model.projector_stack(xs)
-    with open(path, "w") as fh:
-        names = [f"{tag}_n{i+1}{j+1}" for tag in ("true", "learned")
-                 for i in range(2) for j in range(2)]
-        fh.write("x1,x2," + ",".join(names) + "\n")
-        for n in range(xs.shape[1]):
-            vals = [xs[0, n], xs[1, n]]
-            vals += [*truth[n].ravel(), *learned[n].ravel()]
-            fh.write(",".join(repr(float(v)) for v in vals) + "\n")
+    stacks = (true_projectors(config, dummy), model.projector_stack(xs))
+    names = [f"{tag}_n{i+1}{j+1}" for tag in ("true", "learned")
+             for i in range(2) for j in range(2)]
+    return ["x1", "x2", *names], np.vstack([xs, *(p.reshape(len(p), -1).T for p in stacks)])
 
 
-def _write_vector_field(path, config, predict, per_axis=15):
-    xs = _grid_states(config.state_low, config.state_high, per_axis)
+def _policy_field(config, model):
+    """True and predicted policy on a grid over the states, as (column
+    names, columns)."""
+    xs = _grid_states(config.state_low, config.state_high)
     if config.policy == "limit-cycle":
         truth = policy_limit_cycle(xs, config.cycle_radius, config.cycle_gain,
                                    config.cycle_rate)
     else:
         truth = policy_linear(xs, config.attractor_gain, config.attractor_target)
-    pred = predict(xs)
-    with open(path, "w") as fh:
-        fh.write("x1,x2,true_1,true_2,pred_1,pred_2\n")
-        for n in range(xs.shape[1]):
-            vals = (xs[0, n], xs[1, n], truth[0, n], truth[1, n], pred[0, n], pred[1, n])
-            fh.write(",".join(repr(float(v)) for v in vals) + "\n")
+    return (["x1", "x2", "true_1", "true_2", "pred_1", "pred_2"],
+            np.vstack([xs, truth, model.predict(xs)]))
 
 
-def _tutorial_stage(outdir, stem, gen_argv, learn_argv):
-    """gen -> learn -> eval through the parser, with shared file naming.
+# field table file suffix -> its column builder
+FIELDS = {"field": _policy_field, "projector_field": _projector_field}
+# each tutorial: its gen -> learn -> eval stages, as (file stem, gen flags,
+# learn flags, field table); every stage also takes the tutorial's --seed
+TUTORIALS = {
+    "toy-ncl": [("ncl", "--constraint fixed:60.0 --b sin:0.5,3.0,0.0",
+                 "--method ncl --num-basis 16", "field")],
+    "toy-constraint": [("linear", "--constraint fixed:30.0", "--method nhat",
+                        "projector_field"),
+                       ("parabolic", "--constraint parabolic:0.1",
+                        "--method alpha --num-basis 16", "projector_field")],
+    "toy-pi": [("pi", "--constraint fixed:0.0 --constraint fixed:60.0 "
+                      "--constraint fixed:120.0 --n 200",
+                "--method pi --num-basis 10", "field")],
+    "twolink": [("twolink", "--system twolink --policy linear-attractor --constraint jrows:1",
+                 "--method lambda --num-basis 16 --features twolink-jacobian:1.0,1.0",
+                 "projector_field")],
+}
 
-    Returns (generator config, learned model, learn exit code)."""
-    data_path = os.path.join(outdir, f"{stem}_data.csv")
-    model_path = os.path.join(outdir, f"{stem}_model.json")
-    metrics_path = os.path.join(outdir, f"{stem}_metrics.csv")
-    parser = build_parser()
-    gen_args = parser.parse_args(["gen", *gen_argv, "--out", data_path])
-    cmd_gen(gen_args)
-    code = cmd_learn(parser.parse_args(["learn", *learn_argv,
-                                        "--in", data_path, "--out", model_path]))
-    cmd_eval(parser.parse_args(["eval", "--model", model_path, "--data", data_path,
-                                "--out", metrics_path]))
-    return _gen_config(gen_args), load_model(model_path), code
+
+def _stage_paths(outdir, stem, field):
+    """The data, model, metrics and field table files of one tutorial stage."""
+    return [os.path.join(outdir, f"{stem}_{end}")
+            for end in ("data.csv", "model.json", "metrics.csv", f"{field}.csv")]
 
 
 def cmd_tutorial(args):
+    """Each stage runs gen -> learn -> eval through the parser, so its
+    manifests are ordinary commands, and then writes its field table."""
     outdir = args.outdir or f"ccl-tutorial-{args.name}"
     os.makedirs(outdir, exist_ok=True)
     seed = ["--seed", str(args.seed)]
+    parser = build_parser()
     code = 0
-
-    if args.name == "toy-ncl":
-        config, model, code = _tutorial_stage(
-            outdir, "ncl", ["--constraint", "fixed:60.0", "--b", "sin:0.5,3.0,0.0", *seed],
-            ["--method", "ncl", "--num-basis", "16", *seed])
-        _write_vector_field(os.path.join(outdir, "ncl_field.csv"), config, model.predict)
-
-    elif args.name == "toy-constraint":
-        config, model, c1 = _tutorial_stage(
-            outdir, "linear", ["--constraint", "fixed:30.0", *seed],
-            ["--method", "nhat", *seed])
-        _write_projector_field(os.path.join(outdir, "linear_projector_field.csv"),
-                               config, model)
-        config_p, model_p, c2 = _tutorial_stage(
-            outdir, "parabolic", ["--constraint", "parabolic:0.1", *seed],
-            ["--method", "alpha", "--num-basis", "16", *seed])
-        _write_projector_field(os.path.join(outdir, "parabolic_projector_field.csv"),
-                               config_p, model_p)
-        code = max(c1, c2)
-
-    elif args.name == "toy-pi":
-        config, model, code = _tutorial_stage(
-            outdir, "pi", ["--constraint", "fixed:0.0", "--constraint", "fixed:60.0",
-                           "--constraint", "fixed:120.0", "--n", "200", *seed],
-            ["--method", "pi", "--num-basis", "10", *seed])
-        _write_vector_field(os.path.join(outdir, "pi_field.csv"), config, model.predict)
-
-    elif args.name == "twolink":
-        config, model, code = _tutorial_stage(
-            outdir, "twolink", ["--system", "twolink", "--policy", "linear-attractor",
-                                "--constraint", "jrows:1", *seed],
-            ["--method", "lambda", "--num-basis", "16",
-             "--features", "twolink-jacobian:1.0,1.0", *seed])
-        _write_projector_field(os.path.join(outdir, "twolink_projector_field.csv"),
-                               config, model)
-    else:
-        raise CliError(f"unknown tutorial {args.name!r}")
+    for stem, gen_flags, learn_flags, field in TUTORIALS[args.name]:
+        data, model, metrics, table = _stage_paths(outdir, stem, field)
+        gen_args = parser.parse_args(["gen", *gen_flags.split(), *seed, "--out", data])
+        cmd_gen(gen_args)
+        code = max(code, cmd_learn(parser.parse_args(
+            ["learn", *learn_flags.split(), *seed, "--in", data, "--out", model])))
+        cmd_eval(parser.parse_args(["eval", "--model", model, "--data", data,
+                                    "--out", metrics]))
+        names, columns = FIELDS[field](_gen_config(gen_args), load_model(model))
+        with open(table, "w") as fh:
+            fh.write(",".join(names) + "\n")
+            fh.writelines(",".join(map(repr, row)) + "\n" for row in columns.T.tolist())
     print(f"tutorial {args.name}: outputs in {outdir}")
     return code
 
@@ -419,7 +408,7 @@ def build_parser():
     g.set_defaults(func=cmd_gen)
 
     l = sub.add_parser("learn", help="fit a model to a dataset")
-    l.add_argument("--method", choices=METHODS, required=True)
+    l.add_argument("--method", choices=LEARNERS, required=True)
     l.add_argument("--in", dest="inp", required=True)
     l.add_argument("--out", required=True)
     l.add_argument("--num-basis", type=int, default=None,

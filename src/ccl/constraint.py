@@ -31,7 +31,7 @@ from .mathkit import (
     rbf_basis,
     rbf_design,
     ridge_regression,
-    unit_vector_angle_jacobians,
+    unit_vector_angle_gradient,
     unit_vectors_from_angles,
 )
 from .metrics import error_poe, error_ppe, total_variance
@@ -368,9 +368,7 @@ def _rows_in_frames(omega, frames, bx):
     """Rows (N, sel_dim) whose local angles omega @ beta(x) are taken in
     the per-sample frames (N, f, sel_dim) of the complement of the earlier
     rows (see :func:`orthogonal_complement_rotation`)."""
-    local = (np.ones((1, bx.shape[1])) if omega.shape[0] == 0
-             else unit_vectors_from_angles(omega @ bx))
-    return np.einsum("fn,nfj->nj", local, frames)
+    return np.einsum("fn,nfj->nj", unit_vectors_from_angles(omega @ bx), frames)
 
 
 def _row_problem(bx, u_rot):
@@ -386,8 +384,7 @@ def _row_problem(bx, u_rot):
 
     def jacobian(wvec):
         om = wvec.reshape(n_ang, g)
-        jac_a = unit_vector_angle_jacobians(om @ bx)
-        gvec = np.einsum("kin,kn->in", jac_a, u_rot)
+        gvec = unit_vector_angle_gradient(om @ bx, u_rot)
         return np.einsum("in,jn->nij", gvec, bx).reshape(n, n_ang * g)
 
     return residual, jacobian
@@ -429,6 +426,9 @@ def _learn_state_dependent(w_obs, xs, phi, options, num_basis, dim_b):
     dim_u, n = u.shape
     if xs.shape[1] != n:
         raise ValueError("states and observations disagree on sample count")
+    if phi is not None and phi.dim_u != dim_u:
+        raise ValueError(f"feature provider {phi.name!r} has dim_u {phi.dim_u}, "
+                         f"but the observations have dim_u {dim_u}")
     if n < dim_u:
         raise ValueError(f"need at least dim_u={dim_u} samples, got {n}")
     if num_basis > n:
@@ -488,20 +488,20 @@ def _learn_rows(bx, target, dim_b, starts, opts):
     once it still trails RESTART_GAP times the row's best fit so far after
     ABANDON_AFTER iterations.
 
-    A fixed ``dim_b`` keeps that many rows (at most sel_dim).  Otherwise
-    at most sel_dim - 1 rows are learned, and the best fit, capturing
-    e_s, is kept while :func:`_row_kept` holds for e_s, E_s and f_s.  If
-    the first row is rejected, it is returned with the note
-    ``no-constraint-found``.
+    A fixed ``dim_b`` keeps that many rows; one above sel_dim is a
+    ValueError.  Otherwise at most sel_dim - 1 rows are learned, and the
+    best fit, capturing e_s, is kept while :func:`_row_kept` holds for
+    e_s, E_s and f_s.  If the first row is rejected, it is returned with
+    the note ``no-constraint-found``.
 
     Returns (omegas, signs, the accepted rows (N, dim_b, sel_dim),
     LearnReport fields).
     """
     sel_dim, n = target.shape
-    limit = sel_dim - 1 if dim_b is None else min(dim_b, sel_dim)
-    if limit < 1:
-        raise ValueError(f"no constraint row to learn: dim_b={dim_b}, "
-                         f"selection dimension {sel_dim}")
+    limit = sel_dim - 1 if dim_b is None else dim_b
+    if not 1 <= limit <= sel_dim:
+        raise ValueError(f"cannot learn {limit} constraint row(s) in selection "
+                         f"dimension {sel_dim} (dim_b={dim_b})")
     rows_stack = np.empty((n, 0, sel_dim))
     omegas, signs, trace_hist, notes = [], [], [], ()
     kept, records = [], []  # LM reports of the kept starts; one record per start

@@ -102,28 +102,23 @@ def unit_vectors_from_angles(thetas):
     return out
 
 
-def unit_vector_angle_jacobians(thetas):
-    """Batch Jacobians, shape (m + 1, m, N) for angles (m, N)."""
+def unit_vector_angle_gradient(thetas, v):
+    """g_i = sum_k v_k da_k/dtheta_i, shape (m, N), for angles (m, N) and
+    weights v (m + 1, N): the gradient of a(theta) . v per column, by one
+    backward pass g_i = (c_i * tail_i - s_i * v_i) * prod_{j<i} s_j, where
+    tail_{m-1} = v_m and tail_{i-1} = c_i * v_i + s_i * tail_i."""
     thetas = np.atleast_2d(np.asarray(thetas, dtype=float))
-    m, n = thetas.shape
+    m = thetas.shape[0]
     s, c = np.sin(thetas), np.cos(thetas)
-    # pre[k] = prod_{j<k} sin(theta_j)
-    pre = np.ones((m + 1, n))
-    for k in range(m):
-        pre[k + 1] = pre[k] * s[k]
-    jac = np.zeros((m + 1, m, n))
-    for i in range(m):
-        # prod_{j<k, j != i} sin(theta_j), computed with the i-th factor
-        # replaced by one
-        pre_i = np.ones((m + 1, n))
-        for k in range(m):
-            fac = np.ones(n) if k == i else s[k]
-            pre_i[k + 1] = pre_i[k] * fac
-        jac[i, i] = -s[i] * pre[i]
-        for k in range(i + 1, m):
-            jac[k, i] = c[k] * c[i] * pre_i[k]
-        jac[m, i] = c[i] * pre_i[m]
-    return jac
+    grad = np.empty_like(thetas)
+    tail = v[m]
+    for i in range(m - 1, -1, -1):
+        grad[i] = c[i] * tail - s[i] * v[i]
+        if i:
+            tail = c[i] * v[i] + s[i] * tail
+    if m > 1:  # the sine product of angle 0 is empty
+        grad[1:] *= np.cumprod(s[:-1], axis=0)
+    return grad
 
 
 def orthogonal_complement_rotation(rows):

@@ -1,3 +1,4 @@
+import argparse
 import json
 import os
 import warnings
@@ -6,7 +7,7 @@ from dataclasses import fields
 import numpy as np
 import pytest
 
-from ccl.cli import METHODS, main
+from ccl.cli import LEARNERS, TUTORIALS, _stage_paths, build_parser, main
 from ccl.core import LearnOptions, load_dataset
 from ccl.serialize import MODEL_CLASSES, load_model
 
@@ -48,20 +49,29 @@ def test_gen_bad_constraint_spec(tmp_path, capsys):
     assert "constraint" in capsys.readouterr().err
 
 
-_NON_FINITE_SPECS = [("--constraint", "fixed:inf"), ("--constraint", "fixed:-inf"),
-                     ("--constraint", "parabolic:nan"), ("--b", "sin:inf,3,0"),
-                     ("--b", "sin:0.5,nan,0"), ("--b", "const:nan")]
+_BAD_SPECS = [("--constraint", "fixed:inf", "numbers must be finite"),
+              ("--constraint", "fixed:-inf", "numbers must be finite"),
+              ("--constraint", "parabolic:nan", "numbers must be finite"),
+              ("--b", "sin:inf,3,0", "numbers must be finite"),
+              ("--b", "sin:0.5,nan,0", "numbers must be finite"),
+              ("--b", "const:nan", "numbers must be finite"),
+              ("--constraint", "fixed:abc", "could not convert string to float: 'abc'"),
+              ("--constraint", "parabolic:", "could not convert string to float: ''"),
+              ("--constraint", "jrows:", "invalid literal for int() with base 10: ''"),
+              ("--constraint", "jrows:x", "invalid literal for int() with base 10: 'x'"),
+              ("--b", "const:", "could not convert string to float: ''"),
+              ("--b", "sin:1,2", "not enough values to unpack (expected 3, got 2)")]
 
 
-@pytest.mark.parametrize("flag,spec", _NON_FINITE_SPECS, ids=[s for _, s in _NON_FINITE_SPECS])
-def test_gen_rejects_a_non_finite_spec_number(tmp_path, capsys, flag, spec):
+@pytest.mark.parametrize("flag,spec,why", _BAD_SPECS, ids=[s for _, s, _ in _BAD_SPECS])
+def test_gen_names_the_flag_of_a_bad_spec(tmp_path, capsys, flag, spec, why):
     out = str(tmp_path / "d.csv")
     specs = (flag, spec) if flag == "--constraint" else ("--constraint", "fixed:30", flag, spec)
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         assert _run("gen", *specs, "--n", "20", "--out", out) == 1
     captured = capsys.readouterr()
-    assert captured.err == f"error: {flag} {spec!r}: numbers must be finite\n"
+    assert captured.err == f"error: {flag} {spec!r}: {why}\n"
     assert captured.out == "" and not os.path.exists(out)
 
 
@@ -159,6 +169,30 @@ def test_learn_lambda_twolink(tmp_path):
                 "twolink-jacobian:1.0,1.0", "--in", out, "--out", model_path,
                 "--max-iter", "200") == 0
     assert json.loads(open(model_path).read())["kind"] == "lambda"
+
+
+@pytest.mark.parametrize("method,extra", [("alpha", ()), ("lambda", ("--features", "identity:2"))])
+def test_learn_rejects_a_dim_b_above_the_selection_dimension(tmp_path, capsys, method, extra):
+    # it was clamped to 2 rows while the manifest recorded --dim-b 3
+    data = _gen(tmp_path, n=60)
+    capsys.readouterr()
+    out = str(tmp_path / "m.json")
+    assert _run("learn", "--method", method, "--in", data, "--out", out, *extra,
+                "--dim-b", "3") == 1
+    captured = capsys.readouterr()
+    assert captured.err == ("error: cannot learn 3 constraint row(s) in selection "
+                            "dimension 2 (dim_b=3)\n")
+    assert captured.out == "" and not os.path.exists(out)
+
+
+def test_learn_rejects_a_provider_of_another_size(tmp_path, capsys):
+    data = _gen(tmp_path, n=60)
+    out = str(tmp_path / "m.json")
+    assert _run("learn", "--method", "lambda", "--features", "identity:3", "--in", data,
+                "--out", out) == 1
+    assert capsys.readouterr().err == ("error: feature provider 'identity:3' has dim_u 3, "
+                                       "but the observations have dim_u 2\n")
+    assert not os.path.exists(out)
 
 
 def test_learn_pi_single_group_degeneracy_warning(tmp_path):
@@ -341,7 +375,7 @@ def _learn_kind(tmp_path, name):
 
 
 def test_model_kinds_are_the_kinds_the_learners_write(tmp_path):
-    assert {method for method, _ in _LEARNED_KINDS.values()} == set(METHODS)
+    assert {method for method, _ in _LEARNED_KINDS.values()} == set(LEARNERS)
     written = {_learn_kind(tmp_path, name)[1]["kind"] for name in _LEARNED_KINDS}
     assert set(MODEL_CLASSES) == written
 
@@ -706,6 +740,13 @@ def test_learn_help_lists_every_solver_option(capsys):
     assert len(fields(LearnOptions)) == 6  # five solver flags and the seed
 
 
+def test_every_flag_a_learn_method_takes_is_a_learn_flag():
+    sub = next(a for a in build_parser()._actions if isinstance(a, argparse._SubParsersAction))
+    defined = {flag for action in sub.choices["learn"]._actions for flag in action.option_strings}
+    for method, (_, flags) in LEARNERS.items():
+        assert set(flags) <= defined, method
+
+
 def test_learn_rejects_the_removed_search_resolution_flag(tmp_path, capsys):
     data = _gen(tmp_path, constraint="fixed:30", n=60, seed=9)
     out = str(tmp_path / "nhat.json")
@@ -766,6 +807,10 @@ def test_learn_rejects_group_id_beyond_64_bits(tmp_path, capsys):
 def test_tutorial_reruns_byte_identical(tmp_path, name, capsys):
     outdir = str(tmp_path / "tut")
     assert _run("tutorial", name, "--seed", "7", "--outdir", outdir) in (0, 2)
+    (stem, _, _, field), = TUTORIALS[name]
+    written = _stage_paths("", stem, field)
+    assert sorted(os.listdir(outdir)) == sorted(written + [f"{f}.manifest.json"
+                                                           for f in written[:3]])
     first = {}
     for fname in sorted(os.listdir(outdir)):
         with open(os.path.join(outdir, fname), "rb") as fh:

@@ -596,6 +596,25 @@ def test_lambda_rejects_rank_zero_feature_sample():
         learn_lambda(u, xs, dead, num_basis=4)
 
 
+def test_lambda_rejects_a_provider_of_another_size():
+    # it once failed inside a matmul, naming no argument
+    xs = np.random.default_rng(19).uniform(-1.0, 1.0, (2, 40))
+    u = np.random.default_rng(20).normal(size=(2, 40))
+    with pytest.raises(ValueError, match="provider 'identity:3' has dim_u 3, but the "
+                                         "observations have dim_u 2"):
+        learn_lambda(u, xs, identity_features(3), num_basis=4)
+
+
+@pytest.mark.parametrize("dim_b", [3, 0])
+def test_state_dependent_row_count_must_fit_the_selection_dimension(dim_b):
+    # a dim_b above it was silently clamped to it
+    data = generate(GeneratorConfig(constraints=(("parabolic", 0.1),), n_per_group=60,
+                                    rng_seed=21))
+    with pytest.raises(ValueError, match=f"cannot learn {dim_b} constraint row\\(s\\) in "
+                                         f"selection dimension 2 \\(dim_b={dim_b}\\)"):
+        learn_alpha(data.actions, data.states, num_basis=4, dim_b=dim_b)
+
+
 def test_lambda_learns_with_an_unregistered_provider():
     # the model keeps the provider it was learned with: only a saved
     # document needs a registered name

@@ -24,7 +24,7 @@ from ccl.mathkit import (
     rbf_design,
     rbf_width_from_centers,
     ridge_regression,
-    unit_vector_angle_jacobians,
+    unit_vector_angle_gradient,
     unit_vectors_from_angles,
 )
 from oracles import check_jacobian, finite_difference_jacobian
@@ -304,12 +304,13 @@ def test_unit_vector_batch_matches_single():
         assert np.allclose(batch[:, n], _unit_vector(thetas[:, n]))
 
 
-def test_unit_vector_jacobian_matches_finite_differences():
+def test_unit_vector_gradient_matches_finite_differences():
     rng = np.random.default_rng(5)
     for dim in (2, 3, 4, 6):
         th = rng.uniform(0.1, np.pi - 0.1, dim - 1)
-        analytic = unit_vector_angle_jacobians(th[:, None])[:, :, 0]
-        numeric = finite_difference_jacobian(_unit_vector, th)
+        v = rng.normal(size=dim)
+        analytic = unit_vector_angle_gradient(th[:, None], v[:, None])[:, 0]
+        numeric = finite_difference_jacobian(lambda t: _unit_vector(t) @ v, th)[0]
         assert np.max(np.abs(analytic - numeric)) < 1e-8
 
 

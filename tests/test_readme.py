@@ -1,7 +1,9 @@
 """The README's Python examples run as written: its ```python blocks are
 executed in order in one namespace, so a later block may use the names an
 earlier one defined.  Its list of solver flags is the one the CLI builds,
-and its learner table states the defaults of the learners' signatures."""
+its learner table states the defaults of the learners' signatures, and its
+tables of learn flags and tutorial files are the CLI's LEARNERS and
+TUTORIALS."""
 import ast
 import inspect
 import re
@@ -40,3 +42,19 @@ def test_readme_learner_table_states_the_signature_defaults():
         defaults = {p.name: p.default for p in params
                     if p.default is not p.empty and p.name != "options"}
         assert stated == defaults, name
+
+
+def test_readme_states_the_flags_of_each_learn_method():
+    rows = re.findall(r"^\| `ccl learn --method ([\w-]+)` \| (.*) \|$", README.read_text(), re.M)
+    assert [method for method, _ in rows] == list(cli.LEARNERS)
+    for method, cell in rows:
+        assert re.findall(r"`(--[\w-]+)`", cell) == list(cli.LEARNERS[method][1]), method
+
+
+def test_readme_lists_the_files_of_each_tutorial():
+    rows = re.findall(r"^\| `ccl tutorial ([\w-]+)` \| (.*) \|$", README.read_text(), re.M)
+    assert [name for name, _ in rows] == list(cli.TUTORIALS)
+    for name, cell in rows:
+        files = [path for stem, _, _, field in cli.TUTORIALS[name]
+                 for path in cli._stage_paths("", stem, field)]
+        assert re.findall(r"`([\w.]+)`", cell) == files, name

@@ -24,8 +24,8 @@ import numpy as np
 
 from .constraint import feature_provider_from_name, learn_alpha, learn_lambda, learn_nhat
 from .core import DemonstrationSet, LearnOptions, load_dataset, save_dataset
-from .datagen import (GeneratorConfig, constraint_rows, generate, policy_limit_cycle,
-                      policy_linear, true_projectors)
+from .datagen import (GeneratorConfig, check_jacobian_rows, constraint_rows, generate,
+                      policy_limit_cycle, policy_linear, true_projectors)
 from .nullspace import learn_ncl
 from .policy import learn_pi, learn_pi_lwl
 from .serialize import load_model, save_model
@@ -104,9 +104,9 @@ def _parse_constraint(text):
     if kind == "parabolic":
         return ("parabolic", _spec_number(arg))
     if kind == "jrows":
-        return ("jacobian-rows", tuple(int(v) for v in arg.split(",")))
+        return ("jacobian-rows", check_jacobian_rows(tuple(int(v) for v in arg.split(","))))
     raise CliError(f"unknown constraint spec {text!r} "
-                   "(use none | fixed:DEG | parabolic:A | jrows:I[,J])")
+                   "(use none | fixed:DEG | parabolic:A | jrows:I)")
 
 
 def _parse_task_b(text):
@@ -187,17 +187,15 @@ def _size(args, name="num_basis"):
 
 
 _LM_FLAGS = ("--tol-fun", "--tol-x", "--max-iter")  # they stop damped least squares
-_ROW_FLAGS = ("--num-basis", "--dim-b", *_LM_FLAGS, "--num-restarts", "--regularization")
 # each --method: its learner call on (parsed args, dataset, options), and the
 # learner and solver flags it reads
 LEARNERS = {
     "nhat": (lambda a, d, o: learn_nhat(d.actions), ()),
     "alpha": (lambda a, d, o: learn_alpha(d.actions, d.states, o, dim_b=a.dim_b, **_size(a)),
-              _ROW_FLAGS),
+              ("--num-basis", "--dim-b", *_LM_FLAGS, "--num-restarts", "--regularization")),
     "lambda": (lambda a, d, o: learn_lambda(d.actions, d.states,
-                                            feature_provider_from_name(a.features), o,
-                                            dim_b=a.dim_b, **_size(a)),
-               (*_ROW_FLAGS, "--features")),
+                                            feature_provider_from_name(a.features), dim_b=a.dim_b),
+               ("--dim-b", "--features")),
     "ncl": (lambda a, d, o: learn_ncl(d.states, d.actions, o, **_size(a)),
             ("--num-basis", *_LM_FLAGS, "--regularization")),
     "pi": (lambda a, d, o: learn_pi(d.states, d.actions, o, basis=a.basis, **_size(a)),
@@ -349,7 +347,7 @@ TUTORIALS = {
                       "--constraint fixed:120.0 --n 200",
                 "--method pi --num-basis 10", "field")],
     "twolink": [("twolink", "--system twolink --policy linear-attractor --constraint jrows:1",
-                 "--method lambda --num-basis 16 --features twolink-jacobian:1.0,1.0",
+                 "--method lambda --features twolink-jacobian:1.0,1.0",
                  "projector_field")],
 }
 
@@ -398,7 +396,7 @@ def build_parser():
     g.add_argument("--policy", choices=("limit-cycle", "linear-attractor"),
                    default="limit-cycle")
     g.add_argument("--constraint", action="append", required=True,
-                   help="repeatable; none | fixed:DEG | parabolic:A | jrows:I[,J]")
+                   help="repeatable; none | fixed:DEG | parabolic:A | jrows:I")
     g.add_argument("--b", default="zero",
                    help="task drive: zero | const:V[,V] | sin:AMP,CYCLES,PHASE")
     g.add_argument("--n", type=int, default=500, help="samples per group")
@@ -412,7 +410,8 @@ def build_parser():
     l.add_argument("--in", dest="inp", required=True)
     l.add_argument("--out", required=True)
     l.add_argument("--num-basis", type=int, default=None,
-                   help="basis functions / local models, not nhat (default 16, policies 10)")
+                   help="basis functions / local models, not nhat or lambda "
+                        "(default 16, policies 10)")
     l.add_argument("--dim-b", type=int, default=None,
                    help="fix the constraint row count (alpha/lambda)")
     l.add_argument("--features", default=None,

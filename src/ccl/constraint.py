@@ -8,10 +8,10 @@ row taken inside the orthogonal complement of the rows already found,
 while one scale-free rule (:func:`_row_kept`) keeps them.
 
 A constant constraint has that optimum in closed form: the smallest
-eigenvectors of u u^T.  State-dependent rows, whose angles are RBF
-functions of the state, in action space or as a selection over a feature
-matrix (for example a manipulator Jacobian), share one greedy loop of
-eigen seeds refined by damped least squares.
+eigenvectors of T T^T, for T = u (nhat) or, for a constant selection
+over a feature matrix such as a Jacobian, T = Phi_hat u (lambda).  The
+state-dependent rows of alpha, with RBF angles, are found by eigen seeds
+refined by damped least squares.
 """
 from __future__ import annotations
 
@@ -84,7 +84,9 @@ def feature_provider_from_name(name) -> FeatureMatrixProvider:
     """Rebuild a provider from its registry name (used when loading
     serialized selection models): ``identity:DIM`` with an integer
     DIM >= 1, or ``twolink-jacobian:L1,L2`` with finite link lengths > 0.
-    Any other name is a ValueError."""
+    Any other name, or one that is not a string, is a ValueError."""
+    if not isinstance(name, str):
+        raise ValueError(f"feature provider name must be a string, got {name!r}")
     kind, _, args = name.partition(":")
     try:
         if kind == "identity" and int(args) >= 1:
@@ -148,22 +150,38 @@ def _with_declared_rows(doc, model):
 
 @dataclass(frozen=True)
 class StateIndependentConstraint:
-    """Constant constraint rows (dim_b, dim_u), 1 <= dim_b < dim_u, that
-    are orthonormal (to within 1e-9).  Learned rows carry a canonical
-    sign: their first non-negligible component is positive."""
+    """Constant constraint rows that are orthonormal (to within 1e-9).
+    Learned rows carry a canonical sign: their first non-negligible
+    component is positive.
+
+    Without ``features`` (kind "nhat") the rows (dim_b, dim_u), 1 <= dim_b
+    < dim_u, are the constraint.  With a feature provider (kind "lambda")
+    the rows (dim_b, dim_phi), 1 <= dim_b <= dim_phi, select within its
+    row-normalized feature matrix: the constraint is A(x) = rows
+    Phi_hat(x).
+    """
 
     rows: np.ndarray
-
-    kind = "nhat"
+    features: Optional[FeatureMatrixProvider] = None
 
     def __post_init__(self):
         rows = _frozen_finite("rows", self.rows)
-        if rows.ndim != 2 or not 1 <= rows.shape[0] < rows.shape[1]:
-            raise ValueError(f"rows must be a (dim_b, dim_u) matrix with 1 <= dim_b < dim_u, "
-                             f"got shape {rows.shape}")
+        shape = "a (dim_b, dim_u) matrix with 1 <= dim_b < dim_u"
+        fits = 1 <= len(rows) < rows.shape[-1]
+        if self.features is not None:
+            dim_phi = self.features.dim_phi
+            shape = (f"a (dim_b, dim_phi) matrix with 1 <= dim_b <= dim_phi = {dim_phi} "
+                     f"for feature provider {self.features.name!r}")
+            fits = rows.shape[-1] == dim_phi and 1 <= len(rows) <= dim_phi
+        if rows.ndim != 2 or not fits:
+            raise ValueError(f"rows must be {shape}, got shape {rows.shape}")
         if np.max(np.abs(rows @ rows.T - np.eye(len(rows)))) > 1e-9:
             raise ValueError("rows must be orthonormal")
         object.__setattr__(self, "rows", rows)
+
+    @property
+    def kind(self):
+        return "nhat" if self.features is None else "lambda"
 
     @property
     def dim_b(self):
@@ -171,29 +189,214 @@ class StateIndependentConstraint:
 
     @property
     def dim_u(self):
-        return self.rows.shape[1]
+        return self.rows.shape[1] if self.features is None else self.features.dim_u
 
     def projector(self):
+        """The one null-space projector of an nhat model."""
+        if self.features is not None:
+            raise ValueError("a lambda model has one projector per state: use projector_stack")
         return nullspace_projector(self.rows)
 
     def projector_stack(self, xs):
-        """The one projector at states xs (dim_x, N), as a read-only
-        (N, dim_u, dim_u) broadcast."""
-        n = np.atleast_2d(xs).shape[1]
-        return np.broadcast_to(self.projector(), (n, self.dim_u, self.dim_u))
+        """Null-space projectors at states xs (dim_x, N), shape (N, dim_u,
+        dim_u); for nhat a read-only broadcast of its one projector."""
+        xs = np.atleast_2d(np.asarray(xs, dtype=float))
+        if self.features is None:
+            return np.broadcast_to(self.projector(), (xs.shape[1], self.dim_u, self.dim_u))
+        return nullspace_projector(self.rows @ _normalized_rows(self.features.stack(xs)))
 
     metrics = _constraint_metrics
 
     def to_doc(self):
-        return {"dim_u": self.dim_u, "dim_b": self.dim_b, "rows": self.rows.tolist()}
+        doc = {"dim_u": self.dim_u, "dim_b": self.dim_b, "rows": self.rows.tolist()}
+        return doc if self.features is None else dict(doc, features=self.features.name)
 
     @classmethod
     def from_doc(cls, doc):
-        model = cls(rows=doc["rows"])
+        selection = doc["kind"] == "lambda"
+        if selection and "omegas" in doc:
+            raise ValueError("model document (kind 'lambda') holds RBF angle weights "
+                             "(omegas, signs, basis), a format that is no longer read: "
+                             "lambda now learns constant selection rows; learn it again")
+        features = feature_provider_from_name(doc["features"]) if selection else None
+        model = cls(rows=doc["rows"], features=features)
         if _declared_size(doc, "dim_u") != model.dim_u:
-            raise ValueError(f"model document (kind 'nhat') declares dim_u {doc['dim_u']!r} "
-                             f"but its rows have {model.dim_u} columns")
+            raise ValueError(f"model document (kind {model.kind!r}) declares dim_u "
+                             f"{doc['dim_u']!r} but its rows act on dim_u {model.dim_u}")
         return _with_declared_rows(doc, model)
+
+
+def _row_limit(dim, dim_b):
+    """The most rows a learner keeps in dimension ``dim``: a fixed dim_b
+    (1 <= dim_b <= dim, a ValueError otherwise), or dim - 1."""
+    limit = dim - 1 if dim_b is None else dim_b
+    if not 1 <= limit <= dim:
+        raise ValueError(f"cannot learn {limit} constraint row(s) in selection "
+                         f"dimension {dim} (dim_b={dim_b})")
+    return limit
+
+
+def _learn_constant(u, dim_b, phi_hat=None):
+    """The closed-form row learner of nhat and lambda (Rayleigh-Ritz) on
+    the targets T: the observations u (dim_u, N), or their images under
+    the row-normalized feature matrices ``phi_hat`` (N, dim_phi, dim_u).
+
+    For T T^T = V L V^T, L ascending, the greedy optimum's row s is column
+    s of V; it captures e_s = |v_s^T T|^2, L_s up to rounding.  Up to
+    :func:`_row_limit` rows are kept while :func:`_row_kept` holds for
+    e_s, E_s = e_s + ... + e_last and f_s = dim - s (all, for a fixed
+    ``dim_b``); a first row not kept is returned with the note
+    ``no-constraint-found``.  Rows carry the canonical sign.
+
+    Returns (rows, a closed-form LearnReport): its ``objective_trace``
+    holds the kept e_s, its ``final_objective`` the exact projection
+    energy of rows @ Phi_hat, whose rows are not orthonormal.
+    """
+    target = u
+    if phi_hat is not None:
+        # C-ordered (dim_phi, N) like every vector: a sum over a whole
+        # array rounds in memory order
+        target = np.ascontiguousarray((phi_hat @ u.T[:, :, None])[:, :, 0].T)
+    dim = target.shape[0]
+    limit = _row_limit(dim, dim_b)
+    vec = np.linalg.eigh(target @ target.T)[1]
+    energy = ((vec.T @ target) ** 2).sum(axis=1)
+    k = 0 if dim_b is None else dim_b
+    while k < limit and _row_kept(energy[k], energy[k:].sum(), dim - k):
+        k += 1
+    rows = np.array([_canonical_sign(row) * row for row in vec[:, :max(k, 1)].T])
+    final = _exact_projection_energy(rows[None] if phi_hat is None else rows @ phi_hat, u)
+    report = LearnReport.from_errors(
+        mse=final / u.shape[1], variance=total_variance(u), iterations=0, final_objective=final,
+        converged=True, reason="closed-form", objective_trace=tuple(energy[:k].tolist()),
+        notes=() if k else ("no-constraint-found",))
+    return rows, report
+
+
+def _row_kept(e, E, f):
+    """Keep a row capturing the energy e of the E that its complement's f
+    directions hold while e <= ROW_ACCEPT_RATIO * (E - e) / (f - 1): at
+    most that share of the mean energy of each direction it leaves."""
+    return e * (f - 1) <= ROW_ACCEPT_RATIO * (E - e)
+
+
+def _observations(w_obs, xs=None):
+    """Finite, not all-zero observations (dim_u, N), N >= dim_u, and states (dim_x, N)."""
+    u = _finite_samples("observations", w_obs)
+    if xs is not None:
+        xs = _finite_samples("states", xs)
+        if xs.shape[1] != u.shape[1]:
+            raise ValueError("states and observations disagree on sample count")
+    if u.shape[1] < u.shape[0]:
+        raise ValueError(f"need at least dim_u={u.shape[0]} samples, got {u.shape[1]}")
+    if np.max(np.abs(u)) == 0.0:
+        raise ValueError("all-zero observations: constraint unidentifiable")
+    return u, xs
+
+
+def learn_nhat(w_obs):
+    """Fit a constant constraint to null-space observations (dim_u, N):
+    the smallest eigenvectors of u u^T (see :func:`_learn_constant`).
+    Returns (StateIndependentConstraint, LearnReport)."""
+    u, _ = _observations(w_obs)
+    rows, report = _learn_constant(u, None)
+    return StateIndependentConstraint(rows=rows), report
+
+
+def learn_lambda(w_obs, xs, phi: FeatureMatrixProvider, *, dim_b=None):
+    """Fit a constant selection Lambda over a feature matrix Phi(x), such
+    as a manipulator Jacobian: the constraint A(x) = Lambda Phi_hat(x),
+    Phi_hat row-normalized.  Lambda's rows are the smallest eigenvectors
+    of T T^T for T = Phi_hat u (see :func:`_learn_constant`); ``dim_b``
+    (at most dim_phi) fixes their number.  A selection that varies with
+    the state is not learned.  Returns (StateIndependentConstraint of
+    kind "lambda", LearnReport)."""
+    u, xs = _observations(w_obs, xs)
+    if phi.dim_u != u.shape[0]:
+        raise ValueError(f"feature provider {phi.name!r} has dim_u {phi.dim_u}, "
+                         f"but the observations have dim_u {u.shape[0]}")
+    mats = phi.stack(xs)
+    dead = np.flatnonzero(np.abs(mats).max(axis=(1, 2)) < 1e-12)
+    if dead.size:
+        raise ValueError(f"feature matrix has rank 0 at sample {dead[0]}")
+    rows, report = _learn_constant(u, dim_b, _normalized_rows(mats))
+    return StateIndependentConstraint(rows=rows, features=phi), report
+
+
+# ---------------------------------------------------------------------------
+# state-dependent constraints
+# ---------------------------------------------------------------------------
+
+@dataclass(frozen=True)
+class StateDependentConstraintModel:
+    """Constraint rows (kind "alpha") whose angles are RBF functions of the
+    state, theta_s(x) = omega_s beta(x), with beta the Gaussian features of
+    ``centers`` (dim_x, G) and ``width``; each row lies in the complement
+    of the earlier ones.  ``signs`` are per-row flips making the first
+    non-negligible component positive at the training reference state."""
+
+    omegas: tuple
+    signs: tuple
+    centers: np.ndarray
+    width: float
+    dim_u: int
+
+    kind = "alpha"
+
+    def __post_init__(self):
+        omegas = tuple(_frozen_finite("omegas", np.atleast_2d(o)) for o in self.omegas)
+        object.__setattr__(self, "omegas", omegas)
+        _freeze_basis(self)
+        signs = _frozen_finite("signs", self.signs)
+        object.__setattr__(self, "signs", tuple(float(s) for s in signs))
+        if len(self.signs) != len(omegas):
+            raise ValueError("one sign per row required")
+        g = self.centers.shape[1]
+        for s, om in enumerate(omegas):
+            if om.shape != (self.dim_u - 1 - s, g):
+                raise ValueError(f"row {s + 1} weight matrix has shape {om.shape}, "
+                                 f"expected {(self.dim_u - 1 - s, g)}")
+
+    @property
+    def dim_b(self):
+        return len(self.omegas)
+
+    def constraint_stack(self, xs):
+        """Materialized constraint rows A(x) at states xs (dim_x, N),
+        shape (N, dim_b, dim_u), each row in the complement of the earlier
+        ones."""
+        bx = rbf_design(np.atleast_2d(np.asarray(xs, dtype=float)), self.centers, self.width)
+        rows = np.empty((bx.shape[1], 0, self.dim_u))
+        for om, sg in zip(self.omegas, self.signs):
+            row = sg * _rows_in_frames(om, orthogonal_complement_rotation(rows), bx)
+            rows = np.concatenate([rows, row[:, None]], axis=1)
+        return rows
+
+    def projector_stack(self, xs):
+        """Null-space projectors at states xs (dim_x, N), shape (N, dim_u, dim_u)."""
+        return nullspace_projector(self.constraint_stack(xs))
+
+    metrics = _constraint_metrics
+
+    def to_doc(self):
+        return {"dim_u": self.dim_u, "dim_b": self.dim_b,
+                "omegas": [om.tolist() for om in self.omegas],
+                "signs": list(self.signs), "basis": _basis_doc(self.centers, self.width),
+                "features": None}
+
+    @classmethod
+    def from_doc(cls, doc):
+        # a basis block may still carry the dim_out: 0 and empty weights
+        # that earlier writers put there; neither is read
+        basis = doc["basis"]
+        if doc["features"] is not None:
+            raise ValueError(f"an alpha document names no feature provider, "
+                             f"got {doc['features']!r}")
+        omegas = tuple(np.asarray(om).reshape(-1, _declared_size(basis, "n_basis"))
+                       for om in doc["omegas"])
+        return _with_declared_rows(doc, cls(
+            omegas=omegas, signs=tuple(doc["signs"]), centers=_basis_centers(basis),
+            width=basis["width"], dim_u=_declared_size(doc, "dim_u")))
 
 
 def _eigen_seed(m_rot):
@@ -208,166 +411,10 @@ def _eigen_seed(m_rot):
     return np.arctan2(tails, a[:-1])
 
 
-def _row_kept(e, E, f):
-    """Keep a row capturing the energy e of the E that its complement's f
-    directions hold while e <= ROW_ACCEPT_RATIO * (E - e) / (f - 1): at
-    most that share of the mean energy of each direction it leaves."""
-    return e * (f - 1) <= ROW_ACCEPT_RATIO * (E - e)
-
-
-def learn_nhat(w_obs):
-    """Fit a constant constraint to null-space observations (dim_u, N).
-
-    In closed form (Rayleigh-Ritz): for u u^T = V L V^T, L ascending, the
-    greedy optimum's row s is column s of V and captures L_s.  It is kept
-    while :func:`_row_kept` holds for e = L_s, E = L_s + ... + L_{dim_u-1}
-    and f = dim_u - s, for at most dim_u - 1 rows.  If even the first row
-    is not kept, it is returned anyway with the note
-    ``no-constraint-found``.  Rows carry the canonical sign.
-
-    Returns (StateIndependentConstraint, LearnReport): a ``closed-form``
-    report with no iterations or starts, whose ``objective_trace`` holds
-    the kept eigenvalues.
-    """
-    u = _finite_samples("observations", w_obs)
-    dim_u, n = u.shape
-    if n < dim_u:
-        raise ValueError(f"need at least dim_u={dim_u} samples, got {n}")
-    if np.max(np.abs(u)) == 0.0:
-        raise ValueError("all-zero observations: constraint unidentifiable")
-
-    lam, vec = np.linalg.eigh(u @ u.T)
-    lam = np.maximum(lam, 0.0)
-    k = 0
-    while k < dim_u - 1 and _row_kept(lam[k], lam[k:].sum(), dim_u - k):
-        k += 1
-    constraint = StateIndependentConstraint(
-        rows=[_canonical_sign(row) * row for row in vec[:, :max(k, 1)].T])
-    final = _exact_projection_energy(constraint.rows[None], u)
-    report = LearnReport.from_errors(
-        mse=final / n, variance=total_variance(u), iterations=0, final_objective=final,
-        converged=True, reason="closed-form", objective_trace=tuple(lam[:k].tolist()),
-        notes=() if k else ("no-constraint-found",))
-    return constraint, report
-
-
-# ---------------------------------------------------------------------------
-# state-dependent constraints
-# ---------------------------------------------------------------------------
-
-@dataclass(frozen=True)
-class StateDependentConstraintModel:
-    """Constraint rows whose orientation angles are RBF functions of the
-    state: theta_s(x) = omega_s beta(x), with beta the Gaussian features of
-    ``centers`` (dim_x, G) and the shared ``width``.
-
-    Without ``features`` (kind "alpha") the rows live directly in action
-    space; with a feature provider (kind "lambda") they select within its
-    feature matrix Phi(x) (row-normalized), the effective constraint being
-    A(x) = Lambda(x) Phi_normalized(x).  The selection rows are mutually
-    orthonormal at every state.  ``signs`` are fixed per-row flips making
-    the first non-negligible component positive at the training reference
-    state.
-    """
-
-    omegas: tuple
-    signs: tuple
-    centers: np.ndarray
-    width: float
-    dim_u: int
-    features: Optional[FeatureMatrixProvider] = None
-
-    def __post_init__(self):
-        if self.features is not None and self.features.dim_u != self.dim_u:
-            raise ValueError(f"feature provider {self.features.name!r} acts on dim_u "
-                             f"{self.features.dim_u}, the model on {self.dim_u}")
-        omegas = tuple(_frozen_finite("omegas", np.atleast_2d(o)) for o in self.omegas)
-        object.__setattr__(self, "omegas", omegas)
-        _freeze_basis(self)
-        signs = _frozen_finite("signs", self.signs)
-        object.__setattr__(self, "signs", tuple(float(s) for s in signs))
-        if len(self.signs) != len(omegas):
-            raise ValueError("one sign per row required")
-        sel, g = self.sel_dim, self.centers.shape[1]
-        for s, om in enumerate(omegas):
-            if om.shape != (sel - 1 - s, g):
-                raise ValueError(f"row {s + 1} weight matrix has shape {om.shape}, "
-                                 f"expected {(sel - 1 - s, g)}")
-
-    @property
-    def kind(self):
-        return "alpha" if self.features is None else "lambda"
-
-    @property
-    def dim_b(self):
-        return len(self.omegas)
-
-    @property
-    def sel_dim(self):
-        return self.dim_u if self.features is None else self.features.dim_phi
-
-    def _selection_stack(self, xs):
-        """Selection rows (N, dim_b, sel_dim), each row materialized in the
-        complement of the earlier ones."""
-        bx = rbf_design(xs, self.centers, self.width)
-        rows = np.empty((bx.shape[1], 0, self.sel_dim))
-        for om, sg in zip(self.omegas, self.signs):
-            row = sg * _rows_in_frames(om, orthogonal_complement_rotation(rows), bx)
-            rows = np.concatenate([rows, row[:, None]], axis=1)
-        return rows
-
-    def constraint_stack(self, xs):
-        """Materialized constraint rows A(x) at states xs (dim_x, N),
-        shape (N, dim_b, dim_u)."""
-        xs = np.atleast_2d(np.asarray(xs, dtype=float))
-        sel = self._selection_stack(xs)
-        if self.features is None:
-            return sel
-        return sel @ _normalized_rows(self.features.stack(xs))
-
-    def projector_stack(self, xs):
-        """Null-space projectors at states xs (dim_x, N), shape (N, dim_u, dim_u)."""
-        return nullspace_projector(self.constraint_stack(xs))
-
-    metrics = _constraint_metrics
-
-    def to_doc(self):
-        return {"dim_u": self.dim_u, "dim_b": self.dim_b,
-                "omegas": [om.tolist() for om in self.omegas],
-                "signs": list(self.signs), "basis": _basis_doc(self.centers, self.width),
-                "features": None if self.features is None else self.features.name}
-
-    @classmethod
-    def from_doc(cls, doc):
-        # a basis block may still carry the dim_out: 0 and empty weights
-        # that earlier writers put there; neither is read
-        basis = doc["basis"]
-        omegas = tuple(np.asarray(om).reshape(-1, _declared_size(basis, "n_basis"))
-                       for om in doc["omegas"])
-        return _with_declared_rows(doc, cls(
-            omegas=omegas, signs=tuple(doc["signs"]), centers=_basis_centers(basis),
-            width=basis["width"], dim_u=_declared_size(doc, "dim_u"),
-            features=_features_from_doc(doc)))
-
-
-def _features_from_doc(doc):
-    """The provider a state-dependent document names, resolved once (only
-    a document holds a provider's name): none for alpha, a registered
-    provider for lambda."""
-    name = doc["features"]
-    if name is not None and not isinstance(name, str):
-        raise ValueError(f"feature provider name must be a string, got {name!r}")
-    if doc["kind"] == "lambda" and name is None:
-        raise ValueError("lambda mode needs a feature provider name")
-    if doc["kind"] == "alpha" and name is not None:
-        raise ValueError(f"an alpha document names no feature provider, got {name!r}")
-    return None if name is None else feature_provider_from_name(name)
-
-
 def _rows_in_frames(omega, frames, bx):
-    """Rows (N, sel_dim) whose local angles omega @ beta(x) are taken in
-    the per-sample frames (N, f, sel_dim) of the complement of the earlier
-    rows (see :func:`orthogonal_complement_rotation`)."""
+    """Rows (N, dim) whose local angles omega @ beta(x) are taken in the
+    per-sample frames (N, f, dim) of the complement of the earlier rows
+    (see :func:`orthogonal_complement_rotation`)."""
     return np.einsum("fn,nfj->nj", unit_vectors_from_angles(omega @ bx), frames)
 
 
@@ -392,45 +439,13 @@ def _row_problem(bx, u_rot):
 
 def learn_alpha(w_obs, xs, options: Optional[LearnOptions] = None,
                 num_basis=16, dim_b=None):
-    """Fit a state-dependent constraint directly in action space.
-
-    Builds a shared RBF basis (K-means centers, mean-center-distance
-    width), then recovers each row's angle weights by multi-start damped
-    least squares inside the per-sample complement of the earlier rows.
-    ``dim_b`` fixes the number of rows; when None, rows are added by the
-    one accept rule of :func:`_learn_rows`.
-
-    Returns (StateDependentConstraintModel, LearnReport).
-    """
-    return _learn_state_dependent(w_obs, xs, None, options, num_basis, dim_b)
-
-
-def learn_lambda(w_obs, xs, phi: FeatureMatrixProvider,
-                 options: Optional[LearnOptions] = None,
-                 num_basis=16, dim_b=None):
-    """Fit a state-dependent selection over a feature matrix.
-
-    Observations are mapped through the row-normalized feature matrix
-    (u -> Phi_hat(x) u) and the selection rows are learned in that space
-    with the same greedy scheme as :func:`learn_alpha`; the reported
-    objective is evaluated on the exact materialized constraint using the
-    truncated pseudoinverse.
-    """
-    return _learn_state_dependent(w_obs, xs, phi, options, num_basis, dim_b)
-
-
-def _learn_state_dependent(w_obs, xs, phi, options, num_basis, dim_b):
+    """Fit a state-dependent constraint in action space: a shared RBF basis
+    (K-means centers, mean-center-distance width), then each row's angle
+    weights by multi-start damped least squares (:func:`_learn_rows`).
+    Returns (StateDependentConstraintModel, LearnReport)."""
     opts = options or LearnOptions()
-    u = _finite_samples("observations", w_obs)
-    xs = _finite_samples("states", xs)
+    u, xs = _observations(w_obs, xs)
     dim_u, n = u.shape
-    if xs.shape[1] != n:
-        raise ValueError("states and observations disagree on sample count")
-    if phi is not None and phi.dim_u != dim_u:
-        raise ValueError(f"feature provider {phi.name!r} has dim_u {phi.dim_u}, "
-                         f"but the observations have dim_u {dim_u}")
-    if n < dim_u:
-        raise ValueError(f"need at least dim_u={dim_u} samples, got {n}")
     if num_basis > n:
         raise ValueError("cannot use more basis functions than samples")
     if float(np.ptp(xs, axis=1).max(initial=0.0)) < 1e-12:
@@ -438,19 +453,6 @@ def _learn_state_dependent(w_obs, xs, phi, options, num_basis, dim_b):
 
     centers, width = rbf_basis(xs, num_basis, opts.rng_seed)
     bx = rbf_design(xs, centers, width)
-
-    if phi is None:
-        target = u
-    else:
-        mats = phi.stack(xs)
-        dead = np.flatnonzero(np.abs(mats).max(axis=(1, 2)) < 1e-12)
-        if dead.size:
-            raise ValueError(f"feature matrix has rank 0 at sample {dead[0]}")
-        phi_hat = _normalized_rows(mats)
-        # C-ordered (dim_phi, N) like every vector: a sum over a whole
-        # array rounds in memory order
-        target = np.ascontiguousarray((phi_hat @ u.T[:, :, None])[:, :, 0].T)
-
     rng = np.random.default_rng(opts.rng_seed)
 
     def starts(theta):
@@ -462,47 +464,37 @@ def _learn_state_dependent(w_obs, xs, phi, options, num_basis, dim_b):
         for restart in range(1, opts.num_restarts):
             yield np.zeros(size) if restart == 1 else rng.normal(0.0, 0.4, size)
 
-    omegas, signs, rows, fit = _learn_rows(bx, target, dim_b, starts=starts, opts=opts)
+    omegas, signs, rows, fit = _learn_rows(bx, u, dim_b, starts=starts, opts=opts)
     model = StateDependentConstraintModel(
-        omegas=tuple(omegas), signs=tuple(signs), centers=centers, width=width,
-        dim_u=dim_u, features=phi,
-    )
+        omegas=tuple(omegas), signs=tuple(signs), centers=centers, width=width, dim_u=dim_u)
     # the rows the loop accepted are the model's constraint stack on xs
-    final = _exact_projection_energy(rows if phi is None else rows @ phi_hat, u)
+    final = _exact_projection_energy(rows, u)
     report = LearnReport.from_errors(mse=final / n, variance=total_variance(u),
                                      final_objective=final, **fit)
     return model, report
 
 
 def _learn_rows(bx, target, dim_b, starts, opts):
-    """The greedy row loop of the state-dependent learners.
+    """The greedy row loop of the state-dependent learner.
 
-    Targets (sel_dim, N) are the observations in the space the rows live
-    in.  Row s is searched inside the per-sample complement of the rows
-    accepted so far, whose f_s = sel_dim - s directions hold the target
-    energy E_s.  Its local angles are omega @ bx.  The constant row that
-    captures the least energy, the smallest eigenvector of the pooled
-    rotated moments u_rot u_rot^T (:func:`_eigen_seed`), goes as angles to
-    ``starts(theta)``, which yields the weight vectors that damped least
-    squares starts from.  Every start after a row's first is abandoned
-    once it still trails RESTART_GAP times the row's best fit so far after
-    ABANDON_AFTER iterations.
-
-    A fixed ``dim_b`` keeps that many rows; one above sel_dim is a
-    ValueError.  Otherwise at most sel_dim - 1 rows are learned, and the
-    best fit, capturing e_s, is kept while :func:`_row_kept` holds for
-    e_s, E_s and f_s.  If the first row is rejected, it is returned with
+    Row s is searched inside the per-sample complement of the rows
+    accepted so far, whose f_s = dim - s directions hold the energy E_s of
+    the targets (dim, N); its local angles are omega @ bx.  The smallest
+    eigenvector of the rotated moments u_rot u_rot^T (:func:`_eigen_seed`)
+    goes as angles to ``starts(theta)``, which yields the weight vectors
+    damped least squares starts from.  A start after a row's first is
+    abandoned if it still trails RESTART_GAP times the row's best fit
+    after ABANDON_AFTER iterations.  Up to :func:`_row_limit` rows are
+    kept while :func:`_row_kept` holds for the best fit's e_s, E_s and f_s
+    (all, for a fixed ``dim_b``); a first row not kept is returned with
     the note ``no-constraint-found``.
 
-    Returns (omegas, signs, the accepted rows (N, dim_b, sel_dim),
-    LearnReport fields).
+    Returns (omegas, signs, the accepted rows (N, dim_b, dim), LearnReport
+    fields).
     """
-    sel_dim, n = target.shape
-    limit = sel_dim - 1 if dim_b is None else dim_b
-    if not 1 <= limit <= sel_dim:
-        raise ValueError(f"cannot learn {limit} constraint row(s) in selection "
-                         f"dimension {sel_dim} (dim_b={dim_b})")
-    rows_stack = np.empty((n, 0, sel_dim))
+    dim, n = target.shape
+    limit = _row_limit(dim, dim_b)
+    rows_stack = np.empty((n, 0, dim))
     omegas, signs, trace_hist, notes = [], [], [], ()
     kept, records = [], []  # LM reports of the kept starts; one record per start
 
@@ -511,7 +503,7 @@ def _learn_rows(bx, target, dim_b, starts, opts):
         # summed by numpy's reduction, not einsum, whose rounding of a 4-D
         # fit differs in the last bit; C-ordered (f, N) like the targets
         u_rot = np.ascontiguousarray((frames * target.T[:, None, :]).sum(axis=-1).T)
-        n_ang = sel_dim - 1 - s
+        n_ang = dim - 1 - s
 
         if n_ang == 0:
             omega, fit = np.zeros((0, bx.shape[0])), None

@@ -149,14 +149,12 @@ class LearnReport:
     tolerance, otherwise ``fun-tol``.
 
     ``objective_trace`` has one entry per constraint row accepted by a
-    greedy learner: the observation energy that row captures inside the
-    complement of the earlier rows (for ``nhat`` the kept eigenvalues of
-    u u^T, which sum to ``final_objective``).  ``starts`` has one record
-    per damped least-squares solve (none for ``nhat``), in schedule
-    order: a dict with the 0-based ``row`` and ``start`` index, its
-    ``iterations``, final ``objective`` and stop ``reason``.
-    ``notes`` carries free-form diagnostic flags such as
-    ``no-constraint-found``.
+    greedy learner: the target energy that row captures inside the
+    complement of the earlier rows.  ``starts`` has one record per damped
+    least-squares solve (none for the closed forms), in schedule order: a
+    dict with the 0-based ``row`` and ``start`` index, its ``iterations``,
+    final ``objective`` and stop ``reason``.  ``notes`` carries free-form
+    diagnostic flags such as ``no-constraint-found``.
     """
 
     nmse: float

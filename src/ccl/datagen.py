@@ -108,6 +108,9 @@ class GeneratorConfig:
             raise ValueError("n_per_group must be >= 1")
         if not 0 <= self.noise_std < np.inf:
             raise ValueError(f"noise_std must be finite and >= 0, got {self.noise_std!r}")
+        for spec in self.constraints:
+            if spec[0] == "jacobian-rows":
+                check_jacobian_rows(spec[1])
         if self.task_b[0] != "zero" and not any(map(constraint_rows, self.constraints)):
             raise ValueError(f"task_b {self.task_b[0]!r} drives nothing: "
                              f"no group has a constraint")
@@ -118,6 +121,19 @@ class GeneratorConfig:
                 if rows and rows != values:
                     raise ValueError(f"constant task_b has {values} values, but "
                                      f"group {k}'s constraint has {rows} row(s)")
+
+
+def check_jacobian_rows(rows):
+    """The rows of a ("jacobian-rows", rows) spec; a ValueError names one out
+    of the arm's two rows, a repeated one, or two, which leave no null space."""
+    for k, r in enumerate(rows):
+        if not 0 <= r < 2:
+            raise ValueError(f"Jacobian row index {r} is out of range (the arm has rows 0 and 1)")
+        if r in rows[:k]:
+            raise ValueError(f"Jacobian row {r} is selected twice")
+    if len(rows) > 1:
+        raise ValueError(f"{len(rows)} Jacobian rows constrain every direction of the 2-D arm")
+    return rows
 
 
 def constraint_rows(spec):
@@ -142,11 +158,7 @@ def _constraint_matrix(spec, xs, arm):
         a = float(spec[1])
         return np.stack([-2.0 * a * xs[0], np.ones(n)], axis=-1)[:, None, :]
     if kind == "jacobian-rows":
-        rows = tuple(int(r) for r in np.atleast_1d(spec[1]))
-        jac = arm.jacobian(xs)
-        if any(r < 0 or r >= jac.shape[1] for r in rows):
-            raise ValueError(f"jacobian row index out of range: {rows}")
-        return jac[:, list(rows), :]
+        return arm.jacobian(xs)[:, list(spec[1]), :]
     raise ValueError(f"unknown constraint kind {kind!r}")
 
 
@@ -203,8 +215,6 @@ def generate(config: GeneratorConfig) -> DemonstrationSet:
         v = np.zeros((dim_u, n))
         w = pi
         if a is not None:
-            if a.shape[1] >= dim_u:
-                raise ValueError("constraint dimensionality must be < dim_u")
             pinv = np.broadcast_to(pinv_truncated(_distinct(a)), (n, dim_u, a.shape[1]))
             w = ((np.eye(dim_u) - pinv @ a) @ pi.T[:, :, None])[:, :, 0].T
             if config.task_b[0] == "constant":

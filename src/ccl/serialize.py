@@ -20,7 +20,7 @@ FORMAT_VERSION = 1
 MODEL_CLASSES = {
     "nhat": StateIndependentConstraint,
     "alpha": StateDependentConstraintModel,
-    "lambda": StateDependentConstraintModel,
+    "lambda": StateIndependentConstraint,
     "ncl": NullspaceComponentModel,
     "pi-parametric": ParametricPolicyModel,
     "pi-lwl": LwlPolicyModel,

@@ -101,9 +101,7 @@ def test_criterion_4_feature_matrix_variant():
                           constraints=(("jacobian-rows", (1,)),),
                           n_per_group=800, rng_seed=40)
     data = generate(cfg)
-    model, _ = learn_lambda(data.actions, data.states,
-                            twolink_jacobian_features(1.0, 1.0),
-                            LearnOptions(rng_seed=0, max_iter=400))
+    model, _ = learn_lambda(data.actions, data.states, twolink_jacobian_features(1.0, 1.0))
     held = generate(GeneratorConfig(system="twolink", policy="linear-attractor",
                                     attractor_target=(0.8, 0.9),
                                     constraints=(("jacobian-rows", (1,)),),
@@ -111,15 +109,15 @@ def test_criterion_4_feature_matrix_variant():
     poe = error_poe(held.actions, model.projector_stack(held.states))
     assert poe.normalized < 0.01
 
-    toy = generate(GeneratorConfig(constraints=(("parabolic", 0.1),),
+    # lambda learns a constant selection: with identity features it is nhat
+    toy = generate(GeneratorConfig(constraints=(("fixed-angle", 30.0),),
                                    n_per_group=500, rng_seed=42))
-    opts = LearnOptions(rng_seed=0, max_iter=300)
-    alpha_model, _ = learn_alpha(toy.actions, toy.states, opts)
-    lambda_model, _ = learn_lambda(toy.actions, toy.states, identity_features(2), opts)
-    pa = alpha_model.projector_stack(toy.states)
+    nhat_model, _ = learn_nhat(toy.actions)
+    lambda_model, _ = learn_lambda(toy.actions, toy.states, identity_features(2))
+    pa = nhat_model.projector_stack(toy.states)
     pl = lambda_model.projector_stack(toy.states)
     frob = max(np.linalg.norm(pa[i] - pl[i]) for i in range(toy.n_samples))
-    assert frob < 1e-6
+    assert frob < 1e-12
     _ok(4, f"held-out NPOE {poe.normalized:.2e}; identity-feature projector "
            f"gap {frob:.2e} Frobenius")
 

@@ -61,7 +61,7 @@ def test_every_metric_span_is_timed_under_compute_metrics():
     opts = LearnOptions(max_iter=20, num_restarts=1)
     models = [learn_nhat(data.actions)[0],
               learn_alpha(data.actions, data.states, opts, num_basis=3)[0],
-              learn_lambda(data.actions, data.states, identity_features(2), opts, num_basis=3)[0],
+              learn_lambda(data.actions, data.states, identity_features(2))[0],
               learn_ncl(data.states, data.actions, opts, num_basis=3)[0],
               learn_pi(data.states, data.actions, opts, num_basis=3)[0],
               learn_pi(data.states, data.actions, opts, basis="linear")[0],
@@ -120,4 +120,22 @@ def test_no_workload_stage_runs_a_singular_value_decomposition(tmp_path, monkeyp
     monkeypatch.chdir(tmp_path)
     monkeypatch.setattr(np.linalg, "svd", svd)
     for stage, argv in WORKLOADS.build(name, n=200).stages(0):
+        assert cli.main(argv) == 0, (stage, argv)
+
+
+def test_lambda_workload_runs_no_damped_least_squares_and_no_kmeans(tmp_path, monkeypatch):
+    # lambda learns a constant selection in closed form: it places no RBF
+    # basis and refines no angle weights
+    def refuse(name):
+        def call(*args, **kwargs):
+            raise AssertionError(f"mathkit.{name} called")
+        return call
+
+    monkeypatch.chdir(tmp_path)
+    for name in ("lm_solve", "kmeans_centers"):
+        original = getattr(mathkit, name)
+        for module in (cli, constraint, mathkit, nullspace, policy):
+            if getattr(module, name, None) is original:
+                monkeypatch.setattr(module, name, refuse(name))
+    for stage, argv in WORKLOADS.build("lambda-twolink", n=200).stages(0):
         assert cli.main(argv) == 0, (stage, argv)

@@ -111,6 +111,23 @@ def test_gen_rejects_a_task_drive_when_no_group_is_constrained(tmp_path, capsys,
     assert not os.path.exists(out + ".manifest.json")
 
 
+@pytest.mark.parametrize("spec,why", [
+    ("jrows:5", "Jacobian row index 5 is out of range (the arm has rows 0 and 1)"),
+    ("jrows:-1", "Jacobian row index -1 is out of range (the arm has rows 0 and 1)"),
+    ("jrows:1,2,3", "Jacobian row index 2 is out of range (the arm has rows 0 and 1)"),
+    ("jrows:0,0", "Jacobian row 0 is selected twice"),
+    ("jrows:1,0", "2 Jacobian rows constrain every direction of the 2-D arm"),
+])
+def test_gen_names_the_flag_of_a_bad_jacobian_row_spec(tmp_path, capsys, spec, why):
+    # these were found inside generate, after parsing, and named no flag
+    out = str(tmp_path / "d.csv")
+    assert _run("gen", "--system", "twolink", "--constraint", spec, "--n", "20",
+                "--out", out) == 1
+    captured = capsys.readouterr()
+    assert captured.err == f"error: --constraint {spec!r}: {why}\n"
+    assert captured.out == "" and not os.path.exists(out)
+
+
 def test_gen_parabolic(tmp_path):
     out = _gen(tmp_path, constraint="parabolic:0.1", seed=1)
     data = load_dataset(out)
@@ -166,9 +183,12 @@ def test_learn_lambda_twolink(tmp_path):
                 "--out", out) == 0
     model_path = str(tmp_path / "m.json")
     assert _run("learn", "--method", "lambda", "--features",
-                "twolink-jacobian:1.0,1.0", "--in", out, "--out", model_path,
-                "--max-iter", "200") == 0
-    assert json.loads(open(model_path).read())["kind"] == "lambda"
+                "twolink-jacobian:1.0,1.0", "--in", out, "--out", model_path) == 0
+    doc = json.loads(open(model_path).read())
+    assert doc["kind"] == "lambda" and sorted(doc) == ["dim_b", "dim_u", "features", "kind",
+                                                       "rows", "version"]
+    report = json.loads(open(model_path + ".manifest.json").read())["report"]
+    assert (report["reason"], report["iterations"], report["starts"]) == ("closed-form", 0, [])
 
 
 @pytest.mark.parametrize("method,extra", [("alpha", ()), ("lambda", ("--features", "identity:2"))])
@@ -239,27 +259,26 @@ def test_learn_all_methods_dispatch(tmp_path):
 @pytest.mark.parametrize("size", ["0", "-3"])
 def test_learn_rejects_num_basis_below_one(tmp_path, capsys, size):
     data = _gen(tmp_path, constraint="fixed:45", n=60, seed=9)
-    for method, extra in (("alpha", ()), ("lambda", ("--features", "identity:2")),
-                          ("ncl", ()), ("pi", ()), ("pi-lwl", ())):
+    for method in ("alpha", "ncl", "pi", "pi-lwl"):
         out = str(tmp_path / f"{method}.json")
         code = _run("learn", "--method", method, "--in", data, "--out", out,
-                    f"--num-basis={size}", *extra)
+                    f"--num-basis={size}")
         assert code == 1
         assert "error: num_basis must be >= 1" in capsys.readouterr().err
         assert not os.path.exists(out)
 
 
-_UNREAD_FLAGS = ([("nhat", "--num-basis", "4")]
+_UNREAD_FLAGS = ([(m, "--num-basis", "4") for m in ("nhat", "lambda")]
                  + [(m, "--dim-b", "1") for m in ("nhat", "ncl", "pi", "pi-lwl")]
                  + [(m, "--features", "identity:2")
                     for m in ("nhat", "alpha", "ncl", "pi", "pi-lwl")]
                  + [(m, "--basis", "linear") for m in ("nhat", "alpha", "lambda", "ncl", "pi-lwl")]
-                 # the solver flags: only alpha, lambda and ncl run damped least squares
-                 + [(m, flag, value) for m in ("nhat", "pi", "pi-lwl")
+                 # the solver flags: only alpha and ncl run damped least squares
+                 + [(m, flag, value) for m in ("nhat", "lambda", "pi", "pi-lwl")
                     for flag, value in (("--tol-fun", "1e-6"), ("--tol-x", "1e-6"),
                                         ("--max-iter", "20"))]
-                 + [(m, "--num-restarts", "2") for m in ("nhat", "ncl", "pi", "pi-lwl")]
-                 + [("nhat", "--regularization", "1e-6")])
+                 + [(m, "--num-restarts", "2") for m in ("nhat", "lambda", "ncl", "pi", "pi-lwl")]
+                 + [(m, "--regularization", "1e-6") for m in ("nhat", "lambda")])
 
 
 @pytest.mark.parametrize("method,flag,value", _UNREAD_FLAGS,
@@ -357,7 +376,7 @@ def test_eval_malformed_model_exits_one(tmp_path, capsys):
 _LEARNED_KINDS = {
     "nhat": ("nhat", ()),
     "alpha": ("alpha", ("--num-basis", "4", "--max-iter", "40")),
-    "lambda": ("lambda", ("--features", "identity:2", "--num-basis", "4", "--max-iter", "40")),
+    "lambda": ("lambda", ("--features", "identity:2")),
     "ncl": ("ncl", ("--num-basis", "4", "--max-iter", "40")),
     "pi-rbf": ("pi", ("--num-basis", "4")),
     "pi-linear": ("pi", ("--basis", "linear")),
@@ -402,7 +421,7 @@ _POISON = [
     ("alpha", ("omegas", 0, 0, 0), float("nan")),
     ("alpha", ("basis", "centers", 0, 0), float("nan")),
     ("alpha", ("signs", 0), float("nan")),
-    ("lambda", ("omegas", 0, 0, 0), float("nan")),
+    ("lambda", ("rows", 0, 0), float("nan")),
     ("ncl", ("basis", "weights", 0, 0), float("nan")),
     ("ncl", ("basis", "width"), float("inf")),
     ("pi-rbf", ("weights", 0, 0), float("nan")),
@@ -515,7 +534,6 @@ _DECLARED_SIZES = [
     ("alpha", ("dim_u",)), ("alpha", ("dim_b",)),
     ("alpha", ("basis", "dim_x")), ("alpha", ("basis", "n_basis")),
     ("lambda", ("dim_u",)), ("lambda", ("dim_b",)),
-    ("lambda", ("basis", "dim_x")), ("lambda", ("basis", "n_basis")),
     ("ncl", ("basis", "dim_x")), ("ncl", ("basis", "n_basis")), ("ncl", ("basis", "dim_out")),
     ("pi-rbf", ("dim_x",)), ("pi-linear", ("dim_x",)),
     ("pi-lwl", ("n_local",)), ("pi-lwl", ("dim_u",)),
@@ -559,11 +577,9 @@ def test_model_document_version_must_be_the_integer(tmp_path, capsys, learned_do
                                        f"{version!r}\n")
 
 
-@pytest.mark.parametrize("name", ["lambda", "alpha"])
 @pytest.mark.parametrize("features", [5, True, ["identity:2"], {"name": "identity:2"}])
-def test_model_document_features_must_be_a_string(tmp_path, capsys, learned_docs, name,
-                                                   features):
-    data, doc = learned_docs[name]
+def test_model_document_features_must_be_a_string(tmp_path, capsys, learned_docs, features):
+    data, doc = learned_docs["lambda"]
     bad = str(tmp_path / "bad.json")
     with open(bad, "w") as fh:
         json.dump(dict(doc, features=features), fh)
@@ -581,7 +597,7 @@ def test_lambda_document_without_features_is_an_error(tmp_path, capsys, learned_
         json.dump(dict(doc, features=None), fh)
     capsys.readouterr()
     assert _run("eval", "--model", bad, "--data", data) == 1
-    assert capsys.readouterr().err == "error: lambda mode needs a feature provider name\n"
+    assert capsys.readouterr().err == "error: feature provider name must be a string, got None\n"
 
 
 def test_lambda_document_of_another_action_dimension_is_an_error(tmp_path, capsys,
@@ -593,8 +609,8 @@ def test_lambda_document_of_another_action_dimension_is_an_error(tmp_path, capsy
     capsys.readouterr()
     assert _run("eval", "--model", bad, "--data", data) == 1
     captured = capsys.readouterr()
-    assert captured.err == ("error: feature provider 'identity:2' acts on dim_u 2, "
-                            "the model on 3\n")
+    assert captured.err == ("error: model document (kind 'lambda') declares dim_u 3 but its "
+                            "rows act on dim_u 2\n")
     assert captured.out == ""
 
 
@@ -628,15 +644,57 @@ def test_nhat_document_with_bad_rows_is_an_error(tmp_path, capsys, learned_docs,
     assert "Traceback" not in captured.err and captured.out == ""
 
 
-def test_alpha_document_naming_a_feature_provider_is_an_error(tmp_path, capsys, learned_docs):
+@pytest.mark.parametrize("features", ["identity:2", 5, True, ["identity:2"],
+                                      {"name": "identity:2"}])
+def test_alpha_document_naming_a_feature_provider_is_an_error(tmp_path, capsys, learned_docs,
+                                                              features):
     data, doc = learned_docs["alpha"]
     bad = str(tmp_path / "bad.json")
     with open(bad, "w") as fh:
-        json.dump(dict(doc, features="identity:2"), fh)
+        json.dump(dict(doc, features=features), fh)
     capsys.readouterr()
     assert _run("eval", "--model", bad, "--data", data) == 1
     assert capsys.readouterr().err == ("error: an alpha document names no feature provider, "
-                                       "got 'identity:2'\n")
+                                       f"got {features!r}\n")
+
+
+# a lambda document (one selection row over identity:2, as learned) edited
+# into a bad one, and the message its load fails with
+_BAD_LAMBDA_DOCS = {
+    "rbf-angle-format": (lambda doc: {**{k: v for k, v in doc.items() if k != "rows"},
+                                      "omegas": [[[0.1, 0.2]]], "signs": [1.0],
+                                      "basis": {"dim_x": 2, "n_basis": 2, "width": 1.0,
+                                                "centers": [[0.0, 1.0], [0.0, 1.0]]}},
+                         "(omegas, signs, basis), a format that is no longer read"),
+    "rows-wider-than-the-provider": (lambda doc: dict(doc, rows=[[1.0, 0.0, 0.0]]),
+                                     "rows must be a (dim_b, dim_phi) matrix with 1 <= dim_b "
+                                     "<= dim_phi = 2 for feature provider 'identity:2', got "
+                                     "shape (1, 3)"),
+    "more-rows-than-the-provider": (lambda doc: dict(doc, rows=np.eye(3)[:, :2].tolist(),
+                                                     dim_b=3), "got shape (3, 2)"),
+    "not-orthonormal": (lambda doc: dict(doc, rows=[[v * (1 + 1e-8) for v in doc["rows"][0]]]),
+                        "rows must be orthonormal"),
+    "rows-a-dict": (lambda doc: dict(doc, rows={"0": doc["rows"][0]}), "malformed field"),
+    "rows-of-dicts": (lambda doc: dict(doc, rows=[{"x": 1.0}]), "malformed field"),
+    "rows-nested-deeper": (lambda doc: dict(doc, rows=[doc["rows"]]), "got shape (1, 1, 2)"),
+    "rows-a-number": (lambda doc: dict(doc, rows=1.0), "got shape (1,)"),
+    "rows-ragged": (lambda doc: dict(doc, rows=[doc["rows"][0], [[0.0]]], dim_b=2),
+                    "inhomogeneous"),
+}
+
+
+@pytest.mark.parametrize("name", sorted(_BAD_LAMBDA_DOCS))
+def test_lambda_document_with_bad_rows_is_an_error(tmp_path, capsys, learned_docs, name):
+    data, doc = learned_docs["lambda"]
+    edit, message = _BAD_LAMBDA_DOCS[name]
+    bad = str(tmp_path / "bad.json")
+    with open(bad, "w") as fh:
+        json.dump(edit(doc), fh)
+    capsys.readouterr()
+    assert _run("eval", "--model", bad, "--data", data) == 1
+    captured = capsys.readouterr()
+    assert captured.err.startswith("error: ") and message in captured.err
+    assert "Traceback" not in captured.err and captured.out == ""
 
 
 @pytest.mark.parametrize("features", [

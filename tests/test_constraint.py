@@ -212,6 +212,16 @@ def test_nhat_rejections():
         learn_nhat(np.ones((3, 2)))  # too few samples
 
 
+def test_every_constraint_learner_rejects_all_zero_observations():
+    # alpha and lambda once reported a row found, with no note, in data
+    # that holds no information
+    xs = np.random.default_rng(26).uniform(0.2, 1.2, (2, 50))
+    for learn in (lambda u: learn_nhat(u), lambda u: learn_alpha(u, xs, num_basis=4),
+                  lambda u: learn_lambda(u, xs, twolink_jacobian_features())):
+        with pytest.raises(ValueError, match="all-zero observations"):
+            learn(np.zeros((2, 50)))
+
+
 def test_nhat_consistency_bound():
     # projector-consistency error on training data never exceeds the
     # reported normalized objective
@@ -310,7 +320,11 @@ def test_nhat_rows_span_the_smallest_eigenvectors_of_the_second_moment(case):
     lam, vec = np.linalg.eigh(u @ u.T)
     rows = con.rows
     assert np.max(np.abs(rows.T @ rows - vec[:, :dim_b] @ vec[:, :dim_b].T)) < 1e-12
-    assert rep.objective_trace == tuple(np.maximum(lam[:dim_b], 0.0))
+    # each entry is the energy its row captures, which is its eigenvalue
+    # up to rounding
+    trace, total = np.array(rep.objective_trace), (u ** 2).sum()
+    assert np.max(np.abs(trace - ((rows @ u) ** 2).sum(axis=1))) <= 1e-14 * total
+    assert np.max(np.abs(trace - lam[:dim_b])) <= 1e-12 * lam[-1]
 
 
 @st.composite
@@ -411,6 +425,14 @@ def test_state_independent_rows_validation():
         StateIndependentConstraint(rows=[["1.0", "0.0"]])
     # orthonormal to within 1e-9
     StateIndependentConstraint(rows=[[1.0, 0.0, 1e-5], [0.0, 1.0, 0.0]])
+    # a selection over a feature matrix may keep every feature row
+    lam = StateIndependentConstraint(rows=np.eye(3), features=identity_features(3))
+    assert (lam.kind, lam.dim_b, lam.dim_u) == ("lambda", 3, 3)
+    for rows in (np.eye(3)[:2, :2], np.eye(4)[:3], np.zeros((0, 3))):
+        with pytest.raises(ValueError, match="dim_phi = 3 for feature provider 'identity:3'"):
+            StateIndependentConstraint(rows=rows, features=identity_features(3))
+    with pytest.raises(ValueError, match="one projector per state"):
+        lam.projector()
 
 
 # ---------------------------------------------------------------------------
@@ -427,7 +449,7 @@ def test_alpha_parabolic_held_out_poe():
                                     n_per_group=300, rng_seed=80))
     poe = error_poe(held.actions, model.projector_stack(held.states))
     assert poe.normalized < 0.01
-    assert model.dim_b == 1 and model.kind == "alpha" and model.features is None
+    assert model.dim_b == 1 and model.kind == "alpha"
 
 
 def test_alpha_matches_nhat_on_constant_constraint():
@@ -466,28 +488,18 @@ def test_state_dependent_and_nhat_reports_say_why_they_stopped():
     assert rep.converged and rep.reason == "fun-tol"
 
 
-def _race_cases():
-    for seed in range(6):
-        yield seed, "alpha", generate(GeneratorConfig(
-            constraints=(("parabolic", 0.1),), n_per_group=400, rng_seed=seed))
-        yield seed, "lambda", generate(GeneratorConfig(
-            system="twolink", policy="linear-attractor",
-            constraints=(("jacobian-rows", (1,)),), n_per_group=400, rng_seed=seed))
-
-
 def test_abandoned_restarts_keep_the_final_objective(monkeypatch):
-    def fit(method, data, seed):
-        opts = LearnOptions(rng_seed=seed)
-        if method == "alpha":
-            return learn_alpha(data.actions, data.states, opts)[1]
-        return learn_lambda(data.actions, data.states, twolink_jacobian_features(), opts)[1]
+    def fit(data, seed):
+        return learn_alpha(data.actions, data.states, LearnOptions(rng_seed=seed))[1]
 
     abandoned = 0
-    for seed, method, data in _race_cases():
-        raced = fit(method, data, seed)
+    for seed in range(6):
+        data = generate(GeneratorConfig(constraints=(("parabolic", 0.1),), n_per_group=400,
+                                        rng_seed=seed))
+        raced = fit(data, seed)
         with monkeypatch.context() as m:
             m.setattr(ccl.constraint, "RESTART_GAP", np.inf)
-            full = fit(method, data, seed)
+            full = fit(data, seed)
         assert [r["start"] for r in raced.starts] == [r["start"] for r in full.starts]
         assert raced.objective_trace == pytest.approx(full.objective_trace, rel=1e-9)
         assert raced.final_objective == pytest.approx(full.final_objective, rel=1e-9)
@@ -539,9 +551,7 @@ def test_lambda_twolink_jacobian_row_selection():
                           constraints=(("jacobian-rows", (1,)),),
                           n_per_group=600, rng_seed=14)
     data = generate(cfg)
-    model, rep = learn_lambda(data.actions, data.states,
-                              twolink_jacobian_features(1.0, 1.0),
-                              LearnOptions(rng_seed=0, max_iter=400))
+    model, rep = learn_lambda(data.actions, data.states, twolink_jacobian_features(1.0, 1.0))
     held = generate(GeneratorConfig(system="twolink", policy="linear-attractor",
                                     attractor_target=(0.8, 0.9),
                                     constraints=(("jacobian-rows", (1,)),),
@@ -549,19 +559,58 @@ def test_lambda_twolink_jacobian_row_selection():
     poe = error_poe(held.actions, model.projector_stack(held.states))
     assert poe.normalized < 0.01
     assert model.kind == "lambda"
+    assert (rep.converged, rep.reason, rep.iterations, rep.starts) == (True, "closed-form", 0, ())
 
 
-def test_lambda_identity_features_reduce_to_alpha():
-    cfg = GeneratorConfig(constraints=(("parabolic", 0.1),), n_per_group=400,
+def test_lambda_identity_features_reduce_to_nhat():
+    cfg = GeneratorConfig(constraints=(("fixed-angle", 30.0),), n_per_group=400,
                           rng_seed=15)
     data = generate(cfg)
-    opts = LearnOptions(rng_seed=2, max_iter=200)
-    alpha_model, _ = learn_alpha(data.actions, data.states, opts)
-    lambda_model, _ = learn_lambda(data.actions, data.states,
-                                   identity_features(2), opts)
-    pa = alpha_model.projector_stack(data.states[:, :80])
+    nhat_model, _ = learn_nhat(data.actions)
+    lambda_model, _ = learn_lambda(data.actions, data.states, identity_features(2))
+    pa = nhat_model.projector_stack(data.states[:, :80])
     pl = lambda_model.projector_stack(data.states[:, :80])
-    assert np.max(np.abs(pa - pl)) < 1e-6
+    assert np.max(np.abs(pa - pl)) < 1e-12
+
+
+def test_lambda_notes_a_selection_that_varies_with_the_state():
+    # the stated limit: a constant selection cannot follow the parabolic
+    # row, and says so
+    data = generate(GeneratorConfig(constraints=(("parabolic", 0.1),), n_per_group=400,
+                                    rng_seed=15))
+    model, rep = learn_lambda(data.actions, data.states, identity_features(2))
+    assert rep.notes == ("no-constraint-found",) and model.dim_b == 1
+
+
+def test_lambda_runs_no_solver_and_no_kmeans(monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("solver or K-means called")
+
+    monkeypatch.setattr(ccl.constraint, "lm_solve", refuse)
+    monkeypatch.setattr(ccl.constraint, "rbf_basis", refuse)
+    assert list(inspect.signature(learn_lambda).parameters) == ["w_obs", "xs", "phi", "dim_b"]
+    data = generate(GeneratorConfig(system="twolink", policy="linear-attractor",
+                                    constraints=(("jacobian-rows", (0,)),), n_per_group=300,
+                                    rng_seed=3, noise_std=0.01))
+    model, rep = learn_lambda(data.actions, data.states, twolink_jacobian_features())
+    assert model.dim_b == 1 and rep.notes == ()
+    assert (rep.converged, rep.reason, rep.iterations, rep.starts) == (True, "closed-form", 0, ())
+    # the row energy inside Phi_hat's image, not the projection energy of
+    # the constraint rows @ Phi_hat, whose rows are not orthonormal
+    phi_hat = ccl.constraint._normalized_rows(twolink_jacobian_features().stack(data.states))
+    target = (phi_hat @ data.actions.T[:, :, None])[:, :, 0].T
+    assert rep.objective_trace == pytest.approx(((model.rows @ target) ** 2).sum(axis=1),
+                                                rel=1e-12)
+    assert rep.final_objective == _exact_projection_energy(model.rows @ phi_hat, data.actions)
+
+
+@pytest.mark.parametrize("constraint,rows", [((0,), [[1.0, 0.0]]), ((1,), [[0.0, 1.0]])])
+def test_lambda_selects_the_constrained_jacobian_row(constraint, rows):
+    data = generate(GeneratorConfig(system="twolink", policy="limit-cycle",
+                                    constraints=(("jacobian-rows", constraint),),
+                                    n_per_group=300, rng_seed=4))
+    model, rep = learn_lambda(data.actions, data.states, twolink_jacobian_features())
+    assert rep.notes == () and np.allclose(model.rows, rows, atol=1e-9)
 
 
 def test_lambda_full_selection_recovers_feature_projector():
@@ -572,12 +621,9 @@ def test_lambda_full_selection_recovers_feature_projector():
     xs = rng.uniform(0.2, np.pi / 2 - 0.2, (2, 150))
     u = np.zeros((2, 150))  # motion fully constrained
     model, _ = learn_lambda(u + rng.normal(0, 1e-9, u.shape), xs,
-                            twolink_jacobian_features(1.0, 1.0),
-                            LearnOptions(rng_seed=0, max_iter=50),
-                            num_basis=6, dim_b=2)
+                            twolink_jacobian_features(1.0, 1.0), dim_b=2)
     assert model.dim_b == 2
-    sel = model._selection_stack(xs[:, :10])
-    assert np.max(np.abs(sel @ sel.swapaxes(1, 2) - np.eye(2))) < 1e-8
+    assert np.max(np.abs(model.rows @ model.rows.T - np.eye(2))) < 1e-8
     phi = arm.jacobian(xs[:, :10])
     expected = np.eye(2) - pinv_truncated(phi) @ phi
     assert np.max(np.abs(model.projector_stack(xs[:, :10]) - expected)) < 1e-6
@@ -593,7 +639,7 @@ def test_lambda_rejects_rank_zero_feature_sample():
                                  fn=lambda xs: np.zeros((xs.shape[1], 2, 2)))
     u = np.random.default_rng(18).normal(size=(2, 40))
     with pytest.raises(ValueError, match="sample 0"):
-        learn_lambda(u, xs, dead, num_basis=4)
+        learn_lambda(u, xs, dead)
 
 
 def test_lambda_rejects_a_provider_of_another_size():
@@ -602,7 +648,7 @@ def test_lambda_rejects_a_provider_of_another_size():
     u = np.random.default_rng(20).normal(size=(2, 40))
     with pytest.raises(ValueError, match="provider 'identity:3' has dim_u 3, but the "
                                          "observations have dim_u 2"):
-        learn_lambda(u, xs, identity_features(3), num_basis=4)
+        learn_lambda(u, xs, identity_features(3))
 
 
 @pytest.mark.parametrize("dim_b", [3, 0])
@@ -610,9 +656,12 @@ def test_state_dependent_row_count_must_fit_the_selection_dimension(dim_b):
     # a dim_b above it was silently clamped to it
     data = generate(GeneratorConfig(constraints=(("parabolic", 0.1),), n_per_group=60,
                                     rng_seed=21))
-    with pytest.raises(ValueError, match=f"cannot learn {dim_b} constraint row\\(s\\) in "
-                                         f"selection dimension 2 \\(dim_b={dim_b}\\)"):
+    message = (f"cannot learn {dim_b} constraint row\\(s\\) in selection dimension 2 "
+               f"\\(dim_b={dim_b}\\)")
+    with pytest.raises(ValueError, match=message):
         learn_alpha(data.actions, data.states, num_basis=4, dim_b=dim_b)
+    with pytest.raises(ValueError, match=message):
+        learn_lambda(data.actions, data.states, identity_features(2), dim_b=dim_b)
 
 
 def test_lambda_learns_with_an_unregistered_provider():
@@ -623,7 +672,7 @@ def test_lambda_learns_with_an_unregistered_provider():
     mine = FeatureMatrixProvider(name="mine", dim_phi=2, dim_u=2,
                                  fn=lambda xs: np.broadcast_to([[2.0, 1.0], [0.0, 1.0]],
                                                                (xs.shape[1], 2, 2)))
-    model, _ = learn_lambda(data.actions, data.states, mine, num_basis=4)
+    model, _ = learn_lambda(data.actions, data.states, mine)
     assert model.features is mine
     assert model.projector_stack(data.states).shape == (200, 2, 2)
     rows, _ = model.metrics(data)
@@ -634,14 +683,14 @@ def test_lambda_learns_with_an_unregistered_provider():
 def test_lambda_objective_is_scored_in_the_rows_of_its_own_provider():
     # a provider that takes a registered name but swaps the action axes is
     # fitted and scored through its own matrix, not the registered one
-    data = generate(GeneratorConfig(constraints=(("parabolic", 0.1),), n_per_group=200,
+    data = generate(GeneratorConfig(constraints=(("fixed-angle", 30.0),), n_per_group=200,
                                     rng_seed=25))
     swap = FeatureMatrixProvider(name="identity:2", dim_phi=2, dim_u=2,
                                  fn=lambda xs: np.broadcast_to([[0.0, 1.0], [1.0, 0.0]],
                                                                (xs.shape[1], 2, 2)))
-    model, rep = learn_lambda(data.actions, data.states, swap, num_basis=4)
-    stack = model.constraint_stack(data.states)
-    assert np.array_equal(stack, model._selection_stack(data.states)[..., ::-1])
+    model, rep = learn_lambda(data.actions, data.states, swap)
+    stack = model.rows[None] @ swap.stack(data.states)
+    assert np.array_equal(stack, np.broadcast_to(model.rows[:, ::-1], stack.shape))
     assert rep.final_objective == _exact_projection_energy(stack, data.actions)
     assert rep.final_objective < 1e-3 * rep.variance * data.n_samples
 
@@ -709,35 +758,26 @@ def _projector_reference(model, x):
     bx = rbf_design(x[:, None], model.centers, model.width)[:, 0]
     rows = []
     for om, sg in zip(model.omegas, model.signs):
-        frame = (np.eye(model.sel_dim) if not rows
+        frame = (np.eye(model.dim_u) if not rows
                  else orthogonal_complement_rotation(np.vstack(rows)))
         local = (np.ones(1) if om.shape[0] == 0
                  else unit_vectors_from_angles((om @ bx)[:, None])[:, 0])
         rows.append(sg * (local @ frame))
     a = np.vstack(rows)
-    if model.features is not None:
-        phi = model.features.stack(x[:, None])[0]
-        a = a @ (phi / np.linalg.norm(phi, axis=1, keepdims=True))
     return np.eye(model.dim_u) - pinv_truncated(a) @ a
 
 
 @st.composite
 def _state_dependent_models(draw):
-    mode = draw(st.sampled_from(["alpha", "lambda-identity", "lambda-twolink"]))
-    dim_u = 2 if mode == "lambda-twolink" else draw(st.integers(2, 6))
-    # a single row only where the features are not the identity, so the
-    # row normalization of Phi shows in the projector
-    dim_b = draw(st.integers(1 if mode == "lambda-twolink" else 2, dim_u))
+    dim_u = draw(st.integers(2, 6))
+    dim_b = draw(st.integers(2, dim_u))
     g = draw(st.integers(1, 5))
     rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
     centers, width = rng.uniform(-1, 1, (2, g)), rng.uniform(0.2, 2.0)
     omegas = [rng.normal(0.0, 1.0, (dim_u - 1 - s, g)) for s in range(dim_b)]
     signs = rng.choice([-1.0, 1.0], dim_b)
-    features = {"alpha": None, "lambda-identity": identity_features(dim_u),
-                "lambda-twolink": twolink_jacobian_features(1.0, 0.7)}[mode]
     model = StateDependentConstraintModel(
-        omegas=tuple(omegas), signs=tuple(signs), centers=centers, width=width,
-        dim_u=dim_u, features=features)
+        omegas=tuple(omegas), signs=tuple(signs), centers=centers, width=width, dim_u=dim_u)
     return model, rng.uniform(0.1, 1.4, (2, draw(st.integers(1, 8))))
 
 
@@ -747,23 +787,46 @@ def test_projector_stack_matches_loop_oracle(case):
     model, xs = case
     stack = model.projector_stack(xs)
     rows = model.constraint_stack(xs)
-    sel = model._selection_stack(xs)
     assert stack.shape == (xs.shape[1], model.dim_u, model.dim_u)
     assert rows.shape == (xs.shape[1], model.dim_b, model.dim_u)
-    assert sel.shape == (xs.shape[1], model.dim_b, model.sel_dim)
     # The fifth row of a six-dimensional selection takes its angle in the
     # SVD complement of four orthonormal rows, which LAPACK returns
     # discontinuously: a 1e-15 change of those rows can turn it by O(1), so
     # last-bit differences between the per-state and batched products show
     # up there.  Only the frame-free properties are checked in that case.
-    comparable = (model.sel_dim, model.dim_b) != (6, 5)
+    comparable = (model.dim_u, model.dim_b) != (6, 5)
     for i in range(xs.shape[1]):
         p = stack[i]
         assert np.allclose(p, p.T, atol=1e-12) and np.allclose(p @ p, p, atol=1e-10)
         assert np.allclose(rows[i] @ p, 0.0, atol=1e-10)
-        assert np.allclose(sel[i] @ sel[i].T, np.eye(model.dim_b), atol=1e-10)
+        assert np.allclose(rows[i] @ rows[i].T, np.eye(model.dim_b), atol=1e-10)
         if comparable:
             assert np.allclose(p, _projector_reference(model, xs[:, i]), rtol=0, atol=1e-10)
+
+
+@st.composite
+def _selection_models(draw):
+    provider = draw(st.sampled_from([identity_features(3), twolink_jacobian_features(1.0, 0.7)]))
+    dim_b = draw(st.integers(1, provider.dim_phi))
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+    q, _ = np.linalg.qr(rng.normal(size=(provider.dim_phi, provider.dim_phi)))
+    xs = rng.uniform(0.1, 1.4, (2, draw(st.integers(1, 8))))
+    return StateIndependentConstraint(rows=q.T[:dim_b], features=provider), xs
+
+
+@settings(max_examples=60, deadline=None)
+@given(_selection_models())
+def test_selection_projector_stack_matches_loop_oracle(case):
+    # A(x) = rows Phi_hat(x), with the rows of Phi normalized: that shows
+    # in the projector wherever one row is selected from the twolink Jacobian
+    model, xs = case
+    stack = model.projector_stack(xs)
+    assert stack.shape == (xs.shape[1], model.dim_u, model.dim_u)
+    for i in range(xs.shape[1]):
+        phi = model.features.stack(xs[:, i:i + 1])[0]
+        a = model.rows @ (phi / np.linalg.norm(phi, axis=1, keepdims=True))
+        expected = np.eye(model.dim_u) - pinv_truncated(a) @ a
+        assert np.allclose(stack[i], expected, rtol=0, atol=1e-10)
 
 
 def test_feature_provider_batches_and_checks_stack_shape():
@@ -779,4 +842,4 @@ def test_feature_provider_batches_and_checks_stack_shape():
     with pytest.raises(ValueError, match="shape"):
         wrong.stack(xs)
     with pytest.raises(ValueError, match="shape"):
-        learn_lambda(np.ones((2, 6)), xs, wrong, num_basis=2)
+        learn_lambda(np.ones((2, 6)), xs, wrong)

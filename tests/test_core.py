@@ -117,8 +117,7 @@ def test_rbf_model_invariants():
 _LEARNERS = {
     "nhat": (lambda xs, u: learn_nhat(u), "observations"),
     "alpha": (lambda xs, u: learn_alpha(u, xs, num_basis=6), "observations"),
-    "lambda": (lambda xs, u: learn_lambda(u, xs, twolink_jacobian_features(), num_basis=6),
-               "observations"),
+    "lambda": (lambda xs, u: learn_lambda(u, xs, twolink_jacobian_features()), "observations"),
     "ncl": (lambda xs, u: learn_ncl(xs, u, num_basis=6), "actions"),
     "pi": (lambda xs, u: learn_pi(xs, u, num_basis=6), "actions"),
     "pi-lwl": (lambda xs, u: learn_pi_lwl(xs, u, num_local=6), "actions"),

@@ -82,7 +82,7 @@ def test_alpha_roundtrip_preserves_projectors(tmp_path):
     path = tmp_path / "m.json"
     save_model(model, path)
     back = load_model(path)
-    assert back.kind == "alpha" and back.features is None
+    assert back.kind == "alpha"
     assert sorted(json.loads(path.read_text())["basis"]) == ["centers", "dim_x", "n_basis", "width"]
     xs = data.states[:, :10]
     _assert_exact(back.constraint_stack(xs), model.constraint_stack(xs))
@@ -94,16 +94,16 @@ def test_lambda_roundtrip_restores_feature_provider(tmp_path):
                           constraints=(("jacobian-rows", (1,)),),
                           n_per_group=300, rng_seed=3)
     data = generate(cfg)
-    model, _ = learn_lambda(data.actions, data.states,
-                            twolink_jacobian_features(1.0, 1.0),
-                            LearnOptions(rng_seed=0, max_iter=150), num_basis=8)
+    model, _ = learn_lambda(data.actions, data.states, twolink_jacobian_features(1.0, 1.0))
     path = tmp_path / "m.json"
     save_model(model, path)
     back = load_model(path)
     assert back.features.name == "twolink-jacobian:1.0,1.0"
-    assert sorted(json.loads(path.read_text())["basis"]) == ["centers", "dim_x", "n_basis", "width"]
+    assert sorted(json.loads(path.read_text())) == ["dim_b", "dim_u", "features", "kind", "rows",
+                                                    "version"]
     xs = data.states[:, :10]
-    _assert_exact(back.constraint_stack(xs), model.constraint_stack(xs))
+    _assert_exact(back.rows, model.rows)
+    _assert_exact(back.projector_stack(xs), model.projector_stack(xs))
 
 
 def test_alpha_document_with_placeholder_weights_loads(tmp_path):
@@ -129,8 +129,7 @@ def _pooled_data():
 _LEARNERS = {
     "nhat": ("nhat", lambda d, o: learn_nhat(d.actions)),
     "alpha": ("alpha", lambda d, o: learn_alpha(d.actions, d.states, o, num_basis=4)),
-    "lambda": ("lambda", lambda d, o: learn_lambda(d.actions, d.states, identity_features(2),
-                                                   o, num_basis=4)),
+    "lambda": ("lambda", lambda d, o: learn_lambda(d.actions, d.states, identity_features(2))),
     "ncl": ("ncl", lambda d, o: learn_ncl(d.states, d.actions, o, num_basis=5)),
     "pi-rbf": ("pi-parametric", lambda d, o: learn_pi(d.states, d.actions, o, num_basis=4)),
     "pi-linear": ("pi-parametric", lambda d, o: learn_pi(d.states, d.actions, o, basis="linear")),
@@ -229,13 +228,18 @@ def _random_model(draw, kind):
         rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
         q, _ = np.linalg.qr(rng.normal(size=(dim_u, dim_u)))
         return StateIndependentConstraint(rows=q.T[:dim_b])
-    if kind in ("alpha", "lambda"):
+    if kind == "lambda":
+        # a selection may keep every feature row
+        dim_b = draw(st.integers(1, dim_u))
+        rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+        q, _ = np.linalg.qr(rng.normal(size=(dim_u, dim_u)))
+        return StateIndependentConstraint(rows=q.T[:dim_b], features=identity_features(dim_u))
+    if kind == "alpha":
         dim_b = draw(st.integers(1, dim_u - 1))
         return StateDependentConstraintModel(
             omegas=tuple(params(dim_u - 1 - s, g) for s in range(dim_b)),
             signs=tuple(draw(st.sampled_from([-1.0, 1.0])) for _ in range(dim_b)),
-            centers=params(dim_x, g), width=draw(_WIDTH), dim_u=dim_u,
-            features=identity_features(dim_u) if kind == "lambda" else None)
+            centers=params(dim_x, g), width=draw(_WIDTH), dim_u=dim_u)
     if kind == "ncl":
         return NullspaceComponentModel(centers=params(dim_x, g), width=draw(_WIDTH),
                                        weights=params(dim_u, g))

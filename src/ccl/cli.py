@@ -24,8 +24,8 @@ import numpy as np
 
 from .constraint import feature_provider_from_name, learn_alpha, learn_lambda, learn_nhat
 from .core import DemonstrationSet, LearnOptions, load_dataset, save_dataset
-from .datagen import (GeneratorConfig, check_jacobian_rows, constraint_rows, generate,
-                      policy_limit_cycle, policy_linear, true_projectors)
+from .datagen import (GeneratorConfig, check_jacobian_rows, configured_policy, constraint_rows,
+                      generate, true_projectors)
 from .nullspace import learn_ncl
 from .policy import learn_pi, learn_pi_lwl
 from .serialize import load_model, save_model
@@ -323,13 +323,8 @@ def _policy_field(config, model):
     """True and predicted policy on a grid over the states, as (column
     names, columns)."""
     xs = _grid_states(config.state_low, config.state_high)
-    if config.policy == "limit-cycle":
-        truth = policy_limit_cycle(xs, config.cycle_radius, config.cycle_gain,
-                                   config.cycle_rate)
-    else:
-        truth = policy_linear(xs, config.attractor_gain, config.attractor_target)
     return (["x1", "x2", "true_1", "true_2", "pred_1", "pred_2"],
-            np.vstack([xs, truth, model.predict(xs)]))
+            np.vstack([xs, configured_policy(config, xs), model.predict(xs)]))
 
 
 # field table file suffix -> its column builder

@@ -10,12 +10,12 @@ while one scale-free rule (:func:`_row_kept`) keeps them.
 A constant constraint has that optimum in closed form: the smallest
 eigenvectors of T T^T, for T = u (nhat) or, for a constant selection
 over a feature matrix such as a Jacobian, T = Phi_hat u (lambda).  The
-state-dependent rows of alpha, with RBF angles, are found by eigen seeds
-refined by damped least squares.
+state-dependent rows of alpha (dim_b < dim_u), with RBF angles, are found
+by eigen seeds refined by damped least squares (:class:`_RowProblem`).
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Callable, Optional
 
 import numpy as np
@@ -329,11 +329,12 @@ def learn_lambda(w_obs, xs, phi: FeatureMatrixProvider, *, dim_b=None):
 
 @dataclass(frozen=True)
 class StateDependentConstraintModel:
-    """Constraint rows (kind "alpha") whose angles are RBF functions of the
-    state, theta_s(x) = omega_s beta(x), with beta the Gaussian features of
-    ``centers`` (dim_x, G) and ``width``; each row lies in the complement
-    of the earlier ones.  ``signs`` are per-row flips making the first
-    non-negligible component positive at the training reference state."""
+    """Constraint rows (kind "alpha"), 1 <= dim_b < dim_u, whose angles are
+    RBF functions of the state, theta_s(x) = omega_s beta(x), with beta the
+    Gaussian features of ``centers`` (dim_x, G) and ``width``; each row
+    lies in the complement of the earlier ones.  ``signs`` are per-row
+    flips (+1 or -1) making the first non-negligible component positive at
+    the training reference state."""
 
     omegas: tuple
     signs: tuple
@@ -344,13 +345,16 @@ class StateDependentConstraintModel:
     kind = "alpha"
 
     def __post_init__(self):
-        omegas = tuple(_frozen_finite("omegas", np.atleast_2d(o)) for o in self.omegas)
+        omegas = tuple(_frozen_finite("omegas", o) for o in self.omegas)
         object.__setattr__(self, "omegas", omegas)
         _freeze_basis(self)
         signs = _frozen_finite("signs", self.signs)
+        if signs.shape != (len(omegas),) or not np.isin(signs, (-1.0, 1.0)).all():
+            raise ValueError(f"signs must be one +1 or -1 per row, got {signs.tolist()}")
         object.__setattr__(self, "signs", tuple(float(s) for s in signs))
-        if len(self.signs) != len(omegas):
-            raise ValueError("one sign per row required")
+        if not 1 <= len(omegas) < self.dim_u:
+            raise ValueError(f"an alpha constraint holds 1 <= dim_b < dim_u rows, got "
+                             f"{len(omegas)} in action dimension {self.dim_u}")
         g = self.centers.shape[1]
         for s, om in enumerate(omegas):
             if om.shape != (self.dim_u - 1 - s, g):
@@ -392,11 +396,10 @@ class StateDependentConstraintModel:
         if doc["features"] is not None:
             raise ValueError(f"an alpha document names no feature provider, "
                              f"got {doc['features']!r}")
-        omegas = tuple(np.asarray(om).reshape(-1, _declared_size(basis, "n_basis"))
-                       for om in doc["omegas"])
         return _with_declared_rows(doc, cls(
-            omegas=omegas, signs=tuple(doc["signs"]), centers=_basis_centers(basis),
-            width=basis["width"], dim_u=_declared_size(doc, "dim_u")))
+            omegas=tuple(doc["omegas"]), signs=tuple(doc["signs"]),
+            centers=_basis_centers(basis), width=basis["width"],
+            dim_u=_declared_size(doc, "dim_u")))
 
 
 def _eigen_seed(m_rot):
@@ -418,34 +421,46 @@ def _rows_in_frames(omega, frames, bx):
     return np.einsum("fn,nfj->nj", unit_vectors_from_angles(omega @ bx), frames)
 
 
-def _row_problem(bx, u_rot):
-    """Residual/Jacobian closures for one state-dependent row: the
-    residual of sample n is a(omega beta_n) . u_rot_n."""
-    g, n = bx.shape
-    n_ang = u_rot.shape[0] - 1
+@dataclass
+class _RowProblem(LmProblem):
+    """One state-dependent row (:func:`_row_problem`).  Sample n's Jacobian
+    row is g_n (x) beta_n, g_n the angle gradient of its residual, so with
+    jw = g (.) beta stacked over the angles, (n_ang G, N), the Gauss-Newton
+    system is (jw jw', jw r): the problem has no ``jacobian``."""
 
+    bx: np.ndarray = None
+    u_rot: np.ndarray = None
+
+    def normal_equations(self, p, r):
+        grad = unit_vector_angle_gradient(p.reshape(-1, len(self.bx)) @ self.bx, self.u_rot)
+        jw = (grad[:, None, :] * self.bx).reshape(-1, self.bx.shape[1])
+        return jw @ jw.T, jw @ r
+
+
+def _row_problem(bx, u_rot, p0, options=None):
+    """One row's angle weights (n_ang G,) from p0: the residual of sample n
+    is a(omega beta_n) . u_rot_n.  A row's later starts replace p0 and
+    keep this one residual closure."""
     def residual(wvec):
-        om = wvec.reshape(n_ang, g)
-        a = unit_vectors_from_angles(om @ bx)
-        return (a * u_rot).sum(axis=0)
+        return (unit_vectors_from_angles(wvec.reshape(-1, len(bx)) @ bx) * u_rot).sum(axis=0)
 
-    def jacobian(wvec):
-        om = wvec.reshape(n_ang, g)
-        gvec = unit_vector_angle_gradient(om @ bx, u_rot)
-        return np.einsum("in,jn->nij", gvec, bx).reshape(n, n_ang * g)
-
-    return residual, jacobian
+    return _RowProblem(residual=residual, p0=p0, options=options or LearnOptions(),
+                       bx=bx, u_rot=u_rot)
 
 
 def learn_alpha(w_obs, xs, options: Optional[LearnOptions] = None,
                 num_basis=16, dim_b=None):
     """Fit a state-dependent constraint in action space: a shared RBF basis
     (K-means centers, mean-center-distance width), then each row's angle
-    weights by multi-start damped least squares (:func:`_learn_rows`).
-    Returns (StateDependentConstraintModel, LearnReport)."""
+    weights by multi-start damped least squares (:func:`_learn_rows`);
+    ``dim_b`` < dim_u fixes the row count.  Returns
+    (StateDependentConstraintModel, LearnReport)."""
     opts = options or LearnOptions()
     u, xs = _observations(w_obs, xs)
     dim_u, n = u.shape
+    if _row_limit(dim_u, dim_b) == dim_u:
+        raise ValueError(f"cannot learn {dim_b} state-dependent constraint row(s) in action "
+                         f"dimension {dim_u}: they leave no null space (1 <= dim_b < dim_u)")
     if num_basis > n:
         raise ValueError("cannot use more basis functions than samples")
     if float(np.ptp(xs, axis=1).max(initial=0.0)) < 1e-12:
@@ -453,18 +468,7 @@ def learn_alpha(w_obs, xs, options: Optional[LearnOptions] = None,
 
     centers, width = rbf_basis(xs, num_basis, opts.rng_seed)
     bx = rbf_design(xs, centers, width)
-    rng = np.random.default_rng(opts.rng_seed)
-
-    def starts(theta):
-        # first a constant-angle anchor: the eigen seed mapped into weight
-        # space by ridge fit; then zero weights; then random weights
-        size = theta.size * bx.shape[0]
-        yield ridge_regression(bx, np.full((theta.size, n), theta[:, None]),
-                               opts.regularization).ravel()
-        for restart in range(1, opts.num_restarts):
-            yield np.zeros(size) if restart == 1 else rng.normal(0.0, 0.4, size)
-
-    omegas, signs, rows, fit = _learn_rows(bx, u, dim_b, starts=starts, opts=opts)
+    omegas, signs, rows, fit = _learn_rows(bx, u, dim_b, opts)
     model = StateDependentConstraintModel(
         omegas=tuple(omegas), signs=tuple(signs), centers=centers, width=width, dim_u=dim_u)
     # the rows the loop accepted are the model's constraint stack on xs
@@ -474,60 +478,55 @@ def learn_alpha(w_obs, xs, options: Optional[LearnOptions] = None,
     return model, report
 
 
-def _learn_rows(bx, target, dim_b, starts, opts):
-    """The greedy row loop of the state-dependent learner.
+def _learn_rows(bx, u, dim_b, opts):
+    """The greedy row loop of alpha on observations u (dim, N).
 
     Row s is searched inside the per-sample complement of the rows
     accepted so far, whose f_s = dim - s directions hold the energy E_s of
-    the targets (dim, N); its local angles are omega @ bx.  The smallest
-    eigenvector of the rotated moments u_rot u_rot^T (:func:`_eigen_seed`)
-    goes as angles to ``starts(theta)``, which yields the weight vectors
-    damped least squares starts from.  A start after a row's first is
-    abandoned if it still trails RESTART_GAP times the row's best fit
-    after ABANDON_AFTER iterations.  Up to :func:`_row_limit` rows are
+    u; its local angles are omega @ bx.  Its ``opts.num_restarts`` starts
+    are the smallest eigenvector of the rotated moments u_rot u_rot^T
+    (:func:`_eigen_seed`) as constant angles mapped into weight space by
+    ridge fit, zero weights, then random weights.  A start after a row's
+    first is abandoned if it still trails RESTART_GAP times the row's best
+    fit after ABANDON_AFTER iterations.  Up to :func:`_row_limit` rows are
     kept while :func:`_row_kept` holds for the best fit's e_s, E_s and f_s
-    (all, for a fixed ``dim_b``); a first row not kept is returned with
-    the note ``no-constraint-found``.
+    (all, for a fixed ``dim_b`` < dim); a first row not kept is returned
+    with the note ``no-constraint-found``.
 
     Returns (omegas, signs, the accepted rows (N, dim_b, dim), LearnReport
     fields).
     """
-    dim, n = target.shape
+    dim, n = u.shape
     limit = _row_limit(dim, dim_b)
+    rng = np.random.default_rng(opts.rng_seed)
     rows_stack = np.empty((n, 0, dim))
-    omegas, signs, trace_hist, notes = [], [], [], ()
-    kept, records = [], []  # LM reports of the kept starts; one record per start
+    omegas, signs, notes = [], [], ()
+    kept, records = [], []  # the best fit of each row kept; one record per start
 
     for s in range(limit):
         frames = orthogonal_complement_rotation(rows_stack)
         # summed by numpy's reduction, not einsum, whose rounding of a 4-D
-        # fit differs in the last bit; C-ordered (f, N) like the targets
-        u_rot = np.ascontiguousarray((frames * target.T[:, None, :]).sum(axis=-1).T)
-        n_ang = dim - 1 - s
+        # fit differs in the last bit; C-ordered (f, N) like u
+        u_rot = np.ascontiguousarray((frames * u.T[:, None, :]).sum(axis=-1).T)
+        theta = _eigen_seed(u_rot @ u_rot.T)
+        problem = _row_problem(bx, u_rot, ridge_regression(
+            bx, np.full((theta.size, n), theta[:, None]), opts.regularization).ravel(), opts)
+        for k in range(opts.num_restarts):
+            if k:
+                w0 = np.zeros(sol.size) if k == 1 else rng.normal(0.0, 0.4, sol.size)
+                problem = replace(problem, p0=w0, abandon_above=RESTART_GAP * fit.final_objective)
+            p, rep = lm_solve(problem)
+            records.append(dict(row=s, start=k, iterations=rep.iterations,
+                                objective=rep.final_objective, reason=rep.reason))
+            if k == 0 or rep.final_objective < fit.final_objective:
+                sol, fit = p, rep
+        omega = sol.reshape(theta.size, -1)
 
-        if n_ang == 0:
-            omega, fit = np.zeros((0, bx.shape[0])), None
-            e_row = float((u_rot[0] ** 2).sum())
-        else:
-            residual, jacobian = _row_problem(bx, u_rot)
-            sol = fit = None
-            for k, w0 in enumerate(starts(_eigen_seed(u_rot @ u_rot.T))):
-                bound = np.inf if fit is None else RESTART_GAP * fit.final_objective
-                p, rep = lm_solve(LmProblem(residual=residual, p0=w0, jacobian=jacobian,
-                                            options=opts, abandon_above=bound))
-                records.append(dict(row=s, start=k, iterations=rep.iterations,
-                                    objective=rep.final_objective, reason=rep.reason))
-                if fit is None or rep.final_objective < fit.final_objective:
-                    sol, fit = p, rep
-            omega = sol.reshape(n_ang, bx.shape[0])
-            e_row = fit.final_objective
-
-        accepted = dim_b is not None or _row_kept(e_row, float((u_rot ** 2).sum()),
-                                                  u_rot.shape[0])
+        accepted = dim_b is not None or _row_kept(fit.final_objective,
+                                                  float((u_rot ** 2).sum()), u_rot.shape[0])
         if not accepted and s > 0:
             break
-        if fit is not None:
-            kept.append(fit)
+        kept.append(fit)
         # the canonical sign is fixed at the reference (first) sample
         rows = _rows_in_frames(omega, frames, bx)
         sign = _canonical_sign(rows[0])
@@ -537,15 +536,14 @@ def _learn_rows(bx, target, dim_b, starts, opts):
         if not accepted:
             notes = ("no-constraint-found",)
             break
-        trace_hist.append(e_row)
 
-    converged = all(rep.converged for rep in kept)
     # the first of these stops that a kept start reports
     stops = {rep.reason for rep in kept}
     reason = next((stop for stop in UNCONVERGED_REASONS + ("x-tol",) if stop in stops), "fun-tol")
     return omegas, signs, rows_stack, dict(
-        iterations=sum(rec["iterations"] for rec in records), converged=converged,
-        reason=reason, objective_trace=tuple(trace_hist), notes=notes,
+        iterations=sum(rec["iterations"] for rec in records),
+        converged=all(rep.converged for rep in kept), reason=reason, notes=notes,
+        objective_trace=() if notes else tuple(rep.final_objective for rep in kept),
         starts=tuple(records))
 
 

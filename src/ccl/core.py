@@ -82,9 +82,18 @@ def _declared_size(doc, key):
     return size
 
 
+def _declared_array(doc, key, *shape):
+    """A model document's array ``key`` of exactly the declared shape (an
+    axis given as None: any length), never reshaped (ValueError)."""
+    a = np.asarray(doc[key])
+    if a.ndim != len(shape) or any(want not in (None, got) for got, want in zip(a.shape, shape)):
+        raise ValueError(f"model document field {key} has shape {a.shape}, expected {shape}")
+    return a
+
+
 def _basis_centers(basis):
-    return np.asarray(basis["centers"]).reshape(_declared_size(basis, "dim_x"),
-                                                _declared_size(basis, "n_basis"))
+    return _declared_array(basis, "centers", _declared_size(basis, "dim_x"),
+                           _declared_size(basis, "n_basis"))
 
 
 @dataclass(frozen=True)

@@ -123,6 +123,13 @@ class GeneratorConfig:
                                      f"group {k}'s constraint has {rows} row(s)")
 
 
+def configured_policy(config: GeneratorConfig, xs):
+    """The policy that ``config`` names, at states xs (dim_x, N)."""
+    if config.policy == "limit-cycle":
+        return policy_limit_cycle(xs, config.cycle_radius, config.cycle_gain, config.cycle_rate)
+    return policy_linear(xs, config.attractor_gain, config.attractor_target)
+
+
 def check_jacobian_rows(rows):
     """The rows of a ("jacobian-rows", rows) spec; a ValueError names one out
     of the arm's two rows, a repeated one, or two, which leave no null space."""
@@ -169,17 +176,19 @@ def _distinct(a):
     return a[:1] if a.strides[0] == 0 else a
 
 
-def _task_values(task_b, n, rng):
-    """Per-sample scalar task drive s_n; b_n = A_n (s_n * ones)."""
+def _task_targets(task_b, a):
+    """Task targets b for the constraint stack a (N, k, dim_u): None, a
+    constant (k, 1), or b_n = A_n (s_n * ones) for a sinusoid s_n."""
     kind = task_b[0]
     if kind == "zero":
         return None
     if kind == "constant":
-        return None  # handled directly as a b vector
+        return np.asarray(task_b[1], dtype=float).reshape(a.shape[1], 1)
     if kind == "sinusoid":
         amp, cycles, phase = (float(v) for v in task_b[1:4])
-        idx = np.arange(n)
-        return amp * np.sin(2.0 * np.pi * cycles * idx / n + phase)
+        n = len(a)
+        drive = amp * np.sin(2.0 * np.pi * cycles * np.arange(n) / n + phase)
+        return a @ (drive[:, None] * np.ones(a.shape[2]))[:, :, None]
     raise ValueError(f"unknown task_b kind {kind!r}")
 
 
@@ -204,25 +213,14 @@ def generate(config: GeneratorConfig) -> DemonstrationSet:
         rng = np.random.default_rng(config.rng_seed + k)
         n = config.n_per_group
         xs = rng.uniform(low[:, None], high[:, None], size=(dim_x, n))
-        if config.policy == "limit-cycle":
-            pi = policy_limit_cycle(xs, config.cycle_radius, config.cycle_gain,
-                                    config.cycle_rate)
-        else:
-            pi = policy_linear(xs, config.attractor_gain, config.attractor_target)
-
-        drive = _task_values(config.task_b, n, rng)
+        pi = configured_policy(config, xs)
         a = _constraint_matrix(spec, xs, arm)
         v = np.zeros((dim_u, n))
         w = pi
         if a is not None:
             pinv = np.broadcast_to(pinv_truncated(_distinct(a)), (n, dim_u, a.shape[1]))
             w = ((np.eye(dim_u) - pinv @ a) @ pi.T[:, :, None])[:, :, 0].T
-            if config.task_b[0] == "constant":
-                b = np.asarray(config.task_b[1], dtype=float).reshape(a.shape[1], 1)
-            elif drive is not None:
-                b = a @ (drive[:, None] * np.ones(dim_u))[:, :, None]
-            else:
-                b = None
+            b = _task_targets(config.task_b, a)
             if b is not None:
                 v = (pinv @ b)[:, :, 0].T
 

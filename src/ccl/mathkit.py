@@ -337,10 +337,12 @@ def ridge_regression(design, targets, regularization=1e-8):
 @dataclass
 class LmProblem:
     """A nonlinear least-squares problem: residual r(p), initial
-    parameters, options and, unless ``normal_equations`` is overridden,
-    the analytic Jacobian J(p).  A solve whose best objective is still
-    above ``abandon_above`` after ABANDON_AFTER iterations is given up
-    (see :func:`lm_solve`)."""
+    parameters, options and the analytic Jacobian J(p), which only the
+    default ``normal_equations`` reads.  No learner passes one (alpha and
+    ncl override it); it stays as public API, and perfbench's tracer
+    rebuilds problems, this field included, with ``dataclasses.replace``.
+    A solve whose best objective is still above ``abandon_above`` after
+    ABANDON_AFTER iterations is given up (see :func:`lm_solve`)."""
 
     residual: Callable[[np.ndarray], np.ndarray]
     p0: np.ndarray
@@ -349,12 +351,8 @@ class LmProblem:
     abandon_above: float = np.inf
 
     def normal_equations(self, p, r):
-        """The Gauss-Newton system (J'J, J'r) at p, whose residual is r.
-
-        This default forms it from ``jacobian(p)``; a problem with a
-        cheaper route to the same system overrides it and needs no
-        Jacobian.
-        """
+        """The Gauss-Newton system (J'J, J'r) at p, whose residual is r,
+        from ``jacobian(p)``; a problem with a cheaper route overrides it."""
         if self.jacobian is None:
             raise ValueError("LmProblem needs a jacobian unless it overrides normal_equations")
         j = np.atleast_2d(np.asarray(self.jacobian(p), dtype=float))

@@ -14,8 +14,8 @@ from typing import Optional
 
 import numpy as np
 
-from .core import (LearnOptions, LearnReport, _basis_centers, _basis_doc, _declared_size,
-                   _finite_samples, _freeze_basis, _frozen_finite)
+from .core import (LearnOptions, LearnReport, _basis_centers, _basis_doc, _declared_array,
+                   _declared_size, _finite_samples, _freeze_basis, _frozen_finite)
 from .mathkit import LmProblem, lm_solve, rbf_basis, rbf_design, ridge_regression
 from .metrics import error_npe, error_nupe, total_variance
 
@@ -60,8 +60,8 @@ class NullspaceComponentModel:
     def from_doc(cls, doc):
         basis = doc["basis"]
         return cls(centers=_basis_centers(basis), width=basis["width"],
-                   weights=np.asarray(basis["weights"]).reshape(
-                       _declared_size(basis, "dim_out"), _declared_size(basis, "n_basis")))
+                   weights=_declared_array(basis, "weights", _declared_size(basis, "dim_out"),
+                                           _declared_size(basis, "n_basis")))
 
 
 def _ncl_terms(weights, bx, actions):

@@ -19,8 +19,8 @@ from typing import Optional
 
 import numpy as np
 
-from .core import (LearnOptions, LearnReport, _declared_size, _finite_samples, _freeze_basis,
-                   _frozen_finite)
+from .core import (LearnOptions, LearnReport, _declared_array, _declared_size, _finite_samples,
+                   _freeze_basis, _frozen_finite)
 from .mathkit import pairwise_sq_distances, rbf_basis, rbf_design
 from .metrics import error_ncpe, error_nupe, total_variance
 
@@ -140,10 +140,9 @@ class LwlPolicyModel:
 
     @classmethod
     def from_doc(cls, doc):
-        maps = np.asarray(doc["local_maps"])
-        return cls(local_maps=maps.reshape(_declared_size(doc, "n_local"),
-                                           _declared_size(doc, "dim_u"), -1),
-                   centers=doc["centers"], width=doc["width"])
+        maps = _declared_array(doc, "local_maps", _declared_size(doc, "n_local"),
+                               _declared_size(doc, "dim_u"), None)
+        return cls(local_maps=maps, centers=doc["centers"], width=doc["width"])
 
 
 def _direction_projectors(u):

@@ -53,6 +53,32 @@ def test_lm_solve_keeps_the_contract_the_tracer_wraps():
     assert dataclasses.replace(problem, residual=lambda p: 2 * p).abandon_above == 3.0
 
 
+def test_alpha_rows_give_their_starts_one_residual_and_no_jacobian(monkeypatch):
+    # the tracer groups the restarts of a row by the identity of their
+    # residual closure, and times a jacobian only where a problem carries
+    # one: alpha's rows build their own normal equations
+    solve, solved = constraint.lm_solve, []
+
+    def recording(problem):
+        solved.append(problem)
+        return solve(problem)
+
+    monkeypatch.setattr(constraint, "lm_solve", recording)
+    rng = np.random.default_rng(13)
+    xs = rng.uniform(-1, 1, (3, 200))
+    u = np.diag([1.0, 1.0, 0.0]) @ rng.normal(size=(3, 200))
+    _, report = learn_alpha(u, xs, LearnOptions(max_iter=20, num_restarts=3), num_basis=4,
+                            dim_b=2)
+    assert [(start["row"], start["start"]) for start in report.starts] == [
+        (row, start) for row in range(2) for start in range(3)]
+    residuals = {}
+    for start, problem in zip(report.starts, solved, strict=True):
+        residuals.setdefault(start["row"], set()).add(id(problem.residual))
+    assert [len(ids) for ids in residuals.values()] == [1, 1]
+    assert residuals[0] != residuals[1]
+    assert all(problem.jacobian is None for problem in solved)
+
+
 def test_every_metric_span_is_timed_under_compute_metrics():
     # the per-layer metrics.error time of an eval is only attributed when the
     # metric calls, wherever the models make them, run inside compute_metrics

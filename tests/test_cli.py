@@ -205,6 +205,18 @@ def test_learn_rejects_a_dim_b_above_the_selection_dimension(tmp_path, capsys, m
     assert captured.out == "" and not os.path.exists(out)
 
 
+def test_learn_alpha_refuses_rows_that_leave_no_null_space(tmp_path, capsys):
+    # it exited 0, converged, with a zero projector: eval read NPOE 1.02
+    data = _gen(tmp_path, constraint="parabolic:0.1", n=100)
+    capsys.readouterr()
+    out = str(tmp_path / "m.json")
+    assert _run("learn", "--method", "alpha", "--in", data, "--out", out, "--dim-b", "2") == 1
+    captured = capsys.readouterr()
+    assert captured.err == ("error: cannot learn 2 state-dependent constraint row(s) in action "
+                            "dimension 2: they leave no null space (1 <= dim_b < dim_u)\n")
+    assert captured.out == "" and not os.path.exists(out)
+
+
 def test_learn_rejects_a_provider_of_another_size(tmp_path, capsys):
     data = _gen(tmp_path, n=60)
     out = str(tmp_path / "m.json")
@@ -720,6 +732,101 @@ def test_bad_feature_name_is_an_error(tmp_path, capsys, learned_docs, features):
             assert captured.err.startswith(f"error: bad feature provider {features!r}")
             assert captured.out == ""
     assert not os.path.exists(out)
+
+
+def test_alpha_document_with_rows_that_leave_no_null_space_is_an_error(tmp_path, capsys,
+                                                                       learned_docs):
+    # a second row with no angles once loaded: a full-rank constraint
+    # whose projector is zero
+    data, doc = learned_docs["alpha"]
+    bad = str(tmp_path / "bad.json")
+    with open(bad, "w") as fh:
+        json.dump(dict(doc, omegas=doc["omegas"] + [[]], signs=doc["signs"] + [1.0], dim_b=2), fh)
+    capsys.readouterr()
+    assert _run("eval", "--model", bad, "--data", data) == 1
+    captured = capsys.readouterr()
+    assert captured.err == ("error: an alpha constraint holds 1 <= dim_b < dim_u rows, got 2 in "
+                            "action dimension 2\n")
+    assert captured.out == ""
+
+
+def _document_paths(node, path=()):
+    """Every field of a model document but its version and kind, as paths
+    into it: each key of a block, and the first element of each list."""
+    if isinstance(node, dict):
+        for key in sorted(node):
+            if path or key not in ("version", "kind"):
+                yield path + (key,)
+                yield from _document_paths(node[key], path + (key,))
+    elif isinstance(node, list) and node:
+        yield path + (0,)
+        yield from _document_paths(node[0], path + (0,))
+
+
+# what a field is replaced by: a value of each JSON type, a deeper nesting
+# of the field and a ragged list
+_REPLACEMENTS = {"null": lambda v: None, "number": lambda v: 0.5, "string": lambda v: "text",
+                 "empty-list": lambda v: [], "object": lambda v: {}, "nested": lambda v: [v],
+                 "ragged": lambda v: [v, [v]]}
+
+
+@pytest.mark.parametrize("replacement", sorted(_REPLACEMENTS))
+@pytest.mark.parametrize("name", sorted(_LEARNED_KINDS))
+def test_model_document_with_a_field_of_another_shape_is_an_error(tmp_path, capsys, learned_docs,
+                                                                  name, replacement):
+    # a deeper nesting of an alpha, ncl or pi-lwl array, and a sign of
+    # 0.5, once loaded; other edits were already refused
+    data, doc = learned_docs[name]
+    bad = str(tmp_path / "bad.json")
+    checked = 0
+    for path in _document_paths(doc):
+        edited = json.loads(json.dumps(doc))
+        node = edited
+        for key in path[:-1]:
+            node = node[key]
+        value = node[path[-1]]
+        # a learned number but a sign or an orthonormal row may be any
+        # finite number, and an alpha document's features are null
+        if (replacement, type(value)) in (("number", float), ("null", type(None))) \
+                and path[0] not in ("signs", "rows"):
+            continue
+        node[path[-1]] = _REPLACEMENTS[replacement](value)
+        with open(bad, "w") as fh:
+            json.dump(edited, fh)
+        capsys.readouterr()
+        assert _run("eval", "--model", bad, "--data", data) == 1, path
+        captured = capsys.readouterr()
+        assert captured.err.startswith("error: ") and captured.out == "", path
+        checked += 1
+    assert checked >= 3
+
+
+# every learned array of two or more axes, as a path into its document
+_ARRAYS = [("nhat", ("rows",)), ("lambda", ("rows",)), ("alpha", ("omegas", 0)),
+           ("alpha", ("basis", "centers")), ("ncl", ("basis", "centers")),
+           ("ncl", ("basis", "weights")), ("pi-rbf", ("centers",)), ("pi-rbf", ("weights",)),
+           ("pi-linear", ("weights",)), ("pi-lwl", ("centers",)), ("pi-lwl", ("local_maps",))]
+
+
+@pytest.mark.parametrize("name,path", _ARRAYS,
+                         ids=[f"{n}-{'.'.join(map(str, p))}" for n, p in _ARRAYS])
+def test_model_document_with_a_flattened_array_is_an_error(tmp_path, capsys, learned_docs, name,
+                                                           path):
+    # an alpha weight matrix, the centers of alpha and ncl, ncl's weights
+    # and pi-lwl's local maps were reshaped from any list of their size
+    data, doc = learned_docs[name]
+    doc = json.loads(json.dumps(doc))
+    node = doc
+    for key in path[:-1]:
+        node = node[key]
+    node[path[-1]] = np.ravel(node[path[-1]]).tolist()
+    bad = str(tmp_path / "bad.json")
+    with open(bad, "w") as fh:
+        json.dump(doc, fh)
+    capsys.readouterr()
+    assert _run("eval", "--model", bad, "--data", data) == 1
+    captured = capsys.readouterr()
+    assert captured.err.startswith("error: ") and captured.out == ""
 
 
 def test_deeply_nested_model_file_is_an_error_not_a_traceback(tmp_path, capsys):

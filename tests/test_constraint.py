@@ -25,11 +25,12 @@ from ccl.mathkit import (
     nullspace_projector,
     orthogonal_complement_rotation,
     pinv_truncated,
+    rbf_basis,
     rbf_design,
     unit_vectors_from_angles,
 )
 from ccl.metrics import error_poe
-from oracles import check_jacobian, finite_difference_jacobian
+from oracles import check_jacobian, finite_difference_jacobian, row_jacobian
 
 
 def _angle_dist(a, b):
@@ -377,15 +378,17 @@ def _constraint_row_counts(draw):
 @settings(max_examples=100, deadline=None)
 @given(_constraint_row_counts())
 def test_nhat_matches_the_greedy_row_loop(u):
-    # the row loop of alpha and lambda on one constant basis function, with
-    # the pseudo-samples vec sqrt(lam) of u u^T and one start per row, its
-    # eigen seed, refined by damped least squares
+    # the row loop of alpha on one constant basis function, with the
+    # pseudo-samples vec sqrt(lam) of u u^T and one start per row, its
+    # eigen seed (which an unregularized ridge fit on that basis function
+    # maps to itself), refined by damped least squares
     lam, vec = np.linalg.eigh(u @ u.T)
     _, _, rows, fit = ccl.constraint._learn_rows(
         np.ones((1, len(u))), vec * np.sqrt(np.maximum(lam, 0.0)), None,
-        starts=lambda theta: (theta,), opts=LearnOptions())
+        LearnOptions(num_restarts=1, regularization=0.0))
     con, rep = learn_nhat(u)
     assert (con.dim_b, rep.notes) == (rows.shape[1], fit["notes"])
+    assert {start["start"] for start in fit["starts"]} == {0}
     assert np.max(np.abs(con.projector() - nullspace_projector(rows[0]))) < 1e-10
 
 
@@ -539,6 +542,24 @@ def test_alpha_respects_requested_dim_b():
     for dim_b in (0, -1):
         with pytest.raises(ValueError, match="dim_b"):
             learn_alpha(n_true @ pi, xs, num_basis=8, dim_b=dim_b)
+
+
+@pytest.mark.parametrize("dim_u", [2, 3])
+def test_alpha_refuses_rows_that_leave_no_null_space(monkeypatch, dim_u):
+    # dim_b = dim_u once learned a last row with no angles: a full-rank
+    # constraint whose projector is zero, reported as converged
+    def refuse(*args, **kwargs):
+        raise AssertionError("K-means called")
+
+    monkeypatch.setattr(ccl.constraint, "rbf_basis", refuse)
+    rng = np.random.default_rng(dim_u)
+    u, xs = rng.normal(size=(dim_u, 100)), rng.uniform(-1, 1, (2, 100))
+    with pytest.raises(ValueError, match=r"leave no null space \(1 <= dim_b < dim_u\)"):
+        learn_alpha(u, xs, num_basis=4, dim_b=dim_u)
+    omegas = tuple(np.zeros((dim_u - 1 - s, 3)) for s in range(dim_u))
+    with pytest.raises(ValueError, match="1 <= dim_b < dim_u rows, got"):
+        StateDependentConstraintModel(omegas=omegas, signs=(1.0,) * dim_u,
+                                      centers=np.zeros((2, 3)), width=1.0, dim_u=dim_u)
 
 
 # ---------------------------------------------------------------------------
@@ -703,8 +724,8 @@ def test_objective_avn_zero_weights_hand_evaluated():
     rng = np.random.default_rng(19)
     u = np.vstack([rng.normal(size=30), rng.normal(size=30)])
     bx = rng.uniform(0.1, 1.0, (5, 30))
-    residual, _ = _row_problem(bx, u)
-    r = residual(np.zeros(5))
+    problem = _row_problem(bx, u, np.zeros(5))
+    r = problem.residual(problem.p0)
     # zero angles give the row (1, 0): the captured energy is sum u_1^2
     assert r @ r == pytest.approx((u[0] ** 2).sum())
 
@@ -718,7 +739,7 @@ def test_objective_avn_zero_at_generating_weights():
     rows = unit_vectors_from_angles(omega_true @ bx)
     # observations exactly orthogonal to the true row at every state
     u = np.vstack([-rows[1], rows[0]]) * rng.normal(size=200)
-    residual, _ = _row_problem(bx, u)
+    residual = _row_problem(bx, u, omega_true.ravel()).residual
     r = residual(omega_true.ravel())
     assert r @ r < 1e-10
 
@@ -727,7 +748,7 @@ def test_objective_avn_consistent_with_lm_residuals():
     rng = np.random.default_rng(21)
     bx = rng.uniform(0.1, 1.0, (4, 50))
     u = rng.normal(size=(2, 50))
-    residual, jacobian = _row_problem(bx, u)
+    residual, jacobian = _row_problem(bx, u, np.zeros(4)).residual, row_jacobian(bx, u)
     for _ in range(10):
         w = rng.normal(0, 0.5, 4)
         r = residual(w)
@@ -737,6 +758,35 @@ def test_objective_avn_consistent_with_lm_residuals():
         fd = finite_difference_jacobian(lambda q: np.array([residual(q) @ residual(q)]), w)
         scale = max(1.0, np.abs(grad_from_jac).max())
         assert np.max(np.abs(grad_from_jac - fd.ravel())) / scale < 1e-5
+
+
+def _row_cases(case):
+    """(bx, u_rot, weight vectors) on which to compare a row's normal equations."""
+    if case == "learned-basis":
+        data = generate(GeneratorConfig(constraints=(("parabolic", 0.1),), n_per_group=300,
+                                        rng_seed=5))
+        bx = rbf_design(data.states, *rbf_basis(data.states, 16, seed=0))
+        return bx, data.actions, [np.zeros(16), np.random.default_rng(5).normal(size=16)]
+    dim = int(case[-1])
+    rng = np.random.default_rng(40 + dim)
+    bx = rng.uniform(0.05, 1.0, (6, 90))
+    return bx, rng.normal(size=(dim, 90)), [rng.normal(size=6 * (dim - 1)) for _ in range(4)]
+
+
+@pytest.mark.parametrize("case", ["random-dim-2", "random-dim-3", "random-dim-4",
+                                  "learned-basis"])
+def test_row_normal_equations_match_the_assembled_jacobian(case):
+    # J'J and J'r from jw = g (.) beta equal the products of the assembled
+    # Jacobian bit for bit, so the solver takes the steps it took when it
+    # multiplied that Jacobian out; the problem carries no Jacobian
+    bx, u_rot, wvecs = _row_cases(case)
+    problem, oracle = _row_problem(bx, u_rot, wvecs[0]), row_jacobian(bx, u_rot)
+    assert problem.jacobian is None
+    for wvec in wvecs:
+        assert check_jacobian(problem.residual, oracle, wvec) < 1e-5
+        r, jac = problem.residual(wvec), oracle(wvec)
+        h, grad = problem.normal_equations(wvec, r)
+        assert np.array_equal(h, jac.T @ jac) and np.array_equal(grad, jac.T @ r)
 
 
 def test_feature_provider_registry_roundtrip():
@@ -769,8 +819,8 @@ def _projector_reference(model, x):
 
 @st.composite
 def _state_dependent_models(draw):
-    dim_u = draw(st.integers(2, 6))
-    dim_b = draw(st.integers(2, dim_u))
+    dim_u = draw(st.integers(3, 6))
+    dim_b = draw(st.integers(2, dim_u - 1))
     g = draw(st.integers(1, 5))
     rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
     centers, width = rng.uniform(-1, 1, (2, g)), rng.uniform(0.2, 2.0)

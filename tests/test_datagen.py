@@ -6,6 +6,7 @@ from hypothesis.extra.numpy import arrays
 from ccl.datagen import (
     GeneratorConfig,
     TwoLinkArm,
+    configured_policy,
     generate,
     policy_limit_cycle,
     policy_linear,
@@ -17,6 +18,18 @@ from oracles import finite_difference_jacobian
 # ---------------------------------------------------------------------------
 # policies
 # ---------------------------------------------------------------------------
+
+@pytest.mark.parametrize("policy", ["limit-cycle", "linear-attractor"])
+def test_configured_policy_is_the_policy_channel_of_generate(policy):
+    # the tutorials' field tables evaluate the true policy through it
+    config = GeneratorConfig(policy=policy, constraints=(("fixed-angle", 30.0), ("none",)),
+                             n_per_group=50, rng_seed=3, attractor_target=(0.2, -0.1))
+    data = generate(config)
+    assert np.array_equal(configured_policy(config, data.states), data.policy)
+    expected = (policy_limit_cycle(data.states) if policy == "limit-cycle"
+                else policy_linear(data.states, np.eye(2), [0.2, -0.1]))
+    assert np.array_equal(data.policy, expected)
+
 
 def test_limit_cycle_tangential_on_cycle():
     r0, w = 0.5, 1.3

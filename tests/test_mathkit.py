@@ -27,7 +27,7 @@ from ccl.mathkit import (
     unit_vector_angle_gradient,
     unit_vectors_from_angles,
 )
-from oracles import check_jacobian, finite_difference_jacobian
+from oracles import check_jacobian, finite_difference_jacobian, row_jacobian
 
 
 def _unit_vector(theta):
@@ -756,11 +756,13 @@ def _reference_lm_solve(problem):
     """lm_solve as a loop that forms J'J, J'r and the damping diagonal
     again in every iteration, rejected steps included, from the Jacobian
     of the current point: the oracle for a solver that forms them once
-    per accepted point."""
+    per accepted point.  An alpha row has no Jacobian; the loop reads the
+    assembled oracle's, so it also checks the row's own normal equations."""
     opts = problem.options
+    jacobian = problem.jacobian or row_jacobian(problem.bx, problem.u_rot)
     p = np.asarray(problem.p0, dtype=float).ravel().copy()
     r = np.atleast_1d(np.asarray(problem.residual(p), dtype=float)).ravel()
-    j = np.atleast_2d(np.asarray(problem.jacobian(p), dtype=float))
+    j = np.atleast_2d(np.asarray(jacobian(p), dtype=float))
     energy, lam = float(r @ r), 1e-3
     converged, reason, iterations = False, "max-iter", 0
     for iterations in range(1, opts.max_iter + 1):
@@ -778,7 +780,7 @@ def _reference_lm_solve(problem):
             gain = energy - e_new
             p, r, energy = p_new, r_new, e_new
             lam = max(lam * 0.1, 1e-15)
-            j = np.atleast_2d(np.asarray(problem.jacobian(p), dtype=float))
+            j = np.atleast_2d(np.asarray(jacobian(p), dtype=float))
             if np.linalg.norm(step) < opts.tol_x:
                 converged, reason = True, "x-tol"
                 break
@@ -803,30 +805,29 @@ def _alpha_row_problem():
     data = generate(GeneratorConfig(constraints=(("parabolic", 0.1),), n_per_group=200,
                                     rng_seed=3))
     bx = rbf_design(data.states, *rbf_basis(data.states, 4, seed=0))
-    residual, jacobian = constraint._row_problem(bx, data.actions)
-    return dict(residual=residual, jacobian=jacobian,
-                p0=np.random.default_rng(8).normal(size=bx.shape[0]))
+    return constraint._row_problem(bx, data.actions,
+                                   np.random.default_rng(8).normal(size=bx.shape[0]))
 
 
 _LM_CASES = {
-    "rosenbrock": lambda: dict(residual=_rosenbrock, p0=np.array([-1.2, 1.0]),
-                               jacobian=_rosenbrock_jacobian),
-    "flat-minimum": lambda: dict(residual=lambda p: p ** 2, p0=np.array([1.0]),
-                                 jacobian=lambda p: np.diag(2.0 * p),
-                                 options=LearnOptions(tol_fun=1e-18)),
-    "abandoned": lambda: dict(residual=lambda p: p ** 2, p0=np.array([1.0]),
-                              jacobian=lambda p: np.diag(2.0 * p),
-                              options=LearnOptions(tol_fun=1e-18), abandon_above=-1.0),
-    "stalled": lambda: dict(residual=lambda p: np.sin(p) + 2.0, p0=np.array([1.0]),
-                            jacobian=lambda p: np.diag(np.cos(p))),
+    "rosenbrock": lambda: LmProblem(residual=_rosenbrock, p0=np.array([-1.2, 1.0]),
+                                    jacobian=_rosenbrock_jacobian),
+    "flat-minimum": lambda: LmProblem(residual=lambda p: p ** 2, p0=np.array([1.0]),
+                                      jacobian=lambda p: np.diag(2.0 * p),
+                                      options=LearnOptions(tol_fun=1e-18)),
+    "abandoned": lambda: LmProblem(residual=lambda p: p ** 2, p0=np.array([1.0]),
+                                   jacobian=lambda p: np.diag(2.0 * p),
+                                   options=LearnOptions(tol_fun=1e-18), abandon_above=-1.0),
+    "stalled": lambda: LmProblem(residual=lambda p: np.sin(p) + 2.0, p0=np.array([1.0]),
+                                 jacobian=lambda p: np.diag(np.cos(p))),
     "alpha-row": _alpha_row_problem,
 }
 
 
 @pytest.mark.parametrize("case", sorted(_LM_CASES))
 def test_lm_matches_the_reference_loop_bit_for_bit(case):
-    p, report = lm_solve(LmProblem(**_LM_CASES[case]()))
-    p_ref, report_ref = _reference_lm_solve(LmProblem(**_LM_CASES[case]()))
+    p, report = lm_solve(_LM_CASES[case]())
+    p_ref, report_ref = _reference_lm_solve(_LM_CASES[case]())
     assert _same_bits(p, p_ref)
     assert report == report_ref
 
@@ -841,19 +842,20 @@ class _CountingProblem(LmProblem):
 
 @pytest.mark.parametrize("case", ["rosenbrock", "stalled"])
 def test_lm_forms_its_system_once_per_accepted_point(case):
-    kw = _LM_CASES[case]()
+    base = _LM_CASES[case]()
     evaluated, jacobian_points = [], []
 
     def residual(p):
-        r = kw["residual"](p)
+        r = base.residual(p)
         evaluated.append((p.copy(), float(r @ r)))
         return r
 
     def jacobian(p):
         jacobian_points.append(p.copy())
-        return kw["jacobian"](p)
+        return base.jacobian(p)
 
-    problem = _CountingProblem(**dict(kw, residual=residual, jacobian=jacobian))
+    problem = _CountingProblem(residual=residual, p0=base.p0, jacobian=jacobian,
+                               options=base.options)
     problem.system_points = []
     _, report = lm_solve(problem)
     # the accepted points: the start, then every trial point that did not

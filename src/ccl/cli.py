@@ -218,6 +218,19 @@ def _check_learner_flags(args):
                        "(e.g. twolink-jacobian:1.0,1.0 or identity:2)")
 
 
+def _learn_config(args, opts, model):
+    """The learn manifest's config: the method and, for each flag in its
+    LEARNERS row, the value its learner used under the flag's name (a
+    solver option as resolved; the basis size as the model's center count,
+    None for the affine features)."""
+    centers = getattr(model, "centers", None)
+    used = {"--num-basis": None if centers is None else centers.shape[1],
+            "--dim-b": args.dim_b, "--features": args.features, "--basis": args.basis,
+            **{_solver_flag(f): getattr(opts, f.name) for f in SOLVER_FIELDS}}
+    _, reads = LEARNERS[args.method]
+    return {"method": args.method, **{flag[2:].replace("-", "_"): used[flag] for flag in reads}}
+
+
 def cmd_learn(args):
     t0 = time.perf_counter()
     _check_learner_flags(args)
@@ -237,9 +250,7 @@ def cmd_learn(args):
     for flag, value in _learner_flags(args).items():
         command += [flag, str(value)]
     RunManifest(subcommand="learn", command=tuple(command),
-                config={"method": args.method, "options": asdict(opts),
-                        "num_basis": args.num_basis, "dim_b": args.dim_b,
-                        "features": args.features, "basis": args.basis},
+                config=_learn_config(args, opts, model),
                 inputs=(args.inp,), outputs=(args.out,), seed=args.seed,
                 duration_s=time.perf_counter() - t0,
                 report=summary).write(_manifest_path(args.out))

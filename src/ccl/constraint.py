@@ -20,8 +20,8 @@ from typing import Callable, Optional
 
 import numpy as np
 
-from .core import (UNCONVERGED_REASONS, LearnOptions, LearnReport, _basis_centers, _basis_doc,
-                   _declared_size, _finite_samples, _freeze_basis, _frozen_finite)
+from .core import (UNCONVERGED_REASONS, LearnOptions, LearnReport, _finite_samples, _freeze_basis,
+                   _frozen_finite)
 from .mathkit import (
     LmProblem,
     lm_solve,
@@ -137,13 +137,6 @@ def _constraint_metrics(model, data):
     return rows, skipped
 
 
-def _with_declared_rows(doc, model):
-    if _declared_size(doc, "dim_b") != model.dim_b:
-        raise ValueError(f"model document (kind {doc['kind']!r}) declares dim_b "
-                         f"{doc['dim_b']!r} but holds {model.dim_b} rows")
-    return model
-
-
 # ---------------------------------------------------------------------------
 # state-independent constraints
 # ---------------------------------------------------------------------------
@@ -155,25 +148,28 @@ class StateIndependentConstraint:
     component is positive.
 
     Without ``features`` (kind "nhat") the rows (dim_b, dim_u), 1 <= dim_b
-    < dim_u, are the constraint.  With a feature provider (kind "lambda")
-    the rows (dim_b, dim_phi), 1 <= dim_b <= dim_phi, select within its
-    row-normalized feature matrix: the constraint is A(x) = rows
-    Phi_hat(x).
+    < dim_u, are the constraint.  With a feature provider, or its name in
+    :func:`feature_provider_from_name` (kind "lambda"), the rows (dim_b,
+    dim_phi), 1 <= dim_b <= dim_phi, select within its row-normalized
+    feature matrix: the constraint is A(x) = rows Phi_hat(x).
     """
 
     rows: np.ndarray
     features: Optional[FeatureMatrixProvider] = None
 
     def __post_init__(self):
-        rows = _frozen_finite("rows", self.rows)
+        if not isinstance(self.features, (FeatureMatrixProvider, type(None))):
+            object.__setattr__(self, "features", feature_provider_from_name(self.features))
+        rows = _frozen_finite("rows", self.rows, 2)
         shape = "a (dim_b, dim_u) matrix with 1 <= dim_b < dim_u"
-        fits = 1 <= len(rows) < rows.shape[-1]
+        # no axis is empty, so 1 <= dim_b holds
+        fits = len(rows) < rows.shape[1]
         if self.features is not None:
             dim_phi = self.features.dim_phi
             shape = (f"a (dim_b, dim_phi) matrix with 1 <= dim_b <= dim_phi = {dim_phi} "
                      f"for feature provider {self.features.name!r}")
-            fits = rows.shape[-1] == dim_phi and 1 <= len(rows) <= dim_phi
-        if rows.ndim != 2 or not fits:
+            fits = rows.shape[1] == dim_phi and len(rows) <= dim_phi
+        if not fits:
             raise ValueError(f"rows must be {shape}, got shape {rows.shape}")
         if np.max(np.abs(rows @ rows.T - np.eye(len(rows)))) > 1e-9:
             raise ValueError("rows must be orthonormal")
@@ -206,24 +202,6 @@ class StateIndependentConstraint:
         return nullspace_projector(self.rows @ _normalized_rows(self.features.stack(xs)))
 
     metrics = _constraint_metrics
-
-    def to_doc(self):
-        doc = {"dim_u": self.dim_u, "dim_b": self.dim_b, "rows": self.rows.tolist()}
-        return doc if self.features is None else dict(doc, features=self.features.name)
-
-    @classmethod
-    def from_doc(cls, doc):
-        selection = doc["kind"] == "lambda"
-        if selection and "omegas" in doc:
-            raise ValueError("model document (kind 'lambda') holds RBF angle weights "
-                             "(omegas, signs, basis), a format that is no longer read: "
-                             "lambda now learns constant selection rows; learn it again")
-        features = feature_provider_from_name(doc["features"]) if selection else None
-        model = cls(rows=doc["rows"], features=features)
-        if _declared_size(doc, "dim_u") != model.dim_u:
-            raise ValueError(f"model document (kind {model.kind!r}) declares dim_u "
-                             f"{doc['dim_u']!r} but its rows act on dim_u {model.dim_u}")
-        return _with_declared_rows(doc, model)
 
 
 def _row_limit(dim, dim_b):
@@ -332,7 +310,8 @@ class StateDependentConstraintModel:
     """Constraint rows (kind "alpha"), 1 <= dim_b < dim_u, whose angles are
     RBF functions of the state, theta_s(x) = omega_s beta(x), with beta the
     Gaussian features of ``centers`` (dim_x, G) and ``width``; each row
-    lies in the complement of the earlier ones.  ``signs`` are per-row
+    lies in the complement of the earlier ones, so row s has dim_u - 1 - s
+    angles: ``omegas[s]`` is (dim_u - 1 - s, G).  ``signs`` are per-row
     flips (+1 or -1) making the first non-negligible component positive at
     the training reference state."""
 
@@ -340,19 +319,20 @@ class StateDependentConstraintModel:
     signs: tuple
     centers: np.ndarray
     width: float
-    dim_u: int
 
     kind = "alpha"
 
     def __post_init__(self):
-        omegas = tuple(_frozen_finite("omegas", o) for o in self.omegas)
+        omegas = tuple(_frozen_finite("omegas", o, 2) for o in self.omegas)
+        if not omegas:
+            raise ValueError("an alpha constraint holds at least one row")
         object.__setattr__(self, "omegas", omegas)
         _freeze_basis(self)
-        signs = _frozen_finite("signs", self.signs)
+        signs = _frozen_finite("signs", self.signs, 1)
         if signs.shape != (len(omegas),) or not np.isin(signs, (-1.0, 1.0)).all():
             raise ValueError(f"signs must be one +1 or -1 per row, got {signs.tolist()}")
         object.__setattr__(self, "signs", tuple(float(s) for s in signs))
-        if not 1 <= len(omegas) < self.dim_u:
+        if len(omegas) >= self.dim_u:
             raise ValueError(f"an alpha constraint holds 1 <= dim_b < dim_u rows, got "
                              f"{len(omegas)} in action dimension {self.dim_u}")
         g = self.centers.shape[1]
@@ -364,6 +344,10 @@ class StateDependentConstraintModel:
     @property
     def dim_b(self):
         return len(self.omegas)
+
+    @property
+    def dim_u(self):
+        return len(self.omegas[0]) + 1
 
     def constraint_stack(self, xs):
         """Materialized constraint rows A(x) at states xs (dim_x, N),
@@ -381,25 +365,6 @@ class StateDependentConstraintModel:
         return nullspace_projector(self.constraint_stack(xs))
 
     metrics = _constraint_metrics
-
-    def to_doc(self):
-        return {"dim_u": self.dim_u, "dim_b": self.dim_b,
-                "omegas": [om.tolist() for om in self.omegas],
-                "signs": list(self.signs), "basis": _basis_doc(self.centers, self.width),
-                "features": None}
-
-    @classmethod
-    def from_doc(cls, doc):
-        # a basis block may still carry the dim_out: 0 and empty weights
-        # that earlier writers put there; neither is read
-        basis = doc["basis"]
-        if doc["features"] is not None:
-            raise ValueError(f"an alpha document names no feature provider, "
-                             f"got {doc['features']!r}")
-        return _with_declared_rows(doc, cls(
-            omegas=tuple(doc["omegas"]), signs=tuple(doc["signs"]),
-            centers=_basis_centers(basis), width=basis["width"],
-            dim_u=_declared_size(doc, "dim_u")))
 
 
 def _eigen_seed(m_rot):
@@ -470,7 +435,7 @@ def learn_alpha(w_obs, xs, options: Optional[LearnOptions] = None,
     bx = rbf_design(xs, centers, width)
     omegas, signs, rows, fit = _learn_rows(bx, u, dim_b, opts)
     model = StateDependentConstraintModel(
-        omegas=tuple(omegas), signs=tuple(signs), centers=centers, width=width, dim_u=dim_u)
+        omegas=tuple(omegas), signs=tuple(signs), centers=centers, width=width)
     # the rows the loop accepted are the model's constraint stack on xs
     final = _exact_projection_energy(rows, u)
     report = LearnReport.from_errors(mse=final / n, variance=total_variance(u),

@@ -1,6 +1,6 @@
 """Shared domain types: demonstration datasets, solver options and fit
 reports, the delimited text format used to exchange datasets between the
-CLI and the learners, and the RBF basis block that model documents share.
+CLI and the learners, and the field checks that model constructors share.
 
 All containers are immutable after construction (their numpy buffers are
 marked read-only), so they can be shared freely across threads.
@@ -12,6 +12,7 @@ from dataclasses import dataclass, fields
 import itertools
 import math
 import numbers
+import sys
 
 import numpy as np
 
@@ -28,13 +29,18 @@ def _freeze(a):
     return a
 
 
-def _frozen_finite(name, a):
+def _frozen_finite(name, a, ndim):
     """``a`` as a read-only float array, once it is checked to hold only
-    ints or floats (TypeError otherwise: no string is parsed) that are all
-    finite (ValueError)."""
+    ints or floats (TypeError otherwise: no string or bool is read) on
+    exactly ``ndim`` axes, none of them empty, that are all finite
+    (ValueError).  It is never reshaped, and an empty axis, which nested
+    lists cannot hold, is refused, so the array round-trips through
+    ``tolist``."""
     a = np.asarray(a)
     if a.dtype.kind not in "iuf":
         raise TypeError(f"{name} must hold ints or floats, not {a.dtype}")
+    if a.ndim != ndim or 0 in a.shape:
+        raise ValueError(f"{name} must have {ndim} non-empty axes, got shape {a.shape}")
     a = _freeze(np.asarray(a, dtype=float))
     if not np.isfinite(a).all():
         raise ValueError(f"{name} must be finite")
@@ -52,48 +58,16 @@ def _finite_samples(name, a):
 
 def _freeze_basis(model):
     """Freeze a model's RBF ``centers`` (dim_x, G) and make its shared
-    ``width`` a float: at least one center, all finite, 0 < width < inf.
+    ``width`` a float: centers all finite, 0 < width < inf.
     A width that is not a real number (a string, a bool, None) is a
     TypeError."""
-    object.__setattr__(model, "centers", _frozen_finite("centers", np.atleast_2d(model.centers)))
+    object.__setattr__(model, "centers", _frozen_finite("centers", model.centers, 2))
     if isinstance(model.width, bool) or not isinstance(model.width, numbers.Real):
         raise TypeError(f"width must be a real number, not {type(model.width).__name__}")
-    object.__setattr__(model, "width", float(model.width))
-    if model.centers.shape[1] < 1:
-        raise ValueError("need at least one basis center")
-    if not 0 < model.width < np.inf:
+    # compared before float(), which raises OverflowError for a huge integer
+    if not 0 < model.width <= sys.float_info.max:
         raise ValueError("width must be finite and > 0")
-
-
-def _basis_doc(centers, width):
-    """The basis block of a model document, read back by _basis_centers;
-    model fields are float arrays, so tolist() writes Python floats."""
-    return {"dim_x": centers.shape[0], "n_basis": centers.shape[1],
-            "centers": centers.tolist(), "width": width}
-
-
-def _declared_size(doc, key):
-    """A size a model document declares: a positive integer.  A bool, a
-    float equal to an integer and a size < 1, which numpy's reshape would
-    read as the unknown dimension, are all rejected (ValueError)."""
-    size = doc[key]
-    if isinstance(size, bool) or not isinstance(size, int) or size < 1:
-        raise ValueError(f"model document field {key} must be a positive integer, not {size!r}")
-    return size
-
-
-def _declared_array(doc, key, *shape):
-    """A model document's array ``key`` of exactly the declared shape (an
-    axis given as None: any length), never reshaped (ValueError)."""
-    a = np.asarray(doc[key])
-    if a.ndim != len(shape) or any(want not in (None, got) for got, want in zip(a.shape, shape)):
-        raise ValueError(f"model document field {key} has shape {a.shape}, expected {shape}")
-    return a
-
-
-def _basis_centers(basis):
-    return _declared_array(basis, "centers", _declared_size(basis, "dim_x"),
-                           _declared_size(basis, "n_basis"))
+    object.__setattr__(model, "width", float(model.width))
 
 
 @dataclass(frozen=True)
@@ -375,7 +349,7 @@ def _lines(fh, size=1 << 16):
         yield "".join(tail)
 
 
-def _read_header(path, header, dims):
+def _read_header(path, header):
     """Column layout of a dataset file from its header line: the (dim_x,
     dim_u, dim_pi, dim_v, dim_w) block sizes and whether a trailing group
     column k is present."""
@@ -398,8 +372,6 @@ def _read_header(path, header, dims):
     for d, got in (("pi", dim_pi), ("v", dim_v), ("w", dim_w)):
         if got and got != dim_u:
             raise ValueError(f"{d}* channel must have dim_u={dim_u} columns, got {got}")
-    if dims is not None and (dim_x, dim_u) != tuple(dims):
-        raise ValueError(f"declared dims {tuple(dims)} do not match file dims {(dim_x, dim_u)}")
     return (dim_x, dim_u, dim_pi, dim_v, dim_w), has_k
 
 
@@ -482,10 +454,9 @@ def _scan_rows(path, lines, n_values, has_k):
             np.asarray(gids, dtype=int) if has_k else None)
 
 
-def load_dataset(path, dims=None) -> DemonstrationSet:
+def load_dataset(path) -> DemonstrationSet:
     """Read a dataset file, validating dimensions and values.
 
-    dims, when given, is a (dim_x, dim_u) pair checked against the header.
     A row with a wrong column count, a non-numeric token, a non-finite
     value or a non-integer or out-of-range group id (checked in that
     order) is rejected, naming the first offending line of the file.
@@ -502,7 +473,7 @@ def load_dataset(path, dims=None) -> DemonstrationSet:
     """
     with open(path) as fh:
         lines = _lines(fh)
-        blocks, has_k = _read_header(path, next(lines, None), dims)
+        blocks, has_k = _read_header(path, next(lines, None))
         n_values = sum(blocks)
         parsed = _parse_rows(lines, n_values, has_k)
         if parsed is None:

@@ -79,20 +79,23 @@ def error_poe(actions, projectors) -> MetricTriple:
     return _triple(mse, total_variance(u))
 
 
+def _prediction_error(truth, pred, names):
+    """Mean squared column difference of pred from truth over the variance
+    of truth."""
+    t, p = _check_pair(truth, pred, names)
+    return _triple(float(((t - p) ** 2).sum(axis=0).mean()), total_variance(t))
+
+
 def error_npe(null_true, null_pred) -> MetricTriple:
     """Null-space component error: mean squared column difference over the
     variance of the true component."""
-    w, wp = _check_pair(null_true, null_pred, ("null_true", "null_pred"))
-    mse = float(((w - wp) ** 2).sum(axis=0).mean())
-    return _triple(mse, total_variance(w))
+    return _prediction_error(null_true, null_pred, ("null_true", "null_pred"))
 
 
 def error_nupe(policy_true, policy_pred) -> MetricTriple:
     """Unconstrained policy error: mean squared difference between true
     and predicted policy outputs over the variance of the true policy."""
-    f, fp = _check_pair(policy_true, policy_pred, ("policy_true", "policy_pred"))
-    mse = float(((f - fp) ** 2).sum(axis=0).mean())
-    return _triple(mse, total_variance(f))
+    return _prediction_error(policy_true, policy_pred, ("policy_true", "policy_pred"))
 
 
 def error_ncpe(policy_true, policy_pred, projectors) -> MetricTriple:

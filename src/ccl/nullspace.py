@@ -14,8 +14,7 @@ from typing import Optional
 
 import numpy as np
 
-from .core import (LearnOptions, LearnReport, _basis_centers, _basis_doc, _declared_array,
-                   _declared_size, _finite_samples, _freeze_basis, _frozen_finite)
+from .core import LearnOptions, LearnReport, _finite_samples, _freeze_basis, _frozen_finite
 from .mathkit import LmProblem, lm_solve, rbf_basis, rbf_design, ridge_regression
 from .metrics import error_npe, error_nupe, total_variance
 
@@ -35,7 +34,7 @@ class NullspaceComponentModel:
 
     def __post_init__(self):
         _freeze_basis(self)
-        object.__setattr__(self, "weights", _frozen_finite("weights", np.atleast_2d(self.weights)))
+        object.__setattr__(self, "weights", _frozen_finite("weights", self.weights, 2))
         if self.weights.shape[1] != self.centers.shape[1]:
             raise ValueError("weights columns must match number of centers")
 
@@ -51,17 +50,6 @@ class NullspaceComponentModel:
         pred = self.predict(data.states)
         return [("NUPE", error_nupe(data.null_component, pred)),
                 ("NPE", error_npe(data.null_component, pred))], []
-
-    def to_doc(self):
-        return {"basis": dict(_basis_doc(self.centers, self.width),
-                              dim_out=self.weights.shape[0], weights=self.weights.tolist())}
-
-    @classmethod
-    def from_doc(cls, doc):
-        basis = doc["basis"]
-        return cls(centers=_basis_centers(basis), width=basis["width"],
-                   weights=_declared_array(basis, "weights", _declared_size(basis, "dim_out"),
-                                           _declared_size(basis, "n_basis")))
 
 
 def _ncl_terms(weights, bx, actions):

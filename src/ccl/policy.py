@@ -19,8 +19,7 @@ from typing import Optional
 
 import numpy as np
 
-from .core import (LearnOptions, LearnReport, _declared_array, _declared_size, _finite_samples,
-                   _freeze_basis, _frozen_finite)
+from .core import LearnOptions, LearnReport, _finite_samples, _freeze_basis, _frozen_finite
 from .mathkit import pairwise_sq_distances, rbf_basis, rbf_design
 from .metrics import error_ncpe, error_nupe, total_variance
 
@@ -42,30 +41,34 @@ def _policy_metrics(model, data):
 class ParametricPolicyModel:
     """Linear-in-weights policy: prediction = weights @ features(x).
 
-    With ``centers`` set the features are Gaussian RBFs with the shared
-    ``width``; with centers None the features are the state augmented by
-    a constant one (a plain affine policy).
+    With ``centers`` (dim_x, G) and ``width`` both set the features are
+    Gaussian RBFs with the shared width; with both None the features are
+    the state augmented by a constant one (a plain affine policy), so the
+    weights have dim_x + 1 >= 2 columns.
     """
 
     weights: np.ndarray
-    dim_x: int
     centers: np.ndarray = None
     width: float = None
 
     kind = "pi-parametric"
 
     def __post_init__(self):
-        object.__setattr__(self, "weights", _frozen_finite("weights", np.atleast_2d(self.weights)))
+        object.__setattr__(self, "weights", _frozen_finite("weights", self.weights, 2))
+        if (self.centers is None) != (self.width is None):
+            raise ValueError("centers and width must be both set (RBF features) "
+                             "or both None (affine features)")
         if self.centers is not None:
             _freeze_basis(self)
-            if self.centers.shape[0] != self.dim_x:
-                raise ValueError(f"dim_x {self.dim_x} does not match the "
-                                 f"{self.centers.shape[0]}-D centers")
-            expected = self.centers.shape[1]
-        else:
-            expected = self.dim_x + 1
-        if self.weights.shape[1] != expected:
-            raise ValueError(f"weights must have {expected} columns")
+            if self.weights.shape[1] != self.centers.shape[1]:
+                raise ValueError(f"weights must have {self.centers.shape[1]} columns, "
+                                 f"one per center")
+        elif self.weights.shape[1] < 2:
+            raise ValueError("affine weights must have dim_x + 1 >= 2 columns")
+
+    @property
+    def dim_x(self):
+        return self.weights.shape[1] - 1 if self.centers is None else self.centers.shape[0]
 
     def features(self, xs):
         return _features(np.atleast_2d(np.asarray(xs, dtype=float)), self.centers, self.width)
@@ -74,21 +77,6 @@ class ParametricPolicyModel:
         return self.weights @ self.features(xs)
 
     metrics = _policy_metrics
-
-    def to_doc(self):
-        rbf = {} if self.centers is None else {"centers": self.centers.tolist(), "width": self.width}
-        return {"dim_x": self.dim_x, "features": "rbf" if rbf else "linear",
-                "weights": self.weights.tolist(), **rbf}
-
-    @classmethod
-    def from_doc(cls, doc):
-        features = doc["features"]
-        if features not in ("rbf", "linear"):
-            raise ValueError(f"unknown features {features!r} (use rbf | linear)")
-        # an rbf document's centers are never None, which would read as linear
-        rbf = ({"centers": np.asarray(doc["centers"]), "width": doc["width"]}
-               if features == "rbf" else {})
-        return cls(weights=doc["weights"], dim_x=_declared_size(doc, "dim_x"), **rbf)
 
 
 def _features(xs, centers, width):
@@ -114,10 +102,8 @@ class LwlPolicyModel:
     kind = "pi-lwl"
 
     def __post_init__(self):
-        object.__setattr__(self, "local_maps", _frozen_finite("local maps", self.local_maps))
+        object.__setattr__(self, "local_maps", _frozen_finite("local_maps", self.local_maps, 3))
         _freeze_basis(self)
-        if self.local_maps.ndim != 3:
-            raise ValueError("local_maps must be (M, dim_u, dim_x + 1)")
         if self.local_maps.shape[0] != self.centers.shape[1]:
             raise ValueError("one local map per center required")
         if self.local_maps.shape[2] != self.centers.shape[0] + 1:
@@ -132,17 +118,6 @@ class LwlPolicyModel:
         return sum(a * (b @ aug) for a, b in zip(act, self.local_maps)) / act.sum(axis=0)
 
     metrics = _policy_metrics
-
-    def to_doc(self):
-        return {"centers": self.centers.tolist(), "width": self.width,
-                "n_local": self.local_maps.shape[0], "dim_u": self.local_maps.shape[1],
-                "local_maps": self.local_maps.tolist()}
-
-    @classmethod
-    def from_doc(cls, doc):
-        maps = _declared_array(doc, "local_maps", _declared_size(doc, "n_local"),
-                               _declared_size(doc, "dim_u"), None)
-        return cls(local_maps=maps, centers=doc["centers"], width=doc["width"])
 
 
 def _direction_projectors(u):
@@ -231,8 +206,7 @@ def learn_pi(xs, u_null, options: Optional[LearnOptions] = None, num_basis=10, b
     def fit(xs, u, e):
         [weights] = _solve_projected(_features(xs, centers, width), e, u, None,
                                      opts.regularization)
-        return ParametricPolicyModel(weights=weights, dim_x=xs.shape[0],
-                                     centers=centers, width=width)
+        return ParametricPolicyModel(weights=weights, centers=centers, width=width)
 
     return _fit_policy(xs, u, fit)
 

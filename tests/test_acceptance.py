@@ -164,7 +164,7 @@ def test_criterion_6_policy_recovery_and_degeneracy():
     assert nupe < 0.05
 
     naive_w = ridge_regression(model.features(pooled.states), pooled.actions)
-    naive = ParametricPolicyModel(weights=naive_w, dim_x=2,
+    naive = ParametricPolicyModel(weights=naive_w,
                                   centers=model.centers, width=model.width)
     naive_nupe = error_nupe(pooled.policy, naive.predict(pooled.states)).normalized
     assert naive_nupe >= 5.0 * nupe

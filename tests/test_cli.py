@@ -1,6 +1,7 @@
 import argparse
 import json
 import os
+import re
 import warnings
 from dataclasses import fields
 
@@ -185,8 +186,7 @@ def test_learn_lambda_twolink(tmp_path):
     assert _run("learn", "--method", "lambda", "--features",
                 "twolink-jacobian:1.0,1.0", "--in", out, "--out", model_path) == 0
     doc = json.loads(open(model_path).read())
-    assert doc["kind"] == "lambda" and sorted(doc) == ["dim_b", "dim_u", "features", "kind",
-                                                       "rows", "version"]
+    assert doc["kind"] == "lambda" and sorted(doc) == ["features", "kind", "rows", "version"]
     report = json.loads(open(model_path + ".manifest.json").read())["report"]
     assert (report["reason"], report["iterations"], report["starts"]) == ("closed-form", 0, [])
 
@@ -319,10 +319,10 @@ def test_learn_rejects_a_basis_size_for_the_linear_basis(tmp_path, capsys):
 def test_learn_default_basis_sizes_come_from_the_learners(tmp_path):
     data = _gen(tmp_path, constraint="fixed:45", n=60, seed=9)
     for method, size_of, size, extra in (
-            ("alpha", lambda doc: doc["basis"]["n_basis"], 16, ("--max-iter", "20")),
-            ("ncl", lambda doc: doc["basis"]["n_basis"], 16, ("--max-iter", "20")),
+            ("alpha", lambda doc: len(doc["centers"][0]), 16, ("--max-iter", "20")),
+            ("ncl", lambda doc: len(doc["centers"][0]), 16, ("--max-iter", "20")),
             ("pi", lambda doc: len(doc["centers"][0]), 10, ()),
-            ("pi-lwl", lambda doc: doc["n_local"], 10, ())):
+            ("pi-lwl", lambda doc: len(doc["local_maps"]), 10, ())):
         out = str(tmp_path / f"{method}.json")
         code = _run("learn", "--method", method, "--in", data, "--out", out, *extra)
         assert code in (0, 2)
@@ -431,11 +431,11 @@ def test_model_document_missing_a_field_is_an_error(tmp_path, capsys, name):
 _POISON = [
     ("nhat", ("rows", 0, 0), float("nan")),
     ("alpha", ("omegas", 0, 0, 0), float("nan")),
-    ("alpha", ("basis", "centers", 0, 0), float("nan")),
+    ("alpha", ("centers", 0, 0), float("nan")),
     ("alpha", ("signs", 0), float("nan")),
     ("lambda", ("rows", 0, 0), float("nan")),
-    ("ncl", ("basis", "weights", 0, 0), float("nan")),
-    ("ncl", ("basis", "width"), float("inf")),
+    ("ncl", ("weights", 0, 0), float("nan")),
+    ("ncl", ("width",), float("inf")),
     ("pi-rbf", ("weights", 0, 0), float("nan")),
     ("pi-rbf", ("width",), float("inf")),
     ("pi-linear", ("weights", 0, 0), float("nan")),
@@ -468,15 +468,15 @@ def test_model_document_with_a_non_finite_parameter_is_an_error(tmp_path, capsys
 
 # a learned number written as a JSON string, or a width that is no number
 _STRINGLY = [
-    ("alpha", ("basis", "width"), "text"),
-    ("alpha", ("basis", "width"), None),
-    ("alpha", ("basis", "width"), True),
-    ("alpha", ("basis", "centers", 0, 0), "text"),
+    ("alpha", ("width",), "text"),
+    ("alpha", ("width",), None),
+    ("alpha", ("width",), True),
+    ("alpha", ("centers", 0, 0), "text"),
     ("alpha", ("omegas", 0, 0, 0), "text"),
     ("alpha", ("signs", 0), "text"),
     ("nhat", ("rows", 0, 0), "text"),
-    ("ncl", ("basis", "width"), "text"),
-    ("ncl", ("basis", "weights", 0, 0), "text"),
+    ("ncl", ("width",), "text"),
+    ("ncl", ("weights", 0, 0), "text"),
     ("pi-rbf", ("width",), "text"),
     ("pi-rbf", ("weights", 0, 0), "text"),
     ("pi-rbf", ("centers", 0, 0), "text"),
@@ -509,26 +509,12 @@ def test_model_document_with_a_numeric_string_is_malformed(tmp_path, capsys, nam
     assert captured.out == ""
 
 
-def test_pi_document_dim_x_must_match_its_centers(tmp_path, capsys):
-    data, doc = _learn_kind(tmp_path, "pi-rbf")
-    assert doc["dim_x"] == len(doc["centers"]) == 2
-    doc["dim_x"] = 7
-    bad = str(tmp_path / "bad.json")
-    with open(bad, "w") as fh:
-        json.dump(doc, fh)
-    capsys.readouterr()
-    assert _run("eval", "--model", bad, "--data", data) == 1
-    captured = capsys.readouterr()
-    assert captured.err == "error: dim_x 7 does not match the 2-D centers\n"
-    assert captured.out == ""
-
-
 def test_eval_rejects_an_rbf_document(tmp_path, capsys):
     data = _gen(tmp_path, n=40)
     bad = str(tmp_path / "rbf.json")
     with open(bad, "w") as fh:
-        json.dump({"version": 1, "kind": "rbf", "dim_x": 2, "n_basis": 1, "dim_out": 2,
-                   "centers": [[0.0], [0.0]], "width": 1.0, "weights": [[1.0], [1.0]]}, fh)
+        json.dump({"version": 2, "kind": "rbf", "centers": [[0.0], [0.0]], "width": 1.0,
+                   "weights": [[1.0], [1.0]]}, fh)
     capsys.readouterr()
     assert _run("eval", "--model", bad, "--data", data) == 1
     assert capsys.readouterr().err == "error: unknown model kind 'rbf'\n"
@@ -540,44 +526,33 @@ def learned_docs(tmp_path_factory):
     return {name: _learn_kind(tmp_path_factory.mktemp(name), name) for name in _LEARNED_KINDS}
 
 
-# every declared size a kind reads, as a path into its document
-_DECLARED_SIZES = [
-    ("nhat", ("dim_u",)), ("nhat", ("dim_b",)),
-    ("alpha", ("dim_u",)), ("alpha", ("dim_b",)),
-    ("alpha", ("basis", "dim_x")), ("alpha", ("basis", "n_basis")),
-    ("lambda", ("dim_u",)), ("lambda", ("dim_b",)),
-    ("ncl", ("basis", "dim_x")), ("ncl", ("basis", "n_basis")), ("ncl", ("basis", "dim_out")),
-    ("pi-rbf", ("dim_x",)), ("pi-linear", ("dim_x",)),
-    ("pi-lwl", ("n_local",)), ("pi-lwl", ("dim_u",)),
-]
+# a field that is not one of its kind's: each size that version 1 documents
+# declared beside their arrays, and the features tag of alpha and pi
+_UNKNOWN_FIELDS = [("nhat", "dim_u", 2), ("nhat", "dim_b", 1), ("alpha", "dim_u", 2),
+                   ("alpha", "dim_b", 1), ("alpha", "features", None), ("alpha", "basis", {}),
+                   ("lambda", "dim_u", 2), ("lambda", "dim_b", 1), ("ncl", "dim_out", 2),
+                   ("ncl", "n_basis", 4), ("pi-rbf", "dim_x", 2), ("pi-rbf", "features", "rbf"),
+                   ("pi-linear", "dim_x", 2), ("pi-lwl", "n_local", 3), ("pi-lwl", "dim_u", 2)]
 
 
-@pytest.mark.parametrize("bad", ["float", -1, 0, True])
-@pytest.mark.parametrize("name,path", _DECLARED_SIZES,
-                         ids=[f"{n}-{'.'.join(p)}" for n, p in _DECLARED_SIZES])
-def test_model_document_size_must_be_a_positive_integer(tmp_path, capsys, learned_docs, name,
-                                                        path, bad):
+@pytest.mark.parametrize("name,key,value", _UNKNOWN_FIELDS,
+                         ids=[f"{n}-{k}" for n, k, _ in _UNKNOWN_FIELDS])
+def test_model_document_with_an_unknown_field_names_it(tmp_path, capsys, learned_docs, name,
+                                                       key, value):
     data, doc = learned_docs[name]
-    doc = json.loads(json.dumps(doc))
-    node = doc
-    for key in path[:-1]:
-        node = node[key]
-    # a float equal to the true size, a negative size that numpy's reshape
-    # reads as the unknown dimension, zero, and a bool
-    node[path[-1]] = float(node[path[-1]]) if bad == "float" else bad
-    bad_path = str(tmp_path / "bad.json")
-    with open(bad_path, "w") as fh:
-        json.dump(doc, fh)
-    message = f"model document field {path[-1]} must be a positive integer"
-    with pytest.raises(ValueError, match=message):
-        load_model(bad_path)
+    bad = str(tmp_path / "bad.json")
+    with open(bad, "w") as fh:
+        json.dump(dict(doc, **{key: value}), fh)
+    message = f"model document (kind {doc['kind']!r}) has unknown field {key!r}"
+    with pytest.raises(ValueError, match=re.escape(message)):
+        load_model(bad)
     capsys.readouterr()
-    assert _run("eval", "--model", bad_path, "--data", data) == 1
+    assert _run("eval", "--model", bad, "--data", data) == 1
     captured = capsys.readouterr()
-    assert captured.err.startswith(f"error: {message}") and captured.out == ""
+    assert captured.err == f"error: {message}\n" and captured.out == ""
 
 
-@pytest.mark.parametrize("version", [1.0, True])
+@pytest.mark.parametrize("version", [1, 1.0, True])
 def test_model_document_version_must_be_the_integer(tmp_path, capsys, learned_docs, version):
     data, doc = learned_docs["ncl"]
     bad = str(tmp_path / "bad.json")
@@ -586,7 +561,8 @@ def test_model_document_version_must_be_the_integer(tmp_path, capsys, learned_do
     capsys.readouterr()
     assert _run("eval", "--model", bad, "--data", data) == 1
     assert capsys.readouterr().err == (f"error: unsupported model document version "
-                                       f"{version!r}\n")
+                                       f"{version!r}: only version 2 is read, so learn the "
+                                       f"model again\n")
 
 
 @pytest.mark.parametrize("features", [5, True, ["identity:2"], {"name": "identity:2"}])
@@ -602,28 +578,19 @@ def test_model_document_features_must_be_a_string(tmp_path, capsys, learned_docs
     assert captured.out == ""
 
 
-def test_lambda_document_without_features_is_an_error(tmp_path, capsys, learned_docs):
-    data, doc = learned_docs["lambda"]
+@pytest.mark.parametrize("kind,features,holds", [("lambda", None, "nhat"),
+                                                 ("nhat", "identity:2", "lambda")])
+def test_constraint_document_of_the_other_kind_is_an_error(tmp_path, capsys, learned_docs, kind,
+                                                            features, holds):
+    # the features field decides the kind, so it must agree with the tag
+    data, doc = learned_docs[kind]
     bad = str(tmp_path / "bad.json")
     with open(bad, "w") as fh:
-        json.dump(dict(doc, features=None), fh)
+        json.dump(dict(doc, features=features), fh)
     capsys.readouterr()
     assert _run("eval", "--model", bad, "--data", data) == 1
-    assert capsys.readouterr().err == "error: feature provider name must be a string, got None\n"
-
-
-def test_lambda_document_of_another_action_dimension_is_an_error(tmp_path, capsys,
-                                                                learned_docs):
-    data, doc = learned_docs["lambda"]
-    bad = str(tmp_path / "bad.json")
-    with open(bad, "w") as fh:
-        json.dump(dict(doc, dim_u=3), fh)
-    capsys.readouterr()
-    assert _run("eval", "--model", bad, "--data", data) == 1
-    captured = capsys.readouterr()
-    assert captured.err == ("error: model document (kind 'lambda') declares dim_u 3 but its "
-                            "rows act on dim_u 2\n")
-    assert captured.out == ""
+    assert capsys.readouterr().err == (f"error: model document (kind {kind!r}) holds the fields "
+                                       f"of a {holds!r} model\n")
 
 
 # an nhat document (one row in 2-D, as learned) edited into a bad one, and
@@ -631,12 +598,11 @@ def test_lambda_document_of_another_action_dimension_is_an_error(tmp_path, capsy
 _BAD_NHAT_DOCS = {
     "not-orthonormal": (lambda doc: dict(doc, rows=[[v * (1 + 1e-8) for v in doc["rows"][0]]]),
                         "rows must be orthonormal"),
-    "ragged": (lambda doc: dict(doc, rows=[doc["rows"][0], [0.0]], dim_b=2), "inhomogeneous"),
+    "ragged": (lambda doc: dict(doc, rows=[doc["rows"][0], [0.0]]), "inhomogeneous"),
     "strings": (lambda doc: dict(doc, rows=[[repr(v) for v in doc["rows"][0]]]),
                 "malformed field"),
-    "dim-b-not-below-dim-u": (lambda doc: dict(doc, rows=[[1.0, 0.0], [0.0, 1.0]], dim_b=2),
+    "dim-b-not-below-dim-u": (lambda doc: dict(doc, rows=[[1.0, 0.0], [0.0, 1.0]]),
                               "1 <= dim_b < dim_u"),
-    "dim-u-mismatch": (lambda doc: dict(doc, dim_u=3), "declares dim_u 3"),
     "angles": (lambda doc: {**{k: v for k, v in doc.items() if k != "rows"},
                             "angles": [[0.7853981633974483]]}, "missing field 'rows'"),
 }
@@ -656,42 +622,22 @@ def test_nhat_document_with_bad_rows_is_an_error(tmp_path, capsys, learned_docs,
     assert "Traceback" not in captured.err and captured.out == ""
 
 
-@pytest.mark.parametrize("features", ["identity:2", 5, True, ["identity:2"],
-                                      {"name": "identity:2"}])
-def test_alpha_document_naming_a_feature_provider_is_an_error(tmp_path, capsys, learned_docs,
-                                                              features):
-    data, doc = learned_docs["alpha"]
-    bad = str(tmp_path / "bad.json")
-    with open(bad, "w") as fh:
-        json.dump(dict(doc, features=features), fh)
-    capsys.readouterr()
-    assert _run("eval", "--model", bad, "--data", data) == 1
-    assert capsys.readouterr().err == ("error: an alpha document names no feature provider, "
-                                       f"got {features!r}\n")
-
-
 # a lambda document (one selection row over identity:2, as learned) edited
 # into a bad one, and the message its load fails with
 _BAD_LAMBDA_DOCS = {
-    "rbf-angle-format": (lambda doc: {**{k: v for k, v in doc.items() if k != "rows"},
-                                      "omegas": [[[0.1, 0.2]]], "signs": [1.0],
-                                      "basis": {"dim_x": 2, "n_basis": 2, "width": 1.0,
-                                                "centers": [[0.0, 1.0], [0.0, 1.0]]}},
-                         "(omegas, signs, basis), a format that is no longer read"),
     "rows-wider-than-the-provider": (lambda doc: dict(doc, rows=[[1.0, 0.0, 0.0]]),
                                      "rows must be a (dim_b, dim_phi) matrix with 1 <= dim_b "
                                      "<= dim_phi = 2 for feature provider 'identity:2', got "
                                      "shape (1, 3)"),
-    "more-rows-than-the-provider": (lambda doc: dict(doc, rows=np.eye(3)[:, :2].tolist(),
-                                                     dim_b=3), "got shape (3, 2)"),
+    "more-rows-than-the-provider": (lambda doc: dict(doc, rows=np.eye(3)[:, :2].tolist()),
+                                    "got shape (3, 2)"),
     "not-orthonormal": (lambda doc: dict(doc, rows=[[v * (1 + 1e-8) for v in doc["rows"][0]]]),
                         "rows must be orthonormal"),
     "rows-a-dict": (lambda doc: dict(doc, rows={"0": doc["rows"][0]}), "malformed field"),
     "rows-of-dicts": (lambda doc: dict(doc, rows=[{"x": 1.0}]), "malformed field"),
     "rows-nested-deeper": (lambda doc: dict(doc, rows=[doc["rows"]]), "got shape (1, 1, 2)"),
-    "rows-a-number": (lambda doc: dict(doc, rows=1.0), "got shape (1,)"),
-    "rows-ragged": (lambda doc: dict(doc, rows=[doc["rows"][0], [[0.0]]], dim_b=2),
-                    "inhomogeneous"),
+    "rows-a-number": (lambda doc: dict(doc, rows=1.0), "got shape ()"),
+    "rows-ragged": (lambda doc: dict(doc, rows=[doc["rows"][0], [[0.0]]]), "inhomogeneous"),
 }
 
 
@@ -741,12 +687,11 @@ def test_alpha_document_with_rows_that_leave_no_null_space_is_an_error(tmp_path,
     data, doc = learned_docs["alpha"]
     bad = str(tmp_path / "bad.json")
     with open(bad, "w") as fh:
-        json.dump(dict(doc, omegas=doc["omegas"] + [[]], signs=doc["signs"] + [1.0], dim_b=2), fh)
+        json.dump(dict(doc, omegas=doc["omegas"] + [[]], signs=doc["signs"] + [1.0]), fh)
     capsys.readouterr()
     assert _run("eval", "--model", bad, "--data", data) == 1
     captured = capsys.readouterr()
-    assert captured.err == ("error: an alpha constraint holds 1 <= dim_b < dim_u rows, got 2 in "
-                            "action dimension 2\n")
+    assert captured.err == "error: omegas must have 2 non-empty axes, got shape (0,)\n"
     assert captured.out == ""
 
 
@@ -786,7 +731,8 @@ def test_model_document_with_a_field_of_another_shape_is_an_error(tmp_path, caps
             node = node[key]
         value = node[path[-1]]
         # a learned number but a sign or an orthonormal row may be any
-        # finite number, and an alpha document's features are null
+        # finite number, and a null field (nhat's features, the centers
+        # and width of an affine policy) may be null
         if (replacement, type(value)) in (("number", float), ("null", type(None))) \
                 and path[0] not in ("signs", "rows"):
             continue
@@ -803,8 +749,8 @@ def test_model_document_with_a_field_of_another_shape_is_an_error(tmp_path, caps
 
 # every learned array of two or more axes, as a path into its document
 _ARRAYS = [("nhat", ("rows",)), ("lambda", ("rows",)), ("alpha", ("omegas", 0)),
-           ("alpha", ("basis", "centers")), ("ncl", ("basis", "centers")),
-           ("ncl", ("basis", "weights")), ("pi-rbf", ("centers",)), ("pi-rbf", ("weights",)),
+           ("alpha", ("centers",)), ("ncl", ("centers",)),
+           ("ncl", ("weights",)), ("pi-rbf", ("centers",)), ("pi-rbf", ("weights",)),
            ("pi-linear", ("weights",)), ("pi-lwl", ("centers",)), ("pi-lwl", ("local_maps",))]
 
 
@@ -843,13 +789,13 @@ def test_deeply_nested_model_file_is_an_error_not_a_traceback(tmp_path, capsys):
 def test_model_document_missing_field_names_it(tmp_path, capsys):
     bad = str(tmp_path / "bad.json")
     with open(bad, "w") as fh:
-        json.dump({"kind": "alpha", "version": 1}, fh)
+        json.dump({"kind": "alpha", "version": 2}, fh)
     with pytest.raises(ValueError) as exc:
         load_model(bad)
-    assert str(exc.value) == "model document (kind 'alpha') is missing field 'basis'"
+    assert str(exc.value) == "model document (kind 'alpha') is missing field 'omegas'"
     data = _gen(tmp_path, n=40)
     assert _run("eval", "--model", bad, "--data", data) == 1
-    assert capsys.readouterr().err.endswith("is missing field 'basis'\n")
+    assert capsys.readouterr().err.endswith("is missing field 'omegas'\n")
 
 
 # ---------------------------------------------------------------------------
@@ -879,6 +825,30 @@ def test_learn_manifest_command_reruns_with_solver_flags(tmp_path):
     command[command.index("--out") + 1] = redone
     assert main(command) == code
     assert open(out, "rb").read() == open(redone, "rb").read()
+
+
+def test_learn_manifest_config_holds_what_the_learner_used(tmp_path):
+    # it held a basis and all six LearnOptions values, whatever the method read
+    data = _gen(tmp_path, constraint="fixed:45", n=60, seed=9)
+    defaults = LearnOptions()
+    for method, flags, config in (
+            ("nhat", (), {}),
+            ("lambda", ("--features", "identity:2"), {"dim_b": None, "features": "identity:2"}),
+            ("alpha", ("--num-basis", "6", "--max-iter", "3", "--dim-b", "1"),
+             {"num_basis": 6, "dim_b": 1, "tol_fun": defaults.tol_fun, "tol_x": defaults.tol_x,
+              "max_iter": 3, "num_restarts": defaults.num_restarts,
+              "regularization": defaults.regularization}),
+            ("ncl", ("--max-iter", "3", "--tol-x", "1e-06"),
+             {"num_basis": 16, "tol_fun": defaults.tol_fun, "tol_x": 1e-6, "max_iter": 3,
+              "regularization": defaults.regularization}),
+            ("pi", ("--basis", "linear"),
+             {"num_basis": None, "basis": "linear", "regularization": defaults.regularization}),
+            ("pi-lwl", ("--regularization", "0.001"), {"num_basis": 10, "regularization": 0.001})):
+        out = str(tmp_path / f"{method}.json")
+        assert _run("learn", "--method", method, "--in", data, "--out", out, *flags) in (0, 2)
+        manifest = json.loads(open(out + ".manifest.json").read())
+        assert manifest["config"] == {"method": method, **config}, method
+        assert manifest["seed"] == 0
 
 
 @pytest.mark.parametrize("method,flag", [("pi", "--regularization"), ("ncl", "--tol-x"),

@@ -431,9 +431,14 @@ def test_state_independent_rows_validation():
     # a selection over a feature matrix may keep every feature row
     lam = StateIndependentConstraint(rows=np.eye(3), features=identity_features(3))
     assert (lam.kind, lam.dim_b, lam.dim_u) == ("lambda", 3, 3)
-    for rows in (np.eye(3)[:2, :2], np.eye(4)[:3], np.zeros((0, 3))):
+    for rows in (np.eye(3)[:2, :2], np.eye(4)[:3]):
         with pytest.raises(ValueError, match="dim_phi = 3 for feature provider 'identity:3'"):
             StateIndependentConstraint(rows=rows, features=identity_features(3))
+    with pytest.raises(ValueError, match=r"rows must have 2 non-empty axes, got shape \(0, 3\)"):
+        StateIndependentConstraint(rows=np.zeros((0, 3)), features=identity_features(3))
+    # a registered provider may be given by its name
+    named = StateIndependentConstraint(rows=np.eye(3), features="identity:3")
+    assert named.features.name == "identity:3" and named.kind == "lambda"
     with pytest.raises(ValueError, match="one projector per state"):
         lam.projector()
 
@@ -556,10 +561,15 @@ def test_alpha_refuses_rows_that_leave_no_null_space(monkeypatch, dim_u):
     u, xs = rng.normal(size=(dim_u, 100)), rng.uniform(-1, 1, (2, 100))
     with pytest.raises(ValueError, match=r"leave no null space \(1 <= dim_b < dim_u\)"):
         learn_alpha(u, xs, num_basis=4, dim_b=dim_u)
+    # a last row with no angles has an empty weight matrix, which is refused
     omegas = tuple(np.zeros((dim_u - 1 - s, 3)) for s in range(dim_u))
+    with pytest.raises(ValueError, match=r"omegas must have 2 non-empty axes, got shape \(0, 3\)"):
+        StateDependentConstraintModel(omegas=omegas, signs=(1.0,) * dim_u,
+                                      centers=np.zeros((2, 3)), width=1.0)
+    omegas = omegas[:-1] + (np.zeros((1, 3)),)
     with pytest.raises(ValueError, match="1 <= dim_b < dim_u rows, got"):
         StateDependentConstraintModel(omegas=omegas, signs=(1.0,) * dim_u,
-                                      centers=np.zeros((2, 3)), width=1.0, dim_u=dim_u)
+                                      centers=np.zeros((2, 3)), width=1.0)
 
 
 # ---------------------------------------------------------------------------
@@ -827,7 +837,8 @@ def _state_dependent_models(draw):
     omegas = [rng.normal(0.0, 1.0, (dim_u - 1 - s, g)) for s in range(dim_b)]
     signs = rng.choice([-1.0, 1.0], dim_b)
     model = StateDependentConstraintModel(
-        omegas=tuple(omegas), signs=tuple(signs), centers=centers, width=width, dim_u=dim_u)
+        omegas=tuple(omegas), signs=tuple(signs), centers=centers, width=width)
+    assert model.dim_u == dim_u
     return model, rng.uniform(0.1, 1.4, (2, draw(st.integers(1, 8))))
 
 

@@ -242,7 +242,8 @@ def test_load_ignores_a_leading_byte_order_mark(tmp_path):
 def test_load_four_column_file_defaults_to_single_group(tmp_path):
     path = tmp_path / "d.csv"
     path.write_text("x1,x2,u1,u2\n0.0,1.0,2.0,3.0\n4.0,5.0,6.0,7.0\n")
-    data = load_dataset(path, dims=(2, 2))
+    data = load_dataset(path)
+    assert (data.dim_x, data.dim_u) == (2, 2)
     assert data.n_groups == 1
     assert data.n_samples == 2
 
@@ -274,13 +275,6 @@ def test_load_rejects_wrong_column_count(tmp_path):
     path.write_text("x1,u1\n0.0,1.0,2.0\n")
     with pytest.raises(ValueError, match="line 2"):
         load_dataset(path)
-
-
-def test_load_rejects_dimension_mismatch(tmp_path):
-    path = tmp_path / "d.csv"
-    path.write_text("x1,x2,u1,u2\n0.0,1.0,2.0,3.0\n")
-    with pytest.raises(ValueError, match="dims"):
-        load_dataset(path, dims=(3, 2))
 
 
 def test_load_rejects_unknown_header(tmp_path):

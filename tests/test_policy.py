@@ -150,7 +150,7 @@ def test_pi_model_averaging_contrast():
     model, _ = learn_pi(data.states, data.actions, num_basis=16)
     ccl_nupe = error_nupe(data.policy, model.predict(data.states)).normalized
     naive_w = ridge_regression(model.features(data.states), data.actions)
-    naive = ParametricPolicyModel(weights=naive_w, dim_x=2,
+    naive = ParametricPolicyModel(weights=naive_w,
                                   centers=model.centers, width=model.width)
     naive_nupe = error_nupe(data.policy, naive.predict(data.states)).normalized
     assert naive_nupe >= 5.0 * ccl_nupe
@@ -335,7 +335,8 @@ def test_lwl_far_from_every_center_predicts_the_nearest_fields_map():
 # ---------------------------------------------------------------------------
 
 def test_predict_zero_weights():
-    model = ParametricPolicyModel(weights=np.zeros((2, 3)), dim_x=2)
+    model = ParametricPolicyModel(weights=np.zeros((2, 3)))
+    assert model.dim_x == 2
     out = model.predict(np.random.default_rng(41).normal(size=(2, 6)))
     assert np.array_equal(out, np.zeros((2, 6)))
 
@@ -343,8 +344,7 @@ def test_predict_zero_weights():
 def test_predict_one_hot_weight_at_center():
     centers = np.array([[0.0, 2.0], [0.0, 0.0]])
     weights = np.array([[0.0, 3.0], [0.0, -1.0]])  # reads the second feature
-    model = ParametricPolicyModel(weights=weights, dim_x=2, centers=centers,
-                                  width=0.5)
+    model = ParametricPolicyModel(weights=weights, centers=centers, width=0.5)
     out = model.predict(np.array([[2.0], [0.0]]))
     # feature 2 is exactly 1 at its center; feature 1 decays to exp(-4)
     expected = weights[:, 1] + weights[:, 0] * np.exp(-4.0)
@@ -353,8 +353,9 @@ def test_predict_one_hot_weight_at_center():
 
 def test_predict_matches_loop_oracle():
     rng = np.random.default_rng(42)
-    model = ParametricPolicyModel(weights=rng.normal(size=(2, 4)), dim_x=3,
+    model = ParametricPolicyModel(weights=rng.normal(size=(2, 4)),
                                   centers=rng.normal(size=(3, 4)), width=0.8)
+    assert model.dim_x == 3
     xs = rng.normal(size=(3, 9))
     out = model.predict(xs)
     for n in range(9):

@@ -1,16 +1,18 @@
 """The README's Python examples run as written: its ```python blocks are
 executed in order in one namespace, so a later block may use the names an
 earlier one defined.  Its list of solver flags is the one the CLI builds,
-its learner table states the defaults of the learners' signatures, and its
+its learner table states the defaults of the learners' signatures, its
 tables of learn flags and tutorial files are the CLI's LEARNERS and
-TUTORIALS."""
+TUTORIALS, and its table of model documents holds the dataclass fields of
+each class in MODEL_CLASSES."""
 import ast
+import dataclasses
 import inspect
 import re
 from pathlib import Path
 
 import ccl
-from ccl import cli
+from ccl import cli, serialize
 
 README = Path(__file__).resolve().parents[1] / "README.md"
 
@@ -58,3 +60,12 @@ def test_readme_lists_the_files_of_each_tutorial():
         files = [path for stem, _, _, field in cli.TUTORIALS[name]
                  for path in cli._stage_paths("", stem, field)]
         assert re.findall(r"`([\w.]+)`", cell) == files, name
+
+
+def test_readme_lists_the_fields_of_each_model_document():
+    table = README.read_text().split("\n| kind | fields |\n", 1)[1].split("\n\n", 1)[0]
+    rows = re.findall(r"^\| `([\w-]+)` \| (.*) \|$", table, re.M)
+    assert [kind for kind, _ in rows] == list(serialize.MODEL_CLASSES)
+    for kind, cell in rows:
+        fields = [f.name for f in dataclasses.fields(serialize.MODEL_CLASSES[kind])]
+        assert re.findall(r"`(\w+)`", cell) == fields, kind

@@ -775,6 +775,44 @@ def test_model_document_with_a_flattened_array_is_an_error(tmp_path, capsys, lea
     assert captured.err.startswith("error: ") and captured.out == ""
 
 
+# every learned array field and its number of axes; a model's sizes are
+# the lengths of these axes, so each must be non-empty and none may be split
+_ARRAY_AXES = [("nhat", "rows", 2), ("lambda", "rows", 2), ("alpha", "omegas", 3),
+               ("alpha", "centers", 2), ("alpha", "signs", 1), ("ncl", "centers", 2),
+               ("ncl", "weights", 2), ("pi-rbf", "centers", 2), ("pi-rbf", "weights", 2),
+               ("pi-linear", "weights", 2), ("pi-lwl", "centers", 2),
+               ("pi-lwl", "local_maps", 3)]
+_AXIS_EDITS = [(name, key, axis, edit) for name, key, ndim in _ARRAY_AXES
+               for axis in range(ndim) for edit in ("empty", "split")]
+
+
+@pytest.mark.parametrize("name,key,axis,edit", _AXIS_EDITS,
+                         ids=[f"{n}-{k}-axis{a}-{e}" for n, k, a, e in _AXIS_EDITS])
+def test_model_document_with_an_empty_or_split_axis_is_an_error(tmp_path, capsys, learned_docs,
+                                                                name, key, axis, edit):
+    # an empty axis is the size 0 and a split axis the extra nesting that
+    # version 1 documents declared or reshaped away; every array edits the
+    # same way at every depth, so the document stays a regular nested list
+    data, doc = learned_docs[name]
+    array = np.asarray(doc[key])
+    if edit == "empty":
+        value = np.empty(array.shape[:axis] + (0,) + array.shape[axis + 1:]).tolist()
+    else:
+        value = np.expand_dims(array, axis + 1).tolist()
+    bad = str(tmp_path / "bad.json")
+    with open(bad, "w") as fh:
+        json.dump(dict(doc, **{key: value}), fh)
+    # an alpha model with no omegas at all holds no row
+    message = ("an alpha constraint holds at least one row" if (key, axis, edit) ==
+               ("omegas", 0, "empty") else f"{key} must have ")
+    with pytest.raises(ValueError, match=re.escape(message)):
+        load_model(bad)
+    capsys.readouterr()
+    assert _run("eval", "--model", bad, "--data", data) == 1
+    captured = capsys.readouterr()
+    assert captured.err.startswith(f"error: {message}") and captured.out == ""
+
+
 def test_deeply_nested_model_file_is_an_error_not_a_traceback(tmp_path, capsys):
     data = _gen(tmp_path, n=40)
     bad = tmp_path / "deep.json"

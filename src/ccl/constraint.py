@@ -22,6 +22,7 @@ import numpy as np
 
 from .core import (UNCONVERGED_REASONS, LearnOptions, LearnReport, _finite_samples, _freeze_basis,
                    _frozen_finite)
+from .datagen import TwoLinkArm
 from .mathkit import (
     LmProblem,
     lm_solve,
@@ -66,18 +67,35 @@ class FeatureMatrixProvider:
         return phi
 
 
+@dataclass(frozen=True)
+class _Identity:
+    """fn of identity:DIM, equal by value (as every registered fn is)."""
+
+    dim_u: int
+
+    def __call__(self, xs):
+        return np.broadcast_to(np.eye(self.dim_u), (xs.shape[1], self.dim_u, self.dim_u))
+
+
+@dataclass(frozen=True)
+class _TwoLinkJacobian:
+    """fn of twolink-jacobian:L1,L2; arm.jacobian is looked up at each call."""
+
+    arm: TwoLinkArm
+
+    def __call__(self, xs):
+        return self.arm.jacobian(xs)
+
+
 def identity_features(dim_u) -> FeatureMatrixProvider:
-    eye = np.eye(dim_u)
     return FeatureMatrixProvider(name=f"identity:{dim_u}", dim_phi=dim_u, dim_u=dim_u,
-                                 fn=lambda xs: np.broadcast_to(eye, (xs.shape[1], dim_u, dim_u)))
+                                 fn=_Identity(dim_u))
 
 
 def twolink_jacobian_features(l1=1.0, l2=1.0) -> FeatureMatrixProvider:
-    from .datagen import TwoLinkArm
-
-    arm = TwoLinkArm(l1, l2)
-    return FeatureMatrixProvider(name=f"twolink-jacobian:{float(l1)},{float(l2)}",
-                                 dim_phi=2, dim_u=2, fn=arm.jacobian)
+    l1, l2 = float(l1), float(l2)
+    return FeatureMatrixProvider(name=f"twolink-jacobian:{l1},{l2}", dim_phi=2, dim_u=2,
+                                 fn=_TwoLinkJacobian(TwoLinkArm(l1, l2)))
 
 
 def feature_provider_from_name(name) -> FeatureMatrixProvider:
@@ -426,8 +444,6 @@ def learn_alpha(w_obs, xs, options: Optional[LearnOptions] = None,
     if _row_limit(dim_u, dim_b) == dim_u:
         raise ValueError(f"cannot learn {dim_b} state-dependent constraint row(s) in action "
                          f"dimension {dim_u}: they leave no null space (1 <= dim_b < dim_u)")
-    if num_basis > n:
-        raise ValueError("cannot use more basis functions than samples")
     if float(np.ptp(xs, axis=1).max(initial=0.0)) < 1e-12:
         raise ValueError("state variation degenerate: all states identical")
 

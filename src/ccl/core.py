@@ -7,9 +7,7 @@ marked read-only), so they can be shared freely across threads.
 """
 from __future__ import annotations
 
-from array import array
 from dataclasses import dataclass, fields
-import itertools
 import math
 import numbers
 import sys
@@ -19,8 +17,8 @@ import numpy as np
 CONVERGENCE_REASONS = ("fun-tol", "x-tol", "max-iter", "stalled", "abandoned", "closed-form")
 # the reasons a fit that did not converge can stop at
 UNCONVERGED_REASONS = ("max-iter", "stalled", "abandoned")
-# group ids are stored as numpy's default integer type
-GROUP_ID_MIN, GROUP_ID_MAX = int(np.iinfo(int).min), int(np.iinfo(int).max)
+# group ids are read as 64-bit integers
+GROUP_ID_MIN, GROUP_ID_MAX = int(np.iinfo(np.int64).min), int(np.iinfo(np.int64).max)
 
 
 def _freeze(a):
@@ -72,9 +70,14 @@ def _freeze_basis(model):
 
 @dataclass(frozen=True)
 class LearnOptions:
-    """Knobs shared by every learner.
+    """Settings of the learners that take options: alpha, ncl, pi and
+    pi-lwl.  nhat and lambda solve in closed form and read none of them.
 
-    tol_fun / tol_x are the residual and parameter tolerances of the
+    Every RBF learner seeds its K-means with rng_seed and ridges its
+    least squares with regularization.  Only alpha and ncl run damped
+    least squares, and so read tol_fun, tol_x and max_iter; only alpha
+    restarts it, num_restarts times per row (its restart angles also
+    draw from rng_seed).  tol_fun / tol_x are the residual and parameter tolerances of the
     damped least-squares solver :func:`mathkit.lm_solve`; they stop only
     that solver, and no learner reads them to accept a constraint row.
     There is no truncation knob: a learned constraint's projector, and the
@@ -284,20 +287,12 @@ class DemonstrationSet:
 # an optional trailing integer group column k.
 # ---------------------------------------------------------------------------
 
-def _header_block(names, prefix):
-    got = [n for n in names if n.startswith(prefix) and n[len(prefix):].isdigit()]
-    expect = [f"{prefix}{i + 1}" for i in range(len(got))]
-    if got != expect:
-        raise ValueError(f"malformed header: expected contiguous {prefix}1..{prefix}N columns")
-    return len(got)
-
-
 # rows formatted per block: the tokens and text of one block at a time (a
 # block of 1024 rows raised the resident peak of a whole benchmark pass)
 _SAVE_BLOCK_ROWS = 256
-# every character at which str.splitlines breaks a line ("\r\n" is one
-# break, but text mode has already turned it and a lone "\r" into "\n")
-_LINE_BREAKS = frozenset("\n\r\x0b\x0c\x1c\x1d\x1e\x85\u2028\u2029")
+# the column blocks of the header, in order: states, actions and the
+# policy, task and null-space channels
+_BLOCKS = ("x", "u", "pi", "v", "w")
 
 
 def save_dataset(data: DemonstrationSet, path):
@@ -305,13 +300,10 @@ def save_dataset(data: DemonstrationSet, path):
     _SAVE_BLOCK_ROWS rows at a time, so the Python objects alive at once
     stay a small fraction of the float table whatever its length. Each
     distinct bit pattern of a block is formatted once."""
-    cols = [f"x{i+1}" for i in range(data.dim_x)] + [f"u{i+1}" for i in range(data.dim_u)]
-    channels = [data.states, data.actions]
-    for ch, prefix in ((data.policy, "pi"), (data.task_component, "v"), (data.null_component, "w")):
-        if ch is not None:
-            cols += [f"{prefix}{i+1}" for i in range(ch.shape[0])]
-            channels.append(ch)
-    cols.append("k")
+    channels = [data.states, data.actions, data.policy, data.task_component, data.null_component]
+    cols = [f"{p}{i + 1}" for p, ch in zip(_BLOCKS, channels) if ch is not None
+            for i in range(len(ch))] + ["k"]
+    channels = [ch for ch in channels if ch is not None]
     with open(path, "w") as fh:
         fh.write(",".join(cols) + "\n")
         for s in range(0, data.n_samples, _SAVE_BLOCK_ROWS):
@@ -330,165 +322,116 @@ def save_dataset(data: DemonstrationSet, path):
             fh.write("".join(cells.ravel().tolist()))
 
 
-def _lines(fh, size=1 << 16):
-    """The lines of a file opened in text mode with universal newlines
-    (open's default), split exactly as ``fh.read().splitlines()`` splits
-    them, read ``size`` characters at a time: only one chunk and the line
-    it leaves unfinished are held."""
-    tail = []
-    while chunk := fh.read(size):
-        lines = chunk.splitlines()
-        last = None if chunk[-1] in _LINE_BREAKS else lines.pop()
-        if lines:
-            lines[0] = "".join(tail) + lines[0]
-            tail = []
-        if last is not None:
-            tail.append(last)
-        yield from lines
-    if tail:
-        yield "".join(tail)
-
-
 def _read_header(path, header):
     """Column layout of a dataset file from its header line: the (dim_x,
     dim_u, dim_pi, dim_v, dim_w) block sizes and whether a trailing group
     column k is present."""
-    if header is None:
+    if not header:
         raise ValueError(f"{path}: empty dataset file")
     names = [c.strip() for c in header.removeprefix("\ufeff").split(",")]
-    dim_x = _header_block(names, "x")
-    dim_u = _header_block(names, "u")
-    dim_pi = _header_block(names, "pi")
-    dim_v = _header_block(names, "v")
-    dim_w = _header_block(names, "w")
+    blocks = tuple(sum(n.startswith(p) and n[len(p):].isdigit() for n in names) for p in _BLOCKS)
     has_k = names[-1] == "k"
+    dim_x, dim_u = blocks[:2]
     if dim_x == 0 or dim_u == 0:
-        raise ValueError("header must declare x* and u* columns")
-    canonical = ([f"x{i+1}" for i in range(dim_x)] + [f"u{i+1}" for i in range(dim_u)]
-                 + [f"pi{i+1}" for i in range(dim_pi)] + [f"v{i+1}" for i in range(dim_v)]
-                 + [f"w{i+1}" for i in range(dim_w)] + (["k"] if has_k else []))
-    if names != canonical:
-        raise ValueError(f"unrecognized or out-of-order columns in header: {names}")
-    for d, got in (("pi", dim_pi), ("v", dim_v), ("w", dim_w)):
+        raise ValueError(f"{path} line 1: header must declare x* and u* columns")
+    canonical = [f"{p}{i + 1}" for p, d in zip(_BLOCKS, blocks) for i in range(d)]
+    if names != canonical + ["k"] * has_k:
+        raise ValueError(f"{path} line 1: unrecognized or out-of-order columns in header: {names}")
+    for p, got in zip(_BLOCKS[2:], blocks[2:]):
         if got and got != dim_u:
-            raise ValueError(f"{d}* channel must have dim_u={dim_u} columns, got {got}")
-    return (dim_x, dim_u, dim_pi, dim_v, dim_w), has_k
+            raise ValueError(f"{path} line 1: {p}* channel must have dim_u={dim_u} columns, "
+                             f"got {got}")
+    return blocks, has_k
 
 
-def _parse_rows(lines, n_values, has_k):
-    """Data rows through numpy's C reader, fed the data lines one at a time:
-    an (N, n_values) table and the raw group ids (None without a k column),
-    or None when the reader rejects a line, reads a non-finite value or
-    finds no rows.
-
-    The structured dtype makes the reader enforce the exact column count
-    and read group ids as int64, so it accepts a subset of what the
-    per-line scan accepts, and rounds floats the way Python's float does.
-    """
-    lines = iter(lines)
-    for first in lines:
-        if first:
-            break
-    else:
-        return None  # numpy's reader would warn that it found no data
+def _read(lines, n_values, has_k=False):
+    """numpy's C reader on data lines of ``n_values`` float columns and,
+    with has_k, a trailing column of 64-bit integer group ids: a structured
+    array with fields "v" and "k", or None when it refuses a line.  The
+    structured dtype makes it enforce the exact column count; it rounds
+    each value the way Python's float does."""
     dtype = [("v", float, (n_values,))] + ([("k", np.int64)] if has_k else [])
     try:
-        rows = np.loadtxt(itertools.chain([first], lines), delimiter=",", comments=None,
-                          ndmin=1, dtype=dtype)
+        return np.loadtxt(lines, delimiter=",", comments=None, ndmin=1, dtype=dtype)
     except ValueError:
         return None
-    if not np.isfinite(rows["v"]).all():
+
+
+def _out_of_range(token):
+    """Whether a group id numpy's reader refuses as a 64-bit integer is a
+    whole number beyond that range: the reader reads it as a number and
+    int as an integer (int alone also takes "1_000" and non-ASCII digits)."""
+    try:
+        whole = int(token)
+    except ValueError:
+        return False
+    return not GROUP_ID_MIN <= whole <= GROUP_ID_MAX and _read([token], 1) is not None
+
+
+def _row_error(line, n_values, has_k):
+    """Why numpy's reader refuses one data line, with its checks in this
+    order: the column count, a value it does not read as a number, a
+    non-finite value, then a group id it does not read as a 64-bit
+    integer; None when it reads the line as finite values."""
+    row = _read([line], n_values, has_k)
+    if row is not None and np.isfinite(row["v"]).all():
         return None
-    return rows["v"], rows["k"] if has_k else None
+    tokens = line.split(",")
+    expected = n_values + has_k
+    if len(tokens) != expected:
+        return f"expected {expected} columns, got {len(tokens)}"
+    # n_values >= 2, so the values hold a comma and are never a blank line
+    values = _read([",".join(tokens[:n_values])], n_values)
+    if values is None:
+        return "non-numeric token"
+    if not np.isfinite(values["v"]).all():
+        return "non-finite value"
+    token = tokens[-1].strip()
+    return f"group id {token!r} is {'out of range' if _out_of_range(token) else 'not an integer'}"
 
 
-def _scan_rows(path, lines, n_values, has_k):
-    """The per-line scan of the data lines with Python's float and int:
-    the reference parse.  It names the first offending line of the file
-    (the data lines start at line 2), or returns what
-    _parse_rows returns for inputs numpy's reader does not take (blank
-    lines of whitespace, digit separators, non-ASCII digits or padding)."""
-    expected = n_values + (1 if has_k else 0)
-    # one buffer of doubles, row after row: no per-row objects outlive their line
-    values, gids, linenos = array("d"), [], []
-
-    def first_non_finite():
-        rows = np.frombuffer(values, count=len(linenos) * n_values).reshape(-1, n_values)
-        finite = np.isfinite(rows).all(axis=1)
-        return None if finite.all() else linenos[np.argmin(finite)]
-
-    def fail(lineno, message):
-        # finiteness is checked in bulk; on this error path a non-finite value
-        # on an earlier line, or on this line ahead of its group id, comes first
-        bad = first_non_finite()
-        if bad is not None:
-            lineno, message = bad, "non-finite value"
-        raise ValueError(f"{path} line {lineno}: {message}") from None
-
-    for lineno, line in enumerate(lines, start=2):
-        if not line.strip():
-            continue
-        tokens = line.split(",")
-        if len(tokens) != expected:
-            fail(lineno, f"expected {expected} columns, got {len(tokens)}")
-        try:
-            values.extend(map(float, tokens[:n_values]))
-        except ValueError:
-            fail(lineno, "non-numeric token")
-        linenos.append(lineno)
-        if has_k:
-            tok = tokens[-1].strip()
-            try:
-                gid = int(tok)
-            except ValueError:
-                fail(lineno, f"group id {tok!r} is not an integer")
-            if not GROUP_ID_MIN <= gid <= GROUP_ID_MAX:
-                fail(lineno, f"group id {tok!r} is out of range")
-            gids.append(gid)
-    if not linenos:
-        raise ValueError(f"{path}: no data rows")
-    bad = first_non_finite()
-    if bad is not None:
-        raise ValueError(f"{path} line {bad}: non-finite value")
-    return (np.frombuffer(values).reshape(-1, n_values),
-            np.asarray(gids, dtype=int) if has_k else None)
+def _scan_rows(path, n_values, has_k):
+    """The error for a dataset file numpy's reader refuses, found by
+    reading it again one line at a time: it names the first data line
+    (they start at line 2) that _row_error refuses, or else says that the
+    file holds no data rows."""
+    with open(path) as fh:
+        fh.readline()
+        for lineno, line in enumerate(fh, start=2):
+            if not line.isspace() and (message := _row_error(line, n_values, has_k)):
+                return ValueError(f"{path} line {lineno}: {message}")
+    return ValueError(f"{path}: no data rows")
 
 
 def load_dataset(path) -> DemonstrationSet:
     """Read a dataset file, validating dimensions and values.
 
-    A row with a wrong column count, a non-numeric token, a non-finite
-    value or a non-integer or out-of-range group id (checked in that
-    order) is rejected, naming the first offending line of the file.
-    Group ids are remapped onto a dense [0, K) range; a missing group
-    column means a single group.  A leading UTF-8 byte-order mark is
-    ignored.
+    Lines end where text mode ends them (LF, CRLF or CR), and blank or
+    whitespace-only lines are skipped.  numpy's C reader parses the data
+    lines as they are read (the file is never held whole): values as
+    floats, rounded the way Python's float rounds, and group ids as 64-bit
+    integers.  A leading UTF-8 byte-order mark is ignored.  Group ids are
+    remapped onto a dense [0, K) range; a missing group column means a
+    single group.
 
-    The file is read in chunks and never held whole: numpy's C reader
-    parses the lines as they are read, so the memory held beyond the
-    result is a chunk and the line in reading.  Only when that reader
-    rejects a line, reads a non-finite value or finds no rows is the file
-    read again, by the per-line reference scan, which names the offending
-    line or accepts what only Python's float and int take.
+    A malformed header is a ValueError naming it.  When the reader refuses
+    a line, reads a non-finite value or finds no rows, the file is read
+    again to name the first offending line, as ``PATH line L: ...``: a
+    wrong column count, a non-numeric token, a non-finite value, then a
+    group id that is not an integer or is out of range, checked in that
+    order.
     """
     with open(path) as fh:
-        lines = _lines(fh)
-        blocks, has_k = _read_header(path, next(lines, None))
-        n_values = sum(blocks)
-        parsed = _parse_rows(lines, n_values, has_k)
-        if parsed is None:
-            fh.seek(0)
-            parsed = _scan_rows(path, itertools.islice(_lines(fh), 1, None), n_values, has_k)
-    rows, raw = parsed
-    table = rows.T
-    channels, ofs = [], 0
-    for d in blocks:
-        channels.append(table[ofs:ofs + d] if d else None)
-        ofs += d
-    states, actions, policy, task_c, null_c = channels
-    if raw is None:
-        dense = np.zeros(table.shape[1], dtype=int)
-    else:
-        _, dense = np.unique(raw, return_inverse=True)
+        blocks, has_k = _read_header(path, fh.readline())
+        lines = (line for line in fh if not line.isspace())
+        # taken apart, since numpy's reader warns when it finds no data
+        first = next(lines, None)
+        rows = None if first is None else _read(
+            (line for part in ([first], lines) for line in part), sum(blocks), has_k)
+    if rows is None or not np.isfinite(rows["v"]).all():
+        raise _scan_rows(path, sum(blocks), has_k)
+    states, actions, policy, task_c, null_c = (
+        part if len(part) else None for part in np.split(rows["v"].T, np.cumsum(blocks)[:-1]))
+    dense = np.unique(rows["k"], return_inverse=True)[1] if has_k else None
     return DemonstrationSet(states=states, actions=actions, group_ids=dense,
                             policy=policy, task_component=task_c, null_component=null_c)

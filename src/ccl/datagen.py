@@ -54,8 +54,12 @@ class TwoLinkArm:
 
     def jacobian(self, q):
         """End-effector Jacobian at joint angles q: one state (2,) gives
-        (2, 2), a batch (2, N) gives the stack (N, 2, 2)."""
+        (2, 2), a batch (2, N) gives the stack (N, 2, 2).  States of another
+        dimension are a ValueError."""
         q = np.asarray(q, dtype=float)
+        if len(q) != 2:
+            raise ValueError(f"the two-link Jacobian takes 2-D states (joint angles q1, q2), "
+                             f"got {len(q)}-D states")
         s1, c1 = np.sin(q[0]), np.cos(q[0])
         s12, c12 = np.sin(q[0] + q[1]), np.cos(q[0] + q[1])
         rows = (np.stack([-self.l1 * s1 - self.l2 * s12, -self.l2 * s12], axis=-1),

@@ -311,12 +311,15 @@ def rbf_width_from_centers(centers, fallback=1.0):
 
 def rbf_basis(xs, num_basis, seed=0):
     """The basis every RBF learner builds over its states xs (dim, N):
-    K-means centers (dim, num_basis) and their shared width.
+    K-means centers (dim, num_basis) and their shared width.  It takes
+    1 <= num_basis <= N (ValueError otherwise).
 
     Returns (centers, width).
     """
     if num_basis < 1:
         raise ValueError("num_basis must be >= 1")
+    if num_basis > xs.shape[1]:
+        raise ValueError(f"num_basis must be <= the sample count {xs.shape[1]}, got {num_basis}")
     centers = kmeans_centers(xs, num_basis, seed=seed)
     return centers, rbf_width_from_centers(centers)
 

@@ -147,9 +147,6 @@ def learn_ncl(xs, actions, options: Optional[LearnOptions] = None, num_basis=16)
     u = _finite_samples("actions", actions)
     if xs.shape[1] != u.shape[1]:
         raise ValueError("states and actions disagree on sample count")
-    if xs.shape[1] < num_basis:
-        raise ValueError(f"need at least {num_basis} samples "
-                         f"for {num_basis} basis functions")
 
     centers, width = rbf_basis(xs, num_basis, opts.rng_seed)
     bx = rbf_design(xs, centers, width)

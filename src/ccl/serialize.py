@@ -3,8 +3,9 @@
 A model document is its model's dataclass fields, next to the format
 ``version`` and the model's ``kind`` tag (nhat | alpha | lambda | ncl |
 pi-parametric | pi-lwl): an array is written as nested lists, a tuple as
-a list, a feature provider as its registered name (a provider whose name
-is not registered is refused before the file is opened) and None as null.
+a list, a feature provider as its registered name (a provider that is not
+the one its name rebuilds is refused before the file is opened) and None
+as null.
 Reading a document checks its version and kind, requires exactly the
 fields of the kind's class in MODEL_CLASSES (adding a model kind is one
 entry there) and calls the class: its constructor holds every check of
@@ -41,8 +42,12 @@ def _to_json(value):
     if isinstance(value, tuple):
         return [_to_json(v) for v in value]
     if isinstance(value, FeatureMatrixProvider):
-        # the name load_model rebuilds it from; one it cannot is refused here
-        return feature_provider_from_name(value.name).name
+        # load_model rebuilds the provider from its name alone, so a name it
+        # cannot rebuild, or one that stands for another function, is refused
+        if feature_provider_from_name(value.name) != value:
+            raise ValueError(f"feature provider {value.name!r} is not the registered provider "
+                             f"of that name, so its model cannot be saved")
+        return value.name
     return value
 
 

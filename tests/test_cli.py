@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 
 from ccl.cli import LEARNERS, TUTORIALS, _stage_paths, build_parser, main
-from ccl.core import LearnOptions, load_dataset
+from ccl.core import DemonstrationSet, LearnOptions, load_dataset, save_dataset
 from ccl.serialize import MODEL_CLASSES, load_model
 
 
@@ -328,6 +328,30 @@ def test_learn_default_basis_sizes_come_from_the_learners(tmp_path):
         assert code in (0, 2)
         assert size_of(json.loads(open(out).read())) == size
         assert "--num-basis" not in json.loads(open(out + ".manifest.json").read())["command"]
+
+
+@pytest.mark.parametrize("dim_x", [1, 3])
+def test_twolink_features_refuse_states_that_are_not_two_joint_angles(tmp_path, capsys, dim_x):
+    # on x1 states learn and eval ended in an IndexError traceback; on
+    # x1,x2,x3 states both exited 0 and dropped x3
+    rng = np.random.default_rng(30)
+    data = str(tmp_path / "d.csv")
+    save_dataset(DemonstrationSet(states=rng.uniform(-1.0, 1.0, (dim_x, 40)),
+                                  actions=rng.normal(size=(2, 40))), data)
+    message = (f"error: the two-link Jacobian takes 2-D states (joint angles q1, q2), "
+               f"got {dim_x}-D states")
+    features = ("--method", "lambda", "--features", "twolink-jacobian:1,1")
+    model = str(tmp_path / "m.json")
+    assert _run("learn", *features, "--in", data, "--out", model) == 1
+    assert message in capsys.readouterr().err
+    assert not os.path.exists(model)
+    two = str(tmp_path / "two.csv")
+    assert _run("gen", "--system", "twolink", "--policy", "linear-attractor", "--constraint",
+                "jrows:1", "--n", "60", "--seed", "3", "--out", two) == 0
+    assert _run("learn", *features, "--in", two, "--out", model) == 0
+    capsys.readouterr()
+    assert _run("eval", "--model", model, "--data", data, "--out", str(tmp_path / "e.csv")) == 1
+    assert message in capsys.readouterr().err
 
 
 # ---------------------------------------------------------------------------

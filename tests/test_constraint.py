@@ -30,6 +30,7 @@ from ccl.mathkit import (
     unit_vectors_from_angles,
 )
 from ccl.metrics import error_poe
+from ccl.serialize import save_model
 from oracles import check_jacobian, finite_difference_jacobian, row_jacobian
 
 
@@ -711,7 +712,7 @@ def test_lambda_learns_with_an_unregistered_provider():
     assert rows[0][1].normalized < 0.05
 
 
-def test_lambda_objective_is_scored_in_the_rows_of_its_own_provider():
+def test_lambda_objective_is_scored_in_the_rows_of_its_own_provider(tmp_path):
     # a provider that takes a registered name but swaps the action axes is
     # fitted and scored through its own matrix, not the registered one
     data = generate(GeneratorConfig(constraints=(("fixed-angle", 30.0),), n_per_group=200,
@@ -724,6 +725,27 @@ def test_lambda_objective_is_scored_in_the_rows_of_its_own_provider():
     assert np.array_equal(stack, np.broadcast_to(model.rows[:, ::-1], stack.shape))
     assert rep.final_objective == _exact_projection_energy(stack, data.actions)
     assert rep.final_objective < 1e-3 * rep.variance * data.n_samples
+    # and is not saved: load_model would rebuild the registered provider,
+    # whose projectors are those of the swapped axes
+    path = tmp_path / "m.json"
+    with pytest.raises(ValueError, match="feature provider 'identity:2' is not the registered "
+                                         "provider of that name"):
+        save_model(model, path)
+    assert not path.exists()
+
+
+@pytest.mark.parametrize("name", ["identity:3", "twolink-jacobian:1.0,0.5"])
+def test_registered_providers_equal_the_ones_their_names_rebuild(name, monkeypatch):
+    provider = feature_provider_from_name(name)
+    assert provider == feature_provider_from_name(name)
+    assert provider != dataclasses.replace(provider, fn=lambda xs: provider.fn(xs))
+    # the two-link provider looks the Jacobian up at each call, so a wrapper
+    # installed on the class after it was built (as a tracer does) is called
+    calls = []
+    original = TwoLinkArm.jacobian
+    monkeypatch.setattr(TwoLinkArm, "jacobian", lambda arm, q: calls.append(q) or original(arm, q))
+    assert provider.stack(np.zeros((2, 3))).shape == (3, provider.dim_phi, provider.dim_u)
+    assert len(calls) == name.startswith("twolink")
 
 
 # ---------------------------------------------------------------------------

@@ -1,5 +1,6 @@
 import dataclasses
 import os
+import re
 import tempfile
 import tracemalloc
 import warnings
@@ -10,8 +11,8 @@ from hypothesis import example, given, settings, strategies as st
 
 from ccl import core
 from ccl.constraint import learn_alpha, learn_lambda, learn_nhat, twolink_jacobian_features
-from ccl.core import (_LINE_BREAKS, _SAVE_BLOCK_ROWS, DemonstrationSet, LearnOptions, LearnReport,
-                      _lines, _parse_rows, load_dataset, save_dataset)
+from ccl.core import (GROUP_ID_MAX, GROUP_ID_MIN, _SAVE_BLOCK_ROWS, DemonstrationSet,
+                      LearnOptions, LearnReport, load_dataset, save_dataset)
 from ccl.datagen import GeneratorConfig, generate
 from ccl.nullspace import NullspaceComponentModel, learn_ncl
 from ccl.policy import learn_pi, learn_pi_lwl
@@ -284,6 +285,24 @@ def test_load_rejects_unknown_header(tmp_path):
         load_dataset(path)
 
 
+@pytest.mark.parametrize("text, message", [
+    ("", ": empty dataset file"),
+    ("x1,k\n0.0,0\n", " line 1: header must declare x* and u* columns"),
+    ("x1,x3,u1\n0.0,1.0,2.0\n",
+     " line 1: unrecognized or out-of-order columns in header: ['x1', 'x3', 'u1']"),
+    ("u1,x1\n0.0,1.0\n", " line 1: unrecognized or out-of-order columns in header: ['u1', 'x1']"),
+    ("x1,u1,u2,pi1\n0.0,1.0,2.0,3.0\n", " line 1: pi* channel must have dim_u=2 columns, got 1"),
+    ("\ufeffx1,u1,q1\n0.0,1.0,2.0\n",
+     " line 1: unrecognized or out-of-order columns in header: ['x1', 'u1', 'q1']"),
+], ids=["empty", "no-x-or-u", "gap", "out-of-order", "pi-width", "byte-order-mark"])
+def test_malformed_header_is_named(tmp_path, text, message):
+    path = tmp_path / "d.csv"
+    path.write_text(text, encoding="utf-8")
+    with pytest.raises(ValueError) as exc:
+        load_dataset(path)
+    assert str(exc.value) == f"{path}{message}"
+
+
 def test_fuzzed_invalid_files_rejected(tmp_path):
     rng = np.random.default_rng(22)
     base_header = "x1,x2,u1,u2,k"
@@ -408,10 +427,34 @@ def test_save_formats_repeated_values_as_the_per_sample_writer(data, block_rows)
         assert open(path).read().splitlines()[1:] == _reference_rows(data)
 
 
+def _numpy_float(token):
+    """float(token) where numpy's reader reads the token as a number, else
+    None: it takes what float takes, but only ASCII text with no digit
+    separators once the surrounding whitespace is stripped."""
+    text = token.strip()
+    if not text.isascii() or "_" in text:
+        return None
+    try:
+        return float(text)
+    except ValueError:
+        return None
+
+
+def _numpy_int(token):
+    """The group id token as numpy's reader reads a 64-bit integer: "not an
+    integer" unless it is an optional sign and ASCII digits once stripped,
+    "out of range" beyond 64 bits."""
+    text = token.strip()
+    if re.fullmatch(r"[+-]?[0-9]+", text) is None:
+        return "not an integer"
+    return int(text) if GROUP_ID_MIN <= int(text) <= GROUP_ID_MAX else "out of range"
+
+
 def _reference_row_error(path, lines, expected, has_k, parsed=None):
-    """The original loader's per-row validation loop: the reference for
-    which line an error names and which check it reports.  When a list is
-    passed as parsed, each accepted row's (values, group id) is appended."""
+    """The original loader's per-row validation loop, deciding tokens as
+    numpy's reader does: the reference for which line an error names and
+    which check it reports.  When a list is passed as parsed, each accepted
+    row's (values, group id) is appended."""
     rows = 0
     for lineno, line in enumerate(lines[1:], start=2):
         if not line.strip():
@@ -419,30 +462,28 @@ def _reference_row_error(path, lines, expected, has_k, parsed=None):
         tokens = line.split(",")
         if len(tokens) != expected:
             return f"{path} line {lineno}: expected {expected} columns, got {len(tokens)}"
-        numeric = tokens[:-1] if has_k else tokens
-        try:
-            values = [float(t) for t in numeric]
-        except ValueError:
+        values = [_numpy_float(t) for t in (tokens[:-1] if has_k else tokens)]
+        if None in values:
             return f"{path} line {lineno}: non-numeric token"
         if not np.all(np.isfinite(values)):
             return f"{path} line {lineno}: non-finite value"
         gid = None
         if has_k:
-            tok = tokens[-1].strip()
-            try:
-                gid = int(tok)
-            except ValueError:
-                return f"{path} line {lineno}: group id {tok!r} is not an integer"
+            gid = _numpy_int(tokens[-1])
+            if isinstance(gid, str):
+                return f"{path} line {lineno}: group id {tokens[-1].strip()!r} is {gid}"
         if parsed is not None:
             parsed.append((values, gid))
         rows += 1
     return None if rows else f"{path}: no data rows"
 
 
-# non-numeric tokens, then non-finite ones (an overflow such as 1e400 reads as inf)
-_BAD_VALUES = ["oops", "1.0.0", "", " ", "0x10", "1e",
+# non-numeric tokens (the last two read by float alone), then non-finite
+# ones (an overflow such as 1e400 reads as inf)
+_BAD_VALUES = ["oops", "1.0.0", "", " ", "0x10", "1e", "1_000", "\u0661\u0662",
                "nan", "inf", "-inf", " NaN ", "1e400", "-Infinity"]
-_BAD_GROUP_IDS = ["0.5", "a", "", "1e3", "nan", "1.0"]
+_BAD_GROUP_IDS = ["0.5", "a", "", "1e3", "nan", "1.0", "1_0", "\u0661",
+                  "9223372036854775808", "-9223372036854775809"]
 
 
 @st.composite
@@ -499,27 +540,39 @@ def test_load_errors_match_per_row_reference(case):
             assert str(exc.value) == message
 
 
-# tokens that float and int accept: numpy's C reader rejects the first set,
-# so those files take the per-line scan, and reads the second set itself
-_PYTHON_ONLY_LINES = ["x1,u1,k", "1_000,0.5,0", "\u0661\u0662,\xa01.5,00012", "\t  ",
-                      " +3 ,-2.5e-3, +3 ", "\xa0-0.0,1_0.2_5,1_2"]
+# tokens numpy's reader reads: padding of any whitespace, signs and leading zeros
 _SHARED_LINES = ["x1,u1,k", "\xa01.5, +3 ,00012", "", "00012,-0.0, -7 ", "5e-324,1e308,0"]
 
 
-@pytest.mark.parametrize("lines, c_reader", [(_PYTHON_ONLY_LINES, False), (_SHARED_LINES, True)])
-def test_both_parse_paths_match_the_reference_bit_for_bit(tmp_path, lines, c_reader):
+def test_shared_lines_load_as_the_reference_bit_for_bit(tmp_path):
     path = tmp_path / "d.csv"
-    path.write_text("\n".join(lines) + "\n", encoding="utf-8")
-    assert (_parse_rows(lines[1:], 2, True) is not None) == c_reader
+    path.write_text("\n".join(_SHARED_LINES) + "\n", encoding="utf-8")
     parsed = []
-    assert _reference_row_error(path, lines, 3, True, parsed) is None
+    assert _reference_row_error(path, _SHARED_LINES, 3, True, parsed) is None
     data = load_dataset(path)
     values = np.array([v for v, _ in parsed])
     assert data.states.tobytes() == np.ascontiguousarray(values[:, :1].T).tobytes()
     assert data.actions.tobytes() == np.ascontiguousarray(values[:, 1:].T).tobytes()
     _, dense = np.unique([g for _, g in parsed], return_inverse=True)
     assert np.array_equal(data.group_ids, dense)
-    assert data.n_samples == len(parsed) == sum(1 for line in lines[1:] if line.strip())
+    assert data.n_samples == len(parsed) == 3
+
+
+# inputs only Python's float and int read, and rows joined by a character
+# at which str.splitlines breaks a line but text mode does not
+@pytest.mark.parametrize("body, message", [
+    ("0.5,1.0,0\n1_000,0.5,0\n", "line 3: non-numeric token"),
+    ("0.5,\u0661\u0662,0\n", "line 2: non-numeric token"),
+    ("0.5,1.0,0\n0.5,1.0,\u0661\n", "line 3: group id '\u0661' is not an integer"),
+    ("0.5,1.0,0\n1.0,2.0,0\x0c3.0,4.0,1\n", "line 3: expected 3 columns, got 5"),
+], ids=["digit-separator", "non-ascii-digits", "non-ascii-group-id", "form-feed-join"])
+def test_tokens_and_breaks_only_python_reads_are_refused_naming_their_line(
+        tmp_path, body, message):
+    path = tmp_path / "d.csv"
+    path.write_text("x1,u1,k\n" + body, encoding="utf-8")
+    with pytest.raises(ValueError) as exc:
+        load_dataset(path)
+    assert str(exc.value) == f"{path} {message}"
 
 
 @pytest.mark.parametrize("body", ["", "\n\n\n", " \n\t  \n"])
@@ -574,23 +627,9 @@ def test_save_formats_every_block_as_the_per_sample_writer(tmp_path):
     assert path.read_text().splitlines()[1:] == _reference_rows(data)
 
 
-@settings(max_examples=200, deadline=None)
-@given(st.lists(st.sampled_from(["a", ",", "1", " ", "\n", "\r", "\r\n", "\ufeff"]
-                                + sorted(_LINE_BREAKS)), max_size=40).map("".join),
-       st.integers(1, 9))
-def test_lines_split_as_the_whole_file_splitlines(text, size):
-    with tempfile.TemporaryDirectory() as tmp:
-        path = os.path.join(tmp, "d.csv")
-        with open(path, "w", newline="") as fh:
-            fh.write(text)
-        with open(path) as fh:
-            whole = fh.read().splitlines()
-        with open(path) as fh:
-            assert list(_lines(fh, size)) == whole
-
-
-# the characters str.splitlines breaks at and numpy's reader does not; the
-# reader takes several of them for whitespace next to a number
+# characters at which str.splitlines breaks a line and text mode does not:
+# each stays inside its line, where numpy's reader takes several of them
+# for whitespace next to a number
 _OTHER_BREAKS = ["\x0b", "\x0c", "\x1c", "\x1d", "\x1e", "\x85", "\u2028", "\u2029"]
 _BREAK_FILES = {
     "inside-a-row": "x1,u1,k\n1.0,{c}2.0,0\n3.0,4.0,1\n",
@@ -603,23 +642,70 @@ _BREAK_FILES = {
 }
 
 
-@pytest.mark.parametrize("char", _OTHER_BREAKS, ids=[f"U+{ord(c):04X}" for c in _OTHER_BREAKS])
-@pytest.mark.parametrize("layout", sorted(_BREAK_FILES))
-def test_line_breaks_of_splitlines_load_as_the_per_line_reference(tmp_path, layout, char):
-    text = _BREAK_FILES[layout].format(c=char)
-    path = tmp_path / "d.csv"
-    path.write_text(text, encoding="utf-8")
-    lines = text.splitlines()
+def _load_as_reference(path, lines):
+    """Check that the dataset file at path, whose text-mode lines are
+    lines, fails with the reference's message or loads its rows bit for
+    bit."""
     names = lines[0].split(",")
+    dim_x = sum(name.startswith("x") for name in names)
     parsed = []
     message = _reference_row_error(path, lines, len(names), names[-1] == "k", parsed)
-    if message is None:
-        data = load_dataset(path)
-        values = np.array([v for v, _ in parsed])
-        assert data.states.tobytes() == np.ascontiguousarray(values[:, :1].T).tobytes()
-        assert data.actions.tobytes() == np.ascontiguousarray(values[:, 1:2].T).tobytes()
-        assert data.n_samples == len(parsed)
-    else:
+    if message is not None:
         with pytest.raises(ValueError) as exc:
             load_dataset(path)
         assert str(exc.value) == message
+        return
+    data = load_dataset(path)
+    values = np.array([v for v, _ in parsed])
+    assert data.states.tobytes() == np.ascontiguousarray(values[:, :dim_x].T).tobytes()
+    assert data.actions.tobytes() == np.ascontiguousarray(values[:, dim_x:].T).tobytes()
+    assert data.n_samples == len(parsed)
+
+
+@pytest.mark.parametrize("char", _OTHER_BREAKS, ids=[f"U+{ord(c):04X}" for c in _OTHER_BREAKS])
+@pytest.mark.parametrize("layout", sorted(_BREAK_FILES))
+def test_other_line_breaks_stay_inside_their_line(tmp_path, layout, char):
+    text = _BREAK_FILES[layout].format(c=char)
+    path = tmp_path / "d.csv"
+    path.write_text(text, encoding="utf-8")
+    lines = text.split("\n")
+    if [name.strip() for name in lines[0].split(",")] not in (["x1", "u1"], ["x1", "u1", "k"]):
+        with pytest.raises(ValueError, match=f"^{re.escape(str(path))} line 1: "):
+            load_dataset(path)
+    else:
+        _load_as_reference(path, lines)
+
+
+# tokens of every kind the checks tell apart, the first five read as numbers
+# (and group ids) by numpy's reader, and the ends of rows: text mode ends a
+# line at the first three, the others join two rows into one line
+_TOKENS = ["1.5", "-0.0", "7", " 2 ", "\xa03", "nan", "1e400", "1_0", "\u0661", "a", "",
+           "99999999999999999999"]
+_ROW_ENDS = ["\n", "\r", "\r\n", "\n \n", "\x0c", "\x85", "\u2028"]
+
+
+@st.composite
+def _text_files(draw):
+    header = draw(st.sampled_from(["x1,u1", "x1,u1,k", "x1,x2,u1,k"]))
+    width = header.count(",") + 1
+    # mostly rows of the right width, of tokens numpy's reader reads, that end a line
+    token = st.sampled_from(_TOKENS[:5] * 6 + _TOKENS)
+    row = st.integers(width - 1, width + 1).flatmap(
+        lambda n: st.lists(token, min_size=n, max_size=n)) | st.lists(
+            token, min_size=width, max_size=width)
+    end = st.sampled_from(_ROW_ENDS[:1] * 6 + _ROW_ENDS)
+    rows = draw(st.lists(st.tuples(row, end), max_size=6))
+    return header + "\n" + "".join(",".join(tokens) + e for tokens, e in rows)
+
+
+@settings(max_examples=300, deadline=None)
+@given(_text_files())
+def test_every_file_loads_or_names_its_line_as_the_reference(text):
+    # the error scan names a line for every file numpy's reader refuses
+    with tempfile.TemporaryDirectory() as tmp:
+        path = os.path.join(tmp, "d.csv")
+        with open(path, "w", encoding="utf-8", newline="") as fh:
+            fh.write(text)
+        with open(path, encoding="utf-8") as fh:
+            lines = fh.read().split("\n")
+        _load_as_reference(path, lines)

@@ -27,6 +27,8 @@ from ccl.mathkit import (
     unit_vector_angle_gradient,
     unit_vectors_from_angles,
 )
+from ccl.nullspace import learn_ncl
+from ccl.policy import learn_pi, learn_pi_lwl
 from oracles import check_jacobian, finite_difference_jacobian, row_jacobian
 
 
@@ -601,6 +603,18 @@ def test_rbf_basis_is_seeded_kmeans_with_shared_width():
 def test_rbf_basis_rejects_fewer_than_one_function(num_basis):
     with pytest.raises(ValueError, match="num_basis must be >= 1"):
         rbf_basis(np.zeros((2, 5)), num_basis)
+
+
+def test_every_rbf_learner_refuses_more_functions_than_samples():
+    # rbf_basis checks the size for all four; pi and pi-lwl failed inside
+    # K-means, alpha and ncl each with a message of their own
+    rng = np.random.default_rng(16)
+    xs, u = rng.normal(size=(2, 5)), rng.normal(size=(2, 5))
+    for fit in (lambda: rbf_basis(xs, 6), lambda: learn_alpha(u, xs, num_basis=6),
+                lambda: learn_ncl(xs, u, num_basis=6), lambda: learn_pi(xs, u, num_basis=6),
+                lambda: learn_pi_lwl(xs, u, num_local=6)):
+        with pytest.raises(ValueError, match="^num_basis must be <= the sample count 5, got 6$"):
+            fit()
 
 
 def test_rbf_at_center_is_one():

@@ -100,6 +100,7 @@ def test_lambda_roundtrip_restores_feature_provider(tmp_path):
     path = tmp_path / "m.json"
     save_model(model, path)
     back = load_model(path)
+    assert back.features == model.features
     assert back.features.name == "twolink-jacobian:1.0,1.0"
     assert sorted(json.loads(path.read_text())) == ["features", "kind", "rows", "version"]
     xs = data.states[:, :10]

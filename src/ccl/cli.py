@@ -24,8 +24,8 @@ import numpy as np
 
 from .constraint import feature_provider_from_name, learn_alpha, learn_lambda, learn_nhat
 from .core import DemonstrationSet, LearnOptions, load_dataset, save_dataset
-from .datagen import (GeneratorConfig, check_jacobian_rows, configured_policy, constraint_rows,
-                      generate, true_projectors)
+from .datagen import (SPEC_KINDS, STATE_BOX, GeneratorConfig, configured_policy, generate,
+                      true_projectors)
 from .nullspace import learn_ncl
 from .policy import learn_pi, learn_pi_lwl
 from .serialize import load_model, save_model
@@ -78,66 +78,10 @@ def _manifest_path(out_path):
 # gen
 # ---------------------------------------------------------------------------
 
-def _spec_number(value):
-    """One number of a --constraint or --b spec; it must be finite."""
-    number = float(value)
-    if not np.isfinite(number):
-        raise ValueError("numbers must be finite")
-    return number
-
-
-def _parse_spec(flag, text, parse):
-    """One --constraint or --b spec, parsed; a spec that does not parse is
-    an error naming its flag."""
-    try:
-        return parse(text)
-    except ValueError as exc:
-        raise CliError(f"{flag} {text!r}: {exc}") from None
-
-
-def _parse_constraint(text):
-    kind, _, arg = text.partition(":")
-    if kind == "none":
-        return ("none",)
-    if kind == "fixed":
-        return ("fixed-angle", _spec_number(arg))
-    if kind == "parabolic":
-        return ("parabolic", _spec_number(arg))
-    if kind == "jrows":
-        return ("jacobian-rows", check_jacobian_rows(tuple(int(v) for v in arg.split(","))))
-    raise CliError(f"unknown constraint spec {text!r} "
-                   "(use none | fixed:DEG | parabolic:A | jrows:I)")
-
-
-def _parse_task_b(text):
-    kind, _, arg = text.partition(":")
-    if kind == "zero":
-        return ("zero",)
-    if kind == "const":
-        return ("constant", tuple(_spec_number(v) for v in arg.split(",")))
-    if kind == "sin":
-        amp, cycles, phase = (_spec_number(v) for v in arg.split(","))
-        return ("sinusoid", amp, cycles, phase)
-    raise CliError(f"unknown task spec {text!r} (use zero | const:V[,V] | sin:AMP,CYCLES,PHASE)")
-
-
 def _gen_config(args):
-    if not 0 <= args.noise < np.inf:
-        raise CliError(f"--noise {args.noise!r}: must be finite and >= 0")
-    constraints = tuple(_parse_spec("--constraint", c, _parse_constraint)
-                        for c in args.constraint)
-    task_b = _parse_spec("--b", args.b, _parse_task_b)
-    if task_b[0] != "zero" and not any(map(constraint_rows, constraints)):
-        raise CliError(f"--b {args.b!r} drives nothing: every --constraint is none")
-    if task_b[0] == "constant":
-        for text, spec in zip(args.constraint, constraints):
-            rows = constraint_rows(spec)
-            if rows and rows != len(task_b[1]):
-                raise CliError(f"--b {args.b!r} has {len(task_b[1])} values, but "
-                               f"--constraint {text!r} has {rows} row(s)")
     return GeneratorConfig(
-        system=args.system, policy=args.policy, constraints=constraints,
-        task_b=task_b, n_per_group=args.n, noise_std=args.noise, rng_seed=args.seed)
+        system=args.system, policy=args.policy, constraints=tuple(args.constraint),
+        task_b=args.b, n_per_group=args.n, noise_std=args.noise, rng_seed=args.seed)
 
 
 def cmd_gen(args):
@@ -319,9 +263,7 @@ def _grid_states(low, high, per_axis=15):
 def _projector_field(config, model):
     """True and learned null-space projectors on a grid over the states (the
     joint angles for twolink), as (column names, columns)."""
-    low, high = ((config.joint_low, config.joint_high) if config.system == "twolink"
-                 else (config.state_low, config.state_high))
-    xs = _grid_states(low, high)
+    xs = _grid_states(*STATE_BOX[config.system])
     dummy = DemonstrationSet(states=xs, actions=np.zeros_like(xs),
                              group_ids=np.zeros(xs.shape[1], dtype=int))
     stacks = (true_projectors(config, dummy), model.projector_stack(xs))
@@ -333,7 +275,7 @@ def _projector_field(config, model):
 def _policy_field(config, model):
     """True and predicted policy on a grid over the states, as (column
     names, columns)."""
-    xs = _grid_states(config.state_low, config.state_high)
+    xs = _grid_states(*STATE_BOX[config.system])
     return (["x1", "x2", "true_1", "true_2", "pred_1", "pred_2"],
             np.vstack([xs, configured_policy(config, xs), model.predict(xs)]))
 
@@ -398,13 +340,13 @@ def build_parser():
     sub = parser.add_subparsers(dest="subcommand", required=True)
 
     g = sub.add_parser("gen", help="generate a synthetic dataset")
-    g.add_argument("--system", choices=("toy2d", "twolink"), default="toy2d")
+    g.add_argument("--system", choices=STATE_BOX, default="toy2d")
     g.add_argument("--policy", choices=("limit-cycle", "linear-attractor"),
                    default="limit-cycle")
     g.add_argument("--constraint", action="append", required=True,
-                   help="repeatable; none | fixed:DEG | parabolic:A | jrows:I")
+                   help="repeatable; " + SPEC_KINDS["constraint"][0])
     g.add_argument("--b", default="zero",
-                   help="task drive: zero | const:V[,V] | sin:AMP,CYCLES,PHASE")
+                   help="task drive: " + SPEC_KINDS["task_b"][0])
     g.add_argument("--n", type=int, default=500, help="samples per group")
     g.add_argument("--noise", type=float, default=0.0)
     g.add_argument("--seed", type=int, default=None)

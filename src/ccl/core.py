@@ -266,18 +266,6 @@ class DemonstrationSet:
             null_component=pick(self.null_component),
         )
 
-    def split(self, train_fraction, seed=0):
-        """Shuffled train/held-out split, stratified per group."""
-        rng = np.random.default_rng(seed)
-        train, hold = [], []
-        for k in range(self.n_groups):
-            idx = self.group_indices(k)
-            idx = idx[rng.permutation(len(idx))]
-            cut = max(1, int(round(train_fraction * len(idx))))
-            train.extend(idx[:cut])
-            hold.extend(idx[cut:])
-        return self.subset(np.sort(train)), self.subset(np.sort(hold))
-
 
 # ---------------------------------------------------------------------------
 # dataset text format
@@ -369,13 +357,10 @@ def _out_of_range(token):
 
 
 def _row_error(line, n_values, has_k):
-    """Why numpy's reader refuses one data line, with its checks in this
+    """Why numpy's reader refuses a data line, with its checks in this
     order: the column count, a value it does not read as a number, a
     non-finite value, then a group id it does not read as a 64-bit
-    integer; None when it reads the line as finite values."""
-    row = _read([line], n_values, has_k)
-    if row is not None and np.isfinite(row["v"]).all():
-        return None
+    integer."""
     tokens = line.split(",")
     expected = n_values + has_k
     if len(tokens) != expected:
@@ -391,16 +376,40 @@ def _row_error(line, n_values, has_k):
 
 
 def _scan_rows(path, n_values, has_k):
-    """The error for a dataset file numpy's reader refuses, found by
-    reading it again one line at a time: it names the first data line
-    (they start at line 2) that _row_error refuses, or else says that the
-    file holds no data rows."""
+    """The error for a dataset file numpy's reader refuses, found by reading
+    it again: it names the first data line (they start at line 2) that the
+    reader refuses, found by halving a block of lines known to hold it, or
+    else says that the file holds no data rows."""
     with open(path) as fh:
         fh.readline()
-        for lineno, line in enumerate(fh, start=2):
-            if not line.isspace() and (message := _row_error(line, n_values, has_k)):
-                return ValueError(f"{path} line {lineno}: {message}")
-    return ValueError(f"{path}: no data rows")
+        rows = [(lineno, line) for lineno, line in enumerate(fh, start=2) if not line.isspace()]
+    if not rows:
+        return ValueError(f"{path}: no data rows")
+    lo, hi = 0, len(rows)  # rows[lo:hi] holds the first refused line
+    while hi - lo > 1:
+        mid = (lo + hi) // 2
+        block = _read([line for _, line in rows[lo:mid]], n_values, has_k)
+        if block is None or not np.isfinite(block["v"]).all():
+            hi = mid
+        else:
+            lo = mid
+    lineno, line = rows[lo]
+    return ValueError(f"{path} line {lineno}: {_row_error(line, n_values, has_k)}")
+
+
+def _undecodable(path, exc):
+    """The error for a dataset file with a byte that does not decode, naming
+    its line.  Text mode decodes in chunks, so the position in exc is not on
+    the line: the file is read again with each bad byte kept as a surrogate."""
+    with open(path, errors="surrogateescape") as fh:
+        for lineno, line in enumerate(fh, start=1):
+            try:
+                line.encode(exc.encoding)
+            except UnicodeEncodeError as bad:
+                byte = ord(line[bad.start]) - 0xDC00
+                return ValueError(f"{path} line {lineno}: {exc.encoding!r} codec can't decode "
+                                  f"byte 0x{byte:02x}")
+    return exc
 
 
 def load_dataset(path) -> DemonstrationSet:
@@ -419,17 +428,21 @@ def load_dataset(path) -> DemonstrationSet:
     again to name the first offending line, as ``PATH line L: ...``: a
     wrong column count, a non-numeric token, a non-finite value, then a
     group id that is not an integer or is out of range, checked in that
-    order.
+    order.  A byte that does not decode is named the same way, on the
+    header or a data line.
     """
-    with open(path) as fh:
-        blocks, has_k = _read_header(path, fh.readline())
-        lines = (line for line in fh if not line.isspace())
-        # taken apart, since numpy's reader warns when it finds no data
-        first = next(lines, None)
-        rows = None if first is None else _read(
-            (line for part in ([first], lines) for line in part), sum(blocks), has_k)
-    if rows is None or not np.isfinite(rows["v"]).all():
-        raise _scan_rows(path, sum(blocks), has_k)
+    try:
+        with open(path) as fh:
+            blocks, has_k = _read_header(path, fh.readline())
+            lines = (line for line in fh if not line.isspace())
+            # taken apart, since numpy's reader warns when it finds no data
+            first = next(lines, None)
+            rows = None if first is None else _read(
+                (line for part in ([first], lines) for line in part), sum(blocks), has_k)
+        if rows is None or not np.isfinite(rows["v"]).all():
+            raise _scan_rows(path, sum(blocks), has_k)
+    except UnicodeDecodeError as exc:
+        raise _undecodable(path, exc) from None
     states, actions, policy, task_c, null_c = (
         part if len(part) else None for part in np.split(rows["v"].T, np.cumsum(blocks)[:-1]))
     dense = np.unique(rows["k"], return_inverse=True)[1] if has_k else None

@@ -9,6 +9,7 @@ so ground-truth channels are always available for evaluation.
 from __future__ import annotations
 
 from dataclasses import dataclass
+import numbers
 import numpy as np
 
 from .core import DemonstrationSet
@@ -67,76 +68,24 @@ class TwoLinkArm:
         return np.stack(rows, axis=-2)
 
 
-@dataclass(frozen=True)
-class GeneratorConfig:
-    """Settings for :func:`generate`.
-
-    ``constraints`` holds one spec per group (K = len), each a tuple:
-    ("none",), ("fixed-angle", degrees), ("parabolic", curvature) or
-    ("jacobian-rows", (row, ...)).  ``task_b`` is ("zero",),
-    ("constant", (values...)) or ("sinusoid", amplitude, cycles, phase)
-    where the sinusoid runs over the sample index and is mapped through
-    the constraint so the task motion is always feasible.  A task drive
-    needs a constraint to act through: if every group is ("none",),
-    ``task_b`` must be ("zero",).
-    """
-
-    system: str = "toy2d"
-    policy: str = "limit-cycle"
-    constraints: tuple = (("fixed-angle", 30.0),)
-    task_b: tuple = ("zero",)
-    n_per_group: int = 500
-    noise_std: float = 0.0
-    rng_seed: int = 0
-    # policy parameters
-    cycle_radius: float = 0.5
-    cycle_gain: float = 1.0
-    cycle_rate: float = 1.0
-    attractor_gain: tuple = ((1.0, 0.0), (0.0, 1.0))
-    attractor_target: tuple = (0.0, 0.0)
-    # sampling ranges
-    state_low: tuple = (-1.0, -1.0)
-    state_high: tuple = (1.0, 1.0)
-    joint_low: tuple = (0.0, 0.0)
-    joint_high: tuple = (np.pi / 2, np.pi / 2)
-    arm_lengths: tuple = (1.0, 1.0)
-
-    def __post_init__(self):
-        if self.system not in ("toy2d", "twolink"):
-            raise ValueError(f"unknown system {self.system!r}")
-        if self.policy not in ("limit-cycle", "linear-attractor"):
-            raise ValueError(f"unknown policy {self.policy!r}")
-        if len(self.constraints) < 1:
-            raise ValueError("need at least one constraint group")
-        if self.n_per_group < 1:
-            raise ValueError("n_per_group must be >= 1")
-        if not 0 <= self.noise_std < np.inf:
-            raise ValueError(f"noise_std must be finite and >= 0, got {self.noise_std!r}")
-        for spec in self.constraints:
-            if spec[0] == "jacobian-rows":
-                check_jacobian_rows(spec[1])
-        if self.task_b[0] != "zero" and not any(map(constraint_rows, self.constraints)):
-            raise ValueError(f"task_b {self.task_b[0]!r} drives nothing: "
-                             f"no group has a constraint")
-        if self.task_b[0] == "constant":
-            values = np.size(self.task_b[1])
-            for k, spec in enumerate(self.constraints):
-                rows = constraint_rows(spec)
-                if rows and rows != values:
-                    raise ValueError(f"constant task_b has {values} values, but "
-                                     f"group {k}'s constraint has {rows} row(s)")
+# the box the states are drawn from, as (low, high): the toy plane, the arm's joint angles
+STATE_BOX = {"toy2d": ((-1.0, -1.0), (1.0, 1.0)),
+             "twolink": ((0.0, 0.0), (np.pi / 2, np.pi / 2))}
+ARM = TwoLinkArm()
 
 
-def configured_policy(config: GeneratorConfig, xs):
-    """The policy that ``config`` names, at states xs (dim_x, N)."""
-    if config.policy == "limit-cycle":
-        return policy_limit_cycle(xs, config.cycle_radius, config.cycle_gain, config.cycle_rate)
-    return policy_linear(xs, config.attractor_gain, config.attractor_target)
+def _finite(text):
+    """One number of a spec; it must be finite."""
+    number = float(text)
+    if not np.isfinite(number):
+        raise ValueError("numbers must be finite")
+    return number
 
 
-def check_jacobian_rows(rows):
-    """The rows of a ("jacobian-rows", rows) spec; a ValueError names one out
-    of the arm's two rows, a repeated one, or two, which leave no null space."""
+def _jacobian_rows(text):
+    """The rows of a jrows spec; a ValueError names one out of the arm's two
+    rows, a repeated one, or two, which leave no null space."""
+    rows = tuple(int(v) for v in text.split(","))
     for k, r in enumerate(rows):
         if not 0 <= r < 2:
             raise ValueError(f"Jacobian row index {r} is out of range (the arm has rows 0 and 1)")
@@ -147,30 +96,108 @@ def check_jacobian_rows(rows):
     return rows
 
 
-def constraint_rows(spec):
-    """The number of constraint rows of a spec; 0 for ("none",)."""
-    if spec[0] == "jacobian-rows":
-        return len(np.atleast_1d(spec[1]))
-    return 0 if spec[0] == "none" else 1
+def _sinusoid(text):
+    """The amplitude, cycles and phase of a sin spec."""
+    amplitude, cycles, phase = map(_finite, text.split(","))
+    return amplitude, cycles, phase
 
 
-def _constraint_matrix(spec, xs, arm):
-    """Constraint rows A(x) at states xs (dim_x, N), shape (N, k, dim_u),
-    or None for no constraint.  A fixed angle is one matrix broadcast over
-    the samples."""
-    kind = spec[0]
+# each field's spec kinds, as (usage, kind -> parser of the text after the colon)
+SPEC_KINDS = {"constraint": ("none | fixed:DEG | parabolic:A | jrows:I",
+                             {"none": lambda text: None, "fixed": _finite, "parabolic": _finite,
+                              "jrows": _jacobian_rows}),
+              "task_b": ("zero | const:V[,V] | sin:AMP,CYCLES,PHASE",
+                         {"zero": lambda text: None, "sin": _sinusoid,
+                          "const": lambda text: tuple(map(_finite, text.split(",")))})}
+
+
+def _parse(field, spec):
+    """A spec string as (kind, argument); an error names the field and the
+    spec as given."""
+    usage, kinds = SPEC_KINDS[field]
+    if not isinstance(spec, str):
+        raise TypeError(f"{field} {spec!r} must be a spec string (use {usage})")
+    kind, _, text = spec.partition(":")
+    if kind not in kinds:
+        raise ValueError(f"{field} {spec!r}: unknown kind {kind!r} (use {usage})")
+    try:
+        return kind, kinds[kind](text)
+    except ValueError as exc:
+        raise ValueError(f"{field} {spec!r}: {exc}") from None
+
+
+@dataclass(frozen=True)
+class GeneratorConfig:
+    """Settings for :func:`generate`.
+
+    ``constraints`` holds one spec per group (K = len): "none",
+    "fixed:DEG" (a fixed row at DEG degrees), "parabolic:A" (the normal
+    of the parabola y = A x^2 + c through the state) or "jrows:I" (row I
+    of the two-link arm's Jacobian).  ``task_b`` is "zero", "const:V[,V]" (a
+    constant target per constraint row) or "sin:AMP,CYCLES,PHASE", a
+    sinusoid over the sample index mapped through the constraint, so the
+    task motion is always feasible.  A task drive needs a constraint to
+    act through: if every group is "none", ``task_b`` must be "zero".
+    Every spec is parsed and checked here, and an error names it as given.
+    """
+
+    system: str = "toy2d"
+    policy: str = "limit-cycle"
+    constraints: tuple = ("fixed:30",)
+    task_b: str = "zero"
+    n_per_group: int = 500
+    noise_std: float = 0.0
+    rng_seed: int = 0
+    # the linear attractor -gain (x - target)
+    attractor_gain: tuple = ((1.0, 0.0), (0.0, 1.0))
+    attractor_target: tuple = (0.0, 0.0)
+
+    def __post_init__(self):
+        if self.system not in STATE_BOX:
+            raise ValueError(f"unknown system {self.system!r}")
+        if self.policy not in ("limit-cycle", "linear-attractor"):
+            raise ValueError(f"unknown policy {self.policy!r}")
+        if len(self.constraints) < 1:
+            raise ValueError("need at least one constraint group")
+        for name, least in (("n_per_group", 1), ("rng_seed", 0)):
+            value = getattr(self, name)
+            if isinstance(value, bool) or not isinstance(value, numbers.Integral):
+                raise TypeError(f"{name} must be an integer, not {type(value).__name__}")
+            if value < least:
+                raise ValueError(f"{name} must be >= {least}, got {value}")
+        if not 0 <= self.noise_std < np.inf:
+            raise ValueError(f"noise_std must be finite and >= 0, got {self.noise_std!r}")
+        # a constraint of the 2-D generator has one row (jrows takes one)
+        constrained = [spec for spec in self.constraints if _parse("constraint", spec)[0] != "none"]
+        task = _parse("task_b", self.task_b)
+        if task[0] != "zero" and not constrained:
+            raise ValueError(f"task_b {self.task_b!r} drives nothing: every constraint is none")
+        if task[0] == "const" and len(task[1]) != 1:
+            raise ValueError(f"task_b {self.task_b!r} has {len(task[1])} values, but "
+                             f"constraint {constrained[0]!r} has 1 row")
+
+
+def configured_policy(config: GeneratorConfig, xs):
+    """The policy that ``config`` names, at states xs (dim_x, N)."""
+    if config.policy == "limit-cycle":
+        return policy_limit_cycle(xs)
+    return policy_linear(xs, config.attractor_gain, config.attractor_target)
+
+
+def _constraint_matrix(constraint, xs):
+    """Rows A(x) of a parsed constraint at states xs (dim_x, N), shape (N,
+    k, dim_u), or None for no constraint.  A fixed angle is one matrix
+    broadcast over the samples."""
+    kind, arg = constraint
     n = xs.shape[1]
     if kind == "none":
         return None
-    if kind == "fixed-angle":
-        th = np.deg2rad(float(spec[1]))
+    if kind == "fixed":
+        th = np.deg2rad(arg)
         return np.broadcast_to([[np.cos(th), np.sin(th)]], (n, 1, 2))
     if kind == "parabolic":
-        a = float(spec[1])
-        return np.stack([-2.0 * a * xs[0], np.ones(n)], axis=-1)[:, None, :]
-    if kind == "jacobian-rows":
-        return arm.jacobian(xs)[:, list(spec[1]), :]
-    raise ValueError(f"unknown constraint kind {kind!r}")
+        return np.stack([-2.0 * arg * xs[0], np.ones(n)], axis=-1)[:, None, :]
+    return ARM.jacobian(xs)[:, list(arg), :]
 
 
 def _distinct(a):
@@ -180,20 +207,19 @@ def _distinct(a):
     return a[:1] if a.strides[0] == 0 else a
 
 
-def _task_targets(task_b, a):
-    """Task targets b for the constraint stack a (N, k, dim_u): None, a
-    constant (k, 1), or b_n = A_n (s_n * ones) for a sinusoid s_n."""
-    kind = task_b[0]
+def _task_targets(task, a):
+    """Task targets b of a parsed task_b for the constraint stack a (N, k,
+    dim_u): None, a constant (k, 1), or b_n = A_n (s_n * ones) for a
+    sinusoid s_n."""
+    kind, arg = task
     if kind == "zero":
         return None
-    if kind == "constant":
-        return np.asarray(task_b[1], dtype=float).reshape(a.shape[1], 1)
-    if kind == "sinusoid":
-        amp, cycles, phase = (float(v) for v in task_b[1:4])
-        n = len(a)
-        drive = amp * np.sin(2.0 * np.pi * cycles * np.arange(n) / n + phase)
-        return a @ (drive[:, None] * np.ones(a.shape[2]))[:, :, None]
-    raise ValueError(f"unknown task_b kind {kind!r}")
+    if kind == "const":
+        return np.asarray(arg).reshape(a.shape[1], 1)
+    amp, cycles, phase = arg
+    n = len(a)
+    drive = amp * np.sin(2.0 * np.pi * cycles * np.arange(n) / n + phase)
+    return a @ (drive[:, None] * np.ones(a.shape[2]))[:, :, None]
 
 
 def generate(config: GeneratorConfig) -> DemonstrationSet:
@@ -205,11 +231,7 @@ def generate(config: GeneratorConfig) -> DemonstrationSet:
     the derived seed rng_seed + k, so groups are independent and the
     whole dataset is reproducible bit-for-bit.
     """
-    arm = TwoLinkArm(*config.arm_lengths)
-    low, high = ((config.joint_low, config.joint_high) if config.system == "twolink"
-                 else (config.state_low, config.state_high))
-    low = np.asarray(low, dtype=float)
-    high = np.asarray(high, dtype=float)
+    low, high = np.asarray(STATE_BOX[config.system])
     dim_x = dim_u = 2
 
     blocks = {name: [] for name in ("x", "u", "pi", "v", "w", "k")}
@@ -218,13 +240,13 @@ def generate(config: GeneratorConfig) -> DemonstrationSet:
         n = config.n_per_group
         xs = rng.uniform(low[:, None], high[:, None], size=(dim_x, n))
         pi = configured_policy(config, xs)
-        a = _constraint_matrix(spec, xs, arm)
+        a = _constraint_matrix(_parse("constraint", spec), xs)
         v = np.zeros((dim_u, n))
         w = pi
         if a is not None:
             pinv = np.broadcast_to(pinv_truncated(_distinct(a)), (n, dim_u, a.shape[1]))
             w = ((np.eye(dim_u) - pinv @ a) @ pi.T[:, :, None])[:, :, 0].T
-            b = _task_targets(config.task_b, a)
+            b = _task_targets(_parse("task_b", config.task_b), a)
             if b is not None:
                 v = (pinv @ b)[:, :, 0].T
 
@@ -252,10 +274,9 @@ def true_projectors(config: GeneratorConfig, data: DemonstrationSet):
     """Ground-truth null-space projectors of data produced by
     :func:`generate` with the same config, as a stack (N, dim_u, dim_u)
     whose entry n is sample n's projector."""
-    arm = TwoLinkArm(*config.arm_lengths)
     out = np.empty((data.n_samples, data.dim_u, data.dim_u))
     for k in range(data.n_groups):
         idx = data.group_indices(k)
-        a = _constraint_matrix(config.constraints[k], data.states[:, idx], arm)
+        a = _constraint_matrix(_parse("constraint", config.constraints[k]), data.states[:, idx])
         out[idx] = np.eye(data.dim_u) if a is None else nullspace_projector(_distinct(a))
     return out

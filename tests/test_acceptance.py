@@ -54,7 +54,7 @@ def test_criterion_2_state_independent_recovery():
     lines = []
     for theta_deg in (0.0, 30.0, 45.0, 90.0):
         t0 = time.perf_counter()
-        data = generate(GeneratorConfig(constraints=(("fixed-angle", theta_deg),),
+        data = generate(GeneratorConfig(constraints=(f"fixed:{theta_deg}",),
                                         n_per_group=500, rng_seed=20))
         con, rep = learn_nhat(data.actions)
         row = con.rows[0]
@@ -81,9 +81,9 @@ def test_criterion_3_state_dependent_recovery():
     t0 = time.perf_counter()
     worst = 0.0
     for seed in range(5):
-        train = generate(GeneratorConfig(constraints=(("parabolic", 0.1),),
+        train = generate(GeneratorConfig(constraints=("parabolic:0.1",),
                                          n_per_group=1000, rng_seed=300 + seed))
-        held = generate(GeneratorConfig(constraints=(("parabolic", 0.1),),
+        held = generate(GeneratorConfig(constraints=("parabolic:0.1",),
                                         n_per_group=400, rng_seed=900 + seed))
         model, _ = learn_alpha(train.actions, train.states,
                                LearnOptions(rng_seed=seed, max_iter=400))
@@ -98,19 +98,19 @@ def test_criterion_3_state_dependent_recovery():
 def test_criterion_4_feature_matrix_variant():
     cfg = GeneratorConfig(system="twolink", policy="linear-attractor",
                           attractor_target=(0.8, 0.9),
-                          constraints=(("jacobian-rows", (1,)),),
+                          constraints=("jrows:1",),
                           n_per_group=800, rng_seed=40)
     data = generate(cfg)
     model, _ = learn_lambda(data.actions, data.states, twolink_jacobian_features(1.0, 1.0))
     held = generate(GeneratorConfig(system="twolink", policy="linear-attractor",
                                     attractor_target=(0.8, 0.9),
-                                    constraints=(("jacobian-rows", (1,)),),
+                                    constraints=("jrows:1",),
                                     n_per_group=300, rng_seed=41))
     poe = error_poe(held.actions, model.projector_stack(held.states))
     assert poe.normalized < 0.01
 
     # lambda learns a constant selection: with identity features it is nhat
-    toy = generate(GeneratorConfig(constraints=(("fixed-angle", 30.0),),
+    toy = generate(GeneratorConfig(constraints=("fixed:30.0",),
                                    n_per_group=500, rng_seed=42))
     nhat_model, _ = learn_nhat(toy.actions)
     lambda_model, _ = learn_lambda(toy.actions, toy.states, identity_features(2))
@@ -123,8 +123,8 @@ def test_criterion_4_feature_matrix_variant():
 
 
 def test_criterion_5_nullspace_decomposition():
-    data = generate(GeneratorConfig(constraints=(("fixed-angle", 60.0),),
-                                    task_b=("sinusoid", 0.5, 3.0, 0.0),
+    data = generate(GeneratorConfig(constraints=("fixed:60.0",),
+                                    task_b="sin:0.5,3.0,0.0",
                                     n_per_group=800, rng_seed=50))
     model, _ = learn_ncl(data.states, data.actions, LearnOptions(max_iter=800), num_basis=16)
     npe = error_npe(data.null_component, model.predict(data.states))
@@ -156,8 +156,8 @@ def test_criterion_6_policy_recovery_and_degeneracy():
     pooled = generate(GeneratorConfig(
         policy="linear-attractor", attractor_gain=((1.0, 0.3), (-0.3, 1.0)),
         attractor_target=(0.2, -0.1),
-        constraints=(("fixed-angle", 0.0), ("fixed-angle", 60.0),
-                     ("fixed-angle", 120.0)),
+        constraints=("fixed:0.0", "fixed:60.0",
+                     "fixed:120.0"),
         n_per_group=400, rng_seed=60))
     model, _ = learn_pi(pooled.states, pooled.actions, num_basis=16)
     nupe = error_nupe(pooled.policy, model.predict(pooled.states)).normalized
@@ -171,7 +171,7 @@ def test_criterion_6_policy_recovery_and_degeneracy():
 
     single = generate(GeneratorConfig(
         policy="linear-attractor", attractor_target=(0.2, -0.1),
-        constraints=(("fixed-angle", 30.0),), n_per_group=500, rng_seed=61))
+        constraints=("fixed:30.0",), n_per_group=500, rng_seed=61))
     lin, _ = learn_pi(single.states, single.actions, basis="linear")
     pred = lin.predict(single.states)
     norms = (single.actions ** 2).sum(axis=0)
@@ -273,16 +273,16 @@ def test_criterion_8_end_to_end_determinism(tmp_path):
 def test_criterion_9_data_generation_consistency():
     arm = TwoLinkArm(1.0, 1.0)
     configs = [
-        GeneratorConfig(constraints=(("fixed-angle", 30.0),), n_per_group=300,
+        GeneratorConfig(constraints=("fixed:30.0",), n_per_group=300,
                         rng_seed=90),
-        GeneratorConfig(constraints=(("fixed-angle", 75.0),),
-                        task_b=("sinusoid", 0.5, 2.0, 0.3), n_per_group=300,
+        GeneratorConfig(constraints=("fixed:75.0",),
+                        task_b="sin:0.5,2.0,0.3", n_per_group=300,
                         rng_seed=91),
-        GeneratorConfig(constraints=(("parabolic", 0.1),),
-                        task_b=("constant", (0.2,)), n_per_group=300, rng_seed=92),
+        GeneratorConfig(constraints=("parabolic:0.1",),
+                        task_b="const:0.2", n_per_group=300, rng_seed=92),
         GeneratorConfig(system="twolink", policy="linear-attractor",
                         attractor_target=(0.8, 0.9),
-                        constraints=(("jacobian-rows", (1,)),), n_per_group=300,
+                        constraints=("jrows:1",), n_per_group=300,
                         rng_seed=93),
     ]
     worst_feas = worst_orth = 0.0
@@ -290,22 +290,23 @@ def test_criterion_9_data_generation_consistency():
         data = generate(cfg)
         clean = data.task_component + data.null_component
         for i in range(data.n_samples):
-            spec = cfg.constraints[int(data.group_ids[i])]
+            kind, _, arg = cfg.constraints[int(data.group_ids[i])].partition(":")
             x = data.states[:, i]
-            if spec[0] == "fixed-angle":
-                th = np.deg2rad(spec[1])
+            if kind == "fixed":
+                th = np.deg2rad(float(arg))
                 a = np.array([[np.cos(th), np.sin(th)]])
-            elif spec[0] == "parabolic":
-                a = np.array([[-2.0 * spec[1] * x[0], 1.0]])
+            elif kind == "parabolic":
+                a = np.array([[-2.0 * float(arg) * x[0], 1.0]])
             else:
-                a = arm.jacobian(x)[list(spec[1]), :]
+                a = arm.jacobian(x)[[int(r) for r in arg.split(",")], :]
             # independent reconstruction of the commanded task value
-            if cfg.task_b[0] == "zero":
+            task, _, values = cfg.task_b.partition(":")
+            if task == "zero":
                 b = np.zeros(a.shape[0])
-            elif cfg.task_b[0] == "constant":
-                b = np.asarray(cfg.task_b[1])
+            elif task == "const":
+                b = np.array([float(v) for v in values.split(",")])
             else:
-                amp, cycles, phase = cfg.task_b[1:4]
+                amp, cycles, phase = (float(v) for v in values.split(","))
                 drive = amp * np.sin(2 * np.pi * cycles * i / data.n_samples + phase)
                 b = a @ (drive * np.ones(2))
             worst_feas = max(worst_feas, float(np.max(np.abs(a @ clean[:, i] - b))))

@@ -82,7 +82,7 @@ def test_alpha_rows_give_their_starts_one_residual_and_no_jacobian(monkeypatch):
 def test_every_metric_span_is_timed_under_compute_metrics():
     # the per-layer metrics.error time of an eval is only attributed when the
     # metric calls, wherever the models make them, run inside compute_metrics
-    data = generate(GeneratorConfig(constraints=(("fixed-angle", 0.0), ("fixed-angle", 60.0)),
+    data = generate(GeneratorConfig(constraints=("fixed:0.0", "fixed:60.0"),
                                     n_per_group=40, rng_seed=4))
     opts = LearnOptions(max_iter=20, num_restarts=1)
     models = [learn_nhat(data.actions)[0],
@@ -110,7 +110,7 @@ def test_every_rbf_learner_places_its_basis_in_one_kmeans_span():
     # the per-layer mathkit.kmeans_centers metrics read the tracer's wrapper
     # around the module global; a learner that placed its centers any other
     # way would silently drop out of them
-    data = generate(GeneratorConfig(constraints=(("fixed-angle", 0.0), ("fixed-angle", 60.0)),
+    data = generate(GeneratorConfig(constraints=("fixed:0.0", "fixed:60.0"),
                                     n_per_group=40, rng_seed=5))
     opts = LearnOptions(max_iter=20, num_restarts=1)
     xu, ux = (data.states, data.actions), (data.actions, data.states)

@@ -10,6 +10,7 @@ import pytest
 
 from ccl.cli import LEARNERS, TUTORIALS, _stage_paths, build_parser, main
 from ccl.core import DemonstrationSet, LearnOptions, load_dataset, save_dataset
+from ccl.datagen import GeneratorConfig
 from ccl.serialize import MODEL_CLASSES, load_model
 
 
@@ -72,7 +73,8 @@ def test_gen_names_the_flag_of_a_bad_spec(tmp_path, capsys, flag, spec, why):
         warnings.simplefilter("error")
         assert _run("gen", *specs, "--n", "20", "--out", out) == 1
     captured = capsys.readouterr()
-    assert captured.err == f"error: {flag} {spec!r}: {why}\n"
+    field = "constraint" if flag == "--constraint" else "task_b"
+    assert captured.err == f"error: {field} {spec!r}: {why}\n"
     assert captured.out == "" and not os.path.exists(out)
 
 
@@ -82,7 +84,7 @@ def test_gen_rejects_a_non_finite_noise(tmp_path, capsys, noise):
     assert _run("gen", "--constraint", "fixed:30", f"--noise={noise}", "--n", "20",
                 "--out", out) == 1
     captured = capsys.readouterr()
-    assert captured.err == f"error: --noise {float(noise)!r}: must be finite and >= 0\n"
+    assert captured.err == f"error: noise_std must be finite and >= 0, got {float(noise)!r}\n"
     assert captured.out == "" and not os.path.exists(out)
 
 
@@ -96,8 +98,8 @@ def test_gen_rejects_a_constant_task_vector_of_the_wrong_length(tmp_path, capsys
     specs = [arg for c in constraints for arg in ("--constraint", c)]
     assert _run("gen", *specs, "--b", b, "--n", "20", "--out", out) == 1
     captured = capsys.readouterr()
-    assert captured.err == (f"error: --b {b!r} has {counts[0]} values, but --constraint "
-                            f"{constraints[-1]!r} has {counts[1]} row(s)\n")
+    assert captured.err == (f"error: task_b {b!r} has {counts[0]} values, but constraint "
+                            f"{constraints[-1]!r} has {counts[1]} row\n")
     assert captured.out == "" and not os.path.exists(out)
 
 
@@ -107,7 +109,7 @@ def test_gen_rejects_a_task_drive_when_no_group_is_constrained(tmp_path, capsys,
     assert _run("gen", "--constraint", "none", "--constraint", "none", "--b", b,
                 "--n", "20", "--out", out) == 1
     captured = capsys.readouterr()
-    assert captured.err == f"error: --b {b!r} drives nothing: every --constraint is none\n"
+    assert captured.err == f"error: task_b {b!r} drives nothing: every constraint is none\n"
     assert captured.out == "" and not os.path.exists(out)
     assert not os.path.exists(out + ".manifest.json")
 
@@ -120,13 +122,37 @@ def test_gen_rejects_a_task_drive_when_no_group_is_constrained(tmp_path, capsys,
     ("jrows:1,0", "2 Jacobian rows constrain every direction of the 2-D arm"),
 ])
 def test_gen_names_the_flag_of_a_bad_jacobian_row_spec(tmp_path, capsys, spec, why):
-    # these were found inside generate, after parsing, and named no flag
     out = str(tmp_path / "d.csv")
     assert _run("gen", "--system", "twolink", "--constraint", spec, "--n", "20",
                 "--out", out) == 1
     captured = capsys.readouterr()
-    assert captured.err == f"error: --constraint {spec!r}: {why}\n"
+    assert captured.err == f"error: constraint {spec!r}: {why}\n"
     assert captured.out == "" and not os.path.exists(out)
+
+
+# gen runs that fail, each as (its flags, the GeneratorConfig arguments of the
+# same request): every bad spec, a noise that is not finite, a task drive with
+# nothing to drive, a const of the wrong length and a negative seed
+_REFUSED = ([((flag, spec), {"constraints": (spec,)}) if flag == "--constraint" else
+             (("--constraint", "fixed:30", flag, spec),
+              {"constraints": ("fixed:30",), "task_b": spec}) for flag, spec, _ in _BAD_SPECS]
+            + [(("--constraint", "fixed:30", f"--noise={noise}"),
+                {"constraints": ("fixed:30",), "noise_std": float(noise)})
+               for noise in ("nan", "inf", "-inf")]
+            + [(("--constraint", "none", "--constraint", "none", "--b", "sin:0.5,3,0"),
+                {"constraints": ("none", "none"), "task_b": "sin:0.5,3,0"}),
+               (("--constraint", "none", "--constraint", "parabolic:0.1", "--b", "const:1,2,3"),
+                {"constraints": ("none", "parabolic:0.1"), "task_b": "const:1,2,3"}),
+               (("--constraint", "fixed:30", "--seed", "-1"),
+                {"constraints": ("fixed:30",), "rng_seed": -1})])
+
+
+@pytest.mark.parametrize("flags,config", _REFUSED, ids=[" ".join(f) for f, _ in _REFUSED])
+def test_gen_and_the_library_refuse_a_config_with_one_message(tmp_path, capsys, flags, config):
+    assert _run("gen", *flags, "--n", "20", "--out", str(tmp_path / "d.csv")) == 1
+    with pytest.raises(ValueError) as exc:
+        GeneratorConfig(n_per_group=20, **config)
+    assert capsys.readouterr().err == f"error: {exc.value}\n"
 
 
 def test_gen_parabolic(tmp_path):

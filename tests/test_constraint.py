@@ -100,7 +100,7 @@ def _grid_oracle_angle(u, step_deg=0.1):
 
 @pytest.mark.parametrize("theta_deg", [0.0, 30.0, 45.0, 90.0])
 def test_nhat_recovers_planar_angle(theta_deg):
-    cfg = GeneratorConfig(constraints=(("fixed-angle", theta_deg),),
+    cfg = GeneratorConfig(constraints=(f"fixed:{theta_deg}",),
                           n_per_group=500, rng_seed=1)
     data = generate(cfg)
     con, rep = learn_nhat(data.actions)
@@ -151,7 +151,7 @@ def test_nhat_isotropic_data_flags_no_constraint_at_any_scale(dim_u, scale):
 
 @pytest.mark.parametrize("noise", [0.01, 0.05])
 def test_nhat_finds_a_noisy_fixed_row_with_default_options(noise):
-    data = generate(GeneratorConfig(constraints=(("fixed-angle", 30.0),), n_per_group=1000,
+    data = generate(GeneratorConfig(constraints=("fixed:30.0",), n_per_group=1000,
                                     rng_seed=1, noise_std=noise))
     con, rep = learn_nhat(data.actions)
     assert con.dim_b == 1 and rep.notes == ()
@@ -162,7 +162,7 @@ def test_nhat_finds_a_noisy_fixed_row_with_default_options(noise):
 
 def _accept_rule_cases():
     rng = np.random.default_rng(24)
-    noisy_fixed = generate(GeneratorConfig(constraints=(("fixed-angle", 30.0),),
+    noisy_fixed = generate(GeneratorConfig(constraints=("fixed:30.0",),
                                            n_per_group=1000, rng_seed=2, noise_std=0.01))
     q, _ = np.linalg.qr(rng.normal(size=(4, 4)))
     two_rows = nullspace_projector(q.T[:2]) @ rng.normal(size=(4, 600))
@@ -183,15 +183,15 @@ def _scale_cases():
     arm = dict(toy, system="twolink", policy="linear-attractor")
     return {
         "nhat": (lambda d: learn_nhat(d.actions),
-                 [GeneratorConfig(constraints=(("fixed-angle", 30.0),), noise_std=1e-4, **toy),
-                  GeneratorConfig(constraints=(("none",),), **toy)]),
+                 [GeneratorConfig(constraints=("fixed:30.0",), noise_std=1e-4, **toy),
+                  GeneratorConfig(constraints=("none",), **toy)]),
         "alpha": (lambda d: learn_alpha(d.actions, d.states),
-                  [GeneratorConfig(constraints=(("parabolic", 0.1),), noise_std=0.01, **toy),
-                   GeneratorConfig(constraints=(("none",),), **toy)]),
+                  [GeneratorConfig(constraints=("parabolic:0.1",), noise_std=0.01, **toy),
+                   GeneratorConfig(constraints=("none",), **toy)]),
         "lambda": (lambda d: learn_lambda(d.actions, d.states, twolink_jacobian_features()),
-                   [GeneratorConfig(constraints=(("jacobian-rows", (1,)),), noise_std=0.01,
+                   [GeneratorConfig(constraints=("jrows:1",), noise_std=0.01,
                                     **arm),
-                    GeneratorConfig(constraints=(("none",),), **arm)]),
+                    GeneratorConfig(constraints=("none",), **arm)]),
     }
 
 
@@ -227,7 +227,7 @@ def test_every_constraint_learner_rejects_all_zero_observations():
 def test_nhat_consistency_bound():
     # projector-consistency error on training data never exceeds the
     # reported normalized objective
-    cfg = GeneratorConfig(constraints=(("fixed-angle", 72.0),), n_per_group=300,
+    cfg = GeneratorConfig(constraints=("fixed:72.0",), n_per_group=300,
                           rng_seed=5)
     data = generate(cfg)
     con, rep = learn_nhat(data.actions)
@@ -252,7 +252,7 @@ def test_nhat_rows_canonical_sign_and_orthonormal():
 
 
 def test_nhat_under_noise():
-    cfg = GeneratorConfig(constraints=(("fixed-angle", 30.0),), n_per_group=800,
+    cfg = GeneratorConfig(constraints=("fixed:30.0",), n_per_group=800,
                           rng_seed=55, noise_std=0.01)
     data = generate(cfg)
     con, rep = learn_nhat(data.actions)
@@ -352,12 +352,12 @@ def test_eigen_seed_reaches_the_smallest_eigenvalue(m_rot):
 
 
 def test_alpha_under_noise():
-    cfg = GeneratorConfig(constraints=(("parabolic", 0.1),), n_per_group=800,
+    cfg = GeneratorConfig(constraints=("parabolic:0.1",), n_per_group=800,
                           rng_seed=56, noise_std=0.01)
     data = generate(cfg)
     model, _ = learn_alpha(data.actions, data.states,
                            LearnOptions(rng_seed=0, max_iter=300))
-    held = generate(GeneratorConfig(constraints=(("parabolic", 0.1),),
+    held = generate(GeneratorConfig(constraints=("parabolic:0.1",),
                                     n_per_group=300, rng_seed=57))
     poe = error_poe(held.actions, model.projector_stack(held.states))
     assert poe.normalized < 0.01  # evaluated on clean held-out data
@@ -399,7 +399,7 @@ def test_nhat_runs_no_solver(monkeypatch):
 
     monkeypatch.setattr(ccl.constraint, "lm_solve", refuse)
     assert list(inspect.signature(learn_nhat).parameters) == ["w_obs"]
-    data = generate(GeneratorConfig(constraints=(("fixed-angle", 30.0),), n_per_group=300,
+    data = generate(GeneratorConfig(constraints=("fixed:30.0",), n_per_group=300,
                                     rng_seed=3, noise_std=0.01))
     con, rep = learn_nhat(data.actions)
     assert con.dim_b == 1 and rep.notes == ()
@@ -449,12 +449,12 @@ def test_state_independent_rows_validation():
 # ---------------------------------------------------------------------------
 
 def test_alpha_parabolic_held_out_poe():
-    cfg = GeneratorConfig(constraints=(("parabolic", 0.1),), n_per_group=1000,
+    cfg = GeneratorConfig(constraints=("parabolic:0.1",), n_per_group=1000,
                           rng_seed=8)
     data = generate(cfg)
     model, rep = learn_alpha(data.actions, data.states,
                              LearnOptions(rng_seed=0, max_iter=400))
-    held = generate(GeneratorConfig(constraints=(("parabolic", 0.1),),
+    held = generate(GeneratorConfig(constraints=("parabolic:0.1",),
                                     n_per_group=300, rng_seed=80))
     poe = error_poe(held.actions, model.projector_stack(held.states))
     assert poe.normalized < 0.01
@@ -462,7 +462,7 @@ def test_alpha_parabolic_held_out_poe():
 
 
 def test_alpha_matches_nhat_on_constant_constraint():
-    cfg = GeneratorConfig(constraints=(("fixed-angle", 40.0),), n_per_group=600,
+    cfg = GeneratorConfig(constraints=("fixed:40.0",), n_per_group=600,
                           rng_seed=9)
     data = generate(cfg)
     opts = LearnOptions(rng_seed=1, max_iter=400)
@@ -475,18 +475,18 @@ def test_alpha_matches_nhat_on_constant_constraint():
 
 
 def test_state_dependent_and_nhat_reports_say_why_they_stopped():
-    data = generate(GeneratorConfig(constraints=(("parabolic", 0.1),), n_per_group=200,
+    data = generate(GeneratorConfig(constraints=("parabolic:0.1",), n_per_group=200,
                                     rng_seed=8))
     _, rep = learn_alpha(data.actions, data.states, LearnOptions(max_iter=2), num_basis=6)
     assert not rep.converged and rep.reason == "max-iter"
-    fixed = generate(GeneratorConfig(constraints=(("fixed-angle", 37.0),), n_per_group=200,
+    fixed = generate(GeneratorConfig(constraints=("fixed:37.0",), n_per_group=200,
                                      rng_seed=8))
     # the rows of nhat are eigenvectors: no solve, no iteration
     _, rep = learn_nhat(fixed.actions)
     assert rep.converged and rep.reason == "closed-form"
     assert rep.iterations == 0 and rep.starts == () and rep.notes == ()
     # no row accepted: the report is that of the best-effort first row
-    free = generate(GeneratorConfig(constraints=(("none",),), n_per_group=200, rng_seed=8))
+    free = generate(GeneratorConfig(constraints=("none",), n_per_group=200, rng_seed=8))
     _, rep = learn_alpha(free.actions, free.states, LearnOptions(max_iter=1, num_restarts=1),
                          num_basis=6)
     assert rep.notes == ("no-constraint-found",)
@@ -503,7 +503,7 @@ def test_abandoned_restarts_keep_the_final_objective(monkeypatch):
 
     abandoned = 0
     for seed in range(6):
-        data = generate(GeneratorConfig(constraints=(("parabolic", 0.1),), n_per_group=400,
+        data = generate(GeneratorConfig(constraints=("parabolic:0.1",), n_per_group=400,
                                         rng_seed=seed))
         raced = fit(data, seed)
         with monkeypatch.context() as m:
@@ -527,7 +527,7 @@ def test_alpha_rejects_degenerate_states():
 
 
 def test_alpha_orthonormal_rows_at_random_states():
-    cfg = GeneratorConfig(constraints=(("parabolic", 0.15),), n_per_group=400,
+    cfg = GeneratorConfig(constraints=("parabolic:0.15",), n_per_group=400,
                           rng_seed=11)
     data = generate(cfg)
     model, _ = learn_alpha(data.actions, data.states,
@@ -580,13 +580,13 @@ def test_alpha_refuses_rows_that_leave_no_null_space(monkeypatch, dim_u):
 def test_lambda_twolink_jacobian_row_selection():
     cfg = GeneratorConfig(system="twolink", policy="linear-attractor",
                           attractor_target=(0.8, 0.9),
-                          constraints=(("jacobian-rows", (1,)),),
+                          constraints=("jrows:1",),
                           n_per_group=600, rng_seed=14)
     data = generate(cfg)
     model, rep = learn_lambda(data.actions, data.states, twolink_jacobian_features(1.0, 1.0))
     held = generate(GeneratorConfig(system="twolink", policy="linear-attractor",
                                     attractor_target=(0.8, 0.9),
-                                    constraints=(("jacobian-rows", (1,)),),
+                                    constraints=("jrows:1",),
                                     n_per_group=300, rng_seed=140))
     poe = error_poe(held.actions, model.projector_stack(held.states))
     assert poe.normalized < 0.01
@@ -595,7 +595,7 @@ def test_lambda_twolink_jacobian_row_selection():
 
 
 def test_lambda_identity_features_reduce_to_nhat():
-    cfg = GeneratorConfig(constraints=(("fixed-angle", 30.0),), n_per_group=400,
+    cfg = GeneratorConfig(constraints=("fixed:30.0",), n_per_group=400,
                           rng_seed=15)
     data = generate(cfg)
     nhat_model, _ = learn_nhat(data.actions)
@@ -608,7 +608,7 @@ def test_lambda_identity_features_reduce_to_nhat():
 def test_lambda_notes_a_selection_that_varies_with_the_state():
     # the stated limit: a constant selection cannot follow the parabolic
     # row, and says so
-    data = generate(GeneratorConfig(constraints=(("parabolic", 0.1),), n_per_group=400,
+    data = generate(GeneratorConfig(constraints=("parabolic:0.1",), n_per_group=400,
                                     rng_seed=15))
     model, rep = learn_lambda(data.actions, data.states, identity_features(2))
     assert rep.notes == ("no-constraint-found",) and model.dim_b == 1
@@ -622,7 +622,7 @@ def test_lambda_runs_no_solver_and_no_kmeans(monkeypatch):
     monkeypatch.setattr(ccl.constraint, "rbf_basis", refuse)
     assert list(inspect.signature(learn_lambda).parameters) == ["w_obs", "xs", "phi", "dim_b"]
     data = generate(GeneratorConfig(system="twolink", policy="linear-attractor",
-                                    constraints=(("jacobian-rows", (0,)),), n_per_group=300,
+                                    constraints=("jrows:0",), n_per_group=300,
                                     rng_seed=3, noise_std=0.01))
     model, rep = learn_lambda(data.actions, data.states, twolink_jacobian_features())
     assert model.dim_b == 1 and rep.notes == ()
@@ -639,7 +639,7 @@ def test_lambda_runs_no_solver_and_no_kmeans(monkeypatch):
 @pytest.mark.parametrize("constraint,rows", [((0,), [[1.0, 0.0]]), ((1,), [[0.0, 1.0]])])
 def test_lambda_selects_the_constrained_jacobian_row(constraint, rows):
     data = generate(GeneratorConfig(system="twolink", policy="limit-cycle",
-                                    constraints=(("jacobian-rows", constraint),),
+                                    constraints=(f"jrows:{constraint[0]}",),
                                     n_per_group=300, rng_seed=4))
     model, rep = learn_lambda(data.actions, data.states, twolink_jacobian_features())
     assert rep.notes == () and np.allclose(model.rows, rows, atol=1e-9)
@@ -686,7 +686,7 @@ def test_lambda_rejects_a_provider_of_another_size():
 @pytest.mark.parametrize("dim_b", [3, 0])
 def test_state_dependent_row_count_must_fit_the_selection_dimension(dim_b):
     # a dim_b above it was silently clamped to it
-    data = generate(GeneratorConfig(constraints=(("parabolic", 0.1),), n_per_group=60,
+    data = generate(GeneratorConfig(constraints=("parabolic:0.1",), n_per_group=60,
                                     rng_seed=21))
     message = (f"cannot learn {dim_b} constraint row\\(s\\) in selection dimension 2 "
                f"\\(dim_b={dim_b}\\)")
@@ -699,7 +699,7 @@ def test_state_dependent_row_count_must_fit_the_selection_dimension(dim_b):
 def test_lambda_learns_with_an_unregistered_provider():
     # the model keeps the provider it was learned with: only a saved
     # document needs a registered name
-    data = generate(GeneratorConfig(constraints=(("parabolic", 0.1),), n_per_group=200,
+    data = generate(GeneratorConfig(constraints=("parabolic:0.1",), n_per_group=200,
                                     rng_seed=24))
     mine = FeatureMatrixProvider(name="mine", dim_phi=2, dim_u=2,
                                  fn=lambda xs: np.broadcast_to([[2.0, 1.0], [0.0, 1.0]],
@@ -715,7 +715,7 @@ def test_lambda_learns_with_an_unregistered_provider():
 def test_lambda_objective_is_scored_in_the_rows_of_its_own_provider(tmp_path):
     # a provider that takes a registered name but swaps the action axes is
     # fitted and scored through its own matrix, not the registered one
-    data = generate(GeneratorConfig(constraints=(("fixed-angle", 30.0),), n_per_group=200,
+    data = generate(GeneratorConfig(constraints=("fixed:30.0",), n_per_group=200,
                                     rng_seed=25))
     swap = FeatureMatrixProvider(name="identity:2", dim_phi=2, dim_u=2,
                                  fn=lambda xs: np.broadcast_to([[0.0, 1.0], [1.0, 0.0]],
@@ -795,7 +795,7 @@ def test_objective_avn_consistent_with_lm_residuals():
 def _row_cases(case):
     """(bx, u_rot, weight vectors) on which to compare a row's normal equations."""
     if case == "learned-basis":
-        data = generate(GeneratorConfig(constraints=(("parabolic", 0.1),), n_per_group=300,
+        data = generate(GeneratorConfig(constraints=("parabolic:0.1",), n_per_group=300,
                                         rng_seed=5))
         bx = rbf_design(data.states, *rbf_basis(data.states, 16, seed=0))
         return bx, data.actions, [np.zeros(16), np.random.default_rng(5).normal(size=16)]

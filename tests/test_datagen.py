@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -22,7 +24,7 @@ from oracles import finite_difference_jacobian
 @pytest.mark.parametrize("policy", ["limit-cycle", "linear-attractor"])
 def test_configured_policy_is_the_policy_channel_of_generate(policy):
     # the tutorials' field tables evaluate the true policy through it
-    config = GeneratorConfig(policy=policy, constraints=(("fixed-angle", 30.0), ("none",)),
+    config = GeneratorConfig(policy=policy, constraints=("fixed:30.0", "none"),
                              n_per_group=50, rng_seed=3, attractor_target=(0.2, -0.1))
     data = generate(config)
     assert np.array_equal(configured_policy(config, data.states), data.policy)
@@ -108,7 +110,7 @@ def test_twolink_singular_when_links_aligned():
 # ---------------------------------------------------------------------------
 
 def test_fixed_angle_data_in_null_space():
-    cfg = GeneratorConfig(constraints=(("fixed-angle", 30.0),), n_per_group=200, rng_seed=4)
+    cfg = GeneratorConfig(constraints=("fixed:30.0",), n_per_group=200, rng_seed=4)
     data = generate(cfg)
     th = np.deg2rad(30.0)
     a = np.array([np.cos(th), np.sin(th)])
@@ -116,7 +118,7 @@ def test_fixed_angle_data_in_null_space():
 
 
 def test_parabolic_data_satisfies_state_dependent_constraint():
-    cfg = GeneratorConfig(constraints=(("parabolic", 0.1),), n_per_group=200, rng_seed=5)
+    cfg = GeneratorConfig(constraints=("parabolic:0.1",), n_per_group=200, rng_seed=5)
     data = generate(cfg)
     for n in range(data.n_samples):
         a = np.array([-2 * 0.1 * data.states[0, n], 1.0])
@@ -124,8 +126,8 @@ def test_parabolic_data_satisfies_state_dependent_constraint():
 
 
 def test_three_group_pooled_self_consistency():
-    cfg = GeneratorConfig(constraints=(("fixed-angle", 0.0), ("fixed-angle", 60.0),
-                                       ("fixed-angle", 120.0)),
+    cfg = GeneratorConfig(constraints=("fixed:0.0", "fixed:60.0",
+                                       "fixed:120.0"),
                           n_per_group=100, rng_seed=6)
     data = generate(cfg)
     projectors = true_projectors(cfg, data)
@@ -135,8 +137,8 @@ def test_three_group_pooled_self_consistency():
 
 
 def test_decomposition_identity_and_orthogonality():
-    cfg = GeneratorConfig(constraints=(("fixed-angle", 45.0),),
-                          task_b=("sinusoid", 0.4, 2.0, 0.1),
+    cfg = GeneratorConfig(constraints=("fixed:45.0",),
+                          task_b="sin:0.4,2.0,0.1",
                           n_per_group=300, rng_seed=7, noise_std=0.05)
     data = generate(cfg)
     clean = data.task_component + data.null_component
@@ -148,8 +150,8 @@ def test_decomposition_identity_and_orthogonality():
 
 
 def test_constraint_satisfied_with_task_motion():
-    cfg = GeneratorConfig(constraints=(("fixed-angle", 30.0),),
-                          task_b=("sinusoid", 0.5, 3.0, 0.0),
+    cfg = GeneratorConfig(constraints=("fixed:30.0",),
+                          task_b="sin:0.5,3.0,0.0",
                           n_per_group=200, rng_seed=8)
     data = generate(cfg)
     th = np.deg2rad(30.0)
@@ -161,8 +163,8 @@ def test_constraint_satisfied_with_task_motion():
 
 
 def test_constant_task_vector():
-    cfg = GeneratorConfig(constraints=(("fixed-angle", 10.0),),
-                          task_b=("constant", (0.3,)), n_per_group=50, rng_seed=9)
+    cfg = GeneratorConfig(constraints=("fixed:10.0",),
+                          task_b="const:0.3", n_per_group=50, rng_seed=9)
     data = generate(cfg)
     th = np.deg2rad(10.0)
     a = np.array([np.cos(th), np.sin(th)])
@@ -170,7 +172,7 @@ def test_constant_task_vector():
 
 
 def test_generation_deterministic():
-    cfg = GeneratorConfig(constraints=(("parabolic", 0.2),), n_per_group=100,
+    cfg = GeneratorConfig(constraints=("parabolic:0.2",), n_per_group=100,
                           rng_seed=10, noise_std=0.01)
     a = generate(cfg)
     b = generate(cfg)
@@ -181,7 +183,7 @@ def test_generation_deterministic():
 def test_twolink_generation_constrained_by_jacobian_row():
     cfg = GeneratorConfig(system="twolink", policy="linear-attractor",
                           attractor_target=(0.7, 0.8),
-                          constraints=(("jacobian-rows", (1,)),),
+                          constraints=("jrows:1",),
                           n_per_group=100, rng_seed=11)
     data = generate(cfg)
     arm = TwoLinkArm(1.0, 1.0)
@@ -191,17 +193,18 @@ def test_twolink_generation_constrained_by_jacobian_row():
 
 
 def test_no_constraint_group_passes_policy_through():
-    cfg = GeneratorConfig(constraints=(("none",),), n_per_group=50, rng_seed=12)
+    cfg = GeneratorConfig(constraints=("none",), n_per_group=50, rng_seed=12)
     data = generate(cfg)
     assert np.array_equal(data.actions, data.policy)
 
 
-@pytest.mark.parametrize("task_b", [("constant", (1.0,)), ("sinusoid", 0.5, 3.0, 0.0)])
+@pytest.mark.parametrize("task_b", ["const:1.0", "sin:0.5,3.0,0.0"])
 def test_task_drive_without_any_constrained_group_rejected(task_b):
-    with pytest.raises(ValueError, match=f"task_b '{task_b[0]}' drives nothing"):
-        GeneratorConfig(constraints=(("none",), ("none",)), task_b=task_b)
+    with pytest.raises(ValueError, match=re.escape(f"task_b {task_b!r} drives nothing: "
+                                                   "every constraint is none")):
+        GeneratorConfig(constraints=("none", "none"), task_b=task_b)
     # one constrained group gives the drive something to act through
-    GeneratorConfig(constraints=(("none",), ("fixed-angle", 30.0)), task_b=task_b)
+    GeneratorConfig(constraints=("none", "fixed:30.0"), task_b=task_b)
 
 
 @pytest.mark.parametrize("noise", [float("nan"), float("inf")])
@@ -211,14 +214,15 @@ def test_non_finite_noise_rejected(noise):
 
 
 @pytest.mark.parametrize("system,constraints,values", [
-    ("toy2d", (("fixed-angle", 30.0),), (1.0, 2.0)),
-    ("toy2d", (("none",), ("parabolic", 0.1)), (1.0, 2.0)),
-    ("twolink", (("jacobian-rows", (1,)),), (1.0, 2.0, 3.0)),
+    ("toy2d", ("fixed:30.0",), (1.0, 2.0)),
+    ("toy2d", ("none", "parabolic:0.1"), (1.0, 2.0)),
+    ("twolink", ("jrows:1",), (1.0, 2.0, 3.0)),
 ])
 def test_constant_task_vector_must_match_the_constraint_rows(system, constraints, values):
-    with pytest.raises(ValueError, match=rf"has {len(values)} values, but group \d's constraint "
-                                         r"has 1 row"):
-        GeneratorConfig(system=system, constraints=constraints, task_b=("constant", values))
+    task_b = "const:" + ",".join(map(str, values))
+    with pytest.raises(ValueError, match=re.escape(f"task_b {task_b!r} has {len(values)} values, "
+                                                   f"but constraint {constraints[-1]!r} has 1 row")):
+        GeneratorConfig(system=system, constraints=constraints, task_b=task_b)
 
 
 def test_invalid_configs_rejected():
@@ -229,5 +233,47 @@ def test_invalid_configs_rejected():
     with pytest.raises(ValueError):
         GeneratorConfig(noise_std=-0.1)
     with pytest.raises(ValueError):
-        generate(GeneratorConfig(constraints=(("jacobian-rows", (0, 1)),),
+        generate(GeneratorConfig(constraints=("jrows:0,1",),
                                  system="twolink", n_per_group=10))
+
+
+@pytest.mark.parametrize("config,message", [
+    ({"constraints": ("fixed:inf",)}, "constraint 'fixed:inf': numbers must be finite"),
+    ({"constraints": ("bogus",)},
+     "constraint 'bogus': unknown kind 'bogus' (use none | fixed:DEG | parabolic:A | jrows:I)"),
+    ({"task_b": "const:nan"}, "task_b 'const:nan': numbers must be finite"),
+    ({"task_b": "ramp:1"},
+     "task_b 'ramp:1': unknown kind 'ramp' (use zero | const:V[,V] | sin:AMP,CYCLES,PHASE)"),
+])
+def test_a_bad_spec_is_refused_when_the_config_is_built(config, message):
+    with pytest.raises(ValueError) as exc:
+        GeneratorConfig(**config)
+    assert str(exc.value) == message
+
+
+@pytest.mark.parametrize("config,message", [
+    ({"constraints": (("fixed-angle", 30.0),)},
+     "constraint ('fixed-angle', 30.0) must be a spec string "
+     "(use none | fixed:DEG | parabolic:A | jrows:I)"),
+    ({"task_b": ("zero",)},
+     "task_b ('zero',) must be a spec string (use zero | const:V[,V] | sin:AMP,CYCLES,PHASE)"),
+])
+def test_a_spec_must_be_a_string(config, message):
+    # the tuples of the retired grammar included
+    with pytest.raises(TypeError) as exc:
+        GeneratorConfig(**config)
+    assert str(exc.value) == message
+
+
+@pytest.mark.parametrize("name,value", [("n_per_group", True), ("n_per_group", 20.0),
+                                        ("rng_seed", True), ("rng_seed", 1.5)])
+def test_counts_must_be_integers(name, value):
+    with pytest.raises(TypeError, match=f"^{name} must be an integer, not {type(value).__name__}$"):
+        GeneratorConfig(**{name: value})
+    # numpy's integers are integers
+    GeneratorConfig(**{name: np.int64(3)})
+
+
+def test_seed_must_not_be_negative():
+    with pytest.raises(ValueError, match=r"^rng_seed must be >= 0, got -1$"):
+        GeneratorConfig(rng_seed=-1)

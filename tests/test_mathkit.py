@@ -752,7 +752,7 @@ def test_lm_reports_a_stall_when_the_damping_overflows():
 
 
 def test_greedy_learner_reports_a_kept_start_that_stalled(monkeypatch):
-    data = generate(GeneratorConfig(constraints=(("parabolic", 0.1),), n_per_group=60,
+    data = generate(GeneratorConfig(constraints=("parabolic:0.1",), n_per_group=60,
                                     rng_seed=2))
     solve = constraint.lm_solve
 
@@ -816,7 +816,7 @@ def _reference_lm_solve(problem):
 def _alpha_row_problem():
     """The first-row problem of an alpha fit on a parabolic constraint,
     from a random start."""
-    data = generate(GeneratorConfig(constraints=(("parabolic", 0.1),), n_per_group=200,
+    data = generate(GeneratorConfig(constraints=("parabolic:0.1",), n_per_group=200,
                                     rng_seed=3))
     bx = rbf_design(data.states, *rbf_basis(data.states, 4, seed=0))
     return constraint._row_problem(bx, data.actions,

@@ -12,8 +12,8 @@ from oracles import check_jacobian, finite_difference_jacobian
 def _scenario(seed=0, n=600):
     """Fixed constraint, fixed null-space policy, task drive varying over
     samples: the setting where the null-space component is identifiable."""
-    cfg = GeneratorConfig(constraints=(("fixed-angle", 60.0),),
-                          task_b=("sinusoid", 0.5, 3.0, 0.0),
+    cfg = GeneratorConfig(constraints=("fixed:60.0",),
+                          task_b="sin:0.5,3.0,0.0",
                           n_per_group=n, rng_seed=seed)
     return generate(cfg)
 
@@ -163,7 +163,7 @@ def test_learn_ncl_recovers_null_component():
 
 
 def test_learn_ncl_pure_null_space_matches_ridge():
-    cfg = GeneratorConfig(constraints=(("fixed-angle", 25.0),), n_per_group=500,
+    cfg = GeneratorConfig(constraints=("fixed:25.0",), n_per_group=500,
                           rng_seed=5)
     data = generate(cfg)  # no task drive: u is pure null-space motion
     model, _ = learn_ncl(data.states, data.actions, num_basis=16)
@@ -215,7 +215,7 @@ def test_learn_ncl_init_insensitive_final_objective():
     # starting points on the same basis converge to objectives within 1%
     from ccl.mathkit import lm_solve
 
-    cfg = GeneratorConfig(constraints=(("fixed-angle", 60.0),), n_per_group=600,
+    cfg = GeneratorConfig(constraints=("fixed:60.0",), n_per_group=600,
                           rng_seed=7)
     data = generate(cfg)
     bx = rbf_design(data.states, *rbf_basis(data.states, 16, seed=0))

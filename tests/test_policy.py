@@ -17,7 +17,7 @@ def _pooled_linear(seeds=31, n=400, angles=(0.0, 60.0, 120.0)):
     cfg = GeneratorConfig(policy="linear-attractor",
                           attractor_gain=((1.0, 0.3), (-0.3, 1.0)),
                           attractor_target=(0.2, -0.1),
-                          constraints=tuple(("fixed-angle", a) for a in angles),
+                          constraints=tuple(f"fixed:{a}" for a in angles),
                           n_per_group=n, rng_seed=seeds)
     return generate(cfg)
 
@@ -44,7 +44,7 @@ def test_pi_single_constraint_degeneracy():
     # policy stays unidentified
     cfg = GeneratorConfig(policy="linear-attractor",
                           attractor_target=(0.2, -0.1),
-                          constraints=(("fixed-angle", 30.0),),
+                          constraints=("fixed:30.0",),
                           n_per_group=500, rng_seed=32)
     data = generate(cfg)
     model, _ = learn_pi(data.states, data.actions, basis="linear")

@@ -75,7 +75,7 @@ def test_nhat_roundtrip_multi_row(tmp_path):
 
 
 def test_alpha_roundtrip_preserves_projectors(tmp_path):
-    cfg = GeneratorConfig(constraints=(("parabolic", 0.1),), n_per_group=300,
+    cfg = GeneratorConfig(constraints=("parabolic:0.1",), n_per_group=300,
                           rng_seed=2)
     data = generate(cfg)
     model, _ = learn_alpha(data.actions, data.states,
@@ -93,7 +93,7 @@ def test_alpha_roundtrip_preserves_projectors(tmp_path):
 def test_lambda_roundtrip_restores_feature_provider(tmp_path):
     cfg = GeneratorConfig(system="twolink", policy="linear-attractor",
                           attractor_target=(0.8, 0.9),
-                          constraints=(("jacobian-rows", (1,)),),
+                          constraints=("jrows:1",),
                           n_per_group=300, rng_seed=3)
     data = generate(cfg)
     model, _ = learn_lambda(data.actions, data.states, twolink_jacobian_features(1.0, 1.0))
@@ -138,8 +138,8 @@ def test_version_1_document_is_refused(tmp_path, capsys):
 
 
 def _pooled_data():
-    return generate(GeneratorConfig(constraints=(("fixed-angle", 0.0), ("fixed-angle", 60.0)),
-                                    task_b=("sinusoid", 0.5, 3.0, 0.0),
+    return generate(GeneratorConfig(constraints=("fixed:0.0", "fixed:60.0"),
+                                    task_b="sin:0.5,3.0,0.0",
                                     n_per_group=40, rng_seed=4))
 
 

@@ -24,8 +24,8 @@ import numpy as np
 
 from .constraint import feature_provider_from_name, learn_alpha, learn_lambda, learn_nhat
 from .core import DemonstrationSet, LearnOptions, load_dataset, save_dataset
-from .datagen import (SPEC_KINDS, STATE_BOX, GeneratorConfig, configured_policy, generate,
-                      true_projectors)
+from .datagen import (POLICIES, SPEC_KINDS, STATE_BOX, GeneratorConfig, configured_policy,
+                      generate, true_projectors)
 from .nullspace import learn_ncl
 from .policy import learn_pi, learn_pi_lwl
 from .serialize import load_model, save_model
@@ -340,9 +340,8 @@ def build_parser():
     sub = parser.add_subparsers(dest="subcommand", required=True)
 
     g = sub.add_parser("gen", help="generate a synthetic dataset")
-    g.add_argument("--system", choices=STATE_BOX, default="toy2d")
-    g.add_argument("--policy", choices=("limit-cycle", "linear-attractor"),
-                   default="limit-cycle")
+    g.add_argument("--system", default="toy2d", help=" | ".join(STATE_BOX))
+    g.add_argument("--policy", default="limit-cycle", help=" | ".join(POLICIES))
     g.add_argument("--constraint", action="append", required=True,
                    help="repeatable; " + SPEC_KINDS["constraint"][0])
     g.add_argument("--b", default="zero",

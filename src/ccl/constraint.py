@@ -21,7 +21,7 @@ from typing import Callable, Optional
 import numpy as np
 
 from .core import (UNCONVERGED_REASONS, LearnOptions, LearnReport, _finite_samples, _freeze_basis,
-                   _frozen_finite)
+                   _frozen_finite, _number)
 from .datagen import TwoLinkArm
 from .mathkit import (
     LmProblem,
@@ -223,10 +223,10 @@ class StateIndependentConstraint:
 
 
 def _row_limit(dim, dim_b):
-    """The most rows a learner keeps in dimension ``dim``: a fixed dim_b
-    (1 <= dim_b <= dim, a ValueError otherwise), or dim - 1."""
-    limit = dim - 1 if dim_b is None else dim_b
-    if not 1 <= limit <= dim:
+    """The most rows a learner keeps in dimension ``dim``: a fixed dim_b,
+    an integer 1 <= dim_b <= dim (an error naming it otherwise), or dim - 1."""
+    limit = dim - 1 if dim_b is None else _number("dim_b", dim_b, integer=True, ge=1, le=dim)
+    if limit < 1:
         raise ValueError(f"cannot learn {limit} constraint row(s) in selection "
                          f"dimension {dim} (dim_b={dim_b})")
     return limit

@@ -7,9 +7,9 @@ marked read-only), so they can be shared freely across threads.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, fields
-import math
+from dataclasses import dataclass, field, fields
 import numbers
+import operator
 import sys
 
 import numpy as np
@@ -54,18 +54,30 @@ def _finite_samples(name, a):
     return a
 
 
+def _number(name, value, integer=False, *, ge=None, gt=None, le=None):
+    """``value``, checked to be a number a user sets: an integer if
+    ``integer``, else a finite real number, never a bool or a string (a
+    TypeError naming it otherwise), and >= ``ge``, > ``gt``, <= ``le`` (a
+    ValueError).  It is compared as given, never through float(), so a
+    huge integer is refused as not finite and does not overflow."""
+    if isinstance(value, bool) or not isinstance(
+            value, numbers.Integral if integer else numbers.Real):
+        raise TypeError(f"{name} must be {'an integer' if integer else 'a real number'}, "
+                        f"not {type(value).__name__}")
+    if not (integer or -sys.float_info.max <= value <= sys.float_info.max):
+        raise ValueError(f"{name} must be finite")
+    for bound, sign, holds in ((ge, ">=", operator.ge), (gt, ">", operator.gt),
+                               (le, "<=", operator.le)):
+        if bound is not None and not holds(value, bound):
+            raise ValueError(f"{name} must be {sign} {bound}, got {value}")
+    return value
+
+
 def _freeze_basis(model):
     """Freeze a model's RBF ``centers`` (dim_x, G) and make its shared
-    ``width`` a float: centers all finite, 0 < width < inf.
-    A width that is not a real number (a string, a bool, None) is a
-    TypeError."""
+    ``width``, a finite real number > 0, a float."""
     object.__setattr__(model, "centers", _frozen_finite("centers", model.centers, 2))
-    if isinstance(model.width, bool) or not isinstance(model.width, numbers.Real):
-        raise TypeError(f"width must be a real number, not {type(model.width).__name__}")
-    # compared before float(), which raises OverflowError for a huge integer
-    if not 0 < model.width <= sys.float_info.max:
-        raise ValueError("width must be finite and > 0")
-    object.__setattr__(model, "width", float(model.width))
+    object.__setattr__(model, "width", float(_number("width", model.width, gt=0)))
 
 
 @dataclass(frozen=True)
@@ -85,37 +97,18 @@ class LearnOptions:
     the largest (the default of :func:`mathkit.pinv_truncated`).
     """
 
-    tol_fun: float = 1e-9
-    tol_x: float = 1e-9
-    max_iter: int = 1000
-    num_restarts: int = 5
-    regularization: float = 1e-8
-    rng_seed: int = 0
+    # each field's metadata holds its bounds, as keywords of _number
+    tol_fun: float = field(default=1e-9, metadata=dict(gt=0))
+    tol_x: float = field(default=1e-9, metadata=dict(gt=0))
+    max_iter: int = field(default=1000, metadata=dict(ge=1))
+    num_restarts: int = field(default=5, metadata=dict(ge=1))
+    regularization: float = field(default=1e-8, metadata=dict(ge=0))
+    rng_seed: int = field(default=0, metadata=dict(ge=0, le=2 ** 64 - 1))
 
     def __post_init__(self):
-        # each field keeps the type of its default: int fields take an
-        # integer (not a bool), float fields any finite real number
+        # a field with an int default takes an integer
         for f in fields(self):
-            value = getattr(self, f.name)
-            whole = isinstance(f.default, int)
-            if isinstance(value, bool) or not isinstance(
-                    value, numbers.Integral if whole else numbers.Real):
-                raise TypeError(f"{f.name} must be {'an integer' if whole else 'a real number'}, "
-                                f"not {type(value).__name__}")
-            if not (whole or math.isfinite(value)):
-                raise ValueError(f"{f.name} must be finite")
-        if not self.tol_fun > 0:
-            raise ValueError("tol_fun must be > 0")
-        if not self.tol_x > 0:
-            raise ValueError("tol_x must be > 0")
-        if self.max_iter < 1:
-            raise ValueError("max_iter must be >= 1")
-        if self.num_restarts < 1:
-            raise ValueError("num_restarts must be >= 1")
-        if self.regularization < 0:
-            raise ValueError("regularization must be >= 0")
-        if not 0 <= self.rng_seed < 2 ** 64:
-            raise ValueError("rng_seed must fit in 64 unsigned bits")
+            _number(f.name, getattr(self, f.name), isinstance(f.default, int), **f.metadata)
 
 
 @dataclass(frozen=True)
@@ -127,8 +120,8 @@ class LearnReport:
     whose damping overflowed because no step improved the objective any
     more, ``abandoned`` for a start cut short because it trailed a better
     one, or ``closed-form`` for a direct solve with no iteration, so with
-    ``iterations`` 0); a fit that did not converge can only stop at
-    ``max-iter``, ``stalled`` or ``abandoned``.  A state-dependent
+    ``iterations`` 0); a fit stops at ``max-iter``, ``stalled`` or
+    ``abandoned`` exactly when it did not converge.  A state-dependent
     constraint learner reports over the starts it kept: ``max-iter`` if
     any of them stopped there, otherwise ``stalled`` if any of them
     stalled, otherwise ``x-tol`` if any of them stopped on the step
@@ -158,8 +151,9 @@ class LearnReport:
     def __post_init__(self):
         if self.reason not in CONVERGENCE_REASONS:
             raise ValueError(f"unknown convergence reason {self.reason!r}")
-        if not self.converged and self.reason not in UNCONVERGED_REASONS:
-            raise ValueError(f"a fit that did not converge cannot stop at {self.reason!r}")
+        if bool(self.converged) == (self.reason in UNCONVERGED_REASONS):
+            state = "converged" if self.converged else "did not converge"
+            raise ValueError(f"a fit that {state} cannot stop at {self.reason!r}")
         if self.reason == "closed-form" and self.iterations != 0:
             raise ValueError("a closed-form fit runs no iterations")
         for name in ("nmse", "mse", "variance", "final_objective"):

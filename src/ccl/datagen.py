@@ -9,10 +9,9 @@ so ground-truth channels are always available for evaluation.
 from __future__ import annotations
 
 from dataclasses import dataclass
-import numbers
 import numpy as np
 
-from .core import DemonstrationSet
+from .core import DemonstrationSet, _frozen_finite, _number
 from .mathkit import nullspace_projector, pinv_truncated
 
 
@@ -72,6 +71,10 @@ class TwoLinkArm:
 STATE_BOX = {"toy2d": ((-1.0, -1.0), (1.0, 1.0)),
              "twolink": ((0.0, 0.0), (np.pi / 2, np.pi / 2))}
 ARM = TwoLinkArm()
+# each policy a config names, as its field at states xs (dim_x, N) under that config
+POLICIES = {"limit-cycle": lambda config, xs: policy_limit_cycle(xs),
+            "linear-attractor": lambda config, xs: policy_linear(xs, config.attractor_gain,
+                                                                 config.attractor_target)}
 
 
 def _finite(text):
@@ -102,12 +105,13 @@ def _sinusoid(text):
     return amplitude, cycles, phase
 
 
-# each field's spec kinds, as (usage, kind -> parser of the text after the colon)
+# each field's spec kinds, as (usage, kind -> parser of the text after the
+# colon, or None for a kind that takes no argument)
 SPEC_KINDS = {"constraint": ("none | fixed:DEG | parabolic:A | jrows:I",
-                             {"none": lambda text: None, "fixed": _finite, "parabolic": _finite,
+                             {"none": None, "fixed": _finite, "parabolic": _finite,
                               "jrows": _jacobian_rows}),
               "task_b": ("zero | const:V[,V] | sin:AMP,CYCLES,PHASE",
-                         {"zero": lambda text: None, "sin": _sinusoid,
+                         {"zero": None, "sin": _sinusoid,
                           "const": lambda text: tuple(map(_finite, text.split(",")))})}
 
 
@@ -117,9 +121,13 @@ def _parse(field, spec):
     usage, kinds = SPEC_KINDS[field]
     if not isinstance(spec, str):
         raise TypeError(f"{field} {spec!r} must be a spec string (use {usage})")
-    kind, _, text = spec.partition(":")
+    kind, colon, text = spec.partition(":")
     if kind not in kinds:
         raise ValueError(f"{field} {spec!r}: unknown kind {kind!r} (use {usage})")
+    if kinds[kind] is None:
+        if colon:
+            raise ValueError(f"{field} {spec!r}: {kind} takes no argument")
+        return kind, None
     try:
         return kind, kinds[kind](text)
     except ValueError as exc:
@@ -138,7 +146,10 @@ class GeneratorConfig:
     sinusoid over the sample index mapped through the constraint, so the
     task motion is always feasible.  A task drive needs a constraint to
     act through: if every group is "none", ``task_b`` must be "zero".
-    Every spec is parsed and checked here, and an error names it as given.
+    Every field is checked here: the specs are parsed, the system and the
+    policy are keys of STATE_BOX and POLICIES, and the attractor's gain and
+    target are finite, (2, 2) and (2,).  An error names the field (a spec as
+    given).
     """
 
     system: str = "toy2d"
@@ -153,20 +164,19 @@ class GeneratorConfig:
     attractor_target: tuple = (0.0, 0.0)
 
     def __post_init__(self):
-        if self.system not in STATE_BOX:
-            raise ValueError(f"unknown system {self.system!r}")
-        if self.policy not in ("limit-cycle", "linear-attractor"):
-            raise ValueError(f"unknown policy {self.policy!r}")
+        for name, table in (("system", STATE_BOX), ("policy", POLICIES)):
+            value = getattr(self, name)
+            if value not in table:
+                raise ValueError(f"unknown {name} {value!r} (use {' | '.join(table)})")
         if len(self.constraints) < 1:
             raise ValueError("need at least one constraint group")
-        for name, least in (("n_per_group", 1), ("rng_seed", 0)):
-            value = getattr(self, name)
-            if isinstance(value, bool) or not isinstance(value, numbers.Integral):
-                raise TypeError(f"{name} must be an integer, not {type(value).__name__}")
-            if value < least:
-                raise ValueError(f"{name} must be >= {least}, got {value}")
-        if not 0 <= self.noise_std < np.inf:
-            raise ValueError(f"noise_std must be finite and >= 0, got {self.noise_std!r}")
+        _number("n_per_group", self.n_per_group, integer=True, ge=1)
+        _number("rng_seed", self.rng_seed, integer=True, ge=0)
+        _number("noise_std", self.noise_std, ge=0)
+        for name, shape in (("attractor_gain", (2, 2)), ("attractor_target", (2,))):
+            got = _frozen_finite(name, getattr(self, name), len(shape)).shape
+            if got != shape:
+                raise ValueError(f"{name} must have shape {shape}, got shape {got}")
         # a constraint of the 2-D generator has one row (jrows takes one)
         constrained = [spec for spec in self.constraints if _parse("constraint", spec)[0] != "none"]
         task = _parse("task_b", self.task_b)
@@ -179,9 +189,7 @@ class GeneratorConfig:
 
 def configured_policy(config: GeneratorConfig, xs):
     """The policy that ``config`` names, at states xs (dim_x, N)."""
-    if config.policy == "limit-cycle":
-        return policy_limit_cycle(xs)
-    return policy_linear(xs, config.attractor_gain, config.attractor_target)
+    return POLICIES[config.policy](config, xs)
 
 
 def _constraint_matrix(constraint, xs):

@@ -12,7 +12,7 @@ from typing import Callable
 
 import numpy as np
 
-from .core import LearnOptions, LearnReport
+from .core import LearnOptions, LearnReport, _number
 
 LAMBDA_MAX = 1e12
 ABANDON_AFTER = 10  # iterations before lm_solve compares against abandon_above
@@ -159,7 +159,7 @@ def pairwise_sq_distances(aset, bset):
 def kmeans_centers(x, n_centers, seed=0, max_iter=100):
     """Lloyd's K-means on the columns of x (dim, N) -> centers (dim, G).
 
-    n_centers must lie in [1, N] and x must be finite.  Seeding is greedy
+    n_centers must be an integer in [1, N] and x must be finite.  Seeding is greedy
     farthest-point from a seeded RNG, so results are reproducible.  Each
     Lloyd iteration assigns every sample to its nearest center (distances
     as in :func:`pairwise_sq_distances`, ties to the lower index) and stops
@@ -209,10 +209,7 @@ def kmeans_centers(x, n_centers, seed=0, max_iter=100):
     """
     x = np.atleast_2d(np.asarray(x, dtype=float))
     dim, n = x.shape
-    if n_centers < 1:
-        raise ValueError("n_centers must be >= 1")
-    if n_centers > n:
-        raise ValueError("cannot place more centers than samples")
+    _number("n_centers", n_centers, integer=True, ge=1, le=n)
     if not np.isfinite(x).all():
         raise ValueError("x must be finite")
     rng = np.random.default_rng(seed)
@@ -289,9 +286,8 @@ def kmeans_centers(x, n_centers, seed=0, max_iter=100):
 
 
 def rbf_design(xs, centers, width):
-    """Feature matrix (G, N) for states xs (dim, N)."""
-    if not width > 0:
-        raise ValueError("width must be > 0")
+    """Feature matrix (G, N) for states xs (dim, N); width is finite and > 0."""
+    _number("width", width, gt=0)
     xs = np.atleast_2d(np.asarray(xs, dtype=float))
     centers = np.atleast_2d(np.asarray(centers, dtype=float))
     return np.exp(-pairwise_sq_distances(centers, xs) / (2.0 * width))
@@ -309,17 +305,14 @@ def rbf_width_from_centers(centers, fallback=1.0):
     return width if width > 0 else fallback
 
 
-def rbf_basis(xs, num_basis, seed=0):
+def rbf_basis(xs, num_basis, seed=0, name="num_basis"):
     """The basis every RBF learner builds over its states xs (dim, N):
-    K-means centers (dim, num_basis) and their shared width.  It takes
-    1 <= num_basis <= N (ValueError otherwise).
+    K-means centers (dim, num_basis) and their shared width.  It takes an
+    integer 1 <= num_basis <= N, named ``name`` in its errors.
 
     Returns (centers, width).
     """
-    if num_basis < 1:
-        raise ValueError("num_basis must be >= 1")
-    if num_basis > xs.shape[1]:
-        raise ValueError(f"num_basis must be <= the sample count {xs.shape[1]}, got {num_basis}")
+    _number(name, num_basis, integer=True, ge=1, le=xs.shape[1])
     centers = kmeans_centers(xs, num_basis, seed=seed)
     return centers, rbf_width_from_centers(centers)
 

@@ -19,7 +19,8 @@ from typing import Optional
 
 import numpy as np
 
-from .core import LearnOptions, LearnReport, _finite_samples, _freeze_basis, _frozen_finite
+from .core import (LearnOptions, LearnReport, _finite_samples, _freeze_basis, _frozen_finite,
+                   _number)
 from .mathkit import pairwise_sq_distances, rbf_basis, rbf_design
 from .metrics import error_ncpe, error_nupe, total_variance
 
@@ -197,8 +198,7 @@ def learn_pi(xs, u_null, options: Optional[LearnOptions] = None, num_basis=10, b
     if basis == "rbf":
         centers, width = rbf_basis(xs, num_basis, opts.rng_seed)
     elif basis == "linear":
-        if num_basis < 1:
-            raise ValueError("num_basis must be >= 1")
+        _number("num_basis", num_basis, integer=True, ge=1)
         centers = width = None
     else:
         raise ValueError(f"unknown basis {basis!r} (use rbf | linear)")
@@ -221,7 +221,7 @@ def learn_pi_lwl(xs, u_null, options: Optional[LearnOptions] = None, num_local=1
     """
     opts = options or LearnOptions()
     xs, u = _finite_samples("states", xs), _finite_samples("actions", u_null)
-    centers, width = rbf_basis(xs, num_local, opts.rng_seed)
+    centers, width = rbf_basis(xs, num_local, opts.rng_seed, name="num_local")
 
     def fit(xs, u, e):
         maps = _solve_projected(_affine(xs), e, u, rbf_design(xs, centers, width),

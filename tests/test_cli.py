@@ -62,7 +62,10 @@ _BAD_SPECS = [("--constraint", "fixed:inf", "numbers must be finite"),
               ("--constraint", "jrows:", "invalid literal for int() with base 10: ''"),
               ("--constraint", "jrows:x", "invalid literal for int() with base 10: 'x'"),
               ("--b", "const:", "could not convert string to float: ''"),
-              ("--b", "sin:1,2", "not enough values to unpack (expected 3, got 2)")]
+              ("--b", "sin:1,2", "not enough values to unpack (expected 3, got 2)"),
+              ("--constraint", "none:5", "none takes no argument"),
+              ("--constraint", "none:", "none takes no argument"),
+              ("--b", "zero:1", "zero takes no argument")]
 
 
 @pytest.mark.parametrize("flag,spec,why", _BAD_SPECS, ids=[s for _, s, _ in _BAD_SPECS])
@@ -84,7 +87,7 @@ def test_gen_rejects_a_non_finite_noise(tmp_path, capsys, noise):
     assert _run("gen", "--constraint", "fixed:30", f"--noise={noise}", "--n", "20",
                 "--out", out) == 1
     captured = capsys.readouterr()
-    assert captured.err == f"error: noise_std must be finite and >= 0, got {float(noise)!r}\n"
+    assert captured.err == "error: noise_std must be finite\n"
     assert captured.out == "" and not os.path.exists(out)
 
 
@@ -132,7 +135,8 @@ def test_gen_names_the_flag_of_a_bad_jacobian_row_spec(tmp_path, capsys, spec, w
 
 # gen runs that fail, each as (its flags, the GeneratorConfig arguments of the
 # same request): every bad spec, a noise that is not finite, a task drive with
-# nothing to drive, a const of the wrong length and a negative seed
+# nothing to drive, a const of the wrong length, a negative seed and an
+# unknown system or policy
 _REFUSED = ([((flag, spec), {"constraints": (spec,)}) if flag == "--constraint" else
              (("--constraint", "fixed:30", flag, spec),
               {"constraints": ("fixed:30",), "task_b": spec}) for flag, spec, _ in _BAD_SPECS]
@@ -144,7 +148,11 @@ _REFUSED = ([((flag, spec), {"constraints": (spec,)}) if flag == "--constraint" 
                (("--constraint", "none", "--constraint", "parabolic:0.1", "--b", "const:1,2,3"),
                 {"constraints": ("none", "parabolic:0.1"), "task_b": "const:1,2,3"}),
                (("--constraint", "fixed:30", "--seed", "-1"),
-                {"constraints": ("fixed:30",), "rng_seed": -1})])
+                {"constraints": ("fixed:30",), "rng_seed": -1}),
+               (("--constraint", "fixed:30", "--system", "bogus"),
+                {"constraints": ("fixed:30",), "system": "bogus"}),
+               (("--constraint", "fixed:30", "--policy", "bogus"),
+                {"constraints": ("fixed:30",), "policy": "bogus"})])
 
 
 @pytest.mark.parametrize("flags,config", _REFUSED, ids=[" ".join(f) for f, _ in _REFUSED])
@@ -226,8 +234,7 @@ def test_learn_rejects_a_dim_b_above_the_selection_dimension(tmp_path, capsys, m
     assert _run("learn", "--method", method, "--in", data, "--out", out, *extra,
                 "--dim-b", "3") == 1
     captured = capsys.readouterr()
-    assert captured.err == ("error: cannot learn 3 constraint row(s) in selection "
-                            "dimension 2 (dim_b=3)\n")
+    assert captured.err == "error: dim_b must be <= 2, got 3\n"
     assert captured.out == "" and not os.path.exists(out)
 
 
@@ -302,7 +309,8 @@ def test_learn_rejects_num_basis_below_one(tmp_path, capsys, size):
         code = _run("learn", "--method", method, "--in", data, "--out", out,
                     f"--num-basis={size}")
         assert code == 1
-        assert "error: num_basis must be >= 1" in capsys.readouterr().err
+        name = "num_local" if method == "pi-lwl" else "num_basis"
+        assert f"error: {name} must be >= 1, got {size}" in capsys.readouterr().err
         assert not os.path.exists(out)
 
 

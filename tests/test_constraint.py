@@ -688,8 +688,7 @@ def test_state_dependent_row_count_must_fit_the_selection_dimension(dim_b):
     # a dim_b above it was silently clamped to it
     data = generate(GeneratorConfig(constraints=("parabolic:0.1",), n_per_group=60,
                                     rng_seed=21))
-    message = (f"cannot learn {dim_b} constraint row\\(s\\) in selection dimension 2 "
-               f"\\(dim_b={dim_b}\\)")
+    message = f"^dim_b must be {'<= 2' if dim_b == 3 else '>= 1'}, got {dim_b}$"
     with pytest.raises(ValueError, match=message):
         learn_alpha(data.actions, data.states, num_basis=4, dim_b=dim_b)
     with pytest.raises(ValueError, match=message):

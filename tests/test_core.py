@@ -1,6 +1,7 @@
 import dataclasses
 import os
 import re
+import sys
 import tempfile
 import tracemalloc
 import warnings
@@ -14,6 +15,7 @@ from ccl.constraint import learn_alpha, learn_lambda, learn_nhat, twolink_jacobi
 from ccl.core import (GROUP_ID_MAX, GROUP_ID_MIN, _SAVE_BLOCK_ROWS, DemonstrationSet,
                       LearnOptions, LearnReport, load_dataset, save_dataset)
 from ccl.datagen import GeneratorConfig, generate
+from ccl.mathkit import kmeans_centers, rbf_design
 from ccl.nullspace import NullspaceComponentModel, learn_ncl
 from ccl.policy import learn_pi, learn_pi_lwl
 
@@ -65,6 +67,75 @@ def test_options_take_numpy_scalars_and_ints_for_floats():
     assert (opts.rng_seed, opts.max_iter, opts.tol_fun, opts.regularization) == (7, 5, 1, 0.5)
 
 
+_SETTING_DATA = generate(GeneratorConfig(constraints=("parabolic:0.1",), n_per_group=20))
+_XS, _U = _SETTING_DATA.states, _SETTING_DATA.actions
+# every number a user sets, as "where.name": (a call that sets it to a value,
+# whether it is an integer, its bounds: >= ge, > gt, <= le)
+_SETTINGS = {
+    "LearnOptions.tol_fun": (lambda v: LearnOptions(tol_fun=v), False, dict(gt=0)),
+    "LearnOptions.tol_x": (lambda v: LearnOptions(tol_x=v), False, dict(gt=0)),
+    "LearnOptions.max_iter": (lambda v: LearnOptions(max_iter=v), True, dict(ge=1)),
+    "LearnOptions.num_restarts": (lambda v: LearnOptions(num_restarts=v), True, dict(ge=1)),
+    "LearnOptions.regularization": (lambda v: LearnOptions(regularization=v), False, dict(ge=0)),
+    "LearnOptions.rng_seed": (lambda v: LearnOptions(rng_seed=v), True,
+                              dict(ge=0, le=2 ** 64 - 1)),
+    "GeneratorConfig.n_per_group": (lambda v: GeneratorConfig(n_per_group=v), True, dict(ge=1)),
+    "GeneratorConfig.rng_seed": (lambda v: GeneratorConfig(rng_seed=v), True, dict(ge=0)),
+    "GeneratorConfig.noise_std": (lambda v: GeneratorConfig(noise_std=v), False, dict(ge=0)),
+    "NullspaceComponentModel.width": (
+        lambda v: NullspaceComponentModel(centers=np.zeros((2, 3)), width=v,
+                                          weights=np.ones((2, 3))), False, dict(gt=0)),
+    "rbf_design.width": (lambda v: rbf_design(_XS, np.zeros((2, 3)), v), False, dict(gt=0)),
+    "kmeans_centers.n_centers": (lambda v: kmeans_centers(_XS, v), True, dict(ge=1, le=20)),
+    "learn_alpha.num_basis": (lambda v: learn_alpha(_U, _XS, num_basis=v), True,
+                              dict(ge=1, le=20)),
+    "learn_alpha.dim_b": (lambda v: learn_alpha(_U, _XS, dim_b=v), True, dict(ge=1, le=2)),
+    "learn_lambda.dim_b": (lambda v: learn_lambda(_U, _XS, twolink_jacobian_features(), dim_b=v),
+                           True, dict(ge=1, le=2)),
+    "learn_ncl.num_basis": (lambda v: learn_ncl(_XS, _U, num_basis=v), True, dict(ge=1, le=20)),
+    "learn_pi.num_basis": (lambda v: learn_pi(_XS, _U, num_basis=v), True, dict(ge=1, le=20)),
+    "learn_pi(linear).num_basis": (lambda v: learn_pi(_XS, _U, num_basis=v, basis="linear"),
+                                   True, dict(ge=1)),
+    "learn_pi_lwl.num_local": (lambda v: learn_pi_lwl(_XS, _U, num_local=v), True,
+                               dict(ge=1, le=20)),
+}
+
+
+def _refused(integer, ge=None, gt=None, le=None):
+    """Values a setting refuses, each with the error it raises: a bool, a
+    string, a float where an integer is due, a non-finite or huge value
+    where a real number is, and one out of bounds (an integer setting's
+    bounds are ge and le, a real setting's ge or gt)."""
+    wrong = [st.sampled_from([True, False, np.True_]), st.text(max_size=3),
+             st.integers().map(str)]
+    bad = []
+    if integer:
+        wrong.append(st.floats())
+        bad.append(st.integers(max_value=ge - 1))
+        if le is not None:
+            bad += [st.integers(min_value=le + 1), st.just(10 ** 400)]
+    else:
+        huge = int(sys.float_info.max) + 1
+        bad += [st.sampled_from([np.nan, np.inf, -np.inf]), st.integers(min_value=huge),
+                st.integers(max_value=-huge)]
+        if gt is not None:
+            bad.append(st.floats(max_value=gt, allow_nan=False))
+        if ge is not None:
+            bad.append(st.floats(max_value=ge, allow_nan=False).filter(lambda v: v < ge))
+    return st.one_of(*(s.map(lambda v: (v, TypeError)) for s in wrong),
+                     *(s.map(lambda v: (v, ValueError)) for s in bad))
+
+
+@pytest.mark.parametrize("setting", _SETTINGS)
+@settings(max_examples=40, deadline=None)
+@given(data=st.data())
+def test_every_number_a_user_sets_refuses_a_bad_value_by_name(setting, data):
+    build, integer, bounds = _SETTINGS[setting]
+    value, error = data.draw(_refused(integer, **bounds), label="value")
+    with pytest.raises(error, match=f"^{setting.rpartition('.')[2]} must be "):
+        build(value)
+
+
 def test_report_nmse_consistency():
     rep = LearnReport.from_errors(mse=2.0, variance=4.0, iterations=1,
                                   final_objective=2.0, converged=True, reason="fun-tol")
@@ -79,6 +150,14 @@ def test_report_nmse_consistency():
         with pytest.raises(ValueError, match="did not converge"):
             LearnReport.from_errors(mse=2.0, variance=4.0, iterations=1,
                                     final_objective=2.0, converged=False, reason=reason)
+
+
+@pytest.mark.parametrize("reason", core.UNCONVERGED_REASONS)
+def test_report_refuses_a_converged_fit_that_stopped_unconverged(reason):
+    # a report could claim convergence at max-iter
+    with pytest.raises(ValueError, match=f"^a fit that converged cannot stop at '{reason}'$"):
+        LearnReport.from_errors(mse=2.0, variance=4.0, iterations=10,
+                                final_objective=2.0, converged=True, reason=reason)
 
 
 def test_report_accepts_abandoned_for_a_fit_that_did_not_converge():

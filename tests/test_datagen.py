@@ -277,3 +277,20 @@ def test_counts_must_be_integers(name, value):
 def test_seed_must_not_be_negative():
     with pytest.raises(ValueError, match=r"^rng_seed must be >= 0, got -1$"):
         GeneratorConfig(rng_seed=-1)
+
+
+@pytest.mark.parametrize("config,error,message", [
+    ({"attractor_target": (0.0,)}, ValueError,
+     "attractor_target must have shape (2,), got shape (1,)"),
+    ({"attractor_gain": ((1.0, 0.0, 0.0), (0.0, 1.0, 0.0))}, ValueError,
+     "attractor_gain must have shape (2, 2), got shape (2, 3)"),
+    ({"attractor_gain": ((float("nan"), 0.0), (0.0, 1.0))}, ValueError,
+     "attractor_gain must be finite"),
+    ({"attractor_target": (True, False)}, TypeError,
+     "attractor_target must hold ints or floats, not bool"),
+])
+def test_a_bad_attractor_is_refused_when_the_config_is_built(config, error, message):
+    # each was built: generate then failed with numpy's words, or read the bools as numbers
+    with pytest.raises(error) as exc:
+        GeneratorConfig(policy="linear-attractor", **config)
+    assert str(exc.value) == message

@@ -611,10 +611,11 @@ def test_every_rbf_learner_refuses_more_functions_than_samples():
     rng = np.random.default_rng(16)
     xs, u = rng.normal(size=(2, 5)), rng.normal(size=(2, 5))
     for fit in (lambda: rbf_basis(xs, 6), lambda: learn_alpha(u, xs, num_basis=6),
-                lambda: learn_ncl(xs, u, num_basis=6), lambda: learn_pi(xs, u, num_basis=6),
-                lambda: learn_pi_lwl(xs, u, num_local=6)):
-        with pytest.raises(ValueError, match="^num_basis must be <= the sample count 5, got 6$"):
+                lambda: learn_ncl(xs, u, num_basis=6), lambda: learn_pi(xs, u, num_basis=6)):
+        with pytest.raises(ValueError, match="^num_basis must be <= 5, got 6$"):
             fit()
+    with pytest.raises(ValueError, match="^num_local must be <= 5, got 6$"):
+        learn_pi_lwl(xs, u, num_local=6)
 
 
 def test_rbf_at_center_is_one():

@@ -177,7 +177,7 @@ def test_learn_ncl_pure_null_space_matches_ridge():
 def test_learn_ncl_rejects_more_basis_than_samples():
     rng = np.random.default_rng(6)
     xs = rng.normal(size=(2, 10))
-    with pytest.raises(ValueError, match="num_basis must be <= the sample count 10, got 12"):
+    with pytest.raises(ValueError, match="num_basis must be <= 10, got 12"):
         learn_ncl(xs, rng.normal(size=(2, 10)), num_basis=12)
 
 

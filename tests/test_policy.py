@@ -204,7 +204,7 @@ def test_policy_learners_reject_fewer_than_one_basis_function(num_basis):
     for basis in ("rbf", "linear"):
         with pytest.raises(ValueError, match="num_basis must be >= 1"):
             learn_pi(data.states, data.actions, num_basis=num_basis, basis=basis)
-    with pytest.raises(ValueError, match="num_basis must be >= 1"):
+    with pytest.raises(ValueError, match="num_local must be >= 1"):
         learn_pi_lwl(data.states, data.actions, num_local=num_basis)
 
 

@@ -31,10 +31,13 @@ def _frozen_finite(name, a, ndim):
     """``a`` as a read-only float array, once it is checked to hold only
     ints or floats (TypeError otherwise: no string or bool is read) on
     exactly ``ndim`` axes, none of them empty, that are all finite
-    (ValueError).  It is never reshaped, and an empty axis, which nested
-    lists cannot hold, is refused, so the array round-trips through
-    ``tolist``."""
-    a = np.asarray(a)
+    (ValueError, which also names a ragged ``a``).  It is never reshaped,
+    and an empty axis, which nested lists cannot hold, is refused, so the
+    array round-trips through ``tolist``."""
+    try:
+        a = np.asarray(a)
+    except ValueError:  # numpy's words for nested sequences of unequal lengths
+        raise ValueError(f"{name} is ragged: its nested sequences differ in length") from None
     if a.dtype.kind not in "iuf":
         raise TypeError(f"{name} must hold ints or floats, not {a.dtype}")
     if a.ndim != ndim or 0 in a.shape:
@@ -59,7 +62,9 @@ def _number(name, value, integer=False, *, ge=None, gt=None, le=None):
     ``integer``, else a finite real number, never a bool or a string (a
     TypeError naming it otherwise), and >= ``ge``, > ``gt``, <= ``le`` (a
     ValueError).  It is compared as given, never through float(), so a
-    huge integer is refused as not finite and does not overflow."""
+    huge integer is refused as not finite and does not overflow; a
+    refusal words an integer of more than 64 bits by its bit count, as
+    Python will not print one of more than 4300 digits."""
     if isinstance(value, bool) or not isinstance(
             value, numbers.Integral if integer else numbers.Real):
         raise TypeError(f"{name} must be {'an integer' if integer else 'a real number'}, "
@@ -69,7 +74,9 @@ def _number(name, value, integer=False, *, ge=None, gt=None, le=None):
     for bound, sign, holds in ((ge, ">=", operator.ge), (gt, ">", operator.gt),
                                (le, "<=", operator.le)):
         if bound is not None and not holds(value, bound):
-            raise ValueError(f"{name} must be {sign} {bound}, got {value}")
+            bits = int(value).bit_length() if integer else 0
+            shown = f"an integer of {bits} bits" if bits > 64 else value
+            raise ValueError(f"{name} must be {sign} {bound}, got {shown}")
     return value
 
 
@@ -92,6 +99,9 @@ class LearnOptions:
     draw from rng_seed).  tol_fun / tol_x are the residual and parameter tolerances of the
     damped least-squares solver :func:`mathkit.lm_solve`; they stop only
     that solver, and no learner reads them to accept a constraint row.
+    Its reason ``fun-tol`` means an accepted step gained less than
+    tol_fun, or its relative actual and predicted reductions were both at
+    most mathkit.LM_FTOL (a constant, not an option).
     There is no truncation knob: a learned constraint's projector, and the
     objective its learner reports, both cut singular values below 1e-8 of
     the largest (the default of :func:`mathkit.pinv_truncated`).

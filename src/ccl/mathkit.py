@@ -15,6 +15,9 @@ import numpy as np
 from .core import LearnOptions, LearnReport, _number
 
 LAMBDA_MAX = 1e12
+# lm_solve also stops on fun-tol once an accepted step's actual and
+# predicted reductions are both at most LM_FTOL of the objective (Moré 1978)
+LM_FTOL = 1e-6
 ABANDON_AFTER = 10  # iterations before lm_solve compares against abandon_above
 # kmeans_centers: bound on the rounding error of a computed squared distance,
 # relative to the largest squared sample norm (see its docstring); candidate
@@ -369,11 +372,15 @@ def lm_solve(problem: LmProblem):
 
     lam shrinks x0.1 after an accepted step and grows x10 after a
     rejection; the objective never increases across accepted steps.
-    Terminates when the accepted step norm drops below tol_x, the
-    objective improvement drops below tol_fun, or on max_iter.  When lam
-    exceeds LAMBDA_MAX no damped step improves the objective any more:
-    the solve stops with reason ``stalled`` (not converged, best point
-    returned).  At iteration ABANDON_AFTER a solve whose best objective is
+    Terminates when the accepted step norm drops below tol_x, on max_iter,
+    or with reason ``fun-tol`` when an accepted step's improvement drops
+    below tol_fun, or when both its actual reduction E - E_new and the
+    reduction s'Hs + 2 lam s'Ds its damped model predicted are at most
+    LM_FTOL * E (MINPACK's relative test, blind to the objective's scale;
+    H and D are the system and damping in hand, so it needs no solve).
+    When lam exceeds LAMBDA_MAX no damped step improves the objective any
+    more: the solve stops with reason ``stalled`` (not converged, best
+    point returned).  At iteration ABANDON_AFTER a solve whose best objective is
     still above ``problem.abandon_above`` stops with reason ``abandoned``
     (not converged, best point returned); the default bound, inf, never
     does.
@@ -410,12 +417,14 @@ def lm_solve(problem: LmProblem):
 
         if e_new <= energy:
             gain = energy - e_new
+            predicted = step @ (h @ step) + 2.0 * lam * (step @ (damp @ step))
+            small = LM_FTOL * energy
             p, r, energy = p_new, r_new, e_new
             lam = max(lam * 0.1, 1e-15)
             if np.linalg.norm(step) < opts.tol_x:
                 converged, reason = True, "x-tol"
                 break
-            if gain < opts.tol_fun:
+            if gain < opts.tol_fun or (gain <= small and predicted <= small):
                 converged, reason = True, "fun-tol"
                 break
             h, g, damp = system(p, r)

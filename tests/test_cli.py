@@ -656,7 +656,7 @@ def test_constraint_document_of_the_other_kind_is_an_error(tmp_path, capsys, lea
 _BAD_NHAT_DOCS = {
     "not-orthonormal": (lambda doc: dict(doc, rows=[[v * (1 + 1e-8) for v in doc["rows"][0]]]),
                         "rows must be orthonormal"),
-    "ragged": (lambda doc: dict(doc, rows=[doc["rows"][0], [0.0]]), "inhomogeneous"),
+    "ragged": (lambda doc: dict(doc, rows=[doc["rows"][0], [0.0]]), "rows is ragged"),
     "strings": (lambda doc: dict(doc, rows=[[repr(v) for v in doc["rows"][0]]]),
                 "malformed field"),
     "dim-b-not-below-dim-u": (lambda doc: dict(doc, rows=[[1.0, 0.0], [0.0, 1.0]]),
@@ -695,7 +695,7 @@ _BAD_LAMBDA_DOCS = {
     "rows-of-dicts": (lambda doc: dict(doc, rows=[{"x": 1.0}]), "malformed field"),
     "rows-nested-deeper": (lambda doc: dict(doc, rows=[doc["rows"]]), "got shape (1, 1, 2)"),
     "rows-a-number": (lambda doc: dict(doc, rows=1.0), "got shape ()"),
-    "rows-ragged": (lambda doc: dict(doc, rows=[doc["rows"][0], [[0.0]]]), "inhomogeneous"),
+    "rows-ragged": (lambda doc: dict(doc, rows=[doc["rows"][0], [[0.0]]]), "rows is ragged"),
 }
 
 

@@ -136,6 +136,27 @@ def test_every_number_a_user_sets_refuses_a_bad_value_by_name(setting, data):
         build(value)
 
 
+@pytest.mark.parametrize("value, bits", [(10 ** 5000, 16610), (-10 ** 5000, 16610),
+                                         (2 ** 64, 65)], ids=["1e5000", "-1e5000", "2**64"])
+def test_a_refused_integer_of_more_than_64_bits_is_worded_by_its_bit_count(value, bits):
+    # Python refuses to print an integer of more than 4300 digits
+    bound = ">= 0" if value < 0 else "<= 18446744073709551615"
+    with pytest.raises(ValueError, match=f"^rng_seed must be {bound}, got an integer of "
+                                         f"{bits} bits$"):
+        LearnOptions(rng_seed=value)
+
+
+@pytest.mark.parametrize("build, name", [
+    (lambda: GeneratorConfig(attractor_gain=((1.0, 0.0), (0.0,))), "attractor_gain"),
+    (lambda: NullspaceComponentModel(centers=np.zeros((2, 1)), width=1.0,
+                                     weights=[[1.0], []]), "weights"),
+], ids=["GeneratorConfig", "NullspaceComponentModel"])
+def test_a_ragged_array_field_is_refused_by_name(build, name):
+    with pytest.raises(ValueError, match=f"^{name} is ragged: its nested sequences differ "
+                                         f"in length$"):
+        build()
+
+
 def test_report_nmse_consistency():
     rep = LearnReport.from_errors(mse=2.0, variance=4.0, iterations=1,
                                   final_objective=2.0, converged=True, reason="fun-tol")

@@ -6,13 +6,14 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from ccl import constraint
+from ccl import constraint, mathkit
 from ccl.constraint import learn_alpha
 from ccl.core import LearnOptions, LearnReport
 from ccl.datagen import GeneratorConfig, generate
 from ccl.mathkit import (
     ABANDON_AFTER,
     LAMBDA_MAX,
+    LM_FTOL,
     LmProblem,
     kmeans_centers,
     lm_solve,
@@ -740,13 +741,17 @@ def test_lm_converging_before_abandon_after_is_never_abandoned():
     assert abs(p[0] - 3.0) < 1e-6
 
 
+def _stalling_problem():
+    """|sin p + 2| >= 1 from 1e-3 above its minimum at -pi/2, with a
+    Jacobian of the wrong sign: every damped step climbs, so none is ever
+    accepted and lam overflows long before max_iter."""
+    return LmProblem(residual=lambda p: np.sin(p) + 2.0, p0=np.array([-np.pi / 2 + 1e-3]),
+                     jacobian=lambda p: np.diag(-np.cos(p)),
+                     options=LearnOptions(max_iter=1000))
+
+
 def test_lm_reports_a_stall_when_the_damping_overflows():
-    # |sin p + 2| >= 1 has no zero: at its minimum no damped step improves
-    # the objective, and lam overflows long before max_iter
-    problem = LmProblem(residual=lambda p: np.sin(p) + 2.0, p0=np.array([1.0]),
-                        jacobian=lambda p: np.diag(np.cos(p)),
-                        options=LearnOptions(max_iter=1000))
-    p, report = lm_solve(problem)
+    p, report = lm_solve(_stalling_problem())
     assert report.iterations < 1000
     assert not report.converged and report.reason == "stalled"
     assert abs(np.sin(p[0]) + 1.0) < 1e-6
@@ -765,6 +770,28 @@ def test_greedy_learner_reports_a_kept_start_that_stalled(monkeypatch):
     _, report = learn_alpha(data.actions, data.states, LearnOptions(max_iter=30), num_basis=3)
     assert not report.converged and report.reason == "stalled"
     assert {start["reason"] for start in report.starts} == {"stalled"}
+
+
+def test_lm_stops_at_the_same_iteration_whatever_the_residual_scale(monkeypatch):
+    # an exponential fit whose optimum leaves a residual (energy near 9.6):
+    # the relative reduction test stops it, on the residual as given and
+    # scaled by 1e3 alike
+    t = np.linspace(0.0, 1.0, 20)
+    y = np.exp(1.3 * t) + np.sin(17.0 * t)
+
+    def solve(scale):
+        return lm_solve(LmProblem(
+            residual=lambda p: scale * (p[0] * np.exp(p[1] * t) - y), p0=np.array([1.0, 0.0]),
+            jacobian=lambda p: scale * np.stack([np.exp(p[1] * t), p[0] * t * np.exp(p[1] * t)],
+                                                axis=1)))
+
+    (p, report), (p_scaled, report_scaled) = solve(1.0), solve(1e3)
+    assert report.reason == report_scaled.reason == "fun-tol"
+    assert report.iterations == report_scaled.iterations
+    np.testing.assert_allclose(p_scaled, p, rtol=1e-12)
+    # the absolute test alone stops the two at different iterations
+    monkeypatch.setattr(mathkit, "LM_FTOL", 0.0)
+    assert solve(1.0)[1].iterations != solve(1e3)[1].iterations
 
 
 def _reference_lm_solve(problem):
@@ -793,13 +820,15 @@ def _reference_lm_solve(problem):
         e_new = float(r_new @ r_new) if np.isfinite(r_new).all() else np.inf
         if e_new <= energy:
             gain = energy - e_new
+            predicted = step @ (h @ step) + 2.0 * lam * (step @ (damp @ step))
+            small = LM_FTOL * energy
             p, r, energy = p_new, r_new, e_new
             lam = max(lam * 0.1, 1e-15)
             j = np.atleast_2d(np.asarray(jacobian(p), dtype=float))
             if np.linalg.norm(step) < opts.tol_x:
                 converged, reason = True, "x-tol"
                 break
-            if gain < opts.tol_fun:
+            if gain < opts.tol_fun or (gain <= small and predicted <= small):
                 converged, reason = True, "fun-tol"
                 break
         else:
@@ -833,8 +862,7 @@ _LM_CASES = {
     "abandoned": lambda: LmProblem(residual=lambda p: p ** 2, p0=np.array([1.0]),
                                    jacobian=lambda p: np.diag(2.0 * p),
                                    options=LearnOptions(tol_fun=1e-18), abandon_above=-1.0),
-    "stalled": lambda: LmProblem(residual=lambda p: np.sin(p) + 2.0, p0=np.array([1.0]),
-                                 jacobian=lambda p: np.diag(np.cos(p))),
+    "stalled": _stalling_problem,
     "alpha-row": _alpha_row_problem,
 }
 

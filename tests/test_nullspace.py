@@ -210,6 +210,20 @@ def test_learn_ncl_beats_naive_regression_at_rejecting_task_motion():
     assert wins == 20
 
 
+def test_learn_ncl_stops_once_its_objective_stops_falling_relatively():
+    # the data of `ccl gen --constraint fixed:60 --b sin:0.5,3,0 --n 5000
+    # --seed 161576976`: an objective near 5.75 whose accepted gains stay
+    # above tol_fun = 1e-9 for hundreds of iterations, which only the
+    # relative reduction test cuts short
+    seed = 161576976
+    data = generate(GeneratorConfig(constraints=("fixed:60",), task_b="sin:0.5,3,0",
+                                    n_per_group=5000, rng_seed=seed))
+    _, report = learn_ncl(data.states, data.actions, LearnOptions(rng_seed=seed))
+    assert report.converged and report.reason == "fun-tol"
+    assert report.iterations <= 120
+    assert abs(report.final_objective - 5.748718) <= 1e-3 * 5.748718
+
+
 def test_learn_ncl_init_insensitive_final_objective():
     # convex-like instance (pure null-space data): two different optimizer
     # starting points on the same basis converge to objectives within 1%

@@ -88,14 +88,14 @@ def cmd_gen(args):
     config = _gen_config(args)
     t0 = time.perf_counter()
     data = generate(config)
-    save_dataset(data, args.out)
+    written = save_dataset(data, args.out)
     command = ["gen", "--system", args.system, "--policy", args.policy]
     for c in args.constraint:
         command += ["--constraint", c]
     command += ["--b", args.b, "--n", str(args.n), "--noise", repr(args.noise),
                 "--seed", str(args.seed), "--out", args.out]
     RunManifest(subcommand="gen", command=tuple(command), config=asdict(config),
-                inputs=(), outputs=(args.out,), seed=args.seed,
+                inputs=(), outputs=written, seed=args.seed,
                 duration_s=time.perf_counter() - t0).write(_manifest_path(args.out))
     print(f"gen: wrote {data.n_samples} samples ({data.n_groups} groups) to {args.out}")
     return 0

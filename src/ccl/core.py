@@ -8,8 +8,10 @@ marked read-only), so they can be shared freely across threads.
 from __future__ import annotations
 
 from dataclasses import dataclass, field, fields
+import hashlib
 import numbers
 import operator
+import os
 import sys
 
 import numpy as np
@@ -277,6 +279,11 @@ class DemonstrationSet:
 # One sample per row, comma separated, with a header naming the columns:
 # x1..x{dim_x}, u1..u{dim_u}, optional pi*/v*/w* ground-truth channels and
 # an optional trailing integer group column k.
+#
+# save_dataset also writes a sidecar, PATH.npy: two arrays in .npy format,
+# the first a _SIDECAR_HEAD record of the layout tag and the SHA-256 of the
+# text's bytes, the second the rows as the text reader reads them (_row_dtype).
+# load_dataset takes the rows from it only while that digest is the text's.
 # ---------------------------------------------------------------------------
 
 # rows formatted per block: the tokens and text of one block at a time (a
@@ -285,19 +292,54 @@ _SAVE_BLOCK_ROWS = 256
 # the column blocks of the header, in order: states, actions and the
 # policy, task and null-space channels
 _BLOCKS = ("x", "u", "pi", "v", "w")
+_SIDECAR_HEAD = np.dtype([("layout", "S16"), ("sha256", "S64")])
+# a new tag is due whenever the sidecar's layout or the text reader's rows change
+_SIDECAR_LAYOUT = b"ccl-rows-1"
+
+
+def _sidecar(path):
+    return f"{os.fspath(path)}.npy"
+
+
+def _row_dtype(n_values, has_k):
+    """The text reader's rows: ``n_values`` floats and, with has_k, a 64-bit
+    integer group id."""
+    return np.dtype([("v", float, (n_values,))] + ([("k", np.int64)] if has_k else []))
 
 
 def save_dataset(data: DemonstrationSet, path):
-    """Write a dataset file (format above), one block of
-    _SAVE_BLOCK_ROWS rows at a time, so the Python objects alive at once
-    stay a small fraction of the float table whatever its length. Each
-    distinct bit pattern of a block is formatted once."""
+    """Write a dataset file (format above) and its sidecar ``PATH.npy``, one
+    block of _SAVE_BLOCK_ROWS rows at a time, so the Python objects alive
+    at once stay a small fraction of the float table whatever its length.
+    Each distinct bit pattern of a block is formatted once.  The text is
+    hashed as it is written, and the sidecar's digest is filled in last.
+    Returns the paths written: the dataset file's, then the sidecar's."""
     channels = [data.states, data.actions, data.policy, data.task_component, data.null_component]
     cols = [f"{p}{i + 1}" for p, ch in zip(_BLOCKS, channels) if ch is not None
             for i in range(len(ch))] + ["k"]
     channels = [ch for ch in channels if ch is not None]
-    with open(path, "w") as fh:
-        fh.write(",".join(cols) + "\n")
+    # a block's rows, as the text reader reads them and as text cells: a
+    # row is value, ",", value, ",", ..., group id, "\n"
+    rows = np.empty(_SAVE_BLOCK_ROWS, _row_dtype(len(cols) - 1, True))
+    cells = np.empty((_SAVE_BLOCK_ROWS, 2 * len(cols)), dtype=object)
+    cells[:, 1::2] = ","
+    cells[:, -1] = "\n"
+    # group ids are dense, so each is formatted once
+    group_tokens = np.array(list(map(str, range(data.n_groups))), dtype=object)
+    digest = hashlib.sha256()
+    sidecar = _sidecar(path)
+    # the sidecar first: when it cannot be opened, the text is left as it was
+    with open(sidecar, "wb") as npy, open(path, "wb") as fh:
+        def write(text):
+            raw = text.encode()
+            digest.update(raw)
+            fh.write(raw)
+
+        np.save(npy, np.zeros((), _SIDECAR_HEAD))  # the same size as the final head
+        np.lib.format.write_array_header_1_0(npy, {
+            "descr": np.lib.format.dtype_to_descr(rows.dtype), "fortran_order": False,
+            "shape": (data.n_samples,)})
+        write(",".join(cols) + "\n")
         for s in range(0, data.n_samples, _SAVE_BLOCK_ROWS):
             block = slice(s, s + _SAVE_BLOCK_ROWS)
             table = np.vstack([ch[:, block] for ch in channels]).T
@@ -305,13 +347,15 @@ def save_dataset(data: DemonstrationSet, path):
             bits, inverse = np.unique(table.ravel().view(np.int64), return_inverse=True)
             # repr of a Python float is the shortest string that reads back bit for bit
             tokens = np.array(list(map(repr, bits.view(np.float64).tolist())), dtype=object)
-            # a row is value, ",", value, ",", ..., group id, "\n"
-            cells = np.empty((len(table), 2 * len(cols)), dtype=object)
-            cells[:, 1::2] = ","
-            cells[:, -1] = "\n"
-            cells[:, :-2:2] = tokens[inverse.reshape(table.shape)]
-            cells[:, -2] = list(map(str, data.group_ids[block].tolist()))
-            fh.write("".join(cells.ravel().tolist()))
+            part, text = rows[:len(table)], cells[:len(table)]
+            text[:, :-2:2] = tokens[inverse.reshape(table.shape)]
+            text[:, -2] = group_tokens[data.group_ids[block]]
+            write("".join(text.ravel().tolist()))
+            part["v"], part["k"] = table, data.group_ids[block]
+            npy.write(part.tobytes())
+        npy.seek(0)
+        np.save(npy, np.array((_SIDECAR_LAYOUT, digest.hexdigest()), _SIDECAR_HEAD))
+    return os.fspath(path), sidecar
 
 
 def _read_header(path, header):
@@ -342,9 +386,9 @@ def _read(lines, n_values, has_k=False):
     array with fields "v" and "k", or None when it refuses a line.  The
     structured dtype makes it enforce the exact column count; it rounds
     each value the way Python's float does."""
-    dtype = [("v", float, (n_values,))] + ([("k", np.int64)] if has_k else [])
     try:
-        return np.loadtxt(lines, delimiter=",", comments=None, ndmin=1, dtype=dtype)
+        return np.loadtxt(lines, delimiter=",", comments=None, ndmin=1,
+                          dtype=_row_dtype(n_values, has_k))
     except ValueError:
         return None
 
@@ -416,8 +460,40 @@ def _undecodable(path, exc):
     return exc
 
 
+def _cached_rows(path, n_values, has_k):
+    """The rows of path's sidecar when its head holds this layout tag and the
+    SHA-256 of path's bytes now, and its rows are the text reader's for the
+    header (n_values, has_k), all finite; otherwise None, whatever is wrong
+    with the sidecar, so that the text decides.  Both arrays are read by
+    np.load's .npy reader, which refuses anything but a .npy array and,
+    with allow_pickle=False, an object array."""
+    try:
+        with open(_sidecar(path), "rb") as npy:
+            head = np.lib.format.read_array(npy, allow_pickle=False)
+            if head.dtype != _SIDECAR_HEAD or head.shape != ():
+                return None
+            digest = hashlib.sha256()
+            with open(path, "rb") as fh:
+                for chunk in iter(lambda: fh.read(1 << 20), b""):
+                    digest.update(chunk)
+            if head.item() != (_SIDECAR_LAYOUT, digest.hexdigest().encode()):
+                return None
+            rows = np.lib.format.read_array(npy, allow_pickle=False)
+    except (OSError, ValueError):
+        return None
+    fits = rows.dtype == _row_dtype(n_values, has_k) and rows.ndim == 1 and len(rows)
+    return rows if fits and np.isfinite(rows["v"]).all() else None
+
+
 def load_dataset(path) -> DemonstrationSet:
     """Read a dataset file, validating dimensions and values.
+
+    The header is always read from the text.  When the file's sidecar
+    ``PATH.npy`` holds the SHA-256 of the file's bytes and rows that fit
+    the header and are finite, the rows are read from it (a cache the file
+    is hashed to check, never written here); otherwise, whatever is wrong
+    with the sidecar, the text is parsed as below.  Both give the same
+    dataset, bit for bit.
 
     Lines end where text mode ends them (LF, CRLF or CR), and blank or
     whitespace-only lines are skipped.  numpy's C reader parses the data
@@ -438,13 +514,15 @@ def load_dataset(path) -> DemonstrationSet:
     try:
         with open(path) as fh:
             blocks, has_k = _read_header(path, fh.readline())
-            lines = (line for line in fh if not line.isspace())
-            # taken apart, since numpy's reader warns when it finds no data
-            first = next(lines, None)
-            rows = None if first is None else _read(
-                (line for part in ([first], lines) for line in part), sum(blocks), has_k)
-        if rows is None or not np.isfinite(rows["v"]).all():
-            raise _scan_rows(path, sum(blocks), has_k)
+            rows = _cached_rows(path, sum(blocks), has_k)
+            if rows is None:
+                lines = (line for line in fh if not line.isspace())
+                # taken apart, since numpy's reader warns when it finds no data
+                first = next(lines, None)
+                rows = None if first is None else _read(
+                    (line for part in ([first], lines) for line in part), sum(blocks), has_k)
+                if rows is None or not np.isfinite(rows["v"]).all():
+                    raise _scan_rows(path, sum(blocks), has_k)
     except UnicodeDecodeError as exc:
         raise _undecodable(path, exc) from None
     states, actions, policy, task_c, null_c = (

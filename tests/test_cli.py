@@ -8,6 +8,7 @@ from dataclasses import fields
 import numpy as np
 import pytest
 
+from ccl import cli
 from ccl.cli import LEARNERS, TUTORIALS, _stage_paths, build_parser, main
 from ccl.core import DemonstrationSet, LearnOptions, load_dataset, save_dataset
 from ccl.datagen import GeneratorConfig
@@ -37,7 +38,7 @@ def test_gen_writes_dataset_and_manifest(tmp_path):
     manifest = json.loads(open(out + ".manifest.json").read())
     assert manifest["seed"] == 42
     assert manifest["subcommand"] == "gen"
-    assert manifest["outputs"] == [out]
+    assert manifest["outputs"] == [out, out + ".npy"]
 
 
 def test_gen_missing_out_is_usage_error(tmp_path, capsys):
@@ -1025,6 +1026,23 @@ def test_eval_does_not_read_ccl_seed(tmp_path, monkeypatch):
     assert json.loads(open(table + ".manifest.json").read())["seed"] is None
 
 
+def test_learn_names_a_line_broken_after_the_save_though_the_sidecar_is_left(
+        tmp_path, capsys):
+    data = _gen(tmp_path, n=50)
+    with open(data) as fh:
+        lines = fh.readlines()
+    lines[6] = lines[6][:lines[6].rindex(",")] + "\n"  # line 7 loses its group id
+    with open(data, "w") as fh:
+        fh.writelines(lines)
+    assert os.path.exists(data + ".npy")
+    capsys.readouterr()
+    code = _run("learn", "--method", "nhat", "--in", data, "--out", str(tmp_path / "m.json"))
+    assert code == 1
+    width = lines[0].count(",") + 1
+    assert capsys.readouterr().err == (
+        f"error: {data} line 7: expected {width} columns, got {width - 1}\n")
+
+
 def test_learn_rejects_group_id_beyond_64_bits(tmp_path, capsys):
     data = tmp_path / "big.csv"
     data.write_text("x1,u1,u2,k\n0.0,1.0,0.0,0\n0.5,0.0,1.0,99999999999999999999\n")
@@ -1040,8 +1058,8 @@ def test_tutorial_reruns_byte_identical(tmp_path, name, capsys):
     assert _run("tutorial", name, "--seed", "7", "--outdir", outdir) in (0, 2)
     (stem, _, _, field), = TUTORIALS[name]
     written = _stage_paths("", stem, field)
-    assert sorted(os.listdir(outdir)) == sorted(written + [f"{f}.manifest.json"
-                                                           for f in written[:3]])
+    assert sorted(os.listdir(outdir)) == sorted(written + [written[0] + ".npy"] + [
+        f"{f}.manifest.json" for f in written[:3]])
     first = {}
     for fname in sorted(os.listdir(outdir)):
         with open(os.path.join(outdir, fname), "rb") as fh:
@@ -1057,6 +1075,33 @@ def test_tutorial_reruns_byte_identical(tmp_path, name, capsys):
             assert a == b, fname
         else:
             assert blob == again, fname
+
+
+@pytest.mark.parametrize("name", list(TUTORIALS))
+def test_tutorial_writes_the_same_files_when_the_text_is_parsed(
+        tmp_path, monkeypatch, capsys, name):
+    # learn and eval read each dataset's sidecar, unless it is deleted as
+    # soon as gen has written it
+    cached, parsed = str(tmp_path / "cached"), str(tmp_path / "parsed")
+    assert _run("tutorial", name, "--seed", "5", "--outdir", cached) in (0, 2)
+    save_dataset = cli.save_dataset
+
+    def save_text_alone(data, path):
+        written = save_dataset(data, path)
+        for sidecar in written[1:]:
+            os.remove(sidecar)
+        return written
+
+    monkeypatch.setattr(cli, "save_dataset", save_text_alone)
+    assert _run("tutorial", name, "--seed", "5", "--outdir", parsed) in (0, 2)
+    stages = [_stage_paths("", stem, field) for stem, _, _, field in TUTORIALS[name]]
+    for data, *made in stages:
+        assert os.path.exists(os.path.join(cached, data + ".npy"))
+        assert not os.path.exists(os.path.join(parsed, data + ".npy"))
+        for fname in [data, *made]:
+            with open(os.path.join(cached, fname), "rb") as a, \
+                    open(os.path.join(parsed, fname), "rb") as b:
+                assert a.read() == b.read(), fname
 
 
 def test_tutorial_toy_constraint_prints_both_metric_sets(tmp_path, capsys):

@@ -1,5 +1,7 @@
 import dataclasses
+import hashlib
 import os
+import shutil
 import re
 import sys
 import tempfile
@@ -315,10 +317,15 @@ def test_dataset_subset_and_split():
 # text format
 # ---------------------------------------------------------------------------
 
+def _save_text(data, path):
+    """save_dataset, then delete the sidecar, so that a load parses the text."""
+    os.remove(save_dataset(data, path)[1])
+
+
 def test_dataset_roundtrip_exact(tmp_path):
     data = _toy_set(17, with_channels=True)
     path = tmp_path / "d.csv"
-    save_dataset(data, path)
+    _save_text(data, path)
     back = load_dataset(path)
     assert np.array_equal(back.states, data.states)
     assert np.array_equal(back.actions, data.actions)
@@ -330,7 +337,7 @@ def test_dataset_roundtrip_exact(tmp_path):
 
 def test_load_ignores_a_leading_byte_order_mark(tmp_path):
     plain, marked = tmp_path / "plain.csv", tmp_path / "marked.csv"
-    save_dataset(_toy_set(9, with_channels=True), plain)
+    _save_text(_toy_set(9, with_channels=True), plain)
     marked.write_bytes("\ufeff".encode("utf-8") + plain.read_bytes())
     a, b = load_dataset(plain), load_dataset(marked)
     for name in ("states", "actions", "group_ids", "policy", "task_component", "null_component"):
@@ -437,7 +444,7 @@ def test_fuzzed_roundtrip_preserves_invariants(tmp_path):
             actions=rng.normal(size=(int(rng.integers(1, 4)), n)),
             group_ids=gids)
         path = tmp_path / f"f{trial}.csv"
-        save_dataset(data, path)
+        _save_text(data, path)
         back = load_dataset(path)
         assert back.n_samples == n and back.n_groups == k
         assert np.array_equal(back.states, data.states)
@@ -485,7 +492,7 @@ def _reference_rows(data):
 def test_codec_roundtrip_is_byte_and_bit_exact(data):
     with tempfile.TemporaryDirectory() as tmp:
         first, second = os.path.join(tmp, "a.csv"), os.path.join(tmp, "b.csv")
-        save_dataset(data, first)
+        _save_text(data, first)
         back = load_dataset(first)
         save_dataset(back, second)
         text = open(first).read()
@@ -698,13 +705,19 @@ def test_a_byte_that_does_not_decode_names_its_line(tmp_path, text, line, byte):
     assert str(exc.value) == f"{path} line {line}: 'utf-8' codec can't decode byte 0x{byte}"
 
 
+def _counting_reads(monkeypatch):
+    """Count the text reader's calls from now on."""
+    calls = []
+    read = core._read
+    monkeypatch.setattr(core, "_read", lambda lines, *a: calls.append(1) or read(lines, *a))
+    return calls
+
+
 def test_the_error_scan_reads_the_file_a_logarithmic_number_of_times(tmp_path, monkeypatch):
     n = 4096
     path = tmp_path / "d.csv"
     path.write_text("x1,u1,k\n" + "0.5,1.0,0\n" * (n - 1) + "0.5,1.0\n")
-    calls = []
-    read = core._read
-    monkeypatch.setattr(core, "_read", lambda lines, *a: calls.append(1) or read(lines, *a))
+    calls = _counting_reads(monkeypatch)
     with pytest.raises(ValueError, match=f"line {n + 1}: expected 3 columns, got 2$"):
         load_dataset(path)
     # the whole file once, log2(n) halvings, and the reads that word the message
@@ -737,9 +750,13 @@ def test_codec_peak_memory_is_bounded_by_the_float_table(tmp_path):
     path = tmp_path / "pooled.csv"
     _, save_peak = _traced_peak(lambda: save_dataset(data, path))
     back, load_peak = _traced_peak(lambda: load_dataset(path))
-    assert back.states.tobytes() == data.states.tobytes()
+    # and the text reader's peak, with the sidecar gone
+    os.remove(f"{path}.npy")
+    parsed, parse_peak = _traced_peak(lambda: load_dataset(path))
+    assert back.states.tobytes() == parsed.states.tobytes() == data.states.tobytes()
     assert save_peak <= 1.5 * table_bytes, save_peak / table_bytes
     assert load_peak <= 2.5 * table_bytes, load_peak / table_bytes
+    assert parse_peak <= 2.5 * table_bytes, parse_peak / table_bytes
 
 
 def test_save_formats_every_block_as_the_per_sample_writer(tmp_path):
@@ -834,3 +851,175 @@ def test_every_file_loads_or_names_its_line_as_the_reference(text):
         with open(path, encoding="utf-8") as fh:
             lines = fh.read().split("\n")
         _load_as_reference(path, lines)
+
+
+# ---------------------------------------------------------------------------
+# the row sidecar: a cache of the parsed rows that the text's digest guards
+# ---------------------------------------------------------------------------
+
+_DATASET_FIELDS = ("states", "actions", "group_ids", "policy", "task_component",
+                   "null_component")
+
+
+def _assert_same_dataset(got, want):
+    """Each array of got has want's bytes, dtype and shape, and is C-contiguous."""
+    for name in _DATASET_FIELDS:
+        a, b = getattr(got, name), getattr(want, name)
+        assert (a is None) == (b is None), name
+        if b is not None:
+            assert a.dtype == b.dtype and a.shape == b.shape, name
+            assert a.flags.c_contiguous and a.tobytes() == b.tobytes(), name
+
+
+@settings(max_examples=60, deadline=None)
+@given(n=st.integers(1, 600), dim_x=st.integers(1, 3), dim_u=st.integers(1, 3),
+       channels=st.tuples(st.booleans(), st.booleans(), st.booleans()),
+       k=st.integers(1, 50), seed=st.integers(0, 2 ** 32 - 1))
+@example(n=2 * _SAVE_BLOCK_ROWS + 1, dim_x=3, dim_u=3, channels=(True, True, True), k=50,
+         seed=0)
+def test_the_sidecar_and_the_text_load_the_same_dataset_bit_for_bit(
+        n, dim_x, dim_u, channels, k, seed):
+    rng = np.random.default_rng(seed)
+
+    def block(rows):
+        # magnitudes from 1e-300 to 1e300, a fifth of them edge values
+        values = rng.normal(size=(rows, n)) * 10.0 ** rng.integers(-300, 301, size=(rows, n))
+        edge = rng.random((rows, n)) < 0.2
+        values[edge] = rng.choice(_EDGE_FLOATS, size=int(edge.sum()))
+        return values
+
+    k = min(k, n)
+    gids = rng.permutation(np.concatenate([np.arange(k), rng.integers(0, k, n - k)]))
+    data = DemonstrationSet(states=block(dim_x), actions=block(dim_u), group_ids=gids, **{
+        name: block(dim_u) if on else None
+        for name, on in zip(("policy", "task_component", "null_component"), channels)})
+    with tempfile.TemporaryDirectory() as tmp:
+        path = os.path.join(tmp, "d.csv")
+        assert save_dataset(data, path) == (path, f"{path}.npy")
+        cached = load_dataset(path)
+        os.remove(f"{path}.npy")
+        parsed = load_dataset(path)
+    _assert_same_dataset(cached, data)
+    _assert_same_dataset(parsed, data)
+
+
+def test_a_current_sidecar_is_read_and_the_text_is_not_parsed(tmp_path, monkeypatch):
+    data = _toy_set(300, with_channels=True)
+    path = tmp_path / "d.csv"
+    save_dataset(data, path)
+    calls = _counting_reads(monkeypatch)
+    _assert_same_dataset(load_dataset(path), data)
+    assert calls == []
+
+
+def _rows_of(path):
+    """The rows array of path's sidecar."""
+    with open(f"{path}.npy", "rb") as fh:
+        np.load(fh)
+        return np.load(fh)
+
+
+def _write_sidecar(path, rows, layout=core._SIDECAR_LAYOUT):
+    """Replace path's sidecar by a head holding layout and the digest of
+    path's bytes now, followed by rows."""
+    digest = hashlib.sha256(path.read_bytes()).hexdigest()
+    with open(f"{path}.npy", "wb") as fh:
+        np.save(fh, np.array((layout, digest), core._SIDECAR_HEAD))
+        np.save(fh, rows, allow_pickle=True)
+
+
+def _truncated(path):
+    sidecar = f"{path}.npy"
+    with open(sidecar, "r+b") as fh:
+        fh.truncate(os.path.getsize(sidecar) // 2)
+
+
+def _copied_from_another_dataset(path):
+    other = path.with_name("other.csv")
+    data = _toy_set(300, with_channels=True)
+    save_dataset(dataclasses.replace(data, states=data.states + 1.0), other)
+    shutil.copy(f"{other}.npy", f"{path}.npy")
+
+
+def _with_nan(path):
+    rows = _rows_of(path)
+    rows["v"][7, 3] = np.nan
+    _write_sidecar(path, rows)
+
+
+def _as_npz_archive(path):
+    rows = _rows_of(path)
+    with open(f"{path}.npy", "wb") as fh:
+        np.savez(fh, rows=rows)
+
+
+# ways a sidecar is stale, broken or foreign: each is ignored and the text decides
+_BAD_SIDECARS = {
+    "truncated": _truncated,
+    "copied-from-another-dataset": _copied_from_another_dataset,
+    "object-rows": lambda path: _write_sidecar(path, np.array([None, 1.0], dtype=object)),
+    "object-array-alone": lambda path: np.save(f"{path}.npy", np.array([None], dtype=object),
+                                               allow_pickle=True),
+    "nan-row": _with_nan,
+    "float32-rows": lambda path: _write_sidecar(path, _rows_of(path).astype(
+        [("v", np.float32, (10,)), ("k", np.int64)])),
+    "rows-without-group-ids": lambda path: _write_sidecar(path, _rows_of(path)[["v"]]),
+    "another-layout": lambda path: _write_sidecar(path, _rows_of(path), b"ccl-rows-0"),
+    "empty-file": lambda path: open(f"{path}.npy", "wb").close(),
+    "npz-archive": _as_npz_archive,
+    "text": lambda path: shutil.copy(path, f"{path}.npy"),
+    "a-directory": lambda path: (os.remove(f"{path}.npy"), os.mkdir(f"{path}.npy")),
+}
+
+
+@pytest.mark.parametrize("spoil", _BAD_SIDECARS.values(), ids=list(_BAD_SIDECARS))
+def test_a_bad_sidecar_is_ignored_and_the_text_decides(tmp_path, monkeypatch, spoil):
+    data = _toy_set(300, with_channels=True)
+    path = tmp_path / "d.csv"
+    save_dataset(data, path)
+    spoil(path)
+    calls = _counting_reads(monkeypatch)
+    _assert_same_dataset(load_dataset(path), data)
+    assert calls, "the text was not parsed"
+
+
+def test_a_value_edited_after_the_save_is_read_from_the_text(tmp_path):
+    data = _toy_set(30, with_channels=True)
+    path = tmp_path / "d.csv"
+    save_dataset(data, path)
+    lines = path.read_text().splitlines(keepends=True)
+    lines[4] = "0.125" + lines[4][lines[4].index(","):]
+    path.write_text("".join(lines))
+    back = load_dataset(path)
+    assert back.states[0, 3] == 0.125 != data.states[0, 3]
+    assert back.actions.tobytes() == data.actions.tobytes()
+
+
+def test_a_load_writes_nothing_in_a_read_only_directory(tmp_path):
+    data = _toy_set(30, with_channels=True)
+    cached, parsed = tmp_path / "cached", tmp_path / "parsed"
+    for folder in (cached, parsed):
+        folder.mkdir()
+        save_dataset(data, folder / "d.csv")
+    os.remove(parsed / "d.csv.npy")
+    before = {p: p.stat() for p in tmp_path.rglob("*")}
+    for folder in (cached, parsed):
+        folder.chmod(0o555)
+    try:
+        for folder in (cached, parsed):
+            _assert_same_dataset(load_dataset(folder / "d.csv"), data)
+    finally:
+        for folder in (cached, parsed):
+            folder.chmod(0o755)
+    after = {p: p.stat() for p in tmp_path.rglob("*")}
+    assert sorted(after) == sorted(before)
+    assert all(after[p].st_mtime_ns == before[p].st_mtime_ns for p in before)
+
+
+def test_a_save_that_cannot_write_the_sidecar_leaves_the_text_as_it_was(tmp_path):
+    path = tmp_path / "d.csv"
+    path.write_text("x1,u1\n0.5,1.0\n")
+    os.mkdir(f"{path}.npy")
+    with pytest.raises(IsADirectoryError):
+        save_dataset(_toy_set(30), path)
+    assert path.read_text() == "x1,u1\n0.5,1.0\n"

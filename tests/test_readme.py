@@ -3,8 +3,8 @@ executed in order in one namespace, so a later block may use the names an
 earlier one defined.  Its list of solver flags is the one the CLI builds,
 its learner table states the defaults of the learners' signatures, its
 tables of learn flags and tutorial files are the CLI's LEARNERS and
-TUTORIALS, and its table of model documents holds the dataclass fields of
-each class in MODEL_CLASSES."""
+TUTORIALS (with each data file's sidecar), and its table of model
+documents holds the dataclass fields of each class in MODEL_CLASSES."""
 import ast
 import dataclasses
 import inspect
@@ -57,8 +57,10 @@ def test_readme_lists_the_files_of_each_tutorial():
     rows = re.findall(r"^\| `ccl tutorial ([\w-]+)` \| (.*) \|$", README.read_text(), re.M)
     assert [name for name, _ in rows] == list(cli.TUTORIALS)
     for name, cell in rows:
+        # each data file is followed by its sidecar
         files = [path for stem, _, _, field in cli.TUTORIALS[name]
-                 for path in cli._stage_paths("", stem, field)]
+                 for data, *made in [cli._stage_paths("", stem, field)]
+                 for path in (data, data + ".npy", *made)]
         assert re.findall(r"`([\w.]+)`", cell) == files, name
 
 

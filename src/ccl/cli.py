@@ -229,10 +229,21 @@ def _metric_table(rows, skipped):
     return "\n".join(lines) + "\n"
 
 
+def _check_dimensions(model, data, model_path, data_path):
+    """Refuse data whose state or action dimension is not the model's (a
+    model whose dim_x is None fixes no state dimension)."""
+    for axis, want, got in (("state", model.dim_x, data.dim_x),
+                            ("action", model.dim_u, data.dim_u)):
+        if want is not None and want != got:
+            raise CliError(f"model {model_path} ({model.kind}) takes {want}-D {axis}s, "
+                           f"but dataset {data_path} has {got}-D {axis}s")
+
+
 def cmd_eval(args):
     t0 = time.perf_counter()
     model = load_model(args.model)
     data = load_dataset(args.data)
+    _check_dimensions(model, data, args.model, args.data)
     rows, skipped = compute_metrics(model, data)
     table = _metric_table(rows, skipped)
     sys.stdout.write(table)

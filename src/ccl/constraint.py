@@ -21,7 +21,7 @@ from typing import Callable, Optional
 import numpy as np
 
 from .core import (UNCONVERGED_REASONS, LearnOptions, LearnReport, _finite_samples, _freeze_basis,
-                   _frozen_finite, _number)
+                   _basis_dim_x, _frozen_finite, _number, _PointTerms)
 from .datagen import TwoLinkArm
 from .mathkit import (
     LmProblem,
@@ -32,7 +32,6 @@ from .mathkit import (
     rbf_basis,
     rbf_design,
     ridge_regression,
-    unit_vector_angle_gradient,
     unit_vectors_from_angles,
 )
 from .metrics import error_poe, error_ppe, total_variance
@@ -205,6 +204,9 @@ class StateIndependentConstraint:
     def dim_u(self):
         return self.rows.shape[1] if self.features is None else self.features.dim_u
 
+    # nhat reads no state, and a feature provider checks the states it is given
+    dim_x = None
+
     def projector(self):
         """The one null-space projector of an nhat model."""
         if self.features is not None:
@@ -367,6 +369,8 @@ class StateDependentConstraintModel:
     def dim_u(self):
         return len(self.omegas[0]) + 1
 
+    dim_x = _basis_dim_x
+
     def constraint_stack(self, xs):
         """Materialized constraint rows A(x) at states xs (dim_x, N),
         shape (N, dim_b, dim_u), each row in the complement of the earlier
@@ -404,18 +408,55 @@ def _rows_in_frames(omega, frames, bx):
     return np.einsum("fn,nfj->nj", unit_vectors_from_angles(omega @ bx), frames)
 
 
+def _sin_cos(theta):
+    """The sines and cosines of local angles theta (m, N): the terms of a
+    row problem's point that its residual and its system share."""
+    return np.sin(theta), np.cos(theta)
+
+
+def _unit_vectors(s, c):
+    """:func:`unit_vectors_from_angles`, bit for bit, from the sines s and
+    cosines c (m, N) of its angles."""
+    m, n = s.shape
+    out = np.empty((m + 1, n))
+    running = np.ones(n)
+    for i in range(m):
+        out[i] = c[i] * running
+        running = running * s[i]
+    out[m] = running
+    return out
+
+
+def _angle_gradient(s, c, v):
+    """:func:`ccl.mathkit.unit_vector_angle_gradient`, bit for bit, from the
+    sines s and cosines c (m, N) of its angles."""
+    m = s.shape[0]
+    grad = np.empty_like(s)
+    tail = v[m]
+    for i in range(m - 1, -1, -1):
+        grad[i] = c[i] * tail - s[i] * v[i]
+        if i:
+            tail = c[i] * v[i] + s[i] * tail
+    if m > 1:  # the sine product of angle 0 is empty
+        grad[1:] *= np.cumprod(s[:-1], axis=0)
+    return grad
+
+
 @dataclass
 class _RowProblem(LmProblem):
     """One state-dependent row (:func:`_row_problem`).  Sample n's Jacobian
     row is g_n (x) beta_n, g_n the angle gradient of its residual, so with
     jw = g (.) beta stacked over the angles, (n_ang G, N), the Gauss-Newton
-    system is (jw jw', jw r): the problem has no ``jacobian``."""
+    system is (jw jw', jw r): the problem has no ``jacobian``.  The system
+    takes the sines and cosines of its angles from ``terms`` when the
+    residual last ran at the same point."""
 
     bx: np.ndarray = None
     u_rot: np.ndarray = None
+    terms: _PointTerms = None
 
     def normal_equations(self, p, r):
-        grad = unit_vector_angle_gradient(p.reshape(-1, len(self.bx)) @ self.bx, self.u_rot)
+        grad = _angle_gradient(*self.terms.at(p), self.u_rot)
         jw = (grad[:, None, :] * self.bx).reshape(-1, self.bx.shape[1])
         return jw @ jw.T, jw @ r
 
@@ -423,12 +464,14 @@ class _RowProblem(LmProblem):
 def _row_problem(bx, u_rot, p0, options=None):
     """One row's angle weights (n_ang G,) from p0: the residual of sample n
     is a(omega beta_n) . u_rot_n.  A row's later starts replace p0 and
-    keep this one residual closure."""
+    keep this one residual closure and its ``terms``."""
+    terms = _PointTerms(lambda wvec: _sin_cos(wvec.reshape(-1, len(bx)) @ bx))
+
     def residual(wvec):
-        return (unit_vectors_from_angles(wvec.reshape(-1, len(bx)) @ bx) * u_rot).sum(axis=0)
+        return (_unit_vectors(*terms.evaluate(wvec)) * u_rot).sum(axis=0)
 
     return _RowProblem(residual=residual, p0=p0, options=options or LearnOptions(),
-                       bx=bx, u_rot=u_rot)
+                       bx=bx, u_rot=u_rot, terms=terms)
 
 
 def learn_alpha(w_obs, xs, options: Optional[LearnOptions] = None,

@@ -1,6 +1,7 @@
 """Shared domain types: demonstration datasets, solver options and fit
 reports, the delimited text format used to exchange datasets between the
-CLI and the learners, and the field checks that model constructors share.
+CLI and the learners, the field checks that model constructors share, and
+the per-point cache of alpha's and ncl's least-squares problems.
 
 All containers are immutable after construction (their numpy buffers are
 marked read-only), so they can be shared freely across threads.
@@ -87,6 +88,10 @@ def _freeze_basis(model):
     ``width``, a finite real number > 0, a float."""
     object.__setattr__(model, "centers", _frozen_finite("centers", model.centers, 2))
     object.__setattr__(model, "width", float(_number("width", model.width, gt=0)))
+
+
+# the dim_x of a model on an RBF basis: the dimension of its centers
+_basis_dim_x = property(lambda model: model.centers.shape[0])
 
 
 @dataclass(frozen=True)
@@ -182,6 +187,35 @@ class LearnReport:
         return cls(nmse=nmse, mse=mse, variance=variance, **kw)
 
 
+class _PointTerms:
+    """The per-sample terms ``fn(p)`` that an LM problem's residual last
+    computed, kept with the bits of that point as one pair, which each
+    evaluation replaces whole.  ``lm_solve`` builds each system at the
+    point of the latest residual call, so alpha's and ncl's problems hold
+    one in a field: a copy made by ``dataclasses.replace`` shares it with
+    the residual closure that fills it."""
+
+    def __init__(self, fn):
+        self.fn = fn
+        self.last = None  # (bits of the point, its terms)
+
+    def evaluate(self, p):
+        """fn(p), kept as the last point's terms."""
+        terms = self.fn(p)
+        self.last = (_bits(p), terms)
+        return terms
+
+    def at(self, p):
+        """The kept terms if p is bit-equal to the last point, else fn(p)
+        (not kept)."""
+        last = self.last
+        return last[1] if last is not None and last[0] == _bits(p) else self.fn(p)
+
+
+def _bits(p):
+    return p.dtype.str, p.shape, p.tobytes()
+
+
 @dataclass(frozen=True)
 class DemonstrationSet:
     """Column-per-sample demonstration data.
@@ -218,8 +252,8 @@ class DemonstrationSet:
         if gid.min(initial=0) < 0:
             raise ValueError("group ids must be non-negative")
         k = int(gid.max(initial=0)) + 1
-        present = np.unique(gid)
-        if len(present) != k:
+        # K > N first, so a huge id allocates no count per id
+        if k > n or not np.bincount(gid, minlength=k).all():
             raise ValueError("group ids must be dense: every id in [0, K) used")
         object.__setattr__(self, "states", _freeze(states))
         object.__setattr__(self, "actions", _freeze(actions))

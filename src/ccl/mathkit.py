@@ -341,7 +341,12 @@ class LmProblem:
     ncl override it); it stays as public API, and perfbench's tracer
     rebuilds problems, this field included, with ``dataclasses.replace``.
     A solve whose best objective is still above ``abandon_above`` after
-    ABANDON_AFTER iterations is given up (see :func:`lm_solve`)."""
+    ABANDON_AFTER iterations is given up (see :func:`lm_solve`).
+
+    :func:`lm_solve` calls ``normal_equations(p, r)`` only at the point p
+    of its latest ``residual`` call, with the r that call returned, so a
+    problem may build its system from what that call computed (alpha and
+    ncl keep their per-sample terms; see ``ccl.core._PointTerms``)."""
 
     residual: Callable[[np.ndarray], np.ndarray]
     p0: np.ndarray
@@ -367,8 +372,10 @@ def lm_solve(problem: LmProblem):
 
     The system (J'J, J'r) and its damping diagonal come from
     ``problem.normal_equations`` once per point: at the start and after
-    each accepted step.  A rejected step only raises lam and solves the
-    same system again.
+    each accepted step.  Each build is at the point of the latest
+    ``residual`` call, with that call's r: no residual runs between a
+    point's evaluation and its system.  A rejected step only raises lam
+    and solves the same system again.
 
     lam shrinks x0.1 after an accepted step and grows x10 after a
     rejection; the objective never increases across accepted steps.

@@ -14,7 +14,8 @@ from typing import Optional
 
 import numpy as np
 
-from .core import LearnOptions, LearnReport, _finite_samples, _freeze_basis, _frozen_finite
+from .core import (LearnOptions, LearnReport, _basis_dim_x, _finite_samples, _freeze_basis,
+                   _frozen_finite, _PointTerms)
 from .mathkit import LmProblem, lm_solve, rbf_basis, rbf_design, ridge_regression
 from .metrics import error_npe, error_nupe, total_variance
 
@@ -37,6 +38,12 @@ class NullspaceComponentModel:
         object.__setattr__(self, "weights", _frozen_finite("weights", self.weights, 2))
         if self.weights.shape[1] != self.centers.shape[1]:
             raise ValueError("weights columns must match number of centers")
+
+    dim_x = _basis_dim_x
+
+    @property
+    def dim_u(self):
+        return self.weights.shape[0]
 
     def predict(self, xs):
         xs = np.atleast_2d(np.asarray(xs, dtype=float))
@@ -66,16 +73,16 @@ def _ncl_terms(weights, bx, actions):
     return w, dot, safe_rho, coef, small
 
 
-def _ncl_residual(weights, bx, actions):
-    """Residuals e_n = P_n u_n - w_n with P_n the projector onto the model
-    prediction (so e_n = -w_n for a negligible prediction), and the mask of
-    negligible predictions."""
-    w, _, _, coef, small = _ncl_terms(weights, bx, actions)
-    return coef * w - w, small
+def _ncl_residual(terms):
+    """Residuals e_n = P_n u_n - w_n (dim_u, N) from the :func:`_ncl_terms`
+    of a point, with P_n the projector onto the model prediction (so
+    e_n = -w_n for a negligible prediction)."""
+    w, _, _, coef, _ = terms
+    return coef * w - w
 
 
-def _ncl_normal_equations(weights, bx, actions, e):
-    """J'J and J'r of the objective at ``weights`` (dim_u, G), whose
+def _ncl_normal_equations(terms, bx, actions, e):
+    """J'J and J'r of the objective at the point of the _ncl_terms ``terms``, whose
     residuals are e (dim_u, N), without forming the (N dim_u, dim_u G)
     Jacobian.  Sample n adds (D_n' D_n) (x) b_n b_n' and (D_n' e_n) (x) b_n,
     so block (i, k) of J'J is bx diag(m_ik) bx' with m_ik = sum_a D_ai D_ak,
@@ -85,9 +92,9 @@ def _ncl_normal_equations(weights, bx, actions, e):
     beta_n = c_n - 1 (d_n = 0 and beta_n = -1 where the prediction is
     negligible), so m and q are a few products per sample, and one matrix
     product forms the upper blocks and J'r together."""
-    dim_u, g = weights.shape
-    n = bx.shape[1]
-    w, dot, safe_rho, coef, small = _ncl_terms(weights, bx, actions)
+    w, dot, safe_rho, coef, small = terms
+    dim_u = w.shape[0]
+    g, n = bx.shape
     d = np.where(small, 0.0, actions / safe_rho - 2.0 * dot * w / safe_rho ** 2)
     beta = coef - 1.0
     iu, ku = np.triu_indices(dim_u)
@@ -108,15 +115,17 @@ def _ncl_normal_equations(weights, bx, actions, e):
 @dataclass
 class _NclProblem(LmProblem):
     """The ncl objective for :func:`lm_solve`; ``normal_equations`` comes
-    from the per-sample derivative blocks, so it has no ``jacobian``."""
+    from the per-sample derivative blocks, so it has no ``jacobian``.  The
+    system takes its :func:`_ncl_terms` from ``terms`` when the residual
+    last ran at the same point."""
 
     bx: np.ndarray = None
     actions: np.ndarray = None
+    terms: _PointTerms = None
 
     def normal_equations(self, p, r):
-        dim_u = self.actions.shape[0]
-        return _ncl_normal_equations(p.reshape(dim_u, -1), self.bx, self.actions,
-                                     r.reshape(-1, dim_u).T)
+        return _ncl_normal_equations(self.terms.at(p), self.bx, self.actions,
+                                     r.reshape(-1, self.actions.shape[0]).T)
 
 
 def _ncl_problem(bx, actions, p0, options=None):
@@ -125,12 +134,13 @@ def _ncl_problem(bx, actions, p0, options=None):
     2 J'r."""
     g = bx.shape[0]
     dim_u = actions.shape[0]
+    terms = _PointTerms(lambda wvec: _ncl_terms(wvec.reshape(dim_u, g), bx, actions))
 
     def residual(wvec):
-        return _ncl_residual(wvec.reshape(dim_u, g), bx, actions)[0].ravel(order="F")
+        return _ncl_residual(terms.evaluate(wvec)).ravel(order="F")
 
     return _NclProblem(residual=residual, p0=p0, options=options or LearnOptions(),
-                       bx=bx, actions=actions)
+                       bx=bx, actions=actions, terms=terms)
 
 
 def learn_ncl(xs, actions, options: Optional[LearnOptions] = None, num_basis=16):
@@ -152,12 +162,14 @@ def learn_ncl(xs, actions, options: Optional[LearnOptions] = None, num_basis=16)
     bx = rbf_design(xs, centers, width)
     w0 = ridge_regression(bx, u, opts.regularization)
     dim_u = u.shape[0]
-    wvec, lm_report = lm_solve(_ncl_problem(bx, u, w0.ravel(), opts))
-    weights = wvec.reshape(dim_u, bx.shape[0])
-
-    model = NullspaceComponentModel(centers=centers, width=width, weights=weights)
-    e, small = _ncl_residual(weights, bx, u)
-    targets = e + weights @ bx  # the projected observations P_n u_n
+    problem = _ncl_problem(bx, u, w0.ravel(), opts)
+    wvec, lm_report = lm_solve(problem)
+    model = NullspaceComponentModel(centers=centers, width=width,
+                                    weights=wvec.reshape(dim_u, bx.shape[0]))
+    # kept by the solve's last residual call, unless that was a rejected step
+    terms = problem.terms.at(wvec)
+    e, small = _ncl_residual(terms), terms[-1]
+    targets = e + terms[0]  # the projected observations P_n u_n
     notes = (f"near-zero-predictions:{int(small.sum())}",) if small.any() else ()
     report = LearnReport.from_errors(
         mse=float((e ** 2).sum()) / u.shape[1],

@@ -19,8 +19,8 @@ from typing import Optional
 
 import numpy as np
 
-from .core import (LearnOptions, LearnReport, _finite_samples, _freeze_basis, _frozen_finite,
-                   _number)
+from .core import (LearnOptions, LearnReport, _basis_dim_x, _finite_samples, _freeze_basis,
+                   _frozen_finite, _number)
 from .mathkit import pairwise_sq_distances, rbf_basis, rbf_design
 from .metrics import error_ncpe, error_nupe, total_variance
 
@@ -71,6 +71,10 @@ class ParametricPolicyModel:
     def dim_x(self):
         return self.weights.shape[1] - 1 if self.centers is None else self.centers.shape[0]
 
+    @property
+    def dim_u(self):
+        return self.weights.shape[0]
+
     def features(self, xs):
         return _features(np.atleast_2d(np.asarray(xs, dtype=float)), self.centers, self.width)
 
@@ -109,6 +113,12 @@ class LwlPolicyModel:
             raise ValueError("one local map per center required")
         if self.local_maps.shape[2] != self.centers.shape[0] + 1:
             raise ValueError("local maps must act on the augmented state (x, 1)")
+
+    dim_x = _basis_dim_x
+
+    @property
+    def dim_u(self):
+        return self.local_maps.shape[1]
 
     def predict(self, xs):
         xs = np.atleast_2d(np.asarray(xs, dtype=float))

@@ -2,8 +2,11 @@ import argparse
 import json
 import os
 import re
+import subprocess
+import sys
 import warnings
 from dataclasses import fields
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -35,7 +38,7 @@ def test_gen_writes_dataset_and_manifest(tmp_path):
     out = _gen(tmp_path, seed=42)
     data = load_dataset(out)
     assert data.n_samples == 300
-    manifest = json.loads(open(out + ".manifest.json").read())
+    manifest = json.loads(Path(out + ".manifest.json").read_text())
     assert manifest["seed"] == 42
     assert manifest["subcommand"] == "gen"
     assert manifest["outputs"] == [out, out + ".npy"]
@@ -175,7 +178,7 @@ def test_gen_parabolic(tmp_path):
 def test_gen_deterministic_reruns(tmp_path):
     a = _gen(tmp_path, name="a.csv", seed=7)
     b = _gen(tmp_path, name="b.csv", seed=7)
-    assert open(a).read() == open(b).read()
+    assert Path(a).read_text() == Path(b).read_text()
 
 
 # ---------------------------------------------------------------------------
@@ -186,9 +189,9 @@ def test_learn_nhat_model_kind(tmp_path):
     data = _gen(tmp_path)
     out = str(tmp_path / "m.json")
     assert _run("learn", "--method", "nhat", "--in", data, "--out", out) == 0
-    doc = json.loads(open(out).read())
+    doc = json.loads(Path(out).read_text())
     assert doc["kind"] == "nhat"
-    manifest = json.loads(open(out + ".manifest.json").read())
+    manifest = json.loads(Path(out + ".manifest.json").read_text())
     assert manifest["report"]["converged"] is True
 
 
@@ -220,9 +223,9 @@ def test_learn_lambda_twolink(tmp_path):
     model_path = str(tmp_path / "m.json")
     assert _run("learn", "--method", "lambda", "--features",
                 "twolink-jacobian:1.0,1.0", "--in", out, "--out", model_path) == 0
-    doc = json.loads(open(model_path).read())
+    doc = json.loads(Path(model_path).read_text())
     assert doc["kind"] == "lambda" and sorted(doc) == ["features", "kind", "rows", "version"]
-    report = json.loads(open(model_path + ".manifest.json").read())["report"]
+    report = json.loads(Path(model_path + ".manifest.json").read_text())["report"]
     assert (report["reason"], report["iterations"], report["starts"]) == ("closed-form", 0, [])
 
 
@@ -265,7 +268,7 @@ def test_learn_pi_single_group_degeneracy_warning(tmp_path):
     data = _gen(tmp_path)
     out = str(tmp_path / "m.json")
     assert _run("learn", "--method", "pi", "--in", data, "--out", out) == 0
-    manifest = json.loads(open(out + ".manifest.json").read())
+    manifest = json.loads(Path(out + ".manifest.json").read_text())
     assert any("degeneracy" in note for note in manifest["report"]["notes"])
 
 
@@ -273,7 +276,7 @@ def test_learn_manifest_records_every_start(tmp_path):
     data = _gen(tmp_path, constraint="parabolic:0.1", n=400, seed=5)
     out = str(tmp_path / "m.json")
     assert _run("learn", "--method", "alpha", "--in", data, "--out", out) == 0
-    report = json.loads(open(out + ".manifest.json").read())["report"]
+    report = json.loads(Path(out + ".manifest.json").read_text())["report"]
     row0 = [rec for rec in report["starts"] if rec["row"] == 0]
     assert [rec["start"] for rec in row0] == list(range(LearnOptions().num_restarts))
     assert sum(rec["iterations"] for rec in report["starts"]) == report["iterations"]
@@ -361,8 +364,8 @@ def test_learn_default_basis_sizes_come_from_the_learners(tmp_path):
         out = str(tmp_path / f"{method}.json")
         code = _run("learn", "--method", method, "--in", data, "--out", out, *extra)
         assert code in (0, 2)
-        assert size_of(json.loads(open(out).read())) == size
-        assert "--num-basis" not in json.loads(open(out + ".manifest.json").read())["command"]
+        assert size_of(json.loads(Path(out).read_text())) == size
+        assert "--num-basis" not in json.loads(Path(out + ".manifest.json").read_text())["command"]
 
 
 @pytest.mark.parametrize("dim_x", [1, 3])
@@ -424,12 +427,12 @@ def test_eval_self_closed_loop_near_zero(tmp_path, capsys):
     capsys.readouterr()
     assert _run("eval", "--model", model_path, "--data", data,
                 "--out", metrics_path) == 0
-    for line in open(metrics_path).read().splitlines()[1:]:
+    for line in Path(metrics_path).read_text().splitlines()[1:]:
         if line.startswith("#"):
             continue
         name, normalized, variance, mse = line.split(",")
         assert float(normalized) < 1e-6
-    manifest = json.loads(open(metrics_path + ".manifest.json").read())
+    manifest = json.loads(Path(metrics_path + ".manifest.json").read_text())
     assert set(manifest["report"]["metrics"]) == {"NPOE", "NPPE"}
     for triple in manifest["report"]["metrics"].values():
         assert triple["normalized"] < 1e-6
@@ -461,7 +464,48 @@ def _learn_kind(tmp_path, name):
     method, extra = _LEARNED_KINDS[name]
     learned = str(tmp_path / f"{name}.json")
     assert _run("learn", "--method", method, "--in", data, "--out", learned, *extra) in (0, 2)
-    return data, json.loads(open(learned).read())
+    return data, json.loads(Path(learned).read_text())
+
+
+def _save_3d(tmp_path, states_dim=3, actions_dim=3):
+    """A dataset of 3-D states and actions (either may be 2-D), with no
+    ground-truth channels."""
+    rng = np.random.default_rng(4)
+    path = str(tmp_path / f"x{states_dim}u{actions_dim}.csv")
+    save_dataset(DemonstrationSet(states=rng.uniform(-1.0, 1.0, (states_dim, 40)),
+                                  actions=rng.normal(size=(actions_dim, 40))), path)
+    return path
+
+
+@pytest.mark.parametrize("name", sorted(_LEARNED_KINDS))
+def test_eval_refuses_data_of_another_dimension(tmp_path, capsys, name):
+    _learn_kind(tmp_path, name)
+    model = str(tmp_path / f"{name}.json")
+    data = _save_3d(tmp_path)
+    capsys.readouterr()
+    assert _run("eval", "--model", model, "--data", data) == 1
+    err = capsys.readouterr().err
+    kind = load_model(model).kind
+    assert err.startswith(f"error: model {model} ({kind}) takes 2-D ")
+    assert f"but dataset {data} has 3-D " in err
+
+
+@pytest.mark.parametrize("name", ["alpha", "ncl", "pi-rbf", "pi-linear", "pi-lwl"])
+def test_eval_refuses_states_of_another_dimension(tmp_path, capsys, name):
+    _learn_kind(tmp_path, name)
+    model, data = str(tmp_path / f"{name}.json"), _save_3d(tmp_path, actions_dim=2)
+    capsys.readouterr()
+    assert _run("eval", "--model", model, "--data", data) == 1
+    assert "takes 2-D states, but dataset" in capsys.readouterr().err
+
+
+def test_eval_reads_states_of_any_dimension_where_the_model_does(tmp_path):
+    # nhat and lambda over identity features read no state coordinate (the
+    # two-link features refuse other states themselves, as tested above)
+    data = _save_3d(tmp_path, actions_dim=2)
+    for name in ("nhat", "lambda"):
+        _learn_kind(tmp_path, name)
+        assert _run("eval", "--model", str(tmp_path / f"{name}.json"), "--data", data) == 0
 
 
 def test_model_kinds_are_the_kinds_the_learners_write(tmp_path):
@@ -895,19 +939,45 @@ def test_model_document_missing_field_names_it(tmp_path, capsys):
     assert capsys.readouterr().err.endswith("is missing field 'omegas'\n")
 
 
+_NO_MASKED_ARRAYS = """
+import sys
+from ccl.cli import main
+out = sys.argv[1]
+stages = [["gen", "--constraint", "parabolic:0.1", "--n", "60", "--out", f"{out}/d.csv"]]
+for method, extra in (("nhat", []), ("alpha", ["--num-basis", "4"]),
+                      ("ncl", ["--num-basis", "4"]), ("pi", ["--num-basis", "4"]),
+                      ("pi-lwl", ["--num-basis", "3"])):
+    model = f"{out}/{method}.json"
+    stages += [["learn", "--method", method, "--in", f"{out}/d.csv", "--out", model, *extra],
+               ["eval", "--model", model, "--data", f"{out}/d.csv"]]
+for stage in stages:
+    assert main(stage) in (0, 2), stage
+assert "numpy.ma" not in sys.modules
+"""
+
+
+def test_no_stage_imports_masked_arrays(tmp_path):
+    # numpy.ma costs each CLI process about 20 ms and 1.2 MiB to import
+    src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
+    env = dict(os.environ, PYTHONPATH=src)
+    done = subprocess.run([sys.executable, "-c", _NO_MASKED_ARRAYS, str(tmp_path)], env=env,
+                          capture_output=True, text=True)
+    assert done.returncode == 0, done.stderr
+
+
 # ---------------------------------------------------------------------------
 # manifests / determinism / env seed
 # ---------------------------------------------------------------------------
 
 def test_manifest_command_reruns_identically(tmp_path):
     out = _gen(tmp_path, name="a.csv", seed=13)
-    manifest = json.loads(open(out + ".manifest.json").read())
+    manifest = json.loads(Path(out + ".manifest.json").read_text())
     command = manifest["command"]
     # redirect the output and re-run the recorded command
     redone = str(tmp_path / "b.csv")
     command[command.index("--out") + 1] = redone
     assert main(command) == 0
-    assert open(out).read() == open(redone).read()
+    assert Path(out).read_text() == Path(redone).read_text()
 
 
 def test_learn_manifest_command_reruns_with_solver_flags(tmp_path):
@@ -916,12 +986,12 @@ def test_learn_manifest_command_reruns_with_solver_flags(tmp_path):
     code = _run("learn", "--method", "alpha", "--in", data, "--out", out, "--num-basis", "6",
                 "--max-iter", "3", "--num-restarts", "2", "--tol-fun", "1e-6")
     assert code == 2
-    command = json.loads(open(out + ".manifest.json").read())["command"]
+    command = json.loads(Path(out + ".manifest.json").read_text())["command"]
     assert command[-6:] == ["--tol-fun", "1e-06", "--max-iter", "3", "--num-restarts", "2"]
     redone = str(tmp_path / "b.json")
     command[command.index("--out") + 1] = redone
     assert main(command) == code
-    assert open(out, "rb").read() == open(redone, "rb").read()
+    assert Path(out).read_bytes() == Path(redone).read_bytes()
 
 
 def test_learn_manifest_config_holds_what_the_learner_used(tmp_path):
@@ -943,7 +1013,7 @@ def test_learn_manifest_config_holds_what_the_learner_used(tmp_path):
             ("pi-lwl", ("--regularization", "0.001"), {"num_basis": 10, "regularization": 0.001})):
         out = str(tmp_path / f"{method}.json")
         assert _run("learn", "--method", method, "--in", data, "--out", out, *flags) in (0, 2)
-        manifest = json.loads(open(out + ".manifest.json").read())
+        manifest = json.loads(Path(out + ".manifest.json").read_text())
         assert manifest["config"] == {"method": method, **config}, method
         assert manifest["seed"] == 0
 
@@ -993,7 +1063,7 @@ def test_ccl_seed_env_override(tmp_path, monkeypatch):
     monkeypatch.setenv("CCL_SEED", "99")
     out = str(tmp_path / "d.csv")
     assert _run("gen", "--constraint", "fixed:10", "--n", "50", "--out", out) == 0
-    manifest = json.loads(open(out + ".manifest.json").read())
+    manifest = json.loads(Path(out + ".manifest.json").read_text())
     assert manifest["seed"] == 99
 
 
@@ -1009,11 +1079,11 @@ def test_ccl_seed_env_not_an_integer_is_input_error(tmp_path, monkeypatch, capsy
 def test_explicit_seed_ignores_invalid_ccl_seed_env(tmp_path, monkeypatch):
     monkeypatch.setenv("CCL_SEED", "abc")
     data = _gen(tmp_path, seed=3, n=50)
-    assert json.loads(open(data + ".manifest.json").read())["seed"] == 3
+    assert json.loads(Path(data + ".manifest.json").read_text())["seed"] == 3
     model = str(tmp_path / "m.json")
     assert _run("learn", "--method", "nhat", "--in", data, "--out", model,
                 "--seed", "4") == 0
-    assert json.loads(open(model + ".manifest.json").read())["seed"] == 4
+    assert json.loads(Path(model + ".manifest.json").read_text())["seed"] == 4
 
 
 def test_eval_does_not_read_ccl_seed(tmp_path, monkeypatch):
@@ -1023,7 +1093,7 @@ def test_eval_does_not_read_ccl_seed(tmp_path, monkeypatch):
     monkeypatch.setenv("CCL_SEED", "abc")
     table = str(tmp_path / "t.csv")
     assert _run("eval", "--model", model, "--data", data, "--out", table) == 0
-    assert json.loads(open(table + ".manifest.json").read())["seed"] is None
+    assert json.loads(Path(table + ".manifest.json").read_text())["seed"] is None
 
 
 def test_learn_names_a_line_broken_after_the_save_though_the_sidecar_is_left(

@@ -7,6 +7,7 @@ import sys
 import tempfile
 import tracemalloc
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -285,6 +286,13 @@ def test_dataset_rejects_sparse_group_ids():
                          group_ids=[0, 2, 0, 2])
 
 
+def test_dataset_refuses_a_huge_group_id_before_counting_ids():
+    # K = 10**15 + 1 > N: refused without a count per id (8 PB)
+    with pytest.raises(ValueError, match="dense"):
+        DemonstrationSet(states=np.zeros((2, 2)), actions=np.zeros((2, 2)),
+                         group_ids=[0, 10 ** 15])
+
+
 def test_dataset_rejects_non_integral_group_ids():
     with pytest.raises(ValueError, match="integers"):
         DemonstrationSet(states=np.zeros((2, 2)), actions=np.zeros((2, 2)),
@@ -495,8 +503,8 @@ def test_codec_roundtrip_is_byte_and_bit_exact(data):
         _save_text(data, first)
         back = load_dataset(first)
         save_dataset(back, second)
-        text = open(first).read()
-        assert open(second).read() == text
+        text = Path(first).read_text()
+        assert Path(second).read_text() == text
     assert text.splitlines()[1:] == _reference_rows(data)
     for name in ("states", "actions", "group_ids", "policy", "task_component", "null_component"):
         a, b = getattr(data, name), getattr(back, name)
@@ -528,7 +536,7 @@ def test_save_formats_repeated_values_as_the_per_sample_writer(data, block_rows)
         mp.setattr(core, "_SAVE_BLOCK_ROWS", block_rows)
         path = os.path.join(tmp, "d.csv")
         save_dataset(data, path)
-        assert open(path).read().splitlines()[1:] == _reference_rows(data)
+        assert Path(path).read_text().splitlines()[1:] == _reference_rows(data)
 
 
 def _numpy_float(token):

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from ccl import constraint, mathkit
+from ccl import constraint, mathkit, nullspace
 from ccl.constraint import learn_alpha
 from ccl.core import LearnOptions, LearnReport
 from ccl.datagen import GeneratorConfig, generate
@@ -953,3 +953,143 @@ def test_check_jacobian_harness():
         return jacobian(p) + 0.05
 
     assert check_jacobian(residual, wrong, np.array([0.3, 0.4])) > 1e-3
+
+
+# ---------------------------------------------------------------------------
+# one forward pass per LM point
+# ---------------------------------------------------------------------------
+
+def test_lm_builds_each_system_at_its_latest_residual_point():
+    # the contract alpha's and ncl's problems rely on to reuse their terms
+    for case in sorted(_LM_CASES):
+        problem = _LM_CASES[case]()
+        latest, systems = [], [0]
+        residual, build = problem.residual, problem.normal_equations
+
+        def recording(p):
+            r = residual(p)
+            latest[:] = [p.copy(), np.atleast_1d(np.asarray(r, dtype=float)).ravel().copy()]
+            return r
+
+        def checking(p, r):
+            assert _same_bits(p, latest[0]) and _same_bits(r, latest[1]), case
+            systems[0] += 1
+            return build(p, r)
+
+        problem = dataclasses.replace(problem, residual=recording)
+        problem.normal_equations = checking
+        lm_solve(problem)
+        assert systems[0] >= 1, case
+
+
+def _alpha_3d_row_problem():
+    """A row problem with two angles: the first row of 3-D observations."""
+    rng = np.random.default_rng(12)
+    xs = rng.uniform(-1.0, 1.0, (2, 150))
+    a = np.vstack([np.cos(xs[0]), np.sin(xs[0]), 0.5 + 0.0 * xs[1]])
+    a /= np.linalg.norm(a, axis=0)
+    u = rng.normal(size=(3, 150))
+    u -= a * (a * u).sum(axis=0)
+    bx = rbf_design(xs, *rbf_basis(xs, 5, seed=0))
+    return constraint._row_problem(bx, u, rng.normal(0.0, 0.4, 2 * bx.shape[0]))
+
+
+def _ncl_lm_problem():
+    """learn_ncl's problem on a fixed constraint with a task drive."""
+    data = generate(GeneratorConfig(constraints=("fixed:60.0",), task_b="sin:0.5,3.0,0.0",
+                                    n_per_group=150, rng_seed=2))
+    bx = rbf_design(data.states, *rbf_basis(data.states, 6, seed=0))
+    w0 = ridge_regression(bx, data.actions)
+    return nullspace._ncl_problem(bx, data.actions, w0.ravel())
+
+
+_TERM_CASES = {"alpha-2d": _alpha_row_problem, "alpha-3d": _alpha_3d_row_problem,
+               "ncl": _ncl_lm_problem}
+
+
+def _count_terms(monkeypatch, case):
+    """Counts the evaluations of a problem's per-sample terms: calls of
+    np.sin and np.cos for alpha (one each per evaluation), of _ncl_terms
+    for ncl."""
+    calls = {"n": 0}
+
+    def counted(fn):
+        def wrapper(*args, **kw):
+            calls["n"] += 1
+            return fn(*args, **kw)
+        return wrapper
+
+    if case == "ncl":
+        monkeypatch.setattr(nullspace, "_ncl_terms", counted(nullspace._ncl_terms))
+    else:
+        monkeypatch.setattr(np, "sin", counted(np.sin))
+        monkeypatch.setattr(np, "cos", counted(np.cos))
+    return lambda: calls["n"] // (1 if case == "ncl" else 2)
+
+
+def _counting_residual(problem):
+    """The problem rebuilt as perfbench's tracer does, with a residual that
+    counts its calls."""
+    calls = {"n": 0}
+
+    def residual(p):
+        calls["n"] += 1
+        return problem.residual(p)
+
+    return dataclasses.replace(problem, residual=residual), lambda: calls["n"]
+
+
+@pytest.mark.parametrize("case", sorted(_TERM_CASES))
+def test_lm_evaluates_the_terms_once_per_residual_call(monkeypatch, case):
+    problem, residual_calls = _counting_residual(_TERM_CASES[case]())
+    terms_calls = _count_terms(monkeypatch, case)
+    _, report = lm_solve(problem)
+    assert report.iterations > 1
+    assert terms_calls() == residual_calls()
+
+
+@pytest.mark.parametrize("case", sorted(_TERM_CASES))
+def test_system_after_a_residual_elsewhere_is_the_fresh_system(case):
+    p1 = _TERM_CASES[case]().p0
+    # p1 moved by one ulp in one entry, and far away
+    for p2 in (p1 + np.eye(p1.size)[0] * np.spacing(p1[0]), 0.5 * p1 + 0.1):
+        problem, fresh = _TERM_CASES[case](), _TERM_CASES[case]()
+        problem.residual(p1)
+        r2 = fresh.residual(p2)
+        got, want = problem.normal_equations(p2, r2), fresh.normal_equations(p2, r2)
+        assert all(_same_bits(a, b) for a, b in zip(got, want))
+
+
+@pytest.mark.parametrize("case", sorted(_TERM_CASES))
+def test_lm_is_bit_identical_when_every_system_recomputes_its_terms(case):
+    p, report = lm_solve(_TERM_CASES[case]())
+    problem = _TERM_CASES[case]()
+    build = problem.normal_equations
+
+    def forgetful(q, r):
+        problem.terms.last = None
+        return build(q, r)
+
+    problem.normal_equations = forgetful
+    p_ref, report_ref = lm_solve(problem)
+    assert _same_bits(p, p_ref)
+    assert report == report_ref
+
+
+@pytest.mark.parametrize("case", sorted(_TERM_CASES))
+def test_a_problem_rebuilt_by_replace_reuses_the_terms(monkeypatch, case):
+    problem = _TERM_CASES[case]()
+    wrapped = dataclasses.replace(problem, residual=lambda p: problem.residual(p))
+    r = wrapped.residual(wrapped.p0)
+    terms_calls = _count_terms(monkeypatch, case)
+    wrapped.normal_equations(wrapped.p0.copy(), r)
+    assert terms_calls() == 0
+
+
+@pytest.mark.parametrize("m", [1, 2, 4])
+def test_row_kernels_from_sines_and_cosines_match_mathkit_bit_for_bit(m):
+    rng = np.random.default_rng(m)
+    theta, v = rng.uniform(-4.0, 4.0, (m, 30)), rng.normal(size=(m + 1, 30))
+    s, c = constraint._sin_cos(theta)
+    assert _same_bits(constraint._unit_vectors(s, c), unit_vectors_from_angles(theta))
+    assert _same_bits(constraint._angle_gradient(s, c, v), unit_vector_angle_gradient(theta, v))

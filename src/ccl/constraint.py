@@ -21,10 +21,12 @@ from typing import Callable, Optional
 import numpy as np
 
 from .core import (UNCONVERGED_REASONS, LearnOptions, LearnReport, _finite_samples, _freeze_basis,
-                   _basis_dim_x, _frozen_finite, _number, _PointTerms)
+                   _basis_dim_x, _frozen_finite, _number)
 from .datagen import TwoLinkArm
 from .mathkit import (
     LmProblem,
+    _PointTerms,
+    angle_gradient_from_sin_cos,
     lm_solve,
     nullspace_projector,
     orthogonal_complement_rotation,
@@ -33,6 +35,7 @@ from .mathkit import (
     rbf_design,
     ridge_regression,
     unit_vectors_from_angles,
+    unit_vectors_from_sin_cos,
 )
 from .metrics import error_poe, error_ppe, total_variance
 
@@ -408,40 +411,6 @@ def _rows_in_frames(omega, frames, bx):
     return np.einsum("fn,nfj->nj", unit_vectors_from_angles(omega @ bx), frames)
 
 
-def _sin_cos(theta):
-    """The sines and cosines of local angles theta (m, N): the terms of a
-    row problem's point that its residual and its system share."""
-    return np.sin(theta), np.cos(theta)
-
-
-def _unit_vectors(s, c):
-    """:func:`unit_vectors_from_angles`, bit for bit, from the sines s and
-    cosines c (m, N) of its angles."""
-    m, n = s.shape
-    out = np.empty((m + 1, n))
-    running = np.ones(n)
-    for i in range(m):
-        out[i] = c[i] * running
-        running = running * s[i]
-    out[m] = running
-    return out
-
-
-def _angle_gradient(s, c, v):
-    """:func:`ccl.mathkit.unit_vector_angle_gradient`, bit for bit, from the
-    sines s and cosines c (m, N) of its angles."""
-    m = s.shape[0]
-    grad = np.empty_like(s)
-    tail = v[m]
-    for i in range(m - 1, -1, -1):
-        grad[i] = c[i] * tail - s[i] * v[i]
-        if i:
-            tail = c[i] * v[i] + s[i] * tail
-    if m > 1:  # the sine product of angle 0 is empty
-        grad[1:] *= np.cumprod(s[:-1], axis=0)
-    return grad
-
-
 @dataclass
 class _RowProblem(LmProblem):
     """One state-dependent row (:func:`_row_problem`).  Sample n's Jacobian
@@ -456,7 +425,7 @@ class _RowProblem(LmProblem):
     terms: _PointTerms = None
 
     def normal_equations(self, p, r):
-        grad = _angle_gradient(*self.terms.at(p), self.u_rot)
+        grad = angle_gradient_from_sin_cos(*self.terms.at(p), self.u_rot)
         jw = (grad[:, None, :] * self.bx).reshape(-1, self.bx.shape[1])
         return jw @ jw.T, jw @ r
 
@@ -465,10 +434,14 @@ def _row_problem(bx, u_rot, p0, options=None):
     """One row's angle weights (n_ang G,) from p0: the residual of sample n
     is a(omega beta_n) . u_rot_n.  A row's later starts replace p0 and
     keep this one residual closure and its ``terms``."""
-    terms = _PointTerms(lambda wvec: _sin_cos(wvec.reshape(-1, len(bx)) @ bx))
+    def sin_cos(wvec):
+        theta = wvec.reshape(-1, len(bx)) @ bx
+        return np.sin(theta), np.cos(theta)
+
+    terms = _PointTerms(sin_cos)
 
     def residual(wvec):
-        return (_unit_vectors(*terms.evaluate(wvec)) * u_rot).sum(axis=0)
+        return (unit_vectors_from_sin_cos(*terms.evaluate(wvec)) * u_rot).sum(axis=0)
 
     return _RowProblem(residual=residual, p0=p0, options=options or LearnOptions(),
                        bx=bx, u_rot=u_rot, terms=terms)

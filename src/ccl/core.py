@@ -1,7 +1,6 @@
 """Shared domain types: demonstration datasets, solver options and fit
 reports, the delimited text format used to exchange datasets between the
-CLI and the learners, the field checks that model constructors share, and
-the per-point cache of alpha's and ncl's least-squares problems.
+CLI and the learners, and the field checks that model constructors share.
 
 All containers are immutable after construction (their numpy buffers are
 marked read-only), so they can be shared freely across threads.
@@ -185,35 +184,6 @@ class LearnReport:
     def from_errors(cls, mse, variance, **kw):
         nmse = mse / variance if variance > 0 else 0.0
         return cls(nmse=nmse, mse=mse, variance=variance, **kw)
-
-
-class _PointTerms:
-    """The per-sample terms ``fn(p)`` that an LM problem's residual last
-    computed, kept with the bits of that point as one pair, which each
-    evaluation replaces whole.  ``lm_solve`` builds each system at the
-    point of the latest residual call, so alpha's and ncl's problems hold
-    one in a field: a copy made by ``dataclasses.replace`` shares it with
-    the residual closure that fills it."""
-
-    def __init__(self, fn):
-        self.fn = fn
-        self.last = None  # (bits of the point, its terms)
-
-    def evaluate(self, p):
-        """fn(p), kept as the last point's terms."""
-        terms = self.fn(p)
-        self.last = (_bits(p), terms)
-        return terms
-
-    def at(self, p):
-        """The kept terms if p is bit-equal to the last point, else fn(p)
-        (not kept)."""
-        last = self.last
-        return last[1] if last is not None and last[0] == _bits(p) else self.fn(p)
-
-
-def _bits(p):
-    return p.dtype.str, p.shape, p.tobytes()
 
 
 @dataclass(frozen=True)

@@ -2,8 +2,9 @@
 hyperspherical unit vectors, pairwise distances, K-means, Gaussian RBF
 features and a damped least-squares (Levenberg-Marquardt) solver.
 
-Everything here is a pure function of its inputs and safe to call
-concurrently.
+Every function here is a pure function of its inputs and safe to call
+concurrently.  A ``_PointTerms`` keeps the last point of one LM problem,
+so each problem holds its own.
 """
 from __future__ import annotations
 
@@ -94,8 +95,13 @@ def unit_vectors_from_angles(thetas):
     a_i = cos(theta_i) * prod_{j<i} sin(theta_j), with the last component
     prod_j sin(theta_j)."""
     thetas = np.atleast_2d(np.asarray(thetas, dtype=float))
-    m, n = thetas.shape
-    s, c = np.sin(thetas), np.cos(thetas)
+    return unit_vectors_from_sin_cos(np.sin(thetas), np.cos(thetas))
+
+
+def unit_vectors_from_sin_cos(s, c):
+    """:func:`unit_vectors_from_angles` from the sines s and cosines c
+    (m, N) of the angles."""
+    m, n = s.shape
     out = np.empty((m + 1, n))
     running = np.ones(n)
     for i in range(m):
@@ -111,9 +117,14 @@ def unit_vector_angle_gradient(thetas, v):
     backward pass g_i = (c_i * tail_i - s_i * v_i) * prod_{j<i} s_j, where
     tail_{m-1} = v_m and tail_{i-1} = c_i * v_i + s_i * tail_i."""
     thetas = np.atleast_2d(np.asarray(thetas, dtype=float))
-    m = thetas.shape[0]
-    s, c = np.sin(thetas), np.cos(thetas)
-    grad = np.empty_like(thetas)
+    return angle_gradient_from_sin_cos(np.sin(thetas), np.cos(thetas), v)
+
+
+def angle_gradient_from_sin_cos(s, c, v):
+    """:func:`unit_vector_angle_gradient` from the sines s and cosines c
+    (m, N) of the angles."""
+    m = s.shape[0]
+    grad = np.empty_like(s)
     tail = v[m]
     for i in range(m - 1, -1, -1):
         grad[i] = c[i] * tail - s[i] * v[i]
@@ -346,7 +357,7 @@ class LmProblem:
     :func:`lm_solve` calls ``normal_equations(p, r)`` only at the point p
     of its latest ``residual`` call, with the r that call returned, so a
     problem may build its system from what that call computed (alpha and
-    ncl keep their per-sample terms; see ``ccl.core._PointTerms``)."""
+    ncl keep their per-sample terms in a :class:`_PointTerms`)."""
 
     residual: Callable[[np.ndarray], np.ndarray]
     p0: np.ndarray
@@ -364,6 +375,35 @@ class LmProblem:
             raise ValueError(f"jacobian shape {j.shape} inconsistent with "
                              f"({r.size}, {p.size})")
         return j.T @ j, j.T @ r
+
+
+class _PointTerms:
+    """The per-sample terms ``fn(p)`` that an LM problem's residual last
+    computed, kept with the bits of that point as one pair, which each
+    evaluation replaces whole.  :func:`lm_solve` builds each system at the
+    point of the latest residual call, so alpha's and ncl's problems hold
+    one in a field: a copy made by ``dataclasses.replace`` shares it with
+    the residual closure that fills it."""
+
+    def __init__(self, fn):
+        self.fn = fn
+        self.last = None  # (bits of the point, its terms)
+
+    def evaluate(self, p):
+        """fn(p), kept as the last point's terms."""
+        terms = self.fn(p)
+        self.last = (_bits(p), terms)
+        return terms
+
+    def at(self, p):
+        """The kept terms if p is bit-equal to the last point, else fn(p)
+        (not kept)."""
+        last = self.last
+        return last[1] if last is not None and last[0] == _bits(p) else self.fn(p)
+
+
+def _bits(p):
+    return p.dtype.str, p.shape, p.tobytes()
 
 
 def lm_solve(problem: LmProblem):

@@ -15,8 +15,8 @@ from typing import Optional
 import numpy as np
 
 from .core import (LearnOptions, LearnReport, _basis_dim_x, _finite_samples, _freeze_basis,
-                   _frozen_finite, _PointTerms)
-from .mathkit import LmProblem, lm_solve, rbf_basis, rbf_design, ridge_regression
+                   _frozen_finite)
+from .mathkit import LmProblem, _PointTerms, lm_solve, rbf_basis, rbf_design, ridge_regression
 from .metrics import error_npe, error_nupe, total_variance
 
 TINY_NORM = 1e-12

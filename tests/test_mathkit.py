@@ -1084,12 +1084,3 @@ def test_a_problem_rebuilt_by_replace_reuses_the_terms(monkeypatch, case):
     terms_calls = _count_terms(monkeypatch, case)
     wrapped.normal_equations(wrapped.p0.copy(), r)
     assert terms_calls() == 0
-
-
-@pytest.mark.parametrize("m", [1, 2, 4])
-def test_row_kernels_from_sines_and_cosines_match_mathkit_bit_for_bit(m):
-    rng = np.random.default_rng(m)
-    theta, v = rng.uniform(-4.0, 4.0, (m, 30)), rng.normal(size=(m + 1, 30))
-    s, c = constraint._sin_cos(theta)
-    assert _same_bits(constraint._unit_vectors(s, c), unit_vectors_from_angles(theta))
-    assert _same_bits(constraint._angle_gradient(s, c, v), unit_vector_angle_gradient(theta, v))
